@@ -6,13 +6,16 @@ outer products to wedge products and gradients to exterior derivatives, and it
 is onto, with ``right_inverse`` as a sign-free section.
 
 For even k the s-th wedge power of a projected matrix is a signed sum of
-order-s minors; ``wedge_power_from_minors`` evaluates that expansion directly
-from a minor table, ``minor_power_map`` materializes it as an explicit linear
-map from minor space to degree-k·s forms, and ``pullback_support`` is that
-map's transpose, turning form-side support coefficients into minor-space
-coefficient tables.  For odd k (any power ≥ 2) and for powers beyond n/k the
-maps are identically zero and the fast paths return zero without touching
-minors.
+order-s minors.  The block partitions and interlace signs of that sum are
+enumerated once per (n, k, s) into a cached partition plan: for each
+degree-k·s target, a flat run of (minor cell, sign) pairs in the minor-table
+layout.  ``wedge_power_from_minors`` evaluates the plan on demand, taking only
+the minors it names; ``minor_power_map`` stores the same plan as a sparse
+linear map from minor space to degree-k·s forms; and ``pullback_support`` is
+that map's transpose, built by its own enumeration so that the adjointness
+check keeps an independent route.  For odd k (any power ≥ 2) and for powers
+beyond n/k the maps are identically zero and the fast paths return zero
+without touching minors.
 
 All interlace signs here use the append convention (index written after its
 block); see the multiindex module for why the expansion needs that variant.
@@ -22,14 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from . import scalars
 from .errors import DomainError
 from .exterior import KForm
 from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices, rank,
-                         sign_append, sign_interlace_append)
-from .shapespace import MinorTable, ShapeMatrix, adjugate
+                         sign_interlace_append)
+from .shapespace import MinorTable, ShapeMatrix, det
 
 
 def project(X: ShapeMatrix) -> KForm:
@@ -80,54 +84,112 @@ def _power_degree_checks(n: int, k: int, s: int) -> None:
         raise DomainError(f"power order {s} out of range 2..{limit}")
 
 
-def wedge_power_from_minors(X: ShapeMatrix, s: int, _flip_one_sign: bool = False) -> KForm:
+class _PartitionPlan(NamedTuple):
+    """The signed block partitions of every degree-k·s target, in minor-table cells.
+
+    ``row_sets`` and ``col_sets`` are the order-s selections in ``MinorTable``
+    order; cell c is row set c // len(col_sets), column set
+    c % len(col_sets).  ``targets`` holds one flat tuple (cell, sign, cell,
+    sign, …) per degree-k·s multiindex in alphabetical order, the cells in
+    ``block_partitions`` order and the signs the append interlace signs.
+    """
+
+    row_sets: tuple[tuple[int, ...], ...]
+    col_sets: tuple[tuple[int, ...], ...]
+    targets: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _partition_plan(n: int, k: int, s: int) -> _PartitionPlan:
+    """The partition plan of the order-s expansion (order 1 is the projection).
+
+    Targets carry no cells where the power vanishes identically (odd k with
+    s ≥ 2), and there are none beyond degree n.
+    """
+    row_sets = tuple(itertools.combinations(range(math.comb(n, k - 1)), s))
+    col_sets = tuple(itertools.combinations(range(n), s))
+    multiindices = enumerate_multiindices(n, k * s) if k * s <= n else []
+    if s >= 2 and k % 2 == 1:
+        return _PartitionPlan(row_sets, col_sets, ((),) * len(multiindices))
+    row_index = {rs: i for i, rs in enumerate(row_sets)}
+    col_index = {cs: i for i, cs in enumerate(col_sets)}
+    ncols = len(col_sets)
+    label_rank = {mi.indices: i for i, mi in enumerate(enumerate_multiindices(n, k - 1))}
+    targets = []
+    for K in multiindices:
+        terms: list[int] = []
+        for part in block_partitions(K, s, k):
+            # blocks come in alphabetical order, so their ranks increase
+            rs = tuple(label_rank[b.indices] for b in part.blocks)
+            cs = tuple(j - 1 for j in part.J.indices)
+            terms += (row_index[rs] * ncols + col_index[cs],
+                      sign_interlace_append(part.J.indices, part.blocks))
+        targets.append(tuple(terms))
+    return _PartitionPlan(row_sets, col_sets, tuple(targets))
+
+
+def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
     """Evaluate the s-th wedge power of project(X) from its order-s minors.
 
-    Zero without computing minors when k is odd or s exceeds n/k.  The
-    ``_flip_one_sign`` hook negates a single interlace sign so checkers can
-    prove they would catch a sign fault; it is never set in real use.
+    Walks the cached partition plan and takes the determinant of exactly the
+    submatrices it names, each once (a cell fixes its target, so no minor
+    recurs), instead of building the full minor table.  Zero without
+    computing minors when k is odd or s exceeds n/k.
     """
     n, k = X.n, X.k
     _power_degree_checks(n, k, s)
     if k % 2 == 1 or s > n // k:
         return KForm.zero(n, k * s, X.backend)
-    table = adjugate(X, s)
+    plan = _partition_plan(n, k, s)
+    row_sets, col_sets = plan.row_sets, plan.col_sets
+    ncols = len(col_sets)
+    entries = X.entries
     factor = math.factorial(s)
-    row_rank = {mi.indices: i for i, mi in enumerate(enumerate_multiindices(n, k - 1))}
     out = []
-    flip = -1 if _flip_one_sign else 1
-    for K in enumerate_multiindices(n, k * s):
+    for terms in plan.targets:
         acc = scalars.zero(X.backend)
-        for part in block_partitions(K, s, k):
-            sign = sign_interlace_append(part.J.indices, part.blocks) * flip
-            flip = 1
-            row_set = tuple(sorted(row_rank[b.indices] for b in part.blocks))
-            col_set = tuple(j - 1 for j in part.J.indices)
-            minor = table.value(row_set, col_set)
+        for cell, sign in zip(terms[::2], terms[1::2]):
+            ri, ci = divmod(cell, ncols)
+            cols = col_sets[ci]
+            minor = det([[entries[r][c] for c in cols] for r in row_sets[ri]])
             acc += minor if sign > 0 else -minor
         out.append(factor * acc)
     return KForm(n, k * s, out, X.backend)
 
 
 class MinorPowerMap:
-    """Linear map from order-s minor space to degree-k·s forms.
+    """Linear map from order-s minor space to degree-k·s forms, stored sparsely.
 
     Matrix rows follow the degree-k·s basis; columns flatten minor cells
-    row-set-major.  Entries are s!·(append interlace sign) on cells whose
-    row/column selections split the target multiindex, zero elsewhere; the
-    whole matrix is zero for odd k or s beyond n/k.
+    row-set-major.  Only the nonzero entries are kept: for each row a flat
+    tuple (cell, coefficient, …) in increasing cell order, the coefficient
+    being s!·(append interlace sign) on the cells of the partition plan.  The
+    whole matrix is zero for odd k or s beyond n/k.  ``entries`` is a dense
+    read-only view, built on each access.
     """
 
-    __slots__ = ("n", "k", "s", "entries")
+    __slots__ = ("n", "k", "s", "ncells", "rows")
 
-    def __init__(self, n: int, k: int, s: int, entries: tuple[tuple[int, ...], ...]):
+    def __init__(self, n: int, k: int, s: int, rows: tuple[tuple[int, ...], ...],
+                 ncells: int):
         self.n, self.k, self.s = n, k, s
-        self.entries = entries
+        self.rows = rows
+        self.ncells = ncells
 
     @property
     def shape(self) -> tuple[int, int]:
-        rows = len(self.entries)
-        return rows, len(self.entries[0]) if rows else 0
+        return len(self.rows), self.ncells
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, rebuilt on each access."""
+        dense = []
+        for row in self.rows:
+            full = [0] * self.ncells
+            for cell, coeff in zip(row[::2], row[1::2]):
+                full[cell] = coeff
+            dense.append(tuple(full))
+        return tuple(dense)
 
     def apply(self, table: MinorTable | None = None, scalar=None) -> KForm:
         """Apply to a minor table (or, at order 0, to a plain scalar)."""
@@ -141,51 +203,31 @@ class MinorPowerMap:
         if (table.n, table.k, table.s) != (self.n, self.k, self.s):
             raise DomainError(f"table space ({table.n},{table.k},{table.s}) does not match "
                               f"map space ({self.n},{self.k},{self.s})")
-        flat = [v for row in table.values for v in row]
+        values = table.values
+        ncols = len(table.col_sets)
         out = []
-        for row in self.entries:
+        for row in self.rows:
             acc = scalars.zero(table.backend)
-            for coeff, value in zip(row, flat):
-                if coeff:
-                    acc += coeff * value
+            for cell, coeff in zip(row[::2], row[1::2]):
+                ri, ci = divmod(cell, ncols)
+                acc += coeff * values[ri][ci]
             out.append(acc)
         return KForm(self.n, self.k * self.s, out, table.backend)
 
 
 def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
-    """Materialize the order-s power map; order 1 is the projection, order 0 identity."""
+    """The order-s power map; order 1 is the projection, order 0 identity."""
     if s == 0:
-        return MinorPowerMap(n, k, 0, ((1,),))
-    nrows_matrix = math.comb(n, k - 1)
-    if s == 1:
-        ncells = nrows_matrix * n
-        rows = []
-        for K in enumerate_multiindices(n, k):
-            row = [0] * ncells
-            for j in K.indices:
-                reduced = K.without(j)
-                row[rank(reduced) * n + (j - 1)] = sign_append(j, reduced)
-            rows.append(tuple(row))
-        return MinorPowerMap(n, k, 1, tuple(rows))
-    _power_degree_checks(n, k, s)
-    row_sets = list(itertools.combinations(range(nrows_matrix), s))
-    col_sets = list(itertools.combinations(range(n), s))
-    row_set_index = {rs: i for i, rs in enumerate(row_sets)}
-    col_set_index = {cs: i for i, cs in enumerate(col_sets)}
-    ncells = len(row_sets) * len(col_sets)
-    targets = enumerate_multiindices(n, k * s) if k * s <= n else []
-    rows = [[0] * ncells for _ in targets]
-    if k % 2 == 0 and s <= n // k:
-        factor = math.factorial(s)
-        label_rank = {mi.indices: i for i, mi in enumerate(enumerate_multiindices(n, k - 1))}
-        for ti, K in enumerate(targets):
-            row = rows[ti]
-            for part in block_partitions(K, s, k):
-                sign = sign_interlace_append(part.J.indices, part.blocks)
-                rs = tuple(sorted(label_rank[b.indices] for b in part.blocks))
-                cs = tuple(j - 1 for j in part.J.indices)
-                row[row_set_index[rs] * len(col_sets) + col_set_index[cs]] = factor * sign
-    return MinorPowerMap(n, k, s, tuple(tuple(r) for r in rows))
+        return MinorPowerMap(n, k, 0, ((0, 1),), 1)
+    if s != 1:
+        _power_degree_checks(n, k, s)
+    plan = _partition_plan(n, k, s)
+    factor = math.factorial(s)
+    rows = []
+    for terms in plan.targets:
+        pairs = sorted(zip(terms[::2], terms[1::2]))
+        rows.append(tuple(v for cell, sign in pairs for v in (cell, factor * sign)))
+    return MinorPowerMap(n, k, s, tuple(rows), len(plan.row_sets) * len(plan.col_sets))
 
 
 def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:

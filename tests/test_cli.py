@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from extconv.cli import main
 from extconv.exterior import KForm, wedge
 from extconv.shapespace import tensor
@@ -117,14 +119,32 @@ class TestVerifyFormula:
         assert code == 0
         assert json.loads(out)["max_residual"] == "0"
 
-    def test_injected_fault_detected(self, capsys):
+    def test_injected_fault_detected(self, capsys, sign_fault):
         code, out, _ = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2",
-                               "--s", "2", "--trials", "5", "--inject-fault")
+                               "--s", "2", "--trials", "5")
         blob = json.loads(out)
         assert code == 1
         assert blob["status"] == "fail"
         assert blob["failure"]["trial"] == 0
         assert blob["failure"]["seed"] == 0
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_2(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2",
+                                 "--s", "2", "--trials", trials)
+        assert code == 2 and out == ""
+        assert err.startswith("extconv:") and err.count("\n") == 1
+
+    def test_empty_entry_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2",
+                                 "--s", "2", "--low", "5", "--high", "-5")
+        assert code == 2 and out == ""
+        assert err.startswith("extconv:") and err.count("\n") == 1
+
+    def test_single_value_entry_range_allowed(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2",
+                               "--s", "2", "--trials", "2", "--low", "3", "--high", "3")
+        assert code == 0 and json.loads(out)["status"] == "pass"
 
     def test_bad_order_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from extconv import scalars
+from extconv import projection, scalars, shapespace
 from extconv.errors import DomainError
 from extconv.exterior import KForm, scalar_product, wedge, wedge_power
 from extconv.projection import (minor_power_map, project,
@@ -131,11 +131,64 @@ class TestWedgePowerFromMinors:
         with pytest.raises(DomainError):
             wedge_power_from_minors(X, 5)
 
-    def test_fault_hook_breaks_equality(self):
+    def test_fault_hook_breaks_equality(self, sign_fault):
         rng = random.Random(11)
         X = rand_int_matrix(4, 2, rng)
-        assert wedge_power_from_minors(X, 2, _flip_one_sign=True) \
-            != wedge_power(project(X), 2)
+        assert wedge_power_from_minors(X, 2) != wedge_power(project(X), 2)
+
+
+class TestLazyMinors:
+    @staticmethod
+    def count_det(monkeypatch):
+        """Count the determinants the expansion takes; forbid full minor tables."""
+        calls = []
+        real_det = projection.det
+
+        def counting_det(rows):
+            calls.append(len(rows))
+            return real_det(rows)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the expansion built a full minor table")
+
+        monkeypatch.setattr(projection, "det", counting_det)
+        monkeypatch.setattr(shapespace, "adjugate", forbidden)
+        return calls
+
+    @pytest.mark.parametrize("n,k,s,used", [(8, 2, 4, 70), (8, 4, 2, 280), (10, 2, 5, 252)])
+    def test_top_degree_reads_only_used_minors(self, monkeypatch, n, k, s, used):
+        X = rand_int_matrix(n, k, random.Random(20))
+        calls = self.count_det(monkeypatch)
+        out = wedge_power_from_minors(X, s)
+        assert len(calls) == used and set(calls) == {s}
+        assert "adjugate" not in vars(projection)
+        monkeypatch.undo()
+        assert out == wedge_power(project(X), s)
+
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 3), (7, 2, 4), (6, 3, 2), (9, 3, 3)])
+    def test_zero_paths_take_no_determinant(self, monkeypatch, n, k, s):
+        X = rand_int_matrix(n, k, random.Random(21))
+        calls = self.count_det(monkeypatch)
+        out = wedge_power_from_minors(X, s)
+        assert calls == []
+        assert out.is_zero() and out.k == k * s
+
+    @pytest.mark.parametrize("n,k,s", [(6, 2, 2), (8, 2, 3), (8, 4, 2), (10, 2, 5)])
+    def test_plan_cells_are_distinct(self, n, k, s):
+        # a cell fixes its blocks and subscripts, hence its target, so no
+        # minor is read twice in one expansion
+        plan = projection._partition_plan(n, k, s)
+        cells = [cell for terms in plan.targets for cell in terms[::2]]
+        assert len(cells) == len(set(cells))
+        assert {sign for terms in plan.targets for sign in terms[1::2]} <= {-1, 1}
+        assert len(plan.targets) == math.comb(n, k * s)
+
+    def test_plan_is_cached(self):
+        assert projection._partition_plan(8, 2, 4) is projection._partition_plan(8, 2, 4)
+
+
+def stored_cells(power_map):
+    return sum(len(row) // 2 for row in power_map.rows)
 
 
 class TestMinorPowerMap:
@@ -178,6 +231,28 @@ class TestMinorPowerMap:
         rng = random.Random(15)
         X = rand_int_matrix(4, 2, rng)
         assert pm.apply(adjugate(X, 3)).is_zero()
+
+    def test_sparse_storage_matches_dense_view(self):
+        pm = minor_power_map(10, 2, 3)
+        assert pm.shape == (210, 14400)
+        assert stored_cells(pm) == 4200  # 210 targets x 20 partitions each
+        dense = pm.entries
+        assert sum(1 for row in dense for v in row if v) == 4200
+        M = rand_minor_table(10, 2, 3, random.Random(22))
+        flat = [v for row in M.values for v in row]
+        expected = [sum(c * v for c, v in zip(row, flat) if c) for row in dense]
+        assert pm.apply(M) == KForm(10, 6, expected)
+
+    def test_low_orders_are_sparse(self):
+        assert stored_cells(minor_power_map(4, 2, 0)) == 1
+        pm = minor_power_map(5, 3, 1)
+        assert stored_cells(pm) == 3 * math.comb(5, 3)
+        assert pm.shape == (math.comb(5, 3), math.comb(5, 2) * 5)
+
+    def test_dense_view_is_read_only(self):
+        pm = minor_power_map(4, 2, 2)
+        with pytest.raises(AttributeError):
+            pm.entries = ()
 
     def test_space_mismatch_rejected(self):
         rng = random.Random(16)
@@ -228,6 +303,19 @@ class TestPullbackSupport:
             xi = project(Y)
             assert table_inner(d1, adjugate(Y, 1)) == scalar_product(D1, xi)
             assert table_inner(d2, adjugate(Y, 2)) == scalar_product(D2, wedge_power(xi, 2))
+
+    def test_routes_independent_of_partition_plan(self, monkeypatch):
+        # the adjointness and wedge-power checks compare against these routes,
+        # so they must not run the plan under test
+        def forbidden(*args):
+            raise AssertionError("partition plan used")
+
+        monkeypatch.setattr(projection, "_partition_plan", forbidden)
+        rng = random.Random(23)
+        tables = pullback_support([rand_exact_form(6, 2, rng), rand_exact_form(6, 4, rng),
+                                   rand_exact_form(6, 6, rng)])
+        assert [t.s for t in tables] == [1, 2, 3]
+        assert not wedge_power(project(rand_int_matrix(6, 2, rng)), 3).is_zero()
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DomainError):
