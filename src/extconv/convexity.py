@@ -19,6 +19,23 @@ The checks implemented here:
   within tolerance certifies the sample; a positive optimal slack is a sound
   refutation, because the sampled constraints alone already admit no
   supporting coefficients.
+
+Every trial still draws from its own stream ``derive_rng(seed, trial)``; the
+draws are then stacked into (trials × C(n,k)) arrays, and the wedge powers and
+f run once per stack through the row-batched float kernels
+(``exterior.wedge_rows``, ``FormFunction.evaluate_rows``).  A row's result
+does not depend on the stack it sits in, so ``replay_witness`` runs the same
+kernel on one row and reproduces the scan's second difference exactly.
+
+Line verdicts judge the curvature d2/h² of the second difference d2 against
+the tolerance plus a rounding floor, after Nocedal & Wright, *Numerical
+Optimization*, §8.1: each value of g carries a rounding error of a few ε times
+its magnitude M, so d2 can be off by ``ROUNDING_ALLOWANCE``·ε·(M(t+h) +
+M(t−h) + 2M(t)), that is by the floor once divided by h².  M is the
+running-error magnitude of f (``FormFunction.magnitude_rows``), or max(1, |g|)
+for a matrix function that has none.  A curvature inside the floor is noise at
+that step, so the verdict reports the largest floor it judged with: a
+violation smaller than that could not be seen at the chosen ``--step``.
 """
 
 from __future__ import annotations
@@ -32,7 +49,7 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError, LPInternalError
-from .exterior import KForm, scalar_product, wedge, wedge_power
+from .exterior import KForm, ordered_sum, scalar_product, wedge, wedge_power, wedge_rows
 from .functions import FormFunction
 from .projection import project, right_inverse
 from .sampling import (derive_rng, random_exact_form, random_form, random_line,
@@ -54,10 +71,14 @@ class SamplerConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
-        if self.step <= 0:
-            raise DomainError("step must be positive")
-        if self.tolerance < 0:
-            raise DomainError("tolerance must be nonnegative")
+        if not 0 < self.step < math.inf or self.step * self.step == 0:
+            raise DomainError(f"step must be positive, finite and have a nonzero square, "
+                              f"got {self.step!r}")
+        if not 0 <= self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be nonnegative and finite, got {self.tolerance!r}")
+        if not 0 < self.coeff_range < math.inf:
+            raise DomainError(f"coefficient range must be positive and finite, "
+                              f"got {self.coeff_range!r}")
 
 
 @dataclass
@@ -68,11 +89,13 @@ class Verdict:
     seed: int
     tolerance: float
     step: float
+    floor: float                   # largest rounding floor (curvature) of the trials judged
     witness: dict | None = None
 
     def to_json(self) -> dict:
         out = {"status": self.status, "mode": self.mode, "trials": self.trials,
-               "seed": self.seed, "tolerance": self.tolerance, "step": self.step}
+               "seed": self.seed, "tolerance": self.tolerance, "step": self.step,
+               "floor": self.floor}
         out["witness"] = self.witness
         return out
 
@@ -93,47 +116,126 @@ def line_restriction(f: FormFunction, xi: KForm, alpha: KForm, beta: KForm
     return g
 
 
-def _second_difference(g: Callable, t: float, h: float):
-    return g(t + h) + g(t - h) - 2 * g(t)
+ROUNDING_ALLOWANCE = 16     # rounding error of one value of g, in ε·M
+_EPS = float(np.finfo(float).eps)
+
+
+def _second_differences(values: np.ndarray) -> np.ndarray:
+    """g(t+h) + g(t−h) − 2g(t) for rows of g at (t+h, t−h, t)."""
+    with scalars.float_guard("second difference"):
+        return values[:, 0] + values[:, 1] - 2 * values[:, 2]
+
+
+@dataclass
+class _LineJudgement:
+    """Second differences of the trials and what they were judged against."""
+
+    d2: np.ndarray
+    threshold: np.ndarray          # bound on |d2|: (tolerance + floor)·h²
+    floor: np.ndarray              # rounding floor in curvature units
+    bad: np.ndarray
+    h: float
+
+    def first_bad(self) -> int | None:
+        hits = np.flatnonzero(self.bad)
+        return int(hits[0]) if hits.size else None
+
+    def witness(self, i: int) -> dict:
+        return {"second_difference": float(self.d2[i]),
+                "curvature": float(self.d2[i] / (self.h * self.h)),
+                "floor": float(self.floor[i]), "threshold": float(self.threshold[i])}
+
+    def verdict(self, mode: str, cfg: SamplerConfig, witness: dict | None) -> "Verdict":
+        judged = self.floor if witness is None else self.floor[:witness["trial"] + 1]
+        return Verdict("pass" if witness is None else "fail", mode, cfg.trials, cfg.seed,
+                       cfg.tolerance, cfg.step, float(judged.max()), witness)
+
+
+def _judge(values: np.ndarray, magnitudes: np.ndarray, h: float, tolerance: float,
+           affine: bool) -> _LineJudgement:
+    """Judge rows of g and M at (t+h, t−h, t): convexity, or affinity if ``affine``.
+
+    The comparison runs on d2 against (tolerance + floor)·h², which is the
+    curvature test d2/h² against tolerance + floor without a division.
+    """
+    d2 = _second_differences(values)
+    with scalars.float_guard("rounding floor"):
+        noise = ROUNDING_ALLOWANCE * _EPS * (magnitudes[:, 0] + magnitudes[:, 1]
+                                             + 2 * magnitudes[:, 2])
+        hh = h * h
+        threshold = tolerance * hh + noise
+        bad = np.abs(d2) > threshold if affine else d2 < -threshold
+        return _LineJudgement(d2, threshold, noise / hh, bad, h)
+
+
+def _line_points(xi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, t: np.ndarray,
+                 h: float, n: int, k: int) -> np.ndarray:
+    """The points ξ + τ·α∧β at τ = t+h, t−h, t, as a (3 × m × C(n,k)) stack."""
+    with scalars.float_guard("line point"):
+        direction = wedge_rows(alpha, beta, n, k - 1, 1)
+        taus = np.stack([t + h, t - h, t])
+        return xi + taus[:, :, None] * direction
+
+
+def _line_judgement(f: FormFunction, xi: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                    t: np.ndarray, h: float, tolerance: float, affine: bool
+                    ) -> _LineJudgement:
+    """Second differences of f along m lines, all evaluated in one kernel call."""
+    points = _line_points(xi, alpha, beta, t, h, f.n, f.k)
+    m = t.size
+    flat = points.reshape(3 * m, -1)
+    values = f.evaluate_rows(flat).reshape(3, m).T
+    magnitudes = f.magnitude_rows(flat).reshape(3, m).T
+    return _judge(values, magnitudes, h, tolerance, affine)
+
+
+def _stack(forms: Sequence[KForm]) -> np.ndarray:
+    return np.array([form.coeffs for form in forms], dtype=float)
 
 
 def _scan_lines(f: FormFunction, cfg: SamplerConfig, mode: str) -> Verdict:
-    affine = mode == "one-affine"
+    xis, alphas, betas, ts = [], [], [], []
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.seed, trial)
-        xi = random_form(f.n, f.k, rng, cfg.coeff_range)
+        xis.append(random_form(f.n, f.k, rng, cfg.coeff_range))
         alpha, beta = random_line(f.n, f.k, rng, cfg.coeff_range)
-        t = rng.uniform(-1.0, 1.0)
-        g = line_restriction(f, xi, alpha, beta)
-        d2 = _second_difference(g, t, cfg.step)
-        threshold = cfg.tolerance * max(1.0, abs(g(t)))
-        bad = abs(d2) > threshold if affine else d2 < -threshold
-        if bad:
-            witness = {"trial": trial, "xi": xi.to_json(), "alpha": alpha.to_json(),
-                       "beta": beta.to_json(), "t": t, "h": cfg.step,
-                       "second_difference": d2, "threshold": threshold}
-            return Verdict("fail", mode, cfg.trials, cfg.seed, cfg.tolerance,
-                           cfg.step, witness)
-    return Verdict("pass", mode, cfg.trials, cfg.seed, cfg.tolerance, cfg.step)
+        alphas.append(alpha)
+        betas.append(beta)
+        ts.append(rng.uniform(-1.0, 1.0))
+    judged = _line_judgement(f, _stack(xis), _stack(alphas), _stack(betas), np.array(ts),
+                             cfg.step, cfg.tolerance, mode == "one-affine")
+    trial = judged.first_bad()
+    witness = None
+    if trial is not None:
+        witness = {"trial": trial, "xi": xis[trial].to_json(),
+                   "alpha": alphas[trial].to_json(), "beta": betas[trial].to_json(),
+                   "t": ts[trial], "h": cfg.step, **judged.witness(trial)}
+    return judged.verdict(mode, cfg, witness)
 
 
 def check_ext_one_convex(f: FormFunction, cfg: SamplerConfig) -> Verdict:
-    """Sampled second-difference test along wedge lines; fail carries a witness."""
+    """Sampled curvature test along wedge lines; fail carries a witness.
+
+    A trial fails when its curvature d2/h² lies below −(tolerance + floor).
+    """
     return _scan_lines(f, cfg, "one-convex")
 
 
 def check_ext_one_affine(f: FormFunction, cfg: SamplerConfig) -> Verdict:
-    """As the convexity check, but requiring |second difference| ≤ tolerance."""
+    """As the convexity check, but requiring |curvature| ≤ tolerance + floor."""
     return _scan_lines(f, cfg, "one-affine")
 
 
 def replay_witness(f: FormFunction, witness: dict):
-    """Recompute the witnessed second difference from its stored numbers."""
-    xi = KForm.from_json(witness["xi"], scalars.FLOAT)
-    alpha = KForm.from_json(witness["alpha"], scalars.FLOAT)
-    beta = KForm.from_json(witness["beta"], scalars.FLOAT)
-    g = line_restriction(f, xi, alpha, beta)
-    return _second_difference(g, witness["t"], witness["h"])
+    """Recompute the witnessed second difference from its stored numbers.
+
+    It runs the scan's own kernel on the one stored line.
+    """
+    xi, alpha, beta = (_stack([KForm.from_json(witness[key], scalars.FLOAT)])
+                       for key in ("xi", "alpha", "beta"))
+    points = _line_points(xi, alpha, beta, np.array([witness["t"]]), witness["h"],
+                          f.n, f.k)
+    return float(_second_differences(f.evaluate_rows(points.reshape(3, -1))[None, :])[0])
 
 
 class LiftedFunction:
@@ -147,10 +249,24 @@ class LiftedFunction:
         self.k = f.k
 
     def __call__(self, X: ShapeMatrix):
+        self._check(X)
+        return self.f(project(X))
+
+    def magnitude(self, X: ShapeMatrix) -> float:
+        """A bound on the running-error magnitude of a float value of the lift.
+
+        Each projected coefficient is a signed sum of k entries of X, so k·max|X|
+        bounds its magnitude; f's magnitude grows with every coefficient's.
+        """
+        self._check(X)
+        bound = self.k * max(abs(v) for row in X.entries for v in row)
+        row = np.full((1, math.comb(self.n, self.k)), float(bound))
+        return float(self.f.magnitude_rows(row)[0])
+
+    def _check(self, X: ShapeMatrix) -> None:
         if (X.n, X.k) != (self.n, self.k):
             raise DomainError(f"matrix lives in ({X.n},{X.k}), lift expects "
                               f"({self.n},{self.k})")
-        return self.f(project(X))
 
 
 def lift(f: FormFunction) -> LiftedFunction:
@@ -158,7 +274,13 @@ def lift(f: FormFunction) -> LiftedFunction:
 
 
 def check_rank_one_convex(F: Callable, n: int, k: int, cfg: SamplerConfig) -> Verdict:
-    """Second-difference test for a matrix function along rank-one directions."""
+    """Second-difference test for a matrix function along rank-one directions.
+
+    The rounding floor uses ``F.magnitude(X)`` when F has one (a lift does),
+    and max(1, |F(X)|) otherwise.
+    """
+    magnitude = getattr(F, "magnitude", None)
+    floors = []
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.seed, trial)
         X = random_matrix(n, k, rng, cfg.coeff_range)
@@ -166,20 +288,21 @@ def check_rank_one_convex(F: Callable, n: int, k: int, cfg: SamplerConfig) -> Ve
         b = random_form(n, 1, rng, cfg.coeff_range)
         direction = tensor(a, b)
         t = rng.uniform(-1.0, 1.0)
-
-        def g(tau):
-            return F(X + direction.scale(tau))
-
-        d2 = _second_difference(g, t, cfg.step)
-        threshold = cfg.tolerance * max(1.0, abs(g(t)))
-        if d2 < -threshold:
+        points = [X + direction.scale(tau) for tau in (t + cfg.step, t - cfg.step, t)]
+        values = np.array([[F(point) for point in points]], dtype=float)
+        if magnitude is None:
+            magnitudes = np.maximum(np.abs(values), 1.0)
+        else:
+            magnitudes = np.array([[magnitude(point) for point in points]])
+        judged = _judge(values, magnitudes, cfg.step, cfg.tolerance, affine=False)
+        floors.append(judged.floor[0])
+        if judged.bad[0]:
             witness = {"trial": trial, "X": X.to_json(), "a": a.to_json(),
-                       "b": b.to_json(), "t": t, "h": cfg.step,
-                       "second_difference": d2, "threshold": threshold}
+                       "b": b.to_json(), "t": t, "h": cfg.step, **judged.witness(0)}
             return Verdict("fail", "rank-one-convex", cfg.trials, cfg.seed,
-                           cfg.tolerance, cfg.step, witness)
+                           cfg.tolerance, cfg.step, max(floors), witness)
     return Verdict("pass", "rank-one-convex", cfg.trials, cfg.seed,
-                   cfg.tolerance, cfg.step)
+                   cfg.tolerance, cfg.step, max(floors))
 
 
 @dataclass
@@ -260,14 +383,18 @@ class QuasiaffineFit:
                 "samples": self.samples, "seed": self.seed}
 
 
-def _power_features(xi: KForm, smax: int) -> list[float]:
-    feats = [1.0]
-    power = xi
-    feats.extend(power.coeffs)
-    for s in range(2, smax + 1):
-        power = wedge(power, xi)
-        feats.extend(power.coeffs)
-    return feats
+def _power_features(xi: np.ndarray, n: int, k: int, smax: int) -> np.ndarray:
+    """Rows (1, ξ, ξ², ..., ξ^smax) for a stack of float forms ξ."""
+    with scalars.float_guard("wedge power feature"):
+        blocks = [np.ones((xi.shape[0], 1)), xi]
+        for s in range(2, smax + 1):
+            blocks.append(wedge_rows(blocks[-1], xi, n, k * (s - 1), k))
+        return np.hstack(blocks)
+
+
+def _random_forms(n: int, k: int, seed: int, indices, scale: float) -> np.ndarray:
+    """A stack of float forms, row j drawn from its own stream derive_rng(seed, j)."""
+    return _stack([random_form(n, k, derive_rng(seed, j), scale) for j in indices])
 
 
 def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig,
@@ -293,14 +420,9 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig,
     spread = cfg.coeff_range
     for attempt in range(3):
         offset = attempt * 10_000_000
-        rows, targets = [], []
-        for j in range(nsamples):
-            rng = derive_rng(cfg.seed, offset + j)
-            xi = random_form(n, k, rng, spread)
-            rows.append(_power_features(xi, smax))
-            targets.append(f(xi))
-        design = np.asarray(rows, dtype=float)
-        y = np.asarray(targets, dtype=float)
+        xi = _random_forms(n, k, cfg.seed, range(offset, offset + nsamples), spread)
+        design = _power_features(xi, n, k, smax)
+        y = f.evaluate_rows(xi)
 
         live = np.flatnonzero(np.abs(design).max(axis=0) > 1e-12)
         solution = np.zeros(unknowns)
@@ -311,14 +433,12 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig,
             continue
         solution[live] = coeffs
 
-        worst = 0.0
-        for j in range(validation_samples):
-            rng = derive_rng(cfg.seed, 77_000_000 + j)
-            xi = random_form(n, k, rng, cfg.coeff_range)
-            predicted = float(np.dot(solution, _power_features(xi, smax)))
-            gap = abs(f(xi) - predicted)
-            if gap > worst:
-                worst = gap
+        held_out = _random_forms(n, k, cfg.seed,
+                                 range(77_000_000, 77_000_000 + validation_samples),
+                                 cfg.coeff_range)
+        with scalars.float_guard("validation residual"):
+            predicted = ordered_sum(_power_features(held_out, n, k, smax) * solution)
+            worst = float(np.abs(f.evaluate_rows(held_out) - predicted).max())
 
         forms = []
         pos = 1
@@ -370,26 +490,16 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     total = sum(dims)
 
     if etas is None:
-        etas = [random_form(n, k, derive_rng(cfg.seed, j), cfg.coeff_range)
-                for j in range(cfg.trials)]
+        eta = _random_forms(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
     else:
-        etas = list(etas)
+        eta = _stack(etas)
+    f_base = float(f(xi))
 
-    base_powers = [wedge_power(xi, s) for s in range(1, smax + 1)]
-    f_base = f(xi)
-
-    A, b = [], []
-    for eta in etas:
-        w: list[float] = []
-        power = eta
-        for s in range(1, smax + 1):
-            if s > 1:
-                power = wedge(power, eta)
-            diff = power - base_powers[s - 1]
-            w.extend(float(v) for v in diff.coeffs)
-        row = [-v for v in w] + w + [1.0]
-        A.append(row)
-        b.append(-(f(eta) - f_base))
+    with scalars.float_guard("support constraint"):
+        base = _power_features(_stack([xi]), n, k, smax)[:, 1:]
+        w = _power_features(eta, n, k, smax)[:, 1:] - base
+        A = np.hstack([-w, w, np.ones((eta.shape[0], 1))])
+        b = -(f.evaluate_rows(eta) - f_base)
 
     cost = [0.0] * (2 * total) + [1.0]
     result = simplex.minimize(cost, A, b, all_ones_var=2 * total)
@@ -397,7 +507,7 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
         raise LPInternalError("support slack is bounded below by zero yet the "
                               "solver reported unbounded")
     if result.status != simplex.OPTIMAL:
-        return SupportSearch("inconclusive", xi, None, None, len(etas),
+        return SupportSearch("inconclusive", xi, None, None, eta.shape[0],
                              cfg.seed, cfg.tolerance)
     x = result.x
     slack = float(result.objective)
@@ -408,7 +518,7 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
         forms.append(KForm(n, k * s, [float(v) for v in block], scalars.FLOAT))
         pos += dim
     status = "certified" if slack <= cfg.tolerance else "refuted"
-    return SupportSearch(status, xi, slack, forms, len(etas), cfg.seed,
+    return SupportSearch(status, xi, slack, forms, eta.shape[0], cfg.seed,
                          cfg.tolerance)
 
 

@@ -4,6 +4,13 @@ A degree-k form on R^n is stored densely: one coefficient per length-k
 multiindex, in alphabetical rank order.  Degrees above n are legal and carry
 an empty coefficient vector (the canonical zero object), so wedge chains never
 branch on overflow.
+
+The float samplers work on stacks of forms: an (m × C(n,k)) numpy array holds
+one form per row.  ``wedge_rows`` and ``wedge_power_rows`` are the row-batched
+float wedge.  Each target coefficient sums its products left to right in the
+order the scalar ``wedge`` loop visits them (``ordered_sum``), so a row's
+result does not depend on the batch it sits in and equals, bit for bit, the
+scalar ``wedge`` of the same float forms.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import scalars
 from .errors import DomainError
@@ -115,14 +124,36 @@ class KForm:
 
     @classmethod
     def from_json(cls, obj: Mapping, backend: str | None = None) -> "KForm":
-        n, k = int(obj["n"]), int(obj["k"])
-        raw = obj.get("coeffs", {})
+        n, k, raw = json_fields(obj, ("n", "k", "coeffs"), "form")
+        if not isinstance(raw, Mapping):
+            raise DomainError(f"form coeffs must be a JSON object, got {raw!r}")
         if backend is None:
             backend = scalars.FLOAT if any(isinstance(v, float) for v in raw.values()) \
                 else scalars.EXACT
         entries = {MultiIndex.from_text(key, n): scalars.scalar_from_json(value, backend)
                    for key, value in raw.items()}
         return cls.from_dict(n, k, entries, backend)
+
+
+def json_fields(obj, fields: tuple[str, ...], what: str) -> tuple:
+    """The values of ``fields`` in the JSON object ``obj``, which must hold no others.
+
+    A missing field is an error, not a default, and "n" and "k" must be
+    integers.
+    """
+    if not isinstance(obj, Mapping):
+        raise DomainError(f"a {what} must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in fields if name not in obj]
+    if missing:
+        raise DomainError(f"{what} JSON lacks {', '.join(map(repr, missing))}")
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise DomainError(f"{what} JSON has unknown field(s) {', '.join(map(repr, unknown))}")
+    for name in ("n", "k"):
+        value = obj.get(name)
+        if name in fields and (not isinstance(value, int) or isinstance(value, bool)):
+            raise DomainError(f"{what} field {name!r} must be an integer, got {value!r}")
+    return tuple(obj[name] for name in fields)
 
 
 def _check_same_space(a: KForm, b: KForm) -> None:
@@ -147,6 +178,72 @@ def _wedge_pairs(n: int, k: int, l: int) -> tuple[tuple[int, int, int, int], ...
             target = MultiIndex(tuple(sorted(I.indices + J.indices)), n)
             out.append((ra, rb, sign, rank(target)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_wedge_pairs`` grouped by target: (left ranks, right ranks, signs).
+
+    Each array has one row per degree-(k+l) target in rank order.  A target
+    splits into C(k+l, k) ordered pairs, so the rows have equal length; within
+    a row the pairs keep the order in which ``_wedge_pairs`` lists them.
+    """
+    per_target: list[list[tuple[int, int, int]]] = [[] for _ in range(math.comb(n, k + l))]
+    for ra, rb, sign, rt in _wedge_pairs(n, k, l):
+        per_target[rt].append((ra, rb, sign))
+    table = np.array(per_target, dtype=np.intp)
+    left, right, sign = table[..., 0], table[..., 1], table[..., 2].astype(float)
+    for array in (left, right, sign):
+        array.flags.writeable = False
+    return left, right, sign
+
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum the last axis strictly left to right, starting from 0.0.
+
+    This is the order of the scalar accumulation loops, and no term of one row
+    ever meets a term of another, unlike numpy's pairwise ``sum`` or a BLAS
+    product.  The trailing ``+ 0.0`` matches a loop started at 0.0, which
+    turns an all-negative-zero sum into +0.0.
+    """
+    if terms.shape[-1] == 0:
+        return np.zeros(terms.shape[:-1])
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+
+
+def wedge_rows(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int,
+               signed: bool = True) -> np.ndarray:
+    """Row-batched float wedge: row i of the result is the coefficients of a[i] ∧ b[i].
+
+    ``a`` is (m × C(n,k)) and ``b`` is (m × C(n,l)).  The result equals the
+    scalar ``wedge`` of the same float forms bit for bit: its products are
+    summed per target in the same order, and products with a zero factor,
+    which the scalar loop skips, add nothing to a finite sum.  With
+    ``signed=False`` every sign of the structure table counts as +1.
+    """
+    m = a.shape[0]
+    if k + l > n:
+        return np.zeros((m, 0))
+    if k == 0:
+        return a[:, :1] * b
+    if l == 0:
+        return a * b[:, :1]
+    left, right, sign = _wedge_table(n, k, l)
+    terms = a[:, left] * b[:, right]
+    return ordered_sum(terms * sign if signed else terms)
+
+
+def wedge_power_rows(x: np.ndarray, n: int, k: int, s: int,
+                     signed: bool = True) -> np.ndarray:
+    """Row-batched ``wedge_power`` of an (m × C(n,k)) stack of float forms."""
+    if s < 0:
+        raise DomainError(f"exponent must be nonnegative, got {s}")
+    if s == 0:
+        return np.ones((x.shape[0], 1))
+    acc = x
+    for i in range(1, s):
+        acc = wedge_rows(acc, x, n, k * i, k, signed)
+    return acc
 
 
 def wedge(a: KForm, b: KForm) -> KForm:

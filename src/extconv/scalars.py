@@ -8,12 +8,18 @@ sampled convexity work runs float.
 
 JSON carries exact scalars as rational strings ("3/2", "-1") and float
 scalars as plain numbers, so exact results never round-trip through floats.
+
+Float array work runs under ``float_guard``: a value that leaves the float
+range is a domain error, never a silent inf or nan in a verdict.
 """
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -50,6 +56,25 @@ def coerce(value, backend: str):
     if isinstance(value, numbers.Rational):
         return coerce(Fraction(value), EXACT)
     raise DomainError(f"cannot coerce {type(value).__name__} to {backend} scalar")
+
+
+@contextlib.contextmanager
+def float_guard(what: str):
+    """Raise float overflow, invalid operations and division by zero as DomainError.
+
+    Underflow stays silent: it rounds toward zero, below every tolerance.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"{what} left the float range ({exc})") from None
+
+
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} is not finite")
+    return values
 
 
 def zero(backend: str):

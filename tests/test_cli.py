@@ -215,6 +215,83 @@ class TestCheckConvexity:
         assert code == 2 and err
 
 
+class TestBadInputExits2:
+    """Errors that are not verdicts exit 2 with one line on stderr and no report."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("extconv: ") and err.count("\n") == 1, err
+
+    def test_float_overflow_exits_2(self, capsys, tmp_path):
+        path = write_json(tmp_path, "pow.json",
+                          {"n": 4, "k": 2, "expr": {"op": "pow", "exp": 400,
+                                                    "base": {"op": "norm_sq", "arg": "xi"}}})
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
+                                "--input", path)
+
+    def test_function_file_as_base_exits_2(self, capsys, tmp_path):
+        top_path = write_json(tmp_path, "top.json", TOP_POWER)
+        self.assert_usage_error(capsys, "support-lp", "--input", top_path,
+                                "--base", top_path, "--trials", "20")
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "poly-lp",
+                                "--input", top_path, "--base", top_path, "--trials", "20")
+
+    @pytest.mark.parametrize("form", [
+        {"n": 4, "k": 2},
+        {"k": 2, "coeffs": {}},
+        {"n": 4, "coeffs": {}},
+        {"n": 4, "k": 2, "coeffs": {}, "expr": "xi"},
+        {"n": "4", "k": 2, "coeffs": {}},
+        {"n": 4, "k": 2, "coeffs": ["1,2"]},
+    ])
+    def test_malformed_base_form_exits_2(self, capsys, tmp_path, form):
+        top_path = write_json(tmp_path, "top.json", TOP_POWER)
+        base_path = write_json(tmp_path, "base.json", form)
+        self.assert_usage_error(capsys, "support-lp", "--input", top_path,
+                                "--base", base_path, "--trials", "20")
+
+    @pytest.mark.parametrize("function", [
+        {"n": 4, "k": 2},
+        {"k": 2, "expr": {"op": "norm_sq", "arg": "xi"}},
+        {"n": 4, "expr": {"op": "norm_sq", "arg": "xi"}},
+        {**NORM_SQ, "coeffs": {}},
+        {**NORM_SQ, "n": 4.0},
+    ])
+    def test_malformed_function_file_exits_2(self, capsys, tmp_path, function):
+        path = write_json(tmp_path, "fn.json", function)
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
+                                "--input", path, "--trials", "5")
+
+    def test_malformed_wedge_power_input_exits_2(self, capsys, tmp_path):
+        path = write_json(tmp_path, "f.json", {"n": 4, "k": 2})
+        self.assert_usage_error(capsys, "wedge-power", "--input", path, "--s", "2")
+
+    @pytest.mark.parametrize("flag,value", [("--step", "1e-200"), ("--step", "nan"),
+                                            ("--tolerance", "nan"), ("--tolerance", "inf"),
+                                            ("--range", "0"), ("--range", "nan")])
+    def test_unusable_sampler_setting_exits_2(self, capsys, tmp_path, flag, value):
+        path = write_json(tmp_path, "neg.json", NEG_NORM_SQ)
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
+                                "--input", path, "--trials", "5", flag, value)
+
+
+class TestStepIndependence:
+    @pytest.mark.parametrize("step", ["1e-3", "1e-6"])
+    def test_concave_function_fails_at_every_step(self, capsys, tmp_path, step):
+        path = write_json(tmp_path, "neg.json",
+                          {"n": 8, "k": 2, "expr": {"op": "neg", "arg": {"op": "norm_sq",
+                                                                         "arg": "xi"}}})
+        code, out, _ = run_cli(capsys, "check-convexity", "--mode", "one-convex",
+                               "--input", path, "--step", step)
+        blob = json.loads(out)
+        assert code == 1 and blob["status"] == "fail"
+        witness = blob["witness"]
+        assert witness["curvature"] < -(blob["tolerance"] + witness["floor"])
+        assert 0 < witness["floor"] <= blob["floor"]
+
+
 class TestDeterminism:
     def test_verify_formula_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "verify-formula", "--n", "6", "--k", "2",

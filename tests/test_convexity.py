@@ -361,3 +361,110 @@ class TestDeterminism:
         _ = random_form(4, 2, derive_rng(7, 0), 2.0)
         second = random_form(4, 2, derive_rng(7, 3), 2.0)
         assert first == second
+
+
+def fn_planted(n=8, k=2, seed=12):
+    rng = random.Random(seed)
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))]
+    for s in range(1, n // k + 1):
+        coeffs.append(random_exact_form(n, k * s, rng))
+    return FormFunction.affine_combination(n, k, coeffs)
+
+
+class TestStepIndependence:
+    """A line verdict judges curvature d2/h² against tolerance plus a rounding floor."""
+
+    STEPS = (1e-3, 1e-6)
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_concave_fails_at_every_step(self, step):
+        for n in (4, 8):
+            verdict = check_ext_one_convex(fn_neg_norm_sq(n, 2),
+                                           SamplerConfig(seed=0, trials=100, step=step))
+            assert verdict.status == "fail"
+            witness = verdict.witness
+            assert witness["curvature"] < -(verdict.tolerance + witness["floor"])
+            assert witness["second_difference"] < -witness["threshold"]
+            replayed = replay_witness(fn_neg_norm_sq(n, 2), witness)
+            assert replayed == witness["second_difference"]
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("name,f", [("norm_sq", fn_norm_sq(8, 2)),
+                                        ("planted", fn_planted()),
+                                        ("top_power", fn_top_power())])
+    def test_convex_functions_pass_at_every_step(self, step, name, f):
+        verdict = check_ext_one_convex(f, SamplerConfig(seed=1, trials=200, step=step))
+        assert verdict.status == "pass"
+        assert verdict.floor > 0
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("name,f", [("planted", fn_planted()),
+                                        ("planted_6_2", fn_planted(6, 2, seed=4)),
+                                        ("top_power", fn_top_power())])
+    def test_affine_functions_pass_affine_at_every_step(self, step, name, f):
+        verdict = check_ext_one_affine(f, SamplerConfig(seed=2, trials=200, step=step))
+        assert verdict.status == "pass"
+
+    def test_floor_scales_as_one_over_step_squared(self):
+        coarse = check_ext_one_convex(fn_norm_sq(8, 2), SamplerConfig(seed=3, trials=20))
+        fine = check_ext_one_convex(fn_norm_sq(8, 2),
+                                    SamplerConfig(seed=3, trials=20, step=1e-6))
+        assert 0.5e6 < fine.floor / coarse.floor < 2e6
+
+    def test_verdict_reports_floor(self):
+        blob = check_ext_one_convex(fn_norm_sq(), SamplerConfig(seed=0, trials=10)).to_json()
+        assert blob["floor"] > 0
+        failed = check_ext_one_convex(fn_neg_norm_sq(), SamplerConfig(seed=0, trials=10))
+        assert set(failed.to_json()["witness"]) >= {"curvature", "floor", "threshold"}
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_rank_one_verdicts_at_every_step(self, step):
+        cfg = SamplerConfig(seed=0, trials=80, step=step)
+        assert check_rank_one_convex(lift(fn_norm_sq()), 4, 2, cfg).status == "pass"
+        failed = check_rank_one_convex(lift(fn_neg_norm_sq()), 4, 2, cfg)
+        assert failed.status == "fail"
+        assert failed.witness["curvature"] < -(cfg.tolerance + failed.witness["floor"])
+
+    def test_lift_magnitude_bounds_the_value(self):
+        from extconv.sampling import random_matrix
+        F = lift(fn_planted(6, 2, seed=9))
+        rng = random.Random(3)
+        for _ in range(20):
+            X = random_matrix(6, 2, rng, 2.0)
+            assert F.magnitude(X) >= abs(F(X))
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("inf"), float("nan"), 1e-170])
+    def test_unusable_steps_rejected(self, step):
+        with pytest.raises(DomainError):
+            SamplerConfig(step=step)
+
+
+class TestStackedSampling:
+    def test_scan_matches_the_per_trial_route(self):
+        # |ξ|² is not affine, so the affine scan fails at trial 0 and shows its numbers
+        f = FormFunction(6, 2, {"op": "add", "args": [
+            {"op": "norm_sq", "arg": "xi"},
+            {"op": "inner", "form": "e1234", "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}]})
+        cfg = SamplerConfig(seed=5, trials=25)
+        verdict = check_ext_one_affine(f, cfg)
+        from extconv.sampling import random_line
+        rng = derive_rng(cfg.seed, 0)
+        xi = random_form(6, 2, rng, cfg.coeff_range)
+        alpha, beta = random_line(6, 2, rng, cfg.coeff_range)
+        t = rng.uniform(-1.0, 1.0)
+        g = line_restriction(f, xi, alpha, beta)
+        assert verdict.witness["trial"] == 0
+        assert verdict.witness["second_difference"] == g(t + cfg.step) + g(t - cfg.step) \
+            - 2 * g(t)
+
+    def test_first_failing_trial_is_reported(self):
+        f = fn_neg_norm_sq()
+        verdict = check_ext_one_convex(f, SamplerConfig(seed=9, trials=40))
+        for trial in range(verdict.witness["trial"]):
+            single = check_ext_one_convex(f, SamplerConfig(seed=9, trials=trial + 1))
+            assert single.status == "pass"
+
+    def test_fit_report_repeats_exactly(self):
+        cfg = SamplerConfig(seed=4, trials=60)
+        assert fit_quasiaffine(fn_planted(6, 2), cfg).to_json() \
+            == fit_quasiaffine(fn_planted(6, 2), cfg).to_json()

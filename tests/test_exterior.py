@@ -2,14 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extconv import scalars
 from extconv.errors import DomainError
-from extconv.exterior import (KForm, hodge_star, norm_squared, scalar_product,
-                              wedge, wedge_power)
+from extconv.exterior import (KForm, hodge_star, norm_squared, ordered_sum,
+                              scalar_product, wedge, wedge_power, wedge_power_rows,
+                              wedge_rows)
 
 from oracles import rand_exact, shuffle_wedge
 
@@ -186,3 +188,88 @@ def test_wedge_bilinearity_property(raw_a, raw_b):
     c = KForm.basis(5, (1, 2)) + KForm.basis(5, (4, 5)).scale(3)
     assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
     assert wedge(c, a + b) == wedge(c, a) + wedge(c, b)
+
+
+class TestWedgeRows:
+    SPACES = [(4, 1, 1), (4, 2, 2), (5, 2, 1), (6, 2, 2), (8, 4, 2), (8, 6, 2), (8, 2, 4),
+              (3, 0, 2), (3, 2, 0), (4, 3, 2)]
+
+    @pytest.mark.parametrize("n,k,l", SPACES)
+    def test_rows_equal_scalar_float_wedge_bit_for_bit(self, n, k, l):
+        rng = random.Random(n * 100 + k * 10 + l)
+        lefts = [KForm(n, k, [rng.uniform(-2, 2) for _ in range(math.comb(n, k))],
+                       scalars.FLOAT) for _ in range(9)]
+        rights = [KForm(n, l, [rng.uniform(-2, 2) for _ in range(math.comb(n, l))],
+                        scalars.FLOAT) for _ in range(9)]
+        a = np.array([x.coeffs for x in lefts])
+        b = np.array([x.coeffs for x in rights])
+        batch = wedge_rows(a, b, n, k, l)
+        scalar = np.array([wedge(x, y).coeffs for x, y in zip(lefts, rights)]) \
+            .reshape(batch.shape)
+        assert batch.tobytes() == scalar.tobytes()
+        for i in range(9):
+            assert wedge_rows(a[i:i + 1], b[i:i + 1], n, k, l).tobytes() == batch[i].tobytes()
+
+    def test_power_rows_match_wedge_power(self):
+        rng = random.Random(4)
+        xs = [KForm(8, 2, [rng.uniform(-2, 2) for _ in range(28)], scalars.FLOAT)
+              for _ in range(5)]
+        stack = np.array([x.coeffs for x in xs])
+        for s in range(6):
+            rows = wedge_power_rows(stack, 8, 2, s)
+            assert rows.tolist() == [list(wedge_power(x, s).coeffs) for x in xs]
+
+    def test_unsigned_rows_bound_the_signed(self):
+        rng = random.Random(5)
+        a = np.array([[rng.uniform(-2, 2) for _ in range(28)] for _ in range(6)])
+        signed = wedge_power_rows(a, 8, 2, 3)
+        unsigned = wedge_power_rows(np.abs(a), 8, 2, 3, signed=False)
+        assert (unsigned >= np.abs(signed)).all()
+
+    def test_exact_wedge_keeps_exact_scalars(self):
+        rng = random.Random(6)
+        for n, k, l in [(4, 2, 2), (6, 2, 3), (8, 4, 2)]:
+            a = KForm(n, k, [rng.randint(-9, 9) for _ in range(math.comb(n, k))])
+            b = KForm(n, l, [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                             for _ in range(math.comb(n, l))])
+            exact = wedge(a, b)
+            assert exact.as_dict() == {key: c for key, c in
+                                       shuffle_wedge(a.as_dict(), b.as_dict()).items() if c}
+            assert all(isinstance(c, (int, Fraction)) for c in exact.coeffs)
+            integral = KForm(n, l, [c * 6 for c in b.coeffs])
+            floats = wedge_rows(np.array([a.coeffs], dtype=float),
+                                np.array([integral.coeffs], dtype=float), n, k, l)
+            assert floats[0].tolist() == list(wedge(a, integral).coeffs)
+
+    def test_ordered_sum_is_the_loop_sum(self):
+        rng = random.Random(7)
+        rows = np.array([[rng.choice([1e16, -1e16, 1.0, -3.5e-3]) * rng.random()
+                          for _ in range(40)] for _ in range(30)])
+        expected = []
+        for row in rows:
+            total = 0.0
+            for v in row:
+                total += v
+            expected.append(total)
+        assert ordered_sum(rows).tolist() == expected
+        assert ordered_sum(np.full((2, 3), -0.0)).tolist() == [0.0, 0.0]
+        assert math.copysign(1.0, ordered_sum(np.full((1, 3), -0.0))[0]) == 1.0
+        assert ordered_sum(np.zeros((4, 0))).tolist() == [0.0] * 4
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("obj", [
+        {"n": 4, "k": 2},
+        {"k": 2, "coeffs": {}},
+        {"n": 4, "coeffs": {}},
+        {"n": 4, "k": 2, "coeffs": {}, "expr": "xi"},
+        {"n": 4.0, "k": 2, "coeffs": {}},
+        {"n": 4, "k": 2, "coeffs": [["1,2", "1"]]},
+        "e12",
+    ])
+    def test_form_format_enforced(self, obj):
+        with pytest.raises(DomainError):
+            KForm.from_json(obj)
+
+    def test_empty_coeffs_is_the_zero_form(self):
+        assert KForm.from_json({"n": 4, "k": 2, "coeffs": {}}) == KForm.zero(4, 2)
