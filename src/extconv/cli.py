@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import scalars
@@ -102,6 +103,9 @@ def _run_convexity_mode(fn: FormFunction, mode: str, args) -> tuple[dict, int]:
         verdict = check(fn, cfg)
         return verdict.to_json(), EXIT_PASS if verdict.status == "pass" else EXIT_FAIL
     if mode == "quasiaffine-fit":
+        if not 0 <= args.fit_tolerance < math.inf:
+            raise DomainError(f"--fit-tolerance must be nonnegative and finite, "
+                              f"got {args.fit_tolerance!r}")
         fit = fit_quasiaffine(fn, cfg)
         report = fit.to_json()
         report["fit_tolerance"] = args.fit_tolerance

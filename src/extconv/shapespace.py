@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm
+from .exterior import KForm, json_fields
 from .multiindex import MultiIndex, enumerate_multiindices
 
 
@@ -97,14 +97,11 @@ class ShapeMatrix:
 
     @classmethod
     def from_json(cls, obj: Mapping, backend: str | None = None) -> "ShapeMatrix":
-        n, k = int(obj["n"]), int(obj["k"])
-        data = obj["data"]
+        n, k, rows, data = json_fields(obj, ("n", "k", "rows", "data"), "shape matrix")
         if backend is None:
             flat = [v for row in data for v in row]
             backend = scalars.FLOAT if any(isinstance(v, float) for v in flat) else scalars.EXACT
-        rows_order = obj.get("rows")
-        expected = [mi.text for mi in enumerate_multiindices(n, k - 1)]
-        if rows_order is not None and list(rows_order) != expected:
+        if rows != [mi.text for mi in enumerate_multiindices(n, k - 1)]:
             raise DomainError("row labels must be the alphabetical (k−1)-multiindices")
         entries = [[scalars.scalar_from_json(v, backend) for v in row] for row in data]
         return cls(n, k, entries, backend)

@@ -2,25 +2,27 @@
 
 Solves   minimize c·x  subject to  A x ≥ b,  x ≥ 0.
 
-Desk-scale constraint counts need no external solver; the float path keeps the
-tableau in a numpy array, the exact path runs the same algorithm on rational
-scalars with zero tolerance (meant for small certificate-style instances).
-Pivoting enters the most negative reduced cost while the objective makes
-progress and switches permanently to Bland's rule (lowest eligible index in,
-lowest basis index out on ties) once it stalls, so cycling is impossible and
-the iteration cap only ever fires on genuinely huge instances; hitting it is
-reported as its own status rather than raised.
+Desk-scale constraint counts need no external solver.  There is one tableau
+algorithm, and its scalar type is the dtype of the numpy array that holds the
+tableau: ``float64`` with pivot tolerance 1e-9 (a phase-one objective above
+1e-7 reads as infeasible) by default, and an ``object`` array of ``Fraction``
+with tolerance 0 for ``exact=True`` (meant for small certificate-style
+instances).  Pivoting enters the most negative reduced cost while the
+objective makes progress and switches permanently to Bland's rule (lowest
+eligible index in, lowest basis index out on ties) once it stalls, so cycling
+is impossible and the iteration cap only ever fires on genuinely huge
+instances; hitting it is reported as its own status rather than raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LPInternalError
+from .errors import DomainError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,6 +38,36 @@ class LPResult:
     iterations: int
 
 
+class _Scalars(NamedTuple):
+    """What the algorithm needs to know about a tableau's scalar type."""
+
+    dtype: object
+    make: type           # converts a number to the scalar type
+    eps: object          # pivot, ratio-tie and stall tolerance
+    phase_one: object    # largest phase-one objective still read as feasible
+
+
+_EPS = 1e-9
+_FLOAT = _Scalars(np.float64, float, _EPS, 1e-7)
+_EXACT = _Scalars(object, Fraction, 0, 0)
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def _scalars(T) -> _Scalars:
+    return _EXACT if T.dtype == object else _FLOAT
+
+
+def _zeros(shape, sc: _Scalars):
+    return np.full(shape, sc.make(0), dtype=sc.dtype)
+
+
+def _diagonal(m, values, sc: _Scalars):
+    """The m×m matrix with ``values`` on its diagonal and zeros elsewhere."""
+    D = _zeros((m, m), sc)
+    np.fill_diagonal(D, values)
+    return D
+
+
 def minimize(c: Sequence, A: Sequence[Sequence], b: Sequence, *,
              exact: bool = False, max_iter: int | None = None,
              all_ones_var: int | None = None) -> LPResult:
@@ -49,166 +81,119 @@ def minimize(c: Sequence, A: Sequence[Sequence], b: Sequence, *,
     nv = len(c)
     if len(b) != m or any(len(row) != nv for row in A):
         raise DomainError(f"inconsistent LP dimensions: c has {nv}, A is {m} rows")
+    sc = _EXACT if exact else _FLOAT
     if m == 0:
-        zero = Fraction(0) if exact else 0.0
-        return LPResult(OPTIMAL, [zero] * nv, zero, 0)
+        return LPResult(OPTIMAL, [sc.make(0)] * nv, sc.make(0), 0)
     if max_iter is None:
         max_iter = 200 + 25 * (m + nv)
-    if all_ones_var is not None:
-        if any(row[all_ones_var] != 1 for row in A):
-            raise DomainError(f"variable {all_ones_var} is not an all-ones column")
-        if max(b) > 0:
-            return (_solve_exact_warm if exact else _solve_float_warm)(
-                c, A, b, max_iter, all_ones_var)
+    if all_ones_var is not None and not (
+            0 <= all_ones_var < nv and all(row[all_ones_var] == 1 for row in A)):
+        raise DomainError(f"variable {all_ones_var} is not an all-ones column")
+    warm = all_ones_var is not None and max(b) > 0
     if exact:
-        return _solve_exact(c, A, b, max_iter)
-    return _solve_float(c, A, b, max_iter)
+        A, b, c = (_to_fraction(np.asarray(v, dtype=object)) for v in (A, b, c))
+    else:
+        A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
 
-
-# ---------------------------------------------------------------------------
-# float path (numpy tableau)
-
-_EPS = 1e-9
-
-
-def _solve_float(c, A, b, max_iter) -> LPResult:
-    m, nv = len(A), len(c)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-
-    # rows with nonpositive rhs are negated so every rhs is nonnegative; the
-    # surplus then enters with +1 and serves as the initial basic variable
-    need_art = b > 0
-    rows = np.where(need_art[:, None], A, -A)
-    rhs = np.where(need_art, b, -b)
-    surplus = np.diag(np.where(need_art, -1.0, 1.0))
-    art_rows = np.flatnonzero(need_art)
-    na = art_rows.size
-
-    art = np.zeros((m, na))
-    for j, i in enumerate(art_rows):
-        art[i, j] = 1.0
-    T = np.hstack([rows, surplus, art, rhs[:, None]])
-    ncols = nv + m + na
-
-    basis = np.empty(m, dtype=int)
-    basis[:] = nv + np.arange(m)          # surplus where feasible
-    for j, i in enumerate(art_rows):
-        basis[i] = nv + m + j             # artificial elsewhere
-
-    iterations = 0
-    if na:
-        cost1 = np.zeros(ncols)
-        cost1[nv + m:] = 1.0
-        status, iterations = _run_float(T, basis, cost1, max_iter, phase_cols=ncols)
-        if status != OPTIMAL:
-            return LPResult(status if status == ITERATION_LIMIT else INFEASIBLE,
-                            None, None, iterations)
-        if _phase_objective(T, basis, cost1) > 1e-7:
-            return LPResult(INFEASIBLE, None, None, iterations)
-        _evict_artificials_float(T, basis, nv + m)
-
-    cost2 = np.zeros(ncols)
-    cost2[:nv] = c
-    status, extra = _run_float(T, basis, cost2, max_iter - iterations,
-                               phase_cols=nv + m)
-    iterations += extra
+    if warm:
+        T, basis = _warm_start(A, b, all_ones_var, sc)
+        status, iterations = OPTIMAL, 0
+    else:
+        status, T, basis, iterations = _cold_start(A, b, max_iter, sc)
+    if status == OPTIMAL:
+        cost = _zeros(T.shape[1] - 1, sc)
+        cost[:nv] = c
+        status, extra = _run(T, basis, cost, max_iter - iterations, nv + m)
+        iterations += extra
     if status != OPTIMAL:
         return LPResult(status, None, None, iterations)
-    x = np.zeros(ncols)
+    x = _zeros(T.shape[1] - 1, sc)
     x[basis] = T[:, -1]
-    objective = float(c @ x[:nv])
-    return LPResult(OPTIMAL, [float(v) for v in x[:nv]], objective, iterations)
+    x = x[:nv]
+    return LPResult(OPTIMAL, x.tolist(), sc.make(c @ x), iterations)
 
 
-def _phase_objective(T, basis, cost) -> float:
-    return float(cost[basis] @ T[:, -1])
+def _cold_start(A, b, max_iter, sc: _Scalars):
+    """Two-phase start: (status, tableau, basis, phase-one pivots).
+
+    Rows with nonpositive rhs are negated so every rhs is nonnegative; the
+    surplus then enters with +1 and serves as the initial basic variable.  The
+    other rows get an artificial, which phase one drives out.
+    """
+    m, nv = A.shape
+    one = sc.make(1)
+    need_art = b > 0
+    art_rows = np.flatnonzero(need_art)
+    na = art_rows.size
+    art = _zeros((m, na), sc)
+    art[art_rows, np.arange(na)] = one
+    T = np.hstack([np.where(need_art[:, None], A, -A),
+                   _diagonal(m, np.where(need_art, -one, one), sc), art,
+                   np.where(need_art, b, -b)[:, None]])
+    basis = nv + np.arange(m)               # surplus where feasible
+    basis[art_rows] = nv + m + np.arange(na)   # artificial elsewhere
+    if not na:
+        return OPTIMAL, T, basis, 0
+
+    cost = _zeros(T.shape[1] - 1, sc)
+    cost[nv + m:] = one
+    status, iterations = _run(T, basis, cost, max_iter, nv + m + na)
+    if status == OPTIMAL and cost[basis] @ T[:, -1] > sc.phase_one:
+        status = INFEASIBLE
+    if status != OPTIMAL:
+        return (status if status == ITERATION_LIMIT else INFEASIBLE), T, basis, iterations
+    _evict_artificials(T, basis, nv + m)
+    return OPTIMAL, T, basis, iterations
 
 
-def _solve_float_warm(c, A, b, max_iter, ones_var) -> LPResult:
-    """Phase-two-only solve from the uniform-slack feasible basis."""
-    m, nv = len(A), len(c)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    T = np.hstack([A, -np.eye(m), b[:, None]])
+def _warm_start(A, b, ones_var, sc: _Scalars):
+    """Tableau and basis {ones_var at the largest rhs, surplus elsewhere}: feasible."""
+    m, nv = A.shape
+    T = np.hstack([A, -_diagonal(m, sc.make(1), sc), b[:, None]])
     pivot_row = int(np.argmax(b))
-    # basic form for {ones_var @ pivot_row, surplus elsewhere}: subtracting the
-    # pivot row clears the all-ones column, negating restores +1 surplus signs
+    # subtracting the pivot row clears the all-ones column, negating restores
+    # +1 surplus signs
     keep = T[pivot_row].copy()
     T = keep[None, :] - T
     T[pivot_row] = keep
-    basis = np.array([nv + i for i in range(m)])
+    basis = nv + np.arange(m)
     basis[pivot_row] = ones_var
-    cost = np.concatenate([c, np.zeros(m)])
-    status, iterations = _run_float(T, basis, cost, max_iter, phase_cols=nv + m)
-    if status != OPTIMAL:
-        return LPResult(status, None, None, iterations)
-    x = np.zeros(nv + m)
-    x[basis] = T[:, -1]
-    return LPResult(OPTIMAL, [float(v) for v in x[:nv]],
-                    float(c @ x[:nv]), iterations)
-
-
-def _solve_exact_warm(c, A, b, max_iter, ones_var) -> LPResult:
-    m, nv = len(A), len(c)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b]
-    pivot_row = max(range(m), key=lambda i: b[i])
-    T = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]] + [Fraction(0)] * m + [b[i]]
-        row[nv + i] = Fraction(-1)
-        T.append(row)
-    keep = list(T[pivot_row])
-    for i in range(m):
-        T[i] = keep if i == pivot_row else [kv - v for kv, v in zip(keep, T[i])]
-    basis = [nv + i for i in range(m)]
-    basis[pivot_row] = ones_var
-    cost = c + [Fraction(0)] * m
-    status, iterations = _run_exact(T, basis, cost, max_iter, nv + m)
-    if status != OPTIMAL:
-        return LPResult(status, None, None, iterations)
-    x = [Fraction(0)] * (nv + m)
-    for i, bv in enumerate(basis):
-        x[bv] = T[i][-1]
-    objective = sum(ci * xi for ci, xi in zip(c, x[:nv]))
-    return LPResult(OPTIMAL, x[:nv], objective, iterations)
+    return T, basis
 
 
 _STALL_LIMIT = 40  # degenerate pivots tolerated before switching to Bland
 
 
-def _run_float(T, basis, cost, max_iter, phase_cols) -> tuple[str, int]:
+def _run(T, basis, cost, max_iter, phase_cols) -> tuple[str, int]:
     """Pivot until optimal/unbounded; columns ≥ phase_cols stay out.
 
     Entering variable: most negative reduced cost (fast) until the objective
     stalls, then permanently Bland's lowest-index rule, which cannot cycle.
     """
+    eps = _scalars(T).eps
     bland = False
     stall = 0
     last_objective = None
     for it in range(max(0, max_iter)):
         reduced = cost[:phase_cols] - cost[basis] @ T[:, :phase_cols]
-        reduced[basis[basis < phase_cols]] = 0.0
-        candidates = np.flatnonzero(reduced < -_EPS)
+        reduced[basis[basis < phase_cols]] = 0
+        candidates = np.flatnonzero(reduced < -eps)
         if candidates.size == 0:
             return OPTIMAL, it
         col = int(candidates[0]) if bland else int(candidates[np.argmin(reduced[candidates])])
         column = T[:, col]
-        eligible = np.flatnonzero(column > _EPS)
+        eligible = np.flatnonzero(column > eps)
         if eligible.size == 0:
             return UNBOUNDED, it
         ratios = T[eligible, -1] / column[eligible]
         best = ratios.min()
-        tied = eligible[ratios <= best + _EPS]
+        tied = eligible[ratios <= best + eps]
         row = int(tied[np.argmin(basis[tied])])
-        _pivot_float(T, row, col)
+        _pivot(T, row, col)
         basis[row] = col
         if not bland:
-            objective = float(cost[basis] @ T[:, -1])
-            if last_objective is not None and objective >= last_objective - _EPS:
+            objective = cost[basis] @ T[:, -1]
+            if last_objective is not None and objective >= last_objective - eps:
                 stall += 1
                 if stall > _STALL_LIMIT:
                     bland = True
@@ -218,153 +203,26 @@ def _run_float(T, basis, cost, max_iter, phase_cols) -> tuple[str, int]:
     return ITERATION_LIMIT, max(0, max_iter)
 
 
-def _pivot_float(T, row, col) -> None:
+def _pivot(T, row, col) -> None:
+    """Make column ``col`` the unit vector at ``row``; the entry there is nonzero."""
+    sc = _scalars(T)
     T[row, :] /= T[row, col]
     factors = T[:, col].copy()
-    factors[row] = 0.0
+    factors[row] = sc.make(0)
     T -= np.outer(factors, T[row, :])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    T[:, col] = sc.make(0)
+    T[row, col] = sc.make(1)
 
 
-def _evict_artificials_float(T, basis, real_cols) -> None:
+def _evict_artificials(T, basis, real_cols) -> None:
     """Pivot zero-value basic artificials onto real columns where possible."""
+    eps = _scalars(T).eps
     for i in range(T.shape[0]):
         if basis[i] < real_cols:
             continue
-        nz = np.flatnonzero(np.abs(T[i, :real_cols]) > _EPS)
+        nz = np.flatnonzero(np.abs(T[i, :real_cols]) > eps)
         if nz.size:
-            _pivot_float(T, i, int(nz[0]))
+            _pivot(T, i, int(nz[0]))
             basis[i] = int(nz[0])
         # an all-zero row is a redundant constraint; leaving the artificial
         # basic at value 0 is harmless because its column never re-enters
-
-
-# ---------------------------------------------------------------------------
-# exact path (Fraction tableau)
-
-
-def _solve_exact(c, A, b, max_iter) -> LPResult:
-    m, nv = len(A), len(c)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b]
-    rows = []
-    signs = []
-    for i in range(m):
-        bi = b[i]
-        flip = bi <= 0
-        signs.append(flip)
-        row = [Fraction(v) if not flip else -Fraction(v) for v in A[i]]
-        rows.append(row)
-    rhs = [(-bi if flip else bi) for bi, flip in zip(b, signs)]
-    art_rows = [i for i, flip in enumerate(signs) if not flip]
-    na = len(art_rows)
-    ncols = nv + m + na
-
-    T = []
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * (m + na) + [rhs[i]]
-        row[nv + i] = Fraction(1) if signs[i] else Fraction(-1)
-        T.append(row)
-    for j, i in enumerate(art_rows):
-        T[i][nv + m + j] = Fraction(1)
-
-    basis = [nv + i for i in range(m)]
-    for j, i in enumerate(art_rows):
-        basis[i] = nv + m + j
-
-    iterations = 0
-    if na:
-        cost1 = [Fraction(0)] * (nv + m) + [Fraction(1)] * na
-        status, iterations = _run_exact(T, basis, cost1, max_iter, ncols)
-        if status != OPTIMAL:
-            return LPResult(status if status == ITERATION_LIMIT else INFEASIBLE,
-                            None, None, iterations)
-        if sum(cost1[bv] * T[i][-1] for i, bv in enumerate(basis)) > 0:
-            return LPResult(INFEASIBLE, None, None, iterations)
-        _evict_artificials_exact(T, basis, nv + m)
-
-    cost2 = c + [Fraction(0)] * (m + na)
-    status, extra = _run_exact(T, basis, cost2, max_iter - iterations, nv + m)
-    iterations += extra
-    if status != OPTIMAL:
-        return LPResult(status, None, None, iterations)
-    x = [Fraction(0)] * ncols
-    for i, bv in enumerate(basis):
-        x[bv] = T[i][-1]
-    objective = sum(ci * xi for ci, xi in zip(c, x[:nv]))
-    return LPResult(OPTIMAL, x[:nv], objective, iterations)
-
-
-def _run_exact(T, basis, cost, max_iter, phase_cols) -> tuple[str, int]:
-    m = len(T)
-    basis_set = set(basis)
-    bland = False
-    stall = 0
-    last_objective = None
-    for it in range(max(0, max_iter)):
-        col = -1
-        best_rj = 0
-        for j in range(phase_cols):
-            if j in basis_set:
-                continue
-            rj = cost[j] - sum(cost[basis[i]] * T[i][j] for i in range(m))
-            if rj < 0:
-                if bland:
-                    col = j
-                    break
-                if rj < best_rj:
-                    best_rj = rj
-                    col = j
-        if col < 0:
-            return OPTIMAL, it
-        row = -1
-        best = None
-        for i in range(m):
-            tic = T[i][col]
-            if tic > 0:
-                ratio = T[i][-1] / tic
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best = ratio
-                    row = i
-        if row < 0:
-            return UNBOUNDED, it
-        _pivot_exact(T, row, col)
-        basis_set.discard(basis[row])
-        basis[row] = col
-        basis_set.add(col)
-        if not bland:
-            objective = sum(cost[basis[i]] * T[i][-1] for i in range(m))
-            if last_objective is not None and objective >= last_objective:
-                stall += 1
-                if stall > _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-            last_objective = objective
-    return ITERATION_LIMIT, max(0, max_iter)
-
-
-def _pivot_exact(T, row, col) -> None:
-    pivot = T[row][col]
-    if pivot == 0:
-        raise LPInternalError("pivot on a zero entry")
-    T[row] = [v / pivot for v in T[row]]
-    prow = T[row]
-    for i in range(len(T)):
-        if i == row:
-            continue
-        factor = T[i][col]
-        if factor != 0:
-            T[i] = [v - factor * pv for v, pv in zip(T[i], prow)]
-
-
-def _evict_artificials_exact(T, basis, real_cols) -> None:
-    for i in range(len(T)):
-        if basis[i] < real_cols:
-            continue
-        for j in range(real_cols):
-            if T[i][j] != 0:
-                _pivot_exact(T, i, j)
-                basis[i] = j
-                break

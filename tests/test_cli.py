@@ -276,6 +276,25 @@ class TestBadInputExits2:
         self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
                                 "--input", path, "--trials", "5", flag, value)
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_unusable_fit_tolerance_exits_2(self, capsys, tmp_path, value):
+        path = write_json(tmp_path, "norm.json", NORM_SQ)
+        self.assert_usage_error(capsys, "fit-quasiaffine", "--input", path,
+                                "--trials", "40", "--fit-tolerance", value)
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "quasiaffine-fit",
+                                "--input", path, "--trials", "40", "--fit-tolerance", value)
+
+    @pytest.mark.parametrize("matrix", [
+        {"n": 2, "k": 2, "rows": ["1", "2"], "data": [[1, 0], [0, 1]], "extra": 1},
+        {"n": 2.7, "k": 2, "rows": ["1", "2"], "data": [[1, 0], [0, 1]]},
+        {"n": "abc", "k": 2, "rows": ["1", "2"], "data": [[1, 0], [0, 1]]},
+        {"n": 2, "k": 2, "data": [[1, 0], [0, 1]]},
+    ])
+    def test_malformed_shape_matrix_exits_2(self, capsys, tmp_path, matrix):
+        path = write_json(tmp_path, "m.json", matrix)
+        self.assert_usage_error(capsys, "pi", "--input", path)
+        self.assert_usage_error(capsys, "adjugate", "--input", path, "--s", "1")
+
 
 class TestStepIndependence:
     @pytest.mark.parametrize("step", ["1e-3", "1e-6"])
