@@ -42,12 +42,6 @@ def _emit(report: dict, output: str | None) -> None:
             handle.write(text)
 
 
-def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(seed=args.seed, trials=args.trials,
-                         coeff_range=args.range, step=args.step,
-                         tolerance=args.tolerance)
-
-
 def cmd_pi(args) -> int:
     X = ShapeMatrix.from_json(_load_json(args.input), args.backend)
     _emit(project(X).to_json(), args.output)
@@ -96,53 +90,33 @@ def cmd_verify_formula(args) -> int:
     return EXIT_PASS if worst == 0 else EXIT_FAIL
 
 
-def _run_convexity_mode(fn: FormFunction, mode: str, args) -> tuple[dict, int]:
-    cfg = _sampler_config(args)
-    if mode in ("one-convex", "one-affine"):
-        check = check_ext_one_convex if mode == "one-convex" else check_ext_one_affine
+def cmd_convexity(args) -> int:
+    """check-convexity; fit-quasiaffine and support-lp each fix ``mode``."""
+    fn = FormFunction.from_json(_load_json(args.input))
+    cfg = SamplerConfig(seed=args.seed, trials=args.trials, coeff_range=args.range,
+                        step=args.step, tolerance=args.tolerance)
+    if args.mode in ("one-convex", "one-affine"):
+        check = check_ext_one_convex if args.mode == "one-convex" else check_ext_one_affine
         verdict = check(fn, cfg)
-        return verdict.to_json(), EXIT_PASS if verdict.status == "pass" else EXIT_FAIL
-    if mode == "quasiaffine-fit":
+        report, code = verdict.to_json(), EXIT_PASS if verdict.status == "pass" else EXIT_FAIL
+    elif args.mode == "quasiaffine-fit":
         if not 0 <= args.fit_tolerance < math.inf:
             raise DomainError(f"--fit-tolerance must be nonnegative and finite, "
                               f"got {args.fit_tolerance!r}")
         fit = fit_quasiaffine(fn, cfg)
-        report = fit.to_json()
+        report, code = fit.to_json(), EXIT_ERROR
         report["fit_tolerance"] = args.fit_tolerance
-        if fit.status != "ok":
-            return report, EXIT_ERROR
-        ok = fit.validation_residual <= args.fit_tolerance
-        report["status"] = "ok" if ok else "rejected"
-        return report, EXIT_PASS if ok else EXIT_FAIL
-    if mode == "poly-lp":
-        if args.base:
-            base = KForm.from_json(_load_json(args.base), scalars.FLOAT)
-        else:
-            base = KForm.zero(fn.n, fn.k, scalars.FLOAT)
+        if fit.status == "ok":
+            ok = fit.validation_residual <= args.fit_tolerance
+            report["status"] = "ok" if ok else "rejected"
+            code = EXIT_PASS if ok else EXIT_FAIL
+    else:
+        base = (KForm.from_json(_load_json(args.base), scalars.FLOAT) if args.base
+                else KForm.zero(fn.n, fn.k, scalars.FLOAT))
         search = polyconvex_support_lp(fn, base, cfg)
-        codes = {"certified": EXIT_PASS, "refuted": EXIT_FAIL,
-                 "inconclusive": EXIT_ERROR}
-        return search.to_json(), codes[search.status]
-    raise DomainError(f"unknown convexity mode {mode!r}")
-
-
-def cmd_check_convexity(args) -> int:
-    fn = FormFunction.from_json(_load_json(args.input))
-    report, code = _run_convexity_mode(fn, args.mode, args)
-    _emit(report, args.output)
-    return code
-
-
-def cmd_fit_quasiaffine(args) -> int:
-    fn = FormFunction.from_json(_load_json(args.input))
-    report, code = _run_convexity_mode(fn, "quasiaffine-fit", args)
-    _emit(report, args.output)
-    return code
-
-
-def cmd_support_lp(args) -> int:
-    fn = FormFunction.from_json(_load_json(args.input))
-    report, code = _run_convexity_mode(fn, "poly-lp", args)
+        report = search.to_json()
+        code = {"certified": EXIT_PASS, "refuted": EXIT_FAIL,
+                "inconclusive": EXIT_ERROR}[search.status]
     _emit(report, args.output)
     return code
 
@@ -206,19 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", help="base-point KForm JSON (poly-lp)")
     p.add_argument("--fit-tolerance", type=float, default=1e-8,
                    help="acceptance threshold on the fit validation residual")
-    p.set_defaults(func=cmd_check_convexity)
+    p.set_defaults(func=cmd_convexity)
 
     p = sub.add_parser("fit-quasiaffine", help="recover wedge-power pairing coefficients")
     _add_io_flags(p, backend=False)
     _add_sampler_flags(p, trials=200)
     p.add_argument("--fit-tolerance", type=float, default=1e-8)
-    p.set_defaults(func=cmd_fit_quasiaffine)
+    p.set_defaults(func=cmd_convexity, mode="quasiaffine-fit")
 
     p = sub.add_parser("support-lp", help="supporting-coefficient LP search")
     _add_io_flags(p, backend=False)
     _add_sampler_flags(p, trials=500)
     p.add_argument("--base", help="base-point KForm JSON")
-    p.set_defaults(func=cmd_support_lp)
+    p.set_defaults(func=cmd_convexity, mode="poly-lp")
 
     return parser
 
@@ -228,8 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, json.JSONDecodeError, KeyError, TypeError,
-            FileNotFoundError) as exc:
+    except (DomainError, json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
         print(f"extconv: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

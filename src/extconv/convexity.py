@@ -21,11 +21,13 @@ The checks implemented here:
   supporting coefficients.
 
 Every trial still draws from its own stream ``derive_rng(seed, trial)``; the
-draws are then stacked into (trials × C(n,k)) arrays, and the wedge powers and
-f run once per stack through the row-batched float kernels
-(``exterior.wedge_rows``, ``FormFunction.evaluate_rows``).  A row's result
-does not depend on the stack it sits in, so ``replay_witness`` runs the same
-kernel on one row and reproduces the scan's second difference exactly.
+draws are then stacked, one form or flattened matrix per row, and the wedge
+powers and f run once per stack through the row-batched float kernels
+(``exterior.wedge_rows``, ``FormFunction.evaluate_rows``, and for a lift
+``projection.project_rows``); wedge lines and rank-one lines share one scan.
+A row's result does not depend on the stack it sits in, so ``replay_witness``
+runs the same kernel on one row and reproduces the scan's second difference
+exactly.
 
 Line verdicts judge the curvature d2/h² of the second difference d2 against
 the tolerance plus a rounding floor, after Nocedal & Wright, *Numerical
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +54,7 @@ from . import scalars
 from .errors import DomainError, LPInternalError
 from .exterior import KForm, ordered_sum, scalar_product, wedge, wedge_power, wedge_rows
 from .functions import FormFunction
-from .projection import project, right_inverse
+from .projection import project, project_rows, right_inverse
 from .sampling import (derive_rng, random_exact_form, random_form, random_line,
                        random_matrix)
 from .shapespace import ShapeMatrix, tensor
@@ -93,11 +96,9 @@ class Verdict:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        out = {"status": self.status, "mode": self.mode, "trials": self.trials,
-               "seed": self.seed, "tolerance": self.tolerance, "step": self.step,
-               "floor": self.floor}
-        out["witness"] = self.witness
-        return out
+        return {"status": self.status, "mode": self.mode, "trials": self.trials,
+                "seed": self.seed, "tolerance": self.tolerance, "step": self.step,
+                "floor": self.floor, "witness": self.witness}
 
 
 def line_restriction(f: FormFunction, xi: KForm, alpha: KForm, beta: KForm
@@ -118,12 +119,6 @@ def line_restriction(f: FormFunction, xi: KForm, alpha: KForm, beta: KForm
 
 ROUNDING_ALLOWANCE = 16     # rounding error of one value of g, in ε·M
 _EPS = float(np.finfo(float).eps)
-
-
-def _second_differences(values: np.ndarray) -> np.ndarray:
-    """g(t+h) + g(t−h) − 2g(t) for rows of g at (t+h, t−h, t)."""
-    with scalars.float_guard("second difference"):
-        return values[:, 0] + values[:, 1] - 2 * values[:, 2]
 
 
 @dataclass
@@ -151,66 +146,72 @@ class _LineJudgement:
                        cfg.tolerance, cfg.step, float(judged.max()), witness)
 
 
-def _judge(values: np.ndarray, magnitudes: np.ndarray, h: float, tolerance: float,
-           affine: bool) -> _LineJudgement:
-    """Judge rows of g and M at (t+h, t−h, t): convexity, or affinity if ``affine``.
+def _line_points(xi: np.ndarray, direction: np.ndarray, t: np.ndarray, h: float
+                 ) -> np.ndarray:
+    """The points ξ + τ·D at τ = t+h, t−h, t, as a (3 × m × width) stack."""
+    with scalars.float_guard("line point"):
+        taus = np.stack([t + h, t - h, t])
+        return xi + taus[:, :, None] * direction
 
-    The comparison runs on d2 against (tolerance + floor)·h², which is the
+
+def _line_judgement(f, xi: np.ndarray, direction: np.ndarray, t: np.ndarray, h: float,
+                    tolerance: float, affine: bool) -> _LineJudgement:
+    """Judge f along m lines, evaluated in one kernel call: convexity, or affinity.
+
+    M is ``f.magnitude_rows`` where f has one, and max(1, |g|) otherwise.  The
+    comparison runs on d2 against (tolerance + floor)·h², which is the
     curvature test d2/h² against tolerance + floor without a division.
     """
-    d2 = _second_differences(values)
-    with scalars.float_guard("rounding floor"):
-        noise = ROUNDING_ALLOWANCE * _EPS * (magnitudes[:, 0] + magnitudes[:, 1]
-                                             + 2 * magnitudes[:, 2])
+    m = t.size
+    flat = _line_points(xi, direction, t, h).reshape(3 * m, -1)
+    g = f.evaluate_rows(flat).reshape(3, m)
+    M = (f.magnitude_rows(flat).reshape(3, m) if hasattr(f, "magnitude_rows")
+         else np.maximum(np.abs(g), 1.0))
+    with scalars.float_guard("second difference"):
+        d2 = g[0] + g[1] - 2 * g[2]
+        noise = ROUNDING_ALLOWANCE * _EPS * (M[0] + M[1] + 2 * M[2])
         hh = h * h
         threshold = tolerance * hh + noise
         bad = np.abs(d2) > threshold if affine else d2 < -threshold
         return _LineJudgement(d2, threshold, noise / hh, bad, h)
 
 
-def _line_points(xi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, t: np.ndarray,
-                 h: float, n: int, k: int) -> np.ndarray:
-    """The points ξ + τ·α∧β at τ = t+h, t−h, t, as a (3 × m × C(n,k)) stack."""
-    with scalars.float_guard("line point"):
-        direction = wedge_rows(alpha, beta, n, k - 1, 1)
-        taus = np.stack([t + h, t - h, t])
-        return xi + taus[:, :, None] * direction
+def _stack(items: Sequence[KForm | ShapeMatrix]) -> np.ndarray:
+    """One float row per form (its coefficients) or matrix (its entries, row-major)."""
+    return np.array([x.entries if isinstance(x, ShapeMatrix) else x.coeffs for x in items],
+                    dtype=float).reshape(len(items), -1)
 
 
-def _line_judgement(f: FormFunction, xi: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                    t: np.ndarray, h: float, tolerance: float, affine: bool
-                    ) -> _LineJudgement:
-    """Second differences of f along m lines, all evaluated in one kernel call."""
-    points = _line_points(xi, alpha, beta, t, h, f.n, f.k)
-    m = t.size
-    flat = points.reshape(3 * m, -1)
-    values = f.evaluate_rows(flat).reshape(3, m).T
-    magnitudes = f.magnitude_rows(flat).reshape(3, m).T
-    return _judge(values, magnitudes, h, tolerance, affine)
+def _scan(f, cfg: SamplerConfig, mode: str, draw: Callable, direction: Callable,
+          names: tuple[str, str, str]) -> Verdict:
+    """Judge f along one line per trial, the draws of all trials stacked.
 
-
-def _stack(forms: Sequence[KForm]) -> np.ndarray:
-    return np.array([form.coeffs for form in forms], dtype=float)
-
-
-def _scan_lines(f: FormFunction, cfg: SamplerConfig, mode: str) -> Verdict:
-    xis, alphas, betas, ts = [], [], [], []
+    ``draw(rng)`` gives the base point and two direction factors (witness keys
+    ``names``), and ``direction`` maps their stacks to the line directions.
+    """
+    draws, ts = [], []
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.seed, trial)
-        xis.append(random_form(f.n, f.k, rng, cfg.coeff_range))
-        alpha, beta = random_line(f.n, f.k, rng, cfg.coeff_range)
-        alphas.append(alpha)
-        betas.append(beta)
+        draws.append(draw(rng))
         ts.append(rng.uniform(-1.0, 1.0))
-    judged = _line_judgement(f, _stack(xis), _stack(alphas), _stack(betas), np.array(ts),
-                             cfg.step, cfg.tolerance, mode == "one-affine")
+    base, left, right = (_stack([d[i] for d in draws]) for i in range(3))
+    with scalars.float_guard("line direction"):
+        lines = direction(left, right)
+    judged = _line_judgement(f, base, lines, np.array(ts), cfg.step, cfg.tolerance,
+                             mode == "one-affine")
     trial = judged.first_bad()
     witness = None
     if trial is not None:
-        witness = {"trial": trial, "xi": xis[trial].to_json(),
-                   "alpha": alphas[trial].to_json(), "beta": betas[trial].to_json(),
+        witness = {"trial": trial, **{name: x.to_json() for name, x in zip(names, draws[trial])},
                    "t": ts[trial], "h": cfg.step, **judged.witness(trial)}
     return judged.verdict(mode, cfg, witness)
+
+
+def _scan_lines(f: FormFunction, cfg: SamplerConfig, mode: str) -> Verdict:
+    n, k, r = f.n, f.k, cfg.coeff_range
+    return _scan(f, cfg, mode, lambda rng: (random_form(n, k, rng, r), *random_line(n, k, rng, r)),
+                 lambda alpha, beta: wedge_rows(alpha, beta, n, k - 1, 1),
+                 ("xi", "alpha", "beta"))
 
 
 def check_ext_one_convex(f: FormFunction, cfg: SamplerConfig) -> Verdict:
@@ -229,17 +230,17 @@ def check_ext_one_affine(f: FormFunction, cfg: SamplerConfig) -> Verdict:
 def replay_witness(f: FormFunction, witness: dict):
     """Recompute the witnessed second difference from its stored numbers.
 
-    It runs the scan's own kernel on the one stored line.
+    It runs the scan's own judgement on the one stored line.
     """
     xi, alpha, beta = (_stack([KForm.from_json(witness[key], scalars.FLOAT)])
                        for key in ("xi", "alpha", "beta"))
-    points = _line_points(xi, alpha, beta, np.array([witness["t"]]), witness["h"],
-                          f.n, f.k)
-    return float(_second_differences(f.evaluate_rows(points.reshape(3, -1))[None, :])[0])
+    judged = _line_judgement(f, xi, wedge_rows(alpha, beta, f.n, f.k - 1, 1),
+                             np.array([witness["t"]]), witness["h"], 0.0, False)
+    return float(judged.d2[0])
 
 
 class LiftedFunction:
-    """The matrix function X ↦ f(project(X))."""
+    """The matrix function X ↦ f(project(X)); row methods take flat entry stacks."""
 
     __slots__ = ("f", "n", "k")
 
@@ -249,24 +250,33 @@ class LiftedFunction:
         self.k = f.k
 
     def __call__(self, X: ShapeMatrix):
-        self._check(X)
+        if (X.n, X.k) != (self.n, self.k):
+            raise DomainError(f"matrix lives in ({X.n},{X.k}), lift expects "
+                              f"({self.n},{self.k})")
         return self.f(project(X))
 
-    def magnitude(self, X: ShapeMatrix) -> float:
-        """A bound on the running-error magnitude of a float value of the lift.
+    def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The lift on each row; a row's value equals the lift of its matrix bit for bit."""
+        with scalars.float_guard("lifted value"):
+            return self.f.evaluate_rows(project_rows(self._checked(rows), self.n, self.k))
+
+    def magnitude_rows(self, rows: np.ndarray) -> np.ndarray:
+        """A bound on the running-error magnitude of each value of ``evaluate_rows``.
 
         Each projected coefficient is a signed sum of k entries of X, so k·max|X|
         bounds its magnitude; f's magnitude grows with every coefficient's.
         """
-        self._check(X)
-        bound = self.k * max(abs(v) for row in X.entries for v in row)
-        row = np.full((1, math.comb(self.n, self.k)), float(bound))
-        return float(self.f.magnitude_rows(row)[0])
+        with scalars.float_guard("lifted magnitude"):
+            bound = self.k * np.abs(self._checked(rows)).max(axis=1)
+            return self.f.magnitude_rows(
+                np.repeat(bound[:, None], math.comb(self.n, self.k), axis=1))
 
-    def _check(self, X: ShapeMatrix) -> None:
-        if (X.n, X.k) != (self.n, self.k):
-            raise DomainError(f"matrix lives in ({X.n},{X.k}), lift expects "
-                              f"({self.n},{self.k})")
+    def _checked(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != math.comb(self.n, self.k - 1) * self.n:
+            raise DomainError(f"expected rows of ({self.n},{self.k}) matrix entries, "
+                              f"got shape {rows.shape}")
+        return rows
 
 
 def lift(f: FormFunction) -> LiftedFunction:
@@ -274,35 +284,21 @@ def lift(f: FormFunction) -> LiftedFunction:
 
 
 def check_rank_one_convex(F: Callable, n: int, k: int, cfg: SamplerConfig) -> Verdict:
-    """Second-difference test for a matrix function along rank-one directions.
+    """Second-difference test for a matrix function along rank-one directions a⊗b.
 
-    The rounding floor uses ``F.magnitude(X)`` when F has one (a lift does),
-    and max(1, |F(X)|) otherwise.
+    F runs on the whole stack of line points when it has ``evaluate_rows`` (a
+    lift does); a bare callable is called once per point, with M = max(1, |F|).
     """
-    magnitude = getattr(F, "magnitude", None)
-    floors = []
-    for trial in range(cfg.trials):
-        rng = derive_rng(cfg.seed, trial)
-        X = random_matrix(n, k, rng, cfg.coeff_range)
-        a = random_form(n, k - 1, rng, cfg.coeff_range)
-        b = random_form(n, 1, rng, cfg.coeff_range)
-        direction = tensor(a, b)
-        t = rng.uniform(-1.0, 1.0)
-        points = [X + direction.scale(tau) for tau in (t + cfg.step, t - cfg.step, t)]
-        values = np.array([[F(point) for point in points]], dtype=float)
-        if magnitude is None:
-            magnitudes = np.maximum(np.abs(values), 1.0)
-        else:
-            magnitudes = np.array([[magnitude(point) for point in points]])
-        judged = _judge(values, magnitudes, cfg.step, cfg.tolerance, affine=False)
-        floors.append(judged.floor[0])
-        if judged.bad[0]:
-            witness = {"trial": trial, "X": X.to_json(), "a": a.to_json(),
-                       "b": b.to_json(), "t": t, "h": cfg.step, **judged.witness(0)}
-            return Verdict("fail", "rank-one-convex", cfg.trials, cfg.seed,
-                           cfg.tolerance, cfg.step, max(floors), witness)
-    return Verdict("pass", "rank-one-convex", cfg.trials, cfg.seed,
-                   cfg.tolerance, cfg.step, max(floors))
+    if not hasattr(F, "evaluate_rows"):
+        F = SimpleNamespace(evaluate_rows=lambda rows, F=F: np.array(
+            [F(ShapeMatrix(n, k, row.reshape(-1, n).tolist(), scalars.FLOAT)) for row in rows],
+            dtype=float))
+    r = cfg.coeff_range
+    return _scan(F, cfg, "rank-one-convex",
+                 lambda rng: (random_matrix(n, k, rng, r), random_form(n, k - 1, rng, r),
+                              random_form(n, 1, rng, r)),
+                 lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1),
+                 ("X", "a", "b"))
 
 
 @dataclass

@@ -165,10 +165,7 @@ def _exact_walker(convert: Callable) -> Callable:
 
 def _compile_constant(value) -> _Compiled:
     if isinstance(value, str):
-        try:
-            value = scalars.parse_rational(value)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"bad constant {value!r}") from None
+        value = scalars.parse_rational(value)
     elif not isinstance(value, (int, float)) or isinstance(value, bool):
         raise DomainError(f"bad constant {value!r}")
     exact = _exact_walker(lambda: scalars.coerce(value, scalars.EXACT))

@@ -14,13 +14,13 @@ and the relation is tested, nothing is silently rescaled.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, _wedge_pairs
-from .multiindex import MultiIndex, enumerate_multiindices, sign_append
+from .exterior import KForm, _wedge_pairs, json_fields
+from .multiindex import MultiIndex, enumerate_multiindices
+from .projection import project_entries
 
 
 class Poly:
@@ -188,7 +188,7 @@ class Poly:
             m = cls._TERM_RE.match(chunk)
             if not m or (m.group("coeff") is None and not m.group("vars")):
                 raise DomainError(f"cannot parse polynomial term {chunk!r}")
-            coeff = Fraction(m.group("coeff") or "1")
+            coeff = scalars.parse_rational(m.group("coeff") or "1")
             if m.group("sign") == "-":
                 coeff = -coeff
             expo = [0] * nvars
@@ -257,9 +257,11 @@ class PolyKForm:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "PolyKForm":
-        n, k = int(obj["n"]), int(obj["k"])
+        n, k, raw = json_fields(obj, ("n", "k", "coeffs"), "polynomial form")
+        if not isinstance(raw, Mapping) or not all(isinstance(t, str) for t in raw.values()):
+            raise DomainError(f"polynomial form coeffs must map keys to strings, got {raw!r}")
         coeffs = {MultiIndex.from_text(key, n).indices: Poly.parse(text, n)
-                  for key, text in obj.get("coeffs", {}).items()}
+                  for key, text in raw.items()}
         return cls(n, k, coeffs)
 
     def __repr__(self) -> str:
@@ -329,24 +331,13 @@ def d_right(w: PolyKForm) -> PolyKForm:
 def project_polynomial(mat: PolynomialMatrix) -> PolyKForm:
     """Project a shape-matrix-valued polynomial coefficientwise.
 
-    Same coefficient formula as the scalar projection, over the polynomial
-    ring; composing with :func:`gradient` yields the exterior derivative in
-    the right-wedge convention as an exact polynomial identity.
+    The scalar projection's own loop, run over the polynomial ring; composing
+    with :func:`gradient` yields the exterior derivative in the right-wedge
+    convention as an exact polynomial identity.
     """
     n, k = mat.n, mat.k
-    label_rank = {mi.indices: r for r, mi in enumerate(enumerate_multiindices(n, k - 1))}
-    out: dict[tuple[int, ...], Poly] = {}
-    for K in enumerate_multiindices(n, k):
-        acc = Poly.zero(n)
-        for j in K.indices:
-            reduced = K.without(j)
-            poly = mat.entries[label_rank[reduced.indices]][j - 1]
-            if poly.is_zero():
-                continue
-            acc = acc + poly if sign_append(j, reduced) > 0 else acc - poly
-        if not acc.is_zero():
-            out[K.indices] = acc
-    return PolyKForm(n, k, out)
+    coeffs = project_entries(mat.entries, n, k, Poly.zero(n))
+    return PolyKForm(n, k, dict(zip(enumerate_multiindices(n, k), coeffs)))
 
 
 def d_classical(w: PolyKForm) -> PolyKForm:

@@ -3,7 +3,10 @@
 ``project`` sends a shape matrix to the form obtained by wedging each column
 (read as a (k−1)-form) with its coordinate direction on the right.  It sends
 outer products to wedge products and gradients to exterior derivatives, and it
-is onto, with ``right_inverse`` as a sign-free section.
+is onto, with ``right_inverse`` as a sign-free section.  Its coefficient rule
+is one cached table per (n, k), read by ``project``, ``project_rows``,
+``right_inverse`` and ``polyform.project_polynomial``; the order-1 partition
+plan reaches the same map by its own route.
 
 For even k the s-th wedge power of a projected matrix is a signed sum of
 order-s minors.  The block partitions and interlace signs of that sum are
@@ -28,54 +31,80 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm
-from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices, rank,
+from .exterior import KForm, ordered_sum
+from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                          sign_interlace_append)
 from .shapespace import MinorTable, ShapeMatrix, det
+
+
+@lru_cache(maxsize=None)
+def _projection_table(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The projection coefficient rule, the only place it is written down.
+
+    For each degree-k target K, in rank order, its k slots (K∖K_p, K_p) for
+    p = 1..k: the flat entry r·n + c of row r = rank(K∖K_p) and column
+    c = K_p − 1, with the append sign (−1)^(k−p).  The last slot's sign is +1.
+    """
+    row_rank = {mi.indices: r for r, mi in enumerate(enumerate_multiindices(n, k - 1))}
+    return tuple(tuple((row_rank[K[:p] + K[p + 1:]] * n + K[p] - 1, (-1) ** (k - 1 - p))
+                       for p in range(k))
+                 for K in (mi.indices for mi in enumerate_multiindices(n, k)))
+
+
+def project_entries(rows: Sequence[Sequence], n: int, k: int, zero) -> list:
+    """Project matrix rows over any ring.
+
+    Each coefficient sums its slots from ``zero``, left to right, skipping zeros.
+    """
+    entries = list(itertools.chain.from_iterable(rows))
+    out = []
+    for slots in _projection_table(n, k):
+        acc = zero
+        for cell, sign in slots:
+            value = entries[cell]
+            if value != 0:
+                acc = acc + value if sign > 0 else acc - value
+        out.append(acc)
+    return out
 
 
 def project(X: ShapeMatrix) -> KForm:
     """Project a shape matrix to its degree-k form.
 
-    Coefficient of e^K is Σ_{j∈K} sign_append(j, K∖j) · X[K∖j, j]; for k = 2
-    this is the antisymmetrization X − Xᵀ read into coefficients.
+    Coefficient of e^K is Σ_p (−1)^(k−p) · X[K∖K_p, K_p]; for k = 2 this is
+    the antisymmetrization X − Xᵀ read into coefficients.
     """
-    n, k = X.n, X.k
-    row_rank = {mi.indices: i for i, mi in enumerate(enumerate_multiindices(n, k - 1))}
-    entries = X.entries
-    out = []
-    for K in enumerate_multiindices(n, k):
-        acc = scalars.zero(X.backend)
-        idx = K.indices
-        for p, j in enumerate(idx, start=1):
-            value = entries[row_rank[idx[:p - 1] + idx[p:]]][j - 1]
-            if value == 0:
-                continue
-            # append sign for position p in a length-k union: (−1)^(k−p)
-            acc += value if (k - p) % 2 == 0 else -value
-        out.append(acc)
-    return KForm(n, k, out, X.backend)
+    return KForm(X.n, X.k, project_entries(X.entries, X.n, X.k, scalars.zero(X.backend)),
+                 X.backend)
+
+
+def project_rows(X: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Float ``project`` of each row of a flat (m × C(n,k−1)·n) stack, bit for bit.
+
+    The sums run left to right, and a zero entry adds nothing to a finite sum.
+    """
+    table = np.array(_projection_table(n, k), dtype=np.intp)
+    return ordered_sum(X[:, table[..., 0]] * table[..., 1])
 
 
 def right_inverse(x: KForm) -> ShapeMatrix:
     """A section of the projection: project(right_inverse(x)) == x exactly.
 
-    Each coefficient is parked in the slot (K∖max K, max K), whose append sign
-    is +1, so the construction is sign-free.
+    Each coefficient is parked in its target's last slot (K∖max K, max K),
+    whose sign is +1, so the construction is sign-free.
     """
     n, k = x.n, x.k
     if not 2 <= k <= n:
         raise DomainError(f"right inverse needs 2 ≤ k ≤ n, got k={k}, n={n}")
-    nrows = math.comb(n, k - 1)
-    rows = [[scalars.zero(x.backend)] * n for _ in range(nrows)]
-    for K, value in zip(enumerate_multiindices(n, k), x.coeffs):
-        if value == 0:
-            continue
-        top = K.indices[-1]
-        rows[rank(MultiIndex(K.indices[:-1], n))][top - 1] = value
-    return ShapeMatrix(n, k, rows, x.backend)
+    entries = [scalars.zero(x.backend)] * (math.comb(n, k - 1) * n)
+    for slots, value in zip(_projection_table(n, k), x.coeffs):
+        if value != 0:
+            entries[slots[-1][0]] = value
+    return ShapeMatrix(n, k, [entries[r:r + n] for r in range(0, len(entries), n)], x.backend)
 
 
 def _power_degree_checks(n: int, k: int, s: int) -> None:

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from . import scalars
+from .errors import DomainError
 from .exterior import KForm, wedge
 from .shapespace import ShapeMatrix
 
@@ -64,4 +65,4 @@ def random_line(n: int, k: int, rng: random.Random, scale: float,
             beta = random_form(n, 1, rng, scale)
         if not wedge(alpha, beta).is_zero():
             return alpha, beta
-    raise RuntimeError(f"could not draw a nondegenerate direction for (n={n}, k={k})")
+    raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")

@@ -86,8 +86,11 @@ def one(backend: str):
 
 
 def parse_rational(text: str):
-    """Parse "p/q" or "p" into an int or Fraction."""
-    value = Fraction(text.strip())
+    """Parse "p/q" or "p" into an int or Fraction; anything else is a DomainError."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad rational {text!r}") from None
     return int(value) if value.denominator == 1 else value
 
 

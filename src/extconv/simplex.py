@@ -203,13 +203,21 @@ def _run(T, basis, cost, max_iter, phase_cols) -> tuple[str, int]:
     return ITERATION_LIMIT, max(0, max_iter)
 
 
+# Rows per elimination block: a full-tableau outer product is a temporary the
+# size of the tableau (3 MB for a 500-sample support LP) on every pivot, whose
+# cost then depends on the allocator's state; a block's stays small, in cache.
+_BLOCK = 32
+
+
 def _pivot(T, row, col) -> None:
     """Make column ``col`` the unit vector at ``row``; the entry there is nonzero."""
     sc = _scalars(T)
     T[row, :] /= T[row, col]
+    pivot_row = T[row].copy()   # the row's own block updates it (by a zero factor)
     factors = T[:, col].copy()
     factors[row] = sc.make(0)
-    T -= np.outer(factors, T[row, :])
+    for start in range(0, T.shape[0], _BLOCK):
+        T[start:start + _BLOCK] -= np.outer(factors[start:start + _BLOCK], pivot_row)
     T[:, col] = sc.make(0)
     T[row, col] = sc.make(1)
 

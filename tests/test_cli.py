@@ -295,6 +295,23 @@ class TestBadInputExits2:
         self.assert_usage_error(capsys, "pi", "--input", path)
         self.assert_usage_error(capsys, "adjugate", "--input", path, "--s", "1")
 
+    def test_degenerate_direction_range_exits_2(self, capsys, tmp_path):
+        # every wedge of two draws at range 1e-200 underflows to zero
+        path = write_json(tmp_path, "norm.json", NORM_SQ)
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "one-affine",
+                                "--input", path, "--trials", "5", "--range", "1e-200")
+
+    @pytest.mark.parametrize("scalar", ["abc", "1/0"])
+    def test_bad_rational_scalar_exits_2(self, capsys, tmp_path, scalar):
+        matrix = write_json(tmp_path, "m.json", {"n": 2, "k": 2, "rows": ["1", "2"],
+                                                 "data": [[scalar, "0"], ["0", "1"]]})
+        self.assert_usage_error(capsys, "pi", "--input", matrix)
+        form = write_json(tmp_path, "f.json", {"n": 4, "k": 2, "coeffs": {"12": scalar}})
+        self.assert_usage_error(capsys, "wedge-power", "--input", form, "--s", "2")
+
+    def test_directory_input_exits_2(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "pi", "--input", str(tmp_path))
+
 
 class TestStepIndependence:
     @pytest.mark.parametrize("step", ["1e-3", "1e-6"])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extconv import scalars
@@ -431,7 +432,8 @@ class TestStepIndependence:
         rng = random.Random(3)
         for _ in range(20):
             X = random_matrix(6, 2, rng, 2.0)
-            assert F.magnitude(X) >= abs(F(X))
+            row = np.array([[v for entries in X.entries for v in entries]])
+            assert F.magnitude_rows(row)[0] >= abs(F(X))
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, float("inf"), float("nan"), 1e-170])
     def test_unusable_steps_rejected(self, step):
@@ -456,6 +458,45 @@ class TestStackedSampling:
         assert verdict.witness["trial"] == 0
         assert verdict.witness["second_difference"] == g(t + cfg.step) + g(t - cfg.step) \
             - 2 * g(t)
+
+    @staticmethod
+    def rank_one_line(n, k, cfg, trial):
+        """The per-trial route: the trial's matrix line, built with ShapeMatrix arithmetic."""
+        from extconv.sampling import random_matrix
+        rng = derive_rng(cfg.seed, trial)
+        X = random_matrix(n, k, rng, cfg.coeff_range)
+        direction = tensor(random_form(n, k - 1, rng, cfg.coeff_range),
+                           random_form(n, 1, rng, cfg.coeff_range))
+        t = rng.uniform(-1.0, 1.0)
+        return [X + direction.scale(tau) for tau in (t + cfg.step, t - cfg.step, t)]
+
+    @pytest.mark.parametrize("name", ["lift", "bare"])
+    def test_rank_one_scan_matches_the_per_trial_route(self, name):
+        # both are concave along every rank-one line, so the scan fails at trial 0
+        def neg_det2_sq(X):
+            return -(X.entries[0][0] * X.entries[1][1] - X.entries[0][1] * X.entries[1][0]) ** 2
+        n, k, F = (6, 2, lift(fn_neg_norm_sq(6, 2))) if name == "lift" else (2, 2, neg_det2_sq)
+        cfg = SamplerConfig(seed=5, trials=25)
+        verdict = check_rank_one_convex(F, n, k, cfg)
+        plus, minus, mid = (F(X) for X in self.rank_one_line(n, k, cfg, 0))
+        assert verdict.witness["trial"] == 0
+        assert verdict.witness["second_difference"] == plus + minus - 2 * mid
+
+    def test_bare_callable_floor_matches_the_per_trial_route(self):
+        # det₂ is affine along rank-one lines: it passes, and reports the largest floor
+        from extconv.convexity import _EPS, ROUNDING_ALLOWANCE
+
+        def det2(X):
+            return X.entries[0][0] * X.entries[1][1] - X.entries[0][1] * X.entries[1][0]
+        for step in (1e-3, 1e-6):
+            cfg = SamplerConfig(seed=2, trials=60, step=step)
+            floors = []
+            for trial in range(cfg.trials):
+                m = [max(abs(det2(X)), 1.0) for X in self.rank_one_line(2, 2, cfg, trial)]
+                floors.append(ROUNDING_ALLOWANCE * _EPS * (m[0] + m[1] + 2 * m[2]) / (step * step))
+            verdict = check_rank_one_convex(det2, 2, 2, cfg)
+            assert verdict.status == "pass"
+            assert verdict.floor == max(floors)
 
     def test_first_failing_trial_is_reported(self):
         f = fn_neg_norm_sq()

@@ -175,3 +175,18 @@ class TestGradientProjection:
         rng = random.Random(7)
         w = random_polyform(3, 2, rng)
         assert PolyKForm.from_json(w.to_json()) == w
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 4.7, "k": 1},
+        {"n": 4.7, "k": 1, "coeffs": {}},
+        {"n": "4", "k": 1, "coeffs": {}},
+        {"n": 4, "coeffs": {}},
+        {"n": 4, "k": 1},
+        {"n": 4, "k": 1, "coeffs": {}, "extra": 0},
+        {"n": 4, "k": 1, "coeffs": ["1"]},
+        {"n": 4, "k": 1, "coeffs": {"1": 3}},
+        {"n": 4, "k": 1, "coeffs": {"1": "1/0*x1"}},
+    ])
+    def test_malformed_json_rejected(self, obj):
+        with pytest.raises(DomainError):
+            PolyKForm.from_json(obj)

@@ -3,12 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from extconv import projection, scalars, shapespace
+from extconv import multiindex, projection, scalars, shapespace
 from extconv.errors import DomainError
 from extconv.exterior import KForm, scalar_product, wedge, wedge_power
-from extconv.projection import (minor_power_map, project,
+from extconv.polyform import Poly, PolyKForm, d_right, gradient, project_polynomial
+from extconv.projection import (minor_power_map, project, project_rows,
                                 pullback_support, right_inverse,
                                 wedge_power_from_minors)
 from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, table_inner, tensor
@@ -66,6 +68,24 @@ class TestProject:
             for k in range(2, n + 1):
                 X = rand_int_matrix(n, k, rng)
                 assert project(X) == project_by_wedge_sum(X)
+                Y = ShapeMatrix(n, k, [[rng.uniform(-2, 2) for _ in row] for row in X.entries],
+                                scalars.FLOAT)
+                assert project(Y).coeffs == project_by_wedge_sum(Y).coeffs
+
+    @pytest.mark.parametrize("m", [1, 7, 517])
+    def test_rows_match_each_row_and_float_project(self, m):
+        rng = random.Random(m)
+        for n, k in [(2, 2), (4, 2), (5, 3), (6, 4), (8, 2)]:
+            width = math.comb(n, k - 1) * n
+            # zeros of both signs exercise the skipped entries of the scalar loop
+            stack = np.array([[rng.choice([0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2)])
+                               for _ in range(width)] for _ in range(m)])
+            rows = project_rows(stack, n, k)
+            for i in range(m):
+                alone = project_rows(stack[i:i + 1], n, k)[0]
+                X = ShapeMatrix(n, k, stack[i].reshape(-1, n).tolist(), scalars.FLOAT)
+                scalar = np.array(project(X).coeffs)
+                assert rows[i].tobytes() == alone.tobytes() == scalar.tobytes()
 
     def test_linearity(self):
         rng = random.Random(3)
@@ -315,7 +335,17 @@ class TestPullbackSupport:
         tables = pullback_support([rand_exact_form(6, 2, rng), rand_exact_form(6, 4, rng),
                                    rand_exact_form(6, 6, rng)])
         assert [t.s for t in tables] == [1, 2, 3]
+        # the projection's own table reads neither the partitions nor their signs,
+        # so the s = 1 plan stays a second route to it
+        projection._projection_table.cache_clear()
+        for module in (projection, multiindex):
+            monkeypatch.setattr(module, "block_partitions", forbidden)
+            monkeypatch.setattr(module, "sign_interlace_append", forbidden)
         assert not wedge_power(project(rand_int_matrix(6, 2, rng)), 3).is_zero()
+        x = rand_exact_form(6, 3, rng)
+        assert project(right_inverse(x)) == x
+        w = PolyKForm(4, 1, {(1,): Poly.parse("x1*x2^2 - x3", 4), (3,): Poly.parse("x4^3", 4)})
+        assert project_polynomial(gradient(w)) == d_right(w)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DomainError):
