@@ -10,22 +10,20 @@ notions and their classical counterparts under the lift f ∘ projection.
 from .convexity import (LineCrossCheck, QuasiaffineFit, SamplerConfig, SupportSearch,
                         Verdict, check_ext_one_affine, check_ext_one_convex,
                         check_rank_one_convex, cross_check_lift, fit_quasiaffine,
-                        lift, line_restriction, polyconvex_support_lp, replay_witness)
+                        lift, polyconvex_support_lp, replay_witness)
 from .errors import DomainError
 from .exterior import (KForm, hodge_star, norm_squared, scalar_product, wedge,
                        wedge_power)
 from .functions import FormFunction
 from .multiindex import (IndexString, MultiIndex, Partition, block_partitions,
-                         enumerate_multiindices, k_flip, rank, sign_append,
-                         sign_interlace, sign_interlace_append, sign_of_string,
-                         unrank)
+                         enumerate_multiindices, rank, sign_interlace_append,
+                         sign_of_string, unrank)
 from .polyform import (Poly, PolyKForm, PolynomialMatrix, d_classical, d_right,
                        gradient, project_polynomial)
 from .projection import (MinorPowerMap, minor_power_map, project, pullback_support,
                          right_inverse, wedge_power_from_minors)
 from .scalars import EXACT, FLOAT
-from .shapespace import (MinorTable, ShapeMatrix, adjugate, laplace_residual,
-                         table_inner, tensor)
+from .shapespace import MinorTable, ShapeMatrix, adjugate, table_inner, tensor
 
 __version__ = "0.1.0"
 
@@ -36,10 +34,9 @@ __all__ = [
     "SupportSearch", "Verdict", "adjugate", "block_partitions",
     "check_ext_one_affine", "check_ext_one_convex", "check_rank_one_convex",
     "cross_check_lift", "d_classical", "d_right", "enumerate_multiindices",
-    "fit_quasiaffine", "gradient", "hodge_star", "k_flip", "laplace_residual",
-    "lift", "line_restriction", "minor_power_map", "norm_squared",
+    "fit_quasiaffine", "gradient", "hodge_star", "lift", "minor_power_map", "norm_squared",
     "polyconvex_support_lp", "project", "project_polynomial", "pullback_support", "rank",
-    "replay_witness", "right_inverse", "scalar_product", "sign_append",
-    "sign_interlace", "sign_interlace_append", "sign_of_string", "table_inner",
-    "tensor", "unrank", "wedge", "wedge_power", "wedge_power_from_minors",
+    "replay_witness", "right_inverse", "scalar_product", "sign_interlace_append",
+    "sign_of_string", "table_inner", "tensor", "unrank", "wedge", "wedge_power",
+    "wedge_power_from_minors",
 ]

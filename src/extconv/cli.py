@@ -63,6 +63,8 @@ def cmd_wedge_power(args) -> int:
 def cmd_verify_formula(args) -> int:
     """Exact comparison of the wedge power against its minor-table expansion."""
     n, k, s = args.n, args.k, args.s
+    if not 2 <= k <= n:
+        raise DomainError(f"verify-formula needs 2 ≤ k ≤ n, got k={k}, n={n}")
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
     if args.low > args.high:

@@ -101,22 +101,6 @@ class Verdict:
                 "floor": self.floor, "witness": self.witness}
 
 
-def line_restriction(f: FormFunction, xi: KForm, alpha: KForm, beta: KForm
-                     ) -> Callable:
-    """The scalar function t ↦ f(xi + t · alpha∧beta)."""
-    if alpha.k != f.k - 1 or beta.k != 1:
-        raise DomainError(f"direction degrees ({alpha.k},{beta.k}) do not fit a "
-                          f"degree-{f.k} line")
-    direction = wedge(alpha, beta)
-    if (direction.n, direction.k) != (xi.n, xi.k):
-        raise DomainError("direction does not live in the argument space")
-
-    def g(t):
-        return f(xi + direction.scale(t))
-
-    return g
-
-
 ROUNDING_ALLOWANCE = 16     # rounding error of one value of g, in ε·M
 _EPS = float(np.finfo(float).eps)
 
@@ -340,7 +324,7 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
         else:
             xi = random_form(f.n, f.k, rng, cfg.coeff_range)
             alpha, beta = random_line(f.n, f.k, rng, cfg.coeff_range)
-        g = line_restriction(f, xi, alpha, beta)
+        line = wedge(alpha, beta)
         base = right_inverse(xi)
         direction = tensor(alpha, beta)
         for _ in range(points_per_line):
@@ -348,7 +332,7 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
                 t = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
             else:
                 t = rng.uniform(-1.0, 1.0)
-            gap = g(t) - F(base + direction.scale(t))
+            gap = f(xi + line.scale(t)) - F(base + direction.scale(t))
             if gap < 0:
                 gap = -gap
             if gap > worst:

@@ -3,7 +3,8 @@
 A degree-k form on R^n is stored densely: one coefficient per length-k
 multiindex, in alphabetical rank order.  Degrees above n are legal and carry
 an empty coefficient vector (the canonical zero object), so wedge chains never
-branch on overflow.
+branch on overflow; such a form serializes with empty ``coeffs``, and a wedge
+power of a form of degree k ≥ 1 is that zero object as soon as k·s > n.
 
 The float samplers work on stacks of forms: an (m × C(n,k)) numpy array holds
 one form per row.  ``wedge_rows`` and ``wedge_power_rows`` are the row-batched
@@ -79,10 +80,13 @@ class KForm:
             raise DomainError(f"index length {mi.k} does not match degree {self.k}")
         return self.coeffs[rank(mi)]
 
+    def _basis(self) -> list[MultiIndex]:
+        # a form above degree n has no coefficients, so its basis is empty
+        return enumerate_multiindices(self.n, self.k) if self.k <= self.n else []
+
     def as_dict(self) -> dict[tuple[int, ...], object]:
         """Nonzero coefficients keyed by index tuple."""
-        basis = enumerate_multiindices(self.n, self.k)
-        return {mi.indices: c for mi, c in zip(basis, self.coeffs) if c != 0}
+        return {mi.indices: c for mi, c in zip(self._basis(), self.coeffs) if c != 0}
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -117,9 +121,8 @@ class KForm:
         return f"KForm(n={self.n}, k={self.k}, {self.as_dict()!r}, backend={self.backend!r})"
 
     def to_json(self) -> dict:
-        basis = enumerate_multiindices(self.n, self.k)
         coeffs = {mi.text: scalars.scalar_to_json(c, self.backend)
-                  for mi, c in zip(basis, self.coeffs) if c != 0}
+                  for mi, c in zip(self._basis(), self.coeffs) if c != 0}
         return {"n": self.n, "k": self.k, "coeffs": coeffs}
 
     @classmethod
@@ -240,6 +243,8 @@ def wedge_power_rows(x: np.ndarray, n: int, k: int, s: int,
         raise DomainError(f"exponent must be nonnegative, got {s}")
     if s == 0:
         return np.ones((x.shape[0], 1))
+    if k >= 1 and k * s > n:
+        return np.zeros((x.shape[0], 0))
     acc = x
     for i in range(1, s):
         acc = wedge_rows(acc, x, n, k * i, k, signed)
@@ -276,6 +281,8 @@ def wedge_power(x: KForm, s: int) -> KForm:
         raise DomainError(f"exponent must be nonnegative, got {s}")
     if s == 0:
         return KForm(x.n, 0, [scalars.one(x.backend)], x.backend)
+    if x.k >= 1 and x.k * s > x.n:
+        return KForm.zero(x.n, x.k * s, x.backend)
     acc = x
     for _ in range(s - 1):
         acc = wedge(acc, x)

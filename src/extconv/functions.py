@@ -113,14 +113,6 @@ class FormFunction:
         return cls(c.n, c.k, {"op": "inner", "form": c.to_json(), "arg": "xi"})
 
     @classmethod
-    def inner_power(cls, c: KForm, k: int, s: int) -> "FormFunction":
-        """ξ ↦ ⟨c, ξ^s⟩ for c of degree k·s."""
-        if c.k != k * s:
-            raise DomainError(f"pairing form has degree {c.k}, expected {k * s}")
-        return cls(c.n, k, {"op": "inner", "form": c.to_json(),
-                            "arg": {"op": "wedge_pow", "s": s, "arg": "xi"}})
-
-    @classmethod
     def affine_combination(cls, n: int, k: int, coefficients) -> "FormFunction":
         """ξ ↦ c_0 + Σ_s ⟨c_s, ξ^s⟩ from [c_0 scalar, c_1, c_2, ...]."""
         parts = [{"op": "const", "value": _json_scalar(coefficients[0])}]

@@ -8,20 +8,14 @@ the basis bookkeeping unit for everything else in the package.  Ranks are
 Sign conventions
 ----------------
 ``sign_of_string`` is the parity of the permutation sorting a duplicate-free
-index string, computed by inversion count.  Two derived signs matter and they
-are NOT interchangeable:
-
-* ``sign_append(i, I)`` is the coefficient of e^[I∪i] in e^I ∧ e^i (the index
-  wedged on the *right*).  It equals (−1)^(k−p) with p the 1-based position of
-  i in the sorted union and k the union's length.  This is the sign the
-  projection's coefficient formula uses, so that the wedge-sum and
-  coefficientwise forms of the projection agree identically.
-* ``sign_interlace(J, blocks)`` is the parity of the interlaced string
-  (j_1, I^1, ..., j_s, I^s), each index written *before* its block.
-  ``sign_interlace_append`` writes each index *after* its block,
-  (I^1, j_1, ..., I^s, j_s); the two differ by (−1)^(s·(k−1)) for blocks of
-  length k−1, so they coincide whenever s is even.  The wedge-power/minor
-  expansion is sign-correct with the append variant.
+index string, computed by inversion count.  ``sign_interlace_append(J, blocks)``
+is the parity of the interlaced string (I^1, j_1, ..., I^s, j_s), each index
+written *after* its block; the wedge-power/minor expansion is sign-correct
+with it.  Writing each index *before* its block instead changes the sign by
+(−1)^(s·(k−1)) for blocks of length k−1; that index-first variant is a test
+oracle (``tests/oracles.py``), not package code.  The projection's own sign,
+the coefficient (−1)^(k−p) of e^[I∪i] in e^I ∧ e^i, is stated once, in
+``projection._projection_table``.
 """
 
 from __future__ import annotations
@@ -77,11 +71,6 @@ class MultiIndex:
         if j not in self.indices:
             raise DomainError(f"{j} is not a member of {self.indices}")
         return MultiIndex(tuple(i for i in self.indices if i != j), self.n)
-
-    def union(self, other: "MultiIndex") -> "MultiIndex":
-        if set(self.indices) & set(other.indices):
-            raise DomainError(f"union of overlapping multiindices {self} and {other}")
-        return MultiIndex(tuple(sorted(self.indices + other.indices)), self.n)
 
     def complement(self) -> "MultiIndex":
         members = set(self.indices)
@@ -169,83 +158,19 @@ def sign_of_string(entries: IndexString) -> int:
     return -1 if inversions & 1 else 1
 
 
-def _flatten_interlaced(J: Iterable[int], blocks: Sequence[MultiIndex | Sequence[int]],
-                        index_first: bool) -> tuple[int, ...]:
+def sign_interlace_append(J: Iterable[int], blocks: Sequence[MultiIndex | Sequence[int]]) -> int:
+    """Sign of the interlaced string (I^1, j_1, ..., I^s, j_s).
+
+    This is the variant carried by the wedge-power/minor expansion.
+    """
     J = tuple(J)
     if len(J) != len(blocks):
         raise DomainError(f"{len(J)} indices against {len(blocks)} blocks")
     out: list[int] = []
     for j, block in zip(J, blocks):
-        items = tuple(block)
-        if index_first:
-            out.append(j)
-            out.extend(items)
-        else:
-            out.extend(items)
-            out.append(j)
-    return tuple(out)
-
-
-def sign_interlace(J: Iterable[int], blocks: Sequence[MultiIndex | Sequence[int]]) -> int:
-    """Sign of the interlaced string (j_1, I^1, ..., j_s, I^s)."""
-    return sign_of_string(_flatten_interlaced(J, blocks, index_first=True))
-
-
-def sign_interlace_append(J: Iterable[int], blocks: Sequence[MultiIndex | Sequence[int]]) -> int:
-    """Sign of the interlaced string (I^1, j_1, ..., I^s, j_s).
-
-    This is the variant carried by the wedge-power/minor expansion; it equals
-    ``sign_interlace(J, blocks) * (−1)**(s·(k−1))`` for s blocks of length k−1.
-    """
-    return sign_of_string(_flatten_interlaced(J, blocks, index_first=False))
-
-
-def sign_append(i: int, I: MultiIndex) -> int:
-    """Coefficient (±1) of e^[I∪i] in e^I ∧ e^i.
-
-    Equals (−1)^(k−p): moving i from the appended slot to its sorted position
-    p within the length-k union costs k−p transpositions.
-    """
-    if i in I:
-        raise DomainError(f"index {i} already in {I.indices}")
-    union = sorted(I.indices + (i,))
-    p = union.index(i) + 1
-    return -1 if (len(union) - p) & 1 else 1
-
-
-def k_flip(J: MultiIndex, blocks: Sequence[MultiIndex], p: int, m: int, q: int
-           ) -> tuple[MultiIndex, tuple[MultiIndex, ...]]:
-    """Exchange subscript j_p with entry q of block m, re-sorting both sides.
-
-    Positions are 1-based.  The flipped pair is again increasing/alphabetical,
-    and flipping the same two values back restores the original pair.
-    """
-    blocks = tuple(blocks)
-    _check_disjoint(J, blocks)
-    if not 1 <= p <= len(J):
-        raise DomainError(f"subscript position {p} out of range 1..{len(J)}")
-    if not 1 <= m <= len(blocks):
-        raise DomainError(f"block position {m} out of range 1..{len(blocks)}")
-    block = blocks[m - 1]
-    if not 1 <= q <= len(block):
-        raise DomainError(f"in-block position {q} out of range 1..{len(block)}")
-    j_val = J.indices[p - 1]
-    b_val = block.indices[q - 1]
-    new_J = MultiIndex(tuple(sorted((set(J.indices) - {j_val}) | {b_val})), J.n)
-    new_block = MultiIndex(tuple(sorted((set(block.indices) - {b_val}) | {j_val})), block.n)
-    new_blocks = tuple(sorted(blocks[:m - 1] + (new_block,) + blocks[m:],
-                              key=lambda b: b.indices))
-    return new_J, new_blocks
-
-
-def _check_disjoint(J: MultiIndex, blocks: Sequence[MultiIndex]) -> None:
-    seen = set(J.indices)
-    total = len(J)
-    for block in blocks:
-        seen.update(block.indices)
-        total += len(block)
-    if len(seen) != total:
-        raise DomainError("subscripts and blocks must be pairwise disjoint")
+        out.extend(block)
+        out.append(j)
+    return sign_of_string(out)
 
 
 def block_partitions(I: MultiIndex, s: int, k: int) -> Iterator[Partition]:

@@ -142,9 +142,6 @@ class Poly:
             total = total + term
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def _sorted_terms(self):
         # display order: total degree descending, then lexicographic exponents
         return sorted(self.terms.items(), key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])))

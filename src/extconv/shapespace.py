@@ -44,10 +44,6 @@ class ShapeMatrix:
         self.entries = entries
         self.backend = backend
 
-    @classmethod
-    def zero(cls, n: int, k: int, backend: str = scalars.EXACT) -> "ShapeMatrix":
-        return cls(n, k, None, backend)
-
     @property
     def row_labels(self) -> list[MultiIndex]:
         return enumerate_multiindices(self.n, self.k - 1)
@@ -155,14 +151,6 @@ class MinorTable:
             return self.values[self._row_index[tuple(row_set)]][self._col_index[tuple(col_set)]]
         except KeyError as exc:
             raise DomainError(f"no cell for rows {tuple(row_set)}, cols {tuple(col_set)}") from exc
-
-    def replace(self, row_set: Sequence[int], col_set: Sequence[int], value) -> "MinorTable":
-        """Copy with one cell changed (used by sensitivity checks)."""
-        ri = self._row_index[tuple(row_set)]
-        ci = self._col_index[tuple(col_set)]
-        rows = [list(r) for r in self.values]
-        rows[ri][ci] = value
-        return MinorTable(self.n, self.k, self.s, rows, self.backend)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MinorTable):
@@ -276,43 +264,3 @@ def adjugate(X: ShapeMatrix, s: int) -> MinorTable:
                            for col_set in col_sets])
     return MinorTable(X.n, X.k, s, values, X.backend)
 
-
-def laplace_residual(table_next: MinorTable, table: MinorTable, X: ShapeMatrix,
-                     position: int):
-    """Max |expansion mismatch| of the order-(s+1) table against the order-s one.
-
-    Every order-(s+1) minor must equal its expansion along the entry column at
-    1-based ``position`` within the minor's column selection; on an exact
-    backend the residual of consistent tables is identically zero.
-    """
-    if (table_next.n, table_next.k) != (X.n, X.k) or (table.n, table.k) != (X.n, X.k):
-        raise DomainError("tables and matrix disagree on (n, k)")
-    if table_next.backend != X.backend or table.backend != X.backend:
-        raise DomainError("tables and matrix disagree on backend")
-    if table_next.s != table.s + 1:
-        raise DomainError(f"expected consecutive orders, got {table.s} and {table_next.s}")
-    s1 = table_next.s
-    if not 1 <= position <= s1:
-        raise DomainError(f"expansion position {position} out of range 1..{s1}")
-    entries = X.entries
-    worst = scalars.zero(X.backend)
-    li = position - 1
-    for row_set, value_row in zip(table_next.row_sets, table_next.values):
-        for col_set, lhs in zip(table_next.col_sets, value_row):
-            col = col_set[li]
-            sub_cols = col_set[:li] + col_set[li + 1:]
-            acc = scalars.zero(X.backend)
-            for mi in range(s1):
-                entry = entries[row_set[mi]][col]
-                if entry == 0:
-                    continue
-                sub_rows = row_set[:mi] + row_set[mi + 1:]
-                minor = table.value(sub_rows, sub_cols)
-                term = entry * minor
-                acc += term if (li + mi) % 2 == 0 else -term
-            gap = lhs - acc
-            if gap < 0:
-                gap = -gap
-            if gap > worst:
-                worst = gap
-    return worst

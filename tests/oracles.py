@@ -3,14 +3,20 @@
 Everything here deliberately avoids the package's own sign/enumeration code:
 permutation parity comes from cycle decomposition, wedge signs from shuffle
 position sums, determinants from the full permutation expansion, and set
-partitions from permutation grouping with dedup.  Expected values frozen into
-tests were computed with these.
+partitions from permutation grouping with dedup, and the Laplace expansion
+reads minor tables by rank arithmetic.  Expected values frozen into tests were
+computed with these.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
+
+from extconv.errors import DomainError
 
 
 def parity_by_cycles(seq):
@@ -30,6 +36,22 @@ def parity_by_cycles(seq):
         if length % 2 == 0:
             parity = -parity
     return parity
+
+
+def interlace(J, blocks) -> tuple:
+    """The string (j_1, I^1, ..., j_s, I^s), each index written before its block."""
+    return tuple(v for j, block in zip(J, blocks) for v in (j, *block))
+
+
+def sign_interlace(J, blocks) -> int:
+    """Sign of the interlaced string (j_1, I^1, ..., j_s, I^s)."""
+    J = tuple(J)
+    if len(J) != len(blocks):
+        raise DomainError(f"{len(J)} indices against {len(blocks)} blocks")
+    string = interlace(J, blocks)
+    if len(set(string)) != len(string):
+        raise DomainError(f"index string has duplicate entries: {string}")
+    return parity_by_cycles(string)
 
 
 def shuffle_wedge(a: dict, b: dict) -> dict:
@@ -105,3 +127,41 @@ def dict_to_coeff_list(n, k, d):
     for key, value in d.items():
         out[index[tuple(key)]] = value
     return out
+
+
+def lex_ranks(sets: np.ndarray, size: int) -> np.ndarray:
+    """0-based lexicographic ranks of the rows of ``sets`` among the increasing
+    tuples of their length over range(size): C(size,k) − 1 − Σ_t C(size−1−v_t, k−t)."""
+    k = sets.shape[1]
+    binom = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(size)])
+    return math.comb(size, k) - 1 - binom[size - 1 - sets, np.arange(k, 0, -1)].sum(axis=1)
+
+
+def laplace_residual(table_next, table, X, position):
+    """Max |expansion mismatch| of the order-(s+1) minor table against the order-s one.
+
+    Every order-(s+1) minor must equal its expansion along the entry column at
+    1-based ``position`` within the minor's column selection; on an exact
+    backend the residual of consistent tables is identically zero.  The order-s
+    minors are read from ``table.values`` at the ranks of the sub-row and
+    sub-column sets, one object array per expansion term.
+    """
+    if (table_next.n, table_next.k) != (X.n, X.k) or (table.n, table.k) != (X.n, X.k):
+        raise DomainError("tables and matrix disagree on (n, k)")
+    if table_next.backend != X.backend or table.backend != X.backend:
+        raise DomainError("tables and matrix disagree on backend")
+    if table_next.s != table.s + 1:
+        raise DomainError(f"expected consecutive orders, got {table.s} and {table_next.s}")
+    s1, li = table_next.s, position - 1
+    if not 1 <= position <= s1:
+        raise DomainError(f"expansion position {position} out of range 1..{s1}")
+    rows, cols = np.array(table_next.row_sets), np.array(table_next.col_sets)
+    entries = np.array(X.entries, dtype=object)
+    minors = np.array(table.values, dtype=object)
+    sub_cols = lex_ranks(np.delete(cols, li, axis=1), X.n)
+    acc = 0
+    for m in range(s1):
+        sub_rows = lex_ranks(np.delete(rows, m, axis=1), len(X.entries))
+        term = entries[np.ix_(rows[:, m], cols[:, li])] * minors[np.ix_(sub_rows, sub_cols)]
+        acc = acc + term if (li + m) % 2 == 0 else acc - term
+    return np.abs(np.array(table_next.values, dtype=object) - acc).max()

@@ -27,8 +27,9 @@ from extconv.projection import (minor_power_map, project, pullback_support,
                                 wedge_power_from_minors)
 from extconv.sampling import derive_rng, random_exact_form, random_form, \
     random_integer_matrix
-from extconv.shapespace import MinorTable, adjugate, laplace_residual, \
-    table_inner, tensor
+from extconv.shapespace import MinorTable, adjugate, table_inner, tensor
+
+from oracles import laplace_residual
 
 
 def report(number: int, text: str) -> None:

@@ -80,6 +80,13 @@ class TestAlgebraCommands:
         assert code == 0
         assert json.loads(out)["coeffs"] == {"1,2,3,4": "2"}
 
+    @pytest.mark.parametrize("s", [3, 100000000])
+    def test_wedge_power_above_dimension_is_the_zero_form(self, capsys, tmp_path, s):
+        path = write_json(tmp_path, "f.json", {"n": 4, "k": 2, "coeffs": {"1,2": "1"}})
+        code, out, _ = run_cli(capsys, "wedge-power", "--input", path, "--s", str(s))
+        assert code == 0
+        assert out == '{"coeffs":{},"k":%d,"n":4}\n' % (2 * s)
+
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         form = {"n": 4, "k": 2, "coeffs": {"1,2": "1"}}
         path = write_json(tmp_path, "f.json", form)
@@ -263,6 +270,11 @@ class TestBadInputExits2:
         path = write_json(tmp_path, "fn.json", function)
         self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
                                 "--input", path, "--trials", "5")
+
+    @pytest.mark.parametrize("n,k", [("4", "0"), ("4", "-1"), ("-3", "2"), ("4", "1"),
+                                     ("0", "2")])
+    def test_degree_outside_shape_space_exits_2(self, capsys, n, k):
+        self.assert_usage_error(capsys, "verify-formula", "--n", n, "--k", k, "--s", "1")
 
     def test_malformed_wedge_power_input_exits_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "f.json", {"n": 4, "k": 2})

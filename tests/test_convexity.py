@@ -8,8 +8,8 @@ from extconv import scalars
 from extconv.convexity import (SamplerConfig, check_ext_one_affine,
                                check_ext_one_convex, check_rank_one_convex,
                                cross_check_lift, fit_quasiaffine, lift,
-                               line_restriction, polyconvex_support_lp,
-                               replay_witness, support_inequality_gap)
+                               polyconvex_support_lp, replay_witness,
+                               support_inequality_gap)
 from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge
 from extconv.functions import FormFunction
@@ -28,6 +28,17 @@ def fn_neg_norm_sq(n=4, k=2):
 def fn_top_power(n=4, k=2):
     return FormFunction(n, k, {"op": "inner", "form": "e1234",
                                "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}})
+
+
+def line_restriction(f, xi, alpha, beta):
+    """The scalar function t ↦ f(xi + t · alpha∧beta)."""
+    if alpha.k != f.k - 1 or beta.k != 1:
+        raise DomainError(f"direction degrees ({alpha.k},{beta.k}) do not fit a "
+                          f"degree-{f.k} line")
+    direction = wedge(alpha, beta)
+    if (direction.n, direction.k) != (xi.n, xi.k):
+        raise DomainError("direction does not live in the argument space")
+    return lambda t: f(xi + direction.scale(t))
 
 
 class TestLineRestriction:

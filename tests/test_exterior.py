@@ -40,6 +40,16 @@ class TestConstruction:
         assert z.coeffs == ()
         assert z.is_zero()
 
+    def test_degree_above_dimension_prints_and_serializes(self):
+        x = KForm.from_dict(4, 2, {(1, 2): 1, (3, 4): 1})
+        for s in (3, 10 ** 8):
+            z = wedge_power(x, s)
+            assert z == KForm.zero(4, 2 * s)
+            assert z.to_json() == {"n": 4, "k": 2 * s, "coeffs": {}}
+            assert KForm.from_json(z.to_json()) == z
+            assert repr(z) == f"KForm(n=4, k={2 * s}, {{}}, backend='exact')"
+        assert wedge_power_rows(np.ones((3, 6)), 4, 2, 10 ** 8).shape == (3, 0)
+
     def test_json_roundtrip_exact(self):
         x = KForm.from_dict(4, 2, {(1, 2): Fraction(3, 2), (3, 4): -1})
         blob = x.to_json()

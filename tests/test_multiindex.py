@@ -8,14 +8,42 @@ from hypothesis import strategies as st
 
 from extconv.errors import DomainError
 from extconv.multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
-                                k_flip, rank, sign_append, sign_interlace,
-                                sign_interlace_append, sign_of_string, unrank)
+                                rank, sign_interlace_append, sign_of_string, unrank)
 
-from oracles import brute_partitions, parity_by_cycles, shuffle_wedge
+from oracles import (brute_partitions, interlace, parity_by_cycles, shuffle_wedge,
+                     sign_interlace)
 
 
 def mi(indices, n):
     return MultiIndex(tuple(indices), n)
+
+
+def sign_append(i, I):
+    """Coefficient (±1) of e^[I∪i] in e^I ∧ e^i: (−1)^(k−p), p the 1-based
+    position of i in the sorted length-k union."""
+    if i in I:
+        raise DomainError(f"index {i} already in {I.indices}")
+    union = sorted(I.indices + (i,))
+    return -1 if (len(union) - union.index(i) - 1) & 1 else 1
+
+
+def k_flip(J, blocks, p, m, q):
+    """Exchange subscript j_p with entry q of block m (1-based), re-sorting both sides.
+
+    The flipped pair is again increasing/alphabetical, and flipping the same
+    two values back restores the original pair.
+    """
+    blocks = tuple(blocks)
+    members = J.indices + tuple(i for b in blocks for i in b.indices)
+    if len(set(members)) != len(members):
+        raise DomainError("subscripts and blocks must be pairwise disjoint")
+    if not (1 <= p <= len(J) and 1 <= m <= len(blocks) and 1 <= q <= len(blocks[m - 1])):
+        raise DomainError(f"flip position ({p}, {m}, {q}) out of range")
+    j_val, b_val = J.indices[p - 1], blocks[m - 1].indices[q - 1]
+    new_J = MultiIndex(tuple(sorted(set(J.indices) - {j_val} | {b_val})), J.n)
+    new_block = MultiIndex(tuple(sorted(set(blocks[m - 1].indices) - {b_val} | {j_val})), J.n)
+    return new_J, tuple(sorted(blocks[:m - 1] + (new_block,) + blocks[m:],
+                               key=lambda b: b.indices))
 
 
 class TestEnumeration:
@@ -245,14 +273,6 @@ class TestBlockPartitions:
             list(block_partitions(mi((1, 2, 3), 4), 2, 2))
 
 
-def _interlace_of(J, blocks):
-    out = []
-    for j, b in zip(J, blocks):
-        out.append(j)
-        out.extend(b)
-    return tuple(out)
-
-
 class TestSignFactorizationIdentities:
     def test_group_extraction_factorization_even_k(self):
         # sgn(j_1,I^1,...,j_g,I^g) = (−1)^((l−1)+(m−1)(k−1)) sgn(j_l, I^m, rest-interlace)
@@ -263,13 +283,13 @@ class TestSignFactorizationIdentities:
             for I in itertools.combinations(range(1, 7), k * groups):
                 for part in brute_partitions(I, groups, k):
                     J, blocks = part[0], sorted(part[1])
-                    full = _interlace_of(J, blocks)
+                    full = interlace(J, blocks)
                     for l in range(1, groups + 1):
                         for m in range(1, groups + 1):
                             rest_J = J[:l - 1] + J[l:]
                             rest_blocks = blocks[:m - 1] + blocks[m:]
                             string = (J[l - 1],) + tuple(blocks[m - 1]) \
-                                + _interlace_of(rest_J, rest_blocks)
+                                + interlace(rest_J, rest_blocks)
                             expect = (-1) ** ((l - 1) + (m - 1) * (k - 1)) \
                                 * sign_of_string(string)
                             assert sign_of_string(full) == expect
@@ -299,7 +319,7 @@ class TestSignFactorizationIdentities:
                                 full_blocks = sorted(bare_blocks + [tuple(block)])
                                 a = full_J.index(j) + 1
                                 return sign_of_string(
-                                    _interlace_of(full_J, full_blocks)), a
+                                    interlace(full_J, full_blocks)), a
 
                             lhs_sign, a1 = sign_with(j_l, blocks[m - 1])
                             rhs_sign, a2 = sign_with(flipped_out, new_pair)

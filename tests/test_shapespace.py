@@ -7,10 +7,9 @@ import pytest
 
 from extconv.errors import DomainError
 from extconv.exterior import KForm
-from extconv.shapespace import (ShapeMatrix, adjugate, det,
-                                laplace_residual, table_inner, tensor)
+from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, det, table_inner, tensor
 
-from oracles import perm_det, rand_exact
+from oracles import laplace_residual, perm_det, rand_exact
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -172,7 +171,9 @@ class TestLaplaceResidual:
         rng = random.Random(10)
         X = rand_int_matrix(4, 2, rng)
         t1, t2 = adjugate(X, 1), adjugate(X, 2)
-        bad = t2.replace((0, 2), (1, 3), t2.value((0, 2), (1, 3)) + 1)
+        values = [list(row) for row in t2.values]
+        values[t2.row_sets.index((0, 2))][t2.col_sets.index((1, 3))] += 1
+        bad = MinorTable(4, 2, 2, values)
         assert laplace_residual(bad, t1, X, 1) == 1
         assert laplace_residual(bad, t1, X, 2) == 1
 
