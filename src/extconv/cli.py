@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import scalars
 from .convexity import (SamplerConfig, check_ext_one_affine, check_ext_one_convex,
@@ -56,6 +57,13 @@ def cmd_adjugate(args) -> int:
 
 def cmd_wedge_power(args) -> int:
     x = KForm.from_json(_load_json(args.input), args.backend)
+    if x.k == 0 and x.backend == scalars.EXACT and args.s > 0:
+        # refuse c**s before computing it if Python could not print it (0: no limit)
+        c, limit = Fraction(x.coeffs[0]), sys.get_int_max_str_digits()
+        digits = args.s * math.log10(max(abs(c.numerator), c.denominator))
+        if limit and digits >= limit:
+            raise DomainError(f"the power {args.s} of the 0-form has about {digits:.0f} "
+                              f"digits, more than Python prints ({limit})")
     _emit(wedge_power(x, args.s).to_json(), args.output)
     return EXIT_PASS
 

@@ -6,12 +6,13 @@ an empty coefficient vector (the canonical zero object), so wedge chains never
 branch on overflow; such a form serializes with empty ``coeffs``, and a wedge
 power of a form of degree k ≥ 1 is that zero object as soon as k·s > n.
 
-The float samplers work on stacks of forms: an (m × C(n,k)) numpy array holds
-one form per row.  ``wedge_rows`` and ``wedge_power_rows`` are the row-batched
-float wedge.  Each target coefficient sums its products left to right in the
-order the scalar ``wedge`` loop visits them (``ordered_sum``), so a row's
-result does not depend on the batch it sits in and equals, bit for bit, the
-scalar ``wedge`` of the same float forms.
+There is one wedge kernel.  ``wedge_rows`` and ``wedge_power_rows`` work on
+stacks of forms: an (m × C(n,k)) numpy array holds one form per row, and its
+dtype is the scalar type, float64 or object (ints and Fractions, exact).
+``wedge`` and ``wedge_power`` run the kernel on a one-row stack.  Each target
+coefficient sums its products with ``ordered_sum``: exactly for objects, and
+for floats strictly left to right, so a float row's result does not depend on
+the batch it sits in.  Float wedges run under ``scalars.float_guard``.
 """
 
 from __future__ import annotations
@@ -167,126 +168,116 @@ def _check_same_space(a: KForm, b: KForm) -> None:
 
 
 @lru_cache(maxsize=None)
-def _wedge_pairs(n: int, k: int, l: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Structure table for degree (k,l) -> k+l: (rank_a, rank_b, sign, rank_out)."""
-    left = enumerate_multiindices(n, k)
-    right = enumerate_multiindices(n, l)
-    out: list[tuple[int, int, int, int]] = []
-    for ra, I in enumerate(left):
-        I_set = set(I.indices)
-        for rb, J in enumerate(right):
-            if I_set & set(J.indices):
-                continue
-            sign = sign_of_string(I.indices + J.indices)
-            target = MultiIndex(tuple(sorted(I.indices + J.indices)), n)
-            out.append((ra, rb, sign, rank(target)))
-    return tuple(out)
+def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, ...]:
+    """Structure table for degree (k,l) -> k+l: left ranks, right ranks, signs.
 
-
-@lru_cache(maxsize=None)
-def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_wedge_pairs`` grouped by target: (left ranks, right ranks, signs).
-
-    Each array has one row per degree-(k+l) target in rank order.  A target
-    splits into C(k+l, k) ordered pairs, so the rows have equal length; within
-    a row the pairs keep the order in which ``_wedge_pairs`` lists them.
+    Row t lists the pairs (I, J) of disjoint multiindices whose concatenation
+    sorts to target t, by the rank of I and then of J.  A sign depends only on
+    where I sits within the target, so every row has the signs of row 0; the
+    last two arrays list its +1 and its −1 columns, which exact stacks sum
+    apart.
     """
     per_target: list[list[tuple[int, int, int]]] = [[] for _ in range(math.comb(n, k + l))]
-    for ra, rb, sign, rt in _wedge_pairs(n, k, l):
-        per_target[rt].append((ra, rb, sign))
+    right_basis = enumerate_multiindices(n, l)
+    for ra, I in enumerate(enumerate_multiindices(n, k)):
+        I_set = set(I.indices)
+        for rb, J in enumerate(right_basis):
+            if I_set & set(J.indices):
+                continue
+            target = MultiIndex(tuple(sorted(I.indices + J.indices)), n)
+            per_target[rank(target)].append((ra, rb, sign_of_string(I.indices + J.indices)))
     table = np.array(per_target, dtype=np.intp)
-    left, right, sign = table[..., 0], table[..., 1], table[..., 2].astype(float)
-    for array in (left, right, sign):
+    sign = table[..., 2]
+    arrays = (table[..., 0], table[..., 1], sign.astype(float),
+              np.flatnonzero(sign[0] > 0), np.flatnonzero(sign[0] < 0))
+    for array in arrays:
         array.flags.writeable = False
-    return left, right, sign
+    return arrays
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum the last axis strictly left to right, starting from 0.0.
+    """Sum the last axis: exactly for objects, strictly left to right for floats.
 
-    This is the order of the scalar accumulation loops, and no term of one row
-    ever meets a term of another, unlike numpy's pairwise ``sum`` or a BLAS
-    product.  The trailing ``+ 0.0`` matches a loop started at 0.0, which
-    turns an all-negative-zero sum into +0.0.
+    A float sum runs in the order of a scalar loop started at 0.0 (hence the
+    trailing ``+ 0.0``), and no term of one row ever meets another's, unlike
+    numpy's pairwise ``sum`` or a BLAS product.
     """
+    if terms.dtype == object:
+        return terms.sum(axis=-1)
     if terms.shape[-1] == 0:
         return np.zeros(terms.shape[:-1])
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
+def power_by_squaring(base: np.ndarray, exp: int) -> np.ndarray:
+    """base ** exp elementwise by repeated squaring: one rounding on every build."""
+    result = np.ones_like(base)
+    while exp:
+        if exp & 1:
+            result = result * base
+        exp >>= 1
+        if exp:
+            base = base * base
+    return result
+
+
 def wedge_rows(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int,
                signed: bool = True) -> np.ndarray:
-    """Row-batched float wedge: row i of the result is the coefficients of a[i] ∧ b[i].
+    """Row-batched wedge: row i of the result is the coefficients of a[i] ∧ b[i].
 
-    ``a`` is (m × C(n,k)) and ``b`` is (m × C(n,l)).  The result equals the
-    scalar ``wedge`` of the same float forms bit for bit: its products are
-    summed per target in the same order, and products with a zero factor,
-    which the scalar loop skips, add nothing to a finite sum.  With
-    ``signed=False`` every sign of the structure table counts as +1.
+    ``a`` is (m × C(n,k)) and ``b`` is (m × C(n,l)), of one dtype, which the
+    result keeps.  With ``signed=False`` every sign of the table counts as +1.
     """
-    m = a.shape[0]
     if k + l > n:
-        return np.zeros((m, 0))
+        return np.zeros((a.shape[0], 0), dtype=a.dtype)
     if k == 0:
         return a[:, :1] * b
     if l == 0:
         return a * b[:, :1]
-    left, right, sign = _wedge_table(n, k, l)
+    left, right, sign, plus, minus = _wedge_table(n, k, l)
     terms = a[:, left] * b[:, right]
-    return ordered_sum(terms * sign if signed else terms)
+    if not signed:
+        return ordered_sum(terms)
+    if terms.dtype == object:    # a product with a sign costs as much as a product
+        return ordered_sum(terms[..., plus]) - ordered_sum(terms[..., minus])
+    return ordered_sum(terms * sign)
 
 
 def wedge_power_rows(x: np.ndarray, n: int, k: int, s: int,
                      signed: bool = True) -> np.ndarray:
-    """Row-batched ``wedge_power`` of an (m × C(n,k)) stack of float forms."""
+    """Row-batched ``wedge_power``; a 0-form's power is one scalar power."""
     if s < 0:
         raise DomainError(f"exponent must be nonnegative, got {s}")
     if s == 0:
-        return np.ones((x.shape[0], 1))
-    if k >= 1 and k * s > n:
-        return np.zeros((x.shape[0], 0))
+        return np.ones((x.shape[0], 1), dtype=x.dtype)
+    if k == 0:
+        return power_by_squaring(x, s)
+    if k * s > n:
+        return np.zeros((x.shape[0], 0), dtype=x.dtype)
     acc = x
     for i in range(1, s):
         acc = wedge_rows(acc, x, n, k * i, k, signed)
     return acc
 
 
+def _stack(x: KForm) -> np.ndarray:
+    return np.array([x.coeffs], dtype=float if x.backend == scalars.FLOAT else object)
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product; bilinear, e^I ∧ e^J = ±e^[I∪J] on disjoint strings."""
     if a.n != b.n or a.backend != b.backend:
         raise DomainError(f"mismatched forms: ({a.n},{a.backend}) vs ({b.n},{b.backend})")
-    n, out_deg = a.n, a.k + b.k
-    if out_deg > n:
-        return KForm.zero(n, out_deg, a.backend)
-    if a.k == 0:
-        return b.scale(a.coeffs[0])
-    if b.k == 0:
-        return a.scale(b.coeffs[0])
-    out = [scalars.zero(a.backend)] * math.comb(n, out_deg)
-    ca, cb = a.coeffs, b.coeffs
-    for ra, rb, sign, rt in _wedge_pairs(n, a.k, b.k):
-        va = ca[ra]
-        if va == 0:
-            continue
-        vb = cb[rb]
-        if vb == 0:
-            continue
-        out[rt] += sign * va * vb if sign > 0 else -(va * vb)
-    return KForm(n, out_deg, out, a.backend)
+    with scalars.float_guard("wedge"):
+        row = wedge_rows(_stack(a), _stack(b), a.n, a.k, b.k)[0]
+    return KForm(a.n, a.k + b.k, row.tolist(), a.backend)
 
 
 def wedge_power(x: KForm, s: int) -> KForm:
     """s-fold exterior power x ∧ ... ∧ x; x^0 is the unit 0-form."""
-    if s < 0:
-        raise DomainError(f"exponent must be nonnegative, got {s}")
-    if s == 0:
-        return KForm(x.n, 0, [scalars.one(x.backend)], x.backend)
-    if x.k >= 1 and x.k * s > x.n:
-        return KForm.zero(x.n, x.k * s, x.backend)
-    acc = x
-    for _ in range(s - 1):
-        acc = wedge(acc, x)
-    return acc
+    with scalars.float_guard("wedge power"):
+        row = wedge_power_rows(_stack(x), x.n, x.k, s)[0]
+    return KForm(x.n, x.k * s, row.tolist(), x.backend)
 
 
 def scalar_product(a: KForm, b: KForm):

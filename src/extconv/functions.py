@@ -9,18 +9,17 @@ JSON object or the shorthand "e" + digits ("e1234" for the basis form on
 indices 1,2,3,4 — single digits, which covers every desk-scale dimension).
 
 The tree is compiled once, at construction, in one walk that validates every
-node and parses every literal and constant once per backend.  The walk yields
-two evaluators:
+node and parses every literal and constant once.  The walk yields one kernel,
+``FormFunction.evaluate_rows``, that maps an (m × C(n,k)) numpy array of
+argument coefficients to the m values of f.  The array's dtype is the scalar
+type: float64, or object holding ints and Fractions, which evaluates exactly.
+A form argument runs the kernel on one row of its backend's dtype.
 
-* an exact walker on ``KForm`` arguments, in ints and Fractions;
-* a float kernel, ``FormFunction.evaluate_rows``, that maps an
-  (m × C(n,k)) numpy array of argument coefficients to the m values of f.
-
-A float argument runs the kernel on one row, so a value computed alone and the
-same value computed inside a batch are the same float: every sum runs left to
-right in the order of the scalar loops (``exterior.ordered_sum``), powers are
-repeated squarings, and no row ever meets another.  A value that leaves the
-float range raises ``DomainError``.
+A float value computed alone and the same value computed inside a batch are
+the same float: every sum runs left to right in the order of the scalar loops
+(``exterior.ordered_sum``), powers are repeated squarings, and no row ever
+meets another.  A float value that leaves the float range raises
+``DomainError``.
 """
 
 from __future__ import annotations
@@ -32,14 +31,13 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import (KForm, json_fields, ordered_sum, scalar_product, wedge_power,
-                       wedge_power_rows)
+from .exterior import KForm, json_fields, ordered_sum, power_by_squaring, wedge_power_rows
 
 
 class FormFunction:
     """Deterministic scalar-valued function on degree-k forms."""
 
-    __slots__ = ("n", "k", "expr", "_exact", "_rows")
+    __slots__ = ("n", "k", "expr", "_rows")
 
     def __init__(self, n: int, k: int, expr):
         self.n = n
@@ -49,7 +47,6 @@ class FormFunction:
         if compiled.degree is not None:
             raise DomainError("function expression must be scalar-valued, "
                               f"got a degree-{compiled.degree} form")
-        self._exact = compiled.exact
         self._rows = compiled.rows
 
     def __call__(self, xi: KForm):
@@ -58,14 +55,16 @@ class FormFunction:
                               f"({self.n},{self.k})")
         if xi.backend == scalars.FLOAT:
             return float(self.evaluate_rows(np.array([xi.coeffs]))[0])
-        return self._exact(xi)
+        return self.evaluate_rows(np.array([xi.coeffs], dtype=object))[0]
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """f on each row of an (m × C(n,k)) float array of argument coefficients."""
+        """f on each row of an (m × C(n,k)) array of argument coefficients: exact
+        for an object array of ints and Fractions, float for anything else."""
         rows = self._checked(rows)
         with scalars.float_guard("function value"):
             values = self._rows(rows, True)
-        return scalars.require_finite(values, "function value")
+        return values if values.dtype == object else \
+            scalars.require_finite(values, "function value")
 
     def magnitude_rows(self, rows: np.ndarray) -> np.ndarray:
         """The running-error magnitude of ``evaluate_rows`` on each row.
@@ -81,11 +80,12 @@ class FormFunction:
         return scalars.require_finite(values, "function magnitude")
 
     def _checked(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
+        exact = isinstance(rows, np.ndarray) and rows.dtype == object
+        rows = rows if exact else np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != math.comb(self.n, self.k):
             raise DomainError(f"expected an (m × {math.comb(self.n, self.k)}) array of "
                               f"({self.n},{self.k}) coefficients, got shape {rows.shape}")
-        return scalars.require_finite(rows, "function argument")
+        return rows if exact else scalars.require_finite(rows, "function argument")
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "expr": self.expr}
@@ -130,29 +130,21 @@ def _json_scalar(value):
 
 class _Compiled(NamedTuple):
     degree: int | None    # form degree, None for a scalar node
-    exact: Callable       # KForm -> exact scalar or KForm
     rows: Callable        # (array (m × C(n,k)), signed) -> (m,) values or (m × C(n,degree))
 
 
-def _identity(value, signed=True):
-    return value
-
-
-def _exact_walker(convert: Callable) -> Callable:
-    """A walker returning the exact backend's copy of a literal, made once.
-
-    A non-integral float has no exact copy; that is an error only when the
-    exact backend evaluates it.
-    """
+def _exact_copy(convert: Callable) -> Callable:
+    """A getter for a literal's exact copy, made once; a non-integral float has
+    none, and its getter raises, so only exact evaluation fails on it."""
     try:
         value = convert()
     except DomainError as exc:
         reason = exc
 
-        def fail(xi):
+        def fail():
             raise reason
         return fail
-    return lambda xi: value
+    return lambda: value
 
 
 def _compile_constant(value) -> _Compiled:
@@ -160,10 +152,15 @@ def _compile_constant(value) -> _Compiled:
         value = scalars.parse_rational(value)
     elif not isinstance(value, (int, float)) or isinstance(value, bool):
         raise DomainError(f"bad constant {value!r}")
-    exact = _exact_walker(lambda: scalars.coerce(value, scalars.EXACT))
-    as_float = float(value)
-    return _Compiled(None, exact,
-                     lambda X, signed: np.full(X.shape[0], as_float if signed else abs(as_float)))
+    exact = _exact_copy(lambda: scalars.coerce(value, scalars.EXACT))
+    as_float = scalars.finite_float(value)
+
+    def constant_rows(X, signed):
+        if X.dtype == object:
+            return np.full(X.shape[0], exact(), dtype=object)
+        return np.full(X.shape[0], as_float if signed else abs(as_float))
+
+    return _Compiled(None, constant_rows)
 
 
 def _parse_form_literal(node, n: int) -> KForm:
@@ -180,20 +177,21 @@ def _parse_form_literal(node, n: int) -> KForm:
     raise DomainError(f"cannot read a form from {node!r}")
 
 
-def _compile_literal(node, n: int) -> tuple[_Compiled, np.ndarray]:
-    """A form literal's node and its float coefficients, each parsed once."""
+def _compile_literal(node, n: int) -> tuple[_Compiled, np.ndarray, Callable]:
+    """A form literal's node, float coefficients and exact-copy getter, each made once."""
     form = _parse_form_literal(node, n)
-    exact = _exact_walker(lambda: form if form.backend == scalars.EXACT
-                          else KForm(form.n, form.k, form.coeffs, scalars.EXACT))
-    coeffs = np.array([float(c) for c in form.coeffs])
+    exact = _exact_copy(lambda: np.array([scalars.coerce(c, scalars.EXACT)
+                                          for c in form.coeffs], dtype=object))
+    coeffs = np.array([scalars.finite_float(c) for c in form.coeffs])
     magnitudes = np.abs(coeffs)
     for array in (coeffs, magnitudes):
         array.flags.writeable = False
 
     def literal_rows(X, signed):
-        return np.broadcast_to(coeffs if signed else magnitudes, (X.shape[0], coeffs.size))
+        values = exact() if X.dtype == object else coeffs if signed else magnitudes
+        return np.broadcast_to(values, (X.shape[0], values.size))
 
-    return _Compiled(form.k, exact, literal_rows), coeffs
+    return _Compiled(form.k, literal_rows), coeffs, exact
 
 
 def _field(node: Mapping, name: str):
@@ -217,14 +215,14 @@ def _compile_form(node, n: int, k: int, what: str) -> _Compiled:
 
 
 def _compile(node, n: int, k: int) -> _Compiled:
-    """Validate ``node`` and build its exact walker and float kernel.
+    """Validate ``node`` and build its kernel.
 
-    The float kernel takes a flag ``signed``.  Unsigned, it evaluates the
-    node's magnitude instead: every sign dropped (constants, literal
-    coefficients, negations, wedge signs), applied to |ξ|.
+    The kernel takes a flag ``signed``.  Unsigned, it evaluates the node's
+    magnitude instead: every sign dropped (constants, literal coefficients,
+    negations, wedge signs), applied to |ξ|.
     """
     if node == "xi":
-        return _Compiled(k, _identity, _identity)
+        return _Compiled(k, lambda X, signed: X)
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return _compile_constant(node)
     if isinstance(node, str):
@@ -238,30 +236,16 @@ def _compile(node, n: int, k: int) -> _Compiled:
         args = node.get("args", [])
         if not isinstance(args, list) or not args:
             raise DomainError(f"{op} needs at least one argument")
-        parts = [_compile_scalar(arg, n, k, f"{op} arguments must be scalars")
-                 for arg in args]
-        exacts = [part.exact for part in parts]
-        kernels = [part.rows for part in parts]
+        kernels = [_compile_scalar(arg, n, k, f"{op} arguments must be scalars").rows
+                   for arg in args]
         if op == "add":
-            def add_exact(xi):
-                total = 0
-                for part in exacts:
-                    total += part(xi)
-                return total
-
             def add_rows(X, signed):
-                total = np.zeros(X.shape[0])
+                total = np.zeros(X.shape[0], dtype=X.dtype)
                 for part in kernels:
                     total = total + part(X, signed)
                 return total
 
-            return _Compiled(None, add_exact, add_rows)
-
-        def mul_exact(xi):
-            total = 1
-            for part in exacts:
-                total *= part(xi)
-            return total
+            return _Compiled(None, add_rows)
 
         def mul_rows(X, signed):
             total = kernels[0](X, signed)
@@ -269,67 +253,53 @@ def _compile(node, n: int, k: int) -> _Compiled:
                 total = total * part(X, signed)
             return total
 
-        return _Compiled(None, mul_exact, mul_rows)
+        return _Compiled(None, mul_rows)
     if op in ("neg", "abs"):
-        arg = _compile_scalar(_field(node, "arg"), n, k, f"{op} argument must be a scalar")
-        exact, kernel = arg.exact, arg.rows
+        kernel = _compile_scalar(_field(node, "arg"), n, k,
+                                 f"{op} argument must be a scalar").rows
         if op == "neg":
-            return _Compiled(None, lambda xi: -exact(xi),
-                             lambda X, signed: -kernel(X, signed) if signed else kernel(X, signed))
-        return _Compiled(None, lambda xi: abs(exact(xi)),
-                         lambda X, signed: np.abs(kernel(X, signed)))
+            return _Compiled(None, lambda X, signed: -kernel(X, signed) if signed
+                             else kernel(X, signed))
+        return _Compiled(None, lambda X, signed: np.abs(kernel(X, signed)))
     if op == "pow":
         exp = node.get("exp")
         if not isinstance(exp, int) or exp < 0:
             raise DomainError(f"pow exponent must be a nonnegative integer, got {exp!r}")
-        base = _compile_scalar(_field(node, "base"), n, k, "pow base must be a scalar")
-        exact, kernel = base.exact, base.rows
-        return _Compiled(None, lambda xi: exact(xi) ** exp,
-                         lambda X, signed: _power_by_squaring(kernel(X, signed), exp))
+        kernel = _compile_scalar(_field(node, "base"), n, k, "pow base must be a scalar").rows
+        return _Compiled(None, lambda X, signed: power_by_squaring(kernel(X, signed), exp))
     if op == "inner":
-        literal, coeffs = _compile_literal(_field(node, "form"), n)
+        literal, coeffs, exact = _compile_literal(_field(node, "form"), n)
         arg = _compile_form(_field(node, "arg"), n, k, "inner needs a form-valued argument")
         if arg.degree != literal.degree:
             raise DomainError(f"inner pairs degree {literal.degree} with degree {arg.degree}")
-        fixed, exact, kernel = literal.exact, arg.exact, arg.rows
-        # a zero coefficient's product adds nothing to a finite sum
+        kernel = arg.rows
+        # a zero coefficient's product adds nothing to a finite float sum
         live = np.flatnonzero(coeffs)
         weights = {True: coeffs[live], False: np.abs(coeffs[live])}
-        return _Compiled(None, lambda xi: scalar_product(fixed(xi), exact(xi)),
-                         lambda X, signed: ordered_sum(kernel(X, signed)[:, live]
-                                                       * weights[signed]))
-    if op == "norm_sq":
-        arg = _compile_form(_field(node, "arg"), n, k, "norm_sq needs a form-valued argument")
-        exact, kernel = arg.exact, arg.rows
 
-        def norm_sq_exact(xi):
-            value = exact(xi)
-            return scalar_product(value, value)
+        def inner_rows(X, signed):
+            value = kernel(X, signed)
+            if value.dtype == object:    # every coefficient: a tiny rational reads 0.0
+                return ordered_sum(value * exact())
+            return ordered_sum(value[:, live] * weights[signed])
+
+        return _Compiled(None, inner_rows)
+    if op == "norm_sq":
+        kernel = _compile_form(_field(node, "arg"), n, k,
+                               "norm_sq needs a form-valued argument").rows
 
         def norm_sq_rows(X, signed):
             value = kernel(X, signed)
             return ordered_sum(value * value)
 
-        return _Compiled(None, norm_sq_exact, norm_sq_rows)
+        return _Compiled(None, norm_sq_rows)
     if op == "wedge_pow":
         s = node.get("s")
         if not isinstance(s, int) or s < 0:
             raise DomainError(f"wedge_pow exponent must be a nonnegative integer, got {s!r}")
         arg = _compile_form(_field(node, "arg"), n, k, "wedge_pow needs a form-valued argument")
-        exact, kernel, degree = arg.exact, arg.rows, arg.degree
-        return _Compiled(degree * s, lambda xi: wedge_power(exact(xi), s),
+        kernel, degree = arg.rows, arg.degree
+        return _Compiled(degree * s,
                          lambda X, signed: wedge_power_rows(kernel(X, signed), n, degree, s,
                                                             signed))
     raise DomainError(f"unknown expression op {op!r}")
-
-
-def _power_by_squaring(base: np.ndarray, exp: int) -> np.ndarray:
-    """base ** exp by repeated squaring: the same rounding for every row on every build."""
-    result = np.ones(base.shape[0])
-    while exp:
-        if exp & 1:
-            result = result * base
-        exp >>= 1
-        if exp:
-            base = base * base
-    return result

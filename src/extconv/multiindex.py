@@ -57,7 +57,11 @@ class MultiIndex:
         text = text.strip()
         if not text:
             return cls((), n)
-        return cls(tuple(int(part) for part in text.split(",")), n)
+        try:
+            indices = tuple(int(part) for part in text.split(","))
+        except ValueError:
+            raise DomainError(f"bad multiindex {text!r}") from None
+        return cls(indices, n)
 
     @property
     def k(self) -> int:

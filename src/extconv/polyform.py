@@ -8,7 +8,8 @@ coefficientwise as exact polynomial identities.
 Two exterior derivatives are provided because the right-wedge convention
 (d w = Σ ∂w_I/∂x_i · e^I ∧ e^i, matching the projection of the gradient) and
 the classical componentwise formula differ by (−1)^deg(w); both are exposed
-and the relation is tested, nothing is silently rescaled.
+and the relation is tested, nothing is silently rescaled.  ``d_right`` reads
+its signs from the wedge kernel's structure table, not from the projection.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, _wedge_pairs, json_fields
+from .exterior import KForm, _wedge_table, json_fields
 from .multiindex import MultiIndex, enumerate_multiindices
 from .projection import project_entries
 
@@ -306,7 +307,9 @@ def d_right(w: PolyKForm) -> PolyKForm:
     labels = enumerate_multiindices(n, r)
     label_rank = {mi.indices: idx for idx, mi in enumerate(labels)}
     targets = enumerate_multiindices(n, r + 1)
-    pair_sign = {(ra, rb): (sign, rt) for ra, rb, sign, rt in _wedge_pairs(n, r, 1)}
+    left, right, signs = (array.tolist() for array in _wedge_table(n, r, 1)[:3])
+    pair_sign = {(ra, rb): (sign, rt) for rt in range(len(targets))
+                 for ra, rb, sign in zip(left[rt], right[rt], signs[rt])}
     out: dict[tuple[int, ...], Poly] = {}
     for key, poly in w.coeffs.items():
         ra = label_rank[key]

@@ -8,6 +8,8 @@ sampled convexity work runs float.
 
 JSON carries exact scalars as rational strings ("3/2", "-1") and float
 scalars as plain numbers, so exact results never round-trip through floats.
+No backend reads a bool, and the float backend reads and writes finite
+numbers only.
 
 Float array work runs under ``float_guard``: a value that leaves the float
 range is a domain error, never a silent inf or nan in a verdict.
@@ -77,6 +79,14 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def finite_float(value) -> float:
+    """``float(value)``, which must be finite; anything else is a DomainError."""
+    try:
+        return require_finite(float(value), "float scalar")
+    except OverflowError:
+        raise DomainError("a scalar lies beyond the float range") from None
+
+
 def zero(backend: str):
     return 0.0 if backend == FLOAT else 0
 
@@ -95,21 +105,27 @@ def parse_rational(text: str):
 
 
 def format_rational(value) -> str:
+    """"p/q" or "p"; a part longer than Python prints an int is a DomainError."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise DomainError(f"an exact result is too long to print: {exc}") from None
 
 
 def scalar_from_json(obj, backend: str):
     """Decode a JSON scalar (string rational or number) for ``backend``."""
+    if isinstance(obj, bool):
+        raise DomainError("bool is not a scalar")
     if isinstance(obj, str):
         value = parse_rational(obj)
-        return float(value) if backend == FLOAT else value
-    return coerce(obj, backend)
+        return finite_float(value) if backend == FLOAT else value
+    return finite_float(obj) if backend == FLOAT else coerce(obj, backend)
 
 
 def scalar_to_json(value, backend: str):
     if backend == FLOAT:
-        return float(value)
+        return finite_float(value)
     return format_rational(value)

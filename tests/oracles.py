@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own sign/enumeration code:
 permutation parity comes from cycle decomposition, wedge signs from shuffle
 position sums, determinants from the full permutation expansion, and set
 partitions from permutation grouping with dedup, and the Laplace expansion
-reads minor tables by rank arithmetic.  Expected values frozen into tests were
-computed with these.
+reads minor tables by rank arithmetic.  Function expression trees are read by
+``evaluate_expression``, an interpreter over dict forms and ``wedge_many``.
+Expected values frozen into tests were computed with these.
 """
 
 from __future__ import annotations
@@ -83,6 +84,52 @@ def wedge_many(forms: list[dict]) -> dict:
     for nxt in forms[1:]:
         acc = shuffle_wedge(acc, nxt)
     return acc
+
+
+def coeffs_to_dict(n, k, coeffs) -> dict:
+    """{index tuple: coeff} of the nonzero entries of a dense coefficient list."""
+    return {key: c for key, c in zip(itertools.combinations(range(1, n + 1), k), coeffs)
+            if c}
+
+
+def _form_literal(node) -> dict:
+    if isinstance(node, str):
+        return {tuple(int(ch) for ch in node[1:]): 1}
+    return {tuple(int(v) for v in key.split(",")) if key else (): Fraction(value)
+            for key, value in node["coeffs"].items()}
+
+
+def evaluate_expression(node, xi: dict):
+    """Exact value of a function expression tree at ``xi`` ({index tuple: coeff}).
+
+    A direct reading of the expression format: forms are dicts, wedge powers
+    come from ``wedge_many``, and pairings sum over the keys of the literal.
+    """
+    if isinstance(node, str):
+        return xi if node == "xi" else _form_literal(node)
+    if isinstance(node, (int, float)):
+        return Fraction(node)
+    op = node["op"]
+    if op == "const":
+        return Fraction(node["value"])
+    if op in ("add", "mul"):
+        values = [evaluate_expression(arg, xi) for arg in node["args"]]
+        return sum(values) if op == "add" else math.prod(values)
+    if op == "neg":
+        return -evaluate_expression(node["arg"], xi)
+    if op == "abs":
+        return abs(evaluate_expression(node["arg"], xi))
+    if op == "pow":
+        return evaluate_expression(node["base"], xi) ** node["exp"]
+    if op == "inner":
+        arg = evaluate_expression(node["arg"], xi)
+        return sum(c * arg.get(key, 0) for key, c in _form_literal(node["form"]).items())
+    if op == "norm_sq":
+        return sum(v * v for v in evaluate_expression(node["arg"], xi).values())
+    if op == "wedge_pow":
+        arg = evaluate_expression(node["arg"], xi)
+        return wedge_many([arg] * node["s"]) if node["s"] else {(): 1}
+    raise ValueError(f"unknown op {op!r}")
 
 
 def perm_det(rows):

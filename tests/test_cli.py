@@ -324,6 +324,69 @@ class TestBadInputExits2:
     def test_directory_input_exits_2(self, capsys, tmp_path):
         self.assert_usage_error(capsys, "pi", "--input", str(tmp_path))
 
+    @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_float_entry_exits_2(self, capsys, tmp_path, cell):
+        path = tmp_path / "m.json"
+        path.write_text('{"n":2,"k":2,"rows":["1","2"],"data":[[0,%s],[0,0]]}' % cell)
+        self.assert_usage_error(capsys, "pi", "--input", str(path))
+        self.assert_usage_error(capsys, "adjugate", "--input", str(path), "--s", "2")
+
+    def test_float_wedge_power_overflow_exits_2(self, capsys, tmp_path):
+        path = write_json(tmp_path, "f.json",
+                          {"n": 4, "k": 2, "coeffs": {"1,2": 1e200, "3,4": 1e200}})
+        self.assert_usage_error(capsys, "wedge-power", "--input", path, "--s", "2")
+
+    def test_integer_string_beyond_float_range_exits_2(self, capsys, tmp_path):
+        path = write_json(tmp_path, "m.json", {"n": 2, "k": 2, "rows": ["1", "2"],
+                                               "data": [["1" + "0" * 400, "0"], ["0", "1"]]})
+        self.assert_usage_error(capsys, "pi", "--input", path, "--backend", "float")
+
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_bool_scalar_exits_2(self, capsys, tmp_path, backend):
+        matrix = write_json(tmp_path, "m.json", {"n": 2, "k": 2, "rows": ["1", "2"],
+                                                 "data": [[0, True], [0, 0]]})
+        self.assert_usage_error(capsys, "pi", "--input", matrix, "--backend", backend)
+        form = write_json(tmp_path, "f.json", {"n": 4, "k": 2, "coeffs": {"1,2": True}})
+        self.assert_usage_error(capsys, "wedge-power", "--input", form, "--s", "2",
+                                "--backend", backend)
+
+    @pytest.mark.parametrize("key", ["a,b", "1,,2", "x", "1;2"])
+    def test_malformed_multiindex_key_exits_2(self, capsys, tmp_path, key):
+        form = {"n": 4, "k": 2, "coeffs": {key: "1"}}
+        path = write_json(tmp_path, "f.json", form)
+        self.assert_usage_error(capsys, "wedge-power", "--input", path, "--s", "2")
+        fn = write_json(tmp_path, "fn.json", {"n": 4, "k": 2, "expr": {
+            "op": "inner", "form": form, "arg": "xi"}})
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
+                                "--input", fn, "--trials", "5")
+
+    def test_unprintable_exact_power_exits_2(self, capsys, tmp_path):
+        path = write_json(tmp_path, "f.json", {"n": 4, "k": 0, "coeffs": {"": "3"}})
+        self.assert_usage_error(capsys, "wedge-power", "--input", path, "--s", "10000")
+
+
+class TestZeroFormPowers:
+    """A 0-form's power is one scalar power: it ends at once, or exits 2 at once."""
+
+    def run_power(self, tmp_path, coeff, s):
+        path = write_json(tmp_path, "f.json", {"n": 4, "k": 0, "coeffs": {"": coeff}})
+        return subprocess.run([sys.executable, "-m", "extconv", "wedge-power",
+                               "--input", path, "--s", str(s)],
+                              capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("coeff,expected", [("1", {"": "1"}), ("-1", {"": "1"}),
+                                                ("0", {})])
+    def test_unit_and_zero_bases_print_at_once(self, tmp_path, coeff, expected):
+        proc = self.run_power(tmp_path, coeff, 100000000)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"n": 4, "k": 0, "coeffs": expected}
+
+    @pytest.mark.parametrize("coeff", ["3", "1/3", "-2"])
+    def test_unprintable_power_exits_2_at_once(self, tmp_path, coeff):
+        proc = self.run_power(tmp_path, coeff, 100000000)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("extconv: ") and proc.stderr.count("\n") == 1
+
 
 class TestStepIndependence:
     @pytest.mark.parametrize("step", ["1e-3", "1e-6"])

@@ -13,7 +13,7 @@ from extconv.exterior import (KForm, hodge_star, norm_squared, ordered_sum,
                               scalar_product, wedge, wedge_power, wedge_power_rows,
                               wedge_rows)
 
-from oracles import rand_exact, shuffle_wedge
+from oracles import coeffs_to_dict, dict_to_coeff_list, rand_exact, shuffle_wedge, wedge_many
 
 
 def rand_form(n, k, rng):
@@ -219,6 +219,42 @@ class TestWedgeRows:
         assert batch.tobytes() == scalar.tobytes()
         for i in range(9):
             assert wedge_rows(a[i:i + 1], b[i:i + 1], n, k, l).tobytes() == batch[i].tobytes()
+        exact = [np.array([[rand_exact(rng) for _ in range(x.shape[1])] for _ in range(9)],
+                          dtype=object) for x in (a, b)]
+        integral = [np.array([[float(rng.randint(-9, 9)) for _ in range(x.shape[1])]
+                              for _ in range(9)]) for x in (a, b)]
+        for left, right in (exact, integral):
+            rows = wedge_rows(left, right, n, k, l)
+            assert rows.dtype == left.dtype
+            assert rows.tolist() == [dict_to_coeff_list(n, k + l, shuffle_wedge(
+                coeffs_to_dict(n, k, x), coeffs_to_dict(n, l, y))) for x, y in zip(left, right)]
+
+    @pytest.mark.parametrize("n,k,l", SPACES)
+    def test_object_rows_equal_each_row_alone(self, n, k, l):
+        rng = random.Random(n * 100 + k * 10 + l + 1)
+        a = np.array([[rand_exact(rng) for _ in range(math.comb(n, k))] for _ in range(7)],
+                     dtype=object)
+        b = np.array([[rand_exact(rng) for _ in range(math.comb(n, l))] for _ in range(7)],
+                     dtype=object)
+        batch = wedge_rows(a, b, n, k, l)
+        assert batch.dtype == object
+        assert batch.tolist() == [wedge_rows(a[i:i + 1], b[i:i + 1], n, k, l)[0].tolist()
+                                  for i in range(7)]
+        for s in range(4):
+            powers = wedge_power_rows(a, n, k, s)
+            assert powers.dtype == object
+            assert powers.tolist() == [wedge_power_rows(a[i:i + 1], n, k, s)[0].tolist()
+                                       for i in range(7)]
+
+    def test_exact_power_rows_match_the_oracle(self):
+        rng = random.Random(9)
+        for n, k in [(4, 1), (6, 2), (8, 2), (9, 3), (4, 0)]:
+            stack = np.array([[rand_exact(rng) for _ in range(math.comb(n, k))]
+                              for _ in range(3)], dtype=object)
+            for s in range(1, 5):
+                expected = [dict_to_coeff_list(n, k * s, wedge_many([coeffs_to_dict(n, k, row)]
+                                                                    * s)) for row in stack]
+                assert wedge_power_rows(stack, n, k, s).tolist() == expected
 
     def test_power_rows_match_wedge_power(self):
         rng = random.Random(4)
@@ -251,6 +287,24 @@ class TestWedgeRows:
                                 np.array([integral.coeffs], dtype=float), n, k, l)
             assert floats[0].tolist() == list(wedge(a, integral).coeffs)
 
+    def test_zero_form_power_is_one_scalar_power(self):
+        assert wedge_power(KForm(4, 0, [Fraction(-3, 2)]), 41) == \
+            KForm(4, 0, [Fraction(-3, 2) ** 41])
+        assert wedge_power(KForm(4, 0, [1.5], scalars.FLOAT), 7).coeffs == (1.5 ** 7,)
+        rows = wedge_power_rows(np.array([[2], [Fraction(1, 3)]], dtype=object), 4, 0, 65)
+        assert rows.tolist() == [[2 ** 65], [Fraction(1, 3 ** 65)]]
+
+    def test_float_overflow_is_a_domain_error(self):
+        a = KForm(2, 1, [1e200, 0.0], scalars.FLOAT)
+        b = KForm(2, 1, [0.0, 1e200], scalars.FLOAT)
+        with pytest.raises(DomainError):
+            wedge(a, b)
+        with pytest.raises(DomainError):
+            wedge_power(KForm.from_json({"n": 4, "k": 2, "coeffs": {"1,2": 1e200,
+                                                                     "3,4": 1e200}}), 2)
+        with pytest.raises(DomainError):
+            wedge_power(KForm(4, 0, [1e10], scalars.FLOAT), 40)
+
     def test_ordered_sum_is_the_loop_sum(self):
         rng = random.Random(7)
         rows = np.array([[rng.choice([1e16, -1e16, 1.0, -3.5e-3]) * rng.random()
@@ -280,6 +334,22 @@ class TestStrictJson:
     def test_form_format_enforced(self, obj):
         with pytest.raises(DomainError):
             KForm.from_json(obj)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1" + "0" * 400,
+                                       10 ** 400],
+                             ids=["nan", "inf", "-inf", "true", "long-string", "long-int"])
+    def test_float_scalars_are_finite_numbers(self, value):
+        with pytest.raises(DomainError):
+            KForm.from_json({"n": 2, "k": 1, "coeffs": {"1": value}}, scalars.FLOAT)
+
+    def test_bool_is_no_exact_scalar(self):
+        with pytest.raises(DomainError):
+            KForm.from_json({"n": 2, "k": 1, "coeffs": {"1": False}}, scalars.EXACT)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_is_not_written(self, value):
+        with pytest.raises(DomainError):
+            KForm(2, 1, [value, 0.0], scalars.FLOAT).to_json()
 
     def test_empty_coeffs_is_the_zero_form(self):
         assert KForm.from_json({"n": 4, "k": 2, "coeffs": {}}) == KForm.zero(4, 2)

@@ -10,6 +10,8 @@ from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge_power
 from extconv.functions import FormFunction
 
+from oracles import coeffs_to_dict, evaluate_expression, rand_exact
+
 
 def exact_form(n, k, entries):
     return KForm.from_dict(n, k, entries)
@@ -113,6 +115,23 @@ def kernel_corpus():
                                                       "arg": "xi"}}))]
 
 
+def integral_corpus():
+    return [FormFunction.norm_squared(8, 2),
+            FormFunction.neg_norm_squared(6, 3),
+            planted_pairing(8, 2, seed=5, integral=True),
+            planted_pairing(6, 2, seed=6, integral=True),
+            FormFunction(4, 2, {"op": "add", "args": [
+                {"op": "mul", "args": [-3, {"op": "norm_sq",
+                                            "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}]},
+                {"op": "pow", "base": {"op": "inner", "form": "e13", "arg": "xi"}, "exp": 5},
+                {"op": "abs", "arg": {"op": "inner", "form": "e24", "arg": "xi"}},
+                {"op": "norm_sq", "arg": "e12"}, 7]})]
+
+
+def exact_corpus():
+    return [f for _, f in kernel_corpus()] + integral_corpus()
+
+
 def random_rows(f, m, seed):
     rng = random.Random(seed)
     return np.array([[rng.uniform(-2.0, 2.0) for _ in range(math.comb(f.n, f.k))]
@@ -140,18 +159,7 @@ class TestFloatKernel:
         value = f(KForm(f.n, f.k, list(row), scalars.FLOAT))
         assert value == (total if name == "norm_sq" else -total)
 
-    @pytest.mark.parametrize("f", [
-        FormFunction.norm_squared(8, 2),
-        FormFunction.neg_norm_squared(6, 3),
-        planted_pairing(8, 2, seed=5, integral=True),
-        planted_pairing(6, 2, seed=6, integral=True),
-        FormFunction(4, 2, {"op": "add", "args": [
-            {"op": "mul", "args": [-3, {"op": "norm_sq", "arg": {"op": "wedge_pow", "s": 2,
-                                                                "arg": "xi"}}]},
-            {"op": "pow", "base": {"op": "inner", "form": "e13", "arg": "xi"}, "exp": 5},
-            {"op": "abs", "arg": {"op": "inner", "form": "e24", "arg": "xi"}},
-            {"op": "norm_sq", "arg": "e12"}, 7]}),
-    ])
+    @pytest.mark.parametrize("f", integral_corpus())
     def test_float_agrees_with_exact_on_integers(self, f):
         rng = random.Random(f.n * 10 + f.k)
         rows = [[rng.randint(-4, 4) for _ in range(math.comb(f.n, f.k))] for _ in range(40)]
@@ -221,6 +229,27 @@ class TestFloatKernel:
         assert f(KForm(3, 1, [2.0, 1.0, 4.0], scalars.FLOAT)) == 5.0
         with pytest.raises(DomainError):
             f(KForm(3, 1, [2, 1, 4]))
+
+
+class TestExactKernel:
+    @pytest.mark.parametrize("f", exact_corpus())
+    def test_values_match_the_oracle(self, f):
+        rng = random.Random(f.n * 10 + f.k)
+        for _ in range(8):
+            coeffs = [rand_exact(rng) for _ in range(math.comb(f.n, f.k))]
+            expected = evaluate_expression(f.expr, coeffs_to_dict(f.n, f.k, coeffs))
+            assert f(KForm(f.n, f.k, coeffs)) == expected
+
+    @pytest.mark.parametrize("f", exact_corpus())
+    def test_object_batch_equals_each_row_alone(self, f):
+        rng = random.Random(f.n + f.k)
+        rows = np.array([[rand_exact(rng) for _ in range(math.comb(f.n, f.k))]
+                         for _ in range(6)], dtype=object)
+        batch = f.evaluate_rows(rows)
+        assert batch.dtype == object and batch.shape == (6,)
+        assert all(isinstance(v, (int, Fraction)) for v in batch)
+        assert batch.tolist() == [f.evaluate_rows(rows[i:i + 1])[0] for i in range(6)]
+        assert batch.tolist() == [f(KForm(f.n, f.k, list(row))) for row in rows]
 
 
 class TestStrictJson:

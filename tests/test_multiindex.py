@@ -99,6 +99,11 @@ class TestMultiIndexValidation:
         assert MultiIndex.from_text("1,3,4", 5) == m
         assert MultiIndex.from_text("", 5).indices == ()
 
+    @pytest.mark.parametrize("text", ["a,b", "1,,2", "x", "1;2", "1,"])
+    def test_malformed_text_is_a_domain_error(self, text):
+        with pytest.raises(DomainError):
+            MultiIndex.from_text(text, 5)
+
 
 class TestSignOfString:
     def test_identity(self):
