@@ -363,13 +363,25 @@ class QuasiaffineFit:
                 "samples": self.samples, "seed": self.seed}
 
 
-def _power_features(xi: np.ndarray, n: int, k: int, smax: int) -> np.ndarray:
-    """Rows (1, ξ, ξ², ..., ξ^smax) for a stack of float forms ξ."""
+def _power_dims(n: int, k: int) -> list[int]:
+    """Coefficient counts of ξ, ξ², ..., ξ^(n//k) for a k-form ξ on R^n."""
+    return [math.comb(n, k * s) for s in range(1, n // k + 1)]
+
+
+def _power_features(xi: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Rows (1, ξ, ξ², ..., ξ^(n//k)) for a stack of float forms ξ."""
     with scalars.float_guard("wedge power feature"):
         blocks = [np.ones((xi.shape[0], 1)), xi]
-        for s in range(2, smax + 1):
+        for s in range(2, n // k + 1):
             blocks.append(wedge_rows(blocks[-1], xi, n, k * (s - 1), k))
         return np.hstack(blocks)
+
+
+def _power_forms(n: int, k: int, flat: np.ndarray) -> list[KForm]:
+    """Cut flat coefficients (the ξ block, then ξ², ...) into float forms of degree k, 2k, ..."""
+    blocks = np.split(flat, np.cumsum(_power_dims(n, k))[:-1])
+    return [KForm(n, k * s, [float(v) for v in block], scalars.FLOAT)
+            for s, block in enumerate(blocks, start=1)]
 
 
 def _random_forms(n: int, k: int, seed: int, indices, scale: float) -> np.ndarray:
@@ -390,9 +402,7 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig,
     being left floating.
     """
     n, k = f.n, f.k
-    smax = n // k
-    dims = [math.comb(n, k * s) for s in range(1, smax + 1)]
-    unknowns = 1 + sum(dims)
+    unknowns = 1 + sum(_power_dims(n, k))
     nsamples = max(cfg.trials, 2 * unknowns)
     if validation_samples is None:
         validation_samples = max(cfg.trials, 50)
@@ -401,7 +411,7 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig,
     for attempt in range(3):
         offset = attempt * 10_000_000
         xi = _random_forms(n, k, cfg.seed, range(offset, offset + nsamples), spread)
-        design = _power_features(xi, n, k, smax)
+        design = _power_features(xi, n, k)
         y = f.evaluate_rows(xi)
 
         live = np.flatnonzero(np.abs(design).max(axis=0) > 1e-12)
@@ -417,17 +427,10 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig,
                                  range(77_000_000, 77_000_000 + validation_samples),
                                  cfg.coeff_range)
         with scalars.float_guard("validation residual"):
-            predicted = ordered_sum(_power_features(held_out, n, k, smax) * solution)
+            predicted = ordered_sum(_power_features(held_out, n, k) * solution)
             worst = float(np.abs(f.evaluate_rows(held_out) - predicted).max())
-
-        forms = []
-        pos = 1
-        for s, dim in enumerate(dims, start=1):
-            forms.append(KForm(n, k * s, [float(v) for v in solution[pos:pos + dim]],
-                               scalars.FLOAT))
-            pos += dim
-        return QuasiaffineFit("ok", float(solution[0]), forms, worst,
-                              nsamples, cfg.seed)
+        return QuasiaffineFit("ok", float(solution[0]), _power_forms(n, k, solution[1:]),
+                              worst, nsamples, cfg.seed)
     return QuasiaffineFit("inconclusive", 0.0, [], float("inf"), nsamples, cfg.seed)
 
 
@@ -465,10 +468,6 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     n, k = f.n, f.k
     if (xi.n, xi.k) != (n, k):
         raise DomainError(f"base point lives in ({xi.n},{xi.k}), expected ({n},{k})")
-    smax = n // k
-    dims = [math.comb(n, k * s) for s in range(1, smax + 1)]
-    total = sum(dims)
-
     if etas is None:
         eta = _random_forms(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
     else:
@@ -476,13 +475,15 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     f_base = float(f(xi))
 
     with scalars.float_guard("support constraint"):
-        base = _power_features(_stack([xi]), n, k, smax)[:, 1:]
-        w = _power_features(eta, n, k, smax)[:, 1:] - base
+        base = _power_features(_stack([xi]), n, k)[:, 1:]
+        w = _power_features(eta, n, k)[:, 1:] - base
+        # t's column is all ones: the simplex enters it to start feasible
         A = np.hstack([-w, w, np.ones((eta.shape[0], 1))])
         b = -(f.evaluate_rows(eta) - f_base)
 
+    total = w.shape[1]
     cost = [0.0] * (2 * total) + [1.0]
-    result = simplex.minimize(cost, A, b, all_ones_var=2 * total)
+    result = simplex.minimize(cost, A, b)
     if result.status == simplex.UNBOUNDED:
         raise LPInternalError("support slack is bounded below by zero yet the "
                               "solver reported unbounded")
@@ -491,12 +492,7 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
                              cfg.seed, cfg.tolerance)
     x = result.x
     slack = float(result.objective)
-    forms = []
-    pos = 0
-    for s, dim in enumerate(dims, start=1):
-        block = [x[pos + i] - x[total + pos + i] for i in range(dim)]
-        forms.append(KForm(n, k * s, [float(v) for v in block], scalars.FLOAT))
-        pos += dim
+    forms = _power_forms(n, k, np.subtract(x[:total], x[total:2 * total]))
     status = "certified" if slack <= cfg.tolerance else "refuted"
     return SupportSearch(status, xi, slack, forms, eta.shape[0], cfg.seed,
                          cfg.tolerance)

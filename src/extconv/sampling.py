@@ -11,9 +11,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, wedge
+from .exterior import KForm, wedge_rows
 from .shapespace import ShapeMatrix
 
 _STRIDE = 1_000_003  # coprime spacing keeps per-trial streams disjoint
@@ -56,6 +58,7 @@ def random_line(n: int, k: int, rng: random.Random, scale: float,
     Degenerate draws carry no information for line tests, so they are
     redrawn; with continuous coefficients this effectively never loops.
     """
+    dtype = object if exact else float
     for _ in range(100):
         if exact:
             alpha = random_exact_form(n, k - 1, rng)
@@ -63,6 +66,9 @@ def random_line(n: int, k: int, rng: random.Random, scale: float,
         else:
             alpha = random_form(n, k - 1, rng, scale)
             beta = random_form(n, 1, rng, scale)
-        if not wedge(alpha, beta).is_zero():
+        with scalars.float_guard("wedge"):
+            product = wedge_rows(np.array([alpha.coeffs], dtype=dtype),
+                                 np.array([beta.coeffs], dtype=dtype), n, k - 1, 1)
+        if product.any():
             return alpha, beta
     raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")

@@ -1,17 +1,24 @@
-"""Dense two-phase simplex with Bland anti-cycling.
+"""Dense simplex with Bland anti-cycling, started from a basis the data shows feasible.
 
 Solves   minimize c·x  subject to  A x ≥ b,  x ≥ 0.
 
 Desk-scale constraint counts need no external solver.  There is one tableau
-algorithm, and its scalar type is the dtype of the numpy array that holds the
-tableau: ``float64`` with pivot tolerance 1e-9 (a phase-one objective above
-1e-7 reads as infeasible) by default, and an ``object`` array of ``Fraction``
-with tolerance 0 for ``exact=True`` (meant for small certificate-style
-instances).  Pivoting enters the most negative reduced cost while the
-objective makes progress and switches permanently to Bland's rule (lowest
-eligible index in, lowest basis index out on ties) once it stalls, so cycling
-is impossible and the iteration cap only ever fires on genuinely huge
-instances; hitting it is reported as its own status rather than raised.
+algorithm, and its scalar type comes from the data: an ``object`` array among
+c, A and b makes the tableau an ``object`` array of ``Fraction`` with
+tolerance 0 (meant for small certificate-style instances); otherwise it is
+``float64`` with pivot tolerance 1e-9.
+
+There is no phase one.  The start basis is every surplus variable, which is
+feasible when no entry of b is positive.  Otherwise A must have an all-ones
+column (a uniform slack, like the support LP's t): the last such column enters
+at the row of the largest b, and raising it alone satisfies every row.
+Without one the LP is refused with ``DomainError``.
+
+Pivoting enters the most negative reduced cost while the objective makes
+progress and switches permanently to Bland's rule (lowest eligible index in,
+lowest basis index out on ties) once it stalls, so cycling is impossible and
+the iteration cap only ever fires on genuinely huge instances; hitting it is
+reported as its own status rather than raised.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import numpy as np
 from .errors import DomainError
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
@@ -44,12 +50,11 @@ class _Scalars(NamedTuple):
     dtype: object
     make: type           # converts a number to the scalar type
     eps: object          # pivot, ratio-tie and stall tolerance
-    phase_one: object    # largest phase-one objective still read as feasible
 
 
 _EPS = 1e-9
-_FLOAT = _Scalars(np.float64, float, _EPS, 1e-7)
-_EXACT = _Scalars(object, Fraction, 0, 0)
+_FLOAT = _Scalars(np.float64, float, _EPS)
+_EXACT = _Scalars(object, Fraction, 0)
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
@@ -61,50 +66,32 @@ def _zeros(shape, sc: _Scalars):
     return np.full(shape, sc.make(0), dtype=sc.dtype)
 
 
-def _diagonal(m, values, sc: _Scalars):
-    """The m×m matrix with ``values`` on its diagonal and zeros elsewhere."""
-    D = _zeros((m, m), sc)
-    np.fill_diagonal(D, values)
-    return D
-
-
 def minimize(c: Sequence, A: Sequence[Sequence], b: Sequence, *,
-             exact: bool = False, max_iter: int | None = None,
-             all_ones_var: int | None = None) -> LPResult:
-    """Minimize c·x over {A x ≥ b, x ≥ 0}.
+             max_iter: int | None = None) -> LPResult:
+    """Minimize c·x over {A x ≥ b, x ≥ 0}; exact if c, A or b is an object array.
 
-    ``all_ones_var`` names a variable whose constraint column is all ones
-    (a uniform slack): raising it alone reaches feasibility, so the solve
-    starts from that basis and phase one is skipped.
+    A positive entry of b needs an all-ones column in A (see the module
+    docstring); without one this raises ``DomainError``.
     """
     m = len(A)
     nv = len(c)
     if len(b) != m or any(len(row) != nv for row in A):
         raise DomainError(f"inconsistent LP dimensions: c has {nv}, A is {m} rows")
-    sc = _EXACT if exact else _FLOAT
+    c, A, b = (np.asarray(v) for v in (c, A, b))
+    sc = _EXACT if any(v.dtype == object for v in (c, A, b)) else _FLOAT
     if m == 0:
         return LPResult(OPTIMAL, [sc.make(0)] * nv, sc.make(0), 0)
     if max_iter is None:
         max_iter = 200 + 25 * (m + nv)
-    if all_ones_var is not None and not (
-            0 <= all_ones_var < nv and all(row[all_ones_var] == 1 for row in A)):
-        raise DomainError(f"variable {all_ones_var} is not an all-ones column")
-    warm = all_ones_var is not None and max(b) > 0
-    if exact:
-        A, b, c = (_to_fraction(np.asarray(v, dtype=object)) for v in (A, b, c))
+    if sc is _EXACT:
+        c, A, b = (_to_fraction(v.astype(object)) for v in (c, A, b))
     else:
-        A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
+        c, A, b = (v.astype(float, copy=False) for v in (c, A, b))
 
-    if warm:
-        T, basis = _warm_start(A, b, all_ones_var, sc)
-        status, iterations = OPTIMAL, 0
-    else:
-        status, T, basis, iterations = _cold_start(A, b, max_iter, sc)
-    if status == OPTIMAL:
-        cost = _zeros(T.shape[1] - 1, sc)
-        cost[:nv] = c
-        status, extra = _run(T, basis, cost, max_iter - iterations, nv + m)
-        iterations += extra
+    T, basis = _start(A, b, sc)
+    cost = _zeros(T.shape[1] - 1, sc)
+    cost[:nv] = c
+    status, iterations = _run(T, basis, cost, max_iter)
     if status != OPTIMAL:
         return LPResult(status, None, None, iterations)
     x = _zeros(T.shape[1] - 1, sc)
@@ -113,59 +100,33 @@ def minimize(c: Sequence, A: Sequence[Sequence], b: Sequence, *,
     return LPResult(OPTIMAL, x.tolist(), sc.make(c @ x), iterations)
 
 
-def _cold_start(A, b, max_iter, sc: _Scalars):
-    """Two-phase start: (status, tableau, basis, phase-one pivots).
+def _start(A, b, sc: _Scalars):
+    """Tableau [−A | I | −b] with every surplus basic, and the slack entered if some b > 0.
 
-    Rows with nonpositive rhs are negated so every rhs is nonnegative; the
-    surplus then enters with +1 and serves as the initial basic variable.  The
-    other rows get an artificial, which phase one drives out.
+    Either way the basis is feasible: the surpluses alone when b ≤ 0, and the
+    all-ones column at the largest b covers every other row.
     """
     m, nv = A.shape
-    one = sc.make(1)
-    need_art = b > 0
-    art_rows = np.flatnonzero(need_art)
-    na = art_rows.size
-    art = _zeros((m, na), sc)
-    art[art_rows, np.arange(na)] = one
-    T = np.hstack([np.where(need_art[:, None], A, -A),
-                   _diagonal(m, np.where(need_art, -one, one), sc), art,
-                   np.where(need_art, b, -b)[:, None]])
-    basis = nv + np.arange(m)               # surplus where feasible
-    basis[art_rows] = nv + m + np.arange(na)   # artificial elsewhere
-    if not na:
-        return OPTIMAL, T, basis, 0
-
-    cost = _zeros(T.shape[1] - 1, sc)
-    cost[nv + m:] = one
-    status, iterations = _run(T, basis, cost, max_iter, nv + m + na)
-    if status == OPTIMAL and cost[basis] @ T[:, -1] > sc.phase_one:
-        status = INFEASIBLE
-    if status != OPTIMAL:
-        return (status if status == ITERATION_LIMIT else INFEASIBLE), T, basis, iterations
-    _evict_artificials(T, basis, nv + m)
-    return OPTIMAL, T, basis, iterations
-
-
-def _warm_start(A, b, ones_var, sc: _Scalars):
-    """Tableau and basis {ones_var at the largest rhs, surplus elsewhere}: feasible."""
-    m, nv = A.shape
-    T = np.hstack([A, -_diagonal(m, sc.make(1), sc), b[:, None]])
-    pivot_row = int(np.argmax(b))
-    # subtracting the pivot row clears the all-ones column, negating restores
-    # +1 surplus signs
-    keep = T[pivot_row].copy()
-    T = keep[None, :] - T
-    T[pivot_row] = keep
+    identity = _zeros((m, m), sc)
+    np.fill_diagonal(identity, sc.make(1))
+    T = np.hstack([-A, identity, -b[:, None]])
     basis = nv + np.arange(m)
-    basis[pivot_row] = ones_var
+    if (b > 0).any():
+        ones = np.flatnonzero((A == 1).all(axis=0))
+        if not ones.size:
+            raise DomainError("a positive right-hand side needs an all-ones column "
+                              "to start from a feasible basis")
+        row, col = int(np.argmax(b)), int(ones[-1])
+        _pivot(T, row, col)
+        basis[row] = col
     return T, basis
 
 
 _STALL_LIMIT = 40  # degenerate pivots tolerated before switching to Bland
 
 
-def _run(T, basis, cost, max_iter, phase_cols) -> tuple[str, int]:
-    """Pivot until optimal/unbounded; columns ≥ phase_cols stay out.
+def _run(T, basis, cost, max_iter) -> tuple[str, int]:
+    """Pivot until optimal or unbounded, at most ``max_iter`` times.
 
     Entering variable: most negative reduced cost (fast) until the objective
     stalls, then permanently Bland's lowest-index rule, which cannot cycle.
@@ -175,8 +136,8 @@ def _run(T, basis, cost, max_iter, phase_cols) -> tuple[str, int]:
     stall = 0
     last_objective = None
     for it in range(max(0, max_iter)):
-        reduced = cost[:phase_cols] - cost[basis] @ T[:, :phase_cols]
-        reduced[basis[basis < phase_cols]] = 0
+        reduced = cost - cost[basis] @ T[:, :-1]
+        reduced[basis] = 0
         candidates = np.flatnonzero(reduced < -eps)
         if candidates.size == 0:
             return OPTIMAL, it
@@ -220,17 +181,3 @@ def _pivot(T, row, col) -> None:
         T[start:start + _BLOCK] -= np.outer(factors[start:start + _BLOCK], pivot_row)
     T[:, col] = sc.make(0)
     T[row, col] = sc.make(1)
-
-
-def _evict_artificials(T, basis, real_cols) -> None:
-    """Pivot zero-value basic artificials onto real columns where possible."""
-    eps = _scalars(T).eps
-    for i in range(T.shape[0]):
-        if basis[i] < real_cols:
-            continue
-        nz = np.flatnonzero(np.abs(T[i, :real_cols]) > eps)
-        if nz.size:
-            _pivot(T, i, int(nz[0]))
-            basis[i] = int(nz[0])
-        # an all-zero row is a redundant constraint; leaving the artificial
-        # basic at value 0 is harmless because its column never re-enters

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -288,6 +289,17 @@ class TestSupportLP:
         result = polyconvex_support_lp(fn_top_power(), base,
                                        SamplerConfig(seed=2, trials=300))
         assert result.status == "certified" and result.slack <= 1e-9
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (8, 2)])
+    def test_surplus_start_certifies_norm_sq_at_zero(self, n, k):
+        # every rhs −|η|² is ≤ 0, so the LP starts at x = 0 with no slack
+        # entered, and with nonnegative costs that start is already optimal
+        result = polyconvex_support_lp(fn_norm_sq(n, k), KForm.zero(n, k, scalars.FLOAT),
+                                       SamplerConfig(seed=0, trials=100))
+        assert result.status == "certified"
+        assert repr(result.slack) == "0.0"
+        assert [c.coeffs for c in result.coefficients] == [
+            (0.0,) * math.comb(n, k * s) for s in range(1, n // k + 1)]
 
     def test_base_point_space_checked(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extconv.errors import DomainError
-from extconv.simplex import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
-                             minimize)
+from extconv.simplex import ITERATION_LIMIT, OPTIMAL, UNBOUNDED, minimize
+
+
+def exact(*values):
+    """The LP data as object arrays, which makes ``minimize`` solve exactly."""
+    return tuple(np.array(v, dtype=object) for v in values)
+
+
+def with_slack(A):
+    """A with an all-ones column appended: the uniform slack a positive rhs needs."""
+    return [list(row) + [1] for row in A]
 
 
 class TestFloatPath:
@@ -21,10 +31,6 @@ class TestFloatPath:
         assert r.status == OPTIMAL
         assert abs(r.objective - 5) < 1e-9
 
-    def test_infeasible(self):
-        r = minimize([1], [[1], [-1]], [2, -1])
-        assert r.status == INFEASIBLE
-
     def test_unbounded(self):
         r = minimize([-1], [[1]], [0])
         assert r.status == UNBOUNDED
@@ -38,16 +44,16 @@ class TestFloatPath:
         assert abs(r.objective + 0.05) < 1e-9
 
     def test_solution_satisfies_constraints(self):
-        A = [[2, 1], [1, 3], [-1, -1]]
+        A = with_slack([[2, 1], [1, 3], [-1, -1]])
         b = [4, 6, -10]
-        r = minimize([3, 2], A, b)
+        r = minimize([3, 2, 10], A, b)
         assert r.status == OPTIMAL
         for row, rhs in zip(A, b):
             assert sum(a * x for a, x in zip(row, r.x)) >= rhs - 1e-9
         assert all(x >= -1e-9 for x in r.x)
 
     def test_iteration_cap_reported(self):
-        r = minimize([1, 1], [[1, 0], [0, 1], [1, 1]], [1, 1, 3], max_iter=1)
+        r = minimize([1, 1, 2], with_slack([[1, 0], [0, 1], [1, 1]]), [1, 1, 3], max_iter=1)
         assert r.status == ITERATION_LIMIT
 
     def test_dimension_mismatch(self):
@@ -67,14 +73,15 @@ def assert_exact_optimum(r, c, A, b):
 
 class TestExactPath:
     def test_matches_float(self):
-        A = [[1, 2], [3, 1]]
+        A = with_slack([[1, 2], [3, 1]])
         b = [3, 4]
-        rf = minimize([1, 1], A, b)
-        rx = minimize([1, 1], A, b, exact=True)
+        c = [1, 1, 1]
+        rf = minimize(c, A, b)
+        rx = minimize(*exact(c, A, b))
         assert rx.status == OPTIMAL
         assert rx.objective == 2
         assert abs(rf.objective - 2) < 1e-9
-        assert_exact_optimum(rx, [1, 1], A, b)
+        assert_exact_optimum(rx, c, A, b)
 
     def test_exact_beale(self):
         A = [[Fraction(-1, 4), 60, Fraction(1, 25), -9],
@@ -82,29 +89,28 @@ class TestExactPath:
              [0, 0, -1, 0]]
         b = [0, 0, -1]
         c = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
-        r = minimize(c, A, b, exact=True)
+        r = minimize(*exact(c, A, b))
         assert r.status == OPTIMAL
         assert r.objective == Fraction(-1, 20)
         assert_exact_optimum(r, c, A, b)
 
-    def test_exact_infeasible(self):
-        r = minimize([0], [[1], [-1]], [3, -2], exact=True)
-        assert r.status == INFEASIBLE
-
     def test_exact_unbounded(self):
-        r = minimize([-1, 0], [[0, 1]], [0], exact=True)
+        r = minimize(*exact([-1, 0], [[0, 1]], [0]))
         assert r.status == UNBOUNDED
 
     def test_negative_rhs_only_needs_no_phase_one(self):
-        r = minimize([2, 1], [[-1, -1]], [-5], exact=True)
+        r = minimize(*exact([2, 1], [[-1, -1]], [-5]))
         assert r.status == OPTIMAL
         assert r.objective == 0
         assert_exact_optimum(r, [2, 1], [[-1, -1]], [-5])
 
 
-def with_slack(A):
-    """A with an all-ones column appended: the uniform slack of a warm start."""
-    return [list(row) + [1] for row in A]
+EXACT = pytest.mark.parametrize("exact_data", [False, True])
+
+
+def solve(exact_data, c, A, b):
+    """``minimize`` on float data, or exactly on the same data as object arrays."""
+    return minimize(*(exact(c, A, b) if exact_data else (c, A, b)))
 
 
 class TestWarmStart:
@@ -113,13 +119,13 @@ class TestWarmStart:
     b = [3, 4, -1]
     c = [1, 1, 1]
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_warm_equals_cold(self, exact):
-        cold = minimize(self.c, self.A, self.b, exact=exact)
-        warm = minimize(self.c, self.A, self.b, exact=exact, all_ones_var=2)
-        assert warm.status == cold.status == OPTIMAL
-        assert warm.objective == cold.objective
-        if exact:
+    @EXACT
+    def test_warm_equals_cold(self, exact_data):
+        # the optimum 2 sits at x1 = x2 = 1, t = 0, where the slack has left the basis
+        warm = solve(exact_data, self.c, self.A, self.b)
+        assert warm.status == OPTIMAL
+        assert abs(warm.objective - 2) < 1e-9
+        if exact_data:
             assert warm.objective == 2
             assert_exact_optimum(warm, self.c, self.A, self.b)
 
@@ -128,40 +134,53 @@ class TestWarmStart:
         A = with_slack([[1], [-2]])
         b = [1, 0]
         c = [0, 1]
-        warm = minimize(c, A, b, exact=True, all_ones_var=1)
+        warm = minimize(*exact(c, A, b))
         assert warm.x == [Fraction(1, 3), Fraction(2, 3)]
         assert warm.objective == Fraction(2, 3)
         assert_exact_optimum(warm, c, A, b)
-        cold = minimize(c, A, b, exact=True)
-        assert (cold.status, cold.x, cold.objective) == (warm.status, warm.x, warm.objective)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_warm_detects_unbounded(self, exact):
-        r = minimize([-1, 0], with_slack([[1]]), [2], exact=exact, all_ones_var=1)
+    @EXACT
+    def test_warm_detects_unbounded(self, exact_data):
+        r = solve(exact_data, [-1, 0], with_slack([[1]]), [2])
         assert r.status == UNBOUNDED
 
-    @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("ones", [1, 2])
-    def test_column_that_is_not_all_ones_is_rejected(self, exact, ones):
-        with pytest.raises(DomainError):
-            minimize([0, 1], [[1, 1], [1, 2]], [1, 1], exact=exact, all_ones_var=ones)
+    def test_detected_column_gives_exact_optimum(self):
+        # column 1 is the only all-ones column; it enters at the row of b = 2
+        c, A, b = [0, 1], [[1, 1], [2, 1]], [1, 2]
+        r = minimize(*exact(c, A, b))
+        assert r.objective == 0
+        assert_exact_optimum(r, c, A, b)
 
-    def test_negative_index_is_not_a_column(self):
-        # column -1 is all ones, but a warm start from it reported x = 0 as optimal
-        with pytest.raises(DomainError):
-            minimize([0, 1], [[1, 1], [2, 1]], [1, 2], all_ones_var=-1)
+    @EXACT
+    def test_last_all_ones_column_enters(self, exact_data):
+        # both columns are all ones; the start x = (0, 2) is already optimal
+        r = solve(exact_data, [0, 0], [[1, 1]], [2])
+        assert (r.status, r.x, r.iterations) == (OPTIMAL, [0, 2], 0)
+
+    @EXACT
+    @pytest.mark.parametrize("lp", [
+        ([1, 1], [[1, 2], [3, 1]], [3, 4]),   # feasible, optimum 2
+        ([1], [[1], [-1]], [2, -1]),          # infeasible
+    ], ids=["feasible", "infeasible"])
+    def test_positive_rhs_without_all_ones_column_is_rejected(self, exact_data, lp):
+        with pytest.raises(DomainError, match="all-ones column"):
+            solve(exact_data, *lp)
 
 
 def random_lps(count, seed=20071):
-    """Small integer LPs min c·x st A x ≥ b, x ≥ 0, half of them with a uniform slack."""
+    """Small integer LPs min c·x st A x ≥ b, x ≥ 0 that ``minimize`` accepts.
+
+    Half of them have b ≤ 0 and no all-ones column; the other half are the
+    same A with a uniform slack appended and any b.
+    """
     rng = random.Random(seed)
     for _ in range(count):
         m, nv = rng.randint(1, 6), rng.randint(1, 6)
         A = [[rng.randint(-4, 4) for _ in range(nv)] for _ in range(m)]
-        b = [rng.randint(-5, 5) for _ in range(m)]
+        A[0] = [2 if v == 1 else v for v in A[0]]   # so no column of A is all ones
         c = [rng.randint(-3, 3) for _ in range(nv)]
-        yield c, A, b, None
-        yield c + [rng.randint(0, 3)], with_slack(A), b, nv
+        yield c, A, [rng.randint(-5, 0) for _ in range(m)]
+        yield c + [rng.randint(0, 3)], with_slack(A), [rng.randint(-5, 5) for _ in range(m)]
 
 
 class TestAgainstHiGHS:
@@ -173,38 +192,37 @@ class TestAgainstHiGHS:
         A_ub = [[-a for a in row] for row in A]
         b_ub = [-v for v in b]
 
-        def solve(cost):
+        def highs(cost):
             return linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
 
-        # HiGHS's presolve can report an unbounded model as infeasible, so
-        # feasibility is decided by a solve with zero cost first
-        if solve([0] * len(c)).status == 2:
-            return INFEASIBLE, None
-        result = solve(c)
+        # every instance is feasible; HiGHS's presolve can still report an
+        # unbounded model as infeasible
+        assert highs([0] * len(c)).status == 0, (c, A, b)
+        result = highs(c)
         if result.status in (2, 3):
             return UNBOUNDED, None
         assert result.status == 0, result.message
         return OPTIMAL, result.fun
 
     def test_known_presolve_case_is_unbounded(self):
-        A = [[1, -4, -1, -4, -1, 1], [2, 3, 3, -1, 3, -1],
-             [0, 2, 3, 0, -3, 3], [-1, 0, -3, 0, -4, 1]]
+        A = with_slack([[1, -4, -1, -4, -1, 1], [2, 3, 3, -1, 3, -1],
+                        [0, 2, 3, 0, -3, 3], [-1, 0, -3, 0, -4, 1]])
         b = [-5, -2, 0, 4]
-        c = [0, -3, -2, -2, 3, -1]
+        c = [0, -3, -2, -2, 3, -1, 1]
         assert self.highs_reference(c, A, b) == (UNBOUNDED, None)
-        for exact in (False, True):
-            assert minimize(c, A, b, exact=exact).status == UNBOUNDED
+        for exact_data in (False, True):
+            assert solve(exact_data, c, A, b).status == UNBOUNDED
 
     def test_random_instances_agree(self):
         solves = 0
-        for c, A, b, ones in random_lps(300):
+        for c, A, b in random_lps(300):
             status, objective = self.highs_reference(c, A, b)
-            for exact in (False, True):
-                r = minimize(c, A, b, exact=exact, all_ones_var=ones)
-                assert r.status == status, (c, A, b, ones, exact)
+            for exact_data in (False, True):
+                r = solve(exact_data, c, A, b)
+                assert r.status == status, (c, A, b, exact_data)
                 if status == OPTIMAL:
                     assert float(r.objective) == pytest.approx(objective, rel=1e-9, abs=1e-9)
-                    if exact:
+                    if exact_data:
                         assert_exact_optimum(r, c, A, b)
                 solves += 1
         assert solves == 1200
