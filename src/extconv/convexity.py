@@ -302,15 +302,18 @@ class LineCrossCheck:
                 "tolerance": self.tolerance, "status": self.status}
 
 
+LIFT_POINTS_PER_LINE = 3
+LIFT_TOLERANCE = 1e-12      # float discrepancy allowed; the exact backend allows none
+
+
 def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
-                     backend: str = scalars.FLOAT,
-                     points_per_line: int = 3,
-                     tolerance: float = 1e-12) -> LineCrossCheck:
+                     backend: str = scalars.FLOAT) -> LineCrossCheck:
     """Compare f along wedge lines with its lift along the matched matrix lines.
 
-    The matched matrix line sits at right_inverse(xi) + t · alpha⊗beta; the
-    discrepancy is exactly zero algebraically, so anything beyond float
-    rounding is a sign fault somewhere in the projection path.
+    The matched matrix line sits at right_inverse(xi) + t · alpha⊗beta, and
+    each line is compared at ``LIFT_POINTS_PER_LINE`` points; the discrepancy
+    is exactly zero algebraically, so anything beyond float rounding is a sign
+    fault somewhere in the projection path.
     """
     scalars.check_backend(backend)
     exact = backend == scalars.EXACT
@@ -327,7 +330,7 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
         line = wedge(alpha, beta)
         base = right_inverse(xi)
         direction = tensor(alpha, beta)
-        for _ in range(points_per_line):
+        for _ in range(LIFT_POINTS_PER_LINE):
             if exact:
                 t = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
             else:
@@ -337,8 +340,8 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
                 gap = -gap
             if gap > worst:
                 worst = gap
-    ok = (worst == 0) if exact else (worst <= tolerance)
-    return LineCrossCheck(backend, cfg.trials, points_per_line, worst, tolerance,
+    ok = (worst == 0) if exact else (worst <= LIFT_TOLERANCE)
+    return LineCrossCheck(backend, cfg.trials, LIFT_POINTS_PER_LINE, worst, LIFT_TOLERANCE,
                           "pass" if ok else "fail")
 
 
@@ -389,23 +392,21 @@ def _random_forms(n: int, k: int, seed: int, indices, scale: float) -> np.ndarra
     return _stack([random_form(n, k, derive_rng(seed, j), scale) for j in indices])
 
 
-def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig,
-                    validation_samples: int | None = None) -> QuasiaffineFit:
+def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
     """Least-squares recovery of a wedge-power pairing representation.
 
     The design matrix stacks (1, ξ, ξ², ...) coefficient features over at
     least twice as many samples as unknowns; the reported residual is the
-    worst absolute error on a fresh validation sample, so a function that is
-    not a wedge-power pairing is rejected by a large residual rather than by a
-    fitted-but-meaningless coefficient vector.  Feature columns that vanish
-    identically on the sample (odd-degree powers) are pinned to zero instead of
-    being left floating.
+    worst absolute error on a fresh validation sample of max(trials, 50) forms,
+    so a function that is not a wedge-power pairing is rejected by a large
+    residual rather than by a fitted-but-meaningless coefficient vector.
+    Feature columns that vanish identically on the sample (odd-degree powers)
+    are pinned to zero instead of being left floating.
     """
     n, k = f.n, f.k
     unknowns = 1 + sum(_power_dims(n, k))
     nsamples = max(cfg.trials, 2 * unknowns)
-    if validation_samples is None:
-        validation_samples = max(cfg.trials, 50)
+    validation_samples = max(cfg.trials, 50)
 
     spread = cfg.coeff_range
     for attempt in range(3):

@@ -40,6 +40,10 @@ class FormFunction:
     __slots__ = ("n", "k", "expr", "_rows")
 
     def __init__(self, n: int, k: int, expr):
+        # every convexity campaign samples a function, so this one check
+        # keeps them all off spaces with no nonzero forms
+        if not 1 <= k <= n:
+            raise DomainError(f"functions on degree-k forms need 1 ≤ k ≤ n, got k={k}, n={n}")
         self.n = n
         self.k = k
         self.expr = expr

@@ -5,20 +5,20 @@
 outer products to wedge products and gradients to exterior derivatives, and it
 is onto, with ``right_inverse`` as a sign-free section.  Its coefficient rule
 is one cached table per (n, k), read by ``project``, ``project_rows``,
-``right_inverse`` and ``polyform.project_polynomial``; the order-1 partition
-plan reaches the same map by its own route.
+``right_inverse`` and ``polyform.project_polynomial``; the order-1 power map
+reaches the same map by its own route.
 
 For even k the s-th wedge power of a projected matrix is a signed sum of
 order-s minors.  The block partitions and interlace signs of that sum are
-enumerated once per (n, k, s) into a cached partition plan: for each
-degree-k·s target, a flat run of (minor cell, sign) pairs in the minor-table
-layout.  ``wedge_power_from_minors`` evaluates the plan on demand, taking only
-the minors it names; ``minor_power_map`` stores the same plan as a sparse
-linear map from minor space to degree-k·s forms; and ``pullback_support`` is
-that map's transpose, built by its own enumeration so that the adjointness
-check keeps an independent route.  For odd k (any power ≥ 2) and for powers
-beyond n/k the maps are identically zero and the fast paths return zero
-without touching minors.
+enumerated once per (n, k, s) into one cached sparse linear map,
+``minor_power_map``: for each degree-k·s target, a flat run of (minor cell,
+sign) pairs in the shared minor-table layout (``shapespace.minor_layout``).
+``MinorPowerMap.apply`` and ``wedge_power_from_minors`` walk it the same way,
+the first reading a minor table, the second taking each minor it names as a
+determinant on demand; and ``pullback_support`` is the map's transpose, built
+by its own enumeration so that the adjointness check keeps an independent
+route.  For odd k (any power ≥ 2) and for powers beyond n/k the maps are
+identically zero and the fast paths return zero without touching minors.
 
 All interlace signs here use the append convention (index written after its
 block); see the multiindex module for why the expansion needs that variant.
@@ -38,7 +38,7 @@ from .errors import DomainError
 from .exterior import KForm, ordered_sum
 from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                          sign_interlace_append)
-from .shapespace import MinorTable, ShapeMatrix, det
+from .shapespace import MinorTable, ShapeMatrix, det, minor_layout
 
 
 @lru_cache(maxsize=None)
@@ -107,156 +107,111 @@ def right_inverse(x: KForm) -> ShapeMatrix:
     return ShapeMatrix(n, k, [entries[r:r + n] for r in range(0, len(entries), n)], x.backend)
 
 
-def _power_degree_checks(n: int, k: int, s: int) -> None:
-    limit = min(n, math.comb(n, k - 1))
-    if not 2 <= s <= limit:
-        raise DomainError(f"power order {s} out of range 2..{limit}")
+class MinorPowerMap(NamedTuple):
+    """Linear map from order-s minor space to degree-k·s forms, stored sparsely.
 
-
-class _PartitionPlan(NamedTuple):
-    """The signed block partitions of every degree-k·s target, in minor-table cells.
-
-    ``row_sets`` and ``col_sets`` are the order-s selections in ``MinorTable``
-    order; cell c is row set c // len(col_sets), column set
-    c % len(col_sets).  ``targets`` holds one flat tuple (cell, sign, cell,
-    sign, …) per degree-k·s multiindex in alphabetical order, the cells in
-    ``block_partitions`` order and the signs the append interlace signs.
+    Matrix rows follow the degree-k·s basis; columns are the cells of
+    ``minor_layout(n, k, s)``, row-set-major.  Each of ``rows`` is a flat tuple
+    (cell, sign, cell, sign, …) in increasing cell order, the signs being the
+    append interlace signs of the target's block partitions; the coefficient
+    of a cell is s!·sign.  Rows are empty for odd k with s ≥ 2, and there are
+    none beyond degree n.  ``entries`` is a dense view, built on each access.
     """
 
-    row_sets: tuple[tuple[int, ...], ...]
-    col_sets: tuple[tuple[int, ...], ...]
-    targets: tuple[tuple[int, ...], ...]
+    n: int
+    k: int
+    s: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        row_sets, col_sets = minor_layout(self.n, self.k, self.s)
+        return len(self.rows), len(row_sets) * len(col_sets)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, rebuilt on each access."""
+        factor = math.factorial(self.s)
+        ncells = self.shape[1]
+        dense = []
+        for row in self.rows:
+            full = [0] * ncells
+            for cell, sign in zip(row[::2], row[1::2]):
+                full[cell] = factor * sign
+            dense.append(tuple(full))
+        return tuple(dense)
+
+    def apply(self, table: MinorTable) -> KForm:
+        """The image of a minor table in this map's space."""
+        if (table.n, table.k, table.s) != (self.n, self.k, self.s):
+            raise DomainError(f"table space ({table.n},{table.k},{table.s}) does not match "
+                              f"map space ({self.n},{self.k},{self.s})")
+        values, ncols = table.values, len(table.col_sets)
+        return _expand(self, lambda cell: values[cell // ncols][cell % ncols], table.backend)
+
+
+def _expand(power_map: MinorPowerMap, minor, backend: str) -> KForm:
+    """Σ sign·minor(cell) along each row of the map, in cell order, times s! once."""
+    zero = scalars.zero(backend)
+    factor = math.factorial(power_map.s)
+    out = []
+    for row in power_map.rows:
+        acc = zero
+        for cell, sign in zip(row[::2], row[1::2]):
+            value = minor(cell)
+            acc = acc + value if sign > 0 else acc - value
+        out.append(factor * acc)
+    return KForm(power_map.n, power_map.k * power_map.s, out, backend)
 
 
 @lru_cache(maxsize=None)
-def _partition_plan(n: int, k: int, s: int) -> _PartitionPlan:
-    """The partition plan of the order-s expansion (order 1 is the projection).
-
-    Targets carry no cells where the power vanishes identically (odd k with
-    s ≥ 2), and there are none beyond degree n.
-    """
-    row_sets = tuple(itertools.combinations(range(math.comb(n, k - 1)), s))
-    col_sets = tuple(itertools.combinations(range(n), s))
+def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
+    """The order-s power map, built once per (n, k, s); order 1 is the projection."""
+    row_sets, col_sets = minor_layout(n, k, s)
     multiindices = enumerate_multiindices(n, k * s) if k * s <= n else []
     if s >= 2 and k % 2 == 1:
-        return _PartitionPlan(row_sets, col_sets, ((),) * len(multiindices))
+        return MinorPowerMap(n, k, s, ((),) * len(multiindices))
     row_index = {rs: i for i, rs in enumerate(row_sets)}
     col_index = {cs: i for i, cs in enumerate(col_sets)}
     ncols = len(col_sets)
     label_rank = {mi.indices: i for i, mi in enumerate(enumerate_multiindices(n, k - 1))}
-    targets = []
+    rows = []
     for K in multiindices:
-        terms: list[int] = []
+        terms = []
         for part in block_partitions(K, s, k):
             # blocks come in alphabetical order, so their ranks increase
             rs = tuple(label_rank[b.indices] for b in part.blocks)
             cs = tuple(j - 1 for j in part.J.indices)
-            terms += (row_index[rs] * ncols + col_index[cs],
-                      sign_interlace_append(part.J.indices, part.blocks))
-        targets.append(tuple(terms))
-    return _PartitionPlan(row_sets, col_sets, tuple(targets))
+            terms.append((row_index[rs] * ncols + col_index[cs],
+                          sign_interlace_append(part.J.indices, part.blocks)))
+        rows.append(tuple(v for term in sorted(terms) for v in term))
+    return MinorPowerMap(n, k, s, tuple(rows))
 
 
 def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
     """Evaluate the s-th wedge power of project(X) from its order-s minors.
 
-    Walks the cached partition plan and takes the determinant of exactly the
-    submatrices it names, each once (a cell fixes its target, so no minor
+    Applies the cached power map, taking the determinant of exactly the
+    submatrices its rows name, each once (a cell fixes its target, so no minor
     recurs), instead of building the full minor table.  Zero without
     computing minors when k is odd or s exceeds n/k.
     """
     n, k = X.n, X.k
-    _power_degree_checks(n, k, s)
+    limit = min(n, math.comb(n, k - 1))
+    if not 2 <= s <= limit:
+        raise DomainError(f"power order {s} out of range 2..{limit}")
     if k % 2 == 1 or s > n // k:
         return KForm.zero(n, k * s, X.backend)
-    plan = _partition_plan(n, k, s)
-    row_sets, col_sets = plan.row_sets, plan.col_sets
+    row_sets, col_sets = minor_layout(n, k, s)
     ncols = len(col_sets)
     entries = X.entries
-    factor = math.factorial(s)
-    out = []
-    for terms in plan.targets:
-        acc = scalars.zero(X.backend)
-        for cell, sign in zip(terms[::2], terms[1::2]):
-            ri, ci = divmod(cell, ncols)
-            cols = col_sets[ci]
-            minor = det([[entries[r][c] for c in cols] for r in row_sets[ri]])
-            acc += minor if sign > 0 else -minor
-        out.append(factor * acc)
-    return KForm(n, k * s, out, X.backend)
 
+    def minor(cell):
+        ri, ci = divmod(cell, ncols)
+        cols = col_sets[ci]
+        return det([[entries[r][c] for c in cols] for r in row_sets[ri]])
 
-class MinorPowerMap:
-    """Linear map from order-s minor space to degree-k·s forms, stored sparsely.
-
-    Matrix rows follow the degree-k·s basis; columns flatten minor cells
-    row-set-major.  Only the nonzero entries are kept: for each row a flat
-    tuple (cell, coefficient, …) in increasing cell order, the coefficient
-    being s!·(append interlace sign) on the cells of the partition plan.  The
-    whole matrix is zero for odd k or s beyond n/k.  ``entries`` is a dense
-    read-only view, built on each access.
-    """
-
-    __slots__ = ("n", "k", "s", "ncells", "rows")
-
-    def __init__(self, n: int, k: int, s: int, rows: tuple[tuple[int, ...], ...],
-                 ncells: int):
-        self.n, self.k, self.s = n, k, s
-        self.rows = rows
-        self.ncells = ncells
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), self.ncells
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The dense matrix, rebuilt on each access."""
-        dense = []
-        for row in self.rows:
-            full = [0] * self.ncells
-            for cell, coeff in zip(row[::2], row[1::2]):
-                full[cell] = coeff
-            dense.append(tuple(full))
-        return tuple(dense)
-
-    def apply(self, table: MinorTable | None = None, scalar=None) -> KForm:
-        """Apply to a minor table (or, at order 0, to a plain scalar)."""
-        if self.s == 0:
-            if scalar is None:
-                raise DomainError("the order-0 map applies to a scalar")
-            backend = scalars.FLOAT if isinstance(scalar, float) else scalars.EXACT
-            return KForm(self.n, 0, [scalar], backend)
-        if table is None:
-            raise DomainError("missing minor table")
-        if (table.n, table.k, table.s) != (self.n, self.k, self.s):
-            raise DomainError(f"table space ({table.n},{table.k},{table.s}) does not match "
-                              f"map space ({self.n},{self.k},{self.s})")
-        values = table.values
-        ncols = len(table.col_sets)
-        out = []
-        for row in self.rows:
-            acc = scalars.zero(table.backend)
-            for cell, coeff in zip(row[::2], row[1::2]):
-                ri, ci = divmod(cell, ncols)
-                acc += coeff * values[ri][ci]
-            out.append(acc)
-        return KForm(self.n, self.k * self.s, out, table.backend)
-
-
-def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
-    """The order-s power map; order 1 is the projection, order 0 identity."""
-    if s == 0:
-        return MinorPowerMap(n, k, 0, ((0, 1),), 1)
-    if s != 1:
-        _power_degree_checks(n, k, s)
-    plan = _partition_plan(n, k, s)
-    factor = math.factorial(s)
-    rows = []
-    for terms in plan.targets:
-        pairs = sorted(zip(terms[::2], terms[1::2]))
-        rows.append(tuple(v for cell, sign in pairs for v in (cell, factor * sign)))
-    return MinorPowerMap(n, k, s, tuple(rows), len(plan.row_sets) * len(plan.col_sets))
+    return _expand(minor_power_map(n, k, s), minor, X.backend)
 
 
 def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:

@@ -5,7 +5,10 @@ A shape matrix for degree k on R^n has one row per length-(k−1) multiindex
 minor table collects every s×s minor, with both the row selection and the
 column selection taken in increasing order: plain determinants, no cofactor
 sign layer — all signs in the wedge-power expansion are carried explicitly by
-the interlace sign, keeping a single canonical sign location.
+the interlace sign, keeping a single canonical sign location.  The layout of
+those selections is enumerated once per (n, k, s), by ``minor_layout``, and
+shared by every minor table, by ``adjugate`` and by the projection's power
+maps.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import scalars
@@ -119,38 +123,49 @@ def tensor(a: KForm, b) -> ShapeMatrix:
     return ShapeMatrix(a.n, a.k + 1, rows, a.backend)
 
 
+@lru_cache(maxsize=None)
+def minor_layout(n: int, k: int, s: int) -> tuple[tuple[tuple[int, ...], ...],
+                                                 tuple[tuple[int, ...], ...]]:
+    """The order-s minor layout (row sets, column sets), built once per (n, k, s).
+
+    Row sets are the s-subsets of the C(n, k−1) row positions, column sets the
+    s-subsets of the n column positions, both 0-based and lexicographic.  Cell
+    c of a table in this layout is row set c // len(col_sets), column set
+    c % len(col_sets).
+    """
+    nrows = math.comb(n, k - 1)
+    if not 1 <= s <= min(n, nrows):
+        raise DomainError(f"minor order {s} out of range 1..{min(n, nrows)}")
+    return (tuple(itertools.combinations(range(nrows), s)),
+            tuple(itertools.combinations(range(n), s)))
+
+
 class MinorTable:
     """All order-s minors of a shape matrix (or any table in that layout).
 
-    Rows are the s-subsets of row positions, columns the s-subsets of column
-    positions, both 0-based internally and enumerated lexicographically.
+    Rows are the row sets and columns the column sets of ``minor_layout``,
+    which every table of one (n, k, s) shares.
     """
 
-    __slots__ = ("n", "k", "s", "backend", "row_sets", "col_sets", "values",
-                 "_row_index", "_col_index")
+    __slots__ = ("n", "k", "s", "backend", "row_sets", "col_sets", "values")
 
     def __init__(self, n: int, k: int, s: int, values: Sequence[Sequence],
                  backend: str = scalars.EXACT):
-        nrows = math.comb(n, k - 1)
-        if not 1 <= s <= min(n, nrows):
-            raise DomainError(f"order {s} out of range 1..{min(n, nrows)}")
+        self.row_sets, self.col_sets = minor_layout(n, k, s)
         scalars.check_backend(backend)
         self.n, self.k, self.s, self.backend = n, k, s, backend
-        self.row_sets = tuple(itertools.combinations(range(nrows), s))
-        self.col_sets = tuple(itertools.combinations(range(n), s))
         values = tuple(tuple(scalars.coerce(v, backend) for v in row) for row in values)
         if len(values) != len(self.row_sets) or any(len(r) != len(self.col_sets) for r in values):
             raise DomainError(f"expected a {len(self.row_sets)}×{len(self.col_sets)} value array")
         self.values = values
-        self._row_index = {rs: i for i, rs in enumerate(self.row_sets)}
-        self._col_index = {cs: i for i, cs in enumerate(self.col_sets)}
 
     def value(self, row_set: Sequence[int], col_set: Sequence[int]):
         """Value at 0-based row-position and column-position subsets."""
         try:
-            return self.values[self._row_index[tuple(row_set)]][self._col_index[tuple(col_set)]]
-        except KeyError as exc:
+            ri, ci = self.row_sets.index(tuple(row_set)), self.col_sets.index(tuple(col_set))
+        except ValueError as exc:
             raise DomainError(f"no cell for rows {tuple(row_set)}, cols {tuple(col_set)}") from exc
+        return self.values[ri][ci]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MinorTable):
@@ -244,21 +259,17 @@ def _exact_div(num, den):
 
 def adjugate(X: ShapeMatrix, s: int) -> MinorTable:
     """The order-s minor table of X; order 1 is X itself."""
-    nrows = math.comb(X.n, X.k - 1)
-    if not 1 <= s <= min(X.n, nrows):
-        raise DomainError(f"minor order {s} out of range 1..{min(X.n, nrows)}")
+    row_sets, col_sets = minor_layout(X.n, X.k, s)
     entries = X.entries
     values = []
     if s == 1:
-        values = [[entries[r][c] for c in range(X.n)] for r in range(nrows)]
+        values = entries
     elif s == 2:
-        col_sets = tuple(itertools.combinations(range(X.n), 2))
-        for r0, r1 in itertools.combinations(range(nrows), 2):
+        for r0, r1 in row_sets:
             top, bot = entries[r0], entries[r1]
             values.append([top[c0] * bot[c1] - top[c1] * bot[c0] for c0, c1 in col_sets])
     else:
-        col_sets = tuple(itertools.combinations(range(X.n), s))
-        for row_set in itertools.combinations(range(nrows), s):
+        for row_set in row_sets:
             picked = [entries[r] for r in row_set]
             values.append([det([[row[c] for c in col_set] for row in picked])
                            for col_set in col_sets])

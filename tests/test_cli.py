@@ -276,6 +276,18 @@ class TestBadInputExits2:
     def test_degree_outside_shape_space_exits_2(self, capsys, n, k):
         self.assert_usage_error(capsys, "verify-formula", "--n", n, "--k", k, "--s", "1")
 
+    @pytest.mark.parametrize("n,k", [(4, 0), (4, -1), (-2, 2), (0, 1), (4, 5)])
+    @pytest.mark.parametrize("command", [
+        ("support-lp", "--trials", "20"),
+        ("fit-quasiaffine", "--trials", "20"),
+        ("check-convexity", "--mode", "one-convex", "--trials", "5"),
+        ("check-convexity", "--mode", "one-affine", "--trials", "5"),
+    ])
+    def test_function_degree_outside_1_to_n_exits_2(self, capsys, tmp_path, command, n, k):
+        path = write_json(tmp_path, "fn.json",
+                          {"n": n, "k": k, "expr": {"op": "norm_sq", "arg": "xi"}})
+        self.assert_usage_error(capsys, command[0], "--input", path, *command[1:])
+
     def test_malformed_wedge_power_input_exits_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "f.json", {"n": 4, "k": 2})
         self.assert_usage_error(capsys, "wedge-power", "--input", path, "--s", "2")

@@ -357,6 +357,17 @@ class TestErrorPaths:
             polyconvex_support_lp(fn_top_power(), KForm.zero(4, 2, scalars.FLOAT),
                                   SamplerConfig(seed=0, trials=20))
 
+    @pytest.mark.parametrize("n,k", [(4, 0), (4, -1), (-2, 2), (0, 1), (4, 5)])
+    @pytest.mark.parametrize("campaign", [
+        check_ext_one_convex, check_ext_one_affine, fit_quasiaffine, cross_check_lift,
+        lambda f, cfg: polyconvex_support_lp(f, KForm.zero(4, 2, scalars.FLOAT), cfg),
+    ])
+    def test_degree_outside_1_to_n_rejected(self, campaign, n, k):
+        # a space with no nonzero forms, or no forms at all, has nothing to sample
+        with pytest.raises(DomainError):
+            campaign(FormFunction(n, k, {"op": "norm_sq", "arg": "xi"}),
+                     SamplerConfig(seed=0, trials=5))
+
 
 class TestImplicationChain:
     def test_no_function_certified_and_one_convex_refuted(self):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,14 +196,35 @@ class TestLazyMinors:
     def test_plan_cells_are_distinct(self, n, k, s):
         # a cell fixes its blocks and subscripts, hence its target, so no
         # minor is read twice in one expansion
-        plan = projection._partition_plan(n, k, s)
-        cells = [cell for terms in plan.targets for cell in terms[::2]]
+        pm = minor_power_map(n, k, s)
+        cells = [cell for row in pm.rows for cell in row[::2]]
         assert len(cells) == len(set(cells))
-        assert {sign for terms in plan.targets for sign in terms[1::2]} <= {-1, 1}
-        assert len(plan.targets) == math.comb(n, k * s)
+        assert {sign for row in pm.rows for sign in row[1::2]} <= {-1, 1}
+        assert len(pm.rows) == math.comb(n, k * s)
+        assert all(list(row[::2]) == sorted(row[::2]) for row in pm.rows)
 
     def test_plan_is_cached(self):
-        assert projection._partition_plan(8, 2, 4) is projection._partition_plan(8, 2, 4)
+        assert minor_power_map(8, 2, 4) is minor_power_map(8, 2, 4)
+
+    def test_cached_map_cannot_be_mutated(self):
+        pm = minor_power_map(4, 2, 2)
+        for name in ("n", "k", "s", "rows"):
+            with pytest.raises(AttributeError):
+                setattr(pm, name, None)
+        assert isinstance(pm.rows, tuple) and all(isinstance(row, tuple) for row in pm.rows)
+        with pytest.raises(TypeError):
+            pm.rows[0][0] = 1
+
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 4, 2), (9, 2, 3)])
+    def test_float_routes_bit_identical(self, n, k, s):
+        # both routes run one walk over the same cells with the same minors
+        rng = random.Random(24)
+        pm = minor_power_map(n, k, s)
+        for _ in range(5):
+            X = ShapeMatrix(n, k, [[rng.uniform(-2.0, 2.0) for _ in range(n)]
+                                   for _ in range(math.comb(n, k - 1))], scalars.FLOAT)
+            lazy, full = wedge_power_from_minors(X, s), pm.apply(adjugate(X, s))
+            assert [v.hex() for v in lazy.coeffs] == [v.hex() for v in full.coeffs]
 
 
 def stored_cells(power_map):
@@ -212,9 +232,11 @@ def stored_cells(power_map):
 
 
 class TestMinorPowerMap:
-    def test_order_zero_identity(self):
-        out = minor_power_map(4, 2, 0).apply(scalar=Fraction(5))
-        assert out == KForm(4, 0, [5])
+    def test_order_zero_rejected(self):
+        # order 0 is out of range like any other order outside 1..min(n, C(n,k−1))
+        for s in (0, -1, 5):
+            with pytest.raises(DomainError):
+                minor_power_map(4, 2, s)
 
     def test_order_one_is_projection(self):
         rng = random.Random(12)
@@ -264,7 +286,6 @@ class TestMinorPowerMap:
         assert pm.apply(M) == KForm(10, 6, expected)
 
     def test_low_orders_are_sparse(self):
-        assert stored_cells(minor_power_map(4, 2, 0)) == 1
         pm = minor_power_map(5, 3, 1)
         assert stored_cells(pm) == 3 * math.comb(5, 3)
         assert pm.shape == (math.comb(5, 3), math.comb(5, 2) * 5)
@@ -326,11 +347,11 @@ class TestPullbackSupport:
 
     def test_routes_independent_of_partition_plan(self, monkeypatch):
         # the adjointness and wedge-power checks compare against these routes,
-        # so they must not run the plan under test
+        # so they must not run the power map under test
         def forbidden(*args):
             raise AssertionError("partition plan used")
 
-        monkeypatch.setattr(projection, "_partition_plan", forbidden)
+        monkeypatch.setattr(projection, "minor_power_map", forbidden)
         rng = random.Random(23)
         tables = pullback_support([rand_exact_form(6, 2, rng), rand_exact_form(6, 4, rng),
                                    rand_exact_form(6, 6, rng)])

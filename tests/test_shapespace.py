@@ -7,7 +7,8 @@ import pytest
 
 from extconv.errors import DomainError
 from extconv.exterior import KForm
-from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, det, table_inner, tensor
+from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, det, minor_layout,
+                                table_inner, tensor)
 
 from oracles import laplace_residual, perm_det, rand_exact
 
@@ -198,6 +199,13 @@ class TestMinorTable:
         expected = sum(a.value(rs, cs) * b.value(rs, cs)
                        for rs in a.row_sets for cs in a.col_sets)
         assert table_inner(a, b) == expected
+
+    def test_tables_of_one_space_share_one_layout(self):
+        rng = random.Random(15)
+        a = adjugate(rand_int_matrix(5, 2, rng), 3)
+        b = MinorTable(5, 2, 3, [[0] * len(a.col_sets) for _ in a.row_sets])
+        row_sets, col_sets = minor_layout(5, 2, 3)
+        assert a.row_sets is b.row_sets is row_sets and a.col_sets is b.col_sets is col_sets
 
     def test_unknown_cell_rejected(self):
         rng = random.Random(13)
