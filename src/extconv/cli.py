@@ -101,7 +101,11 @@ def cmd_verify_formula(args) -> int:
 
 
 def cmd_convexity(args) -> int:
-    """check-convexity; fit-quasiaffine and support-lp each fix ``mode``."""
+    """check-convexity; fit-quasiaffine and support-lp each fix ``mode``, and a
+    flag that only another mode reads is a usage error, not ignored."""
+    for flag, mode in (("base", "poly-lp"), ("fit_tolerance", "quasiaffine-fit")):
+        if getattr(args, flag, None) is not None and args.mode != mode:
+            raise DomainError(f"--{flag.replace('_', '-')} is read only by --mode {mode}")
     fn = FormFunction.from_json(_load_json(args.input))
     cfg = SamplerConfig(seed=args.seed, trials=args.trials, coeff_range=args.range,
                         step=args.step, tolerance=args.tolerance)
@@ -110,18 +114,19 @@ def cmd_convexity(args) -> int:
         verdict = check(fn, cfg)
         report, code = verdict.to_json(), EXIT_PASS if verdict.status == "pass" else EXIT_FAIL
     elif args.mode == "quasiaffine-fit":
-        if not 0 <= args.fit_tolerance < math.inf:
+        fit_tolerance = 1e-8 if args.fit_tolerance is None else args.fit_tolerance
+        if not 0 <= fit_tolerance < math.inf:
             raise DomainError(f"--fit-tolerance must be nonnegative and finite, "
-                              f"got {args.fit_tolerance!r}")
+                              f"got {fit_tolerance!r}")
         fit = fit_quasiaffine(fn, cfg)
         report, code = fit.to_json(), EXIT_ERROR
-        report["fit_tolerance"] = args.fit_tolerance
+        report["fit_tolerance"] = fit_tolerance
         if fit.status == "ok":
-            ok = fit.validation_residual <= args.fit_tolerance
+            ok = fit.validation_residual <= fit_tolerance
             report["status"] = "ok" if ok else "rejected"
             code = EXIT_PASS if ok else EXIT_FAIL
     else:
-        base = (KForm.from_json(_load_json(args.base), scalars.FLOAT) if args.base
+        base = (KForm.from_json(_load_json(args.base), scalars.FLOAT) if args.base is not None
                 else KForm.zero(fn.n, fn.k, scalars.FLOAT))
         search = polyconvex_support_lp(fn, base, cfg)
         report = search.to_json()
@@ -187,15 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=["one-convex", "one-affine", "quasiaffine-fit", "poly-lp"])
     _add_sampler_flags(p)
-    p.add_argument("--base", help="base-point KForm JSON (poly-lp)")
-    p.add_argument("--fit-tolerance", type=float, default=1e-8,
-                   help="acceptance threshold on the fit validation residual")
+    p.add_argument("--base", help="base-point KForm JSON (poly-lp only)")
+    p.add_argument("--fit-tolerance", type=float, help="acceptance threshold on the fit "
+                   "validation residual (quasiaffine-fit only; default 1e-8)")
     p.set_defaults(func=cmd_convexity)
 
     p = sub.add_parser("fit-quasiaffine", help="recover wedge-power pairing coefficients")
     _add_io_flags(p, backend=False)
     _add_sampler_flags(p, trials=200)
-    p.add_argument("--fit-tolerance", type=float, default=1e-8)
+    p.add_argument("--fit-tolerance", type=float, help="default 1e-8")
     p.set_defaults(func=cmd_convexity, mode="quasiaffine-fit")
 
     p = sub.add_parser("support-lp", help="supporting-coefficient LP search")

@@ -22,12 +22,12 @@ The checks implemented here:
 
 Every trial still draws from its own stream ``derive_rng(seed, trial)``; the
 draws are then stacked, one form or flattened matrix per row, and the wedge
-powers and f run once per stack through the row-batched float kernels
+powers and f run once per stack through the row kernels typed by its dtype
 (``exterior.wedge_rows``, ``FormFunction.evaluate_rows``, and for a lift
-``projection.project_rows``); wedge lines and rank-one lines share one scan.
-A row's result does not depend on the stack it sits in, so ``replay_witness``
-runs the same kernel on one row and reproduces the scan's second difference
-exactly.
+``projection.project_rows``); wedge lines and rank-one lines share one scan,
+and the lift cross-check is one stacked pass in either backend.  A row's
+result does not depend on its stack, so ``replay_witness`` runs the same
+kernel on one row and reproduces the scan's second difference exactly.
 
 Line verdicts judge the curvature d2/h² of the second difference d2 against
 the tolerance plus a rounding floor, after Nocedal & Wright, *Numerical
@@ -52,12 +52,12 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError, LPInternalError
-from .exterior import KForm, ordered_sum, scalar_product, wedge, wedge_power, wedge_rows
+from .exterior import KForm, ordered_sum, scalar_product, wedge_power, wedge_rows
 from .functions import FormFunction
 from .projection import project, project_rows, right_inverse
 from .sampling import (derive_rng, random_exact_form, random_form, random_line,
                        random_matrix)
-from .shapespace import ShapeMatrix, tensor
+from .shapespace import ShapeMatrix
 from . import simplex
 
 
@@ -162,8 +162,8 @@ def _line_judgement(f, xi: np.ndarray, direction: np.ndarray, t: np.ndarray, h: 
 
 def _stack(items: Sequence[KForm | ShapeMatrix]) -> np.ndarray:
     """One float row per form (its coefficients) or matrix (its entries, row-major)."""
-    return np.array([x.entries if isinstance(x, ShapeMatrix) else x.coeffs for x in items],
-                    dtype=float).reshape(len(items), -1)
+    return scalars.stack([x.entries if isinstance(x, ShapeMatrix) else x.coeffs for x in items],
+                         scalars.FLOAT)
 
 
 def _scan(f, cfg: SamplerConfig, mode: str, draw: Callable, direction: Callable,
@@ -229,9 +229,7 @@ class LiftedFunction:
     __slots__ = ("f", "n", "k")
 
     def __init__(self, f: FormFunction):
-        self.f = f
-        self.n = f.n
-        self.k = f.k
+        self.f, self.n, self.k = f, f.n, f.k
 
     def __call__(self, X: ShapeMatrix):
         if (X.n, X.k) != (self.n, self.k):
@@ -240,7 +238,7 @@ class LiftedFunction:
         return self.f(project(X))
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The lift on each row; a row's value equals the lift of its matrix bit for bit."""
+        """The lift on each row, exact on an object stack; bit for bit its matrix's lift."""
         with scalars.float_guard("lifted value"):
             return self.f.evaluate_rows(project_rows(self._checked(rows), self.n, self.k))
 
@@ -256,11 +254,8 @@ class LiftedFunction:
                 np.repeat(bound[:, None], math.comb(self.n, self.k), axis=1))
 
     def _checked(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != math.comb(self.n, self.k - 1) * self.n:
-            raise DomainError(f"expected rows of ({self.n},{self.k}) matrix entries, "
-                              f"got shape {rows.shape}")
-        return rows
+        return scalars.checked_rows(rows, math.comb(self.n, self.k - 1) * self.n,
+                                    f"({self.n},{self.k}) matrix entries")
 
 
 def lift(f: FormFunction) -> LiftedFunction:
@@ -310,36 +305,35 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
                      backend: str = scalars.FLOAT) -> LineCrossCheck:
     """Compare f along wedge lines with its lift along the matched matrix lines.
 
-    The matched matrix line sits at right_inverse(xi) + t · alpha⊗beta, and
-    each line is compared at ``LIFT_POINTS_PER_LINE`` points; the discrepancy
-    is exactly zero algebraically, so anything beyond float rounding is a sign
-    fault somewhere in the projection path.
+    Each trial draws ξ, α, β and ``LIFT_POINTS_PER_LINE`` values of t from its
+    own stream; then f runs once on the stacked wedge lines ξ + t·(α∧β), and
+    the lift on the matrix lines right_inverse(ξ) + t·(α⊗β).  Only the lift
+    sums the projection table's signs, and the discrepancy is exactly zero
+    algebraically, so anything beyond float rounding is a sign fault in the
+    projection path.  Both backends take this one path in their own dtype.
     """
     scalars.check_backend(backend)
     exact = backend == scalars.EXACT
-    F = lift(f)
-    worst = scalars.zero(backend)
+    n, k, r = f.n, f.k, cfg.coeff_range
+    draws, ts = [], []
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.seed, trial)
         if exact:
-            xi = random_exact_form(f.n, f.k, rng)
-            alpha, beta = random_line(f.n, f.k, rng, cfg.coeff_range, exact=True)
+            draws.append((random_exact_form(n, k, rng), *random_line(n, k, rng, r, exact=True)))
+            ts.append([Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                       for _ in range(LIFT_POINTS_PER_LINE)])
         else:
-            xi = random_form(f.n, f.k, rng, cfg.coeff_range)
-            alpha, beta = random_line(f.n, f.k, rng, cfg.coeff_range)
-        line = wedge(alpha, beta)
-        base = right_inverse(xi)
-        direction = tensor(alpha, beta)
-        for _ in range(LIFT_POINTS_PER_LINE):
-            if exact:
-                t = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-            else:
-                t = rng.uniform(-1.0, 1.0)
-            gap = f(xi + line.scale(t)) - F(base + direction.scale(t))
-            if gap < 0:
-                gap = -gap
-            if gap > worst:
-                worst = gap
+            draws.append((random_form(n, k, rng, r), *random_line(n, k, rng, r)))
+            ts.append([rng.uniform(-1.0, 1.0) for _ in range(LIFT_POINTS_PER_LINE)])
+    xi, alpha, beta = (scalars.stack([d[i].coeffs for d in draws], backend) for i in range(3))
+    t = scalars.stack(ts, backend).T[:, :, None]        # points × trials × 1
+    base = scalars.stack([right_inverse(d[0]).entries for d in draws], backend)
+    with scalars.float_guard("lift cross-check"):
+        line = (xi + t * wedge_rows(alpha, beta, n, k - 1, 1)).reshape(-1, xi.shape[1])
+        outer = (alpha[:, :, None] * beta[:, None, :]).reshape(cfg.trials, -1)
+        matrix = (base + t * outer).reshape(-1, base.shape[1])
+        gaps = np.abs(f.evaluate_rows(line) - lift(f).evaluate_rows(matrix))
+    worst = max(gaps.ravel().tolist())
     ok = (worst == 0) if exact else (worst <= LIFT_TOLERANCE)
     return LineCrossCheck(backend, cfg.trials, LIFT_POINTS_PER_LINE, worst, LIFT_TOLERANCE,
                           "pass" if ok else "fail")

@@ -260,23 +260,20 @@ def wedge_power_rows(x: np.ndarray, n: int, k: int, s: int,
     return acc
 
 
-def _stack(x: KForm) -> np.ndarray:
-    return np.array([x.coeffs], dtype=float if x.backend == scalars.FLOAT else object)
-
-
 def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product; bilinear, e^I ∧ e^J = ±e^[I∪J] on disjoint strings."""
     if a.n != b.n or a.backend != b.backend:
         raise DomainError(f"mismatched forms: ({a.n},{a.backend}) vs ({b.n},{b.backend})")
     with scalars.float_guard("wedge"):
-        row = wedge_rows(_stack(a), _stack(b), a.n, a.k, b.k)[0]
+        row = wedge_rows(scalars.stack([a.coeffs], a.backend), scalars.stack([b.coeffs], b.backend),
+                         a.n, a.k, b.k)[0]
     return KForm(a.n, a.k + b.k, row.tolist(), a.backend)
 
 
 def wedge_power(x: KForm, s: int) -> KForm:
     """s-fold exterior power x ∧ ... ∧ x; x^0 is the unit 0-form."""
     with scalars.float_guard("wedge power"):
-        row = wedge_power_rows(_stack(x), x.n, x.k, s)[0]
+        row = wedge_power_rows(scalars.stack([x.coeffs], x.backend), x.n, x.k, s)[0]
     return KForm(x.n, x.k * s, row.tolist(), x.backend)
 
 

@@ -57,9 +57,7 @@ class FormFunction:
         if xi.n != self.n or xi.k != self.k:
             raise DomainError(f"argument lives in ({xi.n},{xi.k}), function expects "
                               f"({self.n},{self.k})")
-        if xi.backend == scalars.FLOAT:
-            return float(self.evaluate_rows(np.array([xi.coeffs]))[0])
-        return self.evaluate_rows(np.array([xi.coeffs], dtype=object))[0]
+        return self.evaluate_rows(scalars.stack([xi.coeffs], xi.backend)).tolist()[0]
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         """f on each row of an (m × C(n,k)) array of argument coefficients: exact
@@ -84,12 +82,8 @@ class FormFunction:
         return scalars.require_finite(values, "function magnitude")
 
     def _checked(self, rows) -> np.ndarray:
-        exact = isinstance(rows, np.ndarray) and rows.dtype == object
-        rows = rows if exact else np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != math.comb(self.n, self.k):
-            raise DomainError(f"expected an (m × {math.comb(self.n, self.k)}) array of "
-                              f"({self.n},{self.k}) coefficients, got shape {rows.shape}")
-        return rows if exact else scalars.require_finite(rows, "function argument")
+        return scalars.checked_rows(rows, math.comb(self.n, self.k),
+                                    f"({self.n},{self.k}) coefficients")
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "expr": self.expr}

@@ -10,10 +10,13 @@ Two exterior derivatives are provided because the right-wedge convention
 the classical componentwise formula differ by (−1)^deg(w); both are exposed
 and the relation is tested, nothing is silently rescaled.  ``d_right`` reads
 its signs from the wedge kernel's structure table, not from the projection.
+``project_polynomial`` runs the one projection kernel (``project_rows``) on
+a one-row object stack of polynomials.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Mapping, Sequence
 
@@ -21,7 +24,7 @@ from . import scalars
 from .errors import DomainError
 from .exterior import KForm, _wedge_table, json_fields
 from .multiindex import MultiIndex, enumerate_multiindices
-from .projection import project_entries
+from .projection import project_rows
 
 
 class Poly:
@@ -273,9 +276,15 @@ class PolynomialMatrix:
     __slots__ = ("n", "k", "entries")
 
     def __init__(self, n: int, k: int, entries: Sequence[Sequence[Poly]]):
-        self.n = n
-        self.k = k
-        self.entries = tuple(tuple(row) for row in entries)
+        if not 2 <= k <= n:
+            raise DomainError(f"polynomial matrices need 2 ≤ k ≤ n, got k={k}, n={n}")
+        entries = tuple(tuple(row) for row in entries)
+        nrows = math.comb(n, k - 1)
+        if len(entries) != nrows or any(len(row) != n for row in entries):
+            raise DomainError(f"expected a {nrows}×{n} array for (n={n}, k={k})")
+        if not all(isinstance(p, Poly) and p.nvars == n for row in entries for p in row):
+            raise DomainError(f"polynomial matrix entries must be polynomials in {n} variables")
+        self.n, self.k, self.entries = n, k, entries
 
     def evaluate(self, point: Sequence, backend: str = scalars.EXACT):
         from .shapespace import ShapeMatrix
@@ -331,12 +340,12 @@ def d_right(w: PolyKForm) -> PolyKForm:
 def project_polynomial(mat: PolynomialMatrix) -> PolyKForm:
     """Project a shape-matrix-valued polynomial coefficientwise.
 
-    The scalar projection's own loop, run over the polynomial ring; composing
-    with :func:`gradient` yields the exterior derivative in the right-wedge
-    convention as an exact polynomial identity.
+    The projection kernel, run on a one-row object stack of polynomials;
+    composing with :func:`gradient` yields the exterior derivative in the
+    right-wedge convention as an exact polynomial identity.
     """
     n, k = mat.n, mat.k
-    coeffs = project_entries(mat.entries, n, k, Poly.zero(n))
+    coeffs = project_rows(scalars.stack([mat.entries], scalars.EXACT), n, k)[0]
     return PolyKForm(n, k, dict(zip(enumerate_multiindices(n, k), coeffs)))
 
 

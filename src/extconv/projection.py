@@ -4,9 +4,11 @@
 (read as a (k−1)-form) with its coordinate direction on the right.  It sends
 outer products to wedge products and gradients to exterior derivatives, and it
 is onto, with ``right_inverse`` as a sign-free section.  Its coefficient rule
-is one cached table per (n, k), read by ``project``, ``project_rows``,
-``right_inverse`` and ``polyform.project_polynomial``; the order-1 power map
-reaches the same map by its own route.
+is one cached table per (n, k), and one kernel sums it: ``project_rows``,
+typed by its stack's dtype (float64, or object holding ints, Fractions or
+polynomials).  ``project`` and ``polyform.project_polynomial`` run it on one
+row, and ``right_inverse`` reads the table's last slots.  The order-1 power
+map reaches the same map by its own route.
 
 For even k the s-th wedge power of a projected matrix is a signed sum of
 order-s minors.  The block partitions and interlace signs of that sum are
@@ -42,34 +44,39 @@ from .shapespace import MinorTable, ShapeMatrix, det, minor_layout
 
 
 @lru_cache(maxsize=None)
-def _projection_table(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _projection_table(n: int, k: int) -> tuple[np.ndarray, ...]:
     """The projection coefficient rule, the only place it is written down.
 
     For each degree-k target K, in rank order, its k slots (K∖K_p, K_p) for
-    p = 1..k: the flat entry r·n + c of row r = rank(K∖K_p) and column
-    c = K_p − 1, with the append sign (−1)^(k−p).  The last slot's sign is +1.
+    p = 1..k: ``cells`` holds the flat entry r·n + c of row r = rank(K∖K_p)
+    and column c = K_p − 1, and ``signs`` the append sign (−1)^(k−p), which
+    depends on p alone, so one row serves every target.  The last slot's sign
+    is +1.  The last two arrays list the +1 and the −1 slots, which exact
+    stacks sum apart.  All four are read-only.
     """
     row_rank = {mi.indices: r for r, mi in enumerate(enumerate_multiindices(n, k - 1))}
-    return tuple(tuple((row_rank[K[:p] + K[p + 1:]] * n + K[p] - 1, (-1) ** (k - 1 - p))
-                       for p in range(k))
-                 for K in (mi.indices for mi in enumerate_multiindices(n, k)))
+    cells = np.array([[row_rank[K[:p] + K[p + 1:]] * n + K[p] - 1 for p in range(k)]
+                      for K in (mi.indices for mi in enumerate_multiindices(n, k))],
+                     dtype=np.intp)
+    signs = np.array([(-1.0) ** (k - 1 - p) for p in range(k)])
+    arrays = (cells, signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def project_entries(rows: Sequence[Sequence], n: int, k: int, zero) -> list:
-    """Project matrix rows over any ring.
+def project_rows(X: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``project`` of each row of a flat (m × C(n,k−1)·n) stack of matrix entries.
 
-    Each coefficient sums its slots from ``zero``, left to right, skipping zeros.
+    The stack's dtype is the scalar type, which the result keeps: float64, or
+    object (ints, Fractions or polynomials), summed exactly.  A float row sums
+    its slots left to right, whatever batch it sits in.
     """
-    entries = list(itertools.chain.from_iterable(rows))
-    out = []
-    for slots in _projection_table(n, k):
-        acc = zero
-        for cell, sign in slots:
-            value = entries[cell]
-            if value != 0:
-                acc = acc + value if sign > 0 else acc - value
-        out.append(acc)
-    return out
+    cells, signs, plus, minus = _projection_table(n, k)
+    terms = X[:, cells]
+    if terms.dtype == object:    # a product with a sign costs as much as a product
+        return ordered_sum(terms[..., plus]) - ordered_sum(terms[..., minus])
+    return ordered_sum(terms * signs)
 
 
 def project(X: ShapeMatrix) -> KForm:
@@ -78,17 +85,9 @@ def project(X: ShapeMatrix) -> KForm:
     Coefficient of e^K is Σ_p (−1)^(k−p) · X[K∖K_p, K_p]; for k = 2 this is
     the antisymmetrization X − Xᵀ read into coefficients.
     """
-    return KForm(X.n, X.k, project_entries(X.entries, X.n, X.k, scalars.zero(X.backend)),
-                 X.backend)
-
-
-def project_rows(X: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Float ``project`` of each row of a flat (m × C(n,k−1)·n) stack, bit for bit.
-
-    The sums run left to right, and a zero entry adds nothing to a finite sum.
-    """
-    table = np.array(_projection_table(n, k), dtype=np.intp)
-    return ordered_sum(X[:, table[..., 0]] * table[..., 1])
+    with scalars.float_guard("projection"):
+        row = project_rows(scalars.stack([X.entries], X.backend), X.n, X.k)[0]
+    return KForm(X.n, X.k, row.tolist(), X.backend)
 
 
 def right_inverse(x: KForm) -> ShapeMatrix:
@@ -100,11 +99,9 @@ def right_inverse(x: KForm) -> ShapeMatrix:
     n, k = x.n, x.k
     if not 2 <= k <= n:
         raise DomainError(f"right inverse needs 2 ≤ k ≤ n, got k={k}, n={n}")
-    entries = [scalars.zero(x.backend)] * (math.comb(n, k - 1) * n)
-    for slots, value in zip(_projection_table(n, k), x.coeffs):
-        if value != 0:
-            entries[slots[-1][0]] = value
-    return ShapeMatrix(n, k, [entries[r:r + n] for r in range(0, len(entries), n)], x.backend)
+    entries = np.zeros(math.comb(n, k - 1) * n, dtype=object)
+    entries[_projection_table(n, k)[0][:, -1]] = x.coeffs
+    return ShapeMatrix(n, k, entries.reshape(-1, n).tolist(), x.backend)
 
 
 class MinorPowerMap(NamedTuple):
@@ -224,9 +221,7 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
     """
     if not forms:
         raise DomainError("need at least one support form")
-    k = forms[0].k
-    n = forms[0].n
-    backend = forms[0].backend
+    n, k, backend = forms[0].n, forms[0].k, forms[0].backend
     if not 2 <= k <= n:
         raise DomainError(f"support pullback needs 2 ≤ k ≤ n, got k={k}, n={n}")
     if len(forms) != n // k:
@@ -238,22 +233,14 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
             raise DomainError(f"form {s} has degree {form.k}, expected {k * s}")
     labels = enumerate_multiindices(n, k - 1)
     out = []
-    nrows_matrix = math.comb(n, k - 1)
     for s, form in enumerate(forms, start=1):
         factor = math.factorial(s)
         values = []
-        for row_set in itertools.combinations(range(nrows_matrix), s):
+        for row_set in itertools.combinations(range(len(labels)), s):
             blocks = [labels[r] for r in row_set]
-            block_members = set()
-            degenerate = False
-            for b in blocks:
-                for i in b.indices:
-                    if i in block_members:
-                        degenerate = True
-                        break
-                    block_members.add(i)
-                if degenerate:
-                    break
+            members = [i for b in blocks for i in b.indices]
+            block_members = set(members)
+            degenerate = len(block_members) != len(members)
             row_vals = []
             for col_set in itertools.combinations(range(n), s):
                 cols = tuple(c + 1 for c in col_set)
@@ -262,8 +249,7 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
                     continue
                 joint = tuple(sorted(block_members | set(cols)))
                 sign = sign_interlace_append(cols, blocks)
-                coeff = form.coefficient(MultiIndex(joint, n))
-                value = factor * coeff
+                value = factor * form.coefficient(MultiIndex(joint, n))
                 row_vals.append(value if sign > 0 else -value)
             values.append(row_vals)
         out.append(MinorTable(n, k, s, values, backend))

@@ -11,8 +11,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from . import scalars
 from .errors import DomainError
 from .exterior import KForm, wedge_rows
@@ -58,7 +56,6 @@ def random_line(n: int, k: int, rng: random.Random, scale: float,
     Degenerate draws carry no information for line tests, so they are
     redrawn; with continuous coefficients this effectively never loops.
     """
-    dtype = object if exact else float
     for _ in range(100):
         if exact:
             alpha = random_exact_form(n, k - 1, rng)
@@ -67,8 +64,8 @@ def random_line(n: int, k: int, rng: random.Random, scale: float,
             alpha = random_form(n, k - 1, rng, scale)
             beta = random_form(n, 1, rng, scale)
         with scalars.float_guard("wedge"):
-            product = wedge_rows(np.array([alpha.coeffs], dtype=dtype),
-                                 np.array([beta.coeffs], dtype=dtype), n, k - 1, 1)
+            product = wedge_rows(scalars.stack([alpha.coeffs], alpha.backend),
+                                 scalars.stack([beta.coeffs], beta.backend), n, k - 1, 1)
         if product.any():
             return alpha, beta
     raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")

@@ -87,6 +87,22 @@ def finite_float(value) -> float:
         raise DomainError("a scalar lies beyond the float range") from None
 
 
+def stack(rows, backend: str) -> np.ndarray:
+    """Rows of scalars (each flat or nested) as an (m × width) array typed by the
+    backend: float64, or object holding ints and Fractions."""
+    return np.array(rows, dtype=float if backend == FLOAT else object).reshape(len(rows), -1)
+
+
+def checked_rows(rows, width: int, what: str) -> np.ndarray:
+    """``rows`` as an (m × width) stack: an object array as it is (exact),
+    anything else as float64, which must be finite."""
+    exact = isinstance(rows, np.ndarray) and rows.dtype == object
+    rows = rows if exact else np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise DomainError(f"expected an (m × {width}) array of {what}, got shape {rows.shape}")
+    return rows if exact else require_finite(rows, f"a stack of {what}")
+
+
 def zero(backend: str):
     return 0.0 if backend == FLOAT else 0
 

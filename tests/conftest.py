@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from extconv import projection
@@ -21,3 +22,24 @@ def sign_fault(monkeypatch):
                                   + power_map.rows[1:])
 
     monkeypatch.setattr(projection, "minor_power_map", faulty)
+
+
+@pytest.fixture
+def projection_sign_fault(monkeypatch):
+    """Negate the sign of the first slot of the projection rule.
+
+    Every table handed out while the fixture is active has slot 1's sign
+    flipped (a non-last slot, so ``right_inverse``'s sign-free section is
+    untouched), and its +1 / −1 columns follow.  A check whose other side
+    never reads the table must then report a mismatch.  The cached table
+    itself is left untouched.
+    """
+    real = projection._projection_table
+
+    def faulty(n, k):
+        cells, signs, _, _ = real(n, k)
+        signs = signs.copy()
+        signs[0] = -signs[0]
+        return cells, signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+
+    monkeypatch.setattr(projection, "_projection_table", faulty)

@@ -193,6 +193,13 @@ class TestCheckConvexity:
         assert code == 1
         assert json.loads(out)["status"] == "rejected"
 
+    def test_fit_tolerance_default_in_fit_mode(self, capsys, tmp_path):
+        top_path = write_json(tmp_path, "top.json", TOP_POWER)
+        for command in (["fit-quasiaffine"], ["check-convexity", "--mode", "quasiaffine-fit"]):
+            code, out, _ = run_cli(capsys, *command, "--input", top_path, "--trials", "40")
+            assert code == 0
+            assert json.loads(out)["fit_tolerance"] == 1e-8
+
     def test_poly_lp_modes(self, capsys, tmp_path):
         top_path = write_json(tmp_path, "top.json", TOP_POWER)
         neg_path = write_json(tmp_path, "neg.json", NEG_NORM_SQ)
@@ -307,6 +314,31 @@ class TestBadInputExits2:
                                 "--trials", "40", "--fit-tolerance", value)
         self.assert_usage_error(capsys, "check-convexity", "--mode", "quasiaffine-fit",
                                 "--input", path, "--trials", "40", "--fit-tolerance", value)
+
+    def test_flags_of_other_modes_exit_2(self, capsys, tmp_path):
+        # --base is read only by poly-lp and --fit-tolerance only by quasiaffine-fit
+        path = write_json(tmp_path, "fn.json", NORM_SQ)
+        self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
+                                "--input", path, "--base", "/nonexistent/base.json",
+                                "--fit-tolerance", "nan", "--trials", "5")
+
+    @pytest.mark.parametrize("mode", ["one-convex", "one-affine", "quasiaffine-fit"])
+    def test_base_outside_poly_lp_exits_2(self, capsys, tmp_path, mode):
+        path = write_json(tmp_path, "fn.json", NORM_SQ)
+        base = write_json(tmp_path, "base.json", {"n": 4, "k": 2, "coeffs": {}})
+        self.assert_usage_error(capsys, "check-convexity", "--mode", mode, "--input", path,
+                                "--base", base, "--trials", "40")
+
+    @pytest.mark.parametrize("mode", ["one-convex", "one-affine", "poly-lp"])
+    def test_fit_tolerance_outside_fit_mode_exits_2(self, capsys, tmp_path, mode):
+        path = write_json(tmp_path, "fn.json", NORM_SQ)
+        self.assert_usage_error(capsys, "check-convexity", "--mode", mode, "--input", path,
+                                "--fit-tolerance", "1e-8", "--trials", "20")
+
+    def test_empty_base_path_exits_2(self, capsys, tmp_path):
+        path = write_json(tmp_path, "fn.json", NORM_SQ)
+        self.assert_usage_error(capsys, "support-lp", "--input", path, "--base", "",
+                                "--trials", "20")
 
     @pytest.mark.parametrize("matrix", [
         {"n": 2, "k": 2, "rows": ["1", "2"], "data": [[1, 0], [0, 1]], "extra": 1},

@@ -14,6 +14,7 @@ from extconv.convexity import (SamplerConfig, check_ext_one_affine,
 from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge
 from extconv.functions import FormFunction
+from extconv.projection import project
 from extconv.sampling import derive_rng, random_exact_form, random_form
 from extconv.shapespace import ShapeMatrix, tensor
 
@@ -168,6 +169,19 @@ class TestLift:
             assert abs(F(X + D.scale(t)) - line_val) < 1e-12
 
 
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
+    def test_object_rows_stay_exact(self, n, k):
+        rng = random.Random(n)
+        f = fn_norm_sq(n, k)
+        mats = [ShapeMatrix(n, k, [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                    for _ in range(n)] for _ in range(math.comb(n, k - 1))])
+                for _ in range(5)]
+        rows = np.array([[v for row in X.entries for v in row] for X in mats], dtype=object)
+        values = lift(f).evaluate_rows(rows)
+        assert values.dtype == object
+        assert list(values) == [f(project(X)) for X in mats]
+
+
 class TestCrossCheck:
     def test_float_within_tolerance(self):
         report = cross_check_lift(fn_norm_sq(), SamplerConfig(seed=0, trials=100))
@@ -179,6 +193,13 @@ class TestCrossCheck:
                                   backend=scalars.EXACT)
         assert report.status == "pass"
         assert report.max_discrepancy == 0
+
+    @pytest.mark.parametrize("backend", scalars.BACKENDS)
+    def test_projection_sign_fault_detected(self, projection_sign_fault, backend):
+        # the wedge side (wedge_rows) never reads the projection table
+        report = cross_check_lift(fn_norm_sq(), SamplerConfig(seed=0, trials=10),
+                                  backend=backend)
+        assert report.status == "fail"
 
     def test_verdicts_agree_for_affine_function(self):
         f = fn_top_power()

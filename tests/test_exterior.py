@@ -200,6 +200,19 @@ def test_wedge_bilinearity_property(raw_a, raw_b):
     assert wedge(c, a + b) == wedge(c, a) + wedge(c, b)
 
 
+class TestStack:
+    def test_typed_by_backend(self):
+        floats = scalars.stack([(1.0, 2.0), (3.0, 4.0)], scalars.FLOAT)
+        exact = scalars.stack([(1, Fraction(1, 3))], scalars.EXACT)
+        assert floats.dtype == np.float64 and floats.shape == (2, 2)
+        assert exact.dtype == object and exact.tolist() == [[1, Fraction(1, 3)]]
+
+    def test_nested_rows_flatten_row_major(self):
+        matrix = ((1, 2, 3), (4, 5, 6))
+        assert scalars.stack([matrix], scalars.EXACT).tolist() == [[1, 2, 3, 4, 5, 6]]
+        assert scalars.stack([()], scalars.FLOAT).shape == (1, 0)
+
+
 class TestWedgeRows:
     SPACES = [(4, 1, 1), (4, 2, 2), (5, 2, 1), (6, 2, 2), (8, 4, 2), (8, 6, 2), (8, 2, 4),
               (3, 0, 2), (3, 2, 0), (4, 3, 2)]

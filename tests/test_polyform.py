@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extconv.errors import DomainError
-from extconv.polyform import (Poly, PolyKForm, d_classical, d_right, gradient,
-                              project_polynomial)
+from extconv.polyform import (Poly, PolyKForm, PolynomialMatrix, d_classical, d_right,
+                              gradient, project_polynomial)
 from extconv.projection import project
 
 
@@ -150,6 +150,31 @@ class TestExteriorDerivatives:
         w = random_polyform(3, 3, rng)
         assert d_right(w).is_zero()
         assert d_classical(w).is_zero()
+
+
+class TestPolynomialMatrixShape:
+    """A matrix off the (n, k) shape, or with entries other than polynomials in
+    n variables, is a DomainError before anything projects it."""
+
+    @pytest.mark.parametrize("k,rows,width", [
+        (2, 3, 4),      # rows too wide
+        (2, 3, 2),      # rows too narrow
+        (2, 2, 3),      # too few rows
+        (3, 2, 3),      # C(3, 2) = 3 rows needed
+    ])
+    def test_wrong_shape_rejected(self, k, rows, width):
+        with pytest.raises(DomainError):
+            project_polynomial(PolynomialMatrix(3, k, [[x(1, 3)] * width] * rows))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_degree_outside_2_to_n_rejected(self, k):
+        with pytest.raises(DomainError):
+            PolynomialMatrix(3, k, [[x(1, 3)] * 3] * 3)
+
+    @pytest.mark.parametrize("entry", [1, Fraction(1, 2), x(1, 2), x(1, 4)])
+    def test_entries_must_be_polynomials_in_n_variables(self, entry):
+        with pytest.raises(DomainError):
+            project_polynomial(PolynomialMatrix(3, 2, [[entry] * 3] * 3))
 
 
 class TestGradientProjection:

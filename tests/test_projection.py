@@ -72,19 +72,44 @@ class TestProject:
                 assert project(Y).coeffs == project_by_wedge_sum(Y).coeffs
 
     @pytest.mark.parametrize("m", [1, 7, 517])
-    def test_rows_match_each_row_and_float_project(self, m):
+    def test_rows_match_each_row_and_wedge_sum(self, m):
+        # project is a one-row call of project_rows, so the independent route
+        # is the wedge-sum definition, which never reads the projection table
         rng = random.Random(m)
         for n, k in [(2, 2), (4, 2), (5, 3), (6, 4), (8, 2)]:
             width = math.comb(n, k - 1) * n
-            # zeros of both signs exercise the skipped entries of the scalar loop
-            stack = np.array([[rng.choice([0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2)])
-                               for _ in range(width)] for _ in range(m)])
-            rows = project_rows(stack, n, k)
-            for i in range(m):
-                alone = project_rows(stack[i:i + 1], n, k)[0]
-                X = ShapeMatrix(n, k, stack[i].reshape(-1, n).tolist(), scalars.FLOAT)
-                scalar = np.array(project(X).coeffs)
-                assert rows[i].tobytes() == alone.tobytes() == scalar.tobytes()
+            # zeros of both signs exercise the sign of a zero sum
+            floats = np.array([[rng.choice([0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2)])
+                                for _ in range(width)] for _ in range(m)])
+            exact = np.array([[rand_exact(rng) for _ in range(width)] for _ in range(m)],
+                             dtype=object)
+            for stack, backend in [(floats, scalars.FLOAT), (exact, scalars.EXACT)]:
+                rows = project_rows(stack, n, k)
+                assert rows.dtype == stack.dtype
+                for i in range(m):
+                    alone = project_rows(stack[i:i + 1], n, k)[0]
+                    X = ShapeMatrix(n, k, stack[i].reshape(-1, n).tolist(), backend)
+                    oracle = np.array(project_by_wedge_sum(X).coeffs, dtype=stack.dtype)
+                    if backend == scalars.FLOAT:
+                        assert rows[i].tobytes() == alone.tobytes() == oracle.tobytes()
+                    else:
+                        assert list(rows[i]) == list(alone) == list(oracle)
+
+    def test_table_is_built_once_and_read_only(self):
+        projection._projection_table.cache_clear()
+        table = projection._projection_table(5, 3)
+        assert projection._projection_table(5, 3) is table
+        assert projection._projection_table.cache_info().misses == 1
+        assert not any(array.flags.writeable for array in table)
+
+    def test_every_projection_route_reads_the_table(self, projection_sign_fault):
+        # the fault reaches project and project_polynomial, so both run the
+        # one kernel; the wedge-sum and d_right routes never read the table
+        rng = random.Random(8)
+        X = rand_int_matrix(4, 2, rng)
+        assert project(X) != project_by_wedge_sum(X)
+        w = PolyKForm(4, 1, {(2,): Poly.parse("x1*x3", 4), (3,): Poly.parse("x4^3", 4)})
+        assert project_polynomial(gradient(w)) != d_right(w)
 
     def test_linearity(self):
         rng = random.Random(3)
