@@ -162,8 +162,8 @@ def _line_judgement(f, xi: np.ndarray, direction: np.ndarray, t: np.ndarray, h: 
 
 def _stack(items: Sequence[KForm | ShapeMatrix]) -> np.ndarray:
     """One float row per form (its coefficients) or matrix (its entries, row-major)."""
-    return scalars.stack([x.entries if isinstance(x, ShapeMatrix) else x.coeffs for x in items],
-                         scalars.FLOAT)
+    return np.array([x.entries.ravel() if isinstance(x, ShapeMatrix) else x.coeffs
+                     for x in items], dtype=float)
 
 
 def _scan(f, cfg: SamplerConfig, mode: str, draw: Callable, direction: Callable,
@@ -270,7 +270,7 @@ def check_rank_one_convex(F: Callable, n: int, k: int, cfg: SamplerConfig) -> Ve
     """
     if not hasattr(F, "evaluate_rows"):
         F = SimpleNamespace(evaluate_rows=lambda rows, F=F: np.array(
-            [F(ShapeMatrix(n, k, row.reshape(-1, n).tolist(), scalars.FLOAT)) for row in rows],
+            [F(ShapeMatrix(n, k, row.reshape(-1, n), scalars.FLOAT)) for row in rows],
             dtype=float))
     r = cfg.coeff_range
     return _scan(F, cfg, "rank-one-convex",
@@ -312,7 +312,6 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
     algebraically, so anything beyond float rounding is a sign fault in the
     projection path.  Both backends take this one path in their own dtype.
     """
-    scalars.check_backend(backend)
     exact = backend == scalars.EXACT
     n, k, r = f.n, f.k, cfg.coeff_range
     draws, ts = [], []
@@ -325,9 +324,10 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
         else:
             draws.append((random_form(n, k, rng, r), *random_line(n, k, rng, r)))
             ts.append([rng.uniform(-1.0, 1.0) for _ in range(LIFT_POINTS_PER_LINE)])
-    xi, alpha, beta = (scalars.stack([d[i].coeffs for d in draws], backend) for i in range(3))
-    t = scalars.stack(ts, backend).T[:, :, None]        # points × trials × 1
-    base = scalars.stack([right_inverse(d[0]).entries for d in draws], backend)
+    xi, alpha, beta = (np.stack([d[i].coeffs for d in draws]) for i in range(3))
+    t = scalars.array(ts, (cfg.trials, LIFT_POINTS_PER_LINE), backend,
+                      "line parameters").T[:, :, None]        # points × trials × 1
+    base = np.stack([right_inverse(d[0]).entries.ravel() for d in draws])
     with scalars.float_guard("lift cross-check"):
         line = (xi + t * wedge_rows(alpha, beta, n, k - 1, 1)).reshape(-1, xi.shape[1])
         outer = (alpha[:, :, None] * beta[:, None, :]).reshape(cfg.trials, -1)
@@ -377,8 +377,7 @@ def _power_features(xi: np.ndarray, n: int, k: int) -> np.ndarray:
 def _power_forms(n: int, k: int, flat: np.ndarray) -> list[KForm]:
     """Cut flat coefficients (the ξ block, then ξ², ...) into float forms of degree k, 2k, ..."""
     blocks = np.split(flat, np.cumsum(_power_dims(n, k))[:-1])
-    return [KForm(n, k * s, [float(v) for v in block], scalars.FLOAT)
-            for s, block in enumerate(blocks, start=1)]
+    return [KForm(n, k * s, block, scalars.FLOAT) for s, block in enumerate(blocks, start=1)]
 
 
 def _random_forms(n: int, k: int, seed: int, indices, scale: float) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Alternating forms with exact-rational or float coefficients.
 
-A degree-k form on R^n is stored densely: one coefficient per length-k
-multiindex, in alphabetical rank order.  Degrees above n are legal and carry
-an empty coefficient vector (the canonical zero object), so wedge chains never
-branch on overflow; such a form serializes with empty ``coeffs``, and a wedge
-power of a form of degree k ≥ 1 is that zero object as soon as k·s > n.
+A degree-k form on R^n is stored densely in one read-only numpy array: one
+coefficient per length-k multiindex, in alphabetical rank order, of dtype
+float64 or object (ints and Fractions, exact), which gives the backend.
+Degrees above n are legal and carry an empty coefficient vector (the canonical
+zero object), so wedge chains never branch on overflow; such a form serializes
+with empty ``coeffs``, and a wedge power of a form of degree k ≥ 1 is that zero
+object as soon as k·s > n.
 
 There is one wedge kernel.  ``wedge_rows`` and ``wedge_power_rows`` work on
-stacks of forms: an (m × C(n,k)) numpy array holds one form per row, and its
-dtype is the scalar type, float64 or object (ints and Fractions, exact).
-``wedge`` and ``wedge_power`` run the kernel on a one-row stack.  Each target
+stacks of forms of those dtypes, one form per row of an (m × C(n,k)) array;
+``wedge`` and ``wedge_power`` run it on a one-row view.  Each target
 coefficient sums its products with ``ordered_sum``: exactly for objects, and
 for floats strictly left to right, so a float row's result does not depend on
 the batch it sits in.  Float wedges run under ``scalars.float_guard``.
@@ -31,7 +32,7 @@ from .multiindex import MultiIndex, enumerate_multiindices, rank, sign_of_string
 class KForm:
     """Element of the degree-k exterior power over R^n."""
 
-    __slots__ = ("n", "k", "coeffs", "backend")
+    __slots__ = ("n", "k", "coeffs")
 
     def __init__(self, n: int, k: int, coeffs: Sequence | None = None,
                  backend: str = scalars.EXACT):
@@ -39,18 +40,15 @@ class KForm:
             raise DomainError(f"dimension must be positive, got {n}")
         if k < 0:
             raise DomainError(f"degree must be nonnegative, got {k}")
-        scalars.check_backend(backend)
         size = math.comb(n, k)
-        if coeffs is None:
-            coeffs = (scalars.zero(backend),) * size
-        else:
-            coeffs = tuple(scalars.coerce(c, backend) for c in coeffs)
-            if len(coeffs) != size:
-                raise DomainError(f"expected {size} coefficients for ({n},{k}), got {len(coeffs)}")
         self.n = n
         self.k = k
-        self.coeffs = coeffs
-        self.backend = backend
+        self.coeffs = scalars.array([0] * size if coeffs is None else coeffs, (size,), backend,
+                                    f"({n},{k}) coefficients")
+
+    @property
+    def backend(self) -> str:
+        return scalars.backend_of(self.coeffs)
 
     @classmethod
     def zero(cls, n: int, k: int, backend: str = scalars.EXACT) -> "KForm":
@@ -60,26 +58,24 @@ class KForm:
     def basis(cls, n: int, indices: Sequence[int], backend: str = scalars.EXACT) -> "KForm":
         """The basis form e^I for the (sorted, distinct) index tuple I."""
         mi = MultiIndex(tuple(indices), n)
-        coeffs = [scalars.zero(backend)] * math.comb(n, mi.k)
-        coeffs[rank(mi)] = scalars.one(backend)
-        return cls(n, mi.k, coeffs, backend)
+        return cls.from_dict(n, mi.k, {mi: 1}, backend)
 
     @classmethod
     def from_dict(cls, n: int, k: int, entries: Mapping[Sequence[int], object],
                   backend: str = scalars.EXACT) -> "KForm":
-        coeffs = [scalars.zero(backend)] * math.comb(n, k)
+        coeffs = [0] * math.comb(n, k)
         for key, value in entries.items():
             mi = key if isinstance(key, MultiIndex) else MultiIndex(tuple(key), n)
             if mi.k != k:
                 raise DomainError(f"key {mi.indices} has length {mi.k}, expected {k}")
-            coeffs[rank(mi)] = scalars.coerce(value, backend)
+            coeffs[rank(mi)] = value
         return cls(n, k, coeffs, backend)
 
     def coefficient(self, indices: Sequence[int] | MultiIndex):
         mi = indices if isinstance(indices, MultiIndex) else MultiIndex(tuple(indices), self.n)
         if mi.k != self.k:
             raise DomainError(f"index length {mi.k} does not match degree {self.k}")
-        return self.coeffs[rank(mi)]
+        return self.coeffs.item(rank(mi))
 
     def _basis(self) -> list[MultiIndex]:
         # a form above degree n has no coefficients, so its basis is empty
@@ -87,43 +83,45 @@ class KForm:
 
     def as_dict(self) -> dict[tuple[int, ...], object]:
         """Nonzero coefficients keyed by index tuple."""
-        return {mi.indices: c for mi, c in zip(self._basis(), self.coeffs) if c != 0}
+        return {mi.indices: c for mi, c in zip(self._basis(), self.coeffs.tolist()) if c != 0}
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs.any()
+
+    def _apply(self, ufunc, *operands) -> "KForm":
+        """The form whose coefficients are ``ufunc(self.coeffs, *operands)``."""
+        with scalars.float_guard("form arithmetic"):
+            return KForm(self.n, self.k, ufunc(self.coeffs, *operands), self.backend)
 
     def scale(self, factor) -> "KForm":
-        factor = scalars.coerce(factor, self.backend)
-        return KForm(self.n, self.k, [factor * c for c in self.coeffs], self.backend)
+        return self._apply(np.multiply, scalars.array(factor, (), self.backend, "a scale factor"))
 
     def __add__(self, other: "KForm") -> "KForm":
         _check_same_space(self, other)
-        return KForm(self.n, self.k, [a + b for a, b in zip(self.coeffs, other.coeffs)],
-                     self.backend)
+        return self._apply(np.add, other.coeffs)
 
     def __sub__(self, other: "KForm") -> "KForm":
         _check_same_space(self, other)
-        return KForm(self.n, self.k, [a - b for a, b in zip(self.coeffs, other.coeffs)],
-                     self.backend)
+        return self._apply(np.subtract, other.coeffs)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.n, self.k, [-c for c in self.coeffs], self.backend)
+        return self._apply(np.negative)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
             return NotImplemented
         return (self.n, self.k, self.backend) == (other.n, other.k, other.backend) \
-            and self.coeffs == other.coeffs
+            and self.coeffs.tolist() == other.coeffs.tolist()
 
     def __hash__(self):
-        return hash((self.n, self.k, self.backend, self.coeffs))
+        return hash((self.n, self.k, self.backend, tuple(self.coeffs.tolist())))
 
     def __repr__(self) -> str:
         return f"KForm(n={self.n}, k={self.k}, {self.as_dict()!r}, backend={self.backend!r})"
 
     def to_json(self) -> dict:
         coeffs = {mi.text: scalars.scalar_to_json(c, self.backend)
-                  for mi, c in zip(self._basis(), self.coeffs) if c != 0}
+                  for mi, c in zip(self._basis(), self.coeffs.tolist()) if c != 0}
         return {"n": self.n, "k": self.k, "coeffs": coeffs}
 
     @classmethod
@@ -265,25 +263,23 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if a.n != b.n or a.backend != b.backend:
         raise DomainError(f"mismatched forms: ({a.n},{a.backend}) vs ({b.n},{b.backend})")
     with scalars.float_guard("wedge"):
-        row = wedge_rows(scalars.stack([a.coeffs], a.backend), scalars.stack([b.coeffs], b.backend),
-                         a.n, a.k, b.k)[0]
-    return KForm(a.n, a.k + b.k, row.tolist(), a.backend)
+        row = wedge_rows(a.coeffs[None], b.coeffs[None], a.n, a.k, b.k)[0]
+    return KForm(a.n, a.k + b.k, row, a.backend)
 
 
 def wedge_power(x: KForm, s: int) -> KForm:
     """s-fold exterior power x ∧ ... ∧ x; x^0 is the unit 0-form."""
     with scalars.float_guard("wedge power"):
-        row = wedge_power_rows(scalars.stack([x.coeffs], x.backend), x.n, x.k, s)[0]
-    return KForm(x.n, x.k * s, row.tolist(), x.backend)
+        row = wedge_power_rows(x.coeffs[None], x.n, x.k, s)[0]
+    return KForm(x.n, x.k * s, row, x.backend)
 
 
 def scalar_product(a: KForm, b: KForm):
-    """Coefficientwise inner product (orthonormal basis convention)."""
+    """Coefficientwise inner product (orthonormal basis convention), summed in
+    coefficient order."""
     _check_same_space(a, b)
-    total = scalars.zero(a.backend)
-    for va, vb in zip(a.coeffs, b.coeffs):
-        total += va * vb
-    return total
+    with scalars.float_guard("scalar product"):
+        return ordered_sum(a.coeffs[None] * b.coeffs).item()
 
 
 def norm_squared(x: KForm):
@@ -295,11 +291,8 @@ def hodge_star(x: KForm) -> KForm:
     if x.k > x.n:
         raise DomainError(f"degree {x.k} exceeds dimension {x.n}")
     n = x.n
-    out = [scalars.zero(x.backend)] * math.comb(n, n - x.k)
-    for mi, c in zip(enumerate_multiindices(n, x.k), x.coeffs):
-        if c == 0:
-            continue
+    out = [0] * math.comb(n, n - x.k)
+    for mi, c in zip(enumerate_multiindices(n, x.k), x.coeffs.tolist()):
         comp = mi.complement()
-        sign = sign_of_string(mi.indices + comp.indices)
-        out[rank(comp)] += sign * c if sign > 0 else -c
+        out[rank(comp)] = c if sign_of_string(mi.indices + comp.indices) > 0 else -c
     return KForm(n, n - x.k, out, x.backend)

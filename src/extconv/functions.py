@@ -13,7 +13,7 @@ node and parses every literal and constant once.  The walk yields one kernel,
 ``FormFunction.evaluate_rows``, that maps an (m × C(n,k)) numpy array of
 argument coefficients to the m values of f.  The array's dtype is the scalar
 type: float64, or object holding ints and Fractions, which evaluates exactly.
-A form argument runs the kernel on one row of its backend's dtype.
+A form argument runs the kernel on its coefficient array as a one-row stack.
 
 A float value computed alone and the same value computed inside a batch are
 the same float: every sum runs left to right in the order of the scalar loops
@@ -57,7 +57,7 @@ class FormFunction:
         if xi.n != self.n or xi.k != self.k:
             raise DomainError(f"argument lives in ({xi.n},{xi.k}), function expects "
                               f"({self.n},{self.k})")
-        return self.evaluate_rows(scalars.stack([xi.coeffs], xi.backend)).tolist()[0]
+        return self.evaluate_rows(xi.coeffs[None]).item()
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         """f on each row of an (m × C(n,k)) array of argument coefficients: exact
@@ -75,8 +75,11 @@ class FormFunction:
         absolute values of the terms the float evaluation adds.  The rounding
         error of a float value of f is a small multiple of machine epsilon
         times this magnitude, even where the terms cancel and f is near 0.
+        It bounds float rounding only, so an exact (object) stack is refused.
         """
         rows = self._checked(rows)
+        if rows.dtype == object:
+            raise DomainError("a magnitude bounds float rounding, so it takes float rows only")
         with scalars.float_guard("function magnitude"):
             values = self._rows(np.abs(rows), False)
         return scalars.require_finite(values, "function magnitude")
@@ -150,7 +153,7 @@ def _compile_constant(value) -> _Compiled:
         value = scalars.parse_rational(value)
     elif not isinstance(value, (int, float)) or isinstance(value, bool):
         raise DomainError(f"bad constant {value!r}")
-    exact = _exact_copy(lambda: scalars.coerce(value, scalars.EXACT))
+    exact = _exact_copy(lambda: scalars.coerce(value))
     as_float = scalars.finite_float(value)
 
     def constant_rows(X, signed):
@@ -178,12 +181,10 @@ def _parse_form_literal(node, n: int) -> KForm:
 def _compile_literal(node, n: int) -> tuple[_Compiled, np.ndarray, Callable]:
     """A form literal's node, float coefficients and exact-copy getter, each made once."""
     form = _parse_form_literal(node, n)
-    exact = _exact_copy(lambda: np.array([scalars.coerce(c, scalars.EXACT)
-                                          for c in form.coeffs], dtype=object))
-    coeffs = np.array([scalars.finite_float(c) for c in form.coeffs])
+    shape, what = form.coeffs.shape, "form literal coefficients"
+    exact = _exact_copy(lambda: scalars.array(form.coeffs, shape, scalars.EXACT, what))
+    coeffs = scalars.array(form.coeffs, shape, scalars.FLOAT, what)
     magnitudes = np.abs(coeffs)
-    for array in (coeffs, magnitudes):
-        array.flags.writeable = False
 
     def literal_rows(X, signed):
         values = exact() if X.dtype == object else coeffs if signed else magnitudes

@@ -42,7 +42,7 @@ class Poly:
             expo = tuple(int(e) for e in expo)
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise DomainError(f"bad exponent tuple {expo} for {nvars} variables")
-            coeff = scalars.coerce(coeff, scalars.EXACT)
+            coeff = scalars.coerce(coeff)
             if coeff != 0:
                 clean[expo] = coeff
         self.terms = clean
@@ -247,8 +247,7 @@ class PolyKForm:
         return not self.coeffs
 
     def evaluate(self, point: Sequence, backend: str = scalars.EXACT) -> KForm:
-        entries = {key: scalars.coerce(poly.evaluate(point), backend)
-                   for key, poly in self.coeffs.items()}
+        entries = {key: poly.evaluate(point) for key, poly in self.coeffs.items()}
         return KForm.from_dict(self.n, self.k, entries, backend)
 
     def to_json(self) -> dict:
@@ -278,18 +277,18 @@ class PolynomialMatrix:
     def __init__(self, n: int, k: int, entries: Sequence[Sequence[Poly]]):
         if not 2 <= k <= n:
             raise DomainError(f"polynomial matrices need 2 ≤ k ≤ n, got k={k}, n={n}")
-        entries = tuple(tuple(row) for row in entries)
-        nrows = math.comb(n, k - 1)
-        if len(entries) != nrows or any(len(row) != n for row in entries):
-            raise DomainError(f"expected a {nrows}×{n} array for (n={n}, k={k})")
-        if not all(isinstance(p, Poly) and p.nvars == n for row in entries for p in row):
-            raise DomainError(f"polynomial matrix entries must be polynomials in {n} variables")
-        self.n, self.k, self.entries = n, k, entries
+        def polynomial(p):
+            if not isinstance(p, Poly) or p.nvars != n:
+                raise DomainError(f"polynomial matrix entries must be polynomials in {n} variables")
+            return p
+
+        self.n, self.k = n, k
+        self.entries = scalars.array(entries, (math.comb(n, k - 1), n), scalars.EXACT,
+                                     f"(n={n}, k={k}) polynomial matrix entries", polynomial)
 
     def evaluate(self, point: Sequence, backend: str = scalars.EXACT):
         from .shapespace import ShapeMatrix
-        rows = [[scalars.coerce(p.evaluate(point), backend) for p in row]
-                for row in self.entries]
+        rows = [[p.evaluate(point) for p in row] for row in self.entries.tolist()]
         return ShapeMatrix(self.n, self.k, rows, backend)
 
 
@@ -345,7 +344,7 @@ def project_polynomial(mat: PolynomialMatrix) -> PolyKForm:
     right-wedge convention as an exact polynomial identity.
     """
     n, k = mat.n, mat.k
-    coeffs = project_rows(scalars.stack([mat.entries], scalars.EXACT), n, k)[0]
+    coeffs = project_rows(mat.entries.reshape(1, -1), n, k)[0]
     return PolyKForm(n, k, dict(zip(enumerate_multiindices(n, k), coeffs)))
 
 

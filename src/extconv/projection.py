@@ -86,8 +86,8 @@ def project(X: ShapeMatrix) -> KForm:
     the antisymmetrization X − Xᵀ read into coefficients.
     """
     with scalars.float_guard("projection"):
-        row = project_rows(scalars.stack([X.entries], X.backend), X.n, X.k)[0]
-    return KForm(X.n, X.k, row.tolist(), X.backend)
+        row = project_rows(X.entries.reshape(1, -1), X.n, X.k)[0]
+    return KForm(X.n, X.k, row, X.backend)
 
 
 def right_inverse(x: KForm) -> ShapeMatrix:
@@ -99,9 +99,9 @@ def right_inverse(x: KForm) -> ShapeMatrix:
     n, k = x.n, x.k
     if not 2 <= k <= n:
         raise DomainError(f"right inverse needs 2 ≤ k ≤ n, got k={k}, n={n}")
-    entries = np.zeros(math.comb(n, k - 1) * n, dtype=object)
+    entries = np.zeros(math.comb(n, k - 1) * n, dtype=x.coeffs.dtype)
     entries[_projection_table(n, k)[0][:, -1]] = x.coeffs
-    return ShapeMatrix(n, k, entries.reshape(-1, n).tolist(), x.backend)
+    return ShapeMatrix(n, k, entries.reshape(-1, n), x.backend)
 
 
 class MinorPowerMap(NamedTuple):
@@ -143,17 +143,15 @@ class MinorPowerMap(NamedTuple):
         if (table.n, table.k, table.s) != (self.n, self.k, self.s):
             raise DomainError(f"table space ({table.n},{table.k},{table.s}) does not match "
                               f"map space ({self.n},{self.k},{self.s})")
-        values, ncols = table.values, len(table.col_sets)
-        return _expand(self, lambda cell: values[cell // ncols][cell % ncols], table.backend)
+        return _expand(self, table.values.ravel().tolist().__getitem__, table.backend)
 
 
 def _expand(power_map: MinorPowerMap, minor, backend: str) -> KForm:
     """Σ sign·minor(cell) along each row of the map, in cell order, times s! once."""
-    zero = scalars.zero(backend)
     factor = math.factorial(power_map.s)
     out = []
     for row in power_map.rows:
-        acc = zero
+        acc = 0    # 0 + x is 0.0 + x for a float x
         for cell, sign in zip(row[::2], row[1::2]):
             value = minor(cell)
             acc = acc + value if sign > 0 else acc - value
@@ -201,7 +199,7 @@ def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
         return KForm.zero(n, k * s, X.backend)
     row_sets, col_sets = minor_layout(n, k, s)
     ncols = len(col_sets)
-    entries = X.entries
+    entries = X.entries.tolist()
 
     def minor(cell):
         ri, ci = divmod(cell, ncols)
@@ -245,7 +243,7 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
             for col_set in itertools.combinations(range(n), s):
                 cols = tuple(c + 1 for c in col_set)
                 if degenerate or block_members & set(cols):
-                    row_vals.append(scalars.zero(backend))
+                    row_vals.append(0)
                     continue
                 joint = tuple(sorted(block_members | set(cols)))
                 sign = sign_interlace_append(cols, blocks)

@@ -64,8 +64,7 @@ def random_line(n: int, k: int, rng: random.Random, scale: float,
             alpha = random_form(n, k - 1, rng, scale)
             beta = random_form(n, 1, rng, scale)
         with scalars.float_guard("wedge"):
-            product = wedge_rows(scalars.stack([alpha.coeffs], alpha.backend),
-                                 scalars.stack([beta.coeffs], beta.backend), n, k - 1, 1)
+            product = wedge_rows(alpha.coeffs[None], beta.coeffs[None], n, k - 1, 1)
         if product.any():
             return alpha, beta
     raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")

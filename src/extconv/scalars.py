@@ -11,8 +11,11 @@ scalars as plain numbers, so exact results never round-trip through floats.
 No backend reads a bool, and the float backend reads and writes finite
 numbers only.
 
-Float array work runs under ``float_guard``: a value that leaves the float
-range is a domain error, never a silent inf or nan in a verdict.
+Forms, shape matrices and minor tables each store one read-only array built
+by ``array``, float64 or object (never a fixed-width integer type), and read
+their backend off its dtype.  Float array work runs under ``float_guard``: a
+value that leaves the float range is a domain error, never a silent inf or
+nan in a verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import numbers
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -31,20 +35,12 @@ FLOAT = "float"
 BACKENDS = (EXACT, FLOAT)
 
 
-def check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise DomainError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
+def coerce(value):
+    """Coerce ``value`` into an exact scalar: an int, or a Fraction that is not one.
 
-
-def coerce(value, backend: str):
-    """Coerce ``value`` into the backend's scalar type.
-
-    Exact refuses non-integral floats: silently rationalizing a float would
+    It refuses non-integral floats: silently rationalizing a float would
     corrupt exactness guarantees downstream.
     """
-    if backend == FLOAT:
-        return float(value)
     if isinstance(value, bool):
         raise DomainError("bool is not a scalar")
     if isinstance(value, int):
@@ -56,8 +52,8 @@ def coerce(value, backend: str):
             return int(value)
         raise DomainError(f"refusing to coerce non-integral float {value!r} to exact")
     if isinstance(value, numbers.Rational):
-        return coerce(Fraction(value), EXACT)
-    raise DomainError(f"cannot coerce {type(value).__name__} to {backend} scalar")
+        return coerce(Fraction(value))
+    raise DomainError(f"cannot coerce {type(value).__name__} to an exact scalar")
 
 
 @contextlib.contextmanager
@@ -87,10 +83,36 @@ def finite_float(value) -> float:
         raise DomainError("a scalar lies beyond the float range") from None
 
 
-def stack(rows, backend: str) -> np.ndarray:
-    """Rows of scalars (each flat or nested) as an (m × width) array typed by the
-    backend: float64, or object holding ints and Fractions."""
-    return np.array(rows, dtype=float if backend == FLOAT else object).reshape(len(rows), -1)
+def array(values, shape: tuple[int, ...], backend: str, what: str,
+          element: Callable | None = None) -> np.ndarray:
+    """``values`` (nested sequences or an array) as one read-only array of ``shape``.
+
+    Float is one vectorized conversion to a float64 copy, which must be
+    finite.  Exact coerces every element, so an int stays a Python int (never
+    int64), ``Fraction(n, 1)`` becomes ``n`` and a non-integral float is
+    refused; ``element`` replaces that coercion for other exact elements.
+    Ragged input never has ``shape``, so it is refused too.
+    """
+    if backend not in BACKENDS:
+        raise DomainError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    try:
+        out = np.array(values, dtype=float if backend == FLOAT else object)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"cannot read {what} as {backend} scalars: {exc}") from None
+    if out.shape != shape:
+        raise DomainError(f"expected {what} of shape {shape}, got shape {out.shape}")
+    if backend == FLOAT:
+        require_finite(out, what)
+    else:
+        flat = out.reshape(-1)    # a view: np.array made out a fresh copy
+        flat[:] = [(element or coerce)(value) for value in flat.tolist()]
+    out.flags.writeable = False
+    return out
+
+
+def backend_of(values: np.ndarray) -> str:
+    """The backend of an array that ``array`` built."""
+    return EXACT if values.dtype == object else FLOAT
 
 
 def checked_rows(rows, width: int, what: str) -> np.ndarray:
@@ -101,14 +123,6 @@ def checked_rows(rows, width: int, what: str) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != width:
         raise DomainError(f"expected an (m × {width}) array of {what}, got shape {rows.shape}")
     return rows if exact else require_finite(rows, f"a stack of {what}")
-
-
-def zero(backend: str):
-    return 0.0 if backend == FLOAT else 0
-
-
-def one(backend: str):
-    return 1.0 if backend == FLOAT else 1
 
 
 def parse_rational(text: str):
@@ -138,7 +152,7 @@ def scalar_from_json(obj, backend: str):
     if isinstance(obj, str):
         value = parse_rational(obj)
         return finite_float(value) if backend == FLOAT else value
-    return finite_float(obj) if backend == FLOAT else coerce(obj, backend)
+    return finite_float(obj) if backend == FLOAT else coerce(obj)
 
 
 def scalar_to_json(value, backend: str):

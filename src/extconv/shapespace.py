@@ -1,7 +1,8 @@
 """Shape matrices and their minor tables.
 
 A shape matrix for degree k on R^n has one row per length-(k−1) multiindex
-(alphabetical order) and one column per coordinate direction.  Its order-s
+(alphabetical order) and one column per coordinate direction, stored, like a
+minor table, as one read-only numpy array typed by its backend.  Its order-s
 minor table collects every s×s minor, with both the row selection and the
 column selection taken in increasing order: plain determinants, no cofactor
 sign layer — all signs in the wedge-power expansion are carried explicitly by
@@ -19,34 +20,32 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, json_fields
-from .multiindex import MultiIndex, enumerate_multiindices
+from .exterior import KForm, json_fields, ordered_sum
+from .multiindex import MultiIndex, enumerate_multiindices, rank
 
 
 class ShapeMatrix:
     """Dense C(n,k−1) × n matrix over an exact or float backend."""
 
-    __slots__ = ("n", "k", "entries", "backend")
+    __slots__ = ("n", "k", "entries")
 
     def __init__(self, n: int, k: int, entries: Sequence[Sequence] | None = None,
                  backend: str = scalars.EXACT):
         if not 2 <= k <= n:
             raise DomainError(f"shape matrices need 2 ≤ k ≤ n, got k={k}, n={n}")
-        scalars.check_backend(backend)
-        nrows = math.comb(n, k - 1)
-        if entries is None:
-            z = scalars.zero(backend)
-            entries = tuple((z,) * n for _ in range(nrows))
-        else:
-            entries = tuple(tuple(scalars.coerce(v, backend) for v in row) for row in entries)
-            if len(entries) != nrows or any(len(row) != n for row in entries):
-                raise DomainError(f"expected a {nrows}×{n} array for (n={n}, k={k})")
+        shape = (math.comb(n, k - 1), n)
         self.n = n
         self.k = k
-        self.entries = entries
-        self.backend = backend
+        self.entries = scalars.array(np.zeros(shape, dtype=int) if entries is None else entries,
+                                     shape, backend, f"(n={n}, k={k}) matrix entries")
+
+    @property
+    def backend(self) -> str:
+        return scalars.backend_of(self.entries)
 
     @property
     def row_labels(self) -> list[MultiIndex]:
@@ -54,27 +53,27 @@ class ShapeMatrix:
 
     def entry(self, row_label: MultiIndex | Sequence[int], col: int):
         """Entry at a multiindex row and 1-based column."""
-        from .multiindex import rank
         mi = row_label if isinstance(row_label, MultiIndex) \
             else MultiIndex(tuple(row_label), self.n)
         if not 1 <= col <= self.n:
             raise DomainError(f"column {col} out of range 1..{self.n}")
-        return self.entries[rank(mi)][col - 1]
+        return self.entries.item(rank(mi), col - 1)
+
+    def _apply(self, ufunc, *operands) -> "ShapeMatrix":
+        """The matrix whose entries are ``ufunc(self.entries, *operands)``."""
+        with scalars.float_guard("matrix arithmetic"):
+            return ShapeMatrix(self.n, self.k, ufunc(self.entries, *operands), self.backend)
 
     def __add__(self, other: "ShapeMatrix") -> "ShapeMatrix":
         self._check_compatible(other)
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return ShapeMatrix(self.n, self.k, rows, self.backend)
+        return self._apply(np.add, other.entries)
 
     def __sub__(self, other: "ShapeMatrix") -> "ShapeMatrix":
         self._check_compatible(other)
-        rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return ShapeMatrix(self.n, self.k, rows, self.backend)
+        return self._apply(np.subtract, other.entries)
 
     def scale(self, factor) -> "ShapeMatrix":
-        factor = scalars.coerce(factor, self.backend)
-        rows = [[factor * v for v in row] for row in self.entries]
-        return ShapeMatrix(self.n, self.k, rows, self.backend)
+        return self._apply(np.multiply, scalars.array(factor, (), self.backend, "a scale factor"))
 
     def _check_compatible(self, other: "ShapeMatrix") -> None:
         if (self.n, self.k, self.backend) != (other.n, other.k, other.backend):
@@ -84,16 +83,16 @@ class ShapeMatrix:
         if not isinstance(other, ShapeMatrix):
             return NotImplemented
         return (self.n, self.k, self.backend) == (other.n, other.k, other.backend) \
-            and self.entries == other.entries
+            and self.entries.tolist() == other.entries.tolist()
 
     def __repr__(self) -> str:
-        return f"ShapeMatrix(n={self.n}, k={self.k}, backend={self.backend!r}, {list(self.entries)!r})"
+        return f"ShapeMatrix(n={self.n}, k={self.k}, backend={self.backend!r}, {self.entries.tolist()!r})"
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k,
                 "rows": [mi.text for mi in self.row_labels],
                 "data": [[scalars.scalar_to_json(v, self.backend) for v in row]
-                         for row in self.entries]}
+                         for row in self.entries.tolist()]}
 
     @classmethod
     def from_json(cls, obj: Mapping, backend: str | None = None) -> "ShapeMatrix":
@@ -114,13 +113,10 @@ def tensor(a: KForm, b) -> ShapeMatrix:
             raise DomainError("mismatched tensor factors")
         if b.k != 1:
             raise DomainError(f"second factor must be degree 1, got {b.k}")
-        b_vals = b.coeffs
-    else:
-        b_vals = tuple(scalars.coerce(v, a.backend) for v in b)
-        if len(b_vals) != a.n:
-            raise DomainError(f"expected a vector of length {a.n}, got {len(b_vals)}")
-    rows = [[av * bv for bv in b_vals] for av in a.coeffs]
-    return ShapeMatrix(a.n, a.k + 1, rows, a.backend)
+        b = b.coeffs
+    b = scalars.array(b, (a.n,), a.backend, "vector entries")
+    with scalars.float_guard("tensor"):
+        return ShapeMatrix(a.n, a.k + 1, np.multiply.outer(a.coeffs, b), a.backend)
 
 
 @lru_cache(maxsize=None)
@@ -147,17 +143,18 @@ class MinorTable:
     which every table of one (n, k, s) shares.
     """
 
-    __slots__ = ("n", "k", "s", "backend", "row_sets", "col_sets", "values")
+    __slots__ = ("n", "k", "s", "row_sets", "col_sets", "values")
 
     def __init__(self, n: int, k: int, s: int, values: Sequence[Sequence],
                  backend: str = scalars.EXACT):
         self.row_sets, self.col_sets = minor_layout(n, k, s)
-        scalars.check_backend(backend)
-        self.n, self.k, self.s, self.backend = n, k, s, backend
-        values = tuple(tuple(scalars.coerce(v, backend) for v in row) for row in values)
-        if len(values) != len(self.row_sets) or any(len(r) != len(self.col_sets) for r in values):
-            raise DomainError(f"expected a {len(self.row_sets)}×{len(self.col_sets)} value array")
-        self.values = values
+        self.n, self.k, self.s = n, k, s
+        self.values = scalars.array(values, (len(self.row_sets), len(self.col_sets)), backend,
+                                    f"order-{s} minors for (n={n}, k={k})")
+
+    @property
+    def backend(self) -> str:
+        return scalars.backend_of(self.values)
 
     def value(self, row_set: Sequence[int], col_set: Sequence[int]):
         """Value at 0-based row-position and column-position subsets."""
@@ -165,13 +162,13 @@ class MinorTable:
             ri, ci = self.row_sets.index(tuple(row_set)), self.col_sets.index(tuple(col_set))
         except ValueError as exc:
             raise DomainError(f"no cell for rows {tuple(row_set)}, cols {tuple(col_set)}") from exc
-        return self.values[ri][ci]
+        return self.values.item(ri, ci)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MinorTable):
             return NotImplemented
         return (self.n, self.k, self.s, self.backend) == (other.n, other.k, other.s, other.backend) \
-            and self.values == other.values
+            and self.values.tolist() == other.values.tolist()
 
     def to_json(self) -> dict:
         labels = enumerate_multiindices(self.n, self.k - 1)
@@ -180,19 +177,17 @@ class MinorTable:
             "rows": [[labels[i].text for i in rs] for rs in self.row_sets],
             "cols": [[c + 1 for c in cs] for cs in self.col_sets],
             "values": [[scalars.scalar_to_json(v, self.backend) for v in row]
-                       for row in self.values],
+                       for row in self.values.tolist()],
         }
 
 
 def table_inner(a: MinorTable, b: MinorTable):
-    """Entrywise inner product of two tables in the same minor space."""
+    """Entrywise inner product of two tables in the same minor space, summed
+    row-major."""
     if (a.n, a.k, a.s) != (b.n, b.k, b.s) or a.backend != b.backend:
         raise DomainError("mismatched minor tables")
-    total = scalars.zero(a.backend)
-    for ra, rb in zip(a.values, b.values):
-        for va, vb in zip(ra, rb):
-            total += va * vb
-    return total
+    with scalars.float_guard("table inner product"):
+        return ordered_sum((a.values * b.values).reshape(1, -1)).item()
 
 
 def det(rows: Sequence[Sequence]):
@@ -260,11 +255,11 @@ def _exact_div(num, den):
 def adjugate(X: ShapeMatrix, s: int) -> MinorTable:
     """The order-s minor table of X; order 1 is X itself."""
     row_sets, col_sets = minor_layout(X.n, X.k, s)
-    entries = X.entries
-    values = []
     if s == 1:
-        values = entries
-    elif s == 2:
+        return MinorTable(X.n, X.k, s, X.entries, X.backend)
+    entries = X.entries.tolist()
+    values = []
+    if s == 2:
         for r0, r1 in row_sets:
             top, bot = entries[r0], entries[r1]
             values.append([top[c0] * bot[c1] - top[c1] * bot[c0] for c0, c1 in col_sets])

@@ -181,6 +181,16 @@ class TestLift:
         assert values.dtype == object
         assert list(values) == [f(project(X)) for X in mats]
 
+    @pytest.mark.parametrize("lifted", [False, True], ids=["form", "lift"])
+    def test_magnitude_refuses_exact_rows(self, lifted):
+        # the magnitude bounds float rounding, so an exact stack has none
+        f = fn_norm_sq(4, 2)
+        g, width = (lift(f), 4 * 4) if lifted else (f, 6)
+        rows = np.array([[Fraction(1, 3)] * width], dtype=object)
+        with pytest.raises(DomainError):
+            g.magnitude_rows(rows)
+        assert g.magnitude_rows(rows.astype(float)).shape == (1,)
+
 
 class TestCrossCheck:
     def test_float_within_tolerance(self):
@@ -319,8 +329,8 @@ class TestSupportLP:
                                        SamplerConfig(seed=0, trials=100))
         assert result.status == "certified"
         assert repr(result.slack) == "0.0"
-        assert [c.coeffs for c in result.coefficients] == [
-            (0.0,) * math.comb(n, k * s) for s in range(1, n // k + 1)]
+        assert [c.coeffs.tolist() for c in result.coefficients] == [
+            [0.0] * math.comb(n, k * s) for s in range(1, n // k + 1)]
 
     def test_base_point_space_checked(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from extconv.errors import DomainError
 from extconv.exterior import (KForm, hodge_star, norm_squared, ordered_sum,
                               scalar_product, wedge, wedge_power, wedge_power_rows,
                               wedge_rows)
+from extconv.shapespace import MinorTable, ShapeMatrix, adjugate
 
 from oracles import coeffs_to_dict, dict_to_coeff_list, rand_exact, shuffle_wedge, wedge_many
 
@@ -35,9 +36,18 @@ class TestConstruction:
         with pytest.raises(DomainError):
             KForm(3, 1, [0.5, 0, 0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_refused_at_construction(self, value):
+        with pytest.raises(DomainError):
+            KForm(2, 1, [value, 0.0], scalars.FLOAT)
+        with pytest.raises(DomainError):
+            ShapeMatrix(2, 2, [[0.0, value], [0.0, 0.0]], scalars.FLOAT)
+        with pytest.raises(DomainError):
+            MinorTable(2, 2, 1, [[0.0, 0.0], [value, 0.0]], scalars.FLOAT)
+
     def test_degree_above_dimension_is_canonical_zero(self):
         z = KForm.zero(3, 5)
-        assert z.coeffs == ()
+        assert z.coeffs.tolist() == []
         assert z.is_zero()
 
     def test_degree_above_dimension_prints_and_serializes(self):
@@ -200,17 +210,48 @@ def test_wedge_bilinearity_property(raw_a, raw_b):
     assert wedge(c, a + b) == wedge(c, a) + wedge(c, b)
 
 
-class TestStack:
-    def test_typed_by_backend(self):
-        floats = scalars.stack([(1.0, 2.0), (3.0, 4.0)], scalars.FLOAT)
-        exact = scalars.stack([(1, Fraction(1, 3))], scalars.EXACT)
-        assert floats.dtype == np.float64 and floats.shape == (2, 2)
-        assert exact.dtype == object and exact.tolist() == [[1, Fraction(1, 3)]]
+class TestStorage:
+    def test_storage_is_read_only(self):
+        x = KForm(3, 1, [1, Fraction(1, 2), 3])
+        X = ShapeMatrix(3, 2, [[1.0, 2.0, 3.0]] * 3, scalars.FLOAT)
+        for array in (x.coeffs, X.entries, adjugate(X, 2).values):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        with pytest.raises(AttributeError):
+            x.backend = scalars.FLOAT
 
-    def test_nested_rows_flatten_row_major(self):
-        matrix = ((1, 2, 3), (4, 5, 6))
-        assert scalars.stack([matrix], scalars.EXACT).tolist() == [[1, 2, 3, 4, 5, 6]]
-        assert scalars.stack([()], scalars.FLOAT).shape == (1, 0)
+    def test_equal_forms_hash_equal(self):
+        ints = KForm(3, 1, [1, 0, -2])
+        fractions = KForm(3, 1, [Fraction(2, 2), Fraction(0), Fraction(-4, 2)])
+        zeros = KForm(3, 1, [0.0, 1.5, 0.0], scalars.FLOAT)
+        negative_zeros = KForm(3, 1, [-0.0, 1.5, -0.0], scalars.FLOAT)
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert zeros == negative_zeros and hash(zeros) == hash(negative_zeros)
+        assert hash(ints) == hash((3, 1, scalars.EXACT, (1, 0, -2)))
+        assert (ints == fractions) is True and (ints == KForm(3, 1, [1, 0, 2])) is False
+        table = {ints: "exact", zeros: "float"}
+        assert table[fractions] == "exact" and table[negative_zeros] == "float"
+        assert KForm(3, 1, [1.0, 0.0, -2.0], scalars.FLOAT) != ints
+
+
+class TestArray:
+    def test_typed_by_backend(self):
+        floats = scalars.array([(1, 2.0), (3.0, 4.0)], (2, 2), scalars.FLOAT, "entries")
+        exact = scalars.array([(1, Fraction(1, 3), Fraction(4, 2), 6.0)], (1, 4), scalars.EXACT,
+                              "entries")
+        assert floats.dtype == np.float64 and floats.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert exact.dtype == object and exact.tolist() == [[1, Fraction(1, 3), 2, 6]]
+        assert [type(v) for v in exact.ravel().tolist()] == [int, Fraction, int, int]
+        assert not floats.flags.writeable and not exact.flags.writeable
+        assert scalars.backend_of(floats) == scalars.FLOAT
+        assert scalars.backend_of(exact) == scalars.EXACT
+
+    def test_shape_is_checked_on_the_array(self):
+        for backend in scalars.BACKENDS:
+            assert scalars.array((), (0,), backend, "coefficients").shape == (0,)
+            for bad in ([[1, 2], [3]], [[1, 2], 3], [1, 2, 3], [[1, 2, 3]]):
+                with pytest.raises(DomainError):
+                    scalars.array(bad, (2, 2), backend, "entries")
 
 
 class TestWedgeRows:
@@ -303,7 +344,7 @@ class TestWedgeRows:
     def test_zero_form_power_is_one_scalar_power(self):
         assert wedge_power(KForm(4, 0, [Fraction(-3, 2)]), 41) == \
             KForm(4, 0, [Fraction(-3, 2) ** 41])
-        assert wedge_power(KForm(4, 0, [1.5], scalars.FLOAT), 7).coeffs == (1.5 ** 7,)
+        assert wedge_power(KForm(4, 0, [1.5], scalars.FLOAT), 7).coeffs.tolist() == [1.5 ** 7]
         rows = wedge_power_rows(np.array([[2], [Fraction(1, 3)]], dtype=object), 4, 0, 65)
         assert rows.tolist() == [[2 ** 65], [Fraction(1, 3 ** 65)]]
 
