@@ -465,6 +465,8 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     if etas is None:
         eta = _random_forms(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
     else:
+        if not etas or any((eta.n, eta.k) != (n, k) for eta in etas):
+            raise DomainError(f"sample points must be a nonempty list of ({n},{k}) forms")
         eta = _stack(etas)
     f_base = float(f(xi))
 

@@ -10,17 +10,18 @@ object as soon as k·s > n.
 
 There is one wedge kernel.  ``wedge_rows`` and ``wedge_power_rows`` work on
 stacks of forms of those dtypes, one form per row of an (m × C(n,k)) array;
-``wedge`` and ``wedge_power`` run it on a one-row view.  Each target
-coefficient sums its products with ``ordered_sum``: exactly for objects, and
-for floats strictly left to right, so a float row's result does not depend on
-the batch it sits in.  Float wedges run under ``scalars.float_guard``.
+``wedge`` and ``wedge_power`` run it on a one-row view, floats under
+``scalars.float_guard``.  Every structure table is in ``sign_table``'s format
+and summed by ``signed_sum``: exactly for objects, strictly left to right for
+floats, so a float row's result does not depend on its batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -165,32 +166,49 @@ def _check_same_space(a: KForm, b: KForm) -> None:
         raise DomainError(f"mismatched degrees: {a.k} vs {b.k}")
 
 
+def subsets(size: int, length: int) -> np.ndarray:
+    """The increasing ``length``-tuples over range(size), in lex order, one per row."""
+    return np.array(list(itertools.combinations(range(size), length)),
+                    dtype=np.intp).reshape(math.comb(size, length), length)
+
+
+def subset_ranks(basis: Iterable[tuple[int, ...]], rows: np.ndarray,
+                 patterns: np.ndarray) -> np.ndarray:
+    """Entry (t, j): the rank in ``basis`` of row t of ``rows`` read at the
+    positions ``patterns[j]``, by lookup."""
+    index = {key: r for r, key in enumerate(basis)}
+    ranks = np.empty((len(rows), len(patterns)), dtype=np.intp)
+    for j, positions in enumerate(patterns):
+        ranks[:, j] = [index[key] for key in map(tuple, rows[:, positions].tolist())]
+    return ranks
+
+
+def sign_table(*arrays: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The format of every structure table: index arrays of targets × slots,
+    one sign row (floats) that serves every target, and its +1 and −1 slots,
+    all read-only."""
+    row = np.array(signs, dtype=float)
+    out = (*arrays, row, np.flatnonzero(row > 0), np.flatnonzero(row < 0))
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, ...]:
     """Structure table for degree (k,l) -> k+l: left ranks, right ranks, signs.
 
-    Row t lists the pairs (I, J) of disjoint multiindices whose concatenation
-    sorts to target t, by the rank of I and then of J.  A sign depends only on
-    where I sits within the target, so every row has the signs of row 0; the
-    last two arrays list its +1 and its −1 columns, which exact stacks sum
-    apart.
+    For each k-subset P of the positions 0..k+l−1, in lex order, target T's
+    slot pairs I = T[P] with J = T[∁P]; the sign, that of the position string
+    P + ∁P, depends on P alone.
     """
-    per_target: list[list[tuple[int, int, int]]] = [[] for _ in range(math.comb(n, k + l))]
-    right_basis = enumerate_multiindices(n, l)
-    for ra, I in enumerate(enumerate_multiindices(n, k)):
-        I_set = set(I.indices)
-        for rb, J in enumerate(right_basis):
-            if I_set & set(J.indices):
-                continue
-            target = MultiIndex(tuple(sorted(I.indices + J.indices)), n)
-            per_target[rank(target)].append((ra, rb, sign_of_string(I.indices + J.indices)))
-    table = np.array(per_target, dtype=np.intp)
-    sign = table[..., 2]
-    arrays = (table[..., 0], table[..., 1], sign.astype(float),
-              np.flatnonzero(sign[0] > 0), np.flatnonzero(sign[0] < 0))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    m = k + l
+    patterns, rests = subsets(m, k), subsets(m, l)[::-1]    # complements: reverse lex order
+    targets = subsets(n, m)
+    return sign_table(subset_ranks(itertools.combinations(range(n), k), targets, patterns),
+                      subset_ranks(itertools.combinations(range(n), l), targets, rests),
+                      signs=[sign_of_string(P + Q)
+                             for P, Q in zip(patterns.tolist(), rests.tolist())])
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -205,6 +223,18 @@ def ordered_sum(terms: np.ndarray) -> np.ndarray:
     if terms.shape[-1] == 0:
         return np.zeros(terms.shape[:-1])
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+
+
+def signed_sum(terms: np.ndarray, signs: np.ndarray, plus: np.ndarray,
+               minus: np.ndarray) -> np.ndarray:
+    """Σ sign·term along the last axis, for a sign row of a structure table.
+
+    Floats sum ``terms * signs`` in slot order; objects sum the +1 and the −1
+    slots apart, since a product with a sign costs as much as a product.
+    """
+    if terms.dtype == object:
+        return ordered_sum(terms[..., plus]) - ordered_sum(terms[..., minus])
+    return ordered_sum(terms * signs)
 
 
 def power_by_squaring(base: np.ndarray, exp: int) -> np.ndarray:
@@ -232,13 +262,9 @@ def wedge_rows(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int,
         return a[:, :1] * b
     if l == 0:
         return a * b[:, :1]
-    left, right, sign, plus, minus = _wedge_table(n, k, l)
+    left, right, *signs = _wedge_table(n, k, l)
     terms = a[:, left] * b[:, right]
-    if not signed:
-        return ordered_sum(terms)
-    if terms.dtype == object:    # a product with a sign costs as much as a product
-        return ordered_sum(terms[..., plus]) - ordered_sum(terms[..., minus])
-    return ordered_sum(terms * sign)
+    return signed_sum(terms, *signs) if signed else ordered_sum(terms)
 
 
 def wedge_power_rows(x: np.ndarray, n: int, k: int, s: int,
@@ -287,12 +313,13 @@ def norm_squared(x: KForm):
 
 
 def hodge_star(x: KForm) -> KForm:
-    """Hodge dual: on basis forms, *e^I = sign(I·I^c) e^(I^c)."""
+    """Hodge dual *e^I = sign(I·I^c) e^(I^c), read off the one target row of
+    the (k, n−k) wedge table."""
     if x.k > x.n:
         raise DomainError(f"degree {x.k} exceeds dimension {x.n}")
-    n = x.n
-    out = [0] * math.comb(n, n - x.k)
-    for mi, c in zip(enumerate_multiindices(n, x.k), x.coeffs.tolist()):
-        comp = mi.complement()
-        out[rank(comp)] = c if sign_of_string(mi.indices + comp.indices) > 0 else -c
-    return KForm(n, n - x.k, out, x.backend)
+    left, right, _, _, minus = _wedge_table(x.n, x.k, x.n - x.k)
+    values = x.coeffs[left[0]]
+    values[minus] = -values[minus]
+    out = np.empty_like(values)
+    out[right[0]] = values
+    return KForm(x.n, x.n - x.k, out, x.backend)

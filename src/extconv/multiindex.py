@@ -76,10 +76,6 @@ class MultiIndex:
             raise DomainError(f"{j} is not a member of {self.indices}")
         return MultiIndex(tuple(i for i in self.indices if i != j), self.n)
 
-    def complement(self) -> "MultiIndex":
-        members = set(self.indices)
-        return MultiIndex(tuple(i for i in range(1, self.n + 1) if i not in members), self.n)
-
     def __contains__(self, j: int) -> bool:
         return j in self.indices
 

@@ -8,21 +8,24 @@ coefficientwise as exact polynomial identities.
 Two exterior derivatives are provided because the right-wedge convention
 (d w = Σ ∂w_I/∂x_i · e^I ∧ e^i, matching the projection of the gradient) and
 the classical componentwise formula differ by (−1)^deg(w); both are exposed
-and the relation is tested, nothing is silently rescaled.  ``d_right`` reads
-its signs from the wedge kernel's structure table, not from the projection.
-``project_polynomial`` runs the one projection kernel (``project_rows``) on
-a one-row object stack of polynomials.
+and the relation is tested, nothing is silently rescaled.  ``d_right``
+sums the derivative stack ∂_i w_I over the (r, 1) wedge table, not the
+projection's; ``project_polynomial`` runs the projection kernel
+(``project_rows``) on a one-row object stack of polynomials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, _wedge_table, json_fields
+from .exterior import KForm, _wedge_table, json_fields, signed_sum
 from .multiindex import MultiIndex, enumerate_multiindices
 from .projection import project_rows
 
@@ -69,6 +72,8 @@ class Poly:
 
     def __add__(self, other):
         other = self._lift(other)
+        if not (self.terms and other.terms):    # a zero summand: the other one
+            return other if self.is_zero() else self
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
             acc = out.get(expo, 0) + coeff
@@ -83,6 +88,9 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -109,6 +117,9 @@ class Poly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        constant = (0,) * self.nvars
+        if self.terms.keys() <= {constant}:    # equal to its value, so hashed as it
+            return hash(self.terms.get(constant, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def _lift(self, other) -> "Poly":
@@ -227,8 +238,11 @@ class PolyKForm:
     def monomial(cls, n: int, indices: Sequence[int], poly: Poly) -> "PolyKForm":
         return cls(n, len(tuple(indices)), {tuple(indices): poly})
 
-    def coefficient(self, indices: Sequence[int]) -> Poly:
-        return self.coeffs.get(tuple(indices), Poly.zero(self.n))
+    def coefficient(self, indices: Sequence[int] | MultiIndex) -> Poly:
+        mi = indices if isinstance(indices, MultiIndex) else MultiIndex(tuple(indices), self.n)
+        if mi.k != self.k:
+            raise DomainError(f"index length {mi.k} does not match degree {self.k}")
+        return self.coeffs.get(mi.indices, Poly.zero(self.n))
 
     def __add__(self, other: "PolyKForm") -> "PolyKForm":
         if (self.n, self.k) != (other.n, other.k):
@@ -292,48 +306,31 @@ class PolynomialMatrix:
         return ShapeMatrix(self.n, self.k, rows, backend)
 
 
+def _partials(w: PolyKForm) -> np.ndarray:
+    """The derivative stack: row I, column i holds the formal partial ∂w_I/∂x_i."""
+    n, zero = w.n, Poly.zero(w.n)
+    return np.array([[poly.diff(i) for i in range(1, n + 1)] if poly is not None else [zero] * n
+                     for poly in map(w.coeffs.get, itertools.combinations(range(1, n + 1), w.k))],
+                    dtype=object)
+
+
 def gradient(w: PolyKForm) -> PolynomialMatrix:
     """Row I, column i holds the formal partial ∂w_I/∂x_i."""
-    n, k = w.n, w.k + 1
-    rows = []
-    for label in enumerate_multiindices(n, w.k):
-        poly = w.coeffs.get(label.indices, Poly.zero(n))
-        rows.append([poly.diff(i) for i in range(1, n + 1)])
-    return PolynomialMatrix(n, k, rows)
+    return PolynomialMatrix(w.n, w.k + 1, _partials(w))
 
 
 def d_right(w: PolyKForm) -> PolyKForm:
     """Exterior derivative in the right-wedge convention Σ ∂w_I/∂x_i e^I ∧ e^i.
 
-    Signs come from the generic wedge structure table (inversion counts), not
-    from the append-position formula, so the gradient-projection identity is a
-    genuine two-route check.
+    Its signs come from the (r, 1) wedge table (inversion counts), not the
+    projection's, so the gradient-projection identity is a two-route check.
     """
     n, r = w.n, w.k
     if r >= n:
         return PolyKForm(n, r + 1, {})
-    labels = enumerate_multiindices(n, r)
-    label_rank = {mi.indices: idx for idx, mi in enumerate(labels)}
-    targets = enumerate_multiindices(n, r + 1)
-    left, right, signs = (array.tolist() for array in _wedge_table(n, r, 1)[:3])
-    pair_sign = {(ra, rb): (sign, rt) for rt in range(len(targets))
-                 for ra, rb, sign in zip(left[rt], right[rt], signs[rt])}
-    out: dict[tuple[int, ...], Poly] = {}
-    for key, poly in w.coeffs.items():
-        ra = label_rank[key]
-        for i in range(1, n + 1):
-            hit = pair_sign.get((ra, i - 1))
-            if hit is None:
-                continue
-            sign, rt = hit
-            term = poly.diff(i)
-            if term.is_zero():
-                continue
-            if sign < 0:
-                term = -term
-            tgt = targets[rt].indices
-            out[tgt] = out.get(tgt, Poly.zero(n)) + term
-    return PolyKForm(n, r + 1, out)
+    left, right, *signs = _wedge_table(n, r, 1)
+    coeffs = signed_sum(_partials(w)[left, right], *signs)
+    return PolyKForm(n, r + 1, dict(zip(itertools.combinations(range(1, n + 1), r + 1), coeffs)))
 
 
 def project_polynomial(mat: PolynomialMatrix) -> PolyKForm:

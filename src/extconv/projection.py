@@ -4,23 +4,20 @@
 (read as a (k−1)-form) with its coordinate direction on the right.  It sends
 outer products to wedge products and gradients to exterior derivatives, and it
 is onto, with ``right_inverse`` as a sign-free section.  Its coefficient rule
-is one cached table per (n, k), and one kernel sums it: ``project_rows``,
-typed by its stack's dtype (float64, or object holding ints, Fractions or
-polynomials).  ``project`` and ``polyform.project_polynomial`` run it on one
-row, and ``right_inverse`` reads the table's last slots.  The order-1 power
-map reaches the same map by its own route.
+is one cached table per (n, k), which ``project_rows`` sums for ``project``
+and ``polyform.project_polynomial``; the order-1 power map reaches the same
+map by its own route.
 
 For even k the s-th wedge power of a projected matrix is a signed sum of
-order-s minors.  The block partitions and interlace signs of that sum are
-enumerated once per (n, k, s) into one cached sparse linear map,
-``minor_power_map``: for each degree-k·s target, a flat run of (minor cell,
-sign) pairs in the shared minor-table layout (``shapespace.minor_layout``).
-``MinorPowerMap.apply`` and ``wedge_power_from_minors`` walk it the same way,
-the first reading a minor table, the second taking each minor it names as a
-determinant on demand; and ``pullback_support`` is the map's transpose, built
-by its own enumeration so that the adjointness check keeps an independent
-route.  For odd k (any power ≥ 2) and for powers beyond n/k the maps are
-identically zero and the fast paths return zero without touching minors.
+order-s minors.  ``minor_power_map`` applies one pattern per (k, s), the
+block partitions and interlace signs of the positions 1..ks, to every
+degree-k·s target, naming cells of the shared minor layout
+(``shapespace.minor_layout``).  ``MinorPowerMap.apply`` reads them from a
+minor table, ``wedge_power_from_minors`` as determinants on demand, and it
+returns zero at once for odd k or s > n/k; ``pullback_support`` is the map's
+transpose, built by its own enumeration so that the adjointness check keeps
+an independent route.  Every table here is in ``exterior.sign_table``'s
+format and summed by ``exterior.signed_sum``.
 
 All interlace signs here use the append convention (index written after its
 block); see the multiindex module for why the expansion needs that variant.
@@ -37,7 +34,7 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, ordered_sum
+from .exterior import KForm, sign_table, signed_sum, subset_ranks, subsets
 from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                          sign_interlace_append)
 from .shapespace import MinorTable, ShapeMatrix, det, minor_layout
@@ -49,20 +46,14 @@ def _projection_table(n: int, k: int) -> tuple[np.ndarray, ...]:
 
     For each degree-k target K, in rank order, its k slots (K∖K_p, K_p) for
     p = 1..k: ``cells`` holds the flat entry r·n + c of row r = rank(K∖K_p)
-    and column c = K_p − 1, and ``signs`` the append sign (−1)^(k−p), which
-    depends on p alone, so one row serves every target.  The last slot's sign
-    is +1.  The last two arrays list the +1 and the −1 slots, which exact
-    stacks sum apart.  All four are read-only.
+    and column c = K_p − 1, and the sign row the append sign (−1)^(k−p),
+    which depends on p alone; the last slot's sign is +1.
     """
     row_rank = {mi.indices: r for r, mi in enumerate(enumerate_multiindices(n, k - 1))}
     cells = np.array([[row_rank[K[:p] + K[p + 1:]] * n + K[p] - 1 for p in range(k)]
                       for K in (mi.indices for mi in enumerate_multiindices(n, k))],
                      dtype=np.intp)
-    signs = np.array([(-1.0) ** (k - 1 - p) for p in range(k)])
-    arrays = (cells, signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    return sign_table(cells, signs=[(-1) ** (k - 1 - p) for p in range(k)])
 
 
 def project_rows(X: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -72,11 +63,8 @@ def project_rows(X: np.ndarray, n: int, k: int) -> np.ndarray:
     object (ints, Fractions or polynomials), summed exactly.  A float row sums
     its slots left to right, whatever batch it sits in.
     """
-    cells, signs, plus, minus = _projection_table(n, k)
-    terms = X[:, cells]
-    if terms.dtype == object:    # a product with a sign costs as much as a product
-        return ordered_sum(terms[..., plus]) - ordered_sum(terms[..., minus])
-    return ordered_sum(terms * signs)
+    cells, *signs = _projection_table(n, k)
+    return signed_sum(X[:, cells], *signs)
 
 
 def project(X: ShapeMatrix) -> KForm:
@@ -107,89 +95,81 @@ def right_inverse(x: KForm) -> ShapeMatrix:
 class MinorPowerMap(NamedTuple):
     """Linear map from order-s minor space to degree-k·s forms, stored sparsely.
 
-    Matrix rows follow the degree-k·s basis; columns are the cells of
-    ``minor_layout(n, k, s)``, row-set-major.  Each of ``rows`` is a flat tuple
-    (cell, sign, cell, sign, …) in increasing cell order, the signs being the
-    append interlace signs of the target's block partitions; the coefficient
-    of a cell is s!·sign.  Rows are empty for odd k with s ≥ 2, and there are
-    none beyond degree n.  ``entries`` is a dense view, built on each access.
+    Rows follow the degree-k·s basis, columns the cells of
+    ``minor_layout(n, k, s)``; row t of ``cells`` lists the cells target t
+    reads, one per block partition, each with coefficient s!·sign.
     """
 
     n: int
     k: int
     s: int
-    rows: tuple[tuple[int, ...], ...]
+    cells: np.ndarray
+    signs: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         row_sets, col_sets = minor_layout(self.n, self.k, self.s)
-        return len(self.rows), len(row_sets) * len(col_sets)
+        return len(self.cells), len(row_sets) * len(col_sets)
 
     @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The dense matrix, rebuilt on each access."""
-        factor = math.factorial(self.s)
-        ncells = self.shape[1]
-        dense = []
-        for row in self.rows:
-            full = [0] * ncells
-            for cell, sign in zip(row[::2], row[1::2]):
-                full[cell] = factor * sign
-            dense.append(tuple(full))
-        return tuple(dense)
+    def entries(self) -> np.ndarray:
+        """The dense matrix of exact ints, rebuilt on each access."""
+        dense = np.zeros(self.shape, dtype=object)
+        dense[np.arange(len(self.cells))[:, None], self.cells] = \
+            self.signs.astype(int).astype(object) * math.factorial(self.s)
+        return dense
 
     def apply(self, table: MinorTable) -> KForm:
         """The image of a minor table in this map's space."""
         if (table.n, table.k, table.s) != (self.n, self.k, self.s):
             raise DomainError(f"table space ({table.n},{table.k},{table.s}) does not match "
                               f"map space ({self.n},{self.k},{self.s})")
-        return _expand(self, table.values.ravel().tolist().__getitem__, table.backend)
+        return self._image(table.values.ravel()[self.cells], table.backend)
 
-
-def _expand(power_map: MinorPowerMap, minor, backend: str) -> KForm:
-    """Σ sign·minor(cell) along each row of the map, in cell order, times s! once."""
-    factor = math.factorial(power_map.s)
-    out = []
-    for row in power_map.rows:
-        acc = 0    # 0 + x is 0.0 + x for a float x
-        for cell, sign in zip(row[::2], row[1::2]):
-            value = minor(cell)
-            acc = acc + value if sign > 0 else acc - value
-        out.append(factor * acc)
-    return KForm(power_map.n, power_map.k * power_map.s, out, backend)
+    def _image(self, minors: np.ndarray, backend: str) -> KForm:
+        """s! · Σ sign·minor along each row of the minors read at ``cells``."""
+        with scalars.float_guard("minor expansion"):
+            row = math.factorial(self.s) * signed_sum(minors, self.signs, self.plus, self.minus)
+        return KForm(self.n, self.k * self.s, row, backend)
 
 
 @lru_cache(maxsize=None)
 def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
-    """The order-s power map, built once per (n, k, s); order 1 is the projection."""
+    """The order-s power map, built once per (n, k, s); order 1 is the projection.
+
+    A block partition of the positions 1..ks, read on a target K, names the
+    cell (row set of its blocks' label ranks, column set of its subscripts).
+    """
     row_sets, col_sets = minor_layout(n, k, s)
-    multiindices = enumerate_multiindices(n, k * s) if k * s <= n else []
-    if s >= 2 and k % 2 == 1:
-        return MinorPowerMap(n, k, s, ((),) * len(multiindices))
-    row_index = {rs: i for i, rs in enumerate(row_sets)}
-    col_index = {cs: i for i, cs in enumerate(col_sets)}
-    ncols = len(col_sets)
-    label_rank = {mi.indices: i for i, mi in enumerate(enumerate_multiindices(n, k - 1))}
-    rows = []
-    for K in multiindices:
-        terms = []
-        for part in block_partitions(K, s, k):
-            # blocks come in alphabetical order, so their ranks increase
-            rs = tuple(label_rank[b.indices] for b in part.blocks)
-            cs = tuple(j - 1 for j in part.J.indices)
-            terms.append((row_index[rs] * ncols + col_index[cs],
-                          sign_interlace_append(part.J.indices, part.blocks)))
-        rows.append(tuple(v for term in sorted(terms) for v in term))
-    return MinorPowerMap(n, k, s, tuple(rows))
+    ks = k * s
+    parts = [] if ks > n or (s >= 2 and k % 2 == 1) else \
+        block_partitions(MultiIndex(tuple(range(1, ks + 1)), ks), s, k)
+    subscripts, blocks, signs = [], [], []
+    for part in parts:    # one pass, keeping no partition object
+        subscripts.extend(part.J.indices)
+        blocks.extend(i for block in part.blocks for i in block.indices)
+        signs.append(sign_interlace_append(part.J, part.blocks))
+    subscripts = np.array(subscripts, dtype=np.intp).reshape(len(signs), s) - 1
+    blocks = np.array(blocks, dtype=np.intp).reshape(len(signs) * s, k - 1) - 1
+    targets = subsets(n, ks)
+    # each target's label ranks, s per partition; blocks come in alphabetical
+    # order, so a partition's label ranks increase and form its row set
+    labels = subset_ranks(itertools.combinations(range(n), k - 1), targets, blocks)
+    cells = subset_ranks(row_sets, labels,
+                         np.arange(len(blocks)).reshape(len(signs), s)) * len(col_sets) \
+        + subset_ranks(col_sets, targets, subscripts)
+    return MinorPowerMap(n, k, s, *sign_table(cells, signs=signs))
 
 
 def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
     """Evaluate the s-th wedge power of project(X) from its order-s minors.
 
     Applies the cached power map, taking the determinant of exactly the
-    submatrices its rows name, each once (a cell fixes its target, so no minor
-    recurs), instead of building the full minor table.  Zero without
-    computing minors when k is odd or s exceeds n/k.
+    submatrices its cells name, each once (a cell fixes its target, so no
+    minor recurs), instead of building the full minor table.  Zero without
+    building the map when k is odd or s exceeds n/k.
     """
     n, k = X.n, X.k
     limit = min(n, math.comb(n, k - 1))
@@ -198,15 +178,12 @@ def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
     if k % 2 == 1 or s > n // k:
         return KForm.zero(n, k * s, X.backend)
     row_sets, col_sets = minor_layout(n, k, s)
-    ncols = len(col_sets)
-    entries = X.entries.tolist()
-
-    def minor(cell):
-        ri, ci = divmod(cell, ncols)
-        cols = col_sets[ci]
-        return det([[entries[r][c] for c in cols] for r in row_sets[ri]])
-
-    return _expand(minor_power_map(n, k, s), minor, X.backend)
+    entries, ncols = X.entries.tolist(), len(col_sets)
+    power_map = minor_power_map(n, k, s)
+    minors = [det([[entries[r][c] for c in col_sets[cell % ncols]] for r in row_sets[cell // ncols]])
+              for cell in power_map.cells.ravel().tolist()]
+    minors = np.array(minors, dtype=X.entries.dtype).reshape(power_map.cells.shape)
+    return power_map._image(minors, X.backend)
 
 
 def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:

@@ -9,17 +9,18 @@ def sign_fault(monkeypatch):
     """Negate one interlace sign of the minor expansion.
 
     Every power map handed out while the fixture is active has the sign of
-    the first cell of its first row flipped, so a checker that compares the
-    expansion against an independent route must report a mismatch.  The
-    cached map itself is left untouched.
+    its first pattern slot flipped, in every row, and its +1 / −1 slots
+    follow, so a checker that compares the expansion against an independent
+    route must report a mismatch.  The cached map itself is left untouched.
     """
     real = projection.minor_power_map
 
     def faulty(n, k, s):
         power_map = real(n, k, s)
-        first = power_map.rows[0]
-        return power_map._replace(rows=((first[0], -first[1]) + first[2:],)
-                                  + power_map.rows[1:])
+        signs = power_map.signs.copy()
+        signs[0] = -signs[0]
+        return power_map._replace(signs=signs, plus=np.flatnonzero(signs > 0),
+                                  minus=np.flatnonzero(signs < 0))
 
     monkeypatch.setattr(projection, "minor_power_map", faulty)
 

@@ -337,6 +337,17 @@ class TestSupportLP:
             polyconvex_support_lp(fn_top_power(), KForm.zero(4, 1, scalars.FLOAT),
                                   SamplerConfig(seed=0, trials=10))
 
+    @pytest.mark.parametrize("etas", [
+        [KForm(4, 1, [1.0, 0, 0, 0], scalars.FLOAT)],
+        [KForm.zero(4, 2, scalars.FLOAT), KForm.zero(5, 2, scalars.FLOAT)],
+        [KForm.zero(4, 2, scalars.FLOAT), KForm.zero(4, 3, scalars.FLOAT)],
+        [],
+    ], ids=["degree", "dimension", "one-of-two", "empty"])
+    def test_sample_space_checked(self, etas):
+        with pytest.raises(DomainError):
+            polyconvex_support_lp(FormFunction.norm_squared(4, 2), self.BASE,
+                                  SamplerConfig(seed=0, trials=10), etas=etas)
+
     def test_odd_degree_degenerates_to_linear_support(self):
         # on (6,3) every power ≥ 2 vanishes, so only the s=1 block carries signal
         c = KForm.from_dict(6, 3, {(1, 2, 3): 2, (4, 5, 6): -1})

@@ -47,6 +47,18 @@ class TestPoly:
         with pytest.raises(DomainError):
             Poly.variable(3, 0)
 
+    def test_scalar_on_the_left(self):
+        assert 1 - x(1, 2) == Poly.parse("1 - x1", 2)
+        assert Fraction(1, 2) - x(2, 2) == -(x(2, 2) - Fraction(1, 2))
+        assert 3 + x(1, 2) == x(1, 2) + 3 and 3 * x(1, 2) == x(1, 2) * 3
+
+    def test_constants_hash_as_their_value(self):
+        for nvars, value in [(2, 3), (3, Fraction(-5, 7)), (1, 0)]:
+            const = Poly.const(nvars, value)
+            assert const == value and hash(const) == hash(value)
+        assert {Poly.const(2, 3): "a"}[3] == "a"
+        assert hash(Poly.parse("x1 + 1", 2)) == hash(Poly.parse("1 + x1", 2))
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-5, 5)),
                     max_size=4),
@@ -73,6 +85,17 @@ def random_polyform(n, k, rng, degree=2):
                 rng.randint(-4, 4), rng.randint(1, 3))
         coeffs[mi.indices] = Poly(n, terms)
     return PolyKForm(n, k, coeffs)
+
+
+class TestPolyKForm:
+    def test_coefficient_key_length_checked(self):
+        w = PolyKForm.monomial(3, (2,), x(1, 3))
+        assert w.coefficient((2,)) == x(1, 3) and w.coefficient((3,)).is_zero()
+        for key in [(1, 2), ()]:
+            with pytest.raises(DomainError):
+                w.coefficient(key)
+        with pytest.raises(DomainError):
+            w.coefficient((4,))
 
 
 class TestGradient:

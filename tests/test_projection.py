@@ -245,28 +245,53 @@ class TestLazyMinors:
         assert calls == []
         assert out.is_zero() and out.k == k * s
 
+    @pytest.mark.parametrize("n,k,s", [(6, 3, 2), (16, 3, 5), (4, 2, 3), (14, 2, 14)])
+    def test_zero_paths_build_no_map(self, monkeypatch, n, k, s):
+        # odd k, or s > n/k: zero at once, with no minor layout, power map or
+        # partition walk (the layout alone has C(120, 5) row sets at (16,3,5))
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the zero path built a power map")
+
+        for name in ("minor_layout", "minor_power_map", "block_partitions"):
+            monkeypatch.setattr(projection, name, forbidden)
+        out = wedge_power_from_minors(rand_int_matrix(n, k, random.Random(25)), s)
+        assert out.is_zero() and out.k == k * s
+
+    @pytest.mark.parametrize("n,k,s", [(6, 2, 4), (5, 3, 2), (7, 3, 3)])
+    def test_maps_without_slots_walk_no_partitions(self, monkeypatch, n, k, s):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a map without slots walked the block partitions")
+
+        monkeypatch.setattr(projection, "block_partitions", forbidden)
+        pm = minor_power_map.__wrapped__(n, k, s)    # uncached build
+        assert pm.cells.size == 0
+        assert len(pm.cells) == (math.comb(n, k * s) if k * s <= n else 0)
+
     @pytest.mark.parametrize("n,k,s", [(6, 2, 2), (8, 2, 3), (8, 4, 2), (10, 2, 5)])
     def test_plan_cells_are_distinct(self, n, k, s):
         # a cell fixes its blocks and subscripts, hence its target, so no
         # minor is read twice in one expansion
         pm = minor_power_map(n, k, s)
-        cells = [cell for row in pm.rows for cell in row[::2]]
+        cells = pm.cells.ravel().tolist()
         assert len(cells) == len(set(cells))
-        assert {sign for row in pm.rows for sign in row[1::2]} <= {-1, 1}
-        assert len(pm.rows) == math.comb(n, k * s)
-        assert all(list(row[::2]) == sorted(row[::2]) for row in pm.rows)
+        assert set(pm.signs.tolist()) <= {-1, 1}
+        assert pm.plus.tolist() == [i for i, v in enumerate(pm.signs) if v > 0]
+        assert pm.minus.tolist() == [i for i, v in enumerate(pm.signs) if v < 0]
+        assert len(pm.cells) == math.comb(n, k * s)
 
     def test_plan_is_cached(self):
         assert minor_power_map(8, 2, 4) is minor_power_map(8, 2, 4)
 
     def test_cached_map_cannot_be_mutated(self):
         pm = minor_power_map(4, 2, 2)
-        for name in ("n", "k", "s", "rows"):
+        for name in ("n", "k", "s", "cells", "signs", "plus", "minus"):
             with pytest.raises(AttributeError):
                 setattr(pm, name, None)
-        assert isinstance(pm.rows, tuple) and all(isinstance(row, tuple) for row in pm.rows)
-        with pytest.raises(TypeError):
-            pm.rows[0][0] = 1
+        assert not any(array.flags.writeable for array in pm[3:])
+        with pytest.raises(ValueError):
+            pm.cells[0, 0] = 1
+        with pytest.raises(ValueError):
+            pm.signs[0] = 1
 
     @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 4, 2), (9, 2, 3)])
     def test_float_routes_bit_identical(self, n, k, s):
@@ -281,7 +306,7 @@ class TestLazyMinors:
 
 
 def stored_cells(power_map):
-    return sum(len(row) // 2 for row in power_map.rows)
+    return power_map.cells.size
 
 
 class TestMinorPowerMap:
@@ -312,6 +337,12 @@ class TestMinorPowerMap:
         col_sets = list(itertools.combinations(range(4), 2))
         cell = row_sets.index((2, 3)) * len(col_sets) + col_sets.index((0, 1))
         assert pm.entries[0][cell] == -2
+
+    def test_dense_view_holds_exact_ints(self):
+        dense = minor_power_map(6, 2, 3).entries
+        assert dense.dtype == object
+        assert {type(v) for v in dense.ravel()} == {int}
+        assert {v for v in dense.ravel() if v} == {-6, 6}
 
     def test_defining_condition_on_adjugates(self):
         rng = random.Random(14)
