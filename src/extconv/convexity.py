@@ -474,12 +474,12 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
         base = _power_features(_stack([xi]), n, k)[:, 1:]
         w = _power_features(eta, n, k)[:, 1:] - base
         # t's column is all ones: the simplex enters it to start feasible
-        A = np.hstack([-w, w, np.ones((eta.shape[0], 1))])
+        A = np.hstack([-w, np.ones((eta.shape[0], 1))])
         b = -(f.evaluate_rows(eta) - f_base)
 
     total = w.shape[1]
-    cost = [0.0] * (2 * total) + [1.0]
-    result = simplex.minimize(cost, A, b)
+    cost = [0.0] * total + [1.0]
+    result = simplex.minimize(cost, A, b, free=total)
     if result.status == simplex.UNBOUNDED:
         raise LPInternalError("support slack is bounded below by zero yet the "
                               "solver reported unbounded")
@@ -488,7 +488,7 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
                              cfg.seed, cfg.tolerance)
     x = result.x
     slack = float(result.objective)
-    forms = _power_forms(n, k, np.subtract(x[:total], x[total:2 * total]))
+    forms = _power_forms(n, k, np.asarray(x[:total]))
     status = "certified" if slack <= cfg.tolerance else "refuted"
     return SupportSearch(status, xi, slack, forms, eta.shape[0], cfg.seed,
                          cfg.tolerance)

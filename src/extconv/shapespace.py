@@ -55,6 +55,8 @@ class ShapeMatrix:
         """Entry at a multiindex row and 1-based column."""
         mi = row_label if isinstance(row_label, MultiIndex) \
             else MultiIndex(tuple(row_label), self.n)
+        if mi.k != self.k - 1:
+            raise DomainError(f"row label length {mi.k} does not match k - 1 = {self.k - 1}")
         if not 1 <= col <= self.n:
             raise DomainError(f"column {col} out of range 1..{self.n}")
         return self.entries.item(rank(mi), col - 1)

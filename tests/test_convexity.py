@@ -585,3 +585,44 @@ class TestStackedSampling:
         cfg = SamplerConfig(seed=4, trials=60)
         assert fit_quasiaffine(fn_planted(6, 2), cfg).to_json() \
             == fit_quasiaffine(fn_planted(6, 2), cfg).to_json()
+
+
+class TestSupportLPPinned:
+    """The (8,2) support LP at the benchmark's 500 samples: answers and tableau width."""
+
+    # statuses and slacks of the split-coefficient (c⁺ − c⁻) solver this one replaced
+    RECORDED = {
+        ("neg_norm_sq", 0): ("refuted", 43.66283178477992),
+        ("neg_norm_sq", 1): ("refuted", 43.24500004311089),
+        ("neg_norm_sq", 2): ("refuted", 44.16335187568579),
+        ("planted", 0): ("certified", 0.0),
+        ("planted", 1): ("certified", 0.0),
+        ("planted", 2): ("certified", 0.0),
+    }
+    FUNCTIONS = {"neg_norm_sq": fn_neg_norm_sq(8, 2), "planted": fn_planted()}
+
+    @pytest.mark.parametrize("name,seed", sorted(RECORDED))
+    def test_answers_match_the_recorded_ones(self, name, seed, monkeypatch):
+        from extconv import simplex
+
+        widths = []
+        pivot = simplex._pivot
+
+        def spy(T, *args):
+            widths.append(T.shape[1])
+            pivot(T, *args)
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        f, base = self.FUNCTIONS[name], KForm.zero(8, 2, scalars.FLOAT)
+        cfg = SamplerConfig(seed=seed, trials=500)
+        result = polyconvex_support_lp(f, base, cfg)
+        status, slack = self.RECORDED[name, seed]
+        assert result.status == status
+        assert result.slack == pytest.approx(slack, rel=0, abs=1e-9)
+        # 127 free coefficients, t and the right-hand side; the split form had 756
+        assert widths and max(widths) <= 129
+        if status == "certified":
+            for j in range(cfg.trials):
+                eta = random_form(8, 2, derive_rng(seed, j), cfg.coeff_range)
+                gap = support_inequality_gap(f, base, result.coefficients, eta)
+                assert gap <= cfg.tolerance, (j, gap)

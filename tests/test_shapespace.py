@@ -31,6 +31,14 @@ class TestShapeMatrix:
         with pytest.raises(DomainError):
             X.entry((2,), 4)
 
+    @pytest.mark.parametrize("label", [(1, 2), (), (1, 2, 3)])
+    def test_entry_rejects_row_label_of_wrong_length(self, label):
+        # a (4,2) matrix has rows labelled by 1-index sets; rank() alone would
+        # read some other row for a label of another length
+        X = ShapeMatrix(4, 2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(DomainError, match="row label length"):
+            X.entry(label, 1)
+
     def test_json_roundtrip(self):
         X = ShapeMatrix(3, 2, [[1, Fraction(1, 2), 0], [0, -2, 3], [1, 1, 1]])
         blob = X.to_json()

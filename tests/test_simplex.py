@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extconv import simplex
 from extconv.errors import DomainError
 from extconv.simplex import ITERATION_LIMIT, OPTIMAL, UNBOUNDED, minimize
 
@@ -60,12 +61,28 @@ class TestFloatPath:
         with pytest.raises(DomainError):
             minimize([1, 2], [[1]], [0])
 
+    @pytest.mark.parametrize("free", [-1, 3])
+    def test_free_count_outside_the_variables(self, free):
+        with pytest.raises(DomainError, match="free"):
+            minimize([1, 2], [[1, 1]], [0], free)
 
-def assert_exact_optimum(r, c, A, b):
-    """An exact optimum is rational, nonnegative, feasible and priced exactly."""
+    @pytest.mark.parametrize("c,free,status", [
+        ([1], 0, OPTIMAL), ([-1], 0, UNBOUNDED), ([1], 1, UNBOUNDED), ([0, 2], 1, OPTIMAL),
+    ])
+    def test_no_constraints(self, c, free, status):
+        # with no rows, any improving direction is unbounded
+        r = minimize(c, [], [], free)
+        assert r.status == status
+        if status == OPTIMAL:
+            assert r.x == [0] * len(c) and r.objective == 0
+
+
+def assert_exact_optimum(r, c, A, b, free=0):
+    """An exact optimum is rational, nonnegative past its free coordinates, feasible
+    and priced exactly."""
     assert r.status == OPTIMAL
     assert all(type(v) is Fraction for v in r.x) and type(r.objective) is Fraction
-    assert all(v >= 0 for v in r.x)
+    assert all(v >= 0 for v in r.x[free:])
     for row, rhs in zip(A, b):
         assert sum(a * v for a, v in zip(row, r.x)) >= rhs
     assert sum(ci * v for ci, v in zip(c, r.x)) == r.objective
@@ -108,9 +125,9 @@ class TestExactPath:
 EXACT = pytest.mark.parametrize("exact_data", [False, True])
 
 
-def solve(exact_data, c, A, b):
+def solve(exact_data, c, A, b, free=0):
     """``minimize`` on float data, or exactly on the same data as object arrays."""
-    return minimize(*(exact(c, A, b) if exact_data else (c, A, b)))
+    return minimize(*(exact(c, A, b) if exact_data else (c, A, b)), free)
 
 
 class TestWarmStart:
@@ -167,11 +184,12 @@ class TestWarmStart:
             solve(exact_data, *lp)
 
 
-def random_lps(count, seed=20071):
-    """Small integer LPs min c·x st A x ≥ b, x ≥ 0 that ``minimize`` accepts.
+def random_lps(count, seed=20071, free=False):
+    """Small integer LPs (c, A, b, f): min c·x st A x ≥ b, x_j ≥ 0 for j ≥ f.
 
     Half of them have b ≤ 0 and no all-ones column; the other half are the
-    same A with a uniform slack appended and any b.
+    same A with a uniform slack appended and any b.  With ``free`` the first
+    1 ≤ f ≤ width(A) columns of A are sign-free; otherwise f = 0.
     """
     rng = random.Random(seed)
     for _ in range(count):
@@ -179,21 +197,23 @@ def random_lps(count, seed=20071):
         A = [[rng.randint(-4, 4) for _ in range(nv)] for _ in range(m)]
         A[0] = [2 if v == 1 else v for v in A[0]]   # so no column of A is all ones
         c = [rng.randint(-3, 3) for _ in range(nv)]
-        yield c, A, [rng.randint(-5, 0) for _ in range(m)]
-        yield c + [rng.randint(0, 3)], with_slack(A), [rng.randint(-5, 5) for _ in range(m)]
+        f = rng.randint(1, nv) if free else 0
+        yield c, A, [rng.randint(-5, 0) for _ in range(m)], f
+        yield c + [rng.randint(0, 3)], with_slack(A), [rng.randint(-5, 5) for _ in range(m)], f
 
 
 class TestAgainstHiGHS:
     """Statuses and optimal objectives agree with scipy's HiGHS on random LPs."""
 
     @staticmethod
-    def highs_reference(c, A, b):
+    def highs_reference(c, A, b, free=0):
         linprog = pytest.importorskip("scipy.optimize").linprog
         A_ub = [[-a for a in row] for row in A]
         b_ub = [-v for v in b]
+        bounds = [(None, None)] * free + [(0, None)] * (len(c) - free)
 
         def highs(cost):
-            return linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+            return linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
         # every instance is feasible; HiGHS's presolve can still report an
         # unbounded model as infeasible
@@ -214,15 +234,78 @@ class TestAgainstHiGHS:
             assert solve(exact_data, c, A, b).status == UNBOUNDED
 
     def test_random_instances_agree(self):
+        self.assert_agree(random_lps(300))
+
+    def test_random_free_instances_agree(self):
+        self.assert_agree(random_lps(300, seed=1983, free=True))
+
+    def assert_agree(self, lps):
         solves = 0
-        for c, A, b in random_lps(300):
-            status, objective = self.highs_reference(c, A, b)
+        for c, A, b, f in lps:
+            status, objective = self.highs_reference(c, A, b, f)
             for exact_data in (False, True):
-                r = solve(exact_data, c, A, b)
-                assert r.status == status, (c, A, b, exact_data)
+                r = solve(exact_data, c, A, b, f)
+                assert r.status == status, (c, A, b, f, exact_data)
                 if status == OPTIMAL:
                     assert float(r.objective) == pytest.approx(objective, rel=1e-9, abs=1e-9)
                     if exact_data:
-                        assert_exact_optimum(r, c, A, b)
+                        assert_exact_optimum(r, c, A, b, f)
                 solves += 1
         assert solves == 1200
+
+
+class TestFreeVariables:
+    """The first ``free`` variables are sign-free: they enter either way and never leave."""
+
+    @EXACT
+    def test_optimum_needs_a_negative_free_coordinate(self, exact_data):
+        # min t  st  y + t ≥ −2,  −y + t ≥ 2: t ≥ |y + 2| is 0 only at y = −2
+        c, A, b = [0, 1], [[1, 1], [-1, 1]], [-2, 2]
+        r = solve(exact_data, c, A, b, 1)
+        assert r.status == OPTIMAL and r.x == [-2, 0] and r.objective == 0
+        if exact_data:
+            assert_exact_optimum(r, c, A, b, 1)
+        # with y ≥ 0 the best is y = 0, t = 2
+        assert solve(exact_data, c, A, b).objective == 2
+
+    @EXACT
+    def test_degenerate_free_variable_stays_basic_under_bland(self, exact_data, monkeypatch):
+        # y (id 0) enters at value 0 on the second pivot; that pivot is
+        # degenerate, so with a stall limit of 0 Bland's rule takes over.  On
+        # the third pivot y's row has the lowest ratio, 0, and the lowest id:
+        # a free row that were not skipped would leave there.  The optimum
+        # needs y = −1/2.
+        c = [0, -2, 0]
+        A = [[2, 0, 1], [-1, 0, 0], [-1, 1, -2], [-1, -1, 0]]
+        b = [0, 0, -1, 0]
+        bases = []
+        pivot = simplex._pivot
+
+        def spy(T, basis, nonbasic, row, col):
+            pivot(T, basis, nonbasic, row, col)
+            bases.append(basis.tolist())
+
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        r = solve(exact_data, c, A, b, 1)
+        assert r.status == OPTIMAL and r.objective == -1
+        assert r.x == [Fraction(-1, 2), Fraction(1, 2), 1]
+        if exact_data:
+            assert_exact_optimum(r, c, A, b, 1)
+        assert [0 in basis for basis in bases] == [False, True, True]
+
+    @EXACT
+    @pytest.mark.parametrize("c,A,free", [
+        ([-3, -3, 3, -3, 0],
+         [[3, -1, 2, -1, 1], [2, -1, 3, 0, 2], [-2, 0, 3, -3, -1], [1, -2, 3, -3, -3]], 1),
+        ([1, 3, -3, -2, 1, -3],
+         [[3, -3, 2, -2, 3, 2], [-3, 3, 1, 3, 1, -3], [0, 3, -3, -2, 2, 1],
+          [2, -3, -2, -1, 0, 0], [2, 3, 3, -3, -1, 2]], 0),
+    ], ids=["entering", "leaving"])
+    def test_bland_orders_by_variable_id(self, exact_data, c, A, free, monkeypatch):
+        # columns and rows change identity on every pivot; from the first stall
+        # on, Bland's rule must enter the lowest variable id (not the leftmost
+        # column) and break ratio ties by the lowest basic id (not the topmost
+        # row), or these degenerate instances cycle until the cap
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+        assert solve(exact_data, c, A, [0] * len(A), free).status == UNBOUNDED
