@@ -13,11 +13,12 @@ order-s minors.  ``minor_power_map`` applies one pattern per (k, s), the
 block partitions and interlace signs of the positions 1..ks, to every
 degree-k·s target, naming cells of the shared minor layout
 (``shapespace.minor_layout``).  ``MinorPowerMap.apply`` reads them from a
-minor table, ``wedge_power_from_minors`` as determinants on demand, and it
-returns zero at once for odd k or s > n/k; ``pullback_support`` is the map's
-transpose, built by its own enumeration so that the adjointness check keeps
-an independent route.  Every table here is in ``exterior.sign_table``'s
-format and summed by ``exterior.signed_sum``.
+minor table, ``wedge_power_from_minors`` takes them in one batch of
+determinants (``shapespace.minors_at``) at the row and column positions the
+map stores, and it returns zero at once for odd k or s > n/k;
+``pullback_support`` is the map's transpose, built by its own enumeration so
+that the adjointness check keeps an independent route.  Every table here is
+in ``exterior.sign_table``'s format and summed by ``exterior.signed_sum``.
 
 All interlace signs here use the append convention (index written after its
 block); see the multiindex module for why the expansion needs that variant.
@@ -37,7 +38,7 @@ from .errors import DomainError
 from .exterior import KForm, sign_table, signed_sum, subset_ranks, subsets
 from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                          sign_interlace_append)
-from .shapespace import MinorTable, ShapeMatrix, det, minor_layout
+from .shapespace import MinorTable, ShapeMatrix, minor_layout, minors_at
 
 
 @lru_cache(maxsize=None)
@@ -97,13 +98,17 @@ class MinorPowerMap(NamedTuple):
 
     Rows follow the degree-k·s basis, columns the cells of
     ``minor_layout(n, k, s)``; row t of ``cells`` lists the cells target t
-    reads, one per block partition, each with coefficient s!·sign.
+    reads, one per block partition, each with coefficient s!·sign.  ``rows``
+    and ``cols`` hold each cell's s row and column positions (targets × slots
+    × s).
     """
 
     n: int
     k: int
     s: int
     cells: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     signs: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
@@ -160,16 +165,21 @@ def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
     cells = subset_ranks(row_sets, labels,
                          np.arange(len(blocks)).reshape(len(signs), s)) * len(col_sets) \
         + subset_ranks(col_sets, targets, subscripts)
-    return MinorPowerMap(n, k, s, *sign_table(cells, signs=signs))
+    # in the smallest unsigned type that holds every position, the stored
+    # positions take less memory than the cells they decode
+    small = np.min_scalar_type(max(n, math.comb(n, k - 1)))
+    rows, cols = labels.reshape(len(targets), len(signs), s), targets[:, subscripts]
+    return MinorPowerMap(n, k, s, *sign_table(cells, rows.astype(small), cols.astype(small),
+                                              signs=signs))
 
 
 def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
     """Evaluate the s-th wedge power of project(X) from its order-s minors.
 
-    Applies the cached power map, taking the determinant of exactly the
-    submatrices its cells name, each once (a cell fixes its target, so no
-    minor recurs), instead of building the full minor table.  Zero without
-    building the map when k is odd or s exceeds n/k.
+    Applies the cached power map, taking in one batch the determinants of
+    exactly the submatrices its cells name, each once (a cell fixes its
+    target, so no minor recurs), instead of building the full minor table.
+    Zero without building the map when k is odd or s exceeds n/k.
     """
     n, k = X.n, X.k
     limit = min(n, math.comb(n, k - 1))
@@ -177,13 +187,10 @@ def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
         raise DomainError(f"power order {s} out of range 2..{limit}")
     if k % 2 == 1 or s > n // k:
         return KForm.zero(n, k * s, X.backend)
-    row_sets, col_sets = minor_layout(n, k, s)
-    entries, ncols = X.entries.tolist(), len(col_sets)
     power_map = minor_power_map(n, k, s)
-    minors = [det([[entries[r][c] for c in col_sets[cell % ncols]] for r in row_sets[cell // ncols]])
-              for cell in power_map.cells.ravel().tolist()]
-    minors = np.array(minors, dtype=X.entries.dtype).reshape(power_map.cells.shape)
-    return power_map._image(minors, X.backend)
+    with scalars.float_guard("minors"):
+        minors = minors_at(X.entries, power_map.rows.reshape(-1, s), power_map.cols.reshape(-1, s))
+    return power_map._image(minors.reshape(power_map.cells.shape), X.backend)
 
 
 def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:

@@ -9,14 +9,16 @@ sign layer — all signs in the wedge-power expansion are carried explicitly by
 the interlace sign, keeping a single canonical sign location.  The layout of
 those selections is enumerated once per (n, k, s), by ``minor_layout``, and
 shared by every minor table, by ``adjugate`` and by the projection's power
-maps.
+maps.  Every minor is taken by one batched, division-free kernel,
+``det_rows``: Laplace expansion along rows over shared sub-minors, one
+``_laplace_table`` per order in the structure-table format of
+``exterior.sign_table``, fed by ``minors_at`` in chunks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, json_fields, ordered_sum
+from .exterior import KForm, json_fields, ordered_sum, sign_table, signed_sum
 from .multiindex import MultiIndex, enumerate_multiindices, rank
 
 
@@ -192,83 +194,70 @@ def table_inner(a: MinorTable, b: MinorTable):
         return ordered_sum((a.values * b.values).reshape(1, -1)).item()
 
 
-def det(rows: Sequence[Sequence]):
-    """Determinant of a small square matrix.
+@lru_cache(maxsize=None)
+def _laplace_table(s: int, j: int) -> tuple[np.ndarray, ...]:
+    """Laplace expansion of the order-j minors on the last j of s rows by their
+    first row: for each j-subset C of the s columns, in lex order, its j slots
+    p give the column C[p] and the rank of C∖C[p] among the (j−1)-subsets, with
+    sign (−1)^p."""
+    below = {C: r for r, C in enumerate(itertools.combinations(range(s), j - 1))}
+    col_sets = list(itertools.combinations(range(s), j))
+    cols = np.array(col_sets, dtype=np.intp).reshape(len(col_sets), j)
+    subs = np.array([[below[C[:p] + C[p + 1:]] for p in range(j)] for C in col_sets],
+                    dtype=np.intp).reshape(len(col_sets), j)
+    return sign_table(cols, subs, signs=[(-1) ** p for p in range(j)])
 
-    Direct expansion up to 3×3; Bareiss fraction-free elimination above (exact
-    division, valid for rational entries; for floats it degrades to ordinary
-    elimination with the same pivoting).
+
+def det_rows(M: np.ndarray) -> np.ndarray:
+    """Determinants of an (…, s, s) stack, float64 or object (ints, Fractions).
+
+    Row by row from the bottom, every minor on the last j rows is expanded
+    along its first row over the minors on the last j − 1, which all of them
+    share: s·2^(s−1) products per determinant, with no pivot and no division,
+    so exact input gives exact output.  A float determinant sums its slots
+    left to right, whatever batch it sits in.
     """
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+        raise DomainError("determinant of a non-square matrix")
+    s = M.shape[-1]
+    acc = np.ones(M.shape[:-2] + (1,), dtype=M.dtype)
+    for j in range(1, s + 1):
+        cols, subs, *signs = _laplace_table(s, j)
+        acc = signed_sum(M[..., s - j, cols] * acc[..., subs], *signs)
+    return acc[..., 0]
+
+
+def det(rows: Sequence[Sequence]):
+    """Determinant of one small square matrix, by ``det_rows``."""
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise DomainError("determinant of a non-square matrix")
-    if m == 0:
-        return 1
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if m == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return _det_bareiss([list(r) for r in rows])
+    floats = any(isinstance(v, float) for r in rows for v in r)
+    return det_rows(np.array(rows, dtype=float if floats else object).reshape(m, m)).item()
 
 
-def _det_bareiss(m: list[list]) -> object:
-    size = len(m)
-    sign = 1
-    prev = 1
-    for step in range(size - 1):
-        if m[step][step] == 0:
-            for r in range(step + 1, size):
-                if m[r][step] != 0:
-                    m[step], m[r] = m[r], m[step]
-                    sign = -sign
-                    break
-            else:
-                return 0 * m[0][0]
-        pivot = m[step][step]
-        for i in range(step + 1, size):
-            row_i = m[i]
-            row_k = m[step]
-            lead = row_i[step]
-            for j in range(step + 1, size):
-                num = pivot * row_i[j] - lead * row_k[j]
-                row_i[j] = _exact_div(num, prev)
-            row_i[step] = 0
-        prev = pivot
-    return sign * m[-1][-1] if sign > 0 else -m[-1][-1]
+# entries gathered per chunk of minors, which bounds the transient stacks
+_GATHER_BUDGET = 1 << 13
 
 
-def _exact_div(num, den):
-    if den == 1:
-        return num
-    if isinstance(num, int) and isinstance(den, int):
-        q, r = divmod(num, den)
-        if r:  # Bareiss guarantees divisibility for exact inputs
-            raise ArithmeticError("fraction-free elimination produced a non-divisible entry")
-        return q
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num, den) if isinstance(num, int) else num / den
+def minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The minors of a matrix's entries on the row and column positions of
+    ``rows`` and ``cols``, which broadcast to (…, s): gathered and expanded
+    along the first axis, ``_GATHER_BUDGET`` entries a chunk (or one item of
+    that axis, when it holds more)."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    step = max(1, _GATHER_BUDGET // (math.prod(rows.shape[1:]) * rows.shape[-1] or 1))
+    out = np.empty(rows.shape[:-1], dtype=entries.dtype)
+    for start in range(0, len(rows), step):
+        r, c = rows[start:start + step], cols[start:start + step]
+        out[start:start + step] = det_rows(entries[r[..., :, None], c[..., None, :]])
+    return out
 
 
 def adjugate(X: ShapeMatrix, s: int) -> MinorTable:
     """The order-s minor table of X; order 1 is X itself."""
     row_sets, col_sets = minor_layout(X.n, X.k, s)
-    if s == 1:
-        return MinorTable(X.n, X.k, s, X.entries, X.backend)
-    entries = X.entries.tolist()
-    values = []
-    if s == 2:
-        for r0, r1 in row_sets:
-            top, bot = entries[r0], entries[r1]
-            values.append([top[c0] * bot[c1] - top[c1] * bot[c0] for c0, c1 in col_sets])
-    else:
-        for row_set in row_sets:
-            picked = [entries[r] for r in row_set]
-            values.append([det([[row[c] for c in col_set] for row in picked])
-                           for col_set in col_sets])
-    return MinorTable(X.n, X.k, s, values, X.backend)
-
+    rows = np.array(row_sets, dtype=np.intp).reshape(len(row_sets), 1, s)
+    cols = np.array(col_sets, dtype=np.intp).reshape(1, len(col_sets), s)
+    with scalars.float_guard("minors"):
+        return MinorTable(X.n, X.k, s, minors_at(X.entries, rows, cols), X.backend)

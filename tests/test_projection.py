@@ -12,7 +12,8 @@ from extconv.polyform import Poly, PolyKForm, d_right, gradient, project_polynom
 from extconv.projection import (minor_power_map, project, project_rows,
                                 pullback_support, right_inverse,
                                 wedge_power_from_minors)
-from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, table_inner, tensor
+from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, minor_layout, table_inner,
+                                tensor)
 
 from oracles import rand_exact
 
@@ -212,18 +213,19 @@ class TestWedgePowerFromMinors:
 class TestLazyMinors:
     @staticmethod
     def count_det(monkeypatch):
-        """Count the determinants the expansion takes; forbid full minor tables."""
+        """Record the order of every determinant the batched kernel takes;
+        forbid full minor tables."""
         calls = []
-        real_det = projection.det
+        real_det_rows = shapespace.det_rows
 
-        def counting_det(rows):
-            calls.append(len(rows))
-            return real_det(rows)
+        def counting_det_rows(M):
+            calls.extend([M.shape[-1]] * math.prod(M.shape[:-2]))
+            return real_det_rows(M)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the expansion built a full minor table")
 
-        monkeypatch.setattr(projection, "det", counting_det)
+        monkeypatch.setattr(shapespace, "det_rows", counting_det_rows)
         monkeypatch.setattr(shapespace, "adjugate", forbidden)
         return calls
 
@@ -368,6 +370,19 @@ class TestMinorPowerMap:
         flat = [v for row in M.values for v in row]
         expected = [sum(c * v for c, v in zip(row, flat) if c) for row in dense]
         assert pm.apply(M) == KForm(10, 6, expected)
+
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 1), (8, 2, 4), (8, 4, 2), (10, 2, 3),
+                                       (9, 3, 1), (6, 3, 2), (4, 2, 3)])
+    def test_stored_positions_name_the_cells(self, n, k, s):
+        # apply reads cells, wedge_power_from_minors the stored positions: they
+        # must name the same submatrices, in the layout's order
+        pm = minor_power_map(n, k, s)
+        row_sets, col_sets = minor_layout(n, k, s)
+        assert pm.rows.shape == pm.cols.shape == pm.cells.shape + (s,)
+        assert pm.rows.tolist() == [[list(row_sets[c // len(col_sets)]) for c in row]
+                                    for row in pm.cells.tolist()]
+        assert pm.cols.tolist() == [[list(col_sets[c % len(col_sets)]) for c in row]
+                                    for row in pm.cells.tolist()]
 
     def test_low_orders_are_sparse(self):
         pm = minor_power_map(5, 3, 1)

@@ -3,12 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from extconv import shapespace
 from extconv.errors import DomainError
-from extconv.exterior import KForm
-from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, det, minor_layout,
-                                table_inner, tensor)
+from extconv.exterior import KForm, wedge_rows
+from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, det, det_rows, minor_layout,
+                                minors_at, table_inner, tensor)
 
 from oracles import laplace_residual, perm_det, rand_exact
 
@@ -105,6 +107,87 @@ class TestDet:
         assert abs(det(rows) - perm_det(rows)) < 1e-9
 
 
+def singular(rng, size, entry):
+    """A random matrix whose last row is a combination of the others."""
+    rows = [[entry(rng) for _ in range(size)] for _ in range(size - 1)]
+    weights = [entry(rng) for _ in rows]
+    return rows + [[sum(w * row[c] for w, row in zip(weights, rows)) for c in range(size)]]
+
+
+class TestDetRows:
+    KINDS = {
+        "int": lambda rng: rng.randint(-6, 6),
+        "fraction": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        "mixed": lambda rng: rng.choice([rng.randint(-6, 6),
+                                         Fraction(rng.randint(-9, 9), rng.randint(1, 7))]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("size", range(7))
+    def test_against_permutation_expansion(self, size, kind):
+        rng, entry = random.Random(30 + size), self.KINDS[kind]
+        mats = [[[entry(rng) for _ in range(size)] for _ in range(size)] for _ in range(6)]
+        if size:
+            mats += [singular(rng, size, entry) for _ in range(3)]
+        got = det_rows(np.array(mats, dtype=object).reshape(len(mats), size, size))
+        assert got.tolist() == [perm_det(mat) for mat in mats]
+        if size:
+            assert got.tolist()[-3:] == [0, 0, 0]
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_floats_near_exact_value_of_same_floats(self, size):
+        rng = random.Random(40 + size)
+        stack = np.array([[[rng.uniform(-2.0, 2.0) for _ in range(size)] for _ in range(size)]
+                          for _ in range(20)])
+        exact = [perm_det([[Fraction(v) for v in row] for row in mat]) for mat in stack.tolist()]
+        assert det_rows(stack).dtype == float
+        for got, want in zip(det_rows(stack).tolist(), exact):
+            assert abs(Fraction(got) - want) < 1e-9
+
+    @pytest.mark.parametrize("dtype", [object, float])
+    def test_batch_across_chunk_seams(self, dtype):
+        # minors_at gathers _GATHER_BUDGET entries per chunk; 2.5 chunks of
+        # order-3 minors must equal one unchunked stack, bit for bit for floats
+        rng = random.Random(50)
+        size, s = 7, 3
+        entries = np.array([[rng.randint(-5, 5) if dtype is object else rng.uniform(-2, 2)
+                             for _ in range(size)] for _ in range(size)], dtype=dtype)
+        count = 5 * (shapespace._GATHER_BUDGET // s ** 2) // 2
+        rows = np.array([sorted(rng.sample(range(size), s)) for _ in range(count)])
+        cols = np.array([sorted(rng.sample(range(size), s)) for _ in range(count)])
+        got = minors_at(entries, rows, cols)
+        whole = det_rows(entries[rows[:, :, None], cols[:, None, :]])
+        assert got.shape == (count,) and got.tolist() == whole.tolist()
+        for i in range(0, count, 97):
+            sub = [[entries[r, c] for c in cols[i]] for r in rows[i]]
+            assert abs(got[i] - perm_det(sub)) < 1e-9
+
+    @pytest.mark.parametrize("dtype", [object, float])
+    def test_empty_batch(self, dtype):
+        assert det_rows(np.empty((0, 3, 3), dtype=dtype)).shape == (0,)
+        positions = np.empty((0, 2), dtype=np.intp)
+        assert minors_at(np.ones((4, 4), dtype=dtype), positions, positions).shape == (0,)
+
+    def test_non_square_rejected(self):
+        for bad in (np.zeros((2, 3)), np.zeros((4, 3, 2), dtype=object), np.zeros(3)):
+            with pytest.raises(DomainError):
+                det_rows(bad)
+        with pytest.raises(DomainError):
+            det([[1, 2], [3]])
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_wedge_of_rows_is_the_determinant(self, size):
+        # a third route: the rows of M read as 1-forms on R^s wedge to det(M)·e^{1…s}
+        rng = random.Random(60 + size)
+        stack = np.array([[[rand_exact(rng) for _ in range(size)] for _ in range(size)]
+                          for _ in range(8)], dtype=object)
+        acc = stack[:, 0, :]
+        for i in range(1, size):
+            acc = wedge_rows(acc, stack[:, i, :], size, i, 1)
+        assert acc.shape == (8, 1)
+        assert det_rows(stack).tolist() == acc[:, 0].tolist()
+
+
 class TestAdjugate:
     def test_order_one_is_matrix(self):
         rng = random.Random(3)
@@ -132,7 +215,7 @@ class TestAdjugate:
                     sub = [[X.entries[r][c] for c in col_set] for r in row_set]
                     assert table.value(row_set, col_set) == perm_det(sub)
 
-    def test_bareiss_order_vs_oracle(self):
+    def test_order_four_vs_oracle(self):
         rng = random.Random(5)
         X = ShapeMatrix(5, 2, [[rand_exact(rng) for _ in range(5)] for _ in range(5)])
         table = adjugate(X, 4)
