@@ -2,7 +2,9 @@
 
 A degree-k form on R^n is stored densely in one read-only numpy array: one
 coefficient per length-k multiindex, in alphabetical rank order, of dtype
-float64 or object (ints and Fractions, exact), which gives the backend.
+float64 or object (ints, Fractions or polynomials, exact), which gives the
+backend.  A zero test reads a coefficient's truth value, so a polynomial is
+never compared with a scalar 0.
 Degrees above n are legal and carry an empty coefficient vector (the canonical
 zero object), so wedge chains never branch on overflow; such a form serializes
 with empty ``coeffs``, and a wedge power of a form of degree k ≥ 1 is that zero
@@ -64,7 +66,7 @@ class KForm:
     @classmethod
     def from_dict(cls, n: int, k: int, entries: Mapping[Sequence[int], object],
                   backend: str = scalars.EXACT) -> "KForm":
-        coeffs = [0] * math.comb(n, k)
+        coeffs = cls.zero(n, k, backend).coeffs.tolist()    # checks n and k
         for key, value in entries.items():
             mi = key if isinstance(key, MultiIndex) else MultiIndex(tuple(key), n)
             if mi.k != k:
@@ -84,7 +86,7 @@ class KForm:
 
     def as_dict(self) -> dict[tuple[int, ...], object]:
         """Nonzero coefficients keyed by index tuple."""
-        return {mi.indices: c for mi, c in zip(self._basis(), self.coeffs.tolist()) if c != 0}
+        return {mi.indices: c for mi, c in zip(self._basis(), self.coeffs.tolist()) if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -122,7 +124,7 @@ class KForm:
 
     def to_json(self) -> dict:
         coeffs = {mi.text: scalars.scalar_to_json(c, self.backend)
-                  for mi, c in zip(self._basis(), self.coeffs.tolist()) if c != 0}
+                  for mi, c in zip(self._basis(), self.coeffs.tolist()) if c}
         return {"n": self.n, "k": self.k, "coeffs": coeffs}
 
     @classmethod

@@ -1,23 +1,26 @@
 """Differential forms with exact polynomial coefficients.
 
 This is the desk-scale stand-in for smooth (k−1)-fields: coefficients are
-multivariate polynomials in x_1..x_n over the rationals, derivatives are
-formal, and the gradient / exterior-derivative identities can be checked
-coefficientwise as exact polynomial identities.
+multivariate polynomials (``Poly``) in x_1..x_n over the rationals,
+derivatives are formal, and the gradient / exterior-derivative identities can
+be checked coefficientwise as exact polynomial identities.  There is no
+polynomial form or matrix class: a polynomial field is a ``KForm`` and its
+gradient a ``ShapeMatrix`` whose object array holds ``Poly`` entries, so
+wedges, scalar products and the projection run their one kernel on them
+unchanged.  ``PolyKForm`` builds such a form from a dict, and ``evaluate``
+takes either at a point.
 
 Two exterior derivatives are provided because the right-wedge convention
 (d w = Σ ∂w_I/∂x_i · e^I ∧ e^i, matching the projection of the gradient) and
 the classical componentwise formula differ by (−1)^deg(w); both are exposed
 and the relation is tested, nothing is silently rescaled.  ``d_right``
 sums the derivative stack ∂_i w_I over the (r, 1) wedge table, not the
-projection's; ``project_polynomial`` runs the projection kernel
-(``project_rows``) on a one-row object stack of polynomials.
+projection's; ``project_polynomial`` is ``project`` on a matrix of
+polynomials.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
 from typing import Mapping, Sequence
 
@@ -27,7 +30,8 @@ from . import scalars
 from .errors import DomainError
 from .exterior import KForm, _wedge_table, json_fields, signed_sum
 from .multiindex import MultiIndex, enumerate_multiindices
-from .projection import project_rows
+from .projection import project
+from .shapespace import ShapeMatrix
 
 
 class Poly:
@@ -67,21 +71,18 @@ class Poly:
         expo[i - 1] = 1
         return cls(nvars, {tuple(expo): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        """False for the zero polynomial only."""
+        return bool(self.terms)
 
     def __add__(self, other):
         other = self._lift(other)
         if not (self.terms and other.terms):    # a zero summand: the other one
-            return other if self.is_zero() else self
+            return self if self.terms else other
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = out.get(expo, 0) + coeff
-            if acc == 0:
-                out.pop(expo, None)
-            else:
-                out[expo] = acc
-        return Poly(self.nvars, out)
+            out[expo] = out.get(expo, 0) + coeff
+        return Poly(self.nvars, out)    # which drops the terms that cancel
 
     def __neg__(self):
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -98,11 +99,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(expo, 0) + c1 * c2
-                if acc == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = acc
+                out[expo] = out.get(expo, 0) + c1 * c2
         return Poly(self.nvars, out)
 
     __radd__ = __add__
@@ -188,11 +185,19 @@ class Poly:
 
     _TERM_RE = re.compile(r"^(?P<sign>[+-])?(?P<coeff>\d+(?:/\d+)?)?\*?(?P<vars>(?:x\d+(?:\^\d+)?\*?)*)$")
     _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+    _OPERATOR_RE = re.compile(r"\s*([+*-])\s*")
 
     @classmethod
     def parse(cls, text: str, nvars: int) -> "Poly":
-        """Parse the text form, e.g. "3/2*x1^2*x3 - x2"."""
-        chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
+        """Parse the text form, e.g. "3/2*x1^2*x3 - x2".
+
+        Whitespace may surround "+", "-" and "*", and nothing else inside the
+        text; empty text is no polynomial (the zero polynomial is "0").
+        """
+        compact = cls._OPERATOR_RE.sub(r"\1", text.strip())
+        if not compact or any(c.isspace() for c in compact):
+            raise DomainError(f"cannot parse polynomial {text!r}")
+        chunks = re.split(r"(?=[+-])", compact)
         result = cls.zero(nvars)
         for chunk in chunks:
             if not chunk:
@@ -213,155 +218,100 @@ class Poly:
         return result
 
 
-class PolyKForm:
-    """Degree-r form whose coefficients are polynomials in x_1..x_n."""
+def _polynomials(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a read-only array, every entry of which must be a
+    polynomial in n variables."""
+    def polynomial(p):
+        if not isinstance(p, Poly) or p.nvars != n:
+            raise DomainError(f"{what} must be polynomials in {n} variables, got {p!r}")
+        return p
 
-    __slots__ = ("n", "k", "coeffs")
-
-    def __init__(self, n: int, k: int, coeffs: Mapping[Sequence[int] | MultiIndex, Poly] | None = None):
-        if k < 0:
-            raise DomainError(f"degree must be nonnegative, got {k}")
-        self.n = n
-        self.k = k
-        clean: dict[tuple[int, ...], Poly] = {}
-        for key, poly in (coeffs or {}).items():
-            mi = key if isinstance(key, MultiIndex) else MultiIndex(tuple(key), n)
-            if mi.k != k:
-                raise DomainError(f"key {mi.indices} has length {mi.k}, expected {k}")
-            if poly.nvars != n:
-                raise DomainError(f"coefficient polynomial has {poly.nvars} variables, expected {n}")
-            if not poly.is_zero():
-                clean[mi.indices] = poly
-        self.coeffs = clean
-
-    @classmethod
-    def monomial(cls, n: int, indices: Sequence[int], poly: Poly) -> "PolyKForm":
-        return cls(n, len(tuple(indices)), {tuple(indices): poly})
-
-    def coefficient(self, indices: Sequence[int] | MultiIndex) -> Poly:
-        mi = indices if isinstance(indices, MultiIndex) else MultiIndex(tuple(indices), self.n)
-        if mi.k != self.k:
-            raise DomainError(f"index length {mi.k} does not match degree {self.k}")
-        return self.coeffs.get(mi.indices, Poly.zero(self.n))
-
-    def __add__(self, other: "PolyKForm") -> "PolyKForm":
-        if (self.n, self.k) != (other.n, other.k):
-            raise DomainError("mismatched polynomial forms")
-        out = dict(self.coeffs)
-        for key, poly in other.coeffs.items():
-            out[key] = out.get(key, Poly.zero(self.n)) + poly
-        return PolyKForm(self.n, self.k, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyKForm):
-            return NotImplemented
-        return (self.n, self.k) == (other.n, other.k) and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def evaluate(self, point: Sequence, backend: str = scalars.EXACT) -> KForm:
-        entries = {key: poly.evaluate(point) for key, poly in self.coeffs.items()}
-        return KForm.from_dict(self.n, self.k, entries, backend)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k,
-                "coeffs": {MultiIndex(key, self.n).text: str(poly)
-                           for key, poly in sorted(self.coeffs.items())}}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "PolyKForm":
-        n, k, raw = json_fields(obj, ("n", "k", "coeffs"), "polynomial form")
-        if not isinstance(raw, Mapping) or not all(isinstance(t, str) for t in raw.values()):
-            raise DomainError(f"polynomial form coeffs must map keys to strings, got {raw!r}")
-        coeffs = {MultiIndex.from_text(key, n).indices: Poly.parse(text, n)
-                  for key, text in raw.items()}
-        return cls(n, k, coeffs)
-
-    def __repr__(self) -> str:
-        return f"PolyKForm(n={self.n}, k={self.k}, {{"\
-               + ", ".join(f"{key}: {poly}" for key, poly in sorted(self.coeffs.items())) + "})"
+    return scalars.array(values, np.shape(values), scalars.EXACT, what, polynomial)
 
 
-class PolynomialMatrix:
-    """Shape-matrix-valued polynomial: rows over 𝒯^(k−1), one column per x_i."""
+def PolyKForm(n: int, k: int, coeffs: Mapping[Sequence[int] | MultiIndex, Poly] | None = None
+              ) -> KForm:
+    """The degree-k form on R^n whose coefficients are the polynomials ``coeffs``
+    in x_1..x_n, keyed by index tuple; a missing key is the zero polynomial.
 
-    __slots__ = ("n", "k", "entries")
-
-    def __init__(self, n: int, k: int, entries: Sequence[Sequence[Poly]]):
-        if not 2 <= k <= n:
-            raise DomainError(f"polynomial matrices need 2 ≤ k ≤ n, got k={k}, n={n}")
-        def polynomial(p):
-            if not isinstance(p, Poly) or p.nvars != n:
-                raise DomainError(f"polynomial matrix entries must be polynomials in {n} variables")
-            return p
-
-        self.n, self.k = n, k
-        self.entries = scalars.array(entries, (math.comb(n, k - 1), n), scalars.EXACT,
-                                     f"(n={n}, k={k}) polynomial matrix entries", polynomial)
-
-    def evaluate(self, point: Sequence, backend: str = scalars.EXACT):
-        from .shapespace import ShapeMatrix
-        rows = [[p.evaluate(point) for p in row] for row in self.entries.tolist()]
-        return ShapeMatrix(self.n, self.k, rows, backend)
+    A function named like a class, because callers (the benchmark among them)
+    build polynomial forms as ``PolyKForm(n, k, coeffs)``.
+    """
+    coeffs = coeffs or {}
+    _polynomials(list(coeffs.values()), n, "polynomial form coefficients")
+    zero = Poly.zero(n)
+    return KForm(n, k, [c or zero for c in KForm.from_dict(n, k, coeffs).coeffs.tolist()])
 
 
-def _partials(w: PolyKForm) -> np.ndarray:
+def form_from_json(obj: Mapping) -> KForm:
+    """The polynomial form of a JSON object with "n", "k" and "coeffs", which
+    maps index text to polynomial text."""
+    n, k, raw = json_fields(obj, ("n", "k", "coeffs"), "polynomial form")
+    if not isinstance(raw, Mapping) or not all(isinstance(t, str) for t in raw.values()):
+        raise DomainError(f"polynomial form coeffs must map keys to strings, got {raw!r}")
+    return PolyKForm(n, k, {MultiIndex.from_text(key, n): Poly.parse(text, n)
+                            for key, text in raw.items()})
+
+
+def evaluate(obj: KForm | ShapeMatrix, point: Sequence, backend: str = scalars.EXACT):
+    """The form or shape matrix of the values of ``obj``'s polynomials at ``point``."""
+    values = _polynomials(obj.coeffs if isinstance(obj, KForm) else obj.entries, obj.n,
+                          "evaluated entries")
+    at = np.array([p.evaluate(point) for p in values.flat], dtype=object)
+    return type(obj)(obj.n, obj.k, at.reshape(values.shape), backend)
+
+
+def _partials(w: KForm) -> np.ndarray:
     """The derivative stack: row I, column i holds the formal partial ∂w_I/∂x_i."""
-    n, zero = w.n, Poly.zero(w.n)
-    return np.array([[poly.diff(i) for i in range(1, n + 1)] if poly is not None else [zero] * n
-                     for poly in map(w.coeffs.get, itertools.combinations(range(1, n + 1), w.k))],
+    coeffs = _polynomials(w.coeffs, w.n, "form coefficients")
+    return np.array([[p.diff(i) for i in range(1, w.n + 1)] for p in coeffs.tolist()],
                     dtype=object)
 
 
-def gradient(w: PolyKForm) -> PolynomialMatrix:
+def gradient(w: KForm) -> ShapeMatrix:
     """Row I, column i holds the formal partial ∂w_I/∂x_i."""
-    return PolynomialMatrix(w.n, w.k + 1, _partials(w))
+    return ShapeMatrix(w.n, w.k + 1, _partials(w))
 
 
-def d_right(w: PolyKForm) -> PolyKForm:
+def d_right(w: KForm) -> KForm:
     """Exterior derivative in the right-wedge convention Σ ∂w_I/∂x_i e^I ∧ e^i.
 
     Its signs come from the (r, 1) wedge table (inversion counts), not the
     projection's, so the gradient-projection identity is a two-route check.
     """
     n, r = w.n, w.k
+    partials = _partials(w)
     if r >= n:
-        return PolyKForm(n, r + 1, {})
+        return KForm(n, r + 1)
     left, right, *signs = _wedge_table(n, r, 1)
-    coeffs = signed_sum(_partials(w)[left, right], *signs)
-    return PolyKForm(n, r + 1, dict(zip(itertools.combinations(range(1, n + 1), r + 1), coeffs)))
+    return KForm(n, r + 1, signed_sum(partials[left, right], *signs))
 
 
-def project_polynomial(mat: PolynomialMatrix) -> PolyKForm:
+def project_polynomial(mat: ShapeMatrix) -> KForm:
     """Project a shape-matrix-valued polynomial coefficientwise.
 
-    The projection kernel, run on a one-row object stack of polynomials;
+    The projection kernel, run on the matrix's object array of polynomials;
     composing with :func:`gradient` yields the exterior derivative in the
     right-wedge convention as an exact polynomial identity.
     """
-    n, k = mat.n, mat.k
-    coeffs = project_rows(mat.entries.reshape(1, -1), n, k)[0]
-    return PolyKForm(n, k, dict(zip(enumerate_multiindices(n, k), coeffs)))
+    _polynomials(mat.entries, mat.n, "polynomial matrix entries")
+    return project(mat)
 
 
-def d_classical(w: PolyKForm) -> PolyKForm:
+def d_classical(w: KForm) -> KForm:
     """Componentwise exterior derivative: (dw)_I = Σ_j (−1)^(j+1) ∂w_(I∖i_j)/∂x_(i_j).
 
     Equals (−1)^deg(w) · d_right(w) on every input.
     """
     n, r = w.n, w.k
+    _polynomials(w.coeffs, n, "form coefficients")
     if r >= n:
-        return PolyKForm(n, r + 1, {})
-    out: dict[tuple[int, ...], Poly] = {}
+        return KForm(n, r + 1)
+    out = []
     for target in enumerate_multiindices(n, r + 1):
         acc = Poly.zero(n)
         for j, idx in enumerate(target.indices, start=1):
-            source = w.coeffs.get(target.without(idx).indices)
-            if source is None:
-                continue
-            term = source.diff(idx)
+            term = w.coefficient(target.without(idx)).diff(idx)
             acc = acc + (term if j % 2 == 1 else -term)
-        if not acc.is_zero():
-            out[target.indices] = acc
-    return PolyKForm(n, r + 1, out)
+        out.append(acc)
+    return KForm(n, r + 1, out)

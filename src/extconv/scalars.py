@@ -13,9 +13,10 @@ numbers only.
 
 Forms, shape matrices and minor tables each store one read-only array built
 by ``array``, float64 or object (never a fixed-width integer type), and read
-their backend off its dtype.  Float array work runs under ``float_guard``: a
-value that leaves the float range is a domain error, never a silent inf or
-nan in a verdict.
+their backend off its dtype.  An object array holds ints, Fractions or
+polynomials (``polyform.Poly``), which the exact backend carries as they are.
+Float array work runs under ``float_guard``: a value that leaves the float
+range is a domain error, never a silent inf or nan in a verdict.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
     """``values`` (nested sequences or an array) as one read-only array of ``shape``.
 
     Float is one vectorized conversion to a float64 copy, which must be
-    finite.  Exact coerces every element, so an int stays a Python int (never
-    int64), ``Fraction(n, 1)`` becomes ``n`` and a non-integral float is
-    refused; ``element`` replaces that coercion for other exact elements.
+    finite.  Exact keeps a polynomial as it is and coerces every other
+    element, so an int stays a Python int (never int64), ``Fraction(n, 1)``
+    becomes ``n`` and a non-integral float is refused; ``element`` replaces
+    all of that with a check or conversion of its own.
     Ragged input never has ``shape``, so it is refused too.
     """
     if backend not in BACKENDS:
@@ -104,8 +106,10 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
     if backend == FLOAT:
         require_finite(out, what)
     else:
+        from .polyform import Poly    # polyform builds on this module
         flat = out.reshape(-1)    # a view: np.array made out a fresh copy
-        flat[:] = [(element or coerce)(value) for value in flat.tolist()]
+        flat[:] = [element(value) for value in flat.tolist()] if element else \
+            [value if isinstance(value, Poly) else coerce(value) for value in flat.tolist()]
     out.flags.writeable = False
     return out
 
@@ -156,6 +160,7 @@ def scalar_from_json(obj, backend: str):
 
 
 def scalar_to_json(value, backend: str):
+    """A float as a number, a rational as its "p/q" text, a polynomial as its text."""
     if backend == FLOAT:
         return finite_float(value)
-    return format_rational(value)
+    return format_rational(value) if isinstance(value, (int, Fraction)) else str(value)

@@ -299,6 +299,11 @@ class TestBadInputExits2:
         path = write_json(tmp_path, "f.json", {"n": 4, "k": 2})
         self.assert_usage_error(capsys, "wedge-power", "--input", path, "--s", "2")
 
+    @pytest.mark.parametrize("n,k", [(4, -1), (-1, 1)])
+    def test_negative_form_dimension_or_degree_exits_2(self, capsys, tmp_path, n, k):
+        path = write_json(tmp_path, "f.json", {"n": n, "k": k, "coeffs": {}})
+        self.assert_usage_error(capsys, "wedge-power", "--input", path, "--s", "2")
+
     @pytest.mark.parametrize("flag,value", [("--step", "1e-200"), ("--step", "nan"),
                                             ("--tolerance", "nan"), ("--tolerance", "inf"),
                                             ("--range", "0"), ("--range", "nan")])

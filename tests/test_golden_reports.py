@@ -2,7 +2,9 @@
 
 Each case runs one command in-process and hashes its exit code and the exact
 bytes of its report.  A refactor that claims to keep every output must leave
-every digest in ``GOLDEN`` as it is.  ``fit-quasiaffine`` and ``support-lp``
+every digest in ``GOLDEN`` as it is.  The polynomial cases pin the text of
+seeded polynomial forms, of their projected gradients and of their classical
+exterior derivatives.  ``fit-quasiaffine`` and ``support-lp``
 are left out: their floats go through LAPACK and BLAS, whose last bits depend
 on the build.
 
@@ -17,7 +19,9 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,8 @@ from extconv import scalars
 from extconv.cli import main
 from extconv.convexity import SamplerConfig, cross_check_lift
 from extconv.functions import FormFunction
+from extconv.multiindex import enumerate_multiindices
+from extconv.polyform import Poly, PolyKForm, d_classical, gradient, project_polynomial
 
 MATRIX_EXACT = {"n": 4, "k": 2, "rows": ["1", "2", "3", "4"],
                 "data": [[0, "3/2", -1, 2], [1, 0, 5, "-7/3"],
@@ -75,6 +81,8 @@ for _mode in ("one-convex", "one-affine"):
 LIFT_CASES = {f"lift-{n}-{k}-{backend}": (n, k, backend)
               for n, k in [(4, 2), (5, 3)] for backend in scalars.BACKENDS}
 
+POLY_CASES = {f"poly-{n}-{k}": (n, k) for n, k in [(8, 3), (4, 2)]}
+
 
 def cli_report(case: str) -> bytes:
     """Exit code and stdout of one CLI case, its inputs written to a fresh directory."""
@@ -99,8 +107,35 @@ def lift_report(case: str) -> bytes:
     return json.dumps(report.to_json(), sort_keys=True).encode()
 
 
+def poly_form(rng: random.Random, n: int, r: int, terms: int = 3, degree: int = 3):
+    """A seeded polynomial r-form, drawn as bench/workload.py's ``poly_form`` draws it."""
+    coeffs = {}
+    for mi in enumerate_multiindices(n, r):
+        monomials = {}
+        for _ in range(rng.randint(1, terms)):
+            expo = [0] * n
+            for _ in range(rng.randint(1, degree)):
+                expo[rng.randrange(n)] += 1
+            monomials[tuple(expo)] = monomials.get(tuple(expo), 0) \
+                + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        coeffs[mi.indices] = Poly(n, monomials)
+    return PolyKForm(n, r, coeffs)
+
+
+def poly_report(case: str) -> bytes:
+    n, k = POLY_CASES[case]
+    rng = random.Random(11)
+    forms = [poly_form(rng, n, k - 1) for _ in range(4)]
+    return json.dumps([{"form": w.to_json(),
+                        "projected_gradient": project_polynomial(gradient(w)).to_json(),
+                        "classical": d_classical(w).to_json()} for w in forms],
+                      sort_keys=True).encode()
+
+
 def report_bytes(case: str) -> bytes:
-    return cli_report(case) if case in CLI_CASES else lift_report(case)
+    if case in CLI_CASES:
+        return cli_report(case)
+    return lift_report(case) if case in LIFT_CASES else poly_report(case)
 
 
 def digest(case: str) -> str:
@@ -108,7 +143,7 @@ def digest(case: str) -> str:
 
 
 def print_digests() -> None:
-    for case in [*CLI_CASES, *LIFT_CASES]:
+    for case in [*CLI_CASES, *LIFT_CASES, *POLY_CASES]:
         print(f'    "{case}": "{digest(case)}",')
 
 
@@ -137,13 +172,15 @@ GOLDEN = {
     "lift-4-2-float": "49ccd811486e5cbf0bb26e09aa14bf47c7c9f4dee34f5ad84929cd1776971bd8",
     "lift-5-3-exact": "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b",
     "lift-5-3-float": "17f3f9b634b9b65e5636574a4129cba4f54a50d5a784519547fc826c2762105c",
+    "poly-8-3": "8c63938ced4fb0ac5375f42f69e171ca27b56890063172948fdc1dfcd3d4b874",
+    "poly-4-2": "c28060af2f7bebafda8834e3ca0ce9721a87a9b30abc1e92a98e76e444d1f544",
 }
 
 
 def test_corpus_is_complete():
-    assert set(GOLDEN) == set(CLI_CASES) | set(LIFT_CASES)
+    assert set(GOLDEN) == set(CLI_CASES) | set(LIFT_CASES) | set(POLY_CASES)
 
 
-@pytest.mark.parametrize("case", [*CLI_CASES, *LIFT_CASES])
+@pytest.mark.parametrize("case", [*CLI_CASES, *LIFT_CASES, *POLY_CASES])
 def test_report_bytes_unchanged(case):
     assert digest(case) == GOLDEN[case]

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extconv.errors import DomainError
-from extconv.polyform import (Poly, PolyKForm, PolynomialMatrix, d_classical, d_right,
+from extconv.exterior import KForm, scalar_product, wedge
+from extconv.polyform import (Poly, PolyKForm, d_classical, d_right, evaluate, form_from_json,
                               gradient, project_polynomial)
 from extconv.projection import project
+from extconv.shapespace import ShapeMatrix
 
 
 def x(i, nvars):
@@ -25,6 +28,16 @@ class TestPoly:
         assert Poly.parse("-4", 2) == Poly.const(2, -4)
         assert Poly.parse("x1 + x1", 2) == x(1, 2) * 2
         assert Poly.parse("-x2^3", 2) == Poly(2, {(0, 3): -1})
+
+    def test_whitespace_only_around_operators(self):
+        assert Poly.parse(" 3/2 * x1^2*x3 -  x2 ", 3) == Poly.parse("3/2*x1^2*x3-x2", 3)
+        for text in ["2 3", "x1 2", "x1 ^2", "3 /2*x1", "", " "]:
+            with pytest.raises(DomainError):
+                Poly.parse(text, 3)
+
+    def test_truth_value_is_nonzero(self):
+        assert not Poly.zero(2) and Poly.const(2, 1) and x(1, 2)
+        assert not np.array([Poly.zero(2)], dtype=object).any()
 
     def test_str_roundtrip(self):
         p = Poly(3, {(2, 0, 1): Fraction(3, 2), (0, 1, 0): -1, (0, 0, 0): 7})
@@ -89,43 +102,59 @@ def random_polyform(n, k, rng, degree=2):
 
 class TestPolyKForm:
     def test_coefficient_key_length_checked(self):
-        w = PolyKForm.monomial(3, (2,), x(1, 3))
-        assert w.coefficient((2,)) == x(1, 3) and w.coefficient((3,)).is_zero()
+        w = PolyKForm(3, 1, {(2,): x(1, 3)})
+        assert w.coefficient((2,)) == x(1, 3) and not w.coefficient((3,))
         for key in [(1, 2), ()]:
             with pytest.raises(DomainError):
                 w.coefficient(key)
         with pytest.raises(DomainError):
             w.coefficient((4,))
 
+    def test_is_a_form_of_polynomials(self):
+        w = PolyKForm(3, 1, {(2,): x(1, 3)})
+        assert isinstance(w, KForm) and w.coeffs.tolist() == [Poly.zero(3), x(1, 3), Poly.zero(3)]
+        assert all(isinstance(p, Poly) for p in w.coeffs.tolist())
+        assert w.to_json() == {"n": 3, "k": 1, "coeffs": {"2": "x1"}}
+
+    @pytest.mark.parametrize("coeff", [3, Fraction(1, 2), None, x(1, 3), x(1, 1)])
+    def test_coefficients_must_be_polynomials_in_n_variables(self, coeff):
+        with pytest.raises(DomainError):
+            PolyKForm(2, 1, {(1,): coeff})
+
+    @pytest.mark.parametrize("n,k,key", [(2, -1, ()), (2, 1, (3,)), (2, 1, (1, 2))])
+    def test_bad_shape_or_key_rejected(self, n, k, key):
+        with pytest.raises(DomainError):
+            PolyKForm(n, k, {key: Poly.zero(n)})
+
 
 class TestGradient:
     def test_single_monomial(self):
-        w = PolyKForm.monomial(2, (1,), x(2, 2))
+        w = PolyKForm(2, 1, {(1,): x(2, 2)})
         mat = gradient(w)
         # rows over {1},{2}; only entry (row {1}, col 2) is nonzero
         assert mat.entries[0][1] == Poly.const(2, 1)
-        assert mat.entries[0][0].is_zero()
-        assert all(p.is_zero() for p in mat.entries[1])
+        assert not mat.entries[0][0]
+        assert not any(mat.entries[1])
 
     def test_constant_form(self):
-        w = PolyKForm.monomial(3, (2,), Poly.const(3, 5))
-        assert all(p.is_zero() for row in gradient(w).entries for p in row)
+        w = PolyKForm(3, 1, {(2,): Poly.const(3, 5)})
+        assert not gradient(w).entries.any()
 
     def test_product_rule_entries(self):
-        w = PolyKForm.monomial(3, (2,), x(1, 3) * x(3, 3))
+        w = PolyKForm(3, 1, {(2,): x(1, 3) * x(3, 3)})
         mat = gradient(w)
         from extconv.multiindex import rank, MultiIndex
         row = rank(MultiIndex((2,), 3))
         assert mat.entries[row][0] == x(3, 3)
         assert mat.entries[row][2] == x(1, 3)
-        assert mat.entries[row][1].is_zero()
+        assert not mat.entries[row][1]
 
     def test_evaluate_matches_pointwise_derivatives(self):
         rng = random.Random(0)
         w = random_polyform(3, 1, rng)
         mat = gradient(w)
         point = (Fraction(1, 2), 2, Fraction(-1, 3))
-        X = mat.evaluate(point)
+        X = evaluate(mat, point)
         for r, label in enumerate(X.row_labels):
             for i in range(1, 4):
                 assert X.entries[r][i - 1] == w.coefficient(label.indices).diff(i).evaluate(point)
@@ -133,19 +162,19 @@ class TestGradient:
 
 class TestExteriorDerivatives:
     def test_d_right_monomial(self):
-        w = PolyKForm.monomial(2, (1,), x(2, 2))
+        w = PolyKForm(2, 1, {(1,): x(2, 2)})
         out = d_right(w)
-        assert out == PolyKForm.monomial(2, (1, 2), Poly.const(2, 1))
+        assert out == PolyKForm(2, 2, {(1, 2): Poly.const(2, 1)})
 
     def test_d_right_kills_own_direction(self):
-        w = PolyKForm.monomial(2, (1,), x(1, 2))
+        w = PolyKForm(2, 1, {(1,): x(1, 2)})
         assert d_right(w).is_zero()
 
     def test_d_classical_component_formula(self):
         # dω coefficients (n=2, r=1): ∂ω_2/∂x_1 − ∂ω_1/∂x_2, with ω = x_2 e^1
-        w = PolyKForm.monomial(2, (1,), x(2, 2))
+        w = PolyKForm(2, 1, {(1,): x(2, 2)})
         out = d_classical(w)
-        assert out == PolyKForm.monomial(2, (1, 2), Poly.const(2, -1))
+        assert out == PolyKForm(2, 2, {(1, 2): Poly.const(2, -1)})
 
     def test_d_agree_on_zero_forms(self):
         rng = random.Random(1)
@@ -165,8 +194,7 @@ class TestExteriorDerivatives:
         for n, r in [(3, 1), (4, 2), (5, 2), (5, 3)]:
             w = random_polyform(n, r, rng)
             dr, dc = d_right(w), d_classical(w)
-            flipped = PolyKForm(n, dr.k, {key: -p for key, p in dr.coeffs.items()})
-            assert dc == (dr if r % 2 == 0 else flipped)
+            assert dc == (dr if r % 2 == 0 else -dr)
 
     def test_top_degree_is_zero(self):
         rng = random.Random(4)
@@ -175,9 +203,25 @@ class TestExteriorDerivatives:
         assert d_classical(w).is_zero()
 
 
+class TestRingGeneric:
+    """The form kernels run on polynomial coefficients unchanged: evaluating
+    after a wedge or scalar product equals the product of the evaluations."""
+
+    @pytest.mark.parametrize("n,k,l", [(4, 1, 1), (4, 1, 2), (5, 2, 2), (4, 0, 2), (3, 2, 2)])
+    def test_wedge_and_scalar_product_commute_with_evaluation(self, n, k, l):
+        rng = random.Random(n * 100 + k * 10 + l)
+        a, b, c = random_polyform(n, k, rng), random_polyform(n, l, rng), random_polyform(n, k, rng)
+        for _ in range(3):
+            point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+            assert evaluate(wedge(a, b), point) == wedge(evaluate(a, point), evaluate(b, point))
+            assert scalar_product(a, c).evaluate(point) \
+                == scalar_product(evaluate(a, point), evaluate(c, point))
+
+
 class TestPolynomialMatrixShape:
-    """A matrix off the (n, k) shape, or with entries other than polynomials in
-    n variables, is a DomainError before anything projects it."""
+    """A polynomial shape matrix off the (n, k) shape, or with entries other
+    than polynomials in n variables, is a DomainError before anything
+    projects it."""
 
     @pytest.mark.parametrize("k,rows,width", [
         (2, 3, 4),      # rows too wide
@@ -187,17 +231,17 @@ class TestPolynomialMatrixShape:
     ])
     def test_wrong_shape_rejected(self, k, rows, width):
         with pytest.raises(DomainError):
-            project_polynomial(PolynomialMatrix(3, k, [[x(1, 3)] * width] * rows))
+            project_polynomial(ShapeMatrix(3, k, [[x(1, 3)] * width] * rows))
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_degree_outside_2_to_n_rejected(self, k):
         with pytest.raises(DomainError):
-            PolynomialMatrix(3, k, [[x(1, 3)] * 3] * 3)
+            ShapeMatrix(3, k, [[x(1, 3)] * 3] * 3)
 
     @pytest.mark.parametrize("entry", [1, Fraction(1, 2), x(1, 2), x(1, 4)])
     def test_entries_must_be_polynomials_in_n_variables(self, entry):
         with pytest.raises(DomainError):
-            project_polynomial(PolynomialMatrix(3, 2, [[entry] * 3] * 3))
+            project_polynomial(ShapeMatrix(3, 2, [[entry] * 3] * 3))
 
 
 class TestGradientProjection:
@@ -216,13 +260,13 @@ class TestGradientProjection:
         w = random_polyform(4, 1, rng)
         for _ in range(5):
             point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
-            X = gradient(w).evaluate(point)
-            assert project(X) == d_right(w).evaluate(point)
+            X = evaluate(gradient(w), point)
+            assert project(X) == evaluate(d_right(w), point)
 
     def test_json_roundtrip(self):
         rng = random.Random(7)
         w = random_polyform(3, 2, rng)
-        assert PolyKForm.from_json(w.to_json()) == w
+        assert form_from_json(w.to_json()) == w
 
     @pytest.mark.parametrize("obj", [
         {"n": 4.7, "k": 1},
@@ -234,7 +278,11 @@ class TestGradientProjection:
         {"n": 4, "k": 1, "coeffs": ["1"]},
         {"n": 4, "k": 1, "coeffs": {"1": 3}},
         {"n": 4, "k": 1, "coeffs": {"1": "1/0*x1"}},
+        {"n": 4, "k": 1, "coeffs": {"1": "2 3"}},       # whitespace between digits
+        {"n": 12, "k": 1, "coeffs": {"1": "x1 2"}},     # whitespace between factor and digit
+        {"n": 4, "k": 1, "coeffs": {"1": ""}},
+        {"n": 4, "k": 1, "coeffs": {"1": "  "}},
     ])
     def test_malformed_json_rejected(self, obj):
         with pytest.raises(DomainError):
-            PolyKForm.from_json(obj)
+            form_from_json(obj)
