@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -66,11 +66,16 @@ class KForm:
     @classmethod
     def from_dict(cls, n: int, k: int, entries: Mapping[Sequence[int], object],
                   backend: str = scalars.EXACT) -> "KForm":
+        """The form of ``entries``, keyed by multiindex, index tuple or index text."""
         coeffs = cls.zero(n, k, backend).coeffs.tolist()    # checks n and k
+        keys = {}
         for key, value in entries.items():
-            mi = key if isinstance(key, MultiIndex) else MultiIndex(tuple(key), n)
+            mi = key if isinstance(key, MultiIndex) else MultiIndex.from_text(key, n) \
+                if isinstance(key, str) else MultiIndex(tuple(key), n)
             if mi.k != k:
                 raise DomainError(f"key {mi.indices} has length {mi.k}, expected {k}")
+            if keys.setdefault(mi, key) is not key:
+                raise DomainError(f"keys {keys[mi]!r} and {key!r} both name {mi.text}")
             coeffs[rank(mi)] = value
         return cls(n, k, coeffs, backend)
 
@@ -135,8 +140,7 @@ class KForm:
         if backend is None:
             backend = scalars.FLOAT if any(isinstance(v, float) for v in raw.values()) \
                 else scalars.EXACT
-        entries = {MultiIndex.from_text(key, n): scalars.scalar_from_json(value, backend)
-                   for key, value in raw.items()}
+        entries = {key: scalars.scalar_from_json(value, backend) for key, value in raw.items()}
         return cls.from_dict(n, k, entries, backend)
 
 
@@ -169,20 +173,22 @@ def _check_same_space(a: KForm, b: KForm) -> None:
 
 
 def subsets(size: int, length: int) -> np.ndarray:
-    """The increasing ``length``-tuples over range(size), in lex order, one per row."""
-    return np.array(list(itertools.combinations(range(size), length)),
+    """The increasing ``length``-tuples over range(size), in lex order, one per
+    row of a read-only array."""
+    sets = np.array(list(itertools.combinations(range(size), length)),
                     dtype=np.intp).reshape(math.comb(size, length), length)
+    sets.flags.writeable = False
+    return sets
 
 
-def subset_ranks(basis: Iterable[tuple[int, ...]], rows: np.ndarray,
-                 patterns: np.ndarray) -> np.ndarray:
-    """Entry (t, j): the rank in ``basis`` of row t of ``rows`` read at the
-    positions ``patterns[j]``, by lookup."""
-    index = {key: r for r, key in enumerate(basis)}
-    ranks = np.empty((len(rows), len(patterns)), dtype=np.intp)
-    for j, positions in enumerate(patterns):
-        ranks[:, j] = [index[key] for key in map(tuple, rows[:, positions].tolist())]
-    return ranks
+def subset_ranks(sets: np.ndarray, size: int) -> np.ndarray:
+    """The lex ranks of the increasing 0-based positions along the last axis of
+    ``sets`` among the k-subsets of range(size), by the combinatorial number
+    system: C(size, k) − 1 − Σ_t C(size − 1 − v_t, k − t) over t = 0..k−1."""
+    k = sets.shape[-1]
+    binomials = np.array([[math.comb(size - 1 - v, k - t) for t in range(k)] for v in range(size)],
+                         dtype=np.intp).reshape(size, k)
+    return math.comb(size, k) - 1 - binomials[sets, np.arange(k)].sum(axis=-1)
 
 
 def sign_table(*arrays: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, ...]:
@@ -204,13 +210,10 @@ def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, ...]:
     slot pairs I = T[P] with J = T[∁P]; the sign, that of the position string
     P + ∁P, depends on P alone.
     """
-    m = k + l
-    patterns, rests = subsets(m, k), subsets(m, l)[::-1]    # complements: reverse lex order
-    targets = subsets(n, m)
-    return sign_table(subset_ranks(itertools.combinations(range(n), k), targets, patterns),
-                      subset_ranks(itertools.combinations(range(n), l), targets, rests),
-                      signs=[sign_of_string(P + Q)
-                             for P, Q in zip(patterns.tolist(), rests.tolist())])
+    patterns, rests = subsets(k + l, k), subsets(k + l, l)[::-1]    # complements: reverse lex order
+    targets = subsets(n, k + l)
+    return sign_table(subset_ranks(targets[:, patterns], n), subset_ranks(targets[:, rests], n),
+                      signs=[sign_of_string(PQ) for PQ in np.hstack([patterns, rests]).tolist()])
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:

@@ -112,15 +112,11 @@ def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
 
 
 def rank(mi: MultiIndex) -> int:
-    """0-based alphabetical rank of ``mi`` among multiindices of its length."""
+    """0-based alphabetical rank of ``mi`` among multiindices of its length:
+    C(n, k) − 1 − Σ_t C(n − i_t, k − t) over its indices i_0 < … < i_(k−1), the
+    scalar form of ``exterior.subset_ranks``."""
     n, k = mi.n, mi.k
-    r = 0
-    prev = 0
-    for t, i in enumerate(mi.indices):
-        for v in range(prev + 1, i):
-            r += math.comb(n - v, k - t - 1)
-        prev = i
-    return r
+    return math.comb(n, k) - 1 - sum(math.comb(n - i, k - t) for t, i in enumerate(mi.indices))
 
 
 def unrank(n: int, k: int, r: int) -> MultiIndex:

@@ -183,13 +183,15 @@ class Poly:
 
     __repr__ = __str__
 
-    _TERM_RE = re.compile(r"^(?P<sign>[+-])?(?P<coeff>\d+(?:/\d+)?)?\*?(?P<vars>(?:x\d+(?:\^\d+)?\*?)*)$")
+    _TERM_RE = re.compile(r"^(?P<sign>[+-])?(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?=x)|$))?"
+                          r"(?P<vars>x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*)?$")
     _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
     _OPERATOR_RE = re.compile(r"\s*([+*-])\s*")
 
     @classmethod
     def parse(cls, text: str, nvars: int) -> "Poly":
-        """Parse the text form, e.g. "3/2*x1^2*x3 - x2".
+        """Parse the text form, e.g. "3/2*x1^2*x3 - x2": terms of factors joined
+        by single "*", a coefficient first, if any.
 
         Whitespace may surround "+", "-" and "*", and nothing else inside the
         text; empty text is no polynomial (the zero polynomial is "0").
@@ -249,8 +251,7 @@ def form_from_json(obj: Mapping) -> KForm:
     n, k, raw = json_fields(obj, ("n", "k", "coeffs"), "polynomial form")
     if not isinstance(raw, Mapping) or not all(isinstance(t, str) for t in raw.values()):
         raise DomainError(f"polynomial form coeffs must map keys to strings, got {raw!r}")
-    return PolyKForm(n, k, {MultiIndex.from_text(key, n): Poly.parse(text, n)
-                            for key, text in raw.items()})
+    return PolyKForm(n, k, {key: Poly.parse(text, n) for key, text in raw.items()})
 
 
 def evaluate(obj: KForm | ShapeMatrix, point: Sequence, backend: str = scalars.EXACT):

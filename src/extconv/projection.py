@@ -11,8 +11,9 @@ map by its own route.
 For even k the s-th wedge power of a projected matrix is a signed sum of
 order-s minors.  ``minor_power_map`` applies one pattern per (k, s), the
 block partitions and interlace signs of the positions 1..ks, to every
-degree-k·s target, naming cells of the shared minor layout
-(``shapespace.minor_layout``).  ``MinorPowerMap.apply`` reads them from a
+degree-k·s target and ranks the cells it names in the order of
+``shapespace.minor_layout`` by arithmetic, without listing that layout.
+``MinorPowerMap.apply`` reads them from a
 minor table, ``wedge_power_from_minors`` takes them in one batch of
 determinants (``shapespace.minors_at``) at the row and column positions the
 map stores, and it returns zero at once for odd k or s > n/k;
@@ -38,7 +39,7 @@ from .errors import DomainError
 from .exterior import KForm, sign_table, signed_sum, subset_ranks, subsets
 from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                          sign_interlace_append)
-from .shapespace import MinorTable, ShapeMatrix, minor_layout, minors_at
+from .shapespace import _GATHER_BUDGET, MinorTable, ShapeMatrix, minors_at
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +116,8 @@ class MinorPowerMap(NamedTuple):
 
     @property
     def shape(self) -> tuple[int, int]:
-        row_sets, col_sets = minor_layout(self.n, self.k, self.s)
-        return len(self.cells), len(row_sets) * len(col_sets)
+        return len(self.cells), \
+            math.comb(math.comb(self.n, self.k - 1), self.s) * math.comb(self.n, self.s)
 
     @property
     def entries(self) -> np.ndarray:
@@ -147,7 +148,9 @@ def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
     A block partition of the positions 1..ks, read on a target K, names the
     cell (row set of its blocks' label ranks, column set of its subscripts).
     """
-    row_sets, col_sets = minor_layout(n, k, s)
+    nrows = math.comb(n, k - 1)
+    if not 1 <= s <= min(n, nrows):
+        raise DomainError(f"minor order {s} out of range 1..{min(n, nrows)}")
     ks = k * s
     parts = [] if ks > n or (s >= 2 and k % 2 == 1) else \
         block_partitions(MultiIndex(tuple(range(1, ks + 1)), ks), s, k)
@@ -157,20 +160,19 @@ def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
         blocks.extend(i for block in part.blocks for i in block.indices)
         signs.append(sign_interlace_append(part.J, part.blocks))
     subscripts = np.array(subscripts, dtype=np.intp).reshape(len(signs), s) - 1
-    blocks = np.array(blocks, dtype=np.intp).reshape(len(signs) * s, k - 1) - 1
+    blocks = np.array(blocks, dtype=np.intp).reshape(len(signs), s, k - 1) - 1
     targets = subsets(n, ks)
-    # each target's label ranks, s per partition; blocks come in alphabetical
-    # order, so a partition's label ranks increase and form its row set
-    labels = subset_ranks(itertools.combinations(range(n), k - 1), targets, blocks)
-    cells = subset_ranks(row_sets, labels,
-                         np.arange(len(blocks)).reshape(len(signs), s)) * len(col_sets) \
-        + subset_ranks(col_sets, targets, subscripts)
     # in the smallest unsigned type that holds every position, the stored
     # positions take less memory than the cells they decode
-    small = np.min_scalar_type(max(n, math.comb(n, k - 1)))
-    rows, cols = labels.reshape(len(targets), len(signs), s), targets[:, subscripts]
-    return MinorPowerMap(n, k, s, *sign_table(cells, rows.astype(small), cols.astype(small),
-                                              signs=signs))
+    rows, cols = np.empty((2, len(targets), *subscripts.shape), np.min_scalar_type(max(n, nrows)))
+    cells = np.empty((len(targets), len(signs)), dtype=np.intp)
+    step = max(1, _GATHER_BUDGET // (blocks.size or 1))
+    for at in (slice(start, start + step) for start in range(0, len(targets), step)):
+        # each target's label ranks, s per partition; blocks come in alphabetical
+        # order, so a partition's label ranks increase and form its row set
+        rows[at], cols[at] = subset_ranks(targets[at][:, blocks], n), targets[at][:, subscripts]
+        cells[at] = subset_ranks(rows[at], nrows) * math.comb(n, s) + subset_ranks(cols[at], n)
+    return MinorPowerMap(n, k, s, *sign_table(cells, rows, cols, signs=signs))
 
 
 def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:

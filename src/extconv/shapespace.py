@@ -6,10 +6,10 @@ minor table, as one read-only numpy array typed by its backend.  Its order-s
 minor table collects every s×s minor, with both the row selection and the
 column selection taken in increasing order: plain determinants, no cofactor
 sign layer — all signs in the wedge-power expansion are carried explicitly by
-the interlace sign, keeping a single canonical sign location.  The layout of
-those selections is enumerated once per (n, k, s), by ``minor_layout``, and
-shared by every minor table, by ``adjugate`` and by the projection's power
-maps.  Every minor is taken by one batched, division-free kernel,
+the interlace sign, keeping a single canonical sign location.  ``minor_layout``
+lists those selections once per (n, k, s) for every minor table and
+``adjugate``; the projection's power maps rank their cells in its order by
+arithmetic.  Every minor is taken by one batched, division-free kernel,
 ``det_rows``: Laplace expansion along rows over shared sub-minors, one
 ``_laplace_table`` per order in the structure-table format of
 ``exterior.sign_table``, fed by ``minors_at`` in chunks.
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, json_fields, ordered_sum, sign_table, signed_sum
+from .exterior import (KForm, json_fields, ordered_sum, sign_table, signed_sum, subset_ranks,
+                       subsets)
 from .multiindex import MultiIndex, enumerate_multiindices, rank
 
 
@@ -124,20 +125,18 @@ def tensor(a: KForm, b) -> ShapeMatrix:
 
 
 @lru_cache(maxsize=None)
-def minor_layout(n: int, k: int, s: int) -> tuple[tuple[tuple[int, ...], ...],
-                                                 tuple[tuple[int, ...], ...]]:
+def minor_layout(n: int, k: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-s minor layout (row sets, column sets), built once per (n, k, s).
 
     Row sets are the s-subsets of the C(n, k−1) row positions, column sets the
-    s-subsets of the n column positions, both 0-based and lexicographic.  Cell
-    c of a table in this layout is row set c // len(col_sets), column set
-    c % len(col_sets).
+    s-subsets of the n column positions, both 0-based and lexicographic, one
+    per row of a read-only array.  Cell c of a table in this layout is row set
+    c // len(col_sets), column set c % len(col_sets).
     """
     nrows = math.comb(n, k - 1)
     if not 1 <= s <= min(n, nrows):
         raise DomainError(f"minor order {s} out of range 1..{min(n, nrows)}")
-    return (tuple(itertools.combinations(range(nrows), s)),
-            tuple(itertools.combinations(range(n), s)))
+    return subsets(nrows, s), subsets(n, s)
 
 
 class MinorTable:
@@ -161,12 +160,13 @@ class MinorTable:
         return scalars.backend_of(self.values)
 
     def value(self, row_set: Sequence[int], col_set: Sequence[int]):
-        """Value at 0-based row-position and column-position subsets."""
-        try:
-            ri, ci = self.row_sets.index(tuple(row_set)), self.col_sets.index(tuple(col_set))
-        except ValueError as exc:
-            raise DomainError(f"no cell for rows {tuple(row_set)}, cols {tuple(col_set)}") from exc
-        return self.values.item(ri, ci)
+        """Value at the increasing 0-based row and column positions, ranked by arithmetic."""
+        sets = np.asarray(row_set), np.asarray(col_set)
+        sizes = math.comb(self.n, self.k - 1), self.n
+        if not all(p.shape == (self.s,) and p.dtype.kind in "iu" and 0 <= p[0] and p[-1] < size
+                   and (p[:-1] < p[1:]).all() for p, size in zip(sets, sizes)):
+            raise DomainError(f"no cell for rows {tuple(row_set)}, cols {tuple(col_set)}")
+        return self.values.item(*map(subset_ranks, sets, sizes))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MinorTable):
@@ -178,8 +178,8 @@ class MinorTable:
         labels = enumerate_multiindices(self.n, self.k - 1)
         return {
             "n": self.n, "k": self.k, "s": self.s,
-            "rows": [[labels[i].text for i in rs] for rs in self.row_sets],
-            "cols": [[c + 1 for c in cs] for cs in self.col_sets],
+            "rows": [[labels[i].text for i in rs] for rs in self.row_sets.tolist()],
+            "cols": [[c + 1 for c in cs] for cs in self.col_sets.tolist()],
             "values": [[scalars.scalar_to_json(v, self.backend) for v in row]
                        for row in self.values.tolist()],
         }
@@ -256,8 +256,6 @@ def minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
 
 def adjugate(X: ShapeMatrix, s: int) -> MinorTable:
     """The order-s minor table of X; order 1 is X itself."""
-    row_sets, col_sets = minor_layout(X.n, X.k, s)
-    rows = np.array(row_sets, dtype=np.intp).reshape(len(row_sets), 1, s)
-    cols = np.array(col_sets, dtype=np.intp).reshape(1, len(col_sets), s)
+    rows, cols = minor_layout(X.n, X.k, s)
     with scalars.float_guard("minors"):
-        return MinorTable(X.n, X.k, s, minors_at(X.entries, rows, cols), X.backend)
+        return MinorTable(X.n, X.k, s, minors_at(X.entries, rows[:, None], cols[None]), X.backend)

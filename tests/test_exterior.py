@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from extconv import scalars
 from extconv.errors import DomainError
 from extconv.exterior import (KForm, hodge_star, norm_squared, ordered_sum,
-                              scalar_product, wedge, wedge_power, wedge_power_rows,
-                              wedge_rows)
+                              scalar_product, subset_ranks, wedge, wedge_power,
+                              wedge_power_rows, wedge_rows)
+from extconv.multiindex import MultiIndex
 from extconv.shapespace import MinorTable, ShapeMatrix, adjugate
 
-from oracles import coeffs_to_dict, dict_to_coeff_list, rand_exact, shuffle_wedge, wedge_many
+from oracles import (coeffs_to_dict, dict_to_coeff_list, lex_ranks, rand_exact, shuffle_wedge,
+                     wedge_many)
 
 
 def rand_form(n, k, rng):
@@ -22,6 +25,10 @@ def rand_form(n, k, rng):
 
 
 class TestConstruction:
+    def test_two_keys_naming_one_multiindex_rejected(self):
+        with pytest.raises(DomainError):
+            KForm.from_dict(3, 2, {(1, 2): 1, MultiIndex((1, 2), 3): 3})
+
     def test_coefficient_lookup(self):
         x = KForm.from_dict(4, 2, {(1, 2): 3, (3, 4): Fraction(-1, 2)})
         assert x.coefficient((1, 2)) == 3
@@ -375,6 +382,35 @@ class TestWedgeRows:
         assert ordered_sum(np.zeros((4, 0))).tolist() == [0.0] * 4
 
 
+def lex_basis(size, k):
+    """The k-subsets of range(size) in itertools.combinations order, one per row."""
+    return np.array(list(itertools.combinations(range(size), k)),
+                    dtype=np.intp).reshape(math.comb(size, k), k)
+
+
+class TestSubsetRanks:
+    @pytest.mark.parametrize("size", range(11))
+    def test_ranks_every_basis_in_lex_order(self, size):
+        for k in range(size + 1):
+            basis = lex_basis(size, k)
+            ranks = list(range(math.comb(size, k)))
+            assert subset_ranks(basis, size).tolist() == ranks
+            if size:    # the oracle's binomial table needs a row
+                assert lex_ranks(basis, size).tolist() == ranks
+
+    def test_stacks_of_one_two_and_three_axes(self):
+        basis = lex_basis(9, 3)    # 84 sets
+        ranks = np.arange(84)
+        assert [subset_ranks(row, 9).item() for row in basis] == ranks.tolist()
+        order = np.random.default_rng(1).permutation(84)
+        assert subset_ranks(basis[order], 9).tolist() == order.tolist()
+        assert subset_ranks(basis.reshape(7, 12, 3), 9).tolist() == ranks.reshape(7, 12).tolist()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0, 3), (0, 0)])
+    def test_empty_stacks(self, shape):
+        assert subset_ranks(np.zeros(shape, dtype=np.intp), 9).shape == shape[:-1]
+
+
 class TestStrictJson:
     @pytest.mark.parametrize("obj", [
         {"n": 4, "k": 2},
@@ -404,6 +440,13 @@ class TestStrictJson:
     def test_non_finite_float_is_not_written(self, value):
         with pytest.raises(DomainError):
             KForm(2, 1, [value, 0.0], scalars.FLOAT).to_json()
+
+    @pytest.mark.parametrize("keys", [("1,2", "1, 2"), ("1,2", "01,2"), ("1,2", "+1,2"),
+                                      ("2,3", " 2,3 ")])
+    def test_two_keys_naming_one_multiindex_rejected(self, keys):
+        # the second coefficient would silently replace the first
+        with pytest.raises(DomainError):
+            KForm.from_json({"n": 3, "k": 2, "coeffs": dict(zip(keys, ("1", "3")))})
 
     def test_empty_coeffs_is_the_zero_form(self):
         assert KForm.from_json({"n": 4, "k": 2, "coeffs": {}}) == KForm.zero(4, 2)

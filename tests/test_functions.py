@@ -271,6 +271,8 @@ class TestStrictJson:
         {"op": "const", "value": "1/0"},
         {"op": "const", "value": "three"},
         {"op": "inner", "form": {"n": 4, "k": 2}, "arg": "xi"},
+        {"op": "inner", "form": {"n": 4, "k": 2, "coeffs": {"1,2": "1", "+1,2": "3"}},
+         "arg": "xi"},
         {"op": "add", "args": "xi"},
     ])
     def test_malformed_nodes_are_domain_errors(self, node):

@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extconv.errors import DomainError
+from extconv.exterior import subset_ranks
 from extconv.multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                                 rank, sign_interlace_append, sign_of_string, unrank)
 
@@ -74,6 +76,16 @@ class TestEnumeration:
                 for r, m in enumerate(enumerate_multiindices(n, k)):
                     assert rank(m) == r
                     assert unrank(n, k, r) == m
+
+    def test_rank_is_the_subset_ranker_and_unrank_inverts_both(self):
+        for n in range(1, 11):
+            for k in range(0, n + 1):
+                basis = enumerate_multiindices(n, k)
+                positions = np.array([m.indices for m in basis],
+                                     dtype=np.intp).reshape(len(basis), k) - 1
+                ranks = subset_ranks(positions, n).tolist()
+                assert [rank(m) for m in basis] == ranks
+                assert [unrank(n, k, r) for r in ranks] == basis
 
     def test_unrank_out_of_range(self):
         with pytest.raises(DomainError):

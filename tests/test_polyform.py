@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from extconv.errors import DomainError
 from extconv.exterior import KForm, scalar_product, wedge
+from extconv.multiindex import MultiIndex
 from extconv.polyform import (Poly, PolyKForm, d_classical, d_right, evaluate, form_from_json,
                               gradient, project_polynomial)
 from extconv.projection import project
@@ -120,6 +121,10 @@ class TestPolyKForm:
     def test_coefficients_must_be_polynomials_in_n_variables(self, coeff):
         with pytest.raises(DomainError):
             PolyKForm(2, 1, {(1,): coeff})
+
+    def test_two_keys_naming_one_multiindex_rejected(self):
+        with pytest.raises(DomainError):
+            PolyKForm(3, 2, {(1, 2): x(1, 3), MultiIndex((1, 2), 3): x(2, 3)})
 
     @pytest.mark.parametrize("n,k,key", [(2, -1, ()), (2, 1, (3,)), (2, 1, (1, 2))])
     def test_bad_shape_or_key_rejected(self, n, k, key):
@@ -282,6 +287,14 @@ class TestGradientProjection:
         {"n": 12, "k": 1, "coeffs": {"1": "x1 2"}},     # whitespace between factor and digit
         {"n": 4, "k": 1, "coeffs": {"1": ""}},
         {"n": 4, "k": 1, "coeffs": {"1": "  "}},
+        {"n": 4, "k": 1, "coeffs": {"1": "x1*"}},       # a dangling "*"
+        {"n": 4, "k": 1, "coeffs": {"1": "2*"}},
+        {"n": 4, "k": 1, "coeffs": {"1": "*x1"}},
+        {"n": 4, "k": 1, "coeffs": {"1": "x1 * + x2"}},
+        {"n": 4, "k": 1, "coeffs": {"1": "x1x2"}},      # factors with no "*" between
+        {"n": 4, "k": 1, "coeffs": {"1": "2x1"}},
+        {"n": 4, "k": 2, "coeffs": {"1,2": "x1", "1, 2": "x2"}},    # two keys name e^12
+        {"n": 4, "k": 2, "coeffs": {"1,2": "x1", "01,2": "x2"}},
     ])
     def test_malformed_json_rejected(self, obj):
         with pytest.raises(DomainError):

@@ -27,6 +27,13 @@ def rand_exact_form(n, k, rng):
     return KForm(n, k, [rand_exact(rng) for _ in range(math.comb(n, k))])
 
 
+def forbid_minor_layout(monkeypatch, forbidden):
+    """Replace the minor layout under its name in shapespace and, where it is
+    imported, in projection."""
+    monkeypatch.setattr(shapespace, "minor_layout", forbidden)
+    monkeypatch.setattr(projection, "minor_layout", forbidden, raising=False)
+
+
 def project_by_wedge_sum(X):
     """Oracle: the wedge-sum definition Σ_i (column i as a form) ∧ e^i."""
     n, k = X.n, X.k
@@ -254,10 +261,25 @@ class TestLazyMinors:
         def forbidden(*args, **kwargs):
             raise AssertionError("the zero path built a power map")
 
-        for name in ("minor_layout", "minor_power_map", "block_partitions"):
+        forbid_minor_layout(monkeypatch, forbidden)
+        for name in ("minor_power_map", "block_partitions"):
             monkeypatch.setattr(projection, name, forbidden)
         out = wedge_power_from_minors(rand_int_matrix(n, k, random.Random(25)), s)
         assert out.is_zero() and out.k == k * s
+
+    def test_map_build_lists_no_minor_layout(self, monkeypatch):
+        # cells are ranked in the layout's order by arithmetic, so a map names
+        # cells of a layout it never lists
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the power map listed the minor layout")
+
+        forbid_minor_layout(monkeypatch, forbidden)
+        pm = minor_power_map.__wrapped__(10, 2, 3)    # uncached build
+        monkeypatch.undo()
+        row_sets, col_sets = minor_layout(10, 2, 3)
+        assert pm.shape == (210, len(row_sets) * len(col_sets))
+        assert pm.rows.tolist() == row_sets[pm.cells // len(col_sets)].tolist()
+        assert pm.cols.tolist() == col_sets[pm.cells % len(col_sets)].tolist()
 
     @pytest.mark.parametrize("n,k,s", [(6, 2, 4), (5, 3, 2), (7, 3, 3)])
     def test_maps_without_slots_walk_no_partitions(self, monkeypatch, n, k, s):

@@ -264,7 +264,7 @@ class TestLaplaceResidual:
         X = rand_int_matrix(4, 2, rng)
         t1, t2 = adjugate(X, 1), adjugate(X, 2)
         values = [list(row) for row in t2.values]
-        values[t2.row_sets.index((0, 2))][t2.col_sets.index((1, 3))] += 1
+        values[t2.row_sets.tolist().index([0, 2])][t2.col_sets.tolist().index([1, 3])] += 1
         bad = MinorTable(4, 2, 2, values)
         assert laplace_residual(bad, t1, X, 1) == 1
         assert laplace_residual(bad, t1, X, 2) == 1
@@ -303,6 +303,30 @@ class TestMinorTable:
         table = adjugate(rand_int_matrix(4, 2, rng), 2)
         with pytest.raises(DomainError):
             table.value((0,), (1,))
+
+    @pytest.mark.parametrize("row_set,col_set", [
+        ((1, 0), (0, 1)), ((0, 1), (1, 0)),      # not increasing
+        ((0, 0), (0, 1)), ((0, 1), (2, 2)),      # repeated
+        ((0, 4), (0, 1)), ((0, 1), (0, 4)), ((-1, 2), (0, 1)),    # out of range
+        ((0, 1, 2), (0, 1)), ((0, 1), (3,)),     # wrong length
+    ])
+    def test_malformed_cell_rejected(self, row_set, col_set):
+        # ranking a malformed set would read some other cell without an error
+        table = adjugate(rand_int_matrix(4, 2, random.Random(16)), 2)
+        with pytest.raises(DomainError):
+            table.value(row_set, col_set)
+
+    def test_positions_of_any_integer_dtype(self):
+        # a power map stores positions in its smallest unsigned type
+        table = adjugate(rand_int_matrix(4, 2, random.Random(17)), 2)
+        rows, cols = np.array([0, 2], dtype=np.uint8), np.array([1, 3], dtype=np.int32)
+        assert table.value(rows, cols) == table.value((0, 2), (1, 3))
+
+    def test_layout_is_read_only(self):
+        row_sets, col_sets = minor_layout(5, 2, 3)
+        assert row_sets.tolist() == [list(c) for c in itertools.combinations(range(5), 3)]
+        assert col_sets.tolist() == [list(c) for c in itertools.combinations(range(5), 3)]
+        assert not (row_sets.flags.writeable or col_sets.flags.writeable)
 
     def test_json_shape(self):
         rng = random.Random(14)
