@@ -14,8 +14,9 @@ There is one wedge kernel.  ``wedge_rows`` and ``wedge_power_rows`` work on
 stacks of forms of those dtypes, one form per row of an (m × C(n,k)) array;
 ``wedge`` and ``wedge_power`` run it on a one-row view, floats under
 ``scalars.float_guard``.  Every structure table is in ``sign_table``'s format
-and summed by ``signed_sum``: exactly for objects, strictly left to right for
-floats, so a float row's result does not depend on its batch.
+and summed by ``signed_sum``: exactly for objects (and for the int64 stacks a
+kernel narrows to under a bound), strictly left to right for floats, so a
+float row's result does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -217,13 +218,15 @@ def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, ...]:
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum the last axis: exactly for objects, strictly left to right for floats.
+    """Sum the last axis: exactly for objects and integers, strictly left to
+    right for floats.
 
-    A float sum runs in the order of a scalar loop started at 0.0 (hence the
-    trailing ``+ 0.0``), and no term of one row ever meets another's, unlike
-    numpy's pairwise ``sum`` or a BLAS product.
+    An integer stack is exact because its caller has bounded every partial
+    sum (``scalars.narrow``).  A float sum runs in the order of a scalar loop
+    started at 0.0 (hence the trailing ``+ 0.0``), and no term of one row ever
+    meets another's, unlike numpy's pairwise ``sum`` or a BLAS product.
     """
-    if terms.dtype == object:
+    if terms.dtype.kind in "Oiu":
         return terms.sum(axis=-1)
     if terms.shape[-1] == 0:
         return np.zeros(terms.shape[:-1])
@@ -234,10 +237,11 @@ def signed_sum(terms: np.ndarray, signs: np.ndarray, plus: np.ndarray,
                minus: np.ndarray) -> np.ndarray:
     """Σ sign·term along the last axis, for a sign row of a structure table.
 
-    Floats sum ``terms * signs`` in slot order; objects sum the +1 and the −1
-    slots apart, since a product with a sign costs as much as a product.
+    Floats sum ``terms * signs`` in slot order; objects and integers sum the
+    +1 and the −1 slots apart, since a product with a sign costs as much as a
+    product, and keep their dtype.
     """
-    if terms.dtype == object:
+    if terms.dtype.kind in "Oiu":
         return ordered_sum(terms[..., plus]) - ordered_sum(terms[..., minus])
     return ordered_sum(terms * signs)
 

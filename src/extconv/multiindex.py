@@ -8,12 +8,13 @@ the basis bookkeeping unit for everything else in the package.  Ranks are
 Sign conventions
 ----------------
 ``sign_of_string`` is the parity of the permutation sorting a duplicate-free
-index string, computed by inversion count.  ``sign_interlace_append(J, blocks)``
-is the parity of the interlaced string (I^1, j_1, ..., I^s, j_s), each index
-written *after* its block; the wedge-power/minor expansion is sign-correct
-with it.  Writing each index *before* its block instead changes the sign by
-(−1)^(s·(k−1)) for blocks of length k−1; that index-first variant is a test
-oracle (``tests/oracles.py``), not package code.  The projection's own sign,
+index string of length L, found by one sort and its cycles in O(L log L).
+``sign_interlace_append(J, blocks)`` is the parity of the interlaced string
+(I^1, j_1, ..., I^s, j_s), each index written *after* its block; the
+wedge-power/minor expansion is sign-correct with it.  Writing each index
+*before* its block instead changes the sign by (−1)^(s·(k−1)) for blocks of
+length k−1; that index-first variant is a test oracle (``tests/oracles.py``),
+not package code.  The projection's own sign,
 the coefficient (−1)^(k−p) of e^[I∪i] in e^I ∧ e^i, is stated once, in
 ``projection._projection_table``.
 """
@@ -145,13 +146,16 @@ def sign_of_string(entries: IndexString) -> int:
     entries = tuple(entries)
     if len(set(entries)) != len(entries):
         raise DomainError(f"index string has duplicate entries: {entries}")
-    inversions = 0
-    for a in range(len(entries)):
-        ea = entries[a]
-        for b in range(a + 1, len(entries)):
-            if ea > entries[b]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
+    # the sorting permutation, put in place by transpositions: each swap
+    # settles one position, so a cycle of length c takes c − 1 of them
+    order = sorted(range(len(entries)), key=entries.__getitem__)
+    swaps = 0
+    for i in range(len(order)):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            swaps += 1
+    return -1 if swaps & 1 else 1
 
 
 def sign_interlace_append(J: Iterable[int], blocks: Sequence[MultiIndex | Sequence[int]]) -> int:

@@ -16,7 +16,12 @@ degree-k·s target and ranks the cells it names in the order of
 ``MinorPowerMap.apply`` reads them from a
 minor table, ``wedge_power_from_minors`` takes them in one batch of
 determinants (``shapespace.minors_at``) at the row and column positions the
-map stores, and it returns zero at once for odd k or s > n/k;
+map stores, and it returns zero at once for odd k or s > n/k.  On a matrix of
+Python ints it keeps the minors in int64 through the map's signed sum when
+s!·(slots per target)·s!·B^s fits (B the largest entry in size), and widens
+them to Python ints before the sum otherwise; the direct route
+``wedge_power(project(X), s)`` stays on object arrays, so the two sides of the
+identity never share that narrowing;
 ``pullback_support`` is the map's transpose, built by its own enumeration so
 that the adjointness check keeps an independent route.  Every table here is
 in ``exterior.sign_table``'s format and summed by ``exterior.signed_sum``.
@@ -192,6 +197,12 @@ def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
     power_map = minor_power_map(n, k, s)
     with scalars.float_guard("minors"):
         minors = minors_at(X.entries, power_map.rows.reshape(-1, s), power_map.cols.reshape(-1, s))
+    # int64 minors stay int64 through the signed sum and the s! only when
+    # s!·(slots per target)·s!·B^s fits as well
+    factor, slots = math.factorial(s), power_map.cells.shape[1]
+    if minors.dtype == np.int64 and \
+            scalars.narrow(X.entries, lambda B: factor * slots * factor * B ** s) is None:
+        minors = minors.astype(object)
     return power_map._image(minors.reshape(power_map.cells.shape), X.backend)
 
 

@@ -12,9 +12,13 @@ No backend reads a bool, and the float backend reads and writes finite
 numbers only.
 
 Forms, shape matrices and minor tables each store one read-only array built
-by ``array``, float64 or object (never a fixed-width integer type), and read
-their backend off its dtype.  An object array holds ints, Fractions or
-polynomials (``polyform.Poly``), which the exact backend carries as they are.
+by ``array``, float64 or object, and read their backend off its dtype.  A
+stored array is never of a fixed-width integer type: an object array holds
+Python ints, Fractions or polynomials (``polyform.Poly``), which the exact
+backend carries as they are.  A kernel may still take ints in int64, but only
+inside itself and only under a bound it states in advance (``narrow``), so
+that no result can wrap; ``array`` widens the result back to Python ints
+where it is stored.
 Float array work runs under ``float_guard``: a value that leaves the float
 range is a domain error, never a silent inf or nan in a verdict.
 """
@@ -34,6 +38,10 @@ EXACT = "exact"
 FLOAT = "float"
 
 BACKENDS = (EXACT, FLOAT)
+
+# every int64 that ``narrow`` lets a kernel compute lies below this in size,
+# a bit of headroom under the 2^63 where int64 wraps
+INT64_LIMIT = 1 << 62
 
 
 def coerce(value):
@@ -84,6 +92,23 @@ def finite_float(value) -> float:
         raise DomainError("a scalar lies beyond the float range") from None
 
 
+def narrow(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray | None:
+    """An int64 copy of an object array of Python ints, if it provably fits.
+
+    ``bound(B)``, for B the largest absolute value, must bound every value
+    the caller computes from the copy; the copy is made only when every
+    element is an ``int`` (not a bool, Fraction or polynomial) and that bound
+    lies below ``INT64_LIMIT``.  Otherwise the answer is None and the caller
+    keeps its objects.
+    """
+    flat = values.ravel().tolist()
+    if not all(type(value) is int for value in flat):
+        return None
+    if bound(max(map(abs, flat), default=0)) >= INT64_LIMIT:
+        return None
+    return values.astype(np.int64)
+
+
 def array(values, shape: tuple[int, ...], backend: str, what: str,
           element: Callable | None = None) -> np.ndarray:
     """``values`` (nested sequences or an array) as one read-only array of ``shape``.
@@ -92,7 +117,9 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
     finite.  Exact keeps a polynomial as it is and coerces every other
     element, so an int stays a Python int (never int64), ``Fraction(n, 1)``
     becomes ``n`` and a non-integral float is refused; ``element`` replaces
-    all of that with a check or conversion of its own.
+    all of that with a check or conversion of its own.  An integer array,
+    such as a kernel's int64 result, needs no check: one conversion turns it
+    into Python ints.
     Ragged input never has ``shape``, so it is refused too.
     """
     if backend not in BACKENDS:
@@ -105,7 +132,7 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
         raise DomainError(f"expected {what} of shape {shape}, got shape {out.shape}")
     if backend == FLOAT:
         require_finite(out, what)
-    else:
+    elif element or not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
         from .polyform import Poly    # polyform builds on this module
         flat = out.reshape(-1)    # a view: np.array made out a fresh copy
         flat[:] = [element(value) for value in flat.tolist()] if element else \

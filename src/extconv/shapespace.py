@@ -12,7 +12,11 @@ lists those selections once per (n, k, s) for every minor table and
 arithmetic.  Every minor is taken by one batched, division-free kernel,
 ``det_rows``: Laplace expansion along rows over shared sub-minors, one
 ``_laplace_table`` per order in the structure-table format of
-``exterior.sign_table``, fed by ``minors_at`` in chunks.
+``exterior.sign_table``, fed by ``minors_at`` in chunks.  When every entry is
+a Python int and s!·B^s (B the largest entry in size) bounds every partial
+sum below ``scalars.INT64_LIMIT``, ``minors_at`` expands in int64, which is
+still exact integer arithmetic; a minor table widens the result back to
+Python ints as it stores it.
 """
 
 from __future__ import annotations
@@ -209,13 +213,16 @@ def _laplace_table(s: int, j: int) -> tuple[np.ndarray, ...]:
 
 
 def det_rows(M: np.ndarray) -> np.ndarray:
-    """Determinants of an (…, s, s) stack, float64 or object (ints, Fractions).
+    """Determinants of an (…, s, s) stack, float64, int64 or object (ints,
+    Fractions), in the stack's dtype.
 
     Row by row from the bottom, every minor on the last j rows is expanded
     along its first row over the minors on the last j − 1, which all of them
     share: s·2^(s−1) products per determinant, with no pivot and no division,
     so exact input gives exact output.  A float determinant sums its slots
-    left to right, whatever batch it sits in.
+    left to right, whatever batch it sits in.  An int64 stack is exact when
+    s!·B^s fits, B its largest entry in size, since that bounds every partial
+    sum at every level j (by j!·B^j); ``minors_at`` narrows to int64 only then.
     """
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise DomainError("determinant of a non-square matrix")
@@ -233,7 +240,9 @@ def det(rows: Sequence[Sequence]):
     if any(len(r) != m for r in rows):
         raise DomainError("determinant of a non-square matrix")
     floats = any(isinstance(v, float) for r in rows for v in r)
-    return det_rows(np.array(rows, dtype=float if floats else object).reshape(m, m)).item()
+    stack = scalars.array(np.array(rows, dtype=object).reshape(m, m), (m, m),    # [] is 0 × 0
+                          scalars.FLOAT if floats else scalars.EXACT, "determinant entries")
+    return det_rows(stack).item()
 
 
 # entries gathered per chunk of minors, which bounds the transient stacks
@@ -244,9 +253,18 @@ def minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
     """The minors of a matrix's entries on the row and column positions of
     ``rows`` and ``cols``, which broadcast to (…, s): gathered and expanded
     along the first axis, ``_GATHER_BUDGET`` entries a chunk (or one item of
-    that axis, when it holds more)."""
+    that axis, when it holds more).
+
+    Python int entries whose minors provably fit (s!·B^s below
+    ``scalars.INT64_LIMIT``) are expanded in int64, and so are the minors
+    returned; any other entries keep their dtype.
+    """
     rows, cols = np.broadcast_arrays(rows, cols)
-    step = max(1, _GATHER_BUDGET // (math.prod(rows.shape[1:]) * rows.shape[-1] or 1))
+    s = rows.shape[-1]
+    if entries.dtype == object:
+        narrowed = scalars.narrow(entries, lambda B: math.factorial(s) * B ** s)
+        entries = entries if narrowed is None else narrowed
+    step = max(1, _GATHER_BUDGET // (math.prod(rows.shape[1:]) * s or 1))
     out = np.empty(rows.shape[:-1], dtype=entries.dtype)
     for start in range(0, len(rows), step):
         r, c = rows[start:start + step], cols[start:start + step]

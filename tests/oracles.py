@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here deliberately avoids the package's own sign/enumeration code:
-permutation parity comes from cycle decomposition, wedge signs from shuffle
+permutation parity comes from cycle decomposition or a pairwise inversion
+count (the package sorts by transpositions), wedge signs from shuffle
 position sums, determinants from the full permutation expansion, and set
 partitions from permutation grouping with dedup, and the Laplace expansion
 reads minor tables by rank arithmetic.  Function expression trees are read by
@@ -37,6 +38,13 @@ def parity_by_cycles(seq):
         if length % 2 == 0:
             parity = -parity
     return parity
+
+
+def parity_by_inversions(seq):
+    """±1 parity of the permutation sorting ``seq``, by counting every
+    out-of-order pair."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions & 1 else 1
 
 
 def interlace(J, blocks) -> tuple:

@@ -14,7 +14,9 @@ from extconv.exterior import (KForm, hodge_star, norm_squared, ordered_sum,
                               scalar_product, subset_ranks, wedge, wedge_power,
                               wedge_power_rows, wedge_rows)
 from extconv.multiindex import MultiIndex
-from extconv.shapespace import MinorTable, ShapeMatrix, adjugate
+from extconv.polyform import Poly
+from extconv.projection import project_rows
+from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, det_rows
 
 from oracles import (coeffs_to_dict, dict_to_coeff_list, lex_ranks, rand_exact, shuffle_wedge,
                      wedge_many)
@@ -259,6 +261,89 @@ class TestArray:
             for bad in ([[1, 2], [3]], [[1, 2], 3], [1, 2, 3], [[1, 2, 3]]):
                 with pytest.raises(DomainError):
                     scalars.array(bad, (2, 2), backend, "entries")
+
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8])
+    def test_integer_array_becomes_python_ints(self, dtype):
+        values = np.array([[0, 1, 127], [5, 7, 9]], dtype=dtype)
+        exact = scalars.array(values, (2, 3), scalars.EXACT, "entries")
+        assert exact.dtype == object and not exact.flags.writeable
+        assert exact.tolist() == values.tolist()
+        assert all(type(v) is int for v in exact.ravel().tolist())
+        big = scalars.array(np.array([2 ** 62, -2 ** 63]), (2,), scalars.EXACT, "entries")
+        assert big.tolist() == [2 ** 62, -2 ** 63]
+        with pytest.raises(DomainError):
+            scalars.array(values, (3, 2), scalars.EXACT, "entries")
+
+    def test_bool_array_refused(self):
+        with pytest.raises(DomainError):
+            scalars.array(np.array([True, False]), (2,), scalars.EXACT, "entries")
+
+
+class TestNarrow:
+    @staticmethod
+    def objects(values):
+        out = np.empty(len(values), dtype=object)
+        out[:] = values
+        return out
+
+    def test_python_ints_under_the_bound_narrow(self):
+        values = self.objects([3, -7, 0])
+        narrowed = scalars.narrow(values, lambda B: B)
+        assert narrowed.dtype == np.int64 and narrowed.tolist() == [3, -7, 0]
+        assert values.dtype == object    # a copy: the input is left alone
+        assert scalars.narrow(self.objects([]), lambda B: B).dtype == np.int64
+
+    def test_bound_is_read_at_the_largest_size(self):
+        seen = []
+        scalars.narrow(self.objects([3, -7, 5]), lambda B: seen.append(B) or 0)
+        assert seen == [7]
+        limit = scalars.INT64_LIMIT
+        assert scalars.narrow(self.objects([limit - 1]), lambda B: B) is not None
+        assert scalars.narrow(self.objects([limit]), lambda B: B) is None
+        assert scalars.narrow(self.objects([-limit]), lambda B: B) is None
+        assert scalars.narrow(self.objects([1, 2]), lambda B: limit * B) is None
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), Poly.variable(2, 1), True, np.int64(3),
+                                       2.0])
+    def test_anything_but_python_ints_stays_object(self, other):
+        assert scalars.narrow(self.objects([1, other]), lambda B: 0) is None
+
+
+class TestIntegerStacks:
+    """The row kernels keep an integer stack's dtype and sum it exactly."""
+
+    def test_project_rows(self):
+        X = np.zeros((1, 9), dtype=np.int64)
+        X[0, 1] = 2 ** 60 + 1    # row {1}, column 2: the coefficient of e^{1,2}
+        rows = project_rows(X, 3, 2)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == project_rows(X.astype(object), 3, 2).tolist() \
+            == [[2 ** 60 + 1, 0, 0]]
+        rng = np.random.default_rng(13)
+        X = rng.integers(-2 ** 40, 2 ** 40, size=(6, math.comb(6, 2) * 6))
+        rows = project_rows(X, 6, 3)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == project_rows(X.astype(object), 6, 3).tolist()
+
+    @pytest.mark.parametrize("n,k,l", [(4, 1, 1), (6, 2, 2), (8, 2, 4), (3, 0, 2), (4, 3, 2)])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_wedge_rows(self, n, k, l, signed):
+        rng = np.random.default_rng(n * 100 + k * 10 + l)
+        a = rng.integers(-2 ** 20, 2 ** 20, size=(5, math.comb(n, k)))
+        b = rng.integers(-2 ** 20, 2 ** 20, size=(5, math.comb(n, l)))
+        rows = wedge_rows(a, b, n, k, l, signed)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == wedge_rows(a.astype(object), b.astype(object), n, k, l,
+                                           signed).tolist()
+
+    @pytest.mark.parametrize("size", range(6))
+    def test_det_rows(self, size):
+        rng = np.random.default_rng(14 + size)
+        stack = rng.integers(-1000, 1000, size=(7, size, size))
+        dets = det_rows(stack)
+        assert dets.dtype == np.int64
+        assert dets.tolist() == det_rows(stack.astype(object)).tolist()
 
 
 class TestWedgeRows:

@@ -12,8 +12,8 @@ from extconv.exterior import subset_ranks
 from extconv.multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                                 rank, sign_interlace_append, sign_of_string, unrank)
 
-from oracles import (brute_partitions, interlace, parity_by_cycles, shuffle_wedge,
-                     sign_interlace)
+from oracles import (brute_partitions, interlace, parity_by_cycles, parity_by_inversions,
+                     shuffle_wedge, sign_interlace)
 
 
 def mi(indices, n):
@@ -135,6 +135,17 @@ class TestSignOfString:
     @given(st.permutations(list(range(1, 8))))
     def test_matches_cycle_parity(self, perm):
         assert sign_of_string(tuple(perm)) == parity_by_cycles(tuple(perm))
+
+    def test_every_short_permutation_matches_inversion_count(self):
+        for length in range(8):
+            for perm in itertools.permutations(range(1, length + 1)):
+                assert sign_of_string(perm) == parity_by_inversions(perm), perm
+
+    def test_random_long_strings_match_inversion_count(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            string = tuple(rng.sample(range(-50, 50), 12))
+            assert sign_of_string(string) == parity_by_inversions(string), string
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations([1, 4, 5, 8, 9]), st.permutations([2, 3, 6, 7]))

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from extconv import multiindex, projection, scalars, shapespace
+from extconv import exterior, multiindex, projection, scalars, shapespace
 from extconv.errors import DomainError
 from extconv.exterior import KForm, scalar_product, wedge, wedge_power
 from extconv.polyform import Poly, PolyKForm, d_right, gradient, project_polynomial
@@ -215,6 +215,44 @@ class TestWedgePowerFromMinors:
         rng = random.Random(11)
         X = rand_int_matrix(4, 2, rng)
         assert wedge_power_from_minors(X, 2) != wedge_power(project(X), 2)
+
+    @staticmethod
+    def summed_dtypes(monkeypatch, *modules):
+        """Record the dtype of every stack ``signed_sum`` reads where ``modules`` call it."""
+        dtypes = []
+        real_signed_sum = exterior.signed_sum
+
+        def recording(terms, *signs):
+            dtypes.append(terms.dtype)
+            return real_signed_sum(terms, *signs)
+
+        for module in modules:
+            monkeypatch.setattr(module, "signed_sum", recording)
+        return dtypes
+
+    @pytest.mark.parametrize("n,k,s,summed", [(8, 2, 4, np.int64), (10, 2, 5, np.int64),
+                                              (16, 2, 8, object)])
+    def test_int64_sum_only_under_its_bound(self, monkeypatch, n, k, s, summed):
+        # minors of entries in −5..5 fit int64 at every order here; at (16,2,8)
+        # s!·(12 870 slots)·s!·5^8 does not, so the sum widens to Python ints
+        X = rand_int_matrix(n, k, random.Random(16))
+        X = ShapeMatrix(n, k, [[5] + row[1:] if r == 0 else row
+                               for r, row in enumerate(X.entries.tolist())])
+        dtypes = self.summed_dtypes(monkeypatch, projection)
+        out = wedge_power_from_minors(X, s)
+        assert dtypes == [summed]
+        assert out.coeffs.dtype == object
+        assert all(type(v) is int for v in out.coeffs.tolist())
+        monkeypatch.undo()
+        assert out == wedge_power(project(X), s) and not out.is_zero()
+
+    def test_direct_route_runs_no_int64(self, monkeypatch):
+        # the two sides of the identity must not share the narrowing
+        X = rand_int_matrix(8, 2, random.Random(17))
+        dtypes = self.summed_dtypes(monkeypatch, projection, exterior)
+        monkeypatch.setattr(scalars, "narrow", lambda *args: pytest.fail("narrowed"))
+        assert wedge_power(project(X), 4).coeffs.dtype == object
+        assert len(dtypes) == 4 and set(dtypes) == {np.dtype(object)}
 
 
 class TestLazyMinors:

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extconv import shapespace
+from extconv import scalars, shapespace
 from extconv.errors import DomainError
-from extconv.exterior import KForm, wedge_rows
+from extconv.exterior import KForm, subsets, wedge_rows
+from extconv.polyform import Poly
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, det, det_rows, minor_layout,
                                 minors_at, table_inner, tensor)
 
@@ -106,6 +109,15 @@ class TestDet:
                 [3.0, 0.0, 1.0, 2.0], [1.0, 1.0, 0.0, 1.0]]
         assert abs(det(rows) - perm_det(rows)) < 1e-9
 
+    def test_numpy_integers_do_not_wrap(self):
+        big = np.int64(2 ** 40)
+        got = det([[big, 0], [0, big]])
+        assert got == 2 ** 80 and type(got) is int
+        assert det(np.array([[big, 1], [-1, big]])) == 2 ** 80 + 1
+
+    def test_empty_matrix(self):
+        assert det([]) == 1
+
 
 def singular(rng, size, entry):
     """A random matrix whose last row is a combination of the others."""
@@ -186,6 +198,75 @@ class TestDetRows:
             acc = wedge_rows(acc, stack[:, i, :], size, i, 1)
         assert acc.shape == (8, 1)
         assert det_rows(stack).tolist() == acc[:, 0].tolist()
+
+
+def largest_narrowed(s):
+    """The largest B with s!·B^s below ``scalars.INT64_LIMIT``."""
+    B = round((scalars.INT64_LIMIT / math.factorial(s)) ** (1 / s))
+    while math.factorial(s) * B ** s >= scalars.INT64_LIMIT:
+        B -= 1
+    while math.factorial(s) * (B + 1) ** s < scalars.INT64_LIMIT:
+        B += 1
+    return B
+
+
+def all_minors(entries, s):
+    """Every order-s minor of ``entries``, by ``minors_at`` and by ``det_rows``
+    on the gathered submatrices, which never narrows."""
+    rows, cols = subsets(entries.shape[0], s), subsets(entries.shape[1], s)
+    return minors_at(entries, rows[:, None], cols[None]), \
+        det_rows(entries[rows[:, None, :, None], cols[None, :, None, :]])
+
+
+class TestNarrowedMinors:
+    """Python int entries whose minors provably fit are expanded in int64."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2), st.booleans(), st.data())
+    def test_equal_object_minors_on_each_side_of_the_cutoff(self, s, extra, above, data):
+        size = s + extra
+        B = largest_narrowed(s) + above
+        values = data.draw(st.lists(st.integers(-B, B), min_size=size * size,
+                                    max_size=size * size))
+        values[data.draw(st.integers(0, size * size - 1))] = data.draw(st.sampled_from([B, -B]))
+        entries = np.array(values, dtype=object).reshape(size, size)
+        got, want = all_minors(entries, s)
+        assert got.dtype == (object if above else np.int64)
+        assert want.dtype == object and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_extreme_minor_at_the_cutoff_is_exact(self, s):
+        # every entry ±B with the sign pattern of a Hadamard-like matrix: the
+        # largest minors the bound lets through, computed in int64
+        B = largest_narrowed(s)
+        signs = np.array([[(-1) ** bin(r & c).count("1") for c in range(s)] for r in range(s)])
+        entries = np.array((signs * B).tolist(), dtype=object)
+        got, _ = all_minors(entries, s)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[perm_det((signs * B).tolist())]]
+        got, _ = all_minors(np.array((signs * (B + 1)).tolist(), dtype=object), s)
+        assert got.dtype == object
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), Poly.variable(3, 1)])
+    def test_fractions_and_polynomials_stay_object(self, other):
+        entries = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=object)
+        entries[1, 1] = other
+        got, want = all_minors(entries, 2)
+        assert got.dtype == object and got.tolist() == want.tolist()
+
+    def test_float_entries_stay_float(self):
+        assert all_minors(np.eye(3), 2)[0].dtype == np.float64
+
+    def test_stored_table_holds_python_ints(self):
+        rng = random.Random(15)
+        X = rand_int_matrix(6, 2, rng)
+        table = adjugate(X, 3)
+        assert table.values.dtype == object and not table.values.flags.writeable
+        assert all(type(v) is int for v in table.values.ravel().tolist())
+        for cell in range(0, table.values.size, 37):
+            r, c = divmod(cell, len(table.col_sets))
+            sub = [[X.entries[i, j] for j in table.col_sets[c]] for i in table.row_sets[r]]
+            assert table.values.item(r, c) == perm_det(sub)
 
 
 class TestAdjugate:
