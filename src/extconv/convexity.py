@@ -21,9 +21,10 @@ The checks implemented here:
   supporting coefficients.
 
 Every trial still draws from its own stream ``derive_rng(seed, trial)``; the
-draws are then stacked, one form or flattened matrix per row, and the wedge
-powers and f run once per stack through the row kernels typed by its dtype
-(``exterior.wedge_rows``, ``FormFunction.evaluate_rows``, and for a lift
+draws are then stacked, one form or flattened matrix per row (the fitter's and
+the LP's samples are drawn as a stack, ``sampling.random_form_rows``), and the
+wedge powers and f run once per stack through the row kernels typed by its
+dtype (``exterior.wedge_rows``, ``FormFunction.evaluate_rows``, and for a lift
 ``projection.project_rows``); wedge lines and rank-one lines share one scan,
 and the lift cross-check is one stacked pass in either backend.  A row's
 result does not depend on its stack, so ``replay_witness`` runs the same
@@ -55,8 +56,8 @@ from .errors import DomainError, LPInternalError
 from .exterior import KForm, ordered_sum, scalar_product, wedge_power, wedge_rows
 from .functions import FormFunction
 from .projection import project, project_rows, right_inverse
-from .sampling import (derive_rng, random_exact_form, random_form, random_line,
-                       random_matrix)
+from .sampling import (derive_rng, random_exact_form, random_form, random_form_rows,
+                       random_line, random_matrix)
 from .shapespace import ShapeMatrix
 from . import simplex
 
@@ -380,11 +381,6 @@ def _power_forms(n: int, k: int, flat: np.ndarray) -> list[KForm]:
     return [KForm(n, k * s, block, scalars.FLOAT) for s, block in enumerate(blocks, start=1)]
 
 
-def _random_forms(n: int, k: int, seed: int, indices, scale: float) -> np.ndarray:
-    """A stack of float forms, row j drawn from its own stream derive_rng(seed, j)."""
-    return _stack([random_form(n, k, derive_rng(seed, j), scale) for j in indices])
-
-
 def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
     """Least-squares recovery of a wedge-power pairing representation.
 
@@ -404,7 +400,7 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
     spread = cfg.coeff_range
     for attempt in range(3):
         offset = attempt * 10_000_000
-        xi = _random_forms(n, k, cfg.seed, range(offset, offset + nsamples), spread)
+        xi = random_form_rows(n, k, cfg.seed, range(offset, offset + nsamples), spread)
         design = _power_features(xi, n, k)
         y = f.evaluate_rows(xi)
 
@@ -417,9 +413,9 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
             continue
         solution[live] = coeffs
 
-        held_out = _random_forms(n, k, cfg.seed,
-                                 range(77_000_000, 77_000_000 + validation_samples),
-                                 cfg.coeff_range)
+        held_out = random_form_rows(n, k, cfg.seed,
+                                    range(77_000_000, 77_000_000 + validation_samples),
+                                    cfg.coeff_range)
         with scalars.float_guard("validation residual"):
             predicted = ordered_sum(_power_features(held_out, n, k) * solution)
             worst = float(np.abs(f.evaluate_rows(held_out) - predicted).max())
@@ -463,7 +459,7 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     if (xi.n, xi.k) != (n, k):
         raise DomainError(f"base point lives in ({xi.n},{xi.k}), expected ({n},{k})")
     if etas is None:
-        eta = _random_forms(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
+        eta = random_form_rows(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
     else:
         if not etas or any((eta.n, eta.k) != (n, k) for eta in etas):
             raise DomainError(f"sample points must be a nonempty list of ({n},{k}) forms")

@@ -15,8 +15,10 @@ stacks of forms of those dtypes, one form per row of an (m × C(n,k)) array;
 ``wedge`` and ``wedge_power`` run it on a one-row view, floats under
 ``scalars.float_guard``.  Every structure table is in ``sign_table``'s format
 and summed by ``signed_sum``: exactly for objects (and for the int64 stacks a
-kernel narrows to under a bound), strictly left to right for floats, so a
-float row's result does not depend on its batch.
+kernel narrows to under a bound), and for floats by a loop over the table's
+slots that adds one slot of every row at a time, left to right from 0.0.  That
+keeps each float row the scalar loop's sum, whatever its batch, without a
+stack of every slot's terms or a prefix-sum array.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -217,33 +219,62 @@ def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, ...]:
                       signs=[sign_of_string(PQ) for PQ in np.hstack([patterns, rests]).tolist()])
 
 
+# entries a kernel gathers at once, which bounds its transient stacks
+_GATHER_BUDGET = 1 << 13
+
+
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
     """Sum the last axis: exactly for objects and integers, strictly left to
     right for floats.
 
     An integer stack is exact because its caller has bounded every partial
-    sum (``scalars.narrow``).  A float sum runs in the order of a scalar loop
-    started at 0.0 (hence the trailing ``+ 0.0``), and no term of one row ever
+    sum (``scalars.narrow``).  A float sum is a loop over the slots of the
+    last axis that starts at 0.0, so each result runs in the order of a scalar
+    loop, bit for bit and with the sign of a zero, and no term of one row ever
     meets another's, unlike numpy's pairwise ``sum`` or a BLAS product.
     """
     if terms.dtype.kind in "Oiu":
         return terms.sum(axis=-1)
-    if terms.shape[-1] == 0:
-        return np.zeros(terms.shape[:-1])
-    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+    total = np.zeros(terms.shape[:-1])
+    for slot in range(terms.shape[-1]):
+        total += terms[..., slot]
+    return total
 
 
-def signed_sum(terms: np.ndarray, signs: np.ndarray, plus: np.ndarray,
-               minus: np.ndarray) -> np.ndarray:
-    """Σ sign·term along the last axis, for a sign row of a structure table.
+def signed_sum(gather: Callable[[int | slice], np.ndarray], dtype: np.dtype,
+               signs: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Σ sign·term over the slots of a structure table's sign row, for terms of ``dtype``.
 
-    Floats sum ``terms * signs`` in slot order; objects and integers sum the
-    +1 and the −1 slots apart, since a product with a sign costs as much as a
+    ``gather(q)`` gives the terms of slot q: one slot for an int, and a stack
+    with the slots on its last axis for a slice (numpy indexing gives both
+    from one expression).  Floats add or subtract one slot at a time, left to
+    right from 0.0; they are gathered a block of slots at a time, as many as
+    ``_GATHER_BUDGET`` entries hold (at least one), so no stack of every slot
+    is built.  Objects and integers gather every slot at once and sum the +1
+    and the −1 slots apart, since a product with a sign costs as much as a
     product, and keep their dtype.
     """
-    if terms.dtype.kind in "Oiu":
+    if dtype.kind in "Oiu" or not len(signs):
+        terms = gather(slice(None))
         return ordered_sum(terms[..., plus]) - ordered_sum(terms[..., minus])
-    return ordered_sum(terms * signs)
+    order = signs.tolist()
+    first = gather(0)
+    total = first + 0.0 if order[0] > 0 else 0.0 - first    # the loop's step from 0.0
+    step = max(1, _GATHER_BUDGET // (first.size or 1))
+    for start in range(1, len(order), step):
+        block = gather(slice(start, start + step))
+        for slot, sign in enumerate(order[start:start + step]):
+            if sign > 0:
+                total += block[..., slot]
+            else:
+                total -= block[..., slot]
+    return total
+
+
+@lru_cache(maxsize=None)
+def _plus_signs(slots: int) -> tuple[np.ndarray, ...]:
+    """A sign row of ``slots`` +1s, for a table summed without its signs."""
+    return sign_table(signs=[1] * slots)
 
 
 def power_by_squaring(base: np.ndarray, exp: int) -> np.ndarray:
@@ -272,8 +303,8 @@ def wedge_rows(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int,
     if l == 0:
         return a * b[:, :1]
     left, right, *signs = _wedge_table(n, k, l)
-    terms = a[:, left] * b[:, right]
-    return signed_sum(terms, *signs) if signed else ordered_sum(terms)
+    return signed_sum(lambda q: a[:, left[:, q]] * b[:, right[:, q]], np.result_type(a, b),
+                      *(signs if signed else _plus_signs(left.shape[1])))
 
 
 def wedge_power_rows(x: np.ndarray, n: int, k: int, s: int,

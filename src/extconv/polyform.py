@@ -285,7 +285,8 @@ def d_right(w: KForm) -> KForm:
     if r >= n:
         return KForm(n, r + 1)
     left, right, *signs = _wedge_table(n, r, 1)
-    return KForm(n, r + 1, signed_sum(partials[left, right], *signs))
+    return KForm(n, r + 1, signed_sum(lambda q: partials[left[:, q], right[:, q]],
+                                      partials.dtype, *signs))
 
 
 def project_polynomial(mat: ShapeMatrix) -> KForm:

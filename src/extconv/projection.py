@@ -41,10 +41,10 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, sign_table, signed_sum, subset_ranks, subsets
+from .exterior import _GATHER_BUDGET, KForm, sign_table, signed_sum, subset_ranks, subsets
 from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                          sign_interlace_append)
-from .shapespace import _GATHER_BUDGET, MinorTable, ShapeMatrix, minors_at
+from .shapespace import MinorTable, ShapeMatrix, minors_at
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +71,7 @@ def project_rows(X: np.ndarray, n: int, k: int) -> np.ndarray:
     its slots left to right, whatever batch it sits in.
     """
     cells, *signs = _projection_table(n, k)
-    return signed_sum(X[:, cells], *signs)
+    return signed_sum(lambda q: X[:, cells[:, q]], X.dtype, *signs)
 
 
 def project(X: ShapeMatrix) -> KForm:
@@ -142,7 +142,8 @@ class MinorPowerMap(NamedTuple):
     def _image(self, minors: np.ndarray, backend: str) -> KForm:
         """s! · Σ sign·minor along each row of the minors read at ``cells``."""
         with scalars.float_guard("minor expansion"):
-            row = math.factorial(self.s) * signed_sum(minors, self.signs, self.plus, self.minus)
+            row = math.factorial(self.s) * signed_sum(lambda q: minors[:, q], minors.dtype,
+                                                      self.signs, self.plus, self.minus)
         return KForm(self.n, self.k * self.s, row, backend)
 
 

@@ -3,6 +3,11 @@
 Every trial draws from its own stream derived from (seed, trial index), so
 results do not depend on scheduling and any witness can be replayed from the
 numbers stored in the report.
+
+Float coefficients are ``random.uniform(−scale, scale)`` draws, computed from
+each stream's ``random()`` values by uniform's own formula a + (b − a)·u in
+one numpy step, bit for bit the same.  ``random_form_rows`` draws a whole
+stack of forms that way, one row per stream, without a form per row.
 """
 
 from __future__ import annotations
@@ -10,6 +15,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import scalars
 from .errors import DomainError
@@ -23,9 +31,28 @@ def derive_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * _STRIDE + index)
 
 
+def _uniform_rows(rngs: Sequence[random.Random], width: int, scale: float) -> np.ndarray:
+    """Row j holds ``width`` successive draws rngs[j].uniform(−scale, scale).
+
+    Each stream gives its ``width`` values u of ``random()`` in order, and one
+    vectorized step maps them all by ``random.uniform``'s own formula
+    a + (b − a)·u, so every entry equals that draw bit for bit.
+    """
+    u = np.array([rng.random() for rng in rngs for _ in range(width)], dtype=float)
+    low = -scale
+    return (low + (scale - low) * u).reshape(len(rngs), width)
+
+
 def random_form(n: int, k: int, rng: random.Random, scale: float) -> KForm:
-    coeffs = [rng.uniform(-scale, scale) for _ in range(math.comb(n, k))]
-    return KForm(n, k, coeffs, scalars.FLOAT)
+    return KForm(n, k, _uniform_rows([rng], math.comb(n, k), scale)[0], scalars.FLOAT)
+
+
+def random_form_rows(n: int, k: int, seed: int, indices: Iterable[int],
+                     scale: float) -> np.ndarray:
+    """A stack of float forms: for each j of ``indices``, the coefficients of
+    ``random_form(n, k, derive_rng(seed, j), scale)``, which must be finite."""
+    rows = _uniform_rows([derive_rng(seed, j) for j in indices], math.comb(n, k), scale)
+    return scalars.require_finite(rows, f"({n},{k}) coefficients")
 
 
 def random_exact_form(n: int, k: int, rng: random.Random,
@@ -36,9 +63,8 @@ def random_exact_form(n: int, k: int, rng: random.Random,
 
 
 def random_matrix(n: int, k: int, rng: random.Random, scale: float) -> ShapeMatrix:
-    rows = [[rng.uniform(-scale, scale) for _ in range(n)]
-            for _ in range(math.comb(n, k - 1))]
-    return ShapeMatrix(n, k, rows, scalars.FLOAT)
+    entries = _uniform_rows([rng], math.comb(n, k - 1) * n, scale)
+    return ShapeMatrix(n, k, entries.reshape(-1, n), scalars.FLOAT)
 
 
 def random_integer_matrix(n: int, k: int, rng: random.Random,

@@ -114,16 +114,18 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
     """``values`` (nested sequences or an array) as one read-only array of ``shape``.
 
     Float is one vectorized conversion to a float64 copy, which must be
-    finite.  Exact keeps a polynomial as it is and coerces every other
-    element, so an int stays a Python int (never int64), ``Fraction(n, 1)``
-    becomes ``n`` and a non-integral float is refused; ``element`` replaces
-    all of that with a check or conversion of its own.  An integer array,
-    such as a kernel's int64 result, needs no check: one conversion turns it
-    into Python ints.
+    finite and hold no bool (``refuse_bools``).  Exact keeps a polynomial as
+    it is and coerces every other element, so an int stays a Python int
+    (never int64), ``Fraction(n, 1)`` becomes ``n`` and a non-integral float
+    is refused; ``element`` replaces all of that with a check or conversion
+    of its own.  An integer array, such as a kernel's int64 result, needs no
+    check: one conversion turns it into Python ints.
     Ragged input never has ``shape``, so it is refused too.
     """
     if backend not in BACKENDS:
         raise DomainError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if backend == FLOAT:
+        refuse_bools(values)
     try:
         out = np.array(values, dtype=float if backend == FLOAT else object)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -141,6 +143,24 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
     return out
 
 
+def refuse_bools(values) -> None:
+    """Refuse a bool anywhere in ``values``: a scalar, an array or nested sequences.
+
+    numpy would read True as 1.0.  A float or integer array is one dtype test;
+    only sequences and object arrays are walked.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype == bool:
+            raise DomainError("bool is not a scalar")
+        if values.dtype == object:
+            refuse_bools(values.tolist())
+    elif isinstance(values, (list, tuple)):
+        for value in values:
+            refuse_bools(value)
+    elif isinstance(values, (bool, np.bool_)):
+        raise DomainError("bool is not a scalar")
+
+
 def backend_of(values: np.ndarray) -> str:
     """The backend of an array that ``array`` built."""
     return EXACT if values.dtype == object else FLOAT
@@ -148,9 +168,11 @@ def backend_of(values: np.ndarray) -> str:
 
 def checked_rows(rows, width: int, what: str) -> np.ndarray:
     """``rows`` as an (m × width) stack: an object array as it is (exact),
-    anything else as float64, which must be finite."""
+    anything else as float64, which must be finite and hold no bool."""
     exact = isinstance(rows, np.ndarray) and rows.dtype == object
-    rows = rows if exact else np.asarray(rows, dtype=float)
+    if not exact:
+        refuse_bools(rows)
+        rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise DomainError(f"expected an (m × {width}) array of {what}, got shape {rows.shape}")
     return rows if exact else require_finite(rows, f"a stack of {what}")

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import (KForm, json_fields, ordered_sum, sign_table, signed_sum, subset_ranks,
-                       subsets)
+from .exterior import (_GATHER_BUDGET, KForm, json_fields, ordered_sum, sign_table, signed_sum,
+                       subset_ranks, subsets)
 from .multiindex import MultiIndex, enumerate_multiindices, rank
 
 
@@ -230,7 +230,8 @@ def det_rows(M: np.ndarray) -> np.ndarray:
     acc = np.ones(M.shape[:-2] + (1,), dtype=M.dtype)
     for j in range(1, s + 1):
         cols, subs, *signs = _laplace_table(s, j)
-        acc = signed_sum(M[..., s - j, cols] * acc[..., subs], *signs)
+        acc = signed_sum(lambda q: M[..., s - j, cols[:, q]] * acc[..., subs[:, q]], M.dtype,
+                         *signs)
     return acc[..., 0]
 
 
@@ -243,10 +244,6 @@ def det(rows: Sequence[Sequence]):
     stack = scalars.array(np.array(rows, dtype=object).reshape(m, m), (m, m),    # [] is 0 × 0
                           scalars.FLOAT if floats else scalars.EXACT, "determinant entries")
     return det_rows(stack).item()
-
-
-# entries gathered per chunk of minors, which bounds the transient stacks
-_GATHER_BUDGET = 1 << 13
 
 
 def minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

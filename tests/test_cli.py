@@ -362,6 +362,13 @@ class TestBadInputExits2:
         self.assert_usage_error(capsys, "check-convexity", "--mode", "one-affine",
                                 "--input", path, "--trials", "5", "--range", "1e-200")
 
+    @pytest.mark.parametrize("command", ["support-lp", "fit-quasiaffine"])
+    def test_draws_beyond_the_float_range_exit_2(self, capsys, tmp_path, command):
+        # 2·1e308 overflows, so random.uniform's formula draws ±inf
+        path = write_json(tmp_path, "neg.json", NEG_NORM_SQ)
+        assert run_cli(capsys, command, "--input", path, "--range", "1e308") == \
+            (2, "", "extconv: (4,2) coefficients is not finite\n")
+
     @pytest.mark.parametrize("scalar", ["abc", "1/0"])
     def test_bad_rational_scalar_exits_2(self, capsys, tmp_path, scalar):
         matrix = write_json(tmp_path, "m.json", {"n": 2, "k": 2, "rows": ["1", "2"],

@@ -15,7 +15,8 @@ from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge
 from extconv.functions import FormFunction
 from extconv.projection import project
-from extconv.sampling import derive_rng, random_exact_form, random_form
+from extconv.sampling import (derive_rng, random_exact_form, random_form, random_form_rows,
+                              random_matrix)
 from extconv.shapespace import ShapeMatrix, tensor
 
 
@@ -438,6 +439,34 @@ class TestDeterminism:
         _ = random_form(4, 2, derive_rng(7, 0), 2.0)
         second = random_form(4, 2, derive_rng(7, 3), 2.0)
         assert first == second
+
+
+class TestStackedDraws:
+    """A stack of draws is the forms ``random_form`` draws one stream at a time."""
+
+    @pytest.mark.parametrize("n,k", [(8, 2), (4, 2), (5, 1), (6, 3), (3, 0), (7, 7)])
+    @pytest.mark.parametrize("scale", [1e-300, 2.0, 1e300])
+    def test_rows_are_random_form_bit_for_bit(self, n, k, scale):
+        indices = [0, 5, 3, 77_000_000, 10_000_001]
+        rows = random_form_rows(n, k, 9, indices, scale)
+        assert rows.shape == (len(indices), math.comb(n, k)) and rows.dtype == np.float64
+        for row, j in zip(rows, indices):
+            assert row.tobytes() == random_form(n, k, derive_rng(9, j), scale).coeffs.tobytes()
+        assert random_form_rows(n, k, 9, [], scale).shape == (0, math.comb(n, k))
+
+    def test_draws_follow_random_uniform(self):
+        rng, twin = derive_rng(4, 1), derive_rng(4, 1)
+        form = random_form(8, 2, rng, 3.0)
+        X = random_matrix(4, 2, rng, 0.5)
+        assert form.coeffs.tolist() == [twin.uniform(-3.0, 3.0) for _ in range(28)]
+        assert X.entries.ravel().tolist() == [twin.uniform(-0.5, 0.5) for _ in range(16)]
+        assert rng.random() == twin.random()    # both streams stand at the same draw
+
+    def test_draws_beyond_the_float_range_are_refused(self):
+        with pytest.raises(DomainError, match=r"^\(4,2\) coefficients is not finite$"):
+            random_form_rows(4, 2, 0, range(3), 1e308)
+        with pytest.raises(DomainError, match=r"^\(4,2\) coefficients is not finite$"):
+            random_form(4, 2, derive_rng(0, 0), 1e308)
 
 
 def fn_planted(n=8, k=2, seed=12):

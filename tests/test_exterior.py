@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extconv import scalars
+from extconv import exterior, scalars
 from extconv.errors import DomainError
-from extconv.exterior import (KForm, hodge_star, norm_squared, ordered_sum,
-                              scalar_product, subset_ranks, wedge, wedge_power,
-                              wedge_power_rows, wedge_rows)
+from extconv.exterior import (KForm, _wedge_table, hodge_star, norm_squared, ordered_sum,
+                              scalar_product, sign_table, signed_sum, subset_ranks, wedge,
+                              wedge_power, wedge_power_rows, wedge_rows)
+from extconv.functions import FormFunction
 from extconv.multiindex import MultiIndex
 from extconv.polyform import Poly
-from extconv.projection import project_rows
-from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, det_rows
+from extconv.projection import _projection_table, project_rows
+from extconv.shapespace import MinorTable, ShapeMatrix, _laplace_table, adjugate, det_rows
 
 from oracles import (coeffs_to_dict, dict_to_coeff_list, lex_ranks, rand_exact, shuffle_wedge,
                      wedge_many)
@@ -279,6 +280,23 @@ class TestArray:
         with pytest.raises(DomainError):
             scalars.array(np.array([True, False]), (2,), scalars.EXACT, "entries")
 
+    @pytest.mark.parametrize("values", [[True, False], np.array([True, False]), [1.5, np.True_],
+                                        np.array([1.5, True], dtype=object)],
+                             ids=["list", "array", "numpy-bool", "object-array"])
+    def test_float_backend_refuses_bools(self, values):
+        with pytest.raises(DomainError, match="bool is not a scalar"):
+            KForm(2, 1, values, scalars.FLOAT)
+        with pytest.raises(DomainError, match="bool is not a scalar"):
+            ShapeMatrix(2, 2, [values, [0.0, 0.0]], scalars.FLOAT)
+
+    def test_float_rows_refuse_bools(self):
+        for rows in ([[True, 0.0]], [np.array([0.0, 1.0]), [0.5, False]], np.ones((3, 2), bool)):
+            with pytest.raises(DomainError, match="bool is not a scalar"):
+                scalars.checked_rows(rows, 2, "coefficients")
+        with pytest.raises(DomainError, match="bool is not a scalar"):
+            FormFunction.norm_squared(4, 2).evaluate_rows(np.ones((2, 6), dtype=bool))
+        assert scalars.checked_rows([[1, 2.5]], 2, "coefficients").tolist() == [[1.0, 2.5]]
+
 
 class TestNarrow:
     @staticmethod
@@ -465,6 +483,134 @@ class TestWedgeRows:
         assert ordered_sum(np.full((2, 3), -0.0)).tolist() == [0.0, 0.0]
         assert math.copysign(1.0, ordered_sum(np.full((1, 3), -0.0))[0]) == 1.0
         assert ordered_sum(np.zeros((4, 0))).tolist() == [0.0] * 4
+
+
+# signed zeros, values whose sums round and cancel, and ±1; no product of two
+# of them leaves the float range
+SUMMANDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 3.5e-3, -2.0 ** -60]),
+                     st.floats(-1e8, 1e8, allow_nan=False, allow_infinity=False))
+
+
+def loop_sum(terms, signs):
+    """Σ sign·term as one scalar loop: from 0.0, left to right, one float at a time."""
+    total = 0.0
+    for term, sign in zip(terms, signs):
+        total += sign * term
+    return total
+
+
+def same_bits(got, expected):
+    """Equal bit for bit, the sign of every zero included."""
+    expected = np.asarray(expected, dtype=float).reshape(got.shape)
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    assert [math.copysign(1.0, v) for v in got.ravel().tolist()] == \
+        [math.copysign(1.0, v) for v in expected.ravel().tolist()]
+
+
+class TestSlotMajorSums:
+    """The float sums stream over their slots; each result must be the scalar
+    loop's, bit for bit, whatever batch it sits in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 9), st.data())
+    def test_ordered_and_signed_sums_are_the_loop(self, m, targets, slots, data):
+        values = data.draw(st.lists(SUMMANDS, min_size=m * targets * slots,
+                                    max_size=m * targets * slots))
+        terms = np.array(values, dtype=float).reshape(m, targets, slots)
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=slots, max_size=slots))
+        table = sign_table(signs=signs)
+        same_bits(ordered_sum(terms), [[loop_sum(t, [1] * slots) for t in row] for row in terms])
+        summed = signed_sum(lambda q: terms[..., q], terms.dtype, *table)
+        same_bits(summed, [[loop_sum(t, signs) for t in row] for row in terms])
+        for i in range(m):
+            same_bits(signed_sum(lambda q: terms[i:i + 1, :, q], terms.dtype, *table),
+                      summed[i:i + 1])
+        exact = np.array([Fraction(v) for v in values], dtype=object).reshape(terms.shape)
+        assert signed_sum(lambda q: exact[..., q], exact.dtype, *table).tolist() == \
+            [[sum(Fraction(v) * sign for v, sign in zip(t, signs)) for t in row] for row in terms]
+
+    @staticmethod
+    def draw_rows(data, m, width):
+        values = data.draw(st.lists(SUMMANDS, min_size=m * width, max_size=m * width))
+        return np.array(values, dtype=float).reshape(m, width)
+
+    # (6,2) at n = 8 is one target of 28 slots; (8,1,1) is 28 targets of 2
+    @pytest.mark.parametrize("n,k,l", [(8, 6, 2), (8, 1, 1), (6, 2, 2), (5, 3, 1), (4, 3, 2)])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_wedge_rows_are_the_loop(self, n, k, l, m, data):
+        a, b = self.draw_rows(data, m, math.comb(n, k)), self.draw_rows(data, m, math.comb(n, l))
+        rows = wedge_rows(a, b, n, k, l)
+        if k + l > n:
+            assert rows.shape == (m, 0)
+            return
+        left, right, signs, _, _ = _wedge_table(n, k, l)
+        for signed in (True, False):
+            slot_signs = signs.tolist() if signed else [1.0] * len(signs)
+            expected = [[loop_sum((x[i] * y[j] for i, j in zip(I, J)), slot_signs)
+                         for I, J in zip(left.tolist(), right.tolist())] for x, y in zip(a, b)]
+            batch = wedge_rows(a, b, n, k, l, signed)
+            same_bits(batch, expected)
+            for i in range(m):
+                same_bits(wedge_rows(a[i:i + 1], b[i:i + 1], n, k, l, signed), batch[i:i + 1])
+
+    # k = 1 is n targets of one slot each
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 3), (6, 6)])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_project_rows_are_the_loop(self, n, k, m, data):
+        X = self.draw_rows(data, m, math.comb(n, k - 1) * n)
+        cells, signs, _, _ = _projection_table(n, k)
+        batch = project_rows(X, n, k)
+        same_bits(batch, [[loop_sum((x[c] for c in slots), signs.tolist())
+                           for slots in cells.tolist()] for x in X])
+        for i in range(m):
+            same_bits(project_rows(X[i:i + 1], n, k), batch[i:i + 1])
+
+    @staticmethod
+    def loop_det(M):
+        """``det_rows``' expansion of one matrix, every level a scalar loop."""
+        s = len(M)
+        acc = [1.0]
+        for j in range(1, s + 1):
+            cols, subs, signs, _, _ = _laplace_table(s, j)
+            acc = [loop_sum((M[s - j][c] * acc[b] for c, b in zip(C, B)), signs.tolist())
+                   for C, B in zip(cols.tolist(), subs.tolist())]
+        return acc[0]
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_det_rows_of_a_3_axis_stack_are_the_loop(self, s, p, q, data):
+        M = self.draw_rows(data, p * q, s * s).reshape(p, q, s, s)
+        batch = det_rows(M)
+        same_bits(batch, [[self.loop_det(matrix.tolist()) for matrix in row] for row in M])
+        for i, j in itertools.product(range(p), range(q)):
+            same_bits(det_rows(M[i, j]), batch[i, j])
+
+    @pytest.mark.parametrize("budget", [1, 5, 13, 1 << 13])
+    def test_blocks_of_slots_keep_the_loop(self, monkeypatch, budget):
+        # a float sum gathers as many slots at once as the budget's entries hold
+        monkeypatch.setattr(exterior, "_GATHER_BUDGET", budget)
+        rng = random.Random(budget)
+        terms = np.array([rng.choice([1e16, -1e16, 1.0, -0.0]) * rng.random()
+                          for _ in range(2 * 3 * 17)]).reshape(2, 3, 17)
+        signs = [rng.choice([1, -1]) for _ in range(17)]
+        same_bits(signed_sum(lambda q: terms[..., q], terms.dtype, *sign_table(signs=signs)),
+                  [[loop_sum(t, signs) for t in row] for row in terms])
+        a, b = (np.array([[rng.uniform(-2, 2) for _ in range(width)] for _ in range(3)])
+                for width in (28, 28))
+        left, right, table_signs, _, _ = _wedge_table(8, 6, 2)
+        same_bits(wedge_rows(a, b, 8, 6, 2),
+                  [[loop_sum((x[i] * y[j] for i, j in zip(left[0], right[0])),
+                             table_signs.tolist())] for x, y in zip(a, b)])
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        zeros = np.full((2, 3, 4), -0.0)
+        table = sign_table(signs=[1, -1, -1, 1])
+        for total in (ordered_sum(zeros), signed_sum(lambda q: zeros[..., q], zeros.dtype, *table),
+                      wedge_rows(np.full((2, 4), -0.0), np.full((2, 4), 0.0), 4, 1, 1)):
+            same_bits(total, np.zeros(total.shape))
 
 
 def lex_basis(size, k):

@@ -6,7 +6,8 @@ every digest in ``GOLDEN`` as it is.  The polynomial cases pin the text of
 seeded polynomial forms, of their projected gradients and of their classical
 exterior derivatives.  ``fit-quasiaffine`` and ``support-lp``
 are left out: their floats go through LAPACK and BLAS, whose last bits depend
-on the build.
+on the build.  The support LP's inputs do not: the stack cases pin the bytes
+of its 500 drawn forms at (8,2) and of their wedge-power feature rows.
 
 To print the digests of the current code:
 
@@ -28,10 +29,11 @@ import pytest
 
 from extconv import scalars
 from extconv.cli import main
-from extconv.convexity import SamplerConfig, cross_check_lift
+from extconv.convexity import SamplerConfig, _power_features, cross_check_lift
 from extconv.functions import FormFunction
 from extconv.multiindex import enumerate_multiindices
 from extconv.polyform import Poly, PolyKForm, d_classical, gradient, project_polynomial
+from extconv.sampling import random_form_rows
 
 MATRIX_EXACT = {"n": 4, "k": 2, "rows": ["1", "2", "3", "4"],
                 "data": [[0, "3/2", -1, 2], [1, 0, 5, "-7/3"],
@@ -83,6 +85,9 @@ LIFT_CASES = {f"lift-{n}-{k}-{backend}": (n, k, backend)
 
 POLY_CASES = {f"poly-{n}-{k}": (n, k) for n, k in [(8, 3), (4, 2)]}
 
+STACK_CASES = {"support-draws-8-2": lambda draws: draws,
+               "support-features-8-2": lambda draws: _power_features(draws, 8, 2)}
+
 
 def cli_report(case: str) -> bytes:
     """Exit code and stdout of one CLI case, its inputs written to a fresh directory."""
@@ -132,9 +137,17 @@ def poly_report(case: str) -> bytes:
                       sort_keys=True).encode()
 
 
+def stack_report(case: str) -> bytes:
+    """The support LP's sample at seed 3, or its feature rows, as little-endian bytes."""
+    stack = STACK_CASES[case](random_form_rows(8, 2, 3, range(500), 2.0))
+    return repr(stack.shape).encode() + stack.astype("<f8").tobytes()
+
+
 def report_bytes(case: str) -> bytes:
     if case in CLI_CASES:
         return cli_report(case)
+    if case in STACK_CASES:
+        return stack_report(case)
     return lift_report(case) if case in LIFT_CASES else poly_report(case)
 
 
@@ -143,7 +156,7 @@ def digest(case: str) -> str:
 
 
 def print_digests() -> None:
-    for case in [*CLI_CASES, *LIFT_CASES, *POLY_CASES]:
+    for case in [*CLI_CASES, *LIFT_CASES, *POLY_CASES, *STACK_CASES]:
         print(f'    "{case}": "{digest(case)}",')
 
 
@@ -174,13 +187,15 @@ GOLDEN = {
     "lift-5-3-float": "17f3f9b634b9b65e5636574a4129cba4f54a50d5a784519547fc826c2762105c",
     "poly-8-3": "8c63938ced4fb0ac5375f42f69e171ca27b56890063172948fdc1dfcd3d4b874",
     "poly-4-2": "c28060af2f7bebafda8834e3ca0ce9721a87a9b30abc1e92a98e76e444d1f544",
+    "support-draws-8-2": "34c41f7826edf0090690439a65ab7ef9afd503d78ad9fd5802d9c5917fdeb1db",
+    "support-features-8-2": "62efe3233810c7723dac4fd5a8aabcab0caca3a2a9c1889074ad9fc7462d2aa6",
 }
 
 
 def test_corpus_is_complete():
-    assert set(GOLDEN) == set(CLI_CASES) | set(LIFT_CASES) | set(POLY_CASES)
+    assert set(GOLDEN) == set(CLI_CASES) | set(LIFT_CASES) | set(POLY_CASES) | set(STACK_CASES)
 
 
-@pytest.mark.parametrize("case", [*CLI_CASES, *LIFT_CASES, *POLY_CASES])
+@pytest.mark.parametrize("case", [*CLI_CASES, *LIFT_CASES, *POLY_CASES, *STACK_CASES])
 def test_report_bytes_unchanged(case):
     assert digest(case) == GOLDEN[case]

@@ -222,9 +222,9 @@ class TestWedgePowerFromMinors:
         dtypes = []
         real_signed_sum = exterior.signed_sum
 
-        def recording(terms, *signs):
-            dtypes.append(terms.dtype)
-            return real_signed_sum(terms, *signs)
+        def recording(gather, dtype, *signs):
+            dtypes.append(gather(slice(0, 0)).dtype)    # the terms' own dtype
+            return real_signed_sum(gather, dtype, *signs)
 
         for module in modules:
             monkeypatch.setattr(module, "signed_sum", recording)
