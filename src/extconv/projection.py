@@ -22,9 +22,11 @@ s!·(slots per target)·s!·B^s fits (B the largest entry in size), and widens
 them to Python ints before the sum otherwise; the direct route
 ``wedge_power(project(X), s)`` stays on object arrays, so the two sides of the
 identity never share that narrowing;
-``pullback_support`` is the map's transpose, built by its own enumeration so
-that the adjointness check keeps an independent route.  Every table here is
-in ``exterior.sign_table``'s format and summed by ``exterior.signed_sum``.
+``pullback_support`` is the map's transpose, built on arrays by its own
+enumeration (membership masks over ``minor_layout``) and its own signs (the
+inversion parity of each appended string), so that the adjointness check
+keeps an independent route.  Every table here is in ``exterior.sign_table``'s
+format and summed by ``exterior.signed_sum``.
 
 All interlace signs here use the append convention (index written after its
 block); see the multiindex module for why the expansion needs that variant.
@@ -32,7 +34,6 @@ block); see the multiindex module for why the expansion needs that variant.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -44,7 +45,7 @@ from .errors import DomainError
 from .exterior import _GATHER_BUDGET, KForm, sign_table, signed_sum, subset_ranks, subsets
 from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                          sign_interlace_append)
-from .shapespace import MinorTable, ShapeMatrix, minors_at
+from .shapespace import MinorTable, ShapeMatrix, minor_layout, minors_at
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +213,13 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
 
     Input holds D_s of degree k·s for s = 1..n//k (k read off the first form).
     Each output table pairs with every minor table M exactly as D_s pairs with
-    the power map's image of M; on a partition cell the entry is
-    s!·(append interlace sign)·(D_s coefficient at the joint multiindex).
+    the power map's image of M; on a live cell, whose s row labels I^1..I^s
+    and columns j_1..j_s are pairwise disjoint, the entry is
+    s!·sign·(D_s coefficient at their union), and every other cell is zero.
+    The sign is the append convention's, the parity of the inversions of
+    (I^1, j_1, ..., I^s, j_s), counted on arrays here rather than by
+    ``sign_interlace_append``, so the adjointness check compares two sign
+    computations.  For odd k and s ≥ 2 the table is zero, as ξ^s is.
     """
     if not forms:
         raise DomainError("need at least one support form")
@@ -227,26 +233,31 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
             raise DomainError("support forms disagree on dimension or backend")
         if form.k != k * s:
             raise DomainError(f"form {s} has degree {form.k}, expected {k * s}")
-    labels = enumerate_multiindices(n, k - 1)
+    labels = subsets(n, k - 1)
     out = []
     for s, form in enumerate(forms, start=1):
-        factor = math.factorial(s)
-        values = []
-        for row_set in itertools.combinations(range(len(labels)), s):
-            blocks = [labels[r] for r in row_set]
-            members = [i for b in blocks for i in b.indices]
-            block_members = set(members)
-            degenerate = len(block_members) != len(members)
-            row_vals = []
-            for col_set in itertools.combinations(range(n), s):
-                cols = tuple(c + 1 for c in col_set)
-                if degenerate or block_members & set(cols):
-                    row_vals.append(0)
-                    continue
-                joint = tuple(sorted(block_members | set(cols)))
-                sign = sign_interlace_append(cols, blocks)
-                value = factor * form.coefficient(MultiIndex(joint, n))
-                row_vals.append(value if sign > 0 else -value)
-            values.append(row_vals)
+        row_sets, col_sets = minor_layout(n, k, s)
+        values = np.zeros((len(row_sets), len(col_sets)), dtype=form.coeffs.dtype)
+        if s == 1 or k % 2 == 0:
+            blocks = labels[row_sets]    # rows × s × (k−1) members
+            # mark each row set's members; a member marked twice kills the row
+            taken = np.zeros((len(row_sets), n), dtype=bool)
+            disjoint = np.ones(len(row_sets), dtype=bool)
+            at = np.arange(len(row_sets))
+            for members in blocks.reshape(len(row_sets), -1).T:
+                disjoint &= ~taken[at, members]
+                taken[at, members] = True
+            # a live cell's columns miss its rows' members
+            r, c = np.nonzero(disjoint[:, None] & ~taken[:, col_sets].any(axis=-1))
+            # its appended string (I^1, j_1, ..., I^s, j_s), signed by the
+            # parity of its out-of-order pairs
+            string = np.concatenate([blocks[r], col_sets[c][..., None]], axis=-1) \
+                .reshape(len(r), k * s)
+            pairs = np.triu(np.ones((k * s, k * s), dtype=bool), 1)
+            odd = ((string[:, :, None] > string[:, None, :]) & pairs).sum(axis=(1, 2)) % 2 == 1
+            # each coefficient scaled by s! and negated once, then gathered
+            scaled = math.factorial(s) * form.coeffs
+            values[r, c] = np.concatenate([scaled, -scaled])[
+                subset_ranks(np.sort(string, axis=1), n) + odd * len(scaled)]
         out.append(MinorTable(n, k, s, values, backend))
     return out

@@ -7,7 +7,10 @@ position sums, determinants from the full permutation expansion, and set
 partitions from permutation grouping with dedup, and the Laplace expansion
 reads minor tables by rank arithmetic.  Function expression trees are read by
 ``evaluate_expression``, an interpreter over dict forms and ``wedge_many``.
-Expected values frozen into tests were computed with these.
+Expected values frozen into tests were computed with these.  The one
+exception is ``reference_pullback``, a scalar loop that takes its signs from
+the package's ``sign_interlace_append`` (a sort and its cycles), so that the
+array pullback's inversion parity is checked against a second sign route.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from extconv.errors import DomainError
+from extconv.multiindex import MultiIndex, enumerate_multiindices, sign_interlace_append
+from extconv.shapespace import MinorTable
 
 
 def parity_by_cycles(seq):
@@ -220,3 +225,34 @@ def laplace_residual(table_next, table, X, position):
         term = entries[np.ix_(rows[:, m], cols[:, li])] * minors[np.ix_(sub_rows, sub_cols)]
         acc = acc + term if (li + m) % 2 == 0 else acc - term
     return np.abs(np.array(table_next.values, dtype=object) - acc).max()
+
+
+def reference_pullback(forms) -> list:
+    """``projection.pullback_support`` cell by cell: on a cell whose row labels
+    and columns are pairwise disjoint, s!·(append interlace sign)·(D_s
+    coefficient at their union), zero elsewhere, and zero tables for odd k
+    and s ≥ 2, where ξ^s = 0."""
+    n, k, backend = forms[0].n, forms[0].k, forms[0].backend
+    labels = enumerate_multiindices(n, k - 1)
+    out = []
+    for s, form in enumerate(forms, start=1):
+        factor = math.factorial(s)
+        values = []
+        for row_set in itertools.combinations(range(len(labels)), s):
+            blocks = [labels[r] for r in row_set]
+            members = [i for b in blocks for i in b.indices]
+            block_members = set(members)
+            degenerate = len(block_members) != len(members) or (s > 1 and k % 2 == 1)
+            row_vals = []
+            for col_set in itertools.combinations(range(n), s):
+                cols = tuple(c + 1 for c in col_set)
+                if degenerate or block_members & set(cols):
+                    row_vals.append(0)
+                    continue
+                joint = tuple(sorted(block_members | set(cols)))
+                sign = sign_interlace_append(cols, blocks)
+                value = factor * form.coefficient(MultiIndex(joint, n))
+                row_vals.append(value if sign > 0 else -value)
+            values.append(row_vals)
+        out.append(MinorTable(n, k, s, values, backend))
+    return out

@@ -15,7 +15,7 @@ from extconv.projection import (minor_power_map, project, project_rows,
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, minor_layout, table_inner,
                                 tensor)
 
-from oracles import rand_exact
+from oracles import rand_exact, reference_pullback
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -504,23 +504,82 @@ class TestPullbackSupport:
             assert table_inner(d1, adjugate(Y, 1)) == scalar_product(D1, xi)
             assert table_inner(d2, adjugate(Y, 2)) == scalar_product(D2, wedge_power(xi, 2))
 
+    @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (6, 2), (6, 3), (7, 3), (8, 4)])
+    def test_matches_reference_loop(self, n, k):
+        rng = random.Random(20 + n * k)
+        forms = [rand_exact_form(n, k * s, rng) for s in range(1, n // k + 1)]
+        tables, reference = pullback_support(forms), reference_pullback(forms)
+        assert tables == reference
+        assert [t.to_json() for t in tables] == [t.to_json() for t in reference]
+
+    def test_float_tables_match_reference_bit_for_bit(self):
+        # every zero sign included: a −0.0 coefficient, or a +0.0 one on an
+        # odd cell, gives −0.0, and a dead cell +0.0
+        rng = random.Random(21)
+        forms = [KForm(6, 2 * s, [rng.choice([0.0, -0.0, rng.uniform(-2, 2)])
+                                  for _ in range(math.comb(6, 2 * s))], scalars.FLOAT)
+                 for s in (1, 2, 3)]
+        tables, reference = pullback_support(forms), reference_pullback(forms)
+        assert [t.to_json() for t in tables] == [t.to_json() for t in reference]
+        for t, u in zip(tables, reference):
+            assert t.values.dtype == np.float64
+            assert t.values.tobytes() == u.values.tobytes()
+        assert any(np.signbit(t.values[t.values == 0]).any() for t in tables)
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (10, 4)])
+    def test_overlapping_labels_give_zero_rows(self, n, k):
+        rng = random.Random(22)
+        forms = [rand_exact_form(n, k * s, rng) for s in range(1, n // k + 1)]
+        d = pullback_support(forms)[1]
+        labels = [set(mi.indices) for mi in multiindex.enumerate_multiindices(n, k - 1)]
+        overlapping = [bool(labels[a] & labels[b]) for a, b in d.row_sets.tolist()]
+        assert any(overlapping) and not all(overlapping)
+        for row, overlaps in zip(d.values.tolist(), overlapping):
+            if overlaps:
+                assert row == [0] * len(row)
+        assert any(any(row) for row in d.values.tolist())
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4)])
+    def test_adjoint_identity_beyond_k2(self, n, k):
+        rng = random.Random(24)
+        forms = [rand_exact_form(n, k * s, rng) for s in range(1, n // k + 1)]
+        for s, D, d in zip(range(1, n // k + 1), forms, pullback_support(forms)):
+            M = rand_minor_table(n, k, s, rng)
+            assert table_inner(d, M) == scalar_product(D, minor_power_map(n, k, s).apply(M))
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 3)])
+    def test_odd_k_pairs_with_vanishing_powers(self, n, k):
+        # an odd-degree ξ has ξ^2 = 0, so d_2 pairs to zero with every adjugate
+        rng = random.Random(26)
+        forms = [rand_exact_form(n, k * s, rng) for s in range(1, n // k + 1)]
+        d1, d2 = pullback_support(forms)
+        assert all(v == 0 for row in d2.values.tolist() for v in row)
+        for _ in range(3):
+            X = rand_int_matrix(n, k, rng)
+            assert table_inner(d1, adjugate(X, 1)) == scalar_product(forms[0], project(X))
+            assert table_inner(d2, adjugate(X, 2)) \
+                == scalar_product(forms[1], wedge_power(project(X), 2)) == 0
+
     def test_routes_independent_of_partition_plan(self, monkeypatch):
         # the adjointness and wedge-power checks compare against these routes,
-        # so they must not run the power map under test
+        # so they must run neither the power map under test, nor its partitions,
+        # nor its interlace signs
         def forbidden(*args):
             raise AssertionError("partition plan used")
 
         monkeypatch.setattr(projection, "minor_power_map", forbidden)
-        rng = random.Random(23)
-        tables = pullback_support([rand_exact_form(6, 2, rng), rand_exact_form(6, 4, rng),
-                                   rand_exact_form(6, 6, rng)])
-        assert [t.s for t in tables] == [1, 2, 3]
-        # the projection's own table reads neither the partitions nor their signs,
-        # so the s = 1 plan stays a second route to it
-        projection._projection_table.cache_clear()
         for module in (projection, multiindex):
             monkeypatch.setattr(module, "block_partitions", forbidden)
             monkeypatch.setattr(module, "sign_interlace_append", forbidden)
+        rng = random.Random(23)
+        for n, k in [(6, 2), (8, 4)]:
+            tables = pullback_support([rand_exact_form(n, k * s, rng)
+                                       for s in range(1, n // k + 1)])
+            assert [t.s for t in tables] == list(range(1, n // k + 1))
+            assert all(any(v != 0 for row in t.values.tolist() for v in row) for t in tables)
+        # the projection's own table reads neither the partitions nor their signs,
+        # so the s = 1 plan stays a second route to it
+        projection._projection_table.cache_clear()
         assert not wedge_power(project(rand_int_matrix(6, 2, rng)), 3).is_zero()
         x = rand_exact_form(6, 3, rng)
         assert project(right_inverse(x)) == x
