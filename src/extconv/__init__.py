@@ -15,9 +15,8 @@ from .errors import DomainError
 from .exterior import (KForm, hodge_star, norm_squared, scalar_product, wedge,
                        wedge_power)
 from .functions import FormFunction
-from .multiindex import (IndexString, MultiIndex, Partition, block_partitions,
-                         enumerate_multiindices, rank, sign_interlace_append,
-                         sign_of_string, unrank)
+from .multiindex import (IndexString, MultiIndex, block_partitions, enumerate_multiindices,
+                         rank, sign_interlace_append, sign_of_string, unrank)
 from .polyform import Poly, PolyKForm, d_classical, d_right, gradient, project_polynomial
 from .projection import (MinorPowerMap, minor_power_map, project, pullback_support,
                          right_inverse, wedge_power_from_minors)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "EXACT", "FLOAT", "FormFunction", "IndexString", "KForm", "LineCrossCheck",
-    "MinorPowerMap", "MinorTable", "MultiIndex", "Partition", "Poly", "PolyKForm",
+    "MinorPowerMap", "MinorTable", "MultiIndex", "Poly", "PolyKForm",
     "QuasiaffineFit", "SamplerConfig", "ShapeMatrix",
     "SupportSearch", "Verdict", "adjugate", "block_partitions",
     "check_ext_one_affine", "check_ext_one_convex", "check_rank_one_convex",

@@ -3,7 +3,12 @@
 A multiindex is a strictly increasing tuple of indices in 1..n; the set of all
 length-k multiindices, ordered alphabetically (= tuple-lexicographically), is
 the basis bookkeeping unit for everything else in the package.  Ranks are
-0-based internally and 1-based in all I/O.
+0-based internally and 1-based in all I/O.  Each index is an integer (a
+Python or numpy int, not a bool); anything else is refused, not truncated.
+
+``block_partitions`` splits any increasing sequence of ints into subscripts
+and blocks and yields them as plain tuples; the power map walks it on the
+positions 0..ks−1, with no multiindex in between.
 
 Sign conventions
 ----------------
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -41,7 +47,7 @@ class MultiIndex:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(map(_index, self.indices)))
         if self.n < 1:
             raise DomainError(f"ambient dimension must be positive, got {self.n}")
         prev = 0
@@ -93,16 +99,14 @@ class MultiIndex:
         return self.indices <= other.indices
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A split of a multiindex into s single indices and s blocks of length k−1.
-
-    ``J`` is increasing, the blocks are pairwise disjoint and listed in
-    increasing alphabetical order; together they exhaust the parent multiindex.
-    """
-
-    J: MultiIndex
-    blocks: tuple[MultiIndex, ...]
+def _index(i) -> int:
+    """An index as a Python int: any integer but a bool, never a truncation."""
+    if isinstance(i, bool):
+        raise DomainError(f"index {i!r} is a bool, not an integer")
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise DomainError(f"index {i!r} is not an integer") from None
 
 
 def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
@@ -173,8 +177,10 @@ def sign_interlace_append(J: Iterable[int], blocks: Sequence[MultiIndex | Sequen
     return sign_of_string(out)
 
 
-def block_partitions(I: MultiIndex, s: int, k: int) -> Iterator[Partition]:
-    """All splits of I into s subscripts and s disjoint blocks of length k−1.
+def block_partitions(members: Sequence[int], s: int, k: int
+                     ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """All splits of the increasing ints ``members`` into s subscripts and s
+    disjoint blocks of length k−1, as plain tuples (J, blocks).
 
     Yields in deterministic order: J ascending alphabetically, blocks in
     canonical (alphabetical) order within each J.  The number of splits is
@@ -184,31 +190,31 @@ def block_partitions(I: MultiIndex, s: int, k: int) -> Iterator[Partition]:
         raise DomainError(f"block partitions need block length k−1 ≥ 1, got k={k}")
     if s < 1:
         raise DomainError(f"partition count s must be positive, got {s}")
-    if len(I) != k * s:
-        raise DomainError(f"multiindex length {len(I)} != k·s = {k * s}")
-    n = I.n
-    members = I.indices
-    for J_tuple in itertools.combinations(members, s):
-        J = MultiIndex(J_tuple, n)
-        rest = tuple(i for i in members if i not in J_tuple)
-        for raw_blocks in _equal_blocks(rest, s, k - 1):
-            yield Partition(J, tuple(MultiIndex(b, n) for b in raw_blocks))
+    members = tuple(members)
+    if len(members) != k * s:
+        raise DomainError(f"{len(members)} members != k·s = {k * s}")
+    if any(a >= b for a, b in zip(members, members[1:])):
+        raise DomainError(f"members must be strictly increasing, got {members}")
+    for J in itertools.combinations(members, s):
+        rest = tuple(i for i in members if i not in J)
+        for blocks in _equal_blocks(rest, s, k - 1):
+            yield J, blocks
 
 
 def _equal_blocks(items: tuple[int, ...], count: int, size: int
-                  ) -> Iterator[list[tuple[int, ...]]]:
+                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Unordered partitions of ``items`` into ``count`` blocks of ``size``.
 
     Canonical form: each block is increasing and blocks are emitted anchored on
-    the smallest remaining element, so the block list comes out alphabetical
+    the smallest remaining element, so the block tuple comes out alphabetical
     (disjoint blocks sort by their minima).
     """
     if count == 0:
-        yield []
+        yield ()
         return
     anchor, rest = items[0], items[1:]
     for companions in itertools.combinations(rest, size - 1):
         block = (anchor,) + companions
         remaining = tuple(i for i in rest if i not in companions)
         for tail in _equal_blocks(remaining, count - 1, size):
-            yield [block] + tail
+            yield (block,) + tail

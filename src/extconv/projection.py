@@ -10,10 +10,11 @@ map by its own route.
 
 For even k the s-th wedge power of a projected matrix is a signed sum of
 order-s minors.  ``minor_power_map`` applies one pattern per (k, s), the
-block partitions and interlace signs of the positions 1..ks, to every
-degree-k·s target and ranks the cells it names in the order of
-``shapespace.minor_layout`` by arithmetic, without listing that layout.
-``MinorPowerMap.apply`` reads them from a
+block partitions and interlace signs of the positions 0..ks−1, walked as
+plain tuples with no multiindex built, to every degree-k·s target, and
+ranks the cells it names in the order of ``shapespace.minor_layout`` by
+arithmetic, without listing that layout.  It stores only those cells, with
+no dense view.  ``MinorPowerMap.apply`` reads them from a
 minor table, ``wedge_power_from_minors`` takes them in one batch of
 determinants (``shapespace.minors_at``) at the row and column positions the
 map stores, and it returns zero at once for odd k or s > n/k.  On a matrix of
@@ -43,8 +44,7 @@ import numpy as np
 from . import scalars
 from .errors import DomainError
 from .exterior import _GATHER_BUDGET, KForm, sign_table, signed_sum, subset_ranks, subsets
-from .multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
-                         sign_interlace_append)
+from .multiindex import block_partitions, enumerate_multiindices, sign_interlace_append
 from .shapespace import MinorTable, ShapeMatrix, minor_layout, minors_at
 
 
@@ -125,14 +125,6 @@ class MinorPowerMap(NamedTuple):
         return len(self.cells), \
             math.comb(math.comb(self.n, self.k - 1), self.s) * math.comb(self.n, self.s)
 
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense matrix of exact ints, rebuilt on each access."""
-        dense = np.zeros(self.shape, dtype=object)
-        dense[np.arange(len(self.cells))[:, None], self.cells] = \
-            self.signs.astype(int).astype(object) * math.factorial(self.s)
-        return dense
-
     def apply(self, table: MinorTable) -> KForm:
         """The image of a minor table in this map's space."""
         if (table.n, table.k, table.s) != (self.n, self.k, self.s):
@@ -152,22 +144,21 @@ class MinorPowerMap(NamedTuple):
 def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
     """The order-s power map, built once per (n, k, s); order 1 is the projection.
 
-    A block partition of the positions 1..ks, read on a target K, names the
+    A block partition of the positions 0..ks−1, read on a target K, names the
     cell (row set of its blocks' label ranks, column set of its subscripts).
     """
     nrows = math.comb(n, k - 1)
     if not 1 <= s <= min(n, nrows):
         raise DomainError(f"minor order {s} out of range 1..{min(n, nrows)}")
     ks = k * s
-    parts = [] if ks > n or (s >= 2 and k % 2 == 1) else \
-        block_partitions(MultiIndex(tuple(range(1, ks + 1)), ks), s, k)
+    parts = [] if ks > n or (s >= 2 and k % 2 == 1) else block_partitions(range(ks), s, k)
     subscripts, blocks, signs = [], [], []
-    for part in parts:    # one pass, keeping no partition object
-        subscripts.extend(part.J.indices)
-        blocks.extend(i for block in part.blocks for i in block.indices)
-        signs.append(sign_interlace_append(part.J, part.blocks))
-    subscripts = np.array(subscripts, dtype=np.intp).reshape(len(signs), s) - 1
-    blocks = np.array(blocks, dtype=np.intp).reshape(len(signs), s, k - 1) - 1
+    for J, part_blocks in parts:
+        subscripts.append(J)
+        blocks.append(part_blocks)
+        signs.append(sign_interlace_append(J, part_blocks))
+    subscripts = np.array(subscripts, dtype=np.intp).reshape(len(signs), s)
+    blocks = np.array(blocks, dtype=np.intp).reshape(len(signs), s, k - 1)
     targets = subsets(n, ks)
     # in the smallest unsigned type that holds every position, the stored
     # positions take less memory than the cells they decode

@@ -227,6 +227,15 @@ def laplace_residual(table_next, table, X, position):
     return np.abs(np.array(table_next.values, dtype=object) - acc).max()
 
 
+def dense_power_map(pm) -> np.ndarray:
+    """The dense matrix of exact ints of a ``MinorPowerMap``: s!·sign at each
+    target's cells, zero elsewhere."""
+    dense = np.zeros(pm.shape, dtype=object)
+    dense[np.arange(len(pm.cells))[:, None], pm.cells] = \
+        pm.signs.astype(int).astype(object) * math.factorial(pm.s)
+    return dense
+
+
 def reference_pullback(forms) -> list:
     """``projection.pullback_support`` cell by cell: on a cell whose row labels
     and columns are pairwise disjoint, s!·(append interlace sign)·(D_s

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extconv.errors import DomainError
-from extconv.exterior import subset_ranks
+from extconv.exterior import KForm, subset_ranks
 from extconv.multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
                                 rank, sign_interlace_append, sign_of_string, unrank)
+from extconv.shapespace import ShapeMatrix
 
 from oracles import (brute_partitions, interlace, parity_by_cycles, parity_by_inversions,
                      shuffle_wedge, sign_interlace)
@@ -110,6 +112,26 @@ class TestMultiIndexValidation:
         assert m.text == "1,3,4"
         assert MultiIndex.from_text("1,3,4", 5) == m
         assert MultiIndex.from_text("", 5).indices == ()
+
+    @pytest.mark.parametrize("indices", [(1.7, 2), (1.0, 2), (True, 2), (np.True_, 2),
+                                         ("1", 2), (Fraction(1), 2)])
+    def test_non_integer_index_is_refused_not_truncated(self, indices):
+        with pytest.raises(DomainError):
+            mi(indices, 3)
+
+    def test_numpy_ints_are_indices(self):
+        m = mi((np.int64(1), np.uint8(3)), 4)
+        assert m.indices == (1, 3) and all(type(i) is int for i in m.indices)
+
+    def test_non_integer_index_is_refused_at_every_entry_point(self):
+        with pytest.raises(DomainError):
+            KForm.basis(3, (1.5, 2))
+        with pytest.raises(DomainError):
+            ShapeMatrix(3, 2, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]).entry((2.9,), 1)
+        with pytest.raises(DomainError):
+            KForm(3, 1, [1, 2, 3]).coefficient((1.2,))
+        with pytest.raises(DomainError):
+            KForm(3, 1, [1, 2, 3]).coefficient((True,))
 
     @pytest.mark.parametrize("text", ["a,b", "1,,2", "x", "1;2", "1,"])
     def test_malformed_text_is_a_domain_error(self, text):
@@ -262,15 +284,15 @@ class TestKFlip:
 
 class TestBlockPartitions:
     def test_four_choose_two_singletons(self):
-        parts = list(block_partitions(mi((1, 2, 3, 4), 4), 2, 2))
+        parts = list(block_partitions((1, 2, 3, 4), 2, 2))
         assert len(parts) == 6
-        got = {(p.J.indices, tuple(b.indices for b in p.blocks)) for p in parts}
+        got = set(parts)
         assert ((1, 2), ((3,), (4,))) in got
         assert ((3, 4), ((1,), (2,))) in got
 
     def test_single_power_two_choices(self):
-        parts = list(block_partitions(mi((1, 2), 2), 1, 2))
-        got = [(p.J.indices, p.blocks[0].indices) for p in parts]
+        parts = list(block_partitions((1, 2), 1, 2))
+        got = [(J, blocks[0]) for J, blocks in parts]
         assert got == [((1,), (2,)), ((2,), (1,))]
 
     def test_s1_gives_k_partitions(self):
@@ -282,8 +304,8 @@ class TestBlockPartitions:
         cases = [((1, 2, 3, 4), 2, 2), ((1, 2, 3, 4, 5, 6), 2, 3),
                  ((1, 2, 3, 4, 5, 6), 3, 2), ((2, 3, 5, 7, 8, 9), 2, 3)]
         for members, s, k in cases:
-            parts = list(block_partitions(mi(members, 9), s, k))
-            canon = [(p.J.indices, frozenset(b.indices for b in p.blocks)) for p in parts]
+            parts = list(block_partitions(members, s, k))
+            canon = [(J, frozenset(blocks)) for J, blocks in parts]
             assert len(canon) == len(set(canon))
             assert set(canon) == brute_partitions(members, s, k)
             expected = (math.comb(k * s, s) * math.factorial(s * (k - 1))
@@ -291,14 +313,31 @@ class TestBlockPartitions:
             assert len(parts) == expected
 
     def test_blocks_sorted_and_deterministic(self):
-        parts = list(block_partitions(mi((1, 2, 3, 4, 5, 6), 6), 2, 3))
-        for p in parts:
-            assert list(p.blocks) == sorted(p.blocks, key=lambda b: b.indices)
-        assert parts == list(block_partitions(mi((1, 2, 3, 4, 5, 6), 6), 2, 3))
+        parts = list(block_partitions((1, 2, 3, 4, 5, 6), 2, 3))
+        for _, blocks in parts:
+            assert list(blocks) == sorted(blocks)
+        assert parts == list(block_partitions((1, 2, 3, 4, 5, 6), 2, 3))
+
+    @pytest.mark.parametrize("s,k", [(2, 2), (2, 3), (3, 2), (1, 4), (2, 4)])
+    def test_zero_based_positions(self, s, k):
+        # the power map walks the positions 0..ks−1; a shift by one maps the
+        # walk on 1..ks onto it split by split, in the same order
+        parts = list(block_partitions(range(k * s), s, k))
+        assert {(J, frozenset(blocks)) for J, blocks in parts} \
+            == brute_partitions(tuple(range(k * s)), s, k)
+        shifted = [(tuple(j + 1 for j in J), tuple(tuple(i + 1 for i in b) for b in blocks))
+                   for J, blocks in parts]
+        assert shifted == list(block_partitions(range(1, k * s + 1), s, k))
+        assert all(type(i) is int for J, blocks in parts for i in J + sum(blocks, ()))
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             list(block_partitions(mi((1, 2, 3), 4), 2, 2))
+
+    @pytest.mark.parametrize("members", [(2, 1, 3, 4), (1, 1, 2, 3)])
+    def test_members_must_increase(self, members):
+        with pytest.raises(DomainError):
+            list(block_partitions(members, 2, 2))
 
 
 class TestSignFactorizationIdentities:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from extconv.projection import (minor_power_map, project, project_rows,
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, minor_layout, table_inner,
                                 tensor)
 
-from oracles import rand_exact, reference_pullback
+from oracles import dense_power_map, rand_exact, reference_pullback
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -387,7 +388,7 @@ class TestMinorPowerMap:
 
     def test_odd_degree_zero_map(self):
         pm = minor_power_map(6, 3, 2)
-        assert all(v == 0 for row in pm.entries for v in row)
+        assert all(v == 0 for row in dense_power_map(pm) for v in row)
         rng = random.Random(13)
         X = rand_int_matrix(6, 3, rng)
         assert pm.apply(adjugate(X, 2)).is_zero()
@@ -398,13 +399,7 @@ class TestMinorPowerMap:
         row_sets = list(itertools.combinations(range(4), 2))
         col_sets = list(itertools.combinations(range(4), 2))
         cell = row_sets.index((2, 3)) * len(col_sets) + col_sets.index((0, 1))
-        assert pm.entries[0][cell] == -2
-
-    def test_dense_view_holds_exact_ints(self):
-        dense = minor_power_map(6, 2, 3).entries
-        assert dense.dtype == object
-        assert {type(v) for v in dense.ravel()} == {int}
-        assert {v for v in dense.ravel() if v} == {-6, 6}
+        assert dense_power_map(pm)[0][cell] == -2
 
     def test_defining_condition_on_adjugates(self):
         rng = random.Random(14)
@@ -424,7 +419,7 @@ class TestMinorPowerMap:
         pm = minor_power_map(10, 2, 3)
         assert pm.shape == (210, 14400)
         assert stored_cells(pm) == 4200  # 210 targets x 20 partitions each
-        dense = pm.entries
+        dense = dense_power_map(pm)
         assert sum(1 for row in dense for v in row if v) == 4200
         M = rand_minor_table(10, 2, 3, random.Random(22))
         flat = [v for row in M.values for v in row]
@@ -449,10 +444,38 @@ class TestMinorPowerMap:
         assert stored_cells(pm) == 3 * math.comb(5, 3)
         assert pm.shape == (math.comb(5, 3), math.comb(5, 2) * 5)
 
-    def test_dense_view_is_read_only(self):
-        pm = minor_power_map(4, 2, 2)
-        with pytest.raises(AttributeError):
-            pm.entries = ()
+    # sha256 over the dtype, shape and bytes of cells, rows, cols and signs, in
+    # that order, recorded before the partition walk moved to plain tuples
+    MAP_DIGESTS = {
+        (6, 2, 3): "6d4492e502bc8a7c519a18947df38deb929bc40723d991fa577b0477bfba0fa1",
+        (8, 4, 2): "cd69ddba2f305f997186622d978634921446dacff3698da991db149680c42313",
+        (10, 2, 5): "29f481605d14fa597d1c5cfc083bcc04292be95bbfbf859f5b3088234558994d",
+        (12, 2, 3): "9a680a77762f9cd20a2008d9fa2ad9a16ec10baf1dfb1311405b62f9f1ac382c",
+    }
+
+    @pytest.mark.parametrize("n,k,s", sorted(MAP_DIGESTS))
+    def test_map_bytes_are_pinned(self, n, k, s):
+        # a float expansion sums a target's slots left to right, so the slot
+        # order is behaviour, which a per-row multiset comparison would miss
+        pm = minor_power_map.__wrapped__(n, k, s)    # uncached build
+        digest = hashlib.sha256()
+        for array in (pm.cells, pm.rows, pm.cols, pm.signs):
+            digest.update(array.dtype.str.encode())
+            digest.update(str(array.shape).encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.MAP_DIGESTS[n, k, s]
+
+    def test_map_build_makes_no_multiindex(self, monkeypatch):
+        # the pattern is walked on plain position tuples
+        def forbidden(self):
+            raise AssertionError("the power map built a MultiIndex")
+
+        monkeypatch.setattr(multiindex.MultiIndex, "__post_init__", forbidden)
+        pm = minor_power_map.__wrapped__(8, 4, 2)    # uncached build
+        monkeypatch.undo()
+        assert "MultiIndex" not in vars(projection)
+        assert pm.cells.tolist() == minor_power_map(8, 4, 2).cells.tolist()
+        assert pm.cells.shape == (1, 280)
 
     def test_space_mismatch_rejected(self):
         rng = random.Random(16)
