@@ -4,7 +4,8 @@ A degree-k form on R^n is stored densely in one read-only numpy array: one
 coefficient per length-k multiindex, in alphabetical rank order, of dtype
 float64 or object (ints, Fractions or polynomials, exact), which gives the
 backend.  A zero test reads a coefficient's truth value, so a polynomial is
-never compared with a scalar 0.
+never compared with a scalar 0.  Keys are read by ``multiindex.key_rank``
+and JSON labels written by ``multiindex.labels``; no multiindex is stored.
 Degrees above n are legal and carry an empty coefficient vector (the canonical
 zero object), so wedge chains never branch on overflow; such a form serializes
 with empty ``coeffs``, and a wedge power of a form of degree k ≥ 1 is that zero
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .multiindex import MultiIndex, enumerate_multiindices, rank, sign_of_string
+from .multiindex import integer, key_rank, labels, sign_of_string
 
 
 class KForm:
@@ -42,6 +43,7 @@ class KForm:
 
     def __init__(self, n: int, k: int, coeffs: Sequence | None = None,
                  backend: str = scalars.EXACT):
+        n, k = integer(n, "dimension"), integer(k, "degree")
         if n < 1:
             raise DomainError(f"dimension must be positive, got {n}")
         if k < 0:
@@ -63,38 +65,29 @@ class KForm:
     @classmethod
     def basis(cls, n: int, indices: Sequence[int], backend: str = scalars.EXACT) -> "KForm":
         """The basis form e^I for the (sorted, distinct) index tuple I."""
-        mi = MultiIndex(tuple(indices), n)
-        return cls.from_dict(n, mi.k, {mi: 1}, backend)
+        return cls.from_dict(n, len(indices), {tuple(indices): 1}, backend)
 
     @classmethod
-    def from_dict(cls, n: int, k: int, entries: Mapping[Sequence[int], object],
+    def from_dict(cls, n: int, k: int, entries: Mapping,
                   backend: str = scalars.EXACT) -> "KForm":
-        """The form of ``entries``, keyed by multiindex, index tuple or index text."""
+        """The form of ``entries``, keyed as ``multiindex.key_rank`` reads keys."""
         coeffs = cls.zero(n, k, backend).coeffs.tolist()    # checks n and k
         keys = {}
         for key, value in entries.items():
-            mi = key if isinstance(key, MultiIndex) else MultiIndex.from_text(key, n) \
-                if isinstance(key, str) else MultiIndex(tuple(key), n)
-            if mi.k != k:
-                raise DomainError(f"key {mi.indices} has length {mi.k}, expected {k}")
-            if keys.setdefault(mi, key) is not key:
-                raise DomainError(f"keys {keys[mi]!r} and {key!r} both name {mi.text}")
-            coeffs[rank(mi)] = value
+            r = key_rank(key, n, k, "key")
+            if keys.setdefault(r, key) is not key:
+                raise DomainError(f"keys {keys[r]!r} and {key!r} both name {labels(n, k)[r]}")
+            coeffs[r] = value
         return cls(n, k, coeffs, backend)
 
-    def coefficient(self, indices: Sequence[int] | MultiIndex):
-        mi = indices if isinstance(indices, MultiIndex) else MultiIndex(tuple(indices), self.n)
-        if mi.k != self.k:
-            raise DomainError(f"index length {mi.k} does not match degree {self.k}")
-        return self.coeffs.item(rank(mi))
-
-    def _basis(self) -> list[MultiIndex]:
-        # a form above degree n has no coefficients, so its basis is empty
-        return enumerate_multiindices(self.n, self.k) if self.k <= self.n else []
+    def coefficient(self, indices: Sequence[int] | str):
+        """The coefficient at a key read by ``multiindex.key_rank`` on this R^n."""
+        return self.coeffs.item(key_rank(indices, self.n, self.k, "index"))
 
     def as_dict(self) -> dict[tuple[int, ...], object]:
         """Nonzero coefficients keyed by index tuple."""
-        return {mi.indices: c for mi, c in zip(self._basis(), self.coeffs.tolist()) if c}
+        return {combo: c for combo, c in zip(itertools.combinations(range(1, self.n + 1), self.k),
+                                             self.coeffs.tolist()) if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -131,8 +124,8 @@ class KForm:
         return f"KForm(n={self.n}, k={self.k}, {self.as_dict()!r}, backend={self.backend!r})"
 
     def to_json(self) -> dict:
-        coeffs = {mi.text: scalars.scalar_to_json(c, self.backend)
-                  for mi, c in zip(self._basis(), self.coeffs.tolist()) if c}
+        coeffs = {label: scalars.scalar_to_json(c, self.backend)
+                  for label, c in zip(labels(self.n, self.k), self.coeffs.tolist()) if c}
         return {"n": self.n, "k": self.k, "coeffs": coeffs}
 
     @classmethod
@@ -162,9 +155,8 @@ def json_fields(obj, fields: tuple[str, ...], what: str) -> tuple:
     if unknown:
         raise DomainError(f"{what} JSON has unknown field(s) {', '.join(map(repr, unknown))}")
     for name in ("n", "k"):
-        value = obj.get(name)
-        if name in fields and (not isinstance(value, int) or isinstance(value, bool)):
-            raise DomainError(f"{what} field {name!r} must be an integer, got {value!r}")
+        if name in fields:
+            integer(obj[name], f"{what} field {name!r}")
     return tuple(obj[name] for name in fields)
 
 

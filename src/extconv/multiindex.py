@@ -1,10 +1,12 @@
-"""Ordered multiindices and the sign calculus built on them.
+"""Ordered multiindices, their text form, and the sign calculus built on them.
 
 A multiindex is a strictly increasing tuple of indices in 1..n; the set of all
 length-k multiindices, ordered alphabetically (= tuple-lexicographically), is
-the basis bookkeeping unit for everything else in the package.  Ranks are
-0-based internally and 1-based in all I/O.  Each index is an integer (a
-Python or numpy int, not a bool); anything else is refused, not truncated.
+the basis of every form and shape matrix, which store positions in that rank
+order (0-based; 1-based in all I/O) and no multiindex.  Index text such as
+"1,3,4" is read by ``key_rank`` on the caller's R^n and written by ``labels``.
+Each index, dimension and degree is an integer (a Python or numpy int, not a
+bool, read by ``integer``); anything else is refused, not truncated.
 
 ``block_partitions`` splits any increasing sequence of ints into subscripts
 and blocks and yields them as plain tuples; the power map walks it on the
@@ -47,28 +49,15 @@ class MultiIndex:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(map(_index, self.indices)))
+        object.__setattr__(self, "n", integer(self.n, "ambient dimension"))
         if self.n < 1:
             raise DomainError(f"ambient dimension must be positive, got {self.n}")
-        prev = 0
-        for i in self.indices:
-            if i <= prev:
-                raise DomainError(f"indices must be strictly increasing, got {self.indices}")
-            prev = i
-        if prev > self.n:
-            raise DomainError(f"index {prev} exceeds ambient dimension {self.n}")
+        object.__setattr__(self, "indices", _indices(self.indices, self.n))
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "MultiIndex":
         """Parse the comma-separated text form, e.g. "1,3,4"."""
-        text = text.strip()
-        if not text:
-            return cls((), n)
-        try:
-            indices = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise DomainError(f"bad multiindex {text!r}") from None
-        return cls(indices, n)
+        return cls(_parse(text), n)
 
     @property
     def k(self) -> int:
@@ -78,35 +67,56 @@ class MultiIndex:
     def text(self) -> str:
         return ",".join(str(i) for i in self.indices)
 
-    def without(self, j: int) -> "MultiIndex":
-        if j not in self.indices:
-            raise DomainError(f"{j} is not a member of {self.indices}")
-        return MultiIndex(tuple(i for i in self.indices if i != j), self.n)
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
-
     def __iter__(self):
         return iter(self.indices)
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __lt__(self, other: "MultiIndex") -> bool:
-        return self.indices < other.indices
 
-    def __le__(self, other: "MultiIndex") -> bool:
-        return self.indices <= other.indices
-
-
-def _index(i) -> int:
-    """An index as a Python int: any integer but a bool, never a truncation."""
-    if isinstance(i, bool):
-        raise DomainError(f"index {i!r} is a bool, not an integer")
+def integer(value, what: str) -> int:
+    """``value`` as a Python int: any integer but a bool, never a truncation."""
+    if isinstance(value, bool):
+        raise DomainError(f"{what} {value!r} is a bool, not an integer")
     try:
-        return operator.index(i)
+        return operator.index(value)
     except TypeError:
-        raise DomainError(f"index {i!r} is not an integer") from None
+        raise DomainError(f"{what} {value!r} is not an integer") from None
+
+
+def _indices(indices: Iterable, n: int) -> tuple[int, ...]:
+    """``indices`` as strictly increasing Python ints in 1..n."""
+    indices = tuple(integer(i, "index") for i in indices)
+    if any(a >= b for a, b in zip((0,) + indices, indices)):
+        raise DomainError(f"indices must be strictly increasing, got {indices}")
+    if indices and indices[-1] > n:
+        raise DomainError(f"index {indices[-1]} exceeds ambient dimension {n}")
+    return indices
+
+
+def _parse(text: str) -> tuple[int, ...]:
+    """The indices of index text such as "1,3,4"; blank text has none."""
+    try:
+        return tuple(int(part) for part in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise DomainError(f"bad multiindex {text!r}") from None
+
+
+def key_rank(key: str | Sequence[int] | MultiIndex, n: int, k: int, what: str) -> int:
+    """0-based rank of ``key`` (index text, a sequence of ints or a ``MultiIndex``)
+    among the degree-k multiindices on the caller's R^n, whatever n a
+    ``MultiIndex`` was made for; ``what`` names the key in an error."""
+    indices = _indices(_parse(key) if isinstance(key, str) else key, n)
+    if len(indices) != k:
+        raise DomainError(f"{what} length {len(indices)} does not match {k}: {indices}")
+    return math.comb(n, k) - 1 - sum(math.comb(n - i, k - t) for t, i in enumerate(indices))
+
+
+def labels(n: int, k: int) -> list[str]:
+    """The index texts of the degree-k basis on R^n in rank order; none if k > n."""
+    if k < 0:
+        raise DomainError(f"degree {k} out of range for dimension {n}")
+    return [",".join(map(str, combo)) for combo in itertools.combinations(range(1, n + 1), k)]
 
 
 def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
@@ -119,9 +129,8 @@ def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
 def rank(mi: MultiIndex) -> int:
     """0-based alphabetical rank of ``mi`` among multiindices of its length:
     C(n, k) − 1 − Σ_t C(n − i_t, k − t) over its indices i_0 < … < i_(k−1), the
-    scalar form of ``exterior.subset_ranks``."""
-    n, k = mi.n, mi.k
-    return math.comb(n, k) - 1 - sum(math.comb(n - i, k - t) for t, i in enumerate(mi.indices))
+    scalar form of ``exterior.subset_ranks`` (``key_rank`` on its own n)."""
+    return key_rank(mi, mi.n, mi.k, "multiindex")
 
 
 def unrank(n: int, k: int, r: int) -> MultiIndex:

@@ -21,6 +21,7 @@ polynomials.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Mapping, Sequence
 
@@ -29,7 +30,6 @@ import numpy as np
 from . import scalars
 from .errors import DomainError
 from .exterior import KForm, _wedge_table, json_fields, signed_sum
-from .multiindex import MultiIndex, enumerate_multiindices
 from .projection import project
 from .shapespace import ShapeMatrix
 
@@ -231,10 +231,10 @@ def _polynomials(values, n: int, what: str) -> np.ndarray:
     return scalars.array(values, np.shape(values), scalars.EXACT, what, polynomial)
 
 
-def PolyKForm(n: int, k: int, coeffs: Mapping[Sequence[int] | MultiIndex, Poly] | None = None
+def PolyKForm(n: int, k: int, coeffs: Mapping[Sequence[int] | str, Poly] | None = None
               ) -> KForm:
     """The degree-k form on R^n whose coefficients are the polynomials ``coeffs``
-    in x_1..x_n, keyed by index tuple; a missing key is the zero polynomial.
+    in x_1..x_n, keyed as ``KForm.from_dict`` reads keys; a missing key is zero.
 
     A function named like a class, because callers (the benchmark among them)
     build polynomial forms as ``PolyKForm(n, k, coeffs)``.
@@ -310,10 +310,10 @@ def d_classical(w: KForm) -> KForm:
     if r >= n:
         return KForm(n, r + 1)
     out = []
-    for target in enumerate_multiindices(n, r + 1):
+    for target in itertools.combinations(range(1, n + 1), r + 1):
         acc = Poly.zero(n)
-        for j, idx in enumerate(target.indices, start=1):
-            term = w.coefficient(target.without(idx)).diff(idx)
+        for j, idx in enumerate(target, start=1):
+            term = w.coefficient(target[:j - 1] + target[j:]).diff(idx)
             acc = acc + (term if j % 2 == 1 else -term)
         out.append(acc)
     return KForm(n, r + 1, out)

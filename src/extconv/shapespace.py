@@ -2,9 +2,10 @@
 
 A shape matrix for degree k on R^n has one row per length-(k−1) multiindex
 (alphabetical order) and one column per coordinate direction, stored, like a
-minor table, as one read-only numpy array typed by its backend.  Its order-s
-minor table collects every s×s minor, with both the row selection and the
-column selection taken in increasing order: plain determinants, no cofactor
+minor table, as one read-only numpy array typed by its backend; its row labels
+are read by ``multiindex.key_rank`` and written by ``multiindex.labels``.  Its
+order-s minor table collects every s×s minor, with both the row selection and
+the column selection taken in increasing order: plain determinants, no cofactor
 sign layer — all signs in the wedge-power expansion are carried explicitly by
 the interlace sign, keeping a single canonical sign location.  ``minor_layout``
 lists those selections once per (n, k, s) for every minor table and
@@ -32,7 +33,7 @@ from . import scalars
 from .errors import DomainError
 from .exterior import (_GATHER_BUDGET, KForm, json_fields, ordered_sum, sign_table, signed_sum,
                        subset_ranks, subsets)
-from .multiindex import MultiIndex, enumerate_multiindices, rank
+from .multiindex import integer, key_rank, labels
 
 
 class ShapeMatrix:
@@ -42,6 +43,7 @@ class ShapeMatrix:
 
     def __init__(self, n: int, k: int, entries: Sequence[Sequence] | None = None,
                  backend: str = scalars.EXACT):
+        n, k = integer(n, "dimension"), integer(k, "degree")
         if not 2 <= k <= n:
             raise DomainError(f"shape matrices need 2 ≤ k ≤ n, got k={k}, n={n}")
         shape = (math.comb(n, k - 1), n)
@@ -54,19 +56,13 @@ class ShapeMatrix:
     def backend(self) -> str:
         return scalars.backend_of(self.entries)
 
-    @property
-    def row_labels(self) -> list[MultiIndex]:
-        return enumerate_multiindices(self.n, self.k - 1)
-
-    def entry(self, row_label: MultiIndex | Sequence[int], col: int):
-        """Entry at a multiindex row and 1-based column."""
-        mi = row_label if isinstance(row_label, MultiIndex) \
-            else MultiIndex(tuple(row_label), self.n)
-        if mi.k != self.k - 1:
-            raise DomainError(f"row label length {mi.k} does not match k - 1 = {self.k - 1}")
+    def entry(self, row_label: Sequence[int] | str, col: int):
+        """Entry at a row label (read by ``multiindex.key_rank``) and 1-based column."""
+        row = key_rank(row_label, self.n, self.k - 1, "row label")
+        col = integer(col, "column")
         if not 1 <= col <= self.n:
             raise DomainError(f"column {col} out of range 1..{self.n}")
-        return self.entries.item(rank(mi), col - 1)
+        return self.entries.item(row, col - 1)
 
     def _apply(self, ufunc, *operands) -> "ShapeMatrix":
         """The matrix whose entries are ``ufunc(self.entries, *operands)``."""
@@ -99,7 +95,7 @@ class ShapeMatrix:
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k,
-                "rows": [mi.text for mi in self.row_labels],
+                "rows": labels(self.n, self.k - 1),
                 "data": [[scalars.scalar_to_json(v, self.backend) for v in row]
                          for row in self.entries.tolist()]}
 
@@ -109,7 +105,7 @@ class ShapeMatrix:
         if backend is None:
             flat = [v for row in data for v in row]
             backend = scalars.FLOAT if any(isinstance(v, float) for v in flat) else scalars.EXACT
-        if rows != [mi.text for mi in enumerate_multiindices(n, k - 1)]:
+        if rows != labels(n, k - 1):
             raise DomainError("row labels must be the alphabetical (k−1)-multiindices")
         entries = [[scalars.scalar_from_json(v, backend) for v in row] for row in data]
         return cls(n, k, entries, backend)
@@ -137,7 +133,7 @@ def minor_layout(n: int, k: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     per row of a read-only array.  Cell c of a table in this layout is row set
     c // len(col_sets), column set c % len(col_sets).
     """
-    nrows = math.comb(n, k - 1)
+    nrows, s = math.comb(n, k - 1), integer(s, "minor order")
     if not 1 <= s <= min(n, nrows):
         raise DomainError(f"minor order {s} out of range 1..{min(n, nrows)}")
     return subsets(nrows, s), subsets(n, s)
@@ -154,6 +150,7 @@ class MinorTable:
 
     def __init__(self, n: int, k: int, s: int, values: Sequence[Sequence],
                  backend: str = scalars.EXACT):
+        n, k, s = integer(n, "dimension"), integer(k, "degree"), integer(s, "minor order")
         self.row_sets, self.col_sets = minor_layout(n, k, s)
         self.n, self.k, self.s = n, k, s
         self.values = scalars.array(values, (len(self.row_sets), len(self.col_sets)), backend,
@@ -179,10 +176,10 @@ class MinorTable:
             and self.values.tolist() == other.values.tolist()
 
     def to_json(self) -> dict:
-        labels = enumerate_multiindices(self.n, self.k - 1)
+        row_labels = labels(self.n, self.k - 1)
         return {
             "n": self.n, "k": self.k, "s": self.s,
-            "rows": [[labels[i].text for i in rs] for rs in self.row_sets.tolist()],
+            "rows": [[row_labels[i] for i in rs] for rs in self.row_sets.tolist()],
             "cols": [[c + 1 for c in cs] for cs in self.col_sets.tolist()],
             "values": [[scalars.scalar_to_json(v, self.backend) for v in row]
                        for row in self.values.tolist()],

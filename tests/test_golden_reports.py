@@ -4,7 +4,9 @@ Each case runs one command in-process and hashes its exit code and the exact
 bytes of its report.  A refactor that claims to keep every output must leave
 every digest in ``GOLDEN`` as it is.  The polynomial cases pin the text of
 seeded polynomial forms, of their projected gradients and of their classical
-exterior derivatives.  ``fit-quasiaffine`` and ``support-lp``
+exterior derivatives.  The matrix cases pin ``ShapeMatrix.to_json`` at k = 3,
+whose row labels no CLI command writes: an exact (5,3) matrix and the
+gradient of a seeded polynomial 2-form on R^4.  ``fit-quasiaffine`` and ``support-lp``
 are left out: their floats go through LAPACK and BLAS, whose last bits depend
 on the build.  The support LP's inputs do not: the stack cases pin the bytes
 of its 500 drawn forms at (8,2) and of their wedge-power feature rows.
@@ -34,10 +36,15 @@ from extconv.functions import FormFunction
 from extconv.multiindex import enumerate_multiindices
 from extconv.polyform import Poly, PolyKForm, d_classical, gradient, project_polynomial
 from extconv.sampling import random_form_rows
+from extconv.shapespace import ShapeMatrix
 
 MATRIX_EXACT = {"n": 4, "k": 2, "rows": ["1", "2", "3", "4"],
                 "data": [[0, "3/2", -1, 2], [1, 0, 5, "-7/3"],
                          ["1/4", -2, 0, 3], [4, "5/6", -3, 1]]}
+# k = 3, so every row label holds a comma and adjugate rows pair such labels
+MATRIX_EXACT_K3 = {"n": 4, "k": 3, "rows": ["1,2", "1,3", "1,4", "2,3", "2,4", "3,4"],
+                   "data": [[1, "-1/2", 0, 3], [2, 0, "5/3", -1], [0, 4, -2, "1/5"],
+                            ["-3/4", 1, 0, 2], [5, -1, "2/7", 0], [0, "3/2", 1, -4]]}
 MATRIX_FLOAT = {"n": 4, "k": 2, "rows": ["1", "2", "3", "4"],
                 "data": [[0.0, 1.5, -1.1, 2.3], [0.7, 0.0, 5.25, -2.375],
                          [0.25, -2.2, 0.1, 3.0], [4.0, 0.8333, -3.3, 1.01]]}
@@ -52,7 +59,8 @@ NEG_NORM_SQ = {"n": 4, "k": 2, "expr": {"op": "neg", "arg": {"op": "norm_sq", "a
 TOP_POWER = {"n": 4, "k": 2, "expr": {"op": "inner", "form": "e1234",
                                       "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}}
 
-INPUTS = {"matrix_exact": MATRIX_EXACT, "matrix_float": MATRIX_FLOAT,
+INPUTS = {"matrix_exact": MATRIX_EXACT, "matrix_exact_k3": MATRIX_EXACT_K3,
+          "matrix_float": MATRIX_FLOAT,
           "form_exact": FORM_EXACT, "form_float": FORM_FLOAT, "zero_form": ZERO_FORM,
           "norm_sq": NORM_SQ, "neg_norm_sq": NEG_NORM_SQ, "top_power": TOP_POWER}
 
@@ -60,7 +68,9 @@ CLI_CASES = {
     "pi-exact": ["pi", "--input", "matrix_exact"],
     "pi-float": ["pi", "--input", "matrix_float"],
     "pi-exact-as-float": ["pi", "--input", "matrix_exact", "--backend", "float"],
+    "pi-exact-k3": ["pi", "--input", "matrix_exact_k3"],
     "adjugate-exact": ["adjugate", "--input", "matrix_exact", "--s", "2"],
+    "adjugate-exact-k3": ["adjugate", "--input", "matrix_exact_k3", "--s", "2"],
     "adjugate-float": ["adjugate", "--input", "matrix_float", "--s", "2"],
     "adjugate-float-top": ["adjugate", "--input", "matrix_float", "--s", "4"],
     "wedge-power-exact-2": ["wedge-power", "--input", "form_exact", "--s", "2"],
@@ -84,6 +94,13 @@ LIFT_CASES = {f"lift-{n}-{k}-{backend}": (n, k, backend)
               for n, k in [(4, 2), (5, 3)] for backend in scalars.BACKENDS}
 
 POLY_CASES = {f"poly-{n}-{k}": (n, k) for n, k in [(8, 3), (4, 2)]}
+
+MATRIX_JSON_CASES = {
+    "matrix-json-5-3": lambda: ShapeMatrix(
+        5, 3, [[Fraction((3 * r - 2 * c) % 11 - 5, 1 + (r + c) % 3) for c in range(5)]
+               for r in range(10)]),
+    "matrix-json-gradient-4-3": lambda: gradient(poly_form(random.Random(13), 4, 2)),
+}
 
 STACK_CASES = {"support-draws-8-2": lambda draws: draws,
                "support-features-8-2": lambda draws: _power_features(draws, 8, 2)}
@@ -137,6 +154,10 @@ def poly_report(case: str) -> bytes:
                       sort_keys=True).encode()
 
 
+def matrix_json_report(case: str) -> bytes:
+    return json.dumps(MATRIX_JSON_CASES[case]().to_json(), sort_keys=True).encode()
+
+
 def stack_report(case: str) -> bytes:
     """The support LP's sample at seed 3, or its feature rows, as little-endian bytes."""
     stack = STACK_CASES[case](random_form_rows(8, 2, 3, range(500), 2.0))
@@ -148,6 +169,8 @@ def report_bytes(case: str) -> bytes:
         return cli_report(case)
     if case in STACK_CASES:
         return stack_report(case)
+    if case in MATRIX_JSON_CASES:
+        return matrix_json_report(case)
     return lift_report(case) if case in LIFT_CASES else poly_report(case)
 
 
@@ -155,8 +178,11 @@ def digest(case: str) -> str:
     return hashlib.sha256(report_bytes(case)).hexdigest()
 
 
+ALL_CASES = [*CLI_CASES, *LIFT_CASES, *POLY_CASES, *MATRIX_JSON_CASES, *STACK_CASES]
+
+
 def print_digests() -> None:
-    for case in [*CLI_CASES, *LIFT_CASES, *POLY_CASES, *STACK_CASES]:
+    for case in ALL_CASES:
         print(f'    "{case}": "{digest(case)}",')
 
 
@@ -164,7 +190,9 @@ GOLDEN = {
     "pi-exact": "1358d4c27498c267f43d85e4b2226fd5829ccacc9ff6457d851156186c7bf32d",
     "pi-float": "66bc3a4b90ae808f3502d794514e1e053f6681e185e09223a23376f6339528bb",
     "pi-exact-as-float": "0dfe53724608a87716a255c6f37262f757cfd058414fc7f846e51c97caec8f86",
+    "pi-exact-k3": "8e26831c869bba0939cb8938ca7a22e372faa4c0c1996dd5b8313df201938e23",
     "adjugate-exact": "3de658618948712e7a8704e510403c51daac7aef65fe140db2efcae1a88c0f0a",
+    "adjugate-exact-k3": "39e77349145c38996b57efaadcde47da9432559811539d4da74660e00190dab1",
     "adjugate-float": "63228d1479ab54d7c1cd4a970173cc40cf1647d10ee977223c134757e6906608",
     "adjugate-float-top": "d864e21b85d0d8142632104794106adc497efa156e934e45c197406743303c03",
     "wedge-power-exact-2": "73421fee670626005d44928af007d65d05affdeb6b11d27ca26db4e167d5e33f",
@@ -187,15 +215,17 @@ GOLDEN = {
     "lift-5-3-float": "17f3f9b634b9b65e5636574a4129cba4f54a50d5a784519547fc826c2762105c",
     "poly-8-3": "8c63938ced4fb0ac5375f42f69e171ca27b56890063172948fdc1dfcd3d4b874",
     "poly-4-2": "c28060af2f7bebafda8834e3ca0ce9721a87a9b30abc1e92a98e76e444d1f544",
+    "matrix-json-5-3": "e9bf8f9c6957a8934c3f55d1329afe7a684ed117afe1b3dbca2ce0ed20345bbf",
+    "matrix-json-gradient-4-3": "42fc953460d8f39cea2b79be0e94f9d1118c993e4636c524733fda48f090cfec",
     "support-draws-8-2": "34c41f7826edf0090690439a65ab7ef9afd503d78ad9fd5802d9c5917fdeb1db",
     "support-features-8-2": "62efe3233810c7723dac4fd5a8aabcab0caca3a2a9c1889074ad9fc7462d2aa6",
 }
 
 
 def test_corpus_is_complete():
-    assert set(GOLDEN) == set(CLI_CASES) | set(LIFT_CASES) | set(POLY_CASES) | set(STACK_CASES)
+    assert set(GOLDEN) == set(ALL_CASES)
 
 
-@pytest.mark.parametrize("case", [*CLI_CASES, *LIFT_CASES, *POLY_CASES, *STACK_CASES])
+@pytest.mark.parametrize("case", ALL_CASES)
 def test_report_bytes_unchanged(case):
     assert digest(case) == GOLDEN[case]

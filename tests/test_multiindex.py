@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extconv import multiindex
 from extconv.errors import DomainError
 from extconv.exterior import KForm, subset_ranks
-from extconv.multiindex import (MultiIndex, block_partitions, enumerate_multiindices,
-                                rank, sign_interlace_append, sign_of_string, unrank)
-from extconv.shapespace import ShapeMatrix
+from extconv.multiindex import (MultiIndex, block_partitions, enumerate_multiindices, key_rank,
+                                labels, rank, sign_interlace_append, sign_of_string, unrank)
+from extconv.polyform import Poly, PolyKForm, d_classical
+from extconv.shapespace import MinorTable, ShapeMatrix, adjugate
 
 from oracles import (brute_partitions, interlace, parity_by_cycles, parity_by_inversions,
                      shuffle_wedge, sign_interlace)
@@ -132,11 +134,114 @@ class TestMultiIndexValidation:
             KForm(3, 1, [1, 2, 3]).coefficient((1.2,))
         with pytest.raises(DomainError):
             KForm(3, 1, [1, 2, 3]).coefficient((True,))
+        with pytest.raises(DomainError):
+            PolyKForm(3, 1, {(1.5,): Poly.variable(3, 1)})
+
+    def test_a_multiindex_key_is_read_on_the_callers_space(self):
+        # each key below was made for another n; its indices name a basis
+        # element of the caller's R^n, and that is the one read or written
+        form = KForm(5, 2, range(1, 11))
+        assert form.coefficient(MultiIndex((2, 3), 6)) == form.coefficient((2, 3)) == 5
+        assert form.coefficient(MultiIndex((4, 5), 6)) == 10
+        assert KForm.from_dict(5, 2, {MultiIndex((2, 3), 6): 7}).as_dict() == {(2, 3): 7}
+        X = ShapeMatrix(4, 3, np.arange(24).reshape(6, 4))
+        assert X.entry(MultiIndex((2, 3), 5), 1) == X.entry("2,3", 1) == 12
+        x1 = Poly.variable(5, 1)
+        assert PolyKForm(5, 2, {MultiIndex((2, 3), 6): x1}).as_dict() == {(2, 3): x1}
+
+    def test_a_multiindex_key_beyond_the_callers_space_is_refused(self):
+        with pytest.raises(DomainError, match="exceeds ambient dimension 5"):
+            KForm(5, 2, range(1, 11)).coefficient(MultiIndex((4, 6), 6))
+        with pytest.raises(DomainError, match="exceeds ambient dimension 5"):
+            KForm.from_dict(5, 2, {MultiIndex((1, 6), 6): 7})
+        with pytest.raises(DomainError, match="exceeds ambient dimension 4"):
+            ShapeMatrix(4, 3, np.arange(24).reshape(6, 4)).entry(MultiIndex((2, 5), 5), 1)
+        with pytest.raises(DomainError, match="exceeds ambient dimension 5"):
+            PolyKForm(5, 2, {MultiIndex((1, 6), 6): Poly.variable(5, 1)})
+
+    @pytest.mark.parametrize("col", [True, 2.5, np.float64(2.0), "2"])
+    def test_entry_column_is_an_integer(self, col):
+        X = ShapeMatrix(3, 2, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        with pytest.raises(DomainError):
+            X.entry((2,), col)
+
+    def test_numpy_int_column(self):
+        X = ShapeMatrix(3, 2, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        assert X.entry((2,), np.int64(1)) == 4
+
+    @pytest.mark.parametrize("build", [
+        lambda: MultiIndex((1, 2), True),
+        lambda: MultiIndex((1, 2), 3.0),
+        lambda: KForm.zero(3.5, 1),
+        lambda: KForm(True, 1, [1]),
+        lambda: KForm(3, True, [1, 2, 3]),
+        lambda: KForm(3, 1.0, [1, 2, 3]),
+        lambda: ShapeMatrix(4.0, 2),
+        lambda: ShapeMatrix(4, True),
+        lambda: MinorTable(3, 2, True, [[1, 2, 3]] * 3),
+        lambda: MinorTable(3, 2, 1.0, [[1, 2, 3]] * 3),
+        lambda: adjugate(ShapeMatrix(3, 2), True),
+    ], ids=["mi-n-bool", "mi-n-float", "zero-n-float", "form-n-bool", "form-k-bool",
+            "form-k-float", "matrix-n-float", "matrix-k-bool", "table-s-bool", "table-s-float",
+            "adjugate-s-bool"])
+    def test_dimension_degree_and_order_are_integers(self, build):
+        with pytest.raises(DomainError, match="not an integer"):
+            build()
+
+    def test_numpy_int_dimensions_become_python_ints(self):
+        form = KForm(np.int64(3), np.uint8(1), [1, 2, 3])
+        X = ShapeMatrix(np.int32(3), np.int64(2))
+        mi = MultiIndex((1,), np.int8(2))
+        assert all(type(v) is int for v in (form.n, form.k, X.n, X.k, mi.n))
+        assert repr(form) == "KForm(n=3, k=1, {(1,): 1, (2,): 2, (3,): 3}, backend='exact')"
 
     @pytest.mark.parametrize("text", ["a,b", "1,,2", "x", "1;2", "1,"])
     def test_malformed_text_is_a_domain_error(self, text):
         with pytest.raises(DomainError):
             MultiIndex.from_text(text, 5)
+
+
+class TestKeysAndLabels:
+    def test_labels_are_the_multiindex_texts_in_rank_order(self):
+        for n in range(1, 7):
+            for k in range(0, n + 1):
+                texts = labels(n, k)
+                assert texts == [m.text for m in enumerate_multiindices(n, k)]
+                assert [key_rank(t, n, k, "key") for t in texts] == list(range(len(texts)))
+
+    def test_labels_above_the_dimension_are_empty(self):
+        assert labels(3, 4) == []
+        with pytest.raises(DomainError):
+            labels(3, -1)
+
+    def test_key_rank_reads_every_key_form_alike(self):
+        for key in ["2,4", (2, 4), [np.int64(2), 4], np.array([2, 4]), MultiIndex((2, 4), 9)]:
+            assert key_rank(key, 5, 2, "key") == rank(MultiIndex((2, 4), 5)) == 5
+
+    @pytest.mark.parametrize("key", ["2,2", "4,2", "1,6", "1", "1,2,3", "a", "1,", (1, 2.0)])
+    def test_key_rank_refuses_keys_that_name_no_basis_element(self, key):
+        with pytest.raises(DomainError):
+            key_rank(key, 5, 2, "key")
+
+
+class TestIOEdgeBuildsNoMultiIndex:
+    def test_writers_readers_and_d_classical(self, monkeypatch):
+        form = KForm(5, 3, [Fraction(i - 4, 3) for i in range(10)])
+        X = ShapeMatrix(4, 3, np.arange(24).reshape(6, 4) - 11)
+        table = adjugate(X, 2)
+        x = [Poly.variable(4, i) for i in range(1, 5)]
+        w = PolyKForm(4, 2, {(1, 2): x[2] * x[3], (2, 4): x[0] * x[0], (3, 4): x[1]})
+
+        def forbidden(self):
+            raise AssertionError("built a MultiIndex")
+
+        monkeypatch.setattr(multiindex.MultiIndex, "__post_init__", forbidden)
+        assert form.to_json()["coeffs"]["1,2,3"] == "-4/3"
+        assert form.as_dict()[(3, 4, 5)] == Fraction(5, 3) and "(1, 2, 4): " in repr(form)
+        assert ShapeMatrix.from_json(X.to_json()) == X
+        assert table.to_json()["rows"][0] == ["1,2", "1,3"]
+        assert d_classical(w).coefficient((1, 2, 4)) == x[0] + x[0] + x[2]
+        assert form.coefficient("1,2,4") == KForm.from_dict(5, 3, {(1, 2, 4): -1}).coeffs[1]
 
 
 class TestSignOfString:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -160,9 +161,9 @@ class TestGradient:
         mat = gradient(w)
         point = (Fraction(1, 2), 2, Fraction(-1, 3))
         X = evaluate(mat, point)
-        for r, label in enumerate(X.row_labels):
+        for r, label in enumerate(itertools.combinations(range(1, 4), 1)):
             for i in range(1, 4):
-                assert X.entries[r][i - 1] == w.coefficient(label.indices).diff(i).evaluate(point)
+                assert X.entries[r][i - 1] == w.coefficient(label).diff(i).evaluate(point)
 
 
 class TestExteriorDerivatives:
