@@ -8,7 +8,10 @@ polynomial form or matrix class: a polynomial field is a ``KForm`` and its
 gradient a ``ShapeMatrix`` whose object array holds ``Poly`` entries, so
 wedges, scalar products and the projection run their one kernel on them
 unchanged.  ``PolyKForm`` builds such a form from a dict, and ``evaluate``
-takes either at a point.
+takes either at a point.  A polynomial is checked once, where it enters: the
+public ``Poly`` constructor, ``Poly.parse``, a scalar lifted into the ring and
+``PolyKForm`` check every term, and ring arithmetic builds its results
+trusted.
 
 Two exterior derivatives are provided because the right-wedge convention
 (d w = Σ ∂w_I/∂x_i · e^I ∧ e^i, matching the projection of the gradient) and
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,14 +34,29 @@ import numpy as np
 from . import scalars
 from .errors import DomainError
 from .exterior import KForm, _wedge_table, json_fields, signed_sum
+from .multiindex import integer
 from .projection import project
 from .shapespace import ShapeMatrix
+
+
+def _integral(value):
+    """An exact arithmetic result as ``scalars.coerce`` holds it: a Fraction
+    that is an integer becomes that int."""
+    return value.numerator if type(value) is Fraction and value.denominator == 1 else value
 
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms map an exponent tuple (one slot per variable) to a nonzero scalar.
+    Terms map an exponent tuple (one slot per variable) to a nonzero scalar:
+    every exponent is a tuple of ``nvars`` non-negative ints, and every
+    coefficient a nonzero int, or a Fraction that is not one, as
+    ``scalars.coerce`` gives it.  A polynomial is checked once, where it
+    enters: this constructor, ``parse`` and a scalar lifted into the ring
+    check every term.  ``+``, ``−``, ``*`` and ``diff`` build their results
+    with ``_trusted``, which checks nothing, since exact arithmetic on checked
+    terms keeps every rule but two, which they restore themselves: a sum can
+    cancel to zero, and a Fraction result can be an integer.
     """
 
     __slots__ = ("nvars", "terms")
@@ -46,13 +65,22 @@ class Poly:
         self.nvars = nvars
         clean: dict[tuple[int, ...], object] = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(integer(e, "exponent") for e in expo)
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise DomainError(f"bad exponent tuple {expo} for {nvars} variables")
             coeff = scalars.coerce(coeff)
             if coeff != 0:
                 clean[expo] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], object]) -> "Poly":
+        """The polynomial of ``terms``, taken as they are: they must already
+        keep every rule of the class."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -75,20 +103,32 @@ class Poly:
         """False for the zero polynomial only."""
         return bool(self.terms)
 
-    def __add__(self, other):
-        other = self._lift(other)
-        if not (self.terms and other.terms):    # a zero summand: the other one
-            return self if self.terms else other
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign·other for sign ±1, dropping the terms that cancel."""
+        if not other.terms:
+            return self
+        if not self.terms and sign == 1:
+            return other
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, 0) + coeff
-        return Poly(self.nvars, out)    # which drops the terms that cancel
+            if sign == -1:
+                coeff = -coeff
+            if expo not in out:
+                out[expo] = coeff
+            elif total := out[expo] + coeff:
+                out[expo] = _integral(total)
+            else:
+                del out[expo]
+        return Poly._trusted(self.nvars, out)
 
-    def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other):
+        return self._plus(self._lift(other), 1)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self._plus(self._lift(other), -1)
+
+    def __neg__(self):
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __rsub__(self, other):
         return self._lift(other) - self
@@ -99,8 +139,8 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = out.get(expo, 0) + c1 * c2
-        return Poly(self.nvars, out)
+                out[expo] = out[expo] + c1 * c2 if expo in out else c1 * c2
+        return Poly._trusted(self.nvars, {e: _integral(c) for e, c in out.items() if c})
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -134,12 +174,9 @@ class Poly:
         pos = i - 1
         for expo, coeff in self.terms.items():
             e = expo[pos]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[pos] = e - 1
-            out[tuple(new)] = coeff * e
-        return Poly(self.nvars, out)
+            if e:    # distinct exponents stay distinct, and coeff·e ≠ 0
+                out[expo[:pos] + (e - 1,) + expo[i:]] = _integral(coeff * e)
+        return Poly._trusted(self.nvars, out)
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point; exact for rational points, float otherwise."""

@@ -119,7 +119,8 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
     (never int64), ``Fraction(n, 1)`` becomes ``n`` and a non-integral float
     is refused; ``element`` replaces all of that with a check or conversion
     of its own.  An integer array, such as a kernel's int64 result, needs no
-    check: one conversion turns it into Python ints.
+    check: one conversion turns it into Python ints, and neither does a
+    Python int among objects.
     Ragged input never has ``shape``, so it is refused too.
     """
     if backend not in BACKENDS:
@@ -138,7 +139,8 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
         from .polyform import Poly    # polyform builds on this module
         flat = out.reshape(-1)    # a view: np.array made out a fresh copy
         flat[:] = [element(value) for value in flat.tolist()] if element else \
-            [value if isinstance(value, Poly) else coerce(value) for value in flat.tolist()]
+            [value if type(value) is int or isinstance(value, Poly) else coerce(value)
+             for value in flat.tolist()]
     out.flags.writeable = False
     return out
 

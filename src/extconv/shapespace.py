@@ -131,9 +131,13 @@ def minor_layout(n: int, k: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     Row sets are the s-subsets of the C(n, k−1) row positions, column sets the
     s-subsets of the n column positions, both 0-based and lexicographic, one
     per row of a read-only array.  Cell c of a table in this layout is row set
-    c // len(col_sets), column set c % len(col_sets).
+    c // len(col_sets), column set c % len(col_sets).  Like a shape matrix,
+    the layout needs 2 ≤ k ≤ n.
     """
-    nrows, s = math.comb(n, k - 1), integer(s, "minor order")
+    n, k, s = integer(n, "dimension"), integer(k, "degree"), integer(s, "minor order")
+    if not 2 <= k <= n:
+        raise DomainError(f"minor tables need 2 ≤ k ≤ n, got k={k}, n={n}")
+    nrows = math.comb(n, k - 1)
     if not 1 <= s <= min(n, nrows):
         raise DomainError(f"minor order {s} out of range 1..{min(n, nrows)}")
     return subsets(nrows, s), subsets(n, s)
@@ -188,11 +192,20 @@ class MinorTable:
 
 def table_inner(a: MinorTable, b: MinorTable):
     """Entrywise inner product of two tables in the same minor space, summed
-    row-major."""
+    row-major.
+
+    Only the live cells, nonzero in both tables, are multiplied and summed:
+    a skipped product is zero, so an exact result is equal.  A float result
+    is bit for bit the sum over every cell: ``ordered_sum`` starts at +0.0,
+    both tables are finite, so a skipped product is ±0.0, and adding ±0.0
+    to a running sum never changes it (a running sum is never −0.0, since
+    +0.0 + −0.0 and x + −x are +0.0).
+    """
     if (a.n, a.k, a.s) != (b.n, b.k, b.s) or a.backend != b.backend:
         raise DomainError("mismatched minor tables")
+    live = np.flatnonzero((a.values != 0) & (b.values != 0))
     with scalars.float_guard("table inner product"):
-        return ordered_sum((a.values * b.values).reshape(1, -1)).item()
+        return ordered_sum((a.values.flat[live] * b.values.flat[live]).reshape(1, -1)).item()
 
 
 @lru_cache(maxsize=None)

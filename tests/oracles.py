@@ -265,3 +265,14 @@ def reference_pullback(forms) -> list:
             values.append(row_vals)
         out.append(MinorTable(n, k, s, values, backend))
     return out
+
+
+def dense_inner(a, b):
+    """Σ a·b over every cell of two minor tables, row by row and left to right
+    from 0 (+0.0 for floats), skipping no cell: the sum
+    ``shapespace.table_inner`` must equal, bit for bit for floats."""
+    total = 0.0 if a.backend == "float" else 0
+    for row_a, row_b in zip(a.values.tolist(), b.values.tolist()):
+        for x, y in zip(row_a, row_b):
+            total = total + x * y
+    return total

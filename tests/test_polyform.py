@@ -87,6 +87,72 @@ class TestPoly:
         assert (a * b).diff(1) == a.diff(1) * b + a * b.diff(1)
 
 
+def assert_checked(p: Poly) -> None:
+    """``p`` keeps every rule the public constructor checks, and equals its
+    re-checked copy term for term, in value and in type."""
+    for expo, coeff in p.terms.items():
+        assert type(expo) is tuple and len(expo) == p.nvars
+        assert all(type(e) is int and e >= 0 for e in expo)
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+        assert coeff != 0
+    again = Poly(p.nvars, p.terms)
+    assert p == again and str(p) == str(again) and hash(p) == hash(again)
+    assert [(e, type(c)) for e, c in p.terms.items()] == \
+        [(e, type(c)) for e, c in again.terms.items()]
+
+
+# polynomials in two variables whose halves and thirds often sum to integers
+# and cancel
+POLYS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                        st.fractions(-2, 2, max_denominator=3), max_size=4
+                        ).map(lambda terms: Poly(2, terms))
+
+
+class TestTrustedArithmetic:
+    """``+``, ``−``, ``*`` and ``diff`` build their results unchecked; every
+    result must still keep the rules the public constructor enforces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(POLYS, POLYS, st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 2)]))
+    def test_results_keep_the_invariant(self, a, b, scalar):
+        results = [a + b, a - b, b - a, a * b, (a + b) - b, a - a, a + (-a), a * b - b * a,
+                   a + scalar, scalar - a, a * scalar, scalar * a, -a,
+                   a.diff(1), a.diff(2), (a * b).diff(1), (a - b).diff(2)]
+        for result in results:
+            assert_checked(result)
+        assert (a + b) - b == a and not (a - a) and not (a + (-a)) and not (a * b - b * a)
+
+    def test_halves_sum_to_an_int(self):
+        half = Poly.parse("1/2*x1", 2)
+        total = half + half
+        assert total.terms == {(1, 0): 1} and type(total.terms[(1, 0)]) is int
+        assert str(total) == "x1" and not (half - half)
+        square = Poly.parse("3/2*x1^2", 2).diff(1) * Fraction(2, 3)
+        assert square.terms == {(1, 0): 2} and type(square.terms[(1, 0)]) is int
+        assert type((Poly.parse("2/3*x2^3", 2).diff(2)).terms[(0, 2)]) is int
+
+    @pytest.mark.parametrize("terms", [
+        {(-1, 0): 1}, {(1,): 1}, {(1, 0, 0): 1},       # negative or wrong-length exponent
+        {(1.5, 0): 1}, {(True, 0): 1},                  # an exponent that is no integer
+        {(1, 0): True}, {(1, 0): 0.5}, {(1, 0): "1"},   # a bool, a non-integral float, text
+    ])
+    def test_public_constructor_checks_every_term(self, terms):
+        with pytest.raises(DomainError):
+            Poly(2, terms)
+
+    def test_public_constructor_normalizes(self):
+        p = Poly(2, {(np.int64(1), 0): Fraction(4, 2), (0, 1): 3.0, (0, 0): 0})
+        assert p.terms == {(1, 0): 2, (0, 1): 3}
+        assert_checked(p)
+
+    def test_outside_scalars_are_checked_when_lifted(self):
+        for bad in (True, 0.5, "1"):
+            with pytest.raises(DomainError):
+                Poly.variable(2, 1) + bad
+        with pytest.raises(DomainError):
+            Poly.variable(2, 1) - Poly.variable(3, 1)
+
+
 def random_polyform(n, k, rng, degree=2):
     coeffs = {}
     from extconv.multiindex import enumerate_multiindices

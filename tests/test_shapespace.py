@@ -15,7 +15,7 @@ from extconv.polyform import Poly
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, det, det_rows, minor_layout,
                                 minors_at, table_inner, tensor)
 
-from oracles import laplace_residual, perm_det, rand_exact
+from oracles import dense_inner, laplace_residual, perm_det, rand_exact
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -372,6 +372,15 @@ class TestMinorTable:
                        for rs in a.row_sets for cs in a.col_sets)
         assert table_inner(a, b) == expected
 
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_degree_out_of_range_refused(self, k):
+        # 2 ≤ k ≤ n, as for a shape matrix: k = 1 has no shape matrix (its row
+        # label would be ""), and k = 0 has no row positions at all
+        with pytest.raises(DomainError, match="2 ≤ k ≤ n"):
+            MinorTable(3, k, 1, [[1, 2, 3]])
+        with pytest.raises(DomainError, match="2 ≤ k ≤ n"):
+            minor_layout(3, k, 1)
+
     def test_tables_of_one_space_share_one_layout(self):
         rng = random.Random(15)
         a = adjugate(rand_int_matrix(5, 2, rng), 3)
@@ -416,3 +425,74 @@ class TestMinorTable:
         assert blob["rows"][0] == ["1", "2"]
         assert blob["cols"][0] == [1, 2]
         assert len(blob["values"]) == len(blob["rows"])
+
+
+# a float cell: zeros of both signs, values whose products underflow, and
+# ordinary values whose products and sums stay far inside the float range
+FLOAT_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 5e-324]),
+                        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+def drawn_table(draw, space, cells, backend=scalars.EXACT):
+    rows, cols = minor_layout(*space)
+    size = len(rows) * len(cols)
+    flat = draw(st.lists(cells, min_size=size, max_size=size))
+    values = [flat[r * len(cols):(r + 1) * len(cols)] for r in range(len(rows))]
+    return MinorTable(*space, values, backend)
+
+
+def float_table(draw, space):
+    table = drawn_table(draw, space, FLOAT_CELLS, scalars.FLOAT)
+    values = table.values.tolist()
+    for r in draw(st.sets(st.integers(0, len(values) - 1))):    # whole rows of zeros
+        values[r] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(values[r]),
+                                  max_size=len(values[r])))
+    return MinorTable(*space, values, scalars.FLOAT)
+
+
+class TestTableInner:
+    """``table_inner`` multiplies only the cells nonzero in both tables; the
+    dense loop over every cell is the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([(4, 2, 1), (4, 2, 2), (5, 3, 2)]))
+    def test_float_bits_equal_the_dense_loop(self, data, space):
+        a, b = (float_table(data.draw, space) for _ in range(2))
+        assert table_inner(a, b).hex() == dense_inner(a, b).hex()
+
+    def test_all_zero_float_tables_give_positive_zero(self):
+        rows, cols = minor_layout(4, 2, 2)
+        signs = [[(-0.0, 0.0)[(r + c) % 2] for c in range(len(cols))] for r in range(len(rows))]
+        tables = [MinorTable(4, 2, 2, values, scalars.FLOAT)
+                  for values in (signs, [[-0.0] * len(cols)] * len(rows))]
+        for a in tables:
+            for b in tables:
+                assert table_inner(a, b).hex() == (0.0).hex() == dense_inner(a, b).hex()
+
+    def test_products_that_underflow_are_summed(self):
+        rows, cols = minor_layout(4, 2, 1)
+        a = MinorTable(4, 2, 1, [[1e-200, -1e-200, 5e-324, 2.0]] * len(rows), scalars.FLOAT)
+        b = MinorTable(4, 2, 1, [[1e-200, 1e-200, -0.5, 0.0]] * len(rows), scalars.FLOAT)
+        assert table_inner(a, b).hex() == dense_inner(a, b).hex() == (0.0).hex()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.sampled_from([(4, 2, 2), (5, 2, 3), (4, 3, 2)]))
+    def test_exact_tables_equal_the_dense_loop(self, data, space):
+        cells = st.one_of(st.just(0), st.integers(-9, 9),
+                          st.fractions(-4, 4, max_denominator=5))
+        a, b = (drawn_table(data.draw, space, cells) for _ in range(2))
+        assert table_inner(a, b) == dense_inner(a, b)
+        ints = drawn_table(data.draw, space, st.integers(-9, 9))
+        assert type(table_inner(ints, ints)) is int
+        assert table_inner(ints, ints) == dense_inner(ints, ints)
+
+    def test_mismatched_tables_refused(self):
+        rng = random.Random(18)
+        X = rand_int_matrix(4, 2, rng)
+        exact = adjugate(X, 2)
+        floats = MinorTable(4, 2, 2, exact.values.astype(float), scalars.FLOAT)
+        for a, b in [(exact, adjugate(X, 1)), (exact, floats),
+                     (exact, adjugate(rand_int_matrix(5, 2, rng), 2)),
+                     (adjugate(rand_int_matrix(4, 3, rng), 2), exact)]:
+            with pytest.raises(DomainError, match="mismatched minor tables"):
+                table_inner(a, b)
