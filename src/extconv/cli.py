@@ -31,8 +31,13 @@ EXIT_ERROR = 2
 
 
 def _load_json(path: str):
+    """The JSON document in ``path``; text that is not UTF-8 JSON, nests too
+    deep or holds a number too long to read is a ``DomainError``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:    # UnicodeDecodeError is a ValueError
+            raise DomainError(f"cannot read JSON from {path}: {exc}") from None
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -217,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
+    except (DomainError, KeyError, TypeError, OSError) as exc:
         print(f"extconv: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

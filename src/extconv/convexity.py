@@ -55,6 +55,7 @@ from . import scalars
 from .errors import DomainError, LPInternalError
 from .exterior import KForm, ordered_sum, scalar_product, wedge_power, wedge_rows
 from .functions import FormFunction
+from .multiindex import integer
 from .projection import project, project_rows, right_inverse
 from .sampling import (derive_rng, random_exact_form, random_form, random_form_rows,
                        random_line, random_matrix)
@@ -73,6 +74,7 @@ class SamplerConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        self.seed, self.trials = integer(self.seed, "seed"), integer(self.trials, "trials")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if not 0 < self.step < math.inf or self.step * self.step == 0:

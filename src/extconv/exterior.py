@@ -327,6 +327,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
 def wedge_power(x: KForm, s: int) -> KForm:
     """s-fold exterior power x ∧ ... ∧ x; x^0 is the unit 0-form."""
+    s = integer(s, "exponent")
     with scalars.float_guard("wedge power"):
         row = wedge_power_rows(x.coeffs[None], x.n, x.k, s)[0]
     return KForm(x.n, x.k * s, row, x.backend)

@@ -32,6 +32,7 @@ import numpy as np
 from . import scalars
 from .errors import DomainError
 from .exterior import KForm, json_fields, ordered_sum, power_by_squaring, wedge_power_rows
+from .multiindex import integer
 
 
 class FormFunction:
@@ -42,12 +43,16 @@ class FormFunction:
     def __init__(self, n: int, k: int, expr):
         # every convexity campaign samples a function, so this one check
         # keeps them all off spaces with no nonzero forms
+        n, k = integer(n, "dimension"), integer(k, "degree")
         if not 1 <= k <= n:
             raise DomainError(f"functions on degree-k forms need 1 ≤ k ≤ n, got k={k}, n={n}")
         self.n = n
         self.k = k
         self.expr = expr
-        compiled = _compile(expr, n, k)
+        try:
+            compiled = _compile(expr, n, k)
+        except RecursionError:
+            raise DomainError("function expression nests too deep to compile") from None
         if compiled.degree is not None:
             raise DomainError("function expression must be scalar-valued, "
                               f"got a degree-{compiled.degree} form")
@@ -261,8 +266,8 @@ def _compile(node, n: int, k: int) -> _Compiled:
                              else kernel(X, signed))
         return _Compiled(None, lambda X, signed: np.abs(kernel(X, signed)))
     if op == "pow":
-        exp = node.get("exp")
-        if not isinstance(exp, int) or exp < 0:
+        exp = integer(node.get("exp"), "pow exponent")
+        if exp < 0:
             raise DomainError(f"pow exponent must be a nonnegative integer, got {exp!r}")
         kernel = _compile_scalar(_field(node, "base"), n, k, "pow base must be a scalar").rows
         return _Compiled(None, lambda X, signed: power_by_squaring(kernel(X, signed), exp))
@@ -293,8 +298,8 @@ def _compile(node, n: int, k: int) -> _Compiled:
 
         return _Compiled(None, norm_sq_rows)
     if op == "wedge_pow":
-        s = node.get("s")
-        if not isinstance(s, int) or s < 0:
+        s = integer(node.get("s"), "wedge_pow exponent")
+        if s < 0:
             raise DomainError(f"wedge_pow exponent must be a nonnegative integer, got {s!r}")
         arg = _compile_form(_field(node, "arg"), n, k, "wedge_pow needs a form-valued argument")
         kernel, degree = arg.rows, arg.degree

@@ -1,10 +1,13 @@
 """Ordered multiindices, their text form, and the sign calculus built on them.
 
-A multiindex is a strictly increasing tuple of indices in 1..n; the set of all
-length-k multiindices, ordered alphabetically (= tuple-lexicographically), is
-the basis of every form and shape matrix, which store positions in that rank
-order (0-based; 1-based in all I/O) and no multiindex.  Index text such as
-"1,3,4" is read by ``key_rank`` on the caller's R^n and written by ``labels``.
+A multiindex is a strictly increasing tuple of indices in 1..n, held as a
+plain tuple of Python ints; there is no index type.  The set of all length-k
+multiindices, ordered alphabetically (= tuple-lexicographically), is the basis
+of every form and shape matrix, which store positions in that rank order
+(0-based; 1-based in all I/O) and no multiindex.  ``key_rank`` is the one
+scalar ranker: it reads index text such as "1,3,4" or a sequence of ints on
+the caller's R^n; ``labels`` writes the text, and
+``exterior.subset_ranks`` ranks whole arrays of increasing tuples.
 Each index, dimension and degree is an integer (a Python or numpy int, not a
 bool, read by ``integer``); anything else is refused, not truncated.
 
@@ -31,47 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-
-# a string of distinct indices, not necessarily sorted; every function taking
-# one validates distinctness and raises DomainError on duplicates
-IndexString = Sequence[int]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly increasing index tuple in 1..n."""
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", integer(self.n, "ambient dimension"))
-        if self.n < 1:
-            raise DomainError(f"ambient dimension must be positive, got {self.n}")
-        object.__setattr__(self, "indices", _indices(self.indices, self.n))
-
-    @classmethod
-    def from_text(cls, text: str, n: int) -> "MultiIndex":
-        """Parse the comma-separated text form, e.g. "1,3,4"."""
-        return cls(_parse(text), n)
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-    @property
-    def text(self) -> str:
-        return ",".join(str(i) for i in self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def integer(value, what: str) -> int:
@@ -84,29 +49,21 @@ def integer(value, what: str) -> int:
         raise DomainError(f"{what} {value!r} is not an integer") from None
 
 
-def _indices(indices: Iterable, n: int) -> tuple[int, ...]:
-    """``indices`` as strictly increasing Python ints in 1..n."""
-    indices = tuple(integer(i, "index") for i in indices)
+def key_rank(key: str | Sequence[int], n: int, k: int, what: str) -> int:
+    """0-based rank of ``key`` (index text such as "1,3,4" or a sequence of ints)
+    among the degree-k multiindices on R^n: C(n, k) − 1 − Σ_t C(n − i_t, k − t)
+    over its indices i_0 < … < i_(k−1), the scalar form of
+    ``exterior.subset_ranks``; ``what`` names the key in an error."""
+    if isinstance(key, str):
+        try:
+            key = [int(part) for part in key.split(",")] if key.strip() else ()
+        except ValueError:
+            raise DomainError(f"bad multiindex {key!r}") from None
+    indices = tuple(integer(i, "index") for i in key)
     if any(a >= b for a, b in zip((0,) + indices, indices)):
         raise DomainError(f"indices must be strictly increasing, got {indices}")
     if indices and indices[-1] > n:
         raise DomainError(f"index {indices[-1]} exceeds ambient dimension {n}")
-    return indices
-
-
-def _parse(text: str) -> tuple[int, ...]:
-    """The indices of index text such as "1,3,4"; blank text has none."""
-    try:
-        return tuple(int(part) for part in text.split(",")) if text.strip() else ()
-    except ValueError:
-        raise DomainError(f"bad multiindex {text!r}") from None
-
-
-def key_rank(key: str | Sequence[int] | MultiIndex, n: int, k: int, what: str) -> int:
-    """0-based rank of ``key`` (index text, a sequence of ints or a ``MultiIndex``)
-    among the degree-k multiindices on the caller's R^n, whatever n a
-    ``MultiIndex`` was made for; ``what`` names the key in an error."""
-    indices = _indices(_parse(key) if isinstance(key, str) else key, n)
     if len(indices) != k:
         raise DomainError(f"{what} length {len(indices)} does not match {k}: {indices}")
     return math.comb(n, k) - 1 - sum(math.comb(n - i, k - t) for t, i in enumerate(indices))
@@ -119,42 +76,14 @@ def labels(n: int, k: int) -> list[str]:
     return [",".join(map(str, combo)) for combo in itertools.combinations(range(1, n + 1), k)]
 
 
-def enumerate_multiindices(n: int, k: int) -> list[MultiIndex]:
+def enumerate_multiindices(n: int, k: int) -> list[tuple[int, ...]]:
     """All C(n,k) members of the degree-k index set, alphabetically ordered."""
     if k < 0 or k > n:
         raise DomainError(f"degree {k} out of range for dimension {n}")
-    return [MultiIndex(combo, n) for combo in itertools.combinations(range(1, n + 1), k)]
+    return list(itertools.combinations(range(1, n + 1), k))
 
 
-def rank(mi: MultiIndex) -> int:
-    """0-based alphabetical rank of ``mi`` among multiindices of its length:
-    C(n, k) − 1 − Σ_t C(n − i_t, k − t) over its indices i_0 < … < i_(k−1), the
-    scalar form of ``exterior.subset_ranks`` (``key_rank`` on its own n)."""
-    return key_rank(mi, mi.n, mi.k, "multiindex")
-
-
-def unrank(n: int, k: int, r: int) -> MultiIndex:
-    """Inverse of :func:`rank`."""
-    if k < 0 or k > n:
-        raise DomainError(f"degree {k} out of range for dimension {n}")
-    if r < 0 or r >= math.comb(n, k):
-        raise DomainError(f"rank {r} out of range for ({n},{k})")
-    out = []
-    prev = 0
-    for t in range(k):
-        v = prev + 1
-        while True:
-            count = math.comb(n - v, k - t - 1)
-            if r < count:
-                break
-            r -= count
-            v += 1
-        out.append(v)
-        prev = v
-    return MultiIndex(tuple(out), n)
-
-
-def sign_of_string(entries: IndexString) -> int:
+def sign_of_string(entries: Sequence[int]) -> int:
     """Parity (±1) of the permutation sorting a duplicate-free index string."""
     entries = tuple(entries)
     if len(set(entries)) != len(entries):
@@ -171,7 +100,7 @@ def sign_of_string(entries: IndexString) -> int:
     return -1 if swaps & 1 else 1
 
 
-def sign_interlace_append(J: Iterable[int], blocks: Sequence[MultiIndex | Sequence[int]]) -> int:
+def sign_interlace_append(J: Iterable[int], blocks: Sequence[Sequence[int]]) -> int:
     """Sign of the interlaced string (I^1, j_1, ..., I^s, j_s).
 
     This is the variant carried by the wedge-power/minor expansion.

@@ -62,6 +62,9 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
+        nvars = integer(nvars, "variable count")
+        if nvars < 0:
+            raise DomainError(f"variable count must be nonnegative, got {nvars}")
         self.nvars = nvars
         clean: dict[tuple[int, ...], object] = {}
         for expo, coeff in (terms or {}).items():
@@ -93,6 +96,7 @@ class Poly:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         """The coordinate polynomial x_i (1-based)."""
+        i = integer(i, "variable index")
         if not 1 <= i <= nvars:
             raise DomainError(f"variable index {i} out of range 1..{nvars}")
         expo = [0] * nvars
@@ -168,6 +172,8 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         """Formal partial derivative with respect to x_i (1-based)."""
+        if type(i) is not int:    # the gradient's loops pass ints, and skip the call
+            i = integer(i, "variable index")
         if not 1 <= i <= self.nvars:
             raise DomainError(f"variable index {i} out of range 1..{self.nvars}")
         out: dict[tuple[int, ...], object] = {}

@@ -36,7 +36,7 @@ block); see the multiindex module for why the expansion needs that variant.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +44,7 @@ import numpy as np
 from . import scalars
 from .errors import DomainError
 from .exterior import _GATHER_BUDGET, KForm, sign_table, signed_sum, subset_ranks, subsets
-from .multiindex import block_partitions, enumerate_multiindices, sign_interlace_append
+from .multiindex import block_partitions, enumerate_multiindices, integer, sign_interlace_append
 from .shapespace import MinorTable, ShapeMatrix, minor_layout, minors_at
 
 
@@ -53,13 +53,13 @@ def _projection_table(n: int, k: int) -> tuple[np.ndarray, ...]:
     """The projection coefficient rule, the only place it is written down.
 
     For each degree-k target K, in rank order, its k slots (K∖K_p, K_p) for
-    p = 1..k: ``cells`` holds the flat entry r·n + c of row r = rank(K∖K_p)
+    p = 1..k: ``cells`` holds the flat entry r·n + c of row r = the rank of K∖K_p
     and column c = K_p − 1, and the sign row the append sign (−1)^(k−p),
     which depends on p alone; the last slot's sign is +1.
     """
-    row_rank = {mi.indices: r for r, mi in enumerate(enumerate_multiindices(n, k - 1))}
+    row_rank = {mi: r for r, mi in enumerate(enumerate_multiindices(n, k - 1))}
     cells = np.array([[row_rank[K[:p] + K[p + 1:]] * n + K[p] - 1 for p in range(k)]
-                      for K in (mi.indices for mi in enumerate_multiindices(n, k))],
+                      for K in enumerate_multiindices(n, k)],
                      dtype=np.intp)
     return sign_table(cells, signs=[(-1) ** (k - 1 - p) for p in range(k)])
 
@@ -140,7 +140,20 @@ class MinorPowerMap(NamedTuple):
         return KForm(self.n, self.k * self.s, row, backend)
 
 
-@lru_cache(maxsize=None)
+def _cached_on_integers(build):
+    """``build`` cached per (n, k, s), each read by the integer rule before the
+    lookup: True == 1 and hashes alike, so a bool would find 1's entry.
+    ``__wrapped__`` is ``build`` itself, uncached."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def checked(n: int, k: int, s: int):
+        return cached(integer(n, "dimension"), integer(k, "degree"), integer(s, "minor order"))
+
+    return checked
+
+
+@_cached_on_integers
 def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
     """The order-s power map, built once per (n, k, s); order 1 is the projection.
 
@@ -181,7 +194,7 @@ def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
     target, so no minor recurs), instead of building the full minor table.
     Zero without building the map when k is odd or s exceeds n/k.
     """
-    n, k = X.n, X.k
+    n, k, s = X.n, X.k, integer(s, "power order")
     limit = min(n, math.comb(n, k - 1))
     if not 2 <= s <= limit:
         raise DomainError(f"power order {s} out of range 2..{limit}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from extconv.errors import DomainError
-from extconv.multiindex import MultiIndex, enumerate_multiindices, sign_interlace_append
+from extconv.multiindex import enumerate_multiindices, sign_interlace_append
 from extconv.shapespace import MinorTable
 
 
@@ -249,7 +249,7 @@ def reference_pullback(forms) -> list:
         values = []
         for row_set in itertools.combinations(range(len(labels)), s):
             blocks = [labels[r] for r in row_set]
-            members = [i for b in blocks for i in b.indices]
+            members = [i for b in blocks for i in b]
             block_members = set(members)
             degenerate = len(block_members) != len(members) or (s > 1 and k % 2 == 1)
             row_vals = []
@@ -260,7 +260,7 @@ def reference_pullback(forms) -> list:
                     continue
                 joint = tuple(sorted(block_members | set(cols)))
                 sign = sign_interlace_append(cols, blocks)
-                value = factor * form.coefficient(MultiIndex(joint, n))
+                value = factor * form.coefficient(joint)
                 row_vals.append(value if sign > 0 else -value)
             values.append(row_vals)
         out.append(MinorTable(n, k, s, values, backend))

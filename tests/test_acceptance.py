@@ -87,7 +87,7 @@ def _random_polyform(n, k, rng, degree=2):
                 expo[rng.randrange(n)] += 1
             terms[tuple(expo)] = terms.get(tuple(expo), 0) \
                 + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        coeffs[mi.indices] = Poly(n, terms)
+        coeffs[mi] = Poly(n, terms)
     return PolyKForm(n, k, coeffs)
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -237,6 +238,7 @@ class TestBadInputExits2:
         assert code == 2
         assert out == ""
         assert err.startswith("extconv: ") and err.count("\n") == 1, err
+        return err
 
     def test_float_overflow_exits_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "pow.json",
@@ -272,11 +274,32 @@ class TestBadInputExits2:
         {"n": 4, "expr": {"op": "norm_sq", "arg": "xi"}},
         {**NORM_SQ, "coeffs": {}},
         {**NORM_SQ, "n": 4.0},
+        {**NORM_SQ, "expr": {"op": "pow", "exp": True, "base": {"op": "norm_sq", "arg": "xi"}}},
+        {**NORM_SQ, "expr": {"op": "inner", "form": "e12",
+                             "arg": {"op": "wedge_pow", "s": True, "arg": "xi"}}},
+        {**NORM_SQ, "expr": functools.reduce(lambda e, _: {"op": "neg", "arg": e}, range(600),
+                                             NORM_SQ["expr"])},
     ])
     def test_malformed_function_file_exits_2(self, capsys, tmp_path, function):
         path = write_json(tmp_path, "fn.json", function)
         self.assert_usage_error(capsys, "check-convexity", "--mode", "one-convex",
                                 "--input", path, "--trials", "5")
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"n": 4, "k": 2}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"n": 4, "k": 2, "coeffs": {"1,2": ' + b"7" * 5000 + b"}}",
+    ], ids=["not-utf8", "nested-100000-deep", "int-of-5000-digits"])
+    @pytest.mark.parametrize("command", [
+        ("pi",),
+        ("wedge-power", "--s", "2"),
+        ("check-convexity", "--mode", "one-convex", "--trials", "5"),
+    ])
+    def test_unreadable_json_exits_2(self, capsys, tmp_path, command, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        err = self.assert_usage_error(capsys, command[0], "--input", str(path), *command[1:])
+        assert f"cannot read JSON from {path}" in err
 
     @pytest.mark.parametrize("n,k", [("4", "0"), ("4", "-1"), ("-3", "2"), ("4", "1"),
                                      ("0", "2")])

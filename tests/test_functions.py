@@ -173,7 +173,7 @@ class TestFloatKernel:
             assert (f.magnitude_rows(rows) >= np.abs(f.evaluate_rows(rows))).all()
 
     def test_evaluation_parses_nothing(self, monkeypatch):
-        from extconv import exterior, functions, multiindex
+        from extconv import exterior, functions
         corpus = [f for _, f in kernel_corpus()]
         counts = {"parses": 0}
 
@@ -188,8 +188,8 @@ class TestFloatKernel:
         counting(functions, "_parse_form_literal")
         counting(scalars, "parse_rational")
         counting(scalars, "scalar_from_json")
-        for owner, name in ((exterior.KForm, "from_json"), (exterior.KForm, "basis"),
-                            (multiindex.MultiIndex, "from_text")):
+        counting(exterior, "key_rank")
+        for owner, name in ((exterior.KForm, "from_json"), (exterior.KForm, "basis")):
             monkeypatch.setattr(owner, name, classmethod(
                 lambda cls, *a, **kw: counts.__setitem__("parses", counts["parses"] + 1)))
         for f in corpus:

@@ -140,7 +140,7 @@ def poly_form(rng: random.Random, n: int, r: int, terms: int = 3, degree: int = 
                 expo[rng.randrange(n)] += 1
             monomials[tuple(expo)] = monomials.get(tuple(expo), 0) \
                 + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        coeffs[mi.indices] = Poly(n, monomials)
+        coeffs[mi] = Poly(n, monomials)
     return PolyKForm(n, r, coeffs)
 
 

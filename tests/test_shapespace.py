@@ -38,7 +38,7 @@ class TestShapeMatrix:
 
     @pytest.mark.parametrize("label", [(1, 2), (), (1, 2, 3)])
     def test_entry_rejects_row_label_of_wrong_length(self, label):
-        # a (4,2) matrix has rows labelled by 1-index sets; rank() alone would
+        # a (4,2) matrix has rows labelled by 1-index sets; a rank alone would
         # read some other row for a label of another length
         X = ShapeMatrix(4, 2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         with pytest.raises(DomainError, match="row label length"):
