@@ -76,17 +76,24 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             enumerate_multiindices(3, -1)
 
-    def test_key_rank_subset_ranks_and_subsets_agree_exhaustive(self):
-        # the scalar ranker, the array ranker and the rows of ``subsets``
-        # (its inverse, shifted to 1-based) name the same basis element
-        for n in range(1, 8):
+    def test_rank_unrank_roundtrip_exhaustive(self):
+        # ranking is key_rank; unranking is a row of ``subsets``, shifted to 1-based
+        for n in range(1, 9):
             for k in range(0, n + 1):
-                basis, positions = enumerate_multiindices(n, k), subsets(n, k)
-                ranks = list(range(len(basis)))
-                assert [tuple(row) for row in (positions + 1).tolist()] == basis
-                assert subset_ranks(positions, n).tolist() == ranks
+                unranked = subsets(n, k) + 1
+                for r, K in enumerate(enumerate_multiindices(n, k)):
+                    assert rank(K, n) == r
+                    assert key_rank(",".join(map(str, K)), n, k, "key") == r
+                    assert tuple(unranked[r].tolist()) == K
+
+    def test_rank_is_the_subset_ranker_and_unrank_inverts_both(self):
+        for n in range(1, 11):
+            for k in range(0, n + 1):
+                basis = enumerate_multiindices(n, k)
+                positions = np.array(basis, dtype=np.intp).reshape(len(basis), k) - 1
+                ranks = subset_ranks(positions, n).tolist()
                 assert [rank(K, n) for K in basis] == ranks
-                assert [key_rank(",".join(map(str, K)), n, k, "key") for K in basis] == ranks
+                assert [tuple(row) for row in (subsets(n, k)[ranks] + 1).tolist()] == basis
 
 
 class TestMultiIndexValidation:
