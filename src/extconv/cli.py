@@ -4,12 +4,22 @@ Every subcommand writes a single JSON document to standard output (and to
 --output when given).  Reports are rendered with sorted keys and no ambient
 state, so identical (command, seed, arguments) invocations are byte-identical.
 
+``verify-formula`` runs its trials as stacks: trial t still draws from its
+own stream ``derive_rng(seed, t)`` (``sampling.random_integer_rows``, the
+values ``randint`` gives), and each stack goes once through the row kernels
+of both routes, ``wedge_power_rows(project_rows(X))`` and
+``wedge_power_from_minors_rows``.  A stack holds as many trials as keep its
+largest array under ``_TRIAL_ENTRIES``, so memory does not grow with
+``--trials``, and the report does not depend on the stacking.  The parser is
+built once per process.
+
 Exit codes: 0 pass/certified, 1 fail/refuted, 2 usage error or inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,15 +29,20 @@ from . import scalars
 from .convexity import (SamplerConfig, check_ext_one_affine, check_ext_one_convex,
                         fit_quasiaffine, polyconvex_support_lp)
 from .errors import DomainError
-from .exterior import KForm, wedge_power
+from .exterior import KForm, wedge_power, wedge_power_rows
 from .functions import FormFunction
-from .projection import project, wedge_power_from_minors
-from .sampling import derive_rng, random_integer_matrix
+from .projection import project, project_rows, wedge_power_from_minors_rows
+from .sampling import random_integer_rows
 from .shapespace import ShapeMatrix, adjugate
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+
+# entries one stack of verify-formula trials holds at most in any one array
+# (or one trial, when it holds more), so that its memory does not grow with
+# --trials
+_TRIAL_ENTRIES = 1 << 13
 
 
 def _load_json(path: str):
@@ -73,8 +88,25 @@ def cmd_wedge_power(args) -> int:
     return EXIT_PASS
 
 
+def _trial_entries(n: int, k: int, s: int) -> int:
+    """The most entries one verify-formula trial holds in one array: its
+    matrix, the largest wedge table the direct route gathers, or the cells the
+    expansion reads when it has any: per target, C(ks, s) subscript sets times
+    the splits of the other s(k−1) positions into s blocks."""
+    sizes = [math.comb(n, k - 1) * n]
+    sizes += [math.comb(n, k * i) * math.comb(k * i, k) for i in range(2, min(s, n // k) + 1)]
+    if k % 2 == 0 and 2 <= s <= n // k:
+        splits = math.factorial(s * (k - 1)) // (math.factorial(k - 1) ** s * math.factorial(s))
+        sizes.append(math.comb(n, k * s) * math.comb(k * s, s) * splits)
+    return max(sizes)
+
+
 def cmd_verify_formula(args) -> int:
-    """Exact comparison of the wedge power against its minor-table expansion."""
+    """Exact comparison of the wedge power against its minor-table expansion.
+
+    Trials run as stacks: each draws from its own stream, and a stack holds
+    as many trials as keep its largest array within ``_TRIAL_ENTRIES``.
+    """
     n, k, s = args.n, args.k, args.s
     if not 2 <= k <= n:
         raise DomainError(f"verify-formula needs 2 ≤ k ≤ n, got k={k}, n={n}")
@@ -86,17 +118,18 @@ def cmd_verify_formula(args) -> int:
               "seed": args.seed, "entry_range": [args.low, args.high]}
     worst = 0
     failure = None
-    for trial in range(args.trials):
-        rng = derive_rng(args.seed, trial)
-        X = random_integer_matrix(n, k, rng, args.low, args.high)
-        direct = wedge_power(project(X), s)
-        via_minors = wedge_power_from_minors(X, s)
-        residual = max((abs(a - b) for a, b in zip(direct.coeffs, via_minors.coeffs)),
-                       default=0)
-        if residual > worst:
-            worst = residual
-        if residual != 0 and failure is None:
-            failure = {"n": n, "k": k, "s": s, "seed": args.seed, "trial": trial}
+    chunk = max(1, _TRIAL_ENTRIES // _trial_entries(n, k, s))
+    for first in range(0, args.trials, chunk):
+        trials = range(first, min(first + chunk, args.trials))
+        X = random_integer_rows(n, k, args.seed, trials, args.low, args.high)
+        direct = wedge_power_rows(project_rows(X, n, k), n, k, s)
+        via_minors = wedge_power_from_minors_rows(X, n, k, s)
+        for trial, a, b in zip(trials, direct.tolist(), via_minors.tolist()):
+            residual = max((abs(x - y) for x, y in zip(a, b)), default=0)
+            if residual > worst:
+                worst = residual
+            if residual != 0 and failure is None:
+                failure = {"n": n, "k": k, "s": s, "seed": args.seed, "trial": trial}
     report["max_residual"] = scalars.format_rational(worst)
     report["status"] = "pass" if worst == 0 else "fail"
     if failure is not None:
@@ -159,7 +192,9 @@ def _add_sampler_flags(parser, trials: int = 100) -> None:
     parser.add_argument("--tolerance", type=float, default=1e-9)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="extconv",
         description="Exact projection/wedge-power identities and sampled "

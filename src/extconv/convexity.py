@@ -75,6 +75,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         self.seed, self.trials = integer(self.seed, "seed"), integer(self.trials, "trials")
+        self.coeff_range, self.step, self.tolerance = (
+            scalars.real(self.coeff_range, "coefficient range"), scalars.real(self.step, "step"),
+            scalars.real(self.tolerance, "tolerance"))
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if not 0 < self.step < math.inf or self.step * self.step == 0:

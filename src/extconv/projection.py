@@ -15,14 +15,15 @@ plain tuples with no multiindex built, to every degree-k·s target, and
 ranks the cells it names in the order of ``shapespace.minor_layout`` by
 arithmetic, without listing that layout.  It stores only those cells, with
 no dense view.  ``MinorPowerMap.apply`` reads them from a
-minor table, ``wedge_power_from_minors`` takes them in one batch of
-determinants (``shapespace.minors_at``) at the row and column positions the
-map stores, and it returns zero at once for odd k or s > n/k.  On a matrix of
-Python ints it keeps the minors in int64 through the map's signed sum when
-s!·(slots per target)·s!·B^s fits (B the largest entry in size), and widens
-them to Python ints before the sum otherwise; the direct route
-``wedge_power(project(X), s)`` stays on object arrays, so the two sides of the
-identity never share that narrowing;
+minor table.  ``wedge_power_from_minors_rows`` takes them for a stack of
+matrices in budgeted batches of determinants (``shapespace.minors_at``) at
+the row and column positions the map stores, and returns zero at once for
+odd k or s > n/k; ``wedge_power_from_minors`` is that kernel on a stack of
+one.  On a stack of Python ints it keeps the minors in int64 through the
+map's signed sum when s!·(slots per target)·s!·B^s fits (B the largest entry
+of the whole stack in size), and widens them to Python ints before the sum
+otherwise; the direct route ``wedge_power_rows(project_rows(X))`` stays on
+object arrays, so the two sides of the identity never share that narrowing;
 ``pullback_support`` is the map's transpose, built on arrays by its own
 enumeration (membership masks over ``minor_layout``) and its own signs (the
 inversion parity of each appended string), so that the adjointness check
@@ -130,14 +131,15 @@ class MinorPowerMap(NamedTuple):
         if (table.n, table.k, table.s) != (self.n, self.k, self.s):
             raise DomainError(f"table space ({table.n},{table.k},{table.s}) does not match "
                               f"map space ({self.n},{self.k},{self.s})")
-        return self._image(table.values.ravel()[self.cells], table.backend)
+        row = self._image(table.values.ravel()[self.cells])
+        return KForm(self.n, self.k * self.s, row, table.backend)
 
-    def _image(self, minors: np.ndarray, backend: str) -> KForm:
-        """s! · Σ sign·minor along each row of the minors read at ``cells``."""
+    def _image(self, minors: np.ndarray) -> np.ndarray:
+        """s! · Σ sign·minor along each target's slots of the minors read at
+        ``cells``, for a stack (…, targets, slots) of them."""
         with scalars.float_guard("minor expansion"):
-            row = math.factorial(self.s) * signed_sum(lambda q: minors[:, q], minors.dtype,
-                                                      self.signs, self.plus, self.minus)
-        return KForm(self.n, self.k * self.s, row, backend)
+            return math.factorial(self.s) * signed_sum(lambda q: minors[..., q], minors.dtype,
+                                                       self.signs, self.plus, self.minus)
 
 
 def _cached_on_integers(build):
@@ -186,30 +188,46 @@ def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
     return MinorPowerMap(n, k, s, *sign_table(cells, rows, cols, signs=signs))
 
 
-def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
-    """Evaluate the s-th wedge power of project(X) from its order-s minors.
+def wedge_power_from_minors_rows(X: np.ndarray, n: int, k: int, s: int) -> np.ndarray:
+    """``wedge_power_from_minors`` of each row of a flat (m × C(n,k−1)·n) stack
+    of matrix entries: row i of the result is the s-th wedge power of
+    project(X[i]), in the stack's dtype (float64, or object summed exactly).
 
-    Applies the cached power map, taking in one batch the determinants of
-    exactly the submatrices its cells name, each once (a cell fixes its
-    target, so no minor recurs), instead of building the full minor table.
-    Zero without building the map when k is odd or s exceeds n/k.
+    The cached power map (looked up by name in this module on every call)
+    names the submatrices whose determinants it reads, each once (a cell fixes
+    its target, so no minor recurs); ``minors_at`` takes them for the whole
+    stack in budgeted chunks instead of building any minor table.  Zero
+    without building the map when k is odd or s exceeds n/k.  When every
+    entry of the stack is a Python int and s!·(slots per target)·s!·B^s fits
+    (B the largest entry in size), the minors stay in int64 through the map's
+    signed sum and the s!, and are widened to Python ints after it; otherwise
+    int64 minors are widened before the sum.
     """
-    n, k, s = X.n, X.k, integer(s, "power order")
+    s = integer(s, "power order")
     limit = min(n, math.comb(n, k - 1))
     if not 2 <= s <= limit:
         raise DomainError(f"power order {s} out of range 2..{limit}")
     if k % 2 == 1 or s > n // k:
-        return KForm.zero(n, k * s, X.backend)
+        return np.zeros((len(X), math.comb(n, k * s)), dtype=X.dtype)
     power_map = minor_power_map(n, k, s)
-    with scalars.float_guard("minors"):
-        minors = minors_at(X.entries, power_map.rows.reshape(-1, s), power_map.cols.reshape(-1, s))
-    # int64 minors stay int64 through the signed sum and the s! only when
-    # s!·(slots per target)·s!·B^s fits as well
+    stack = X.reshape(len(X), math.comb(n, k - 1), n)
     factor, slots = math.factorial(s), power_map.cells.shape[1]
-    if minors.dtype == np.int64 and \
-            scalars.narrow(X.entries, lambda B: factor * slots * factor * B ** s) is None:
+    narrowed = scalars.narrow(stack, lambda B: factor * slots * factor * B ** s) \
+        if X.dtype == object else None
+    with scalars.float_guard("minors"):
+        minors = minors_at(stack if narrowed is None else narrowed,
+                           power_map.rows.reshape(-1, s), power_map.cols.reshape(-1, s))
+    if narrowed is None and minors.dtype == np.int64:
         minors = minors.astype(object)
-    return power_map._image(minors.reshape(power_map.cells.shape), X.backend)
+    image = power_map._image(minors.reshape(len(X), *power_map.cells.shape))
+    return image if narrowed is None else image.astype(object)
+
+
+def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:
+    """Evaluate the s-th wedge power of project(X) from its order-s minors,
+    by ``wedge_power_from_minors_rows`` on a stack of one."""
+    row = wedge_power_from_minors_rows(X.entries.reshape(1, -1), X.n, X.k, s)[0]
+    return KForm(X.n, X.k * s, row, X.backend)
 
 
 def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:

@@ -8,6 +8,12 @@ Float coefficients are ``random.uniform(−scale, scale)`` draws, computed from
 each stream's ``random()`` values by uniform's own formula a + (b − a)·u in
 one numpy step, bit for bit the same.  ``random_form_rows`` draws a whole
 stack of forms that way, one row per stream, without a form per row.
+
+Integer entries are ``random.randint(low, high)`` draws, taken by
+``integer_draws``: the rejection loop on ``getrandbits`` that ``randint``
+runs, without its per-call argument checks, so every value and the stream's
+final state equal ``randint``'s.  ``random_integer_matrix`` draws one matrix
+that way, and ``random_integer_rows`` a stack of them, one row per stream.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from . import scalars
 from .errors import DomainError
 from .exterior import KForm, wedge_rows
+from .multiindex import integer
 from .shapespace import ShapeMatrix
 
 _STRIDE = 1_000_003  # coprime spacing keeps per-trial streams disjoint
@@ -67,12 +74,43 @@ def random_matrix(n: int, k: int, rng: random.Random, scale: float) -> ShapeMatr
     return ShapeMatrix(n, k, entries.reshape(-1, n), scalars.FLOAT)
 
 
+def integer_draws(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """``[rng.randint(low, high) for _ in range(count)]``, draw for draw.
+
+    ``randint`` takes each value as low + r, r drawn by ``getrandbits`` of
+    the span's bit length until it falls below the span; this is that loop,
+    so the values and the stream's final state are ``randint``'s.
+    """
+    low, high = integer(low, "low bound"), integer(high, "high bound")
+    span = high - low + 1
+    if span < 1:
+        raise DomainError(f"empty integer range {low}..{high}")
+    bits, getrandbits = span.bit_length(), rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        out.append(low + r)
+    return out
+
+
 def random_integer_matrix(n: int, k: int, rng: random.Random,
                           low: int = -5, high: int = 5) -> ShapeMatrix:
     """Exact-backend matrix with integer entries, the campaign default."""
-    rows = [[rng.randint(low, high) for _ in range(n)]
-            for _ in range(math.comb(n, k - 1))]
-    return ShapeMatrix(n, k, rows, scalars.EXACT)
+    entries = np.array(integer_draws(rng, low, high, math.comb(n, k - 1) * n), dtype=object)
+    return ShapeMatrix(n, k, entries.reshape(-1, n), scalars.EXACT)
+
+
+def random_integer_rows(n: int, k: int, seed: int, indices: Iterable[int],
+                        low: int, high: int) -> np.ndarray:
+    """A stack of exact matrices: for each j of ``indices``, the entries of
+    ``random_integer_matrix(n, k, derive_rng(seed, j), low, high)`` as one
+    flat row of Python ints in a read-only object array."""
+    width = math.comb(n, k - 1) * n
+    rows = [integer_draws(derive_rng(seed, j), low, high, width) for j in indices]
+    return scalars.array(np.array(rows, dtype=object).reshape(len(rows), width),
+                         (len(rows), width), scalars.EXACT, f"(n={n}, k={k}) matrix entries")
 
 
 def random_line(n: int, k: int, rng: random.Random, scale: float,

@@ -92,6 +92,17 @@ def finite_float(value) -> float:
         raise DomainError("a scalar lies beyond the float range") from None
 
 
+def real(value, what: str) -> float:
+    """``value`` as a Python float: any real number but a bool; ``what`` names
+    it in the error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} {value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} lies beyond the float range") from None
+
+
 def narrow(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray | None:
     """An int64 copy of an object array of Python ints, if it provably fits.
 

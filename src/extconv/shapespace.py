@@ -257,26 +257,34 @@ def det(rows: Sequence[Sequence]):
 
 
 def minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The minors of a matrix's entries on the row and column positions of
-    ``rows`` and ``cols``, which broadcast to (…, s): gathered and expanded
-    along the first axis, ``_GATHER_BUDGET`` entries a chunk (or one item of
-    that axis, when it holds more).
+    """The minors of a stack of matrices' entries, (…, R, n), on the row and
+    column positions of ``rows`` and ``cols``, which broadcast to (I, …, s):
+    for each matrix of the stack, the (I, …) minors, gathered and expanded
+    ``_GATHER_BUDGET`` entries a chunk over the matrices and the first axis of
+    the positions (or one item of that axis, when it holds more).
 
-    Python int entries whose minors provably fit (s!·B^s below
-    ``scalars.INT64_LIMIT``) are expanded in int64, and so are the minors
-    returned; any other entries keep their dtype.
+    When every entry of the whole stack is a Python int and their minors
+    provably fit (s!·B^s below ``scalars.INT64_LIMIT``), the stack is
+    expanded in int64, and so are the minors returned; any other entries keep
+    their dtype.
     """
     rows, cols = np.broadcast_arrays(rows, cols)
     s = rows.shape[-1]
     if entries.dtype == object:
         narrowed = scalars.narrow(entries, lambda B: math.factorial(s) * B ** s)
         entries = entries if narrowed is None else narrowed
-    step = max(1, _GATHER_BUDGET // (math.prod(rows.shape[1:]) * s or 1))
-    out = np.empty(rows.shape[:-1], dtype=entries.dtype)
-    for start in range(0, len(rows), step):
-        r, c = rows[start:start + step], cols[start:start + step]
-        out[start:start + step] = det_rows(entries[r[..., :, None], c[..., None, :]])
-    return out
+    stack = entries.reshape(-1, *entries.shape[-2:])
+    per_item = math.prod(rows.shape[1:]) * s or 1
+    # as many matrices as the budget holds at one item each, then as many items
+    matrices = min(len(stack), max(1, _GATHER_BUDGET // per_item)) or 1
+    step = max(1, _GATHER_BUDGET // (per_item * matrices))
+    out = np.empty((len(stack), *rows.shape[:-1]), dtype=entries.dtype)
+    for first in range(0, len(stack), matrices):
+        at = slice(first, first + matrices)
+        for start in range(0, len(rows), step):
+            r, c = rows[start:start + step], cols[start:start + step]
+            out[at, start:start + step] = det_rows(stack[at, r[..., :, None], c[..., None, :]])
+    return out.reshape(*entries.shape[:-2], *rows.shape[:-1])
 
 
 def adjugate(X: ShapeMatrix, s: int) -> MinorTable:

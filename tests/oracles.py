@@ -11,19 +11,26 @@ Expected values frozen into tests were computed with these.  The one
 exception is ``reference_pullback``, a scalar loop that takes its signs from
 the package's ``sign_interlace_append`` (a sort and its cycles), so that the
 array pullback's inversion parity is checked against a second sign route.
+``reference_verify_report`` is the ``verify-formula`` campaign one trial at a
+time, with ``randint`` draws and the one-matrix routes, which the stacked
+campaign must reproduce byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from extconv.errors import DomainError
+from extconv.exterior import wedge_power
 from extconv.multiindex import enumerate_multiindices, sign_interlace_append
-from extconv.shapespace import MinorTable
+from extconv.projection import project, wedge_power_from_minors
+from extconv.sampling import derive_rng
+from extconv.shapespace import MinorTable, ShapeMatrix
 
 
 def parity_by_cycles(seq):
@@ -276,3 +283,30 @@ def dense_inner(a, b):
         for x, y in zip(row_a, row_b):
             total = total + x * y
     return total
+
+
+def reference_verify_report(n, k, s, trials, seed=0, low=-5, high=5) -> tuple[int, str]:
+    """The exit code and stdout of ``verify-formula``, one trial at a time.
+
+    Trial t draws its matrix row by row with ``randint`` from
+    ``derive_rng(seed, t)`` and compares ``wedge_power(project(X), s)`` with
+    ``wedge_power_from_minors(X, s)``; the report keeps the largest residual
+    and the first trial with a nonzero one.
+    """
+    worst, failure = 0, None
+    for trial in range(trials):
+        rng = derive_rng(seed, trial)
+        X = ShapeMatrix(n, k, [[rng.randint(low, high) for _ in range(n)]
+                               for _ in range(math.comb(n, k - 1))])
+        direct, via_minors = wedge_power(project(X), s), wedge_power_from_minors(X, s)
+        residual = max((abs(a - b) for a, b in zip(direct.coeffs.tolist(),
+                                                   via_minors.coeffs.tolist())), default=0)
+        worst = max(worst, residual)
+        if residual and failure is None:
+            failure = {"n": n, "k": k, "s": s, "seed": seed, "trial": trial}
+    report = {"config": {"n": n, "k": k, "s": s}, "trials": trials, "seed": seed,
+              "entry_range": [low, high], "max_residual": str(worst),
+              "status": "fail" if worst else "pass"}
+    if failure is not None:
+        report["failure"] = failure
+    return int(worst != 0), json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

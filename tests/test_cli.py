@@ -1,13 +1,19 @@
 import functools
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from extconv.cli import main
-from extconv.exterior import KForm, wedge
+from extconv import cli, scalars
+from extconv.cli import build_parser, main
+from extconv.exterior import KForm, _wedge_table, wedge
+from extconv.projection import minor_power_map
 from extconv.shapespace import tensor
+
+from oracles import reference_verify_report
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +164,161 @@ class TestVerifyFormula:
         code, _, err = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2",
                                "--s", "9", "--trials", "2")
         assert code == 2 and err
+
+
+def verify(capsys, n, k, s, trials, seed=0, low=-5, high=5):
+    """``verify-formula``'s (exit code, stdout), next to the per-trial oracle's."""
+    code, out, _ = run_cli(capsys, "verify-formula", "--n", str(n), "--k", str(k), "--s", str(s),
+                           "--trials", str(trials), "--seed", str(seed),
+                           "--low", str(low), "--high", str(high))
+    return (code, out), reference_verify_report(n, k, s, trials, seed, low, high)
+
+
+class TestStackedTrials:
+    """The stacked campaign reports byte for byte what the per-trial loop does."""
+
+    @pytest.mark.parametrize("n,k,s,low,high", [
+        (6, 2, 3, -5, 5), (8, 4, 2, -5, 5), (8, 2, 4, -5, 5),    # even k
+        (6, 3, 2, -5, 5), (9, 3, 3, -5, 5),                      # odd k: both sides zero
+        (4, 2, 3, -5, 5), (6, 3, 3, -5, 5), (8, 4, 3, -5, 5),    # s > n/k
+        (6, 2, 3, 3, 3), (4, 2, 2, -2, -2),                      # --low == --high
+    ])
+    def test_report_matches_the_per_trial_oracle(self, capsys, n, k, s, low, high):
+        got, want = verify(capsys, n, k, s, 7, 4, low, high)
+        assert got == want and got[0] == 0
+
+    def test_entries_beyond_int64_take_the_object_path(self, capsys, monkeypatch):
+        # 4!·10^24 bounds no minor in int64, so every narrowing declines
+        declined = []
+        real = scalars.narrow
+        monkeypatch.setattr(scalars, "narrow",
+                            lambda values, bound: declined.append(real(values, bound) is None)
+                            or real(values, bound))
+        got, _ = verify(capsys, 8, 2, 4, 3, 1, -10 ** 6, 10 ** 6)
+        assert declined and all(declined)
+        monkeypatch.undo()
+        assert got == reference_verify_report(8, 2, 4, 3, 1, -10 ** 6, 10 ** 6)
+
+    def test_direct_route_stays_on_objects(self, capsys, monkeypatch):
+        # the two sides of the identity must not share the int64 narrowing
+        dtypes = []
+        for name in ("project_rows", "wedge_power_rows"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda X, *args, real=real:
+                                dtypes.append(X.dtype) or real(X, *args))
+        got, want = verify(capsys, 8, 2, 4, 5)
+        assert got == want and dtypes == [np.dtype(object)] * 2
+
+    def stacks(self, monkeypatch, entries):
+        """The trials of each stack the campaign draws, with ``entries`` a stack."""
+        monkeypatch.setattr(cli, "_TRIAL_ENTRIES", entries)
+        stacks = []
+        real = cli.random_integer_rows
+        monkeypatch.setattr(cli, "random_integer_rows",
+                            lambda n, k, seed, trials, *bounds:
+                            stacks.append(list(trials)) or real(n, k, seed, trials, *bounds))
+        return stacks
+
+    def test_trials_spanning_stacks_match(self, capsys, monkeypatch):
+        # (4,2,2) trials hold 16 entries at most, so 40 entries hold 2 trials
+        stacks = self.stacks(monkeypatch, 40)
+        got, want = verify(capsys, 4, 2, 2, 9, 6)
+        assert stacks == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
+        assert got == want
+
+    def test_fault_names_the_first_failing_trial(self, capsys, monkeypatch, sign_fault):
+        # 0/1 entries leave many flipped minors zero, so a seed whose first
+        # failing trial lies in the second stack exists and pins its index
+        seed, want = next((seed, want) for seed in range(500)
+                          for want in [reference_verify_report(4, 2, 2, 8, seed, 0, 1)]
+                          if json.loads(want[1]).get("failure", {}).get("trial", 0) >= 3)
+        stacks = self.stacks(monkeypatch, 48)
+        got, _ = verify(capsys, 4, 2, 2, 8, seed, 0, 1)
+        assert got == want and got[0] == 1 and len(stacks) == 3
+
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 2, 4), (8, 4, 2), (9, 3, 3),
+                                       (6, 3, 2), (10, 2, 5), (12, 2, 3), (12, 4, 3), (4, 2, 3)])
+    def test_trial_size_is_the_largest_table(self, n, k, s):
+        tables = [math.comb(n, k - 1) * n, minor_power_map(n, k, s).cells.size]
+        tables += [_wedge_table(n, k * i, k)[0].size for i in range(1, s) if k * (i + 1) <= n]
+        assert cli._trial_entries(n, k, s) == max(tables)
+
+    def test_stacks_do_not_grow_with_trials(self, monkeypatch):
+        # a billion trials: the first stack is drawn, then the run stops
+        class Stop(Exception):
+            pass
+
+        drawn = []
+
+        def first_stack(n, k, seed, trials, *bounds):
+            drawn.append(len(trials))
+            raise Stop
+
+        monkeypatch.setattr(cli, "random_integer_rows", first_stack)
+        for n, k, s in [(8, 2, 4), (12, 2, 3), (6, 2, 3)]:
+            with pytest.raises(Stop):
+                main(["verify-formula", "--n", str(n), "--k", str(k), "--s", str(s),
+                      "--trials", str(10 ** 9)])
+            assert drawn[-1] == max(1, cli._TRIAL_ENTRIES // cli._trial_entries(n, k, s))
+            assert drawn[-1] * cli._trial_entries(n, k, s) <= max(cli._TRIAL_ENTRIES,
+                                                                  cli._trial_entries(n, k, s))
+
+
+class TestParserCache:
+    """One parser serves every call of a process, as a fresh one would."""
+
+    def test_calls_in_one_process_equal_fresh_processes(self, capsys, tmp_path):
+        fn = write_json(tmp_path, "fn.json", NEG_NORM_SQ)
+        base = write_json(tmp_path, "base.json", {"n": 4, "k": 2, "coeffs": {"1,2": 0.5}})
+        calls = [["support-lp", "--input", fn, "--base", base, "--trials", "60"],
+                 ["check-convexity", "--mode", "one-convex", "--input", fn, "--trials", "20"]]
+        in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "extconv", *argv],
+                                  capture_output=True, text=True, timeout=120)
+            fresh.append((proc.returncode, proc.stdout))
+        assert in_process == fresh
+        assert [code for code, _ in fresh] == [1, 1]
+
+    def test_no_attribute_leaks_between_namespaces(self):
+        assert build_parser() is build_parser()
+        argvs = [["support-lp", "--input", "f.json", "--base", "b.json"],
+                 ["fit-quasiaffine", "--input", "f.json", "--fit-tolerance", "1e-6"],
+                 ["check-convexity", "--mode", "one-convex", "--input", "f.json"],
+                 ["verify-formula", "--n", "4", "--k", "2", "--s", "2"]]
+        for argv in argvs:
+            build_parser().parse_args(argv)
+        for argv in argvs:
+            assert vars(build_parser().parse_args(argv)) == \
+                vars(build_parser.__wrapped__().parse_args(argv))
+
+    def test_bad_flags_after_a_good_call(self, capsys):
+        assert run_cli(capsys, "verify-formula", "--n", "4", "--k", "2", "--s", "2",
+                       "--trials", "2")[0] == 0
+        code, out, err = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2", "--s", "2",
+                                 "--trials", "0")
+        assert code == 2 and out == "" and err.startswith("extconv: ") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as cached:
+            main(["verify-formula", "--n", "4", "--k", "2", "--s", "2", "--bogus"])
+        cached_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as fresh:
+            build_parser.__wrapped__().parse_args(["verify-formula", "--n", "4", "--k", "2",
+                                                   "--s", "2", "--bogus"])
+        assert cached.value.code == fresh.value.code == 2
+        assert cached_err == capsys.readouterr().err and "--bogus" in cached_err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify-formula", "--help"],
+                                      ["support-lp", "--help"]])
+    def test_help_unchanged(self, capsys, argv):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as cached:
+                main(argv)
+            assert cached.value.code == 0
+            text = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                build_parser.__wrapped__().parse_args(argv)
+            assert text == capsys.readouterr().out and text.startswith("usage: extconv")
 
 
 class TestCheckConvexity:

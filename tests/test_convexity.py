@@ -545,6 +545,23 @@ class TestStepIndependence:
         with pytest.raises(DomainError):
             SamplerConfig(step=step)
 
+    @pytest.mark.parametrize("field,value", [
+        ("coeff_range", True), ("step", True), ("tolerance", True), ("tolerance", False),
+        ("tolerance", "x"), ("step", "1e-3"), ("coeff_range", None), ("coeff_range", 1j),
+        ("tolerance", np.bool_(False)), ("coeff_range", Fraction(10 ** 400)),
+    ], ids=["range-True", "step-True", "tolerance-True", "tolerance-False", "tolerance-str",
+            "step-str", "range-None", "range-complex", "tolerance-numpy-bool",
+            "range-beyond-float"])
+    def test_bools_and_non_reals_refused(self, field, value):
+        # a bool compares as 1 or 0 and a string raised a bare TypeError
+        with pytest.raises(DomainError):
+            SamplerConfig(**{field: value})
+
+    def test_real_settings_stored_as_floats(self):
+        cfg = SamplerConfig(coeff_range=3, step=Fraction(1, 1000), tolerance=np.float32(0.5))
+        assert (cfg.coeff_range, cfg.step, cfg.tolerance) == (3.0, 1e-3, 0.5)
+        assert all(type(v) is float for v in (cfg.coeff_range, cfg.step, cfg.tolerance))
+
 
 class TestStackedSampling:
     def test_scan_matches_the_per_trial_route(self):

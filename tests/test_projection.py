@@ -12,7 +12,7 @@ from extconv.exterior import KForm, scalar_product, wedge, wedge_power
 from extconv.polyform import Poly, PolyKForm, d_right, gradient, project_polynomial
 from extconv.projection import (minor_power_map, project, project_rows,
                                 pullback_support, right_inverse,
-                                wedge_power_from_minors)
+                                wedge_power_from_minors, wedge_power_from_minors_rows)
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, minor_layout, table_inner,
                                 tensor)
 
@@ -254,6 +254,73 @@ class TestWedgePowerFromMinors:
         monkeypatch.setattr(scalars, "narrow", lambda *args: pytest.fail("narrowed"))
         assert wedge_power(project(X), 4).coeffs.dtype == object
         assert len(dtypes) == 4 and set(dtypes) == {np.dtype(object)}
+
+
+class TestStackedMinorKernel:
+    """``wedge_power_from_minors_rows`` is ``wedge_power_from_minors`` row by row."""
+
+    @staticmethod
+    def row_by_row(stack, n, k, s, backend):
+        got = wedge_power_from_minors_rows(stack, n, k, s)
+        rows = [wedge_power_from_minors(ShapeMatrix(n, k, row.reshape(-1, n), backend), s).coeffs
+                for row in stack]
+        assert got.shape == (len(stack), math.comb(n, k * s))
+        return got, rows
+
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 4, 2), (8, 2, 4), (6, 3, 2),
+                                       (4, 2, 3)])
+    @pytest.mark.parametrize("bound", [5, 10 ** 6])
+    def test_int_stack(self, n, k, s, bound):
+        rng = random.Random(n * 100 + k * 10 + s + bound)
+        width = math.comb(n, k - 1) * n
+        stack = np.array([[rng.randint(-bound, bound) for _ in range(width)] for _ in range(6)],
+                         dtype=object)
+        got, rows = self.row_by_row(stack, n, k, s, scalars.EXACT)
+        assert got.dtype == object and all(type(v) is int for v in got.ravel().tolist())
+        assert got.tolist() == [row.tolist() for row in rows]
+
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 4, 2)])
+    def test_mixed_int_and_fraction_stack(self, n, k, s):
+        rng = random.Random(n + k + s)
+        width = math.comb(n, k - 1) * n
+        stack = np.array([[rand_exact(rng) if rng.random() < 0.3 else rng.randint(-5, 5)
+                           for _ in range(width)] for _ in range(4)], dtype=object)
+        got, rows = self.row_by_row(stack, n, k, s, scalars.EXACT)
+        assert got.tolist() == [row.tolist() for row in rows]
+
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 4, 2), (8, 2, 4), (6, 3, 2)])
+    def test_float_stack_bit_for_bit(self, n, k, s):
+        stack = np.random.default_rng(n * k * s).uniform(-3, 3, (5, math.comb(n, k - 1) * n))
+        got, rows = self.row_by_row(stack, n, k, s, scalars.FLOAT)
+        assert got.dtype == np.float64
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in rows]
+
+    def test_narrowing_is_decided_over_the_stack(self, monkeypatch):
+        # one entry of 10^6 in the last row keeps the whole stack's minors as objects
+        rng = random.Random(3)
+        stack = np.array([[rng.randint(-5, 5) for _ in range(64)] for _ in range(3)], dtype=object)
+        stack[2, 5] = 10 ** 6
+        narrowed = []
+        real = scalars.narrow
+        monkeypatch.setattr(scalars, "narrow", lambda values, bound:
+                            narrowed.append(real(values, bound)) or narrowed[-1])
+        got = wedge_power_from_minors_rows(stack, 8, 2, 4)
+        assert narrowed and all(result is None for result in narrowed)
+        monkeypatch.undo()
+        assert got.tolist() == [wedge_power(project(ShapeMatrix(8, 2, row.reshape(8, 8))), 4)
+                                .coeffs.tolist() for row in stack]
+
+    def test_fault_reaches_the_stacked_kernel(self, sign_fault):
+        stack = np.array([rand_int_matrix(4, 2, random.Random(t)).entries.ravel()
+                          for t in range(3)], dtype=object)
+        direct = exterior.wedge_power_rows(project_rows(stack, 4, 2), 4, 2, 2)
+        assert wedge_power_from_minors_rows(stack, 4, 2, 2).tolist() != direct.tolist()
+
+    def test_order_checked_before_any_work(self):
+        stack = np.zeros((2, 16), dtype=object)
+        for s in (0, 1, 5, True):
+            with pytest.raises(DomainError):
+                wedge_power_from_minors_rows(stack, 4, 2, s)
 
 
 class TestLazyMinors:

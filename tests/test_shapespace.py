@@ -269,6 +269,49 @@ class TestNarrowedMinors:
             assert table.values.item(r, c) == perm_det(sub)
 
 
+class TestStackedMinors:
+    """``minors_at`` on a stack of matrices, (…, R, n) entries."""
+
+    @pytest.mark.parametrize("budget", [24, 50, 100, 1 << 13])    # an item holds 6 2×2 minors
+    @pytest.mark.parametrize("stack", [(1,), (5,), (2, 3)])
+    def test_gathers_stay_in_budget(self, monkeypatch, budget, stack):
+        rng = random.Random(budget + len(stack))
+        entries = np.array([rng.randint(-9, 9) for _ in range(math.prod(stack) * 6 * 4)],
+                           dtype=object).reshape(*stack, 6, 4)
+        rows, cols = subsets(6, 2), subsets(4, 2)
+        gathered = []
+        real = shapespace.det_rows
+        monkeypatch.setattr(shapespace, "det_rows",
+                            lambda M: gathered.append(M.size) or real(M))
+        monkeypatch.setattr(shapespace, "_GATHER_BUDGET", budget)
+        got = minors_at(entries, rows[:, None], cols[None])
+        monkeypatch.undo()
+        assert max(gathered) <= budget and sum(gathered) == math.prod(stack) * 15 * 6 * 4
+        assert got.shape == (*stack, 15, 6) and got.dtype == np.int64
+        for at in np.ndindex(*stack):
+            assert got[at].tolist() == minors_at(entries[at], rows[:, None], cols[None]).tolist()
+
+    def test_one_item_above_the_budget_is_gathered_alone(self, monkeypatch):
+        entries = np.arange(3 * 16, dtype=float).reshape(3, 4, 4)
+        gathered = []
+        real = shapespace.det_rows
+        monkeypatch.setattr(shapespace, "det_rows",
+                            lambda M: gathered.append(M.shape) or real(M))
+        monkeypatch.setattr(shapespace, "_GATHER_BUDGET", 4)
+        rows = subsets(4, 3)
+        got = minors_at(entries, rows, rows)
+        assert gathered == [(1, 1, 3, 3)] * 12 and got.shape == (3, 4)
+
+    def test_narrowing_is_decided_over_the_stack(self):
+        small = np.array([[1, 2], [3, 4]], dtype=object)
+        big = np.array([[1, 2], [3, 10 ** 10]], dtype=object)
+        both = np.stack([small, big])
+        rows = np.array([[0, 1]])
+        assert minors_at(small, rows, rows).dtype == np.int64
+        got = minors_at(both, rows, rows)
+        assert got.dtype == object and got.tolist() == [[-2], [10 ** 10 - 6]]
+
+
 class TestAdjugate:
     def test_order_one_is_matrix(self):
         rng = random.Random(3)
