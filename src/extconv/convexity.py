@@ -20,15 +20,16 @@ The checks implemented here:
   refutation, because the sampled constraints alone already admit no
   supporting coefficients.
 
-Every trial still draws from its own stream ``derive_rng(seed, trial)``; the
-draws are then stacked, one form or flattened matrix per row (the fitter's and
-the LP's samples are drawn as a stack, ``sampling.random_form_rows``), and the
-wedge powers and f run once per stack through the row kernels typed by its
-dtype (``exterior.wedge_rows``, ``FormFunction.evaluate_rows``, and for a lift
-``projection.project_rows``); wedge lines and rank-one lines share one scan,
-and the lift cross-check is one stacked pass in either backend.  A row's
-result does not depend on its stack, so ``replay_witness`` runs the same
-kernel on one row and reproduces the scan's second difference exactly.
+Every trial draws from its own stream ``derive_rng(seed, trial)``, and each
+campaign draws its trials as one stack (``sampling.random_form_rows``,
+``random_line_rows``, ``random_rank_one_rows``), one form or flattened matrix
+per row.  The wedge powers and f run once per stack through the row kernels
+typed by its dtype (``exterior.wedge_rows``, ``FormFunction.evaluate_rows``,
+and for a lift ``projection.project_rows``); wedge and rank-one lines share
+one scan, which builds forms only for its witness, and the lift cross-check is
+one stacked pass in either backend.  A row's result does not depend on its
+stack, so ``replay_witness`` runs the same kernel on one row and reproduces the
+scan's second difference exactly.
 
 Line verdicts judge the curvature d2/h² of the second difference d2 against
 the tolerance plus a rounding floor, after Nocedal & Wright, *Numerical
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -56,9 +56,8 @@ from .errors import DomainError, LPInternalError
 from .exterior import KForm, ordered_sum, scalar_product, wedge_power, wedge_rows
 from .functions import FormFunction
 from .multiindex import integer
-from .projection import project, project_rows, right_inverse
-from .sampling import (derive_rng, random_exact_form, random_form, random_form_rows,
-                       random_line, random_matrix)
+from .projection import project, project_rows, right_inverse_rows
+from .sampling import random_form_rows, random_line_rows, random_rank_one_rows
 from .shapespace import ShapeMatrix
 from . import simplex
 
@@ -136,24 +135,18 @@ class _LineJudgement:
                        cfg.tolerance, cfg.step, float(judged.max()), witness)
 
 
-def _line_points(xi: np.ndarray, direction: np.ndarray, t: np.ndarray, h: float
-                 ) -> np.ndarray:
-    """The points ξ + τ·D at τ = t+h, t−h, t, as a (3 × m × width) stack."""
-    with scalars.float_guard("line point"):
-        taus = np.stack([t + h, t - h, t])
-        return xi + taus[:, :, None] * direction
-
-
 def _line_judgement(f, xi: np.ndarray, direction: np.ndarray, t: np.ndarray, h: float,
                     tolerance: float, affine: bool) -> _LineJudgement:
     """Judge f along m lines, evaluated in one kernel call: convexity, or affinity.
 
-    M is ``f.magnitude_rows`` where f has one, and max(1, |g|) otherwise.  The
-    comparison runs on d2 against (tolerance + floor)·h², which is the
-    curvature test d2/h² against tolerance + floor without a division.
+    f runs on the points ξ + τ·D at τ = t+h, t−h, t.  M is ``f.magnitude_rows``
+    where f has one, and max(1, |g|) otherwise.  The comparison runs on d2
+    against (tolerance + floor)·h², which is the curvature test d2/h² against
+    tolerance + floor without a division.
     """
     m = t.size
-    flat = _line_points(xi, direction, t, h).reshape(3 * m, -1)
+    with scalars.float_guard("line point"):
+        flat = (xi + np.stack([t + h, t - h, t])[:, :, None] * direction).reshape(3 * m, -1)
     g = f.evaluate_rows(flat).reshape(3, m)
     M = (f.magnitude_rows(flat).reshape(3, m) if hasattr(f, "magnitude_rows")
          else np.maximum(np.abs(g), 1.0))
@@ -166,42 +159,33 @@ def _line_judgement(f, xi: np.ndarray, direction: np.ndarray, t: np.ndarray, h: 
         return _LineJudgement(d2, threshold, noise / hh, bad, h)
 
 
-def _stack(items: Sequence[KForm | ShapeMatrix]) -> np.ndarray:
-    """One float row per form (its coefficients) or matrix (its entries, row-major)."""
-    return np.array([x.entries.ravel() if isinstance(x, ShapeMatrix) else x.coeffs
-                     for x in items], dtype=float)
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i is the flat entries of the rank-one matrix a[i] ⊗ b[i]."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
-def _scan(f, cfg: SamplerConfig, mode: str, draw: Callable, direction: Callable,
-          names: tuple[str, str, str]) -> Verdict:
-    """Judge f along one line per trial, the draws of all trials stacked.
+def _form_json(n: int, k: int, row: np.ndarray) -> dict:
+    return KForm(n, k, row, scalars.FLOAT).to_json()
 
-    ``draw(rng)`` gives the base point and two direction factors (witness keys
-    ``names``), and ``direction`` maps their stacks to the line directions.
-    """
-    draws, ts = [], []
-    for trial in range(cfg.trials):
-        rng = derive_rng(cfg.seed, trial)
-        draws.append(draw(rng))
-        ts.append(rng.uniform(-1.0, 1.0))
-    base, left, right = (_stack([d[i] for d in draws]) for i in range(3))
-    with scalars.float_guard("line direction"):
-        lines = direction(left, right)
-    judged = _line_judgement(f, base, lines, np.array(ts), cfg.step, cfg.tolerance,
+
+def _scan(f, cfg: SamplerConfig, mode: str, base: np.ndarray, lines: np.ndarray,
+          t: np.ndarray, drawn: Callable[[int], dict]) -> Verdict:
+    """Judge f along base[i] + τ·lines[i] near τ = t[i], one line per trial;
+    ``drawn(i)`` gives the draws of the first failing trial by witness key."""
+    judged = _line_judgement(f, base, lines, t[:, 0], cfg.step, cfg.tolerance,
                              mode == "one-affine")
-    trial = judged.first_bad()
-    witness = None
-    if trial is not None:
-        witness = {"trial": trial, **{name: x.to_json() for name, x in zip(names, draws[trial])},
-                   "t": ts[trial], "h": cfg.step, **judged.witness(trial)}
+    i = judged.first_bad()
+    witness = None if i is None else {"trial": i, **drawn(i), "t": float(t[i, 0]),
+                                      "h": cfg.step, **judged.witness(i)}
     return judged.verdict(mode, cfg, witness)
 
 
 def _scan_lines(f: FormFunction, cfg: SamplerConfig, mode: str) -> Verdict:
-    n, k, r = f.n, f.k, cfg.coeff_range
-    return _scan(f, cfg, mode, lambda rng: (random_form(n, k, rng, r), *random_line(n, k, rng, r)),
-                 lambda alpha, beta: wedge_rows(alpha, beta, n, k - 1, 1),
-                 ("xi", "alpha", "beta"))
+    n, k = f.n, f.k
+    xi, alpha, beta, t = random_line_rows(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
+    return _scan(f, cfg, mode, xi, wedge_rows(alpha, beta, n, k - 1, 1), t,
+                 lambda i: {"xi": _form_json(n, k, xi[i]), "alpha": _form_json(n, k - 1, alpha[i]),
+                            "beta": _form_json(n, 1, beta[i])})
 
 
 def check_ext_one_convex(f: FormFunction, cfg: SamplerConfig) -> Verdict:
@@ -217,15 +201,21 @@ def check_ext_one_affine(f: FormFunction, cfg: SamplerConfig) -> Verdict:
     return _scan_lines(f, cfg, "one-affine")
 
 
-def replay_witness(f: FormFunction, witness: dict):
-    """Recompute the witnessed second difference from its stored numbers.
-
-    It runs the scan's own judgement on the one stored line.
-    """
-    xi, alpha, beta = (_stack([KForm.from_json(witness[key], scalars.FLOAT)])
-                       for key in ("xi", "alpha", "beta"))
-    judged = _line_judgement(f, xi, wedge_rows(alpha, beta, f.n, f.k - 1, 1),
-                             np.array([witness["t"]]), witness["h"], 0.0, False)
+def replay_witness(f, witness: dict):
+    """Recompute the witnessed second difference from its stored numbers: the
+    scan's own judgement on the one stored line, a wedge line (ξ, α, β) of a
+    ``FormFunction`` or a rank-one line (X, a, b) of a lift."""
+    keys = set(witness) if isinstance(witness, dict) else set()
+    form = lambda key: KForm.from_json(witness[key], scalars.FLOAT).coeffs[None]
+    if isinstance(f, FormFunction) and keys >= {"xi", "alpha", "beta", "t", "h"}:
+        base, line = form("xi"), wedge_rows(form("alpha"), form("beta"), f.n, f.k - 1, 1)
+    elif isinstance(f, LiftedFunction) and keys >= {"X", "a", "b", "t", "h"}:
+        base = ShapeMatrix.from_json(witness["X"], scalars.FLOAT).entries.reshape(1, -1)
+        line = _outer_rows(form("a"), form("b"))
+    else:
+        raise DomainError("a witness replays as a wedge line (xi, alpha, beta) of a form "
+                          "function or a rank-one line (X, a, b) of a lift")
+    judged = _line_judgement(f, base, line, np.array([witness["t"]]), witness["h"], 0.0, False)
     return float(judged.d2[0])
 
 
@@ -278,12 +268,12 @@ def check_rank_one_convex(F: Callable, n: int, k: int, cfg: SamplerConfig) -> Ve
         F = SimpleNamespace(evaluate_rows=lambda rows, F=F: np.array(
             [F(ShapeMatrix(n, k, row.reshape(-1, n), scalars.FLOAT)) for row in rows],
             dtype=float))
-    r = cfg.coeff_range
-    return _scan(F, cfg, "rank-one-convex",
-                 lambda rng: (random_matrix(n, k, rng, r), random_form(n, k - 1, rng, r),
-                              random_form(n, 1, rng, r)),
-                 lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1),
-                 ("X", "a", "b"))
+    X, a, b, t = random_rank_one_rows(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
+    with scalars.float_guard("line direction"):
+        lines = _outer_rows(a, b)
+    return _scan(F, cfg, "rank-one-convex", X, lines, t, lambda i: {
+        "X": ShapeMatrix(n, k, X[i].reshape(-1, n), scalars.FLOAT).to_json(),
+        "a": _form_json(n, k - 1, a[i]), "b": _form_json(n, 1, b[i])})
 
 
 @dataclass
@@ -312,35 +302,24 @@ def cross_check_lift(f: FormFunction, cfg: SamplerConfig,
     """Compare f along wedge lines with its lift along the matched matrix lines.
 
     Each trial draws ξ, α, β and ``LIFT_POINTS_PER_LINE`` values of t from its
-    own stream; then f runs once on the stacked wedge lines ξ + t·(α∧β), and
-    the lift on the matrix lines right_inverse(ξ) + t·(α⊗β).  Only the lift
-    sums the projection table's signs, and the discrepancy is exactly zero
-    algebraically, so anything beyond float rounding is a sign fault in the
-    projection path.  Both backends take this one path in their own dtype.
+    own stream (``sampling.random_line_rows``); then f runs once on the stacked
+    wedge lines ξ + t·(α∧β), and the lift on the matrix lines
+    right_inverse(ξ) + t·(α⊗β).  Only the lift sums the projection table's
+    signs, and the discrepancy is exactly zero algebraically, so anything
+    beyond float rounding is a sign fault in the projection path.  Both
+    backends take this one path in their own dtype.
     """
-    exact = backend == scalars.EXACT
-    n, k, r = f.n, f.k, cfg.coeff_range
-    draws, ts = [], []
-    for trial in range(cfg.trials):
-        rng = derive_rng(cfg.seed, trial)
-        if exact:
-            draws.append((random_exact_form(n, k, rng), *random_line(n, k, rng, r, exact=True)))
-            ts.append([Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                       for _ in range(LIFT_POINTS_PER_LINE)])
-        else:
-            draws.append((random_form(n, k, rng, r), *random_line(n, k, rng, r)))
-            ts.append([rng.uniform(-1.0, 1.0) for _ in range(LIFT_POINTS_PER_LINE)])
-    xi, alpha, beta = (np.stack([d[i].coeffs for d in draws]) for i in range(3))
-    t = scalars.array(ts, (cfg.trials, LIFT_POINTS_PER_LINE), backend,
-                      "line parameters").T[:, :, None]        # points × trials × 1
-    base = np.stack([right_inverse(d[0]).entries.ravel() for d in draws])
+    n, k = f.n, f.k
+    xi, alpha, beta, t = random_line_rows(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range,
+                                          LIFT_POINTS_PER_LINE, backend)
+    t = t.T[:, :, None]                                       # points × trials × 1
+    base = right_inverse_rows(xi, n, k)
     with scalars.float_guard("lift cross-check"):
         line = (xi + t * wedge_rows(alpha, beta, n, k - 1, 1)).reshape(-1, xi.shape[1])
-        outer = (alpha[:, :, None] * beta[:, None, :]).reshape(cfg.trials, -1)
-        matrix = (base + t * outer).reshape(-1, base.shape[1])
+        matrix = (base + t * _outer_rows(alpha, beta)).reshape(-1, base.shape[1])
         gaps = np.abs(f.evaluate_rows(line) - lift(f).evaluate_rows(matrix))
     worst = max(gaps.ravel().tolist())
-    ok = (worst == 0) if exact else (worst <= LIFT_TOLERANCE)
+    ok = (worst == 0) if backend == scalars.EXACT else (worst <= LIFT_TOLERANCE)
     return LineCrossCheck(backend, cfg.trials, LIFT_POINTS_PER_LINE, worst, LIFT_TOLERANCE,
                           "pass" if ok else "fail")
 
@@ -468,11 +447,11 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     else:
         if not etas or any((eta.n, eta.k) != (n, k) for eta in etas):
             raise DomainError(f"sample points must be a nonempty list of ({n},{k}) forms")
-        eta = _stack(etas)
+        eta = np.array([e.coeffs for e in etas], dtype=float)
     f_base = float(f(xi))
 
     with scalars.float_guard("support constraint"):
-        base = _power_features(_stack([xi]), n, k)[:, 1:]
+        base = _power_features(np.array([xi.coeffs], dtype=float), n, k)[:, 1:]
         w = _power_features(eta, n, k)[:, 1:] - base
         # t's column is all ones: the simplex enters it to start feasible
         A = np.hstack([-w, np.ones((eta.shape[0], 1))])

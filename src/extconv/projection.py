@@ -5,8 +5,8 @@
 outer products to wedge products and gradients to exterior derivatives, and it
 is onto, with ``right_inverse`` as a sign-free section.  Its coefficient rule
 is one cached table per (n, k), which ``project_rows`` sums for ``project``
-and ``polyform.project_polynomial``; the order-1 power map reaches the same
-map by its own route.
+and ``polyform.project_polynomial`` and whose last slots ``right_inverse_rows``
+fills; the order-1 power map reaches the same map by its own route.
 
 For even k the s-th wedge power of a projected matrix is a signed sum of
 order-s minors.  ``minor_power_map`` applies one pattern per (k, s), the
@@ -87,18 +87,21 @@ def project(X: ShapeMatrix) -> KForm:
     return KForm(X.n, X.k, row, X.backend)
 
 
-def right_inverse(x: KForm) -> ShapeMatrix:
-    """A section of the projection: project(right_inverse(x)) == x exactly.
-
-    Each coefficient is parked in its target's last slot (K∖max K, max K),
-    whose sign is +1, so the construction is sign-free.
-    """
-    n, k = x.n, x.k
+def right_inverse_rows(x: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``right_inverse`` of each row of a coefficient stack, as flat matrix entries
+    in its dtype: each coefficient is parked in its target's last slot
+    (K∖max K, max K), whose sign is +1, so the construction is sign-free."""
     if not 2 <= k <= n:
         raise DomainError(f"right inverse needs 2 ≤ k ≤ n, got k={k}, n={n}")
-    entries = np.zeros(math.comb(n, k - 1) * n, dtype=x.coeffs.dtype)
-    entries[_projection_table(n, k)[0][:, -1]] = x.coeffs
-    return ShapeMatrix(n, k, entries.reshape(-1, n), x.backend)
+    entries = np.zeros((x.shape[0], math.comb(n, k - 1) * n), dtype=x.dtype)
+    entries[:, _projection_table(n, k)[0][:, -1]] = x
+    return entries
+
+
+def right_inverse(x: KForm) -> ShapeMatrix:
+    """A section of the projection: project(right_inverse(x)) == x exactly."""
+    entries = right_inverse_rows(x.coeffs[None], x.n, x.k)
+    return ShapeMatrix(x.n, x.k, entries.reshape(-1, x.n), x.backend)
 
 
 class MinorPowerMap(NamedTuple):

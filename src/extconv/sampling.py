@@ -2,18 +2,18 @@
 
 Every trial draws from its own stream derived from (seed, trial index), so
 results do not depend on scheduling and any witness can be replayed from the
-numbers stored in the report.
+numbers stored in the report.  Every draw is a stack, one row per stream.
 
 Float coefficients are ``random.uniform(−scale, scale)`` draws, computed from
 each stream's ``random()`` values by uniform's own formula a + (b − a)·u in
-one numpy step, bit for bit the same.  ``random_form_rows`` draws a whole
-stack of forms that way, one row per stream, without a form per row.
+one numpy step, bit for bit the same.  A line takes each stream's blocks in
+one such pass: ξ, α, β (or X, a, b), then α and β again, from the streams of
+the rows one ``wedge_rows`` call finds with α∧β = 0, then t.
 
 Integer entries are ``random.randint(low, high)`` draws, taken by
 ``integer_draws``: the rejection loop on ``getrandbits`` that ``randint``
 runs, without its per-call argument checks, so every value and the stream's
-final state equal ``randint``'s.  ``random_integer_matrix`` draws one matrix
-that way, and ``random_integer_rows`` a stack of them, one row per stream.
+final state equal ``randint``'s.
 """
 
 from __future__ import annotations
@@ -21,25 +21,34 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, wedge_rows
+from .exterior import wedge_rows
 from .multiindex import integer
-from .shapespace import ShapeMatrix
 
-_STRIDE = 1_000_003  # coprime spacing keeps per-trial streams disjoint
+# streams of two seeds are disjoint only below index _STRIDE: the fitter's
+# offsets are not, so seed s's validation stream is seed s + 76's trial 999 772
+_STRIDE = 1_000_003
+_ATTEMPTS = 100             # direction pairs a line draws before it is given up
 
 
 def derive_rng(seed: int, index: int) -> random.Random:
+    """Trial ``index``'s stream.  ``random.Random`` seeds an int by its absolute
+    value, so a negative seed or index would replay another one's streams."""
+    if seed < 0 or index < 0:
+        raise DomainError(f"seed and trial index must be nonnegative, got {seed} and {index}")
     return random.Random(seed * _STRIDE + index)
 
 
-def _uniform_rows(rngs: Sequence[random.Random], width: int, scale: float) -> np.ndarray:
-    """Row j holds ``width`` successive draws rngs[j].uniform(−scale, scale).
+def _uniform_rows(rngs: Sequence[random.Random], width: int, scale: float,
+                  what: str) -> np.ndarray:
+    """Row j holds ``width`` successive draws rngs[j].uniform(−scale, scale),
+    which must be finite (``what`` names them).
 
     Each stream gives its ``width`` values u of ``random()`` in order, and one
     vectorized step maps them all by ``random.uniform``'s own formula
@@ -47,31 +56,65 @@ def _uniform_rows(rngs: Sequence[random.Random], width: int, scale: float) -> np
     """
     u = np.array([rng.random() for rng in rngs for _ in range(width)], dtype=float)
     low = -scale
-    return (low + (scale - low) * u).reshape(len(rngs), width)
+    return scalars.require_finite((low + (scale - low) * u).reshape(len(rngs), width), what)
 
 
-def random_form(n: int, k: int, rng: random.Random, scale: float) -> KForm:
-    return KForm(n, k, _uniform_rows([rng], math.comb(n, k), scale)[0], scalars.FLOAT)
+def _fraction_rows(rngs: Sequence[random.Random], width: int) -> np.ndarray:
+    """Row j holds ``width`` successive exact draws randint(−8, 8)/randint(1, 4) of rngs[j]."""
+    rows = [scalars.coerce(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+            for rng in rngs for _ in range(width)]
+    return np.array(rows, dtype=object).reshape(len(rngs), width)
+
+
+def _blocks(draw: Callable, rngs: Sequence, widths: Sequence[int]) -> list[np.ndarray]:
+    """Each stream's blocks of ``widths``, drawn in one pass of their summed widths."""
+    return np.split(draw(rngs, sum(widths)), np.cumsum(widths)[:-1], axis=1)
 
 
 def random_form_rows(n: int, k: int, seed: int, indices: Iterable[int],
                      scale: float) -> np.ndarray:
-    """A stack of float forms: for each j of ``indices``, the coefficients of
-    ``random_form(n, k, derive_rng(seed, j), scale)``, which must be finite."""
-    rows = _uniform_rows([derive_rng(seed, j) for j in indices], math.comb(n, k), scale)
-    return scalars.require_finite(rows, f"({n},{k}) coefficients")
+    """A stack of float (n, k) forms, one per stream ``derive_rng(seed, j)`` of
+    ``indices``, uniform in ±``scale`` and finite."""
+    return _uniform_rows([derive_rng(seed, j) for j in indices], math.comb(n, k), scale,
+                         f"({n},{k}) coefficients")
 
 
-def random_exact_form(n: int, k: int, rng: random.Random,
-                      numerator: int = 8, denominator: int = 4) -> KForm:
-    coeffs = [Fraction(rng.randint(-numerator, numerator), rng.randint(1, denominator))
-              for _ in range(math.comb(n, k))]
-    return KForm(n, k, coeffs, scalars.EXACT)
+def random_line_rows(n: int, k: int, seed: int, indices: Iterable[int], scale: float,
+                     points: int = 1, backend: str = scalars.FLOAT) -> list[np.ndarray]:
+    """Stacks (ξ, α, β, t) of wedge lines ξ + t·(α∧β), one per stream
+    ``derive_rng(seed, j)`` of ``indices``, and ``points`` values of t.
+    Float entries are uniform in ±``scale`` and finite, and t in ±1; exact
+    entries and t are randint(−8, 8)/randint(1, 4), whatever the scale.  A
+    degenerate direction α∧β = 0 tells a line test nothing, so it is redrawn."""
+    rngs, exact = [derive_rng(seed, j) for j in indices], backend == scalars.EXACT
+    draw = _fraction_rows if exact else partial(_uniform_rows, scale=scale,
+                                                 what=f"({n},{k}) coefficients")
+    widths = (math.comb(n, k), math.comb(n, k - 1), n)
+    xi, alpha, beta = _blocks(draw, rngs, widths)
+    bad = np.arange(len(rngs))
+    for attempt in range(_ATTEMPTS):
+        if attempt:
+            alpha[bad], beta[bad] = _blocks(draw, [rngs[i] for i in bad], widths[1:])
+        with scalars.float_guard("wedge"):
+            bad = bad[(wedge_rows(alpha[bad], beta[bad], n, k - 1, 1) == 0).all(axis=1)]
+        if not bad.size:
+            break
+    else:
+        raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")
+    t = _fraction_rows(rngs, points) if exact else _uniform_rows(rngs, points, 1.0, "t")
+    return [xi, alpha, beta, scalars.array(t, t.shape, backend, "line parameters")]
 
 
-def random_matrix(n: int, k: int, rng: random.Random, scale: float) -> ShapeMatrix:
-    entries = _uniform_rows([rng], math.comb(n, k - 1) * n, scale)
-    return ShapeMatrix(n, k, entries.reshape(-1, n), scalars.FLOAT)
+def random_rank_one_rows(n: int, k: int, seed: int, indices: Iterable[int],
+                         scale: float) -> list[np.ndarray]:
+    """Stacks (X, a, b, t) of float rank-one lines X + t·(a⊗b), one per stream
+    ``derive_rng(seed, j)`` of ``indices``: X's entries row by row, a and b
+    uniform in ±``scale`` and finite, and t in ±1."""
+    if not 2 <= k <= n:
+        raise DomainError(f"shape matrices need 2 ≤ k ≤ n, got k={k}, n={n}")
+    rngs, width = [derive_rng(seed, j) for j in indices], math.comb(n, k - 1)
+    draw = partial(_uniform_rows, scale=scale, what=f"(n={n}, k={k}) matrix entries")
+    return [*_blocks(draw, rngs, (width * n, width, n)), _uniform_rows(rngs, 1, 1.0, "t")]
 
 
 def integer_draws(rng: random.Random, low: int, high: int, count: int) -> list[int]:
@@ -95,40 +138,12 @@ def integer_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
     return out
 
 
-def random_integer_matrix(n: int, k: int, rng: random.Random,
-                          low: int = -5, high: int = 5) -> ShapeMatrix:
-    """Exact-backend matrix with integer entries, the campaign default."""
-    entries = np.array(integer_draws(rng, low, high, math.comb(n, k - 1) * n), dtype=object)
-    return ShapeMatrix(n, k, entries.reshape(-1, n), scalars.EXACT)
-
-
 def random_integer_rows(n: int, k: int, seed: int, indices: Iterable[int],
                         low: int, high: int) -> np.ndarray:
-    """A stack of exact matrices: for each j of ``indices``, the entries of
-    ``random_integer_matrix(n, k, derive_rng(seed, j), low, high)`` as one
-    flat row of Python ints in a read-only object array."""
+    """A stack of exact (n, k) matrices, one per stream ``derive_rng(seed, j)``
+    of ``indices``: ``randint(low, high)`` entries row by row, as one flat row
+    of Python ints in a read-only object array."""
     width = math.comb(n, k - 1) * n
     rows = [integer_draws(derive_rng(seed, j), low, high, width) for j in indices]
     return scalars.array(np.array(rows, dtype=object).reshape(len(rows), width),
                          (len(rows), width), scalars.EXACT, f"(n={n}, k={k}) matrix entries")
-
-
-def random_line(n: int, k: int, rng: random.Random, scale: float,
-                exact: bool = False) -> tuple[KForm, KForm]:
-    """A direction pair (alpha, beta) with alpha ∧ beta ≠ 0.
-
-    Degenerate draws carry no information for line tests, so they are
-    redrawn; with continuous coefficients this effectively never loops.
-    """
-    for _ in range(100):
-        if exact:
-            alpha = random_exact_form(n, k - 1, rng)
-            beta = random_exact_form(n, 1, rng)
-        else:
-            alpha = random_form(n, k - 1, rng, scale)
-            beta = random_form(n, 1, rng, scale)
-        with scalars.float_guard("wedge"):
-            product = wedge_rows(alpha.coeffs[None], beta.coeffs[None], n, k - 1, 1)
-        if product.any():
-            return alpha, beta
-    raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")

@@ -245,17 +245,6 @@ def det_rows(M: np.ndarray) -> np.ndarray:
     return acc[..., 0]
 
 
-def det(rows: Sequence[Sequence]):
-    """Determinant of one small square matrix, by ``det_rows``."""
-    m = len(rows)
-    if any(len(r) != m for r in rows):
-        raise DomainError("determinant of a non-square matrix")
-    floats = any(isinstance(v, float) for r in rows for v in r)
-    stack = scalars.array(np.array(rows, dtype=object).reshape(m, m), (m, m),    # [] is 0 × 0
-                          scalars.FLOAT if floats else scalars.EXACT, "determinant entries")
-    return det_rows(stack).item()
-
-
 def minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The minors of a stack of matrices' entries, (…, R, n), on the row and
     column positions of ``rows`` and ``cols``, which broadcast to (I, …, s):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extconv import projection
+from extconv import projection, sampling
 
 
 @pytest.fixture
@@ -44,3 +44,18 @@ def projection_sign_fault(monkeypatch):
         return cells, signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
 
     monkeypatch.setattr(projection, "_projection_table", faulty)
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The streams ``sampling.derive_rng`` hands out while the fixture is active,
+    in the order it made them, so a test can read each one's final state."""
+    made = []
+    real = sampling.derive_rng
+
+    def recording(seed, index):
+        made.append(real(seed, index))
+        return made[-1]
+
+    monkeypatch.setattr(sampling, "derive_rng", recording)
+    return made

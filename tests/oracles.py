@@ -13,7 +13,14 @@ the package's ``sign_interlace_append`` (a sort and its cycles), so that the
 array pullback's inversion parity is checked against a second sign route.
 ``reference_verify_report`` is the ``verify-formula`` campaign one trial at a
 time, with ``randint`` draws and the one-matrix routes, which the stacked
-campaign must reproduce byte for byte.
+campaign must reproduce byte for byte.  ``random_form``, ``random_exact_form``,
+``random_matrix``, ``random_integer_matrix`` and ``random_line`` are the
+one-trial draws the campaigns made before they drew stacks, from
+``random.uniform`` and ``randint`` themselves; ``reference_scan`` and
+``reference_cross_check`` are the line campaigns built on them, one trial at a
+time, whose reports the stacked campaigns must reproduce byte for byte.  They
+judge and compare with the package's own kernels (``wedge_rows``, the scans'
+``_line_judgement``, the lift), since what they check is the draw path.
 """
 
 from __future__ import annotations
@@ -25,10 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from extconv import scalars
+from extconv.convexity import LIFT_POINTS_PER_LINE, LIFT_TOLERANCE, LineCrossCheck, \
+    _line_judgement, lift
 from extconv.errors import DomainError
-from extconv.exterior import wedge_power
+from extconv.exterior import KForm, wedge_power, wedge_rows
 from extconv.multiindex import enumerate_multiindices, sign_interlace_append
-from extconv.projection import project, wedge_power_from_minors
+from extconv.projection import project, right_inverse, wedge_power_from_minors
 from extconv.sampling import derive_rng
 from extconv.shapespace import MinorTable, ShapeMatrix
 
@@ -295,9 +305,7 @@ def reference_verify_report(n, k, s, trials, seed=0, low=-5, high=5) -> tuple[in
     """
     worst, failure = 0, None
     for trial in range(trials):
-        rng = derive_rng(seed, trial)
-        X = ShapeMatrix(n, k, [[rng.randint(low, high) for _ in range(n)]
-                               for _ in range(math.comb(n, k - 1))])
+        X = random_integer_matrix(n, k, derive_rng(seed, trial), low, high)
         direct, via_minors = wedge_power(project(X), s), wedge_power_from_minors(X, s)
         residual = max((abs(a - b) for a, b in zip(direct.coeffs.tolist(),
                                                    via_minors.coeffs.tolist())), default=0)
@@ -310,3 +318,114 @@ def reference_verify_report(n, k, s, trials, seed=0, low=-5, high=5) -> tuple[in
     if failure is not None:
         report["failure"] = failure
     return int(worst != 0), json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def random_form(n, k, rng, scale) -> KForm:
+    """A float form: C(n, k) draws ``rng.uniform(−scale, scale)``."""
+    return KForm(n, k, [rng.uniform(-scale, scale) for _ in range(math.comb(n, k))],
+                 scalars.FLOAT)
+
+
+def random_exact_form(n, k, rng, numerator=8, denominator=4) -> KForm:
+    """An exact form: C(n, k) draws randint(−numerator, numerator)/randint(1, denominator)."""
+    return KForm(n, k, [rand_exact(rng, numerator, denominator)
+                        for _ in range(math.comb(n, k))], scalars.EXACT)
+
+
+def random_matrix(n, k, rng, scale) -> ShapeMatrix:
+    """A float shape matrix, its entries ``rng.uniform(−scale, scale)`` row by row."""
+    return ShapeMatrix(n, k, [[rng.uniform(-scale, scale) for _ in range(n)]
+                              for _ in range(math.comb(n, k - 1))], scalars.FLOAT)
+
+
+def random_integer_matrix(n, k, rng, low=-5, high=5) -> ShapeMatrix:
+    """An exact shape matrix, its entries ``rng.randint(low, high)`` row by row."""
+    return ShapeMatrix(n, k, [[rng.randint(low, high) for _ in range(n)]
+                              for _ in range(math.comb(n, k - 1))])
+
+
+def random_line(n, k, rng, scale, exact=False) -> tuple:
+    """A direction pair (α, β) with α ∧ β ≠ 0, drawn again while the wedge
+    vanishes, at most 100 times in all."""
+    for _ in range(100):
+        if exact:
+            alpha, beta = random_exact_form(n, k - 1, rng), random_exact_form(n, 1, rng)
+        else:
+            alpha, beta = random_form(n, k - 1, rng, scale), random_form(n, 1, rng, scale)
+        with scalars.float_guard("wedge"):
+            product = wedge_rows(alpha.coeffs[None], beta.coeffs[None], n, k - 1, 1)
+        if product.any():
+            return alpha, beta
+    raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")
+
+
+def _rows(items) -> np.ndarray:
+    """One float row per form (its coefficients) or matrix (its entries, row by row)."""
+    return np.array([x.entries.ravel() if isinstance(x, ShapeMatrix) else x.coeffs
+                     for x in items], dtype=float)
+
+
+def reference_scan(F, n, k, cfg, mode):
+    """A line scan's verdict, its trials drawn one at a time.
+
+    Trial i's stream gives ξ (``random_form``), α and β (``random_line``) and
+    then t = uniform(−1, 1); for ``rank-one-convex`` it gives X
+    (``random_matrix``), a and b (``random_form``) and t, and F may be a bare
+    callable.  The stacked draws are judged by the scans' own judgement.
+    """
+    rank_one, r = mode == "rank-one-convex", cfg.coeff_range
+    if not hasattr(F, "evaluate_rows"):
+        bare = F
+        F = type("Bare", (), {"evaluate_rows": staticmethod(lambda rows: np.array(
+            [bare(ShapeMatrix(n, k, row.reshape(-1, n), scalars.FLOAT)) for row in rows],
+            dtype=float))})
+    draws, ts = [], []
+    for trial in range(cfg.trials):
+        rng = derive_rng(cfg.seed, trial)
+        if rank_one:
+            draws.append((random_matrix(n, k, rng, r), random_form(n, k - 1, rng, r),
+                          random_form(n, 1, rng, r)))
+        else:
+            draws.append((random_form(n, k, rng, r), *random_line(n, k, rng, r)))
+        ts.append(rng.uniform(-1.0, 1.0))
+    base, left, right = (_rows([d[i] for d in draws]) for i in range(3))
+    with scalars.float_guard("line direction"):
+        lines = ((left[:, :, None] * right[:, None, :]).reshape(cfg.trials, -1) if rank_one
+                 else wedge_rows(left, right, n, k - 1, 1))
+    judged = _line_judgement(F, base, lines, np.array(ts), cfg.step, cfg.tolerance,
+                             mode == "one-affine")
+    trial = judged.first_bad()
+    witness = None
+    if trial is not None:
+        names = ("X", "a", "b") if rank_one else ("xi", "alpha", "beta")
+        witness = {"trial": trial, **{name: x.to_json() for name, x in zip(names, draws[trial])},
+                   "t": ts[trial], "h": cfg.step, **judged.witness(trial)}
+    return judged.verdict(mode, cfg, witness)
+
+
+def reference_cross_check(f, cfg, backend=scalars.FLOAT) -> LineCrossCheck:
+    """``cross_check_lift``, its trials drawn one at a time: ξ, α, β, then
+    ``LIFT_POINTS_PER_LINE`` values of t (uniform(−1, 1), or exact
+    randint(−8, 8)/randint(1, 4)), and one ``right_inverse`` per trial."""
+    exact = backend == scalars.EXACT
+    n, k, r = f.n, f.k, cfg.coeff_range
+    draws, ts = [], []
+    for trial in range(cfg.trials):
+        rng = derive_rng(cfg.seed, trial)
+        xi = random_exact_form(n, k, rng) if exact else random_form(n, k, rng, r)
+        draws.append((xi, *random_line(n, k, rng, r, exact=exact)))
+        ts.append([rand_exact(rng) if exact else rng.uniform(-1.0, 1.0)
+                   for _ in range(LIFT_POINTS_PER_LINE)])
+    xi, alpha, beta = (np.stack([d[i].coeffs for d in draws]) for i in range(3))
+    t = scalars.array(ts, (cfg.trials, LIFT_POINTS_PER_LINE), backend,
+                      "line parameters").T[:, :, None]
+    base = np.stack([right_inverse(d[0]).entries.ravel() for d in draws])
+    with scalars.float_guard("lift cross-check"):
+        line = (xi + t * wedge_rows(alpha, beta, n, k - 1, 1)).reshape(-1, xi.shape[1])
+        outer = (alpha[:, :, None] * beta[:, None, :]).reshape(cfg.trials, -1)
+        matrix = (base + t * outer).reshape(-1, base.shape[1])
+        gaps = np.abs(f.evaluate_rows(line) - lift(f).evaluate_rows(matrix))
+    worst = max(gaps.ravel().tolist())
+    ok = (worst == 0) if exact else (worst <= LIFT_TOLERANCE)
+    return LineCrossCheck(backend, cfg.trials, LIFT_POINTS_PER_LINE, worst, LIFT_TOLERANCE,
+                          "pass" if ok else "fail")

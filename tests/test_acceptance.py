@@ -25,11 +25,10 @@ from extconv.polyform import PolyKForm, Poly, d_classical, d_right, gradient, \
     project_polynomial
 from extconv.projection import (minor_power_map, project, pullback_support,
                                 wedge_power_from_minors)
-from extconv.sampling import derive_rng, random_exact_form, random_form, \
-    random_integer_matrix
+from extconv.sampling import derive_rng
 from extconv.shapespace import MinorTable, adjugate, table_inner, tensor
 
-from oracles import laplace_residual
+from oracles import laplace_residual, random_exact_form, random_form, random_integer_matrix
 
 
 def report(number: int, text: str) -> None:

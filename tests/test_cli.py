@@ -9,11 +9,14 @@ import pytest
 
 from extconv import cli, scalars
 from extconv.cli import build_parser, main
+from extconv.convexity import SamplerConfig
+from extconv.errors import DomainError
 from extconv.exterior import KForm, _wedge_table, wedge
+from extconv.functions import FormFunction
 from extconv.projection import minor_power_map
 from extconv.shapespace import tensor
 
-from oracles import reference_verify_report
+from oracles import reference_scan, reference_verify_report
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +325,32 @@ class TestParserCache:
 
 
 class TestCheckConvexity:
+    FUNCTIONS = {"norm_sq": NORM_SQ, "neg_norm_sq": NEG_NORM_SQ, "top_power": TOP_POWER}
+
+    @pytest.mark.parametrize("argv", [[], ["--step", "1e-6", "--tolerance", "0"],
+                                      ["--range", "1e308"], ["--range", "1e200"],
+                                      ["--range", "1e-200"]],
+                             ids=["defaults", "fine-step", "1e308", "1e200", "1e-200"])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("mode", ["one-convex", "one-affine"])
+    def test_line_reports_equal_the_per_trial_loop(self, capsys, tmp_path, mode, name, argv):
+        # stdout and exit code, or the one exit-2 line, of the one-trial draws
+        path = write_json(tmp_path, "f.json", self.FUNCTIONS[name])
+        got = run_cli(capsys, "check-convexity", "--mode", mode, "--input", path,
+                      "--trials", "40", "--seed", "3", *argv)
+        flags = dict(zip(argv[::2], map(float, argv[1::2])))
+        cfg = SamplerConfig(seed=3, trials=40, coeff_range=flags.get("--range", 2.0),
+                            step=flags.get("--step", 1e-3),
+                            tolerance=flags.get("--tolerance", 1e-9))
+        try:
+            verdict = reference_scan(FormFunction.from_json(self.FUNCTIONS[name]), 4, 2, cfg,
+                                     mode)
+        except DomainError as exc:
+            assert got == (2, "", f"extconv: {exc}\n")
+        else:
+            report = json.dumps(verdict.to_json(), sort_keys=True, separators=(",", ":"))
+            assert got == (0 if verdict.status == "pass" else 1, report + "\n", "")
+
     def test_corpus_exit_codes(self, capsys, tmp_path):
         norm_path = write_json(tmp_path, "norm.json", NORM_SQ)
         neg_path = write_json(tmp_path, "neg.json", NEG_NORM_SQ)
@@ -539,6 +568,21 @@ class TestBadInputExits2:
         path = write_json(tmp_path, "m.json", matrix)
         self.assert_usage_error(capsys, "pi", "--input", path)
         self.assert_usage_error(capsys, "adjugate", "--input", path, "--s", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-convexity", "--mode", "one-convex"], ["check-convexity", "--mode", "one-affine"],
+        ["check-convexity", "--mode", "quasiaffine-fit"], ["fit-quasiaffine"], ["support-lp"]],
+        ids=["one-convex", "one-affine", "quasiaffine-fit", "fit-quasiaffine", "support-lp"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, argv):
+        # random.Random seeds by absolute value: --seed -1 replayed --seed 1's trials
+        path = write_json(tmp_path, "neg.json", NEG_NORM_SQ)
+        err = self.assert_usage_error(capsys, *argv, "--input", path, "--seed", "-1")
+        assert "nonnegative" in err
+
+    def test_negative_seed_verify_formula_exits_2(self, capsys):
+        err = self.assert_usage_error(capsys, "verify-formula", "--n", "4", "--k", "2",
+                                      "--s", "2", "--seed", "-1")
+        assert "nonnegative" in err
 
     def test_degenerate_direction_range_exits_2(self, capsys, tmp_path):
         # every wedge of two draws at range 1e-200 underflows to zero

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,9 +16,12 @@ from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge
 from extconv.functions import FormFunction
 from extconv.projection import project
-from extconv.sampling import (derive_rng, random_exact_form, random_form, random_form_rows,
-                              random_matrix)
+from extconv.sampling import (derive_rng, random_form_rows, random_line_rows,
+                              random_rank_one_rows)
 from extconv.shapespace import ShapeMatrix, tensor
+
+from oracles import (random_exact_form, random_form, random_line, random_matrix,
+                     reference_cross_check, reference_scan)
 
 
 def fn_norm_sq(n=4, k=2):
@@ -151,7 +155,6 @@ class TestLift:
         c = KForm.from_dict(4, 2, {(1, 2): 2, (1, 4): -3})
         F = lift(FormFunction.linear(c))
         rng = random.Random(14)
-        from extconv.sampling import random_matrix
         X, Y = random_matrix(4, 2, rng, 2.0), random_matrix(4, 2, rng, 2.0)
         assert abs(F(X + Y) - (F(X) + F(Y))) < 1e-12
         assert abs(F(X.scale(3.0)) - 3.0 * F(X)) < 1e-12
@@ -442,7 +445,8 @@ class TestDeterminism:
 
 
 class TestStackedDraws:
-    """A stack of draws is the forms ``random_form`` draws one stream at a time."""
+    """A stack of draws is the forms the one-trial draw of tests/oracles.py
+    draws one stream at a time."""
 
     @pytest.mark.parametrize("n,k", [(8, 2), (4, 2), (5, 1), (6, 3), (3, 0), (7, 7)])
     @pytest.mark.parametrize("scale", [1e-300, 2.0, 1e300])
@@ -454,19 +458,20 @@ class TestStackedDraws:
             assert row.tobytes() == random_form(n, k, derive_rng(9, j), scale).coeffs.tobytes()
         assert random_form_rows(n, k, 9, [], scale).shape == (0, math.comb(n, k))
 
-    def test_draws_follow_random_uniform(self):
-        rng, twin = derive_rng(4, 1), derive_rng(4, 1)
-        form = random_form(8, 2, rng, 3.0)
-        X = random_matrix(4, 2, rng, 0.5)
-        assert form.coeffs.tolist() == [twin.uniform(-3.0, 3.0) for _ in range(28)]
-        assert X.entries.ravel().tolist() == [twin.uniform(-0.5, 0.5) for _ in range(16)]
-        assert rng.random() == twin.random()    # both streams stand at the same draw
+    def test_draws_follow_random_uniform(self, streams):
+        form = random_form_rows(8, 2, 4, [1], 3.0)[0]
+        X = random_rank_one_rows(4, 2, 4, [1], 0.5)[0][0]
+        twin = derive_rng(4, 1)
+        assert form.tolist() == [twin.uniform(-3.0, 3.0) for _ in range(28)]
+        assert streams[0].random() == twin.random()    # both streams stand at the same draw
+        twin = derive_rng(4, 1)
+        assert X.tolist() == [twin.uniform(-0.5, 0.5) for _ in range(16)]
 
     def test_draws_beyond_the_float_range_are_refused(self):
         with pytest.raises(DomainError, match=r"^\(4,2\) coefficients is not finite$"):
             random_form_rows(4, 2, 0, range(3), 1e308)
         with pytest.raises(DomainError, match=r"^\(4,2\) coefficients is not finite$"):
-            random_form(4, 2, derive_rng(0, 0), 1e308)
+            random_line_rows(4, 2, 0, range(3), 1e308)
 
 
 def fn_planted(n=8, k=2, seed=12):
@@ -532,7 +537,6 @@ class TestStepIndependence:
         assert failed.witness["curvature"] < -(cfg.tolerance + failed.witness["floor"])
 
     def test_lift_magnitude_bounds_the_value(self):
-        from extconv.sampling import random_matrix
         F = lift(fn_planted(6, 2, seed=9))
         rng = random.Random(3)
         for _ in range(20):
@@ -571,7 +575,6 @@ class TestStackedSampling:
             {"op": "inner", "form": "e1234", "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}]})
         cfg = SamplerConfig(seed=5, trials=25)
         verdict = check_ext_one_affine(f, cfg)
-        from extconv.sampling import random_line
         rng = derive_rng(cfg.seed, 0)
         xi = random_form(6, 2, rng, cfg.coeff_range)
         alpha, beta = random_line(6, 2, rng, cfg.coeff_range)
@@ -584,7 +587,6 @@ class TestStackedSampling:
     @staticmethod
     def rank_one_line(n, k, cfg, trial):
         """The per-trial route: the trial's matrix line, built with ShapeMatrix arithmetic."""
-        from extconv.sampling import random_matrix
         rng = derive_rng(cfg.seed, trial)
         X = random_matrix(n, k, rng, cfg.coeff_range)
         direction = tensor(random_form(n, k - 1, rng, cfg.coeff_range),
@@ -672,3 +674,108 @@ class TestSupportLPPinned:
                 eta = random_form(8, 2, derive_rng(seed, j), cfg.coeff_range)
                 gap = support_inequality_gap(f, base, result.coefficients, eta)
                 assert gap <= cfg.tolerance, (j, gap)
+
+
+def report_bytes(report) -> bytes:
+    return json.dumps(report.to_json(), sort_keys=True).encode()
+
+
+class TestLineCampaignsAgainstThePerTrialLoop:
+    """The line campaigns draw their trials as stacks; their reports are the
+    bytes the one-trial draws of ``oracles.reference_scan`` and
+    ``oracles.reference_cross_check`` give."""
+
+    FUNCTIONS = {"norm_sq": fn_norm_sq, "neg_norm_sq": fn_neg_norm_sq,
+                 "planted": lambda n, k: fn_planted(n, k, seed=n + k)}
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-6])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("mode,n,k", [
+        (mode, n, k) for mode in ("one-convex", "one-affine", "rank-one-convex")
+        for n, k in [(4, 2), (6, 2), (8, 2), (6, 3), (5, 1), (3, 3)]
+        if k > 1 or mode != "rank-one-convex"])     # shape matrices need k ≥ 2
+    def test_line_reports(self, mode, n, k, name, step):
+        f = self.FUNCTIONS[name](n, k)
+        cfg = SamplerConfig(seed=n * k, trials=30, step=step)
+        if mode == "rank-one-convex":
+            got = check_rank_one_convex(lift(f), n, k, cfg)
+            want = reference_scan(lift(f), n, k, cfg, mode)
+        else:
+            check = check_ext_one_convex if mode == "one-convex" else check_ext_one_affine
+            got, want = check(f, cfg), reference_scan(f, n, k, cfg, mode)
+        assert report_bytes(got) == report_bytes(want)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bare_rank_one_reports(self, seed):
+        def neg_det2_sq(X):
+            return -(X.entries[0][0] * X.entries[1][1] - X.entries[0][1] * X.entries[1][0]) ** 2
+        cfg = SamplerConfig(seed=seed, trials=25)
+        for F in (neg_det2_sq, lambda X: X.entries[0][1] - 2 * X.entries[1][0]):
+            assert report_bytes(check_rank_one_convex(F, 2, 2, cfg)) == \
+                report_bytes(reference_scan(F, 2, 2, cfg, "rank-one-convex"))
+
+    @pytest.mark.parametrize("backend", scalars.BACKENDS)
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (6, 2), (5, 3), (3, 3)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_cross_check_reports(self, backend, n, k, seed):
+        # at (2,2) exact first draws of α∧β vanish: 1 of 40 at seed 0, 3 at seed 7
+        for f in (fn_norm_sq(n, k), fn_planted(n, k, seed=3)):
+            cfg = SamplerConfig(seed=seed, trials=40)
+            assert report_bytes(cross_check_lift(f, cfg, backend)) == \
+                report_bytes(reference_cross_check(f, cfg, backend))
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200, 1e-200])
+    def test_draw_errors(self, scale):
+        # not finite, an overflowing wedge or outer product, and no nondegenerate direction
+        f, cfg = fn_neg_norm_sq(4, 2), SamplerConfig(seed=3, trials=20, coeff_range=scale)
+        campaigns = [
+            (lambda: check_ext_one_convex(f, cfg), lambda: reference_scan(f, 4, 2, cfg, "one-convex")),
+            (lambda: check_rank_one_convex(lift(f), 4, 2, cfg),
+             lambda: reference_scan(lift(f), 4, 2, cfg, "rank-one-convex")),
+            (lambda: cross_check_lift(f, cfg), lambda: reference_cross_check(f, cfg)),
+        ]
+        for stacked, per_trial in campaigns:
+            try:
+                want = report_bytes(per_trial())
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    stacked()
+                assert str(got.value) == str(exc)
+            else:
+                assert report_bytes(stacked()) == want
+
+    def test_exact_cross_check_ignores_the_range(self):
+        cfg = SamplerConfig(seed=2, trials=10, coeff_range=1e308)
+        report = cross_check_lift(fn_norm_sq(), cfg, scalars.EXACT)
+        assert report.status == "pass"
+        assert report_bytes(report) == report_bytes(reference_cross_check(fn_norm_sq(), cfg,
+                                                                          scalars.EXACT))
+
+    def test_rank_one_shape_checked_before_drawing(self):
+        with pytest.raises(DomainError, match="shape matrices need 2 ≤ k ≤ n, got k=1, n=4"):
+            check_rank_one_convex(lambda X: 0.0, 4, 1, SamplerConfig(trials=3))
+
+
+class TestReplayRankOneWitness:
+    @pytest.mark.parametrize("step", [1e-3, 1e-6])
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+    def test_stored_second_difference_comes_back(self, n, k, step):
+        F = lift(fn_neg_norm_sq(n, k))
+        verdict = check_rank_one_convex(F, n, k, SamplerConfig(seed=1, trials=20, step=step))
+        witness = json.loads(json.dumps(verdict.to_json()))["witness"]
+        assert set(witness) >= {"X", "a", "b", "t", "h"}
+        replayed = replay_witness(F, witness)
+        assert replayed.hex() == witness["second_difference"].hex()
+        assert replayed < -witness["threshold"]
+
+    def test_other_witnesses_are_refused(self):
+        f = fn_neg_norm_sq()
+        cfg = SamplerConfig(seed=0, trials=10)
+        wedge_witness = check_ext_one_convex(f, cfg).witness
+        rank_one_witness = check_rank_one_convex(lift(f), 4, 2, cfg).witness
+        for g, witness in [(lift(f), wedge_witness), (f, rank_one_witness),
+                           (lambda X: 0.0, rank_one_witness), (f, {"t": 0.0, "h": 1e-3}),
+                           (f, {key: v for key, v in wedge_witness.items() if key != "h"}),
+                           (f, None)]:
+            with pytest.raises(DomainError):
+                replay_witness(g, witness)
