@@ -21,6 +21,9 @@ one-trial draws the campaigns made before they drew stacks, from
 time, whose reports the stacked campaigns must reproduce byte for byte.  They
 judge and compare with the package's own kernels (``wedge_rows``, the scans'
 ``_line_judgement``, the lift), since what they check is the draw path.
+``reference_minimize`` is the simplex as it pivoted before its rank-one
+updates were delayed: one ``T −= outer`` a pivot, with the same pricing, ratio
+test and Bland switch, which the blocked loop must follow pivot for pivot.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from extconv import scalars
+from extconv import scalars, simplex
 from extconv.convexity import LIFT_POINTS_PER_LINE, LIFT_TOLERANCE, LineCrossCheck, \
     _line_judgement, lift
 from extconv.errors import DomainError
@@ -429,3 +432,68 @@ def reference_cross_check(f, cfg, backend=scalars.FLOAT) -> LineCrossCheck:
     ok = (worst == 0) if exact else (worst <= LIFT_TOLERANCE)
     return LineCrossCheck(backend, cfg.trials, LIFT_POINTS_PER_LINE, worst, LIFT_TOLERANCE,
                           "pass" if ok else "fail")
+
+
+def reference_minimize(c, A, b, free=0, *, max_iter=None) -> tuple:
+    """``simplex.minimize`` with every rank-one update applied at its pivot.
+
+    Returns the ``LPResult`` and the basis after each pivot, the start pivot's
+    first.  It reads ``simplex._STALL_LIMIT`` when called, so a test that
+    lowers the limit lowers it here too.
+    """
+    m, nv = len(A), len(c)
+    c, A, b = np.asarray(c), np.asarray(A).reshape(m, nv), np.asarray(b)
+    sc = simplex._EXACT if any(v.dtype == object for v in (c, A, b)) else simplex._FLOAT
+    if sc is simplex._EXACT:
+        c, A, b = (simplex._to_fraction(v.astype(object)) for v in (c, A, b))
+    else:
+        c, A, b = (v.astype(float, copy=False) for v in (c, A, b))
+    if max_iter is None:
+        max_iter = 200 + 25 * (m + nv)
+    T = np.vstack([np.hstack([-A, -b[:, None]]), np.append(c, sc.make(0))])
+    basis, nonbasic = nv + np.arange(m), np.arange(nv)
+    bases = []
+
+    def pivot(row, col):
+        basis[row], nonbasic[col] = nonbasic[col], basis[row]
+        p = T[row, col]
+        T[row] /= p
+        factors = T[:, col].copy()
+        factors[row] = 0
+        T[...] -= np.outer(factors, T[row])
+        T[:, col] = -factors / p
+        T[row, col] = 1 / p
+        bases.append(basis.tolist())
+
+    if (b > 0).any():
+        ones = np.flatnonzero((A == 1).all(axis=0))
+        if not ones.size:
+            raise DomainError("a positive right-hand side needs an all-ones column")
+        pivot(int(np.argmax(b)), int(ones[-1]))
+    eps, bland, stall, last_objective = sc.eps, False, 0, None
+    for it in range(max(0, max_iter)):
+        reduced = T[-1, :-1]
+        gain = np.where(nonbasic < free, -abs(reduced), reduced)
+        candidates = np.flatnonzero(gain < -eps)
+        if candidates.size == 0:
+            x = np.full(nv + m, sc.make(0), dtype=sc.dtype)
+            x[basis] = T[:-1, -1]
+            x = x[:nv]
+            return simplex.LPResult(simplex.OPTIMAL, x.tolist(), sc.make(c @ x), it), bases
+        col = int(candidates[np.argmin(nonbasic[candidates] if bland else gain[candidates])])
+        column = T[:-1, col] if reduced[col] < 0 else -T[:-1, col]
+        eligible = np.flatnonzero((column > eps) & (basis >= free))
+        if eligible.size == 0:
+            return simplex.LPResult(simplex.UNBOUNDED, None, None, it), bases
+        ratios = T[eligible, -1] / column[eligible]
+        tied = eligible[ratios <= ratios.min() + eps]
+        pivot(int(tied[np.argmin(basis[tied])]), col)
+        if not bland:
+            objective = -T[-1, -1]
+            if last_objective is not None and objective >= last_objective - eps:
+                stall += 1
+                bland = stall > simplex._STALL_LIMIT
+            else:
+                stall = 0
+            last_objective = objective
+    return simplex.LPResult(simplex.ITERATION_LIMIT, None, None, max(0, max_iter)), bases

@@ -703,6 +703,15 @@ class TestDeterminism:
                                "--input", neg_path)
         assert first == second
 
+    def test_support_lp_byte_identical(self, capsys, tmp_path):
+        # (8,2) at the default 500 samples pivots 307 times, over several
+        # blocks of delayed updates, each applied by one BLAS product
+        neg_path = write_json(tmp_path, "neg.json", dict(NEG_NORM_SQ, n=8))
+        runs = [run_cli(capsys, "support-lp", "--input", neg_path, "--seed", "3")
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and json.loads(runs[0][1])["status"] == "refuted"
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):

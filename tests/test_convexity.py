@@ -653,14 +653,19 @@ class TestSupportLPPinned:
     def test_answers_match_the_recorded_ones(self, name, seed, monkeypatch):
         from extconv import simplex
 
-        widths = []
-        pivot = simplex._pivot
+        widths, results = [], []
+        pivot, minimize = simplex._pivot, simplex.minimize
 
-        def spy(T, *args):
-            widths.append(T.shape[1])
-            pivot(T, *args)
+        def spy(tab, *args):
+            widths.append(tab.T0.shape[1])
+            pivot(tab, *args)
+
+        def solve(c, A, b, free):
+            results.append((minimize(c, A, b, free), bool((b > 0).any())))
+            return results[-1][0]
 
         monkeypatch.setattr(simplex, "_pivot", spy)
+        monkeypatch.setattr(simplex, "minimize", solve)
         f, base = self.FUNCTIONS[name], KForm.zero(8, 2, scalars.FLOAT)
         cfg = SamplerConfig(seed=seed, trials=500)
         result = polyconvex_support_lp(f, base, cfg)
@@ -669,6 +674,9 @@ class TestSupportLPPinned:
         assert result.slack == pytest.approx(slack, rel=0, abs=1e-9)
         # 127 free coefficients, t and the right-hand side; the split form had 756
         assert widths and max(widths) <= 129
+        # every pivot passes the spy: the loop's, and the start pivot when some b > 0
+        [(lp, started)] = results
+        assert len(widths) == lp.iterations + started
         if status == "certified":
             for j in range(cfg.trials):
                 eta = random_form(8, 2, derive_rng(seed, j), cfg.coeff_range)

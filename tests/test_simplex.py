@@ -7,6 +7,7 @@ import pytest
 from extconv import simplex
 from extconv.errors import DomainError
 from extconv.simplex import ITERATION_LIMIT, OPTIMAL, UNBOUNDED, minimize
+from oracles import reference_minimize
 
 
 def exact(*values):
@@ -281,9 +282,9 @@ class TestFreeVariables:
         bases = []
         pivot = simplex._pivot
 
-        def spy(T, basis, nonbasic, row, col):
-            pivot(T, basis, nonbasic, row, col)
-            bases.append(basis.tolist())
+        def spy(tab, *args):
+            pivot(tab, *args)
+            bases.append(tab.basis.tolist())
 
         monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
         monkeypatch.setattr(simplex, "_pivot", spy)
@@ -293,6 +294,7 @@ class TestFreeVariables:
         if exact_data:
             assert_exact_optimum(r, c, A, b, 1)
         assert [0 in basis for basis in bases] == [False, True, True]
+        assert len(bases) == r.iterations     # b ≤ 0: no start pivot
 
     @EXACT
     @pytest.mark.parametrize("c,A,free", [
@@ -309,3 +311,114 @@ class TestFreeVariables:
         # row), or these degenerate instances cycle until the cap
         monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
         assert solve(exact_data, c, A, [0] * len(A), free).status == UNBOUNDED
+
+
+def support_shaped_lp(width, seed, shift=0.0):
+    """The support LP's shape on Gaussian data: min t over ``width`` free c and t ≥ 0
+    subject to w_i·c + t ≥ b_i − shift on 3·width + 5 rows."""
+    rng = np.random.default_rng(seed)
+    rows = 3 * width + 5
+    A = np.hstack([rng.standard_normal((rows, width)), np.ones((rows, 1))])
+    return [0.0] * width + [1.0], A, rng.standard_normal(rows) - shift, width
+
+
+def gaussian_lps(count, seed):
+    """Small LPs (c, A, b, f) on Gaussian data, with ties only by accident: as
+    ``random_lps``, half with b ≤ 0 and half with a uniform slack, and f free."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, nv = rng.integers(1, 9, 2)
+        A, c = rng.standard_normal((m, nv)), rng.standard_normal(nv)
+        f = int(rng.integers(0, nv + 1))
+        yield c, A, -abs(rng.standard_normal(m)), f
+        yield np.append(c, abs(rng.standard_normal())), np.hstack([A, np.ones((m, 1))]), \
+            rng.standard_normal(m), f
+
+
+def solve_spied(monkeypatch, c, A, b, free=0, **options):
+    """``minimize`` and the basis after each pivot, the start pivot's first."""
+    bases = []
+    pivot = simplex._pivot
+
+    def spy(tab, *args):
+        pivot(tab, *args)
+        bases.append(tab.basis.tolist())
+
+    monkeypatch.setattr(simplex, "_pivot", spy)
+    return minimize(c, A, b, free, **options), bases
+
+
+def assert_float_agrees(got, want):
+    """Same status and iterations; x within 1e-9 of the reference's, relative to
+    its largest entry."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    if want.status == OPTIMAL:
+        x, x_ref = np.array(got.x), np.array(want.x)
+        assert np.abs(x - x_ref).max(initial=0) <= 1e-9 * max(1.0, np.abs(x_ref).max(initial=0))
+
+
+class TestBlockedUpdatesAgainstTheRankOneLoop:
+    """The loop holds T = T0 − U·V and applies ``simplex._BLOCK`` pending updates
+    at a time; ``oracles.reference_minimize`` applies each at its own pivot."""
+
+    BLOCKS = [1, 2, 3, simplex._BLOCK]
+
+    @pytest.mark.parametrize("stall_limit", [simplex._STALL_LIMIT, 0])
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_exact_lps_pivot_for_pivot(self, block, stall_limit, monkeypatch):
+        monkeypatch.setattr(simplex, "_BLOCK", block)
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
+        solves = 0
+        for free in (False, True):
+            for c, A, b, f in random_lps(60, seed=4099 + block, free=free):
+                got, bases = solve_spied(monkeypatch, *exact(c, A, b), f)
+                want, want_bases = reference_minimize(*exact(c, A, b), f)
+                assert got == want and bases == want_bases, (c, A, b, f)
+                solves += got.status == OPTIMAL
+        assert solves > 60
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_float_lps_reach_the_same_basis(self, block, monkeypatch):
+        monkeypatch.setattr(simplex, "_BLOCK", block)
+        for c, A, b, f in gaussian_lps(150, seed=block):
+            got, bases = solve_spied(monkeypatch, c, A, b, f)
+            want, want_bases = reference_minimize(c, A, b, f)
+            assert_float_agrees(got, want)
+            assert bases[-1:] == want_bases[-1:]
+
+    # (width, seed, shift) of support-shaped LPs and their pivots, the start
+    # pivot included: none, the start pivot alone, and both sides of one and
+    # of two full blocks
+    COUNTS = {(5, 0, 10.0): 0, (0, 0, 0.0): 1, (19, 7, 0.0): simplex._BLOCK - 1,
+              (20, 7, 0.0): simplex._BLOCK, (21, 4, 0.0): simplex._BLOCK + 1,
+              (38, 0, 0.0): 71}
+
+    @pytest.mark.parametrize("instance", sorted(COUNTS))
+    def test_pivot_counts_around_the_block(self, instance, monkeypatch):
+        assert simplex._BLOCK == 32    # the counts were chosen for this block
+        got, bases = solve_spied(monkeypatch, *support_shaped_lp(*instance))
+        want, want_bases = reference_minimize(*support_shaped_lp(*instance))
+        assert len(want_bases) == self.COUNTS[instance]
+        assert_float_agrees(got, want)
+        assert bases == want_bases
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 40, 45])
+    def test_iteration_cap_inside_a_block(self, max_iter, monkeypatch):
+        # 41 and 46 pivots with the start pivot: 9 and 14 updates into the second block
+        lp = support_shaped_lp(38, 0)
+        got, bases = solve_spied(monkeypatch, *lp, max_iter=max_iter)
+        want, want_bases = reference_minimize(*lp, max_iter=max_iter)
+        assert got == want == simplex.LPResult(ITERATION_LIMIT, None, None, max_iter)
+        assert bases == want_bases and len(bases) == max_iter + 1
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_exact_iteration_cap_inside_a_block(self, block, monkeypatch):
+        monkeypatch.setattr(simplex, "_BLOCK", block)
+        c, A, b = [-1, -1, -1, -1], [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
+                                     [0, 0, 0, -1], [-1, -1, -1, -2]], [-1, -1, -1, -1, -4]
+        for max_iter in range(5):
+            got, bases = solve_spied(monkeypatch, *exact(c, A, b), max_iter=max_iter)
+            want, want_bases = reference_minimize(*exact(c, A, b), max_iter=max_iter)
+            assert got == want and bases == want_bases
+        assert got.status == ITERATION_LIMIT and len(bases) == 4
+        assert minimize(*exact(c, A, b)).objective == -Fraction(7, 2)
