@@ -11,20 +11,29 @@ unchanged.  ``PolyKForm`` builds such a form from a dict, and ``evaluate``
 takes either at a point.  A polynomial is checked once, where it enters: the
 public ``Poly`` constructor, ``Poly.parse``, a scalar lifted into the ring and
 ``PolyKForm`` check every term, and ring arithmetic builds its results
-trusted.
+trusted.  A form or matrix entry is checked to be a polynomial where it lies,
+with no copy of the array.
+
+The derivative stack ∂_i w_I, which ``gradient`` and ``d_right`` both build, is
+taken in one pass (``_partials``): each polynomial's terms are walked once, and
+every term scattered into the partial of each variable it contains.
+``Poly.diff`` takes one partial by the same rule; it is the route
+``d_classical`` reads, so the d_classical = (−1)^r d_right check compares two
+derivative implementations, while ``project_polynomial(gradient(w)) ==
+d_right(w)`` reads the stack on both sides.
 
 Two exterior derivatives are provided because the right-wedge convention
 (d w = Σ ∂w_I/∂x_i · e^I ∧ e^i, matching the projection of the gradient) and
 the classical componentwise formula differ by (−1)^deg(w); both are exposed
 and the relation is tested, nothing is silently rescaled.  ``d_right``
-sums the derivative stack ∂_i w_I over the (r, 1) wedge table, not the
-projection's; ``project_polynomial`` is ``project`` on a matrix of
-polynomials.
+sums the derivative stack over the (r, 1) wedge table, not the projection's;
+``project_polynomial`` is ``project`` on a matrix of polynomials.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -45,6 +54,17 @@ def _integral(value):
     return value.numerator if type(value) is Fraction and value.denominator == 1 else value
 
 
+def _coordinates(point: Sequence, nvars: int) -> tuple:
+    """``point`` read by the package's scalar rules: a rational coordinate as
+    ``scalars.coerce`` holds it, any other real number as a finite float.  A
+    bool, or anything that is not a real number, is a DomainError."""
+    if len(point) != nvars:
+        raise DomainError(f"expected {nvars} coordinates, got {len(point)}")
+    return tuple(scalars.coerce(x) if isinstance(x, numbers.Rational)
+                 else scalars.require_finite(scalars.real(x, "coordinate"), "coordinate")
+                 for x in point)
+
+
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -56,7 +76,10 @@ class Poly:
     check every term.  ``+``, ``−``, ``*`` and ``diff`` build their results
     with ``_trusted``, which checks nothing, since exact arithmetic on checked
     terms keeps every rule but two, which they restore themselves: a sum can
-    cancel to zero, and a Fraction result can be an integer.
+    cancel to zero, and a Fraction result can be an integer.  No operation
+    mutates a polynomial's terms once it is built, so results may share them.
+    ``+``, ``−`` and ``*`` take a polynomial in as many variables as it is;
+    every other operand is lifted into the ring by ``_lift``, which checks it.
     """
 
     __slots__ = ("nvars", "terms")
@@ -107,8 +130,10 @@ class Poly:
         """False for the zero polynomial only."""
         return bool(self.terms)
 
-    def _plus(self, other: "Poly", sign: int) -> "Poly":
+    def _plus(self, other, sign: int) -> "Poly":
         """self + sign·other for sign ±1, dropping the terms that cancel."""
+        if type(other) is not Poly or other.nvars != self.nvars:
+            other = self._lift(other)
         if not other.terms:
             return self
         if not self.terms and sign == 1:
@@ -126,10 +151,10 @@ class Poly:
         return Poly._trusted(self.nvars, out)
 
     def __add__(self, other):
-        return self._plus(self._lift(other), 1)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self._plus(self._lift(other), -1)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -138,7 +163,8 @@ class Poly:
         return self._lift(other) - self
 
     def __mul__(self, other):
-        other = self._lift(other)
+        if type(other) is not Poly or other.nvars != self.nvars:
+            other = self._lift(other)
         out: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -171,8 +197,13 @@ class Poly:
         return Poly.const(self.nvars, other)
 
     def diff(self, i: int) -> "Poly":
-        """Formal partial derivative with respect to x_i (1-based)."""
-        if type(i) is not int:    # the gradient's loops pass ints, and skip the call
+        """Formal partial derivative with respect to x_i (1-based).
+
+        The one-variable route: ``d_classical`` reads it.  The derivative
+        stack of ``gradient`` and ``d_right`` takes every partial at once in
+        ``_partials``, by the same rule.
+        """
+        if type(i) is not int:    # d_classical passes ints, and skips the call
             i = integer(i, "variable index")
         if not 1 <= i <= self.nvars:
             raise DomainError(f"variable index {i} out of range 1..{self.nvars}")
@@ -185,17 +216,26 @@ class Poly:
         return Poly._trusted(self.nvars, out)
 
     def evaluate(self, point: Sequence):
-        """Evaluate at a point; exact for rational points, float otherwise."""
-        if len(point) != self.nvars:
-            raise DomainError(f"expected {self.nvars} coordinates, got {len(point)}")
-        total = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, expo):
-                if e:
-                    term = term * x ** e
-            total = total + term
-        return total
+        """Evaluate at a point: exact for rational coordinates, float otherwise.
+
+        The point is read by ``_coordinates``, and a float value that leaves
+        the float range is a DomainError.
+        """
+        return self._at(_coordinates(point, self.nvars))
+
+    def _at(self, point: tuple):
+        """The value at a point that ``_coordinates`` has read; an exact value
+        as ``scalars.coerce`` holds it."""
+        with scalars.float_guard("polynomial value"):
+            total = 0
+            for expo, coeff in self.terms.items():
+                term = coeff
+                for x, e in zip(point, expo):
+                    if e:
+                        term = term * x ** e
+                total = total + term
+        return scalars.require_finite(total, "polynomial value") if type(total) is float \
+            else _integral(total)
 
     def _sorted_terms(self):
         # display order: total degree descending, then lexicographic exponents
@@ -263,15 +303,15 @@ class Poly:
         return result
 
 
-def _polynomials(values, n: int, what: str) -> np.ndarray:
-    """``values`` as a read-only array, every entry of which must be a
-    polynomial in n variables."""
-    def polynomial(p):
+def _polynomials(values: np.ndarray | list, n: int, what: str) -> list:
+    """The entries of ``values``, a stored array or a list, in a flat list;
+    each must be a polynomial in n variables.  They are checked where they
+    lie, not copied into a new array."""
+    entries = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    for p in entries:
         if not isinstance(p, Poly) or p.nvars != n:
             raise DomainError(f"{what} must be polynomials in {n} variables, got {p!r}")
-        return p
-
-    return scalars.array(values, np.shape(values), scalars.EXACT, what, polynomial)
+    return entries
 
 
 def PolyKForm(n: int, k: int, coeffs: Mapping[Sequence[int] | str, Poly] | None = None
@@ -299,17 +339,36 @@ def form_from_json(obj: Mapping) -> KForm:
 
 def evaluate(obj: KForm | ShapeMatrix, point: Sequence, backend: str = scalars.EXACT):
     """The form or shape matrix of the values of ``obj``'s polynomials at ``point``."""
-    values = _polynomials(obj.coeffs if isinstance(obj, KForm) else obj.entries, obj.n,
-                          "evaluated entries")
-    at = np.array([p.evaluate(point) for p in values.flat], dtype=object)
-    return type(obj)(obj.n, obj.k, at.reshape(values.shape), backend)
+    stored = obj.coeffs if isinstance(obj, KForm) else obj.entries
+    point = _coordinates(point, obj.n)
+    at = [p._at(point) for p in _polynomials(stored, obj.n, "evaluated entries")]
+    return type(obj)(obj.n, obj.k, np.array(at, dtype=object).reshape(stored.shape), backend)
 
 
 def _partials(w: KForm) -> np.ndarray:
-    """The derivative stack: row I, column i holds the formal partial ∂w_I/∂x_i."""
-    coeffs = _polynomials(w.coeffs, w.n, "form coefficients")
-    return np.array([[p.diff(i) for i in range(1, w.n + 1)] for p in coeffs.tolist()],
-                    dtype=object)
+    """The derivative stack: row I, column i holds the formal partial ∂w_I/∂x_i.
+
+    One walk of each polynomial's terms: a term scatters into the partial of
+    every variable it contains (exponent e − 1 in that slot, coefficient·e),
+    so a partial no term reaches is never built; those all share one zero.
+    The rule is ``Poly.diff``'s, which stays the one-variable route.
+    """
+    n = w.n
+    zero = Poly._trusted(n, {})
+    flat = []
+    for p in _polynomials(w.coeffs, n, "form coefficients"):
+        row = [zero] * n
+        for expo, coeff in p.terms.items():
+            for pos, e in enumerate(expo):
+                if e:    # distinct exponents stay distinct, and coeff·e ≠ 0
+                    partial = row[pos]
+                    if partial is zero:
+                        row[pos] = partial = Poly._trusted(n, {})
+                    key = list(expo)
+                    key[pos] = e - 1
+                    partial.terms[tuple(key)] = coeff if e == 1 else _integral(coeff * e)
+        flat += row
+    return np.fromiter(flat, dtype=object, count=len(flat)).reshape(-1, n)
 
 
 def gradient(w: KForm) -> ShapeMatrix:

@@ -69,12 +69,15 @@ def coerce(value):
 def float_guard(what: str):
     """Raise float overflow, invalid operations and division by zero as DomainError.
 
-    Underflow stays silent: it rounds toward zero, below every tolerance.
+    numpy's are caught as it raises them; Python float arithmetic raises its
+    own overflow (``10.0 ** 400``, or an int too large for a float), caught
+    here too.  Underflow stays silent: it rounds toward zero, below every
+    tolerance.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             yield
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise DomainError(f"{what} left the float range ({exc})") from None
 
 

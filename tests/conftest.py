@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from extconv import projection, sampling
+from extconv import polyform, projection, sampling
 
 
 @pytest.fixture
@@ -44,6 +46,27 @@ def projection_sign_fault(monkeypatch):
         return cells, signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
 
     monkeypatch.setattr(projection, "_projection_table", faulty)
+
+
+@pytest.fixture
+def partials_fault(monkeypatch):
+    """Drop the factor e from the one-pass derivative stack.
+
+    Every stack ``polyform._partials`` hands out while the fixture is active
+    reads ∂(c·x_i^e)/∂x_i as c·x_i^(e−1): each term of column i is divided by
+    its own x_i exponent plus one.  ``Poly.diff`` is left untouched, so a
+    check whose other side takes its partials there must report a mismatch.
+    """
+    real = polyform._partials
+
+    def faulty(w):
+        stack = real(w).copy()
+        for (row, i), partial in np.ndenumerate(stack):
+            stack[row, i] = polyform.Poly(w.n, {e: Fraction(c, e[i] + 1)
+                                                for e, c in partial.terms.items()})
+        return stack
+
+    monkeypatch.setattr(polyform, "_partials", faulty)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extconv import polyform
 from extconv.errors import DomainError
 from extconv.exterior import KForm, scalar_product, wedge
 from extconv.polyform import (Poly, PolyKForm, d_classical, d_right, evaluate, form_from_json,
@@ -54,6 +56,38 @@ class TestPoly:
         p = Poly.parse("x1*x3 - 2", 3)
         assert p.evaluate((2, 99, 5)) == 8
         assert p.evaluate((Fraction(1, 2), 0, Fraction(1, 3))) == Fraction(-11, 6)
+
+    def test_evaluate_reads_the_point_by_the_scalar_rules(self):
+        p = Poly.parse("x1*x2 + 1/2", 2)
+        assert p.evaluate((np.int64(3), Fraction(1, 3))) == Fraction(3, 2)
+        assert type(Poly.parse("x1*x2 + 1", 2).evaluate((np.int64(2), 3))) is int
+        assert type(Poly.parse("1/2*x1 + 1/2*x2", 2).evaluate((1, 1))) is int    # not Fraction(1)
+        value = p.evaluate((np.float64(0.5), 2))
+        assert value == 1.5 and type(value) is float
+        for point in [(True, 1), (1, False), ("1", 1), (1j, 1), (None, 1), (Fraction(1), "x"),
+                      (float("inf"), 1), (float("nan"), 1), (np.bool_(True), 1)]:
+            with pytest.raises(DomainError):
+                p.evaluate(point)
+        with pytest.raises(DomainError):
+            p.evaluate((1,))
+
+    def test_evaluate_refuses_a_value_beyond_the_float_range(self):
+        with pytest.raises(DomainError, match="float range"):
+            Poly.parse("x1^400", 1).evaluate([10.0])            # a power that overflows
+        with pytest.raises(DomainError):
+            Poly.parse("x1^200*x2^200", 2).evaluate([10.0, 10.0])    # a product that reads inf
+        with pytest.raises(DomainError):
+            Poly.parse("x1^300 - x2^300", 2).evaluate([11.0, 11.0])  # inf − inf
+        with pytest.raises(DomainError):
+            Poly(1, {(1,): 10 ** 400}).evaluate([0.5])        # an int too large for a float
+        assert Poly.parse("x1^400", 1).evaluate([10]) == 10 ** 400    # exact points stay exact
+
+    def test_module_evaluate_reads_the_point_once_by_the_same_rules(self):
+        w = PolyKForm(2, 1, {(1,): Poly.parse("x1^400", 2), (2,): x(2, 2)})
+        assert evaluate(w, (1, Fraction(1, 2))) == KForm(2, 1, [1, Fraction(1, 2)])
+        for point in [(True, 1), (1, "2"), (10.0, 1)]:
+            with pytest.raises(DomainError):
+                evaluate(w, point)
 
     def test_bad_variable_rejected(self):
         with pytest.raises(DomainError):
@@ -152,6 +186,90 @@ class TestTrustedArithmetic:
                 Poly.variable(2, 1) + bad
         with pytest.raises(DomainError):
             Poly.variable(2, 1) - Poly.variable(3, 1)
+
+
+class TestLiftFreeRingOperations:
+    """``+``, ``−`` and ``*`` take a polynomial of their own ring as it is;
+    every other operand is still lifted and checked."""
+
+    OPS = [operator.add, operator.sub, operator.mul]
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_mixed_variable_counts_refused_both_ways(self, op):
+        two, three = Poly.parse("x1 + 1", 2), Poly.parse("x3 - 1/2", 3)
+        for a, b in [(two, three), (three, two), (Poly.zero(2), Poly.zero(3)),
+                     (Poly.zero(3), two)]:
+            with pytest.raises(DomainError, match="mixed variable counts"):
+                op(a, b)
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("bad", [True, False, 0.5, -1.25, "1", None, 1j])
+    def test_scalars_on_either_side_still_checked(self, op, bad):
+        p = Poly.parse("x1 - x2", 2)
+        with pytest.raises(DomainError):
+            op(p, bad)
+        with pytest.raises(DomainError):
+            op(bad, p)
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("good", [3, -2.0, Fraction(4, 2), Fraction(-1, 3), np.int64(5)])
+    def test_scalars_are_lifted_as_constants(self, op, good):
+        p = Poly.parse("x1 - 1/2*x2", 2)
+        const = Poly.const(2, good)
+        assert op(p, good) == op(p, const) and op(const, p) == op(good, p)
+        assert_checked(op(p, good))
+
+
+# polynomials in up to 8 variables with exponents 0–3 and Fraction
+# coefficients; zero and constant polynomials come with them
+def _polys_in(n):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                           st.fractions(-3, 3, max_denominator=4), max_size=5
+                           ).map(lambda terms: Poly(n, terms))
+
+
+FORMS_OF_POLYS = st.integers(1, 8).flatmap(
+    lambda n: st.lists(_polys_in(n), min_size=n, max_size=n).map(
+        lambda ps: PolyKForm(n, 1, {(i + 1,): p for i, p in enumerate(ps)})))
+
+
+class TestOnePassPartials:
+    """The derivative stack that ``gradient`` and ``d_right`` read is built in
+    one pass; every entry must be what the one-variable route, ``Poly.diff``,
+    gives, and keep the class invariant."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(FORMS_OF_POLYS)
+    def test_every_entry_is_diff(self, w):
+        stack = polyform._partials(w)
+        assert stack.shape == (w.n, w.n) and stack.dtype == object
+        for p, row in zip(w.coeffs.tolist(), stack.tolist()):
+            for i, partial in enumerate(row, start=1):
+                assert type(partial) is Poly and partial.nvars == w.n
+                assert partial == p.diff(i)
+                assert_checked(partial)
+
+    def test_zero_and_constant_polynomials(self):
+        w = PolyKForm(3, 1, {(1,): Poly.zero(3), (2,): Poly.const(3, Fraction(5, 2))})
+        assert not any(polyform._partials(w).ravel().tolist())
+
+    def test_integral_results_are_ints(self):
+        w = PolyKForm(2, 1, {(1,): Poly.parse("1/2*x1^2 + 2/3*x1^3*x2 + 1/3*x2", 2)})
+        row = polyform._partials(w)[0]
+        assert row[0].terms == {(1, 0): 1, (2, 1): 2} and row[1].terms == {(3, 0): Fraction(2, 3),
+                                                                          (0, 0): Fraction(1, 3)}
+        assert type(row[0].terms[(1, 0)]) is int and type(row[0].terms[(2, 1)]) is int
+
+    def test_a_dropped_factor_is_caught_by_the_parity_check_only(self, partials_fault):
+        """With ∂(c·x^e)/∂x read as c·x^(e−1) in the one-pass stack, the
+        d_classical = (−1)^r d_right check fails, since ``d_classical`` reads
+        ``Poly.diff``.  The gradient identity cannot see the fault: both of
+        its sides read the stack (ROADMAP item 19, independence)."""
+        w = PolyKForm(2, 1, {(1,): Poly.parse("x1^2*x2", 2)})
+        assert gradient(w).entries[0, 0] == Poly.parse("x1*x2", 2)    # the fault is live
+        with pytest.raises(AssertionError):
+            TestExteriorDerivatives().test_parity_relation()
+        TestGradientProjection().test_polynomial_identity()
 
 
 def random_polyform(n, k, rng, degree=2):
