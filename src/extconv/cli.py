@@ -31,7 +31,7 @@ from .convexity import (SamplerConfig, check_ext_one_affine, check_ext_one_conve
 from .errors import DomainError
 from .exterior import KForm, wedge_power, wedge_power_rows
 from .functions import FormFunction
-from .projection import project, project_rows, wedge_power_from_minors_rows
+from .projection import map_plan, project, project_rows, wedge_power_from_minors_rows
 from .sampling import random_integer_rows
 from .shapespace import ShapeMatrix, adjugate
 
@@ -90,14 +90,13 @@ def cmd_wedge_power(args) -> int:
 
 def _trial_entries(n: int, k: int, s: int) -> int:
     """The most entries one verify-formula trial holds in one array: its
-    matrix, the largest wedge table the direct route gathers, or the cells the
-    expansion reads when it has any: per target, C(ks, s) subscript sets times
-    the splits of the other s(k−1) positions into s blocks."""
+    matrix, the largest wedge table the direct route gathers, or, when the
+    expansion has minors to take, the largest level of their plan: the minors
+    it reads, or the sub-minors below them."""
     sizes = [math.comb(n, k - 1) * n]
     sizes += [math.comb(n, k * i) * math.comb(k * i, k) for i in range(2, min(s, n // k) + 1)]
     if k % 2 == 0 and 2 <= s <= n // k:
-        splits = math.factorial(s * (k - 1)) // (math.factorial(k - 1) ** s * math.factorial(s))
-        sizes.append(math.comb(n, k * s) * math.comb(k * s, s) * splits)
+        sizes += [len(entries) for entries, *_ in map_plan(n, k, s).levels]
     return max(sizes)
 
 

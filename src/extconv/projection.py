@@ -16,8 +16,9 @@ ranks the cells it names in the order of ``shapespace.minor_layout`` by
 arithmetic, without listing that layout.  It stores only those cells, with
 no dense view.  ``MinorPowerMap.apply`` reads them from a
 minor table.  ``wedge_power_from_minors_rows`` takes them for a stack of
-matrices in budgeted batches of determinants (``shapespace.minors_at``) at
-the row and column positions the map stores, and returns zero at once for
+matrices by the map's minor plan (``map_plan``, built once per (n, k, s) from
+the row and column positions the map stores, each sub-minor below the cells
+taken once) through ``shapespace.minors_at``, and returns zero at once for
 odd k or s > n/k; ``wedge_power_from_minors`` is that kernel on a stack of
 one.  On a stack of Python ints it keeps the minors in int64 through the
 map's signed sum when s!·(slots per target)·s!·B^s fits (B the largest entry
@@ -46,7 +47,7 @@ from . import scalars
 from .errors import DomainError
 from .exterior import _GATHER_BUDGET, KForm, sign_table, signed_sum, subset_ranks, subsets
 from .multiindex import block_partitions, enumerate_multiindices, integer, sign_interlace_append
-from .shapespace import MinorTable, ShapeMatrix, minor_layout, minors_at
+from .shapespace import MinorPlan, MinorTable, ShapeMatrix, minor_layout, minor_plan, minors_at
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +192,16 @@ def minor_power_map(n: int, k: int, s: int) -> MinorPowerMap:
     return MinorPowerMap(n, k, s, *sign_table(cells, rows, cols, signs=signs))
 
 
+@_cached_on_integers
+def map_plan(n: int, k: int, s: int) -> MinorPlan:
+    """The minor plan of the order-s power map's cells, built once per (n, k, s)
+    from the row and column positions the map stores, targets × slots in
+    order (the map looked up by name in this module)."""
+    power_map = minor_power_map(n, k, s)
+    return minor_plan(power_map.rows.reshape(-1, s), power_map.cols.reshape(-1, s),
+                      (math.comb(n, k - 1), n))
+
+
 def wedge_power_from_minors_rows(X: np.ndarray, n: int, k: int, s: int) -> np.ndarray:
     """``wedge_power_from_minors`` of each row of a flat (m × C(n,k−1)·n) stack
     of matrix entries: row i of the result is the s-th wedge power of
@@ -199,7 +210,8 @@ def wedge_power_from_minors_rows(X: np.ndarray, n: int, k: int, s: int) -> np.nd
     The cached power map (looked up by name in this module on every call)
     names the submatrices whose determinants it reads, each once (a cell fixes
     its target, so no minor recurs); ``minors_at`` takes them for the whole
-    stack in budgeted chunks instead of building any minor table.  Zero
+    stack by the map's cached plan (``map_plan``), which takes each of their
+    sub-minors once, instead of building any minor table.  Zero
     without building the map when k is odd or s exceeds n/k.  When every
     entry of the stack is a Python int and s!·(slots per target)·s!·B^s fits
     (B the largest entry in size), the minors stay in int64 through the map's
@@ -218,8 +230,7 @@ def wedge_power_from_minors_rows(X: np.ndarray, n: int, k: int, s: int) -> np.nd
     narrowed = scalars.narrow(stack, lambda B: factor * slots * factor * B ** s) \
         if X.dtype == object else None
     with scalars.float_guard("minors"):
-        minors = minors_at(stack if narrowed is None else narrowed,
-                           power_map.rows.reshape(-1, s), power_map.cols.reshape(-1, s))
+        minors = minors_at(stack if narrowed is None else narrowed, map_plan(n, k, s))
     if narrowed is None and minors.dtype == np.int64:
         minors = minors.astype(object)
     image = power_map._image(minors.reshape(len(X), *power_map.cells.shape))

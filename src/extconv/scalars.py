@@ -113,14 +113,18 @@ def narrow(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray | None
     the caller computes from the copy; the copy is made only when every
     element is an ``int`` (not a bool, Fraction or polynomial) and that bound
     lies below ``INT64_LIMIT``.  Otherwise the answer is None and the caller
-    keeps its objects.
+    keeps its objects.  B is read off the int64 copy; an element beyond int64
+    lies past every bound (each is at least B).
     """
-    flat = values.ravel().tolist()
-    if not all(type(value) is int for value in flat):
+    if not set(map(type, values.ravel().tolist())) <= {int}:
         return None
-    if bound(max(map(abs, flat), default=0)) >= INT64_LIMIT:
+    try:
+        narrowed = values.astype(np.int64)
+    except OverflowError:
         return None
-    return values.astype(np.int64)
+    if bound(max(-int(narrowed.min(initial=0)), int(narrowed.max(initial=0)))) >= INT64_LIMIT:
+        return None
+    return narrowed
 
 
 def array(values, shape: tuple[int, ...], backend: str, what: str,

@@ -10,22 +10,30 @@ sign layer — all signs in the wedge-power expansion are carried explicitly by
 the interlace sign, keeping a single canonical sign location.  ``minor_layout``
 lists those selections once per (n, k, s) for every minor table and
 ``adjugate``; the projection's power maps rank their cells in its order by
-arithmetic.  Every minor is taken by one batched, division-free kernel,
-``det_rows``: Laplace expansion along rows over shared sub-minors, one
-``_laplace_table`` per order in the structure-table format of
-``exterior.sign_table``, fed by ``minors_at`` in chunks.  When every entry is
-a Python int and s!·B^s (B the largest entry in size) bounds every partial
-sum below ``scalars.INT64_LIMIT``, ``minors_at`` expands in int64, which is
-still exact integer arithmetic; a minor table widens the result back to
-Python ints as it stores it.
+arithmetic.
+
+Every minor is taken by one division-free kernel over a ``MinorPlan``: Laplace
+expansion along rows, one level per order j = 2..s in the structure-table
+format of ``exterior.sign_table``, each level holding every distinct j×j
+sub-minor once, so a sub-minor that many minors expand onto is taken once and
+read by all of them.  ``minors_at`` runs a plan on a stack of matrices, a
+budgeted gather at a time.  A full layout's plan (``_full_plan``, cached per
+shape and order) ranks its children by arithmetic: ``adjugate`` reads it, and
+``det_rows`` is the plan of one cell.  ``minor_plan`` builds the plan of any
+list of cells by ranking their children and keeping each once; the
+projection builds its power maps' plans with it.  When every entry is a
+Python int and s!·B^s (B the largest entry in size) bounds every partial sum
+below ``scalars.INT64_LIMIT``, ``minors_at`` expands in int64, which is still
+exact integer arithmetic; a minor table widens the result back to Python
+ints as it stores it.  ``adjugate`` refuses, before listing any layout, a
+table whose cells and sub-minors together exceed ``ADJUGATE_CELLS``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,76 +216,175 @@ def table_inner(a: MinorTable, b: MinorTable):
         return ordered_sum((a.values.flat[live] * b.values.flat[live]).reshape(1, -1)).item()
 
 
-@lru_cache(maxsize=None)
-def _laplace_table(s: int, j: int) -> tuple[np.ndarray, ...]:
-    """Laplace expansion of the order-j minors on the last j of s rows by their
-    first row: for each j-subset C of the s columns, in lex order, its j slots
-    p give the column C[p] and the rank of C∖C[p] among the (j−1)-subsets, with
-    sign (−1)^p."""
-    below = {C: r for r, C in enumerate(itertools.combinations(range(s), j - 1))}
-    col_sets = list(itertools.combinations(range(s), j))
-    cols = np.array(col_sets, dtype=np.intp).reshape(len(col_sets), j)
-    subs = np.array([[below[C[:p] + C[p + 1:]] for p in range(j)] for C in col_sets],
-                    dtype=np.intp).reshape(len(col_sets), j)
-    return sign_table(cols, subs, signs=[(-1) ** p for p in range(j)])
 
 
-def det_rows(M: np.ndarray) -> np.ndarray:
-    """Determinants of an (…, s, s) stack, float64, int64 or object (ints,
-    Fractions), in the stack's dtype.
+class MinorPlan(NamedTuple):
+    """Laplace expansion of a set of order-s minors, every sub-minor taken once.
 
-    Row by row from the bottom, every minor on the last j rows is expanded
-    along its first row over the minors on the last j − 1, which all of them
-    share: s·2^(s−1) products per determinant, with no pivot and no division,
-    so exact input gives exact output.  A float determinant sums its slots
-    left to right, whatever batch it sits in.  An int64 stack is exact when
-    s!·B^s fits, B its largest entry in size, since that bounds every partial
-    sum at every level j (by j!·B^j); ``minors_at`` narrows to int64 only then.
+    Level j's cells are pairs (R, C) of increasing j-sets of row and column
+    positions, each held once.  Level 1 is ``first``, the flat entry position
+    r·n + c of each 1×1 cell (n the matrix width).  ``levels`` holds levels
+    2..s in the structure-table format of ``exterior.sign_table``: slot p of a
+    level-j cell names the flat position of the entry (R[0], C[p]) and the
+    index of the level-(j−1) cell (R[1:], C∖C[p]), with sign (−1)^p, the order
+    in which a determinant expands along its first row.  The last level's
+    cells are the minors the plan serves, in the order it was built for.
+    Every index array is in the smallest unsigned type that holds it.
     """
-    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
-        raise DomainError("determinant of a non-square matrix")
-    s = M.shape[-1]
-    acc = np.ones(M.shape[:-2] + (1,), dtype=M.dtype)
-    for j in range(1, s + 1):
-        cols, subs, *signs = _laplace_table(s, j)
-        acc = signed_sum(lambda q: M[..., s - j, cols[:, q]] * acc[..., subs[:, q]], M.dtype,
-                         *signs)
-    return acc[..., 0]
+
+    first: np.ndarray
+    levels: tuple[tuple[np.ndarray, ...], ...]
 
 
-def minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The minors of a stack of matrices' entries, (…, R, n), on the row and
-    column positions of ``rows`` and ``cols``, which broadcast to (I, …, s):
-    for each matrix of the stack, the (I, …) minors, gathered and expanded
-    ``_GATHER_BUDGET`` entries a chunk over the matrices and the first axis of
-    the positions (or one item of that axis, when it holds more).
+def _level(entries: np.ndarray, children: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A level of cells × j slots in the format of ``exterior.sign_table``."""
+    j = entries.shape[-1]
+    return sign_table(entries.reshape(-1, j), children.reshape(-1, j),
+                      signs=[(-1) ** p for p in range(j)])
+
+
+@lru_cache(maxsize=None)
+def _full_plan(nrows: int, ncols: int, s: int) -> MinorPlan:
+    """The plan of every order-s minor of an nrows × ncols matrix, built once
+    per shape and order: cell c is row set c // C(ncols, s) and column set
+    c % C(ncols, s), both lexicographic, as in ``minor_layout``.
+
+    Level j holds every j-set of rows from s − j on (the last j rows of some
+    s-set) against every j-set of columns, in the same order, so each child
+    index is ranked by arithmetic and no level needs a search.
+    """
+    at = np.min_scalar_type(nrows * ncols)
+    first = (np.arange(s - 1, nrows, dtype=at)[:, None] * at.type(ncols)
+             + np.arange(ncols, dtype=at)).ravel()
+    levels = []
+    for j in range(2, s + 1):
+        row_sets, col_sets = subsets(nrows - s + j, j), subsets(ncols, j)    # rows less s − j
+        below = math.comb(ncols, j - 1)
+        to = np.min_scalar_type(math.comb(nrows - s + j - 1, j - 1) * below)
+        entries = ((row_sets[:, 0] + s - j) * ncols).astype(at)[:, None, None] + col_sets.astype(at)
+        # R[1:] less s − j + 1 among level j − 1's row sets, C∖C[p] among its
+        # column sets: the slots other than p are the (j−1)-sets of range(j)
+        # in reverse lex order
+        children = (subset_ranks(row_sets[:, 1:] - 1, nrows - s + j - 1) * below) \
+            .astype(to)[:, None, None] \
+            + subset_ranks(col_sets[:, subsets(j, j - 1)[::-1]], ncols).astype(to)
+        levels.append(_level(entries, children))
+    first.flags.writeable = False
+    return MinorPlan(first, tuple(levels))
+
+
+def minor_plan(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> MinorPlan:
+    """The plan of the minors on cells (rows[i], cols[i]) of a ``shape`` matrix,
+    each cell given by its s increasing row and column positions (cells × s).
+
+    The cells are the last level, in their order.  Below it, each level's
+    sub-minors are found by ranking every child (row-set rank × C(n, j−1) +
+    column-set rank), ``_GATHER_BUDGET`` ranks at a time, and keeping each
+    rank once, in the order first met.
+    """
+    nrows, ncols = shape
+    at = np.min_scalar_type(nrows * ncols)
+    levels = []
+    for j in range(rows.shape[-1], 1, -1):
+        others, width = subsets(j, j - 1)[::-1], math.comb(ncols, j - 1)    # others[p]: not p
+        index: dict[int, int] = {}    # child rank -> its cell on the level below
+        children = np.empty((len(rows), j), dtype=np.min_scalar_type(len(rows) * j))
+        chunks = [slice(start, start + _GATHER_BUDGET // j)
+                  for start in range(0, len(rows), _GATHER_BUDGET // j)]
+        for part in chunks:
+            ranks = subset_ranks(rows[part, 1:], nrows)[:, None] * width \
+                + subset_ranks(cols[part][:, others], ncols)
+            children[part] = np.reshape([index.setdefault(rank, len(index))
+                                         for rank in ranks.ravel().tolist()], ranks.shape)
+        where = np.empty(len(index), dtype=np.intp)    # some slot that names each child
+        for part in chunks:
+            where[children[part].ravel()] = np.arange(part.start * j, part.start * j
+                                                      + children[part].size)
+        levels.append(_level(rows[:, :1].astype(at) * at.type(ncols) + cols.astype(at),
+                             children.astype(np.min_scalar_type(len(index)), copy=False)))
+        cell, slot = where // j, where % j
+        rows, cols = rows[cell, 1:], cols[cell[:, None], others[slot]]
+    first = rows[:, 0].astype(at) * at.type(ncols) + cols[:, 0].astype(at)
+    first.flags.writeable = False
+    return MinorPlan(first, tuple(reversed(levels)))
+
+
+def _expand(plan: MinorPlan, flat: np.ndarray) -> np.ndarray:
+    """The minors a plan names, (m, cells), of a stack of flat matrix entries,
+    (m, R·n), in its dtype.
+
+    Level by level from level 1, every cell is expanded along its first row
+    over the cells of the level below, with no pivot and no division, so exact
+    input gives exact output; a float minor sums its slots left to right from
+    0.0, whatever batch it sits in.  Each level gathers at most
+    ``_GATHER_BUDGET`` entries at once over matrices × cells × slots (or one
+    cell of one matrix, when it holds more).  An int64 stack is exact when
+    s!·B^s fits, B its largest entry in size: that bounds every partial sum at
+    every level j (by j!·B^j).
+    """
+    values = flat[:, plan.first]
+    if not plan.levels and flat.dtype.kind == "f":
+        return values + 0.0    # the loop's step from 0.0: a 1×1 minor of −0.0 is +0.0
+    for entries, children, *signs in plan.levels:
+        slots = entries.shape[1]
+        out = np.empty((len(flat), len(entries)), dtype=flat.dtype)
+        matrices = min(len(flat), max(1, _GATHER_BUDGET // (slots * len(entries) or 1))) or 1
+        step = max(1, _GATHER_BUDGET // (slots * matrices))
+        for start in range(0, len(flat), matrices):
+            at = slice(start, start + matrices)
+            here, below = flat[at], values[at]
+            for cell in range(0, len(entries), step):
+                e, c = entries[cell:cell + step], children[cell:cell + step]
+                out[at, cell:cell + step] = signed_sum(
+                    lambda q: here[:, e[:, q]] * below[:, c[:, q]], flat.dtype, *signs)
+        values = out
+    return values
+
+
+def minors_at(entries: np.ndarray, plan: MinorPlan) -> np.ndarray:
+    """The minors a plan names of each matrix of a stack, (…, R, n) entries:
+    (…, cells).
 
     When every entry of the whole stack is a Python int and their minors
     provably fit (s!·B^s below ``scalars.INT64_LIMIT``), the stack is
     expanded in int64, and so are the minors returned; any other entries keep
     their dtype.
     """
-    rows, cols = np.broadcast_arrays(rows, cols)
-    s = rows.shape[-1]
     if entries.dtype == object:
+        s = len(plan.levels) + 1
         narrowed = scalars.narrow(entries, lambda B: math.factorial(s) * B ** s)
         entries = entries if narrowed is None else narrowed
-    stack = entries.reshape(-1, *entries.shape[-2:])
-    per_item = math.prod(rows.shape[1:]) * s or 1
-    # as many matrices as the budget holds at one item each, then as many items
-    matrices = min(len(stack), max(1, _GATHER_BUDGET // per_item)) or 1
-    step = max(1, _GATHER_BUDGET // (per_item * matrices))
-    out = np.empty((len(stack), *rows.shape[:-1]), dtype=entries.dtype)
-    for first in range(0, len(stack), matrices):
-        at = slice(first, first + matrices)
-        for start in range(0, len(rows), step):
-            r, c = rows[start:start + step], cols[start:start + step]
-            out[at, start:start + step] = det_rows(stack[at, r[..., :, None], c[..., None, :]])
-    return out.reshape(*entries.shape[:-2], *rows.shape[:-1])
+    flat = entries.reshape(-1, entries.shape[-2] * entries.shape[-1])
+    return _expand(plan, flat).reshape(*entries.shape[:-2], -1)
+
+
+def det_rows(M: np.ndarray) -> np.ndarray:
+    """Determinants of an (…, s, s) stack, float64, int64 or object (ints,
+    Fractions), in the stack's dtype: the plan of the one order-s minor,
+    s·2^(s−1) products per determinant."""
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+        raise DomainError("determinant of a non-square matrix")
+    s = M.shape[-1]
+    if not s:
+        return np.ones(M.shape[:-2], dtype=M.dtype)
+    return _expand(_full_plan(s, s, s), M.reshape(-1, s * s)).reshape(M.shape[:-2])
+
+
+# the most cells adjugate takes, over a table and the sub-minors of its plan:
+# above it a table is refused before any is listed
+ADJUGATE_CELLS = 1 << 20
 
 
 def adjugate(X: ShapeMatrix, s: int) -> MinorTable:
     """The order-s minor table of X; order 1 is X itself."""
+    s = integer(s, "minor order")
+    nrows = math.comb(X.n, X.k - 1)
+    if 1 <= s <= min(X.n, nrows):
+        cells = sum(math.comb(nrows - s + j, j) * math.comb(X.n, j) for j in range(1, s + 1))
+        if cells > ADJUGATE_CELLS:
+            raise DomainError(f"order-{s} minors of an (n={X.n}, k={X.k}) matrix take {cells} "
+                              f"cells, more than {ADJUGATE_CELLS}")
     rows, cols = minor_layout(X.n, X.k, s)
     with scalars.float_guard("minors"):
-        return MinorTable(X.n, X.k, s, minors_at(X.entries, rows[:, None], cols[None]), X.backend)
+        minors = minors_at(X.entries, _full_plan(nrows, X.n, s))
+        return MinorTable(X.n, X.k, s, minors.reshape(len(rows), len(cols)), X.backend)

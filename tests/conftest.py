@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extconv import polyform, projection, sampling
+from extconv import polyform, projection, sampling, shapespace
 
 
 @pytest.fixture
@@ -46,6 +46,28 @@ def projection_sign_fault(monkeypatch):
         return cells, signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
 
     monkeypatch.setattr(projection, "_projection_table", faulty)
+
+
+@pytest.fixture
+def minor_plan_fault(monkeypatch):
+    """Swap the children of slots 0 and 1 on the top level of every minor plan.
+
+    Every plan ``minors_at`` runs while the fixture is active (the full
+    layout's plan that ``adjugate`` reads and the power map's plan that
+    ``wedge_power_from_minors_rows`` reads) expands each of its minors onto
+    the wrong pair of sub-minors, so a check whose other side never runs a
+    plan must report a mismatch.  The cached plans are left untouched.
+    """
+    real = shapespace.minors_at
+
+    def faulty(entries, plan):
+        entries_at, children, *signs = plan.levels[-1]
+        swapped = children[:, [1, 0, *range(2, children.shape[1])]]
+        return real(entries, plan._replace(levels=(*plan.levels[:-1],
+                                                   (entries_at, swapped, *signs))))
+
+    for module in (shapespace, projection):
+        monkeypatch.setattr(module, "minors_at", faulty)
 
 
 @pytest.fixture

@@ -24,6 +24,11 @@ judge and compare with the package's own kernels (``wedge_rows``, the scans'
 ``reference_minimize`` is the simplex as it pivoted before its rank-one
 updates were delayed: one ``T −= outer`` a pivot, with the same pricing, ratio
 test and Bland switch, which the blocked loop must follow pivot for pivot.
+``reference_minors_at`` is the minor kernel as it was before minor plans:
+every s×s submatrix gathered whole, in budgeted chunks, and expanded on its own
+by ``reference_det_rows`` over a Laplace table of its own; the plans must
+reproduce its minors, floats bit for bit.  ``plan_cells`` reads a plan's cells
+back from its flat entry positions, checking every slot's entry and child.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from extconv import scalars, simplex
 from extconv.convexity import LIFT_POINTS_PER_LINE, LIFT_TOLERANCE, LineCrossCheck, \
     _line_judgement, lift
 from extconv.errors import DomainError
-from extconv.exterior import KForm, wedge_power, wedge_rows
+from extconv.exterior import KForm, sign_table, signed_sum, wedge_power, wedge_rows
 from extconv.multiindex import enumerate_multiindices, sign_interlace_append
 from extconv.projection import project, right_inverse, wedge_power_from_minors
 from extconv.sampling import derive_rng
@@ -176,6 +181,76 @@ def perm_det(rows):
             prod *= rows[i][perm[i]]
         total += sign * prod
     return total
+
+
+def _reference_laplace_table(s: int, j: int) -> tuple:
+    """The order-j minors on the last j of s rows by their first row: for each
+    j-subset C of the s columns, in lex order, its j slots p give the column
+    C[p] and the rank of C∖C[p] among the (j−1)-subsets, with sign (−1)^p."""
+    below = {C: r for r, C in enumerate(itertools.combinations(range(s), j - 1))}
+    col_sets = list(itertools.combinations(range(s), j))
+    cols = np.array(col_sets, dtype=np.intp).reshape(len(col_sets), j)
+    subs = np.array([[below[C[:p] + C[p + 1:]] for p in range(j)] for C in col_sets],
+                    dtype=np.intp).reshape(len(col_sets), j)
+    return sign_table(cols, subs, signs=[(-1) ** p for p in range(j)])
+
+
+def reference_det_rows(M: np.ndarray) -> np.ndarray:
+    """Determinants of an (…, s, s) stack, expanded per stack over the minors
+    of its own last rows, as the package did before minor plans."""
+    s = M.shape[-1]
+    acc = np.ones(M.shape[:-2] + (1,), dtype=M.dtype)
+    for j in range(1, s + 1):
+        cols, subs, *signs = _reference_laplace_table(s, j)
+        acc = signed_sum(lambda q: M[..., s - j, cols[:, q]] * acc[..., subs[:, q]], M.dtype,
+                         *signs)
+    return acc[..., 0]
+
+
+def reference_minors_at(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                        budget: int = 1 << 13) -> np.ndarray:
+    """The minors of a stack of matrices' entries, (…, R, n), on the row and
+    column positions of ``rows`` and ``cols``, which broadcast to (I, …, s):
+    each s×s submatrix gathered whole and expanded by ``reference_det_rows``,
+    ``budget`` entries a chunk, narrowed to int64 under the package's bound
+    s!·B^s.  The package's minor kernel before minor plans, kept as the
+    oracle of the plans."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    s = rows.shape[-1]
+    if entries.dtype == object:
+        narrowed = scalars.narrow(entries, lambda B: math.factorial(s) * B ** s)
+        entries = entries if narrowed is None else narrowed
+    stack = entries.reshape(-1, *entries.shape[-2:])
+    per_item = math.prod(rows.shape[1:]) * s or 1
+    matrices = min(len(stack), max(1, budget // per_item)) or 1
+    step = max(1, budget // (per_item * matrices))
+    out = np.empty((len(stack), *rows.shape[:-1]), dtype=entries.dtype)
+    for first in range(0, len(stack), matrices):
+        at = slice(first, first + matrices)
+        for start in range(0, len(rows), step):
+            r, c = rows[start:start + step], cols[start:start + step]
+            out[at, start:start + step] = reference_det_rows(
+                stack[at, r[..., :, None], c[..., None, :]])
+    return out.reshape(*entries.shape[:-2], *rows.shape[:-1])
+
+
+def plan_cells(plan, ncols: int) -> list[list[tuple[tuple, tuple]]]:
+    """The cells (row set, column set) of each level of a minor plan, level 1
+    first, read back from its flat entry positions (r·ncols + c), with every
+    slot checked to name entry (R[0], C[p]) and child (R[1:], C∖C[p])."""
+    levels = [[((int(p) // ncols,), (int(p) % ncols,)) for p in plan.first]]
+    for entries, children, *_ in plan.levels:
+        cells = []
+        for slots, kids in zip(entries.tolist(), children.tolist()):
+            rows = {p // ncols for p in slots}
+            assert len(rows) == 1, f"one cell's entries lie on rows {rows}"
+            C = tuple(p % ncols for p in slots)
+            R = (rows.pop(),) + levels[-1][kids[0]][0]
+            for p, kid in enumerate(kids):
+                assert levels[-1][kid] == (R[1:], C[:p] + C[p + 1:]), "a child is not its sub-minor"
+            cells.append((R, C))
+        levels.append(cells)
+    return levels
 
 
 def brute_partitions(members: tuple[int, ...], s: int, k: int) -> set:

@@ -7,14 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from extconv import cli, scalars
+from extconv import cli, scalars, shapespace
 from extconv.cli import build_parser, main
 from extconv.convexity import SamplerConfig
 from extconv.errors import DomainError
 from extconv.exterior import KForm, _wedge_table, wedge
 from extconv.functions import FormFunction
-from extconv.projection import minor_power_map
-from extconv.shapespace import tensor
+from extconv.projection import map_plan, minor_power_map
+from extconv.shapespace import ShapeMatrix, tensor
 
 from oracles import reference_scan, reference_verify_report
 
@@ -145,6 +145,15 @@ class TestVerifyFormula:
         assert blob["failure"]["trial"] == 0
         assert blob["failure"]["seed"] == 0
 
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 4, 2)])
+    def test_minor_plan_fault_detected(self, capsys, minor_plan_fault, n, k, s):
+        # the direct route never runs a minor plan, so a plan expanding onto
+        # the wrong sub-minors fails the campaign
+        code, out, _ = run_cli(capsys, "verify-formula", "--n", str(n), "--k", str(k),
+                               "--s", str(s), "--trials", "3")
+        blob = json.loads(out)
+        assert code == 1 and blob["status"] == "fail" and blob["max_residual"] != "0"
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exit_2(self, capsys, trials):
         code, out, err = run_cli(capsys, "verify-formula", "--n", "4", "--k", "2",
@@ -242,7 +251,10 @@ class TestStackedTrials:
     @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 2, 4), (8, 4, 2), (9, 3, 3),
                                        (6, 3, 2), (10, 2, 5), (12, 2, 3), (12, 4, 3), (4, 2, 3)])
     def test_trial_size_is_the_largest_table(self, n, k, s):
+        # the matrix, the minors the expansion reads and every level of
+        # sub-minors below them, and the direct route's wedge tables
         tables = [math.comb(n, k - 1) * n, minor_power_map(n, k, s).cells.size]
+        tables += [len(entries) for entries, *_ in map_plan(n, k, s).levels]
         tables += [_wedge_table(n, k * i, k)[0].size for i in range(1, s) if k * (i + 1) <= n]
         assert cli._trial_entries(n, k, s) == max(tables)
 
@@ -429,6 +441,16 @@ class TestBadInputExits2:
         assert out == ""
         assert err.startswith("extconv: ") and err.count("\n") == 1, err
         return err
+
+    def test_adjugate_over_the_size_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        # C(16,8)² = 165.6 M cells at (16,2,8): refused before any layout is listed
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the size check ran after the layout was listed")
+
+        monkeypatch.setattr(shapespace, "minor_layout", forbidden)
+        path = write_json(tmp_path, "m16.json", ShapeMatrix(16, 2).to_json())
+        err = self.assert_usage_error(capsys, "adjugate", "--input", path, "--s", "8")
+        assert "cells" in err
 
     def test_float_overflow_exits_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "pow.json",

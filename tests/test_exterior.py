@@ -16,7 +16,7 @@ from extconv.exterior import (KForm, _wedge_table, hodge_star, norm_squared, ord
 from extconv.functions import FormFunction
 from extconv.polyform import Poly
 from extconv.projection import _projection_table, project_rows
-from extconv.shapespace import MinorTable, ShapeMatrix, _laplace_table, adjugate, det_rows
+from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, det_rows
 
 from oracles import (coeffs_to_dict, dict_to_coeff_list, lex_ranks, rand_exact, shuffle_wedge,
                      wedge_many)
@@ -568,14 +568,16 @@ class TestSlotMajorSums:
 
     @staticmethod
     def loop_det(M):
-        """``det_rows``' expansion of one matrix, every level a scalar loop."""
+        """``det_rows``' expansion of one matrix, every level a scalar loop: the
+        minor on the last j rows and columns C is Σ (−1)^p M[s−j][C[p]]·(the
+        minor on the last j − 1 rows and C∖C[p]), summed left to right."""
         s = len(M)
-        acc = [1.0]
+        acc = {(): 1.0}
         for j in range(1, s + 1):
-            cols, subs, signs, _, _ = _laplace_table(s, j)
-            acc = [loop_sum((M[s - j][c] * acc[b] for c, b in zip(C, B)), signs.tolist())
-                   for C, B in zip(cols.tolist(), subs.tolist())]
-        return acc[0]
+            acc = {C: loop_sum((M[s - j][C[p]] * acc[C[:p] + C[p + 1:]] for p in range(j)),
+                               [(-1) ** p for p in range(j)])
+                   for C in itertools.combinations(range(s), j)}
+        return acc[tuple(range(s))]
 
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
     @settings(max_examples=15, deadline=None)

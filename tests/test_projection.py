@@ -16,7 +16,7 @@ from extconv.projection import (minor_power_map, project, project_rows,
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, minor_layout, table_inner,
                                 tensor)
 
-from oracles import dense_power_map, rand_exact, reference_pullback
+from oracles import dense_power_map, plan_cells, rand_exact, reference_pullback
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -217,6 +217,14 @@ class TestWedgePowerFromMinors:
         X = rand_int_matrix(4, 2, rng)
         assert wedge_power_from_minors(X, 2) != wedge_power(project(X), 2)
 
+    @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 4, 2)])
+    def test_minor_plan_fault_breaks_the_power_map_identity(self, minor_plan_fault, n, k, s):
+        # the power map applied to adjugate's table reads the full layout's
+        # plan; the wedge route runs no plan
+        X = rand_int_matrix(n, k, random.Random(12))
+        assert minor_power_map(n, k, s).apply(adjugate(X, s)) != wedge_power(project(X), s)
+        assert wedge_power_from_minors(X, s) != wedge_power(project(X), s)
+
     @staticmethod
     def summed_dtypes(monkeypatch, *modules):
         """Record the dtype of every stack ``signed_sum`` reads where ``modules`` call it."""
@@ -325,39 +333,47 @@ class TestStackedMinorKernel:
 
 class TestLazyMinors:
     @staticmethod
-    def count_det(monkeypatch):
-        """Record the order of every determinant the batched kernel takes;
-        forbid full minor tables."""
-        calls = []
-        real_det_rows = shapespace.det_rows
+    def run_plans(monkeypatch):
+        """Record every minor plan the expansion runs; forbid full minor tables."""
+        plans = []
+        real_minors_at = projection.minors_at
 
-        def counting_det_rows(M):
-            calls.extend([M.shape[-1]] * math.prod(M.shape[:-2]))
-            return real_det_rows(M)
+        def recording_minors_at(entries, plan):
+            plans.append(plan)
+            return real_minors_at(entries, plan)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the expansion built a full minor table")
 
-        monkeypatch.setattr(shapespace, "det_rows", counting_det_rows)
+        monkeypatch.setattr(projection, "minors_at", recording_minors_at)
         monkeypatch.setattr(shapespace, "adjugate", forbidden)
-        return calls
+        return plans
 
     @pytest.mark.parametrize("n,k,s,used", [(8, 2, 4, 70), (8, 4, 2, 280), (10, 2, 5, 252)])
     def test_top_degree_reads_only_used_minors(self, monkeypatch, n, k, s, used):
         X = rand_int_matrix(n, k, random.Random(20))
-        calls = self.count_det(monkeypatch)
+        plans = self.run_plans(monkeypatch)
         out = wedge_power_from_minors(X, s)
-        assert len(calls) == used and set(calls) == {s}
         assert "adjugate" not in vars(projection)
         monkeypatch.undo()
         assert out == wedge_power(project(X), s)
+        # one plan, whose top level holds exactly the used cells, the map's,
+        # and whose lower levels hold each sub-minor once
+        (plan,) = plans
+        pm = minor_power_map(n, k, s)
+        levels = plan_cells(plan, n)
+        assert len(levels) == s and len(levels[-1]) == used
+        assert levels[-1] == [(tuple(R), tuple(C)) for R, C in
+                              zip(pm.rows.reshape(-1, s).tolist(), pm.cols.reshape(-1, s).tolist())]
+        for cells in levels:
+            assert len(set(cells)) == len(cells)
 
     @pytest.mark.parametrize("n,k,s", [(4, 2, 3), (7, 2, 4), (6, 3, 2), (9, 3, 3)])
     def test_zero_paths_take_no_determinant(self, monkeypatch, n, k, s):
         X = rand_int_matrix(n, k, random.Random(21))
-        calls = self.count_det(monkeypatch)
+        plans = self.run_plans(monkeypatch)
         out = wedge_power_from_minors(X, s)
-        assert calls == []
+        assert plans == []
         assert out.is_zero() and out.k == k * s
 
     @pytest.mark.parametrize("n,k,s", [(6, 3, 2), (16, 3, 5), (4, 2, 3), (14, 2, 14)])

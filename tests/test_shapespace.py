@@ -12,10 +12,12 @@ from extconv import scalars, shapespace
 from extconv.errors import DomainError
 from extconv.exterior import KForm, subsets, wedge_rows
 from extconv.polyform import Poly
+from extconv.projection import map_plan, minor_power_map
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, det_rows, minor_layout,
-                                minors_at, table_inner, tensor)
+                                minor_plan, minors_at, table_inner, tensor)
 
-from oracles import dense_inner, laplace_residual, perm_det, rand_exact
+from oracles import (dense_inner, laplace_residual, perm_det, plan_cells, rand_exact,
+                     reference_minors_at)
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -168,16 +170,17 @@ class TestDetRows:
 
     @pytest.mark.parametrize("dtype", [object, float])
     def test_batch_across_chunk_seams(self, dtype):
-        # minors_at gathers _GATHER_BUDGET entries per chunk; 2.5 chunks of
-        # order-3 minors must equal one unchunked stack, bit for bit for floats
+        # a plan's level gathers _GATHER_BUDGET entries per chunk, s per cell;
+        # 2.5 chunks of order-3 minors must equal one unchunked stack, bit for
+        # bit for floats
         rng = random.Random(50)
         size, s = 7, 3
         entries = np.array([[rng.randint(-5, 5) if dtype is object else rng.uniform(-2, 2)
                              for _ in range(size)] for _ in range(size)], dtype=dtype)
-        count = 5 * (shapespace._GATHER_BUDGET // s ** 2) // 2
+        count = 5 * (shapespace._GATHER_BUDGET // s) // 2
         rows = np.array([sorted(rng.sample(range(size), s)) for _ in range(count)])
         cols = np.array([sorted(rng.sample(range(size), s)) for _ in range(count)])
-        got = minors_at(entries, rows, cols)
+        got = minors_at(entries, minor_plan(rows, cols, entries.shape))
         whole = det_rows(entries[rows[:, :, None], cols[:, None, :]])
         assert got.shape == (count,) and got.tolist() == whole.tolist()
         for i in range(0, count, 97):
@@ -188,7 +191,8 @@ class TestDetRows:
     def test_empty_batch(self, dtype):
         assert det_rows(np.empty((0, 3, 3), dtype=dtype)).shape == (0,)
         positions = np.empty((0, 2), dtype=np.intp)
-        assert minors_at(np.ones((4, 4), dtype=dtype), positions, positions).shape == (0,)
+        plan = minor_plan(positions, positions, (4, 4))
+        assert minors_at(np.ones((4, 4), dtype=dtype), plan).shape == (0,)
 
     def test_non_square_rejected(self):
         for bad in (np.zeros((2, 3)), np.zeros((4, 3, 2), dtype=object), np.zeros(3)):
@@ -221,10 +225,11 @@ def largest_narrowed(s):
 
 
 def all_minors(entries, s):
-    """Every order-s minor of ``entries``, by ``minors_at`` and by ``det_rows``
-    on the gathered submatrices, which never narrows."""
+    """Every order-s minor of ``entries``, by ``minors_at`` on the plan of every
+    cell and by ``det_rows`` on the gathered submatrices, which never narrows."""
     rows, cols = subsets(entries.shape[0], s), subsets(entries.shape[1], s)
-    return minors_at(entries, rows[:, None], cols[None]), \
+    cells = np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1))
+    return minors_at(entries, minor_plan(*cells, entries.shape)).reshape(len(rows), len(cols)), \
         det_rows(entries[rows[:, None, :, None], cols[None, :, None, :]])
 
 
@@ -279,47 +284,163 @@ class TestNarrowedMinors:
             assert table.values.item(r, c) == perm_det(sub)
 
 
+def recording_sums(monkeypatch):
+    """Record (slots, shape) of every stack a plan's levels gather through
+    ``signed_sum`` while the fixture is active."""
+    gathered = []
+    real = shapespace.signed_sum
+
+    def recording(gather, dtype, signs, plus, minus):
+        def recorded(q):
+            terms = gather(q)
+            gathered.append((len(signs), terms.shape))
+            return terms
+
+        return real(recorded, dtype, signs, plus, minus)
+
+    monkeypatch.setattr(shapespace, "signed_sum", recording)
+    return gathered
+
+
 class TestStackedMinors:
     """``minors_at`` on a stack of matrices, (…, R, n) entries."""
 
-    @pytest.mark.parametrize("budget", [24, 50, 100, 1 << 13])    # an item holds 6 2×2 minors
+    @pytest.mark.parametrize("budget", [24, 50, 100, 1 << 13])    # a 2×2 minor holds 2 slots
     @pytest.mark.parametrize("stack", [(1,), (5,), (2, 3)])
     def test_gathers_stay_in_budget(self, monkeypatch, budget, stack):
         rng = random.Random(budget + len(stack))
         entries = np.array([rng.randint(-9, 9) for _ in range(math.prod(stack) * 6 * 4)],
                            dtype=object).reshape(*stack, 6, 4)
-        rows, cols = subsets(6, 2), subsets(4, 2)
-        gathered = []
-        real = shapespace.det_rows
-        monkeypatch.setattr(shapespace, "det_rows",
-                            lambda M: gathered.append(M.size) or real(M))
+        plan = shapespace._full_plan(6, 4, 2)
+        gathered = recording_sums(monkeypatch)
         monkeypatch.setattr(shapespace, "_GATHER_BUDGET", budget)
-        got = minors_at(entries, rows[:, None], cols[None])
+        got = minors_at(entries, plan)
         monkeypatch.undo()
-        assert max(gathered) <= budget and sum(gathered) == math.prod(stack) * 15 * 6 * 4
-        assert got.shape == (*stack, 15, 6) and got.dtype == np.int64
+        # every level's gathers (matrices × cells × slots) stay in the budget,
+        # and together take each slot of each cell once per matrix
+        assert max(math.prod(shape) for _, shape in gathered) <= budget
+        assert sum(math.prod(shape) for _, shape in gathered) == \
+            math.prod(stack) * sum(entries_.size for entries_, *_ in plan.levels)
+        assert got.shape == (*stack, 15 * 6) and got.dtype == np.int64
         for at in np.ndindex(*stack):
-            assert got[at].tolist() == minors_at(entries[at], rows[:, None], cols[None]).tolist()
+            assert got[at].tolist() == minors_at(entries[at], plan).tolist()
 
     def test_one_item_above_the_budget_is_gathered_alone(self, monkeypatch):
         entries = np.arange(3 * 16, dtype=float).reshape(3, 4, 4)
-        gathered = []
-        real = shapespace.det_rows
-        monkeypatch.setattr(shapespace, "det_rows",
-                            lambda M: gathered.append(M.shape) or real(M))
-        monkeypatch.setattr(shapespace, "_GATHER_BUDGET", 4)
         rows = subsets(4, 3)
-        got = minors_at(entries, rows, rows)
-        assert gathered == [(1, 1, 3, 3)] * 12 and got.shape == (3, 4)
+        plan = minor_plan(rows, rows, (4, 4))
+        gathered = recording_sums(monkeypatch)
+        monkeypatch.setattr(shapespace, "_GATHER_BUDGET", 4)
+        got = minors_at(entries, plan)
+        # a 3×3 minor's 3 slots are above the budget of 4 over 2: each level-3
+        # gather holds one cell of one matrix, its first slot, then the others
+        top = [shape for slots, shape in gathered if slots == 3]
+        assert top == [(1, 1), (1, 1, 2)] * 12 and got.shape == (3, 4)
+        assert got.tobytes() == reference_minors_at(entries, rows, rows).tobytes()
 
     def test_narrowing_is_decided_over_the_stack(self):
         small = np.array([[1, 2], [3, 4]], dtype=object)
         big = np.array([[1, 2], [3, 10 ** 10]], dtype=object)
         both = np.stack([small, big])
         rows = np.array([[0, 1]])
-        assert minors_at(small, rows, rows).dtype == np.int64
-        got = minors_at(both, rows, rows)
+        plan = minor_plan(rows, rows, (2, 2))
+        assert minors_at(small, plan).dtype == np.int64
+        got = minors_at(both, plan)
         assert got.dtype == object and got.tolist() == [[-2], [10 ** 10 - 6]]
+
+
+def draw_entries(kind, shape, rng):
+    """Entries of one kind: ints within ±5 or ±10⁶ (whose order-3 and higher
+    minors int64 declines), floats with signed zeros, Fractions or polynomials."""
+    draw = {"int": lambda: rng.randint(-5, 5),
+            "big": lambda: rng.randint(-10 ** 6, 10 ** 6),
+            "float": lambda: rng.choice([0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2)]),
+            "fraction": lambda: rand_exact(rng),
+            "poly": lambda: rng.randint(-2, 2) * Poly.variable(3, rng.randint(1, 3))
+            + rng.randint(-2, 2)}[kind]
+    values = [draw() for _ in range(math.prod(shape))]
+    return np.array(values, dtype=float if kind == "float" else object).reshape(shape)
+
+
+def same_minors(got, want):
+    """Equal minors: floats bit for bit, exact values by value, in one dtype."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == float:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got.tolist() == want.tolist()
+
+
+class TestMinorPlan:
+    """Minor plans against the kernel they replaced, ``reference_minors_at``:
+    every submatrix gathered whole and expanded on its own."""
+
+    FULL = [(6, 2, 3), (8, 4, 2), (10, 2, 5), (12, 2, 3), (6, 2, 1), (6, 2, 6)]
+    MAPS = [(6, 2, 3), (8, 4, 2), (10, 2, 5), (12, 2, 3)]
+
+    @pytest.mark.parametrize("kind", ["int", "big", "float"])
+    @pytest.mark.parametrize("n,k,s", FULL)
+    def test_full_layouts_equal_the_reference(self, n, k, s, kind):
+        rows, cols = minor_layout(n, k, s)
+        entries = draw_entries(kind, (2, math.comb(n, k - 1), n), random.Random(n * k * s))
+        got = minors_at(entries, shapespace._full_plan(math.comb(n, k - 1), n, s))
+        same_minors(got, reference_minors_at(entries, rows[:, None], cols[None]).reshape(2, -1))
+        if kind == "big" and s >= 3:
+            assert got.dtype == object
+
+    @pytest.mark.parametrize("stack", [(1,), (5,), (2, 3)])
+    @pytest.mark.parametrize("kind", ["int", "big", "float"])
+    @pytest.mark.parametrize("n,k,s", MAPS)
+    def test_map_cells_equal_the_reference(self, n, k, s, kind, stack):
+        pm = minor_power_map(n, k, s)
+        rng = random.Random(len(stack) + s)
+        entries = draw_entries(kind, (*stack, math.comb(n, k - 1), n), rng)
+        got = minors_at(entries, map_plan(n, k, s))
+        same_minors(got, reference_minors_at(entries, pm.rows.reshape(-1, s),
+                                             pm.cols.reshape(-1, s)))
+
+    @pytest.mark.parametrize("kind", ["fraction", "poly"])
+    def test_exact_kinds_equal_the_reference(self, kind):
+        entries = draw_entries(kind, (2, 6, 6), random.Random(7))
+        rows, cols = minor_layout(6, 2, 3)
+        same_minors(minors_at(entries, shapespace._full_plan(6, 6, 3)),
+                    reference_minors_at(entries, rows[:, None], cols[None]).reshape(2, -1))
+        pm = minor_power_map(6, 2, 3)
+        same_minors(minors_at(entries, map_plan(6, 2, 3)),
+                    reference_minors_at(entries, pm.rows.reshape(-1, 3), pm.cols.reshape(-1, 3)))
+
+    @pytest.mark.parametrize("n,k,s", MAPS + [(8, 2, 4)])
+    def test_each_level_holds_each_sub_minor_once(self, n, k, s):
+        pm = minor_power_map(n, k, s)
+        layout = map(np.ndarray.tolist, minor_layout(n, k, s))
+        for plan, top in ((map_plan(n, k, s), list(zip(pm.rows.reshape(-1, s).tolist(),
+                                                        pm.cols.reshape(-1, s).tolist()))),
+                          (shapespace._full_plan(math.comb(n, k - 1), n, s),
+                           list(itertools.product(*layout)))):
+            levels = plan_cells(plan, n)
+            assert levels[-1] == [(tuple(R), tuple(C)) for R, C in top]
+            for cells in levels[:-1]:
+                assert len(set(cells)) == len(cells)
+
+    @pytest.mark.parametrize("shape,s", [((6, 6), 3), ((56, 8), 2), ((10, 10), 5), ((5, 3), 1)])
+    def test_full_plan_is_the_searched_plan(self, shape, s):
+        # ranked by arithmetic or found by searching every cell's children,
+        # the same cells on every level: the top in layout order, and below it
+        # every sub-minor on the last rows, once
+        rows, cols = subsets(shape[0], s), subsets(shape[1], s)
+        searched = minor_plan(np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1)),
+                              shape)
+        ranked = plan_cells(shapespace._full_plan(*shape, s), shape[1])
+        assert plan_cells(searched, shape[1])[-1] == ranked[-1]
+        for j, (a, b) in enumerate(zip(plan_cells(searched, shape[1]), ranked), start=1):
+            assert sorted(a) == b
+            assert len(b) == math.comb(shape[0] - s + j, j) * math.comb(shape[1], j)
+
+    def test_index_arrays_take_the_smallest_unsigned_type(self):
+        plan = map_plan(12, 2, 3)
+        assert plan.first.dtype == np.uint8
+        assert [(e.dtype, c.dtype) for e, c, *_ in plan.levels] == \
+            [(np.uint8, np.uint8), (np.uint8, np.uint16)]
 
 
 class TestAdjugate:
@@ -334,6 +455,26 @@ class TestAdjugate:
     def test_two_by_two_full_order(self):
         X = ShapeMatrix(2, 2, [[3, 7], [2, 5]])
         assert adjugate(X, 2).value((0, 1), (0, 1)) == 1
+
+    @pytest.mark.parametrize("n,k,s,refused", [(16, 2, 8, True), (12, 2, 6, True),
+                                                (24, 2, 24, True), (10, 3, 3, True),
+                                                (12, 2, 5, False), (12, 2, 3, False),
+                                                (10, 2, 5, False)])
+    def test_size_budget_is_checked_before_the_layout(self, monkeypatch, n, k, s, refused):
+        # table cells plus the sub-minors of the plan, by arithmetic alone:
+        # (24,2,24) is a one-cell table whose plan takes 2^24 − 1 cells
+        class Listed(Exception):
+            pass
+
+        def listed(*args, **kwargs):
+            raise Listed
+
+        monkeypatch.setattr(shapespace, "minor_layout", listed)
+        with pytest.raises(DomainError if refused else Listed):
+            adjugate(ShapeMatrix(n, k), s)
+        nrows = math.comb(n, k - 1)
+        cells = sum(math.comb(nrows - s + j, j) * math.comb(n, j) for j in range(1, s + 1))
+        assert (cells > shapespace.ADJUGATE_CELLS) == refused
 
     def test_three_by_three_cell(self):
         X = ShapeMatrix(3, 2, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
