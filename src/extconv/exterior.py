@@ -5,7 +5,8 @@ coefficient per length-k multiindex, in alphabetical rank order, of dtype
 float64 or object (ints, Fractions or polynomials, exact), which gives the
 backend.  A zero test reads a coefficient's truth value, so a polynomial is
 never compared with a scalar 0.  Keys are read by ``multiindex.key_rank``
-and JSON labels written by ``multiindex.labels``; no multiindex is stored.
+(a label key by a table of ``multiindex.labels``) and JSON labels written by
+``multiindex.labels``; no multiindex is stored.
 Degrees above n are legal and carry an empty coefficient vector (the canonical
 zero object), so wedge chains never branch on overflow; such a form serializes
 with empty ``coeffs``, and a wedge power of a form of degree k ≥ 1 is that zero
@@ -70,11 +71,22 @@ class KForm:
     @classmethod
     def from_dict(cls, n: int, k: int, entries: Mapping,
                   backend: str = scalars.EXACT) -> "KForm":
-        """The form of ``entries``, keyed as ``multiindex.key_rank`` reads keys."""
+        """The form of ``entries``, keyed as ``multiindex.key_rank`` reads keys.
+
+        A key that is a label as ``multiindex.labels`` writes it is read off
+        one table per (n, k) of at most ``_LABEL_TABLE_SIZE`` labels; any
+        other key goes through ``key_rank``.
+        """
         coeffs = cls.zero(n, k, backend).coeffs.tolist()    # checks n and k
-        keys = {}
+        keys, ranks = {}, None
         for key, value in entries.items():
-            r = key_rank(key, n, k, "key")
+            r = None
+            if isinstance(key, str) and len(coeffs) <= _LABEL_TABLE_SIZE:
+                if ranks is None:
+                    ranks = _label_ranks(n, k)
+                r = ranks.get(key)
+            if r is None:
+                r = key_rank(key, n, k, "key")
             if keys.setdefault(r, key) is not key:
                 raise DomainError(f"keys {keys[r]!r} and {key!r} both name {labels(n, k)[r]}")
             coeffs[r] = value
@@ -138,6 +150,18 @@ class KForm:
                 else scalars.EXACT
         entries = {key: scalars.scalar_from_json(value, backend) for key, value in raw.items()}
         return cls.from_dict(n, k, entries, backend)
+
+
+# a label costs its table ~140 bytes against the 8 of the coefficient slot it
+# ranks, so a larger basis, such as a sparse form at (24,12), reads its keys
+# by key_rank
+_LABEL_TABLE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _label_ranks(n: int, k: int) -> dict[str, int]:
+    """The rank of each label ``multiindex.labels`` writes for (n, k)."""
+    return {label: r for r, label in enumerate(labels(n, k))}
 
 
 def json_fields(obj, fields: tuple[str, ...], what: str) -> tuple:

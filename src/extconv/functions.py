@@ -15,6 +15,13 @@ argument coefficients to the m values of f.  The array's dtype is the scalar
 type: float64, or object holding ints and Fractions, which evaluates exactly.
 A form argument runs the kernel on its coefficient array as a one-row stack.
 
+Within one evaluation, every ``wedge_pow`` node on the same argument reads
+one power chain: ξ¹, ξ² = ξ¹ ∧ ξ, ξ³ = ξ² ∧ ξ, … grown as far as the highest
+power asked for, the left fold ``exterior.wedge_power_rows`` runs, so each
+power has the bits that function gives it.  The argument is "xi" or a literal
+named by its text, or else the node's own subtree.  The chains live in a memo
+made by each call and dropped at its end; nothing is cached across calls.
+
 A float value computed alone and the same value computed inside a batch are
 the same float: every sum runs left to right in the order of the scalar loops
 (``exterior.ordered_sum``), powers are repeated squarings, and no row ever
@@ -31,7 +38,8 @@ import numpy as np
 
 from . import scalars
 from .errors import DomainError
-from .exterior import KForm, json_fields, ordered_sum, power_by_squaring, wedge_power_rows
+from .exterior import (KForm, json_fields, ordered_sum, power_by_squaring, wedge_power_rows,
+                       wedge_rows)
 from .multiindex import integer
 
 
@@ -69,7 +77,7 @@ class FormFunction:
         for an object array of ints and Fractions, float for anything else."""
         rows = self._checked(rows)
         with scalars.float_guard("function value"):
-            values = self._rows(rows, True)
+            values = self._rows(rows, True, {})
         return values if values.dtype == object else \
             scalars.require_finite(values, "function value")
 
@@ -86,7 +94,7 @@ class FormFunction:
         if rows.dtype == object:
             raise DomainError("a magnitude bounds float rounding, so it takes float rows only")
         with scalars.float_guard("function magnitude"):
-            values = self._rows(np.abs(rows), False)
+            values = self._rows(np.abs(rows), False, {})
         return scalars.require_finite(values, "function magnitude")
 
     def _checked(self, rows) -> np.ndarray:
@@ -136,7 +144,9 @@ def _json_scalar(value):
 
 class _Compiled(NamedTuple):
     degree: int | None    # form degree, None for a scalar node
-    rows: Callable        # (array (m × C(n,k)), signed) -> (m,) values or (m × C(n,degree))
+    # (array (m × C(n,k)), signed, memo) -> (m,) values or (m × C(n,degree)); the
+    # memo is one evaluation's power chains, keyed by argument
+    rows: Callable
 
 
 def _exact_copy(convert: Callable) -> Callable:
@@ -161,7 +171,7 @@ def _compile_constant(value) -> _Compiled:
     exact = _exact_copy(lambda: scalars.coerce(value))
     as_float = scalars.finite_float(value)
 
-    def constant_rows(X, signed):
+    def constant_rows(X, signed, memo):
         if X.dtype == object:
             return np.full(X.shape[0], exact(), dtype=object)
         return np.full(X.shape[0], as_float if signed else abs(as_float))
@@ -191,7 +201,7 @@ def _compile_literal(node, n: int) -> tuple[_Compiled, np.ndarray, Callable]:
     coeffs = scalars.array(form.coeffs, shape, scalars.FLOAT, what)
     magnitudes = np.abs(coeffs)
 
-    def literal_rows(X, signed):
+    def literal_rows(X, signed, memo):
         values = exact() if X.dtype == object else coeffs if signed else magnitudes
         return np.broadcast_to(values, (X.shape[0], values.size))
 
@@ -221,12 +231,12 @@ def _compile_form(node, n: int, k: int, what: str) -> _Compiled:
 def _compile(node, n: int, k: int) -> _Compiled:
     """Validate ``node`` and build its kernel.
 
-    The kernel takes a flag ``signed``.  Unsigned, it evaluates the node's
-    magnitude instead: every sign dropped (constants, literal coefficients,
-    negations, wedge signs), applied to |ξ|.
+    The kernel takes a flag ``signed`` and the evaluation's memo.  Unsigned,
+    it evaluates the node's magnitude instead: every sign dropped (constants,
+    literal coefficients, negations, wedge signs), applied to |ξ|.
     """
     if node == "xi":
-        return _Compiled(k, lambda X, signed: X)
+        return _Compiled(k, lambda X, signed, memo: X)
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return _compile_constant(node)
     if isinstance(node, str):
@@ -243,18 +253,18 @@ def _compile(node, n: int, k: int) -> _Compiled:
         kernels = [_compile_scalar(arg, n, k, f"{op} arguments must be scalars").rows
                    for arg in args]
         if op == "add":
-            def add_rows(X, signed):
+            def add_rows(X, signed, memo):
                 total = np.zeros(X.shape[0], dtype=X.dtype)
                 for part in kernels:
-                    total = total + part(X, signed)
+                    total = total + part(X, signed, memo)
                 return total
 
             return _Compiled(None, add_rows)
 
-        def mul_rows(X, signed):
-            total = kernels[0](X, signed)
+        def mul_rows(X, signed, memo):
+            total = kernels[0](X, signed, memo)
             for part in kernels[1:]:
-                total = total * part(X, signed)
+                total = total * part(X, signed, memo)
             return total
 
         return _Compiled(None, mul_rows)
@@ -262,15 +272,16 @@ def _compile(node, n: int, k: int) -> _Compiled:
         kernel = _compile_scalar(_field(node, "arg"), n, k,
                                  f"{op} argument must be a scalar").rows
         if op == "neg":
-            return _Compiled(None, lambda X, signed: -kernel(X, signed) if signed
-                             else kernel(X, signed))
-        return _Compiled(None, lambda X, signed: np.abs(kernel(X, signed)))
+            return _Compiled(None, lambda X, signed, memo: -kernel(X, signed, memo) if signed
+                             else kernel(X, signed, memo))
+        return _Compiled(None, lambda X, signed, memo: np.abs(kernel(X, signed, memo)))
     if op == "pow":
         exp = integer(node.get("exp"), "pow exponent")
         if exp < 0:
             raise DomainError(f"pow exponent must be a nonnegative integer, got {exp!r}")
         kernel = _compile_scalar(_field(node, "base"), n, k, "pow base must be a scalar").rows
-        return _Compiled(None, lambda X, signed: power_by_squaring(kernel(X, signed), exp))
+        return _Compiled(None, lambda X, signed, memo:
+                         power_by_squaring(kernel(X, signed, memo), exp))
     if op == "inner":
         literal, coeffs, exact = _compile_literal(_field(node, "form"), n)
         arg = _compile_form(_field(node, "arg"), n, k, "inner needs a form-valued argument")
@@ -281,8 +292,8 @@ def _compile(node, n: int, k: int) -> _Compiled:
         live = np.flatnonzero(coeffs)
         weights = {True: coeffs[live], False: np.abs(coeffs[live])}
 
-        def inner_rows(X, signed):
-            value = kernel(X, signed)
+        def inner_rows(X, signed, memo):
+            value = kernel(X, signed, memo)
             if value.dtype == object:    # every coefficient: a tiny rational reads 0.0
                 return ordered_sum(value * exact())
             return ordered_sum(value[:, live] * weights[signed])
@@ -292,8 +303,8 @@ def _compile(node, n: int, k: int) -> _Compiled:
         kernel = _compile_form(_field(node, "arg"), n, k,
                                "norm_sq needs a form-valued argument").rows
 
-        def norm_sq_rows(X, signed):
-            value = kernel(X, signed)
+        def norm_sq_rows(X, signed, memo):
+            value = kernel(X, signed, memo)
             return ordered_sum(value * value)
 
         return _Compiled(None, norm_sq_rows)
@@ -301,9 +312,23 @@ def _compile(node, n: int, k: int) -> _Compiled:
         s = integer(node.get("s"), "wedge_pow exponent")
         if s < 0:
             raise DomainError(f"wedge_pow exponent must be a nonnegative integer, got {s!r}")
-        arg = _compile_form(_field(node, "arg"), n, k, "wedge_pow needs a form-valued argument")
+        arg_node = _field(node, "arg")
+        arg = _compile_form(arg_node, n, k, "wedge_pow needs a form-valued argument")
         kernel, degree = arg.rows, arg.degree
-        return _Compiled(degree * s,
-                         lambda X, signed: wedge_power_rows(kernel(X, signed), n, degree, s,
-                                                            signed))
+        if s == 0 or degree == 0 or degree * s > n:
+            return _Compiled(degree * s, lambda X, signed, memo: wedge_power_rows(
+                kernel(X, signed, memo), n, degree, s, signed))
+        # "xi" and a literal's text name their value; any other argument is its own
+        key = arg_node if isinstance(arg_node, str) else kernel
+
+        def wedge_pow_rows(X, signed, memo):
+            chain = memo.get(key)
+            if chain is None:
+                chain = memo[key] = [kernel(X, signed, memo)]
+            base = chain[0]
+            while len(chain) < s:
+                chain.append(wedge_rows(chain[-1], base, n, degree * len(chain), degree, signed))
+            return chain[s - 1]
+
+        return _Compiled(degree * s, wedge_pow_rows)
     raise DomainError(f"unknown expression op {op!r}")

@@ -6,9 +6,14 @@ numbers stored in the report.  Every draw is a stack, one row per stream.
 
 Float coefficients are ``random.uniform(−scale, scale)`` draws, computed from
 each stream's ``random()`` values by uniform's own formula a + (b − a)·u in
-one numpy step, bit for bit the same.  A line takes each stream's blocks in
-one such pass: ξ, α, β (or X, a, b), then α and β again, from the streams of
-the rows one ``wedge_rows`` call finds with α∧β = 0, then t.
+one numpy step, bit for bit the same.  ``random()`` comes from two words: a
+stream's w values take one ``getrandbits(64·w)``, whose 2w 32-bit words, least
+significant first, are the words w calls of ``random()`` would take, in their
+order.  Each pair (x, y) maps by ``random()``'s own formula
+((x >> 5)·2²⁶ + (y >> 6))/2⁵³, which is exact in floats, so the values and
+the stream's final state are those of the calls.  A line takes each stream's
+blocks in one such pass: ξ, α, β (or X, a, b), then α and β again, from the
+streams of the rows one ``wedge_rows`` call finds with α∧β = 0, then t.
 
 Integer entries are ``random.randint(low, high)`` draws, taken by
 ``integer_draws``: the rejection loop on ``getrandbits`` that ``randint``
@@ -50,11 +55,14 @@ def _uniform_rows(rngs: Sequence[random.Random], width: int, scale: float,
     """Row j holds ``width`` successive draws rngs[j].uniform(−scale, scale),
     which must be finite (``what`` names them).
 
-    Each stream gives its ``width`` values u of ``random()`` in order, and one
-    vectorized step maps them all by ``random.uniform``'s own formula
-    a + (b − a)·u, so every entry equals that draw bit for bit.
+    Each stream gives the words of its ``width`` values u of ``random()`` in
+    one ``getrandbits``, and vectorized steps map them by ``random()``'s and
+    ``random.uniform``'s own formulas, a + (b − a)·u, so every entry equals
+    that draw bit for bit.
     """
-    u = np.array([rng.random() for rng in rngs for _ in range(width)], dtype=float)
+    words = np.frombuffer(b"".join(rng.getrandbits(64 * width).to_bytes(8 * width, "little")
+                                   for rng in rngs), dtype="<u4")
+    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
     low = -scale
     return scalars.require_finite((low + (scale - low) * u).reshape(len(rngs), width), what)
 
@@ -142,8 +150,11 @@ def random_integer_rows(n: int, k: int, seed: int, indices: Iterable[int],
                         low: int, high: int) -> np.ndarray:
     """A stack of exact (n, k) matrices, one per stream ``derive_rng(seed, j)``
     of ``indices``: ``randint(low, high)`` entries row by row, as one flat row
-    of Python ints in a read-only object array."""
+    of Python ints in a read-only object array.  Bounds within int64 gather
+    the draws in int64, which ``scalars.array`` widens in one conversion."""
     width = math.comb(n, k - 1) * n
     rows = [integer_draws(derive_rng(seed, j), low, high, width) for j in indices]
-    return scalars.array(np.array(rows, dtype=object).reshape(len(rows), width),
+    bounds = np.iinfo(np.int64)
+    dtype = np.int64 if rows and bounds.min <= low and high <= bounds.max else object
+    return scalars.array(np.array(rows, dtype=dtype).reshape(len(rows), width),
                          (len(rows), width), scalars.EXACT, f"(n={n}, k={k}) matrix entries")

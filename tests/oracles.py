@@ -29,6 +29,10 @@ every s×s submatrix gathered whole, in budgeted chunks, and expanded on its own
 by ``reference_det_rows`` over a Laplace table of its own; the plans must
 reproduce its minors, floats bit for bit.  ``plan_cells`` reads a plan's cells
 back from its flat entry positions, checking every slot's entry and child.
+``reference_rows`` is the expression kernel as it was before power chains were
+shared: a walk of the tree over a stack that takes each ``wedge_pow`` node's
+power alone, by ``wedge_power_rows``; the kernel must reproduce its floats bit
+for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from extconv import scalars, simplex
 from extconv.convexity import LIFT_POINTS_PER_LINE, LIFT_TOLERANCE, LineCrossCheck, \
     _line_judgement, lift
 from extconv.errors import DomainError
-from extconv.exterior import KForm, sign_table, signed_sum, wedge_power, wedge_rows
+from extconv.exterior import (KForm, ordered_sum, power_by_squaring, sign_table, signed_sum,
+                              wedge_power, wedge_power_rows, wedge_rows)
 from extconv.multiindex import enumerate_multiindices, sign_interlace_append
 from extconv.projection import project, right_inverse, wedge_power_from_minors
 from extconv.sampling import derive_rng
@@ -168,6 +173,67 @@ def evaluate_expression(node, xi: dict):
         arg = evaluate_expression(node["arg"], xi)
         return wedge_many([arg] * node["s"]) if node["s"] else {(): 1}
     raise ValueError(f"unknown op {op!r}")
+
+
+def reference_rows(f, rows: np.ndarray, signed: bool = True) -> np.ndarray:
+    """f's expression on each row of a stack (|rows| and every sign dropped when
+    not ``signed``), every ``wedge_pow`` node's power taken on its own by
+    ``wedge_power_rows``, sums and products in the kernel's order."""
+    n, exact, m = f.n, rows.dtype == object, rows.shape[0]
+    if not signed:
+        rows = np.abs(rows)
+
+    def literal(node):
+        form = KForm.basis(n, tuple(int(ch) for ch in node[1:])) if isinstance(node, str) \
+            else KForm.from_json(node)
+        coeffs = scalars.array(form.coeffs, form.coeffs.shape,
+                               scalars.EXACT if exact else scalars.FLOAT, "literal")
+        return form.k, coeffs if signed or exact else np.abs(coeffs)
+
+    def constant(value):
+        value = scalars.parse_rational(value) if isinstance(value, str) else value
+        if exact:
+            return np.full(m, scalars.coerce(value), dtype=object)
+        return np.full(m, float(value) if signed else abs(float(value)))
+
+    def walk(node):
+        """(degree or None, values) of ``node``."""
+        if node == "xi":
+            return f.k, rows
+        if isinstance(node, (int, float)):
+            return None, constant(node)
+        if isinstance(node, str):
+            degree, coeffs = literal(node)
+            return degree, np.broadcast_to(coeffs, (m, coeffs.size))
+        op = node["op"]
+        if op == "const":
+            return None, constant(node["value"])
+        if op in ("add", "mul"):
+            parts = [walk(arg)[1] for arg in node["args"]]
+            total = np.zeros(m, dtype=rows.dtype) + parts[0] if op == "add" else parts[0]
+            for part in parts[1:]:
+                total = total + part if op == "add" else total * part
+            return None, total
+        if op == "neg":
+            value = walk(node["arg"])[1]
+            return None, -value if signed else value
+        if op == "abs":
+            return None, np.abs(walk(node["arg"])[1])
+        if op == "pow":
+            return None, power_by_squaring(walk(node["base"])[1], node["exp"])
+        if op == "inner":
+            _, coeffs = literal(node["form"])
+            return None, ordered_sum(walk(node["arg"])[1] * coeffs)
+        if op == "norm_sq":
+            value = walk(node["arg"])[1]
+            return None, ordered_sum(value * value)
+        if op == "wedge_pow":
+            degree, value = walk(node["arg"])
+            return degree * node["s"], wedge_power_rows(value, n, degree, node["s"], signed)
+        raise ValueError(f"unknown op {op!r}")
+
+    with scalars.float_guard("reference value"):
+        return walk(f.expr)[1]
 
 
 def perm_det(rows):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from extconv.exterior import (KForm, _wedge_table, hodge_star, norm_squared, ord
                               scalar_product, sign_table, signed_sum, subset_ranks, wedge,
                               wedge_power, wedge_power_rows, wedge_rows)
 from extconv.functions import FormFunction
+from extconv.multiindex import key_rank, labels
 from extconv.polyform import Poly
 from extconv.projection import _projection_table, project_rows
 from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, det_rows
@@ -682,3 +684,56 @@ class TestStrictJson:
 
     def test_empty_coeffs_is_the_zero_form(self):
         assert KForm.from_json({"n": 4, "k": 2, "coeffs": {}}) == KForm.zero(4, 2)
+
+
+class TestKeyReading:
+    """Label keys are read off one table per (n, k); every other key, and every
+    error, still goes through ``key_rank``, with the messages it gives."""
+
+    @pytest.mark.parametrize("coeffs,message", [
+        ({"1,2": "1", "01,2": "3"}, "keys '1,2' and '01,2' both name 1,2"),
+        ({"01,2": "1", "1,2": "3"}, "keys '01,2' and '1,2' both name 1,2"),
+        ({"1,2": "1", " 1,2": "3"}, "keys '1,2' and ' 1,2' both name 1,2"),
+        ({" 1,2": "1", "1,2": "3"}, "keys ' 1,2' and '1,2' both name 1,2"),
+        ({"2,1": "1"}, "indices must be strictly increasing, got (2, 1)"),
+        ({"1,9": "1"}, "index 9 exceeds ambient dimension 8"),
+        ({"1": "1"}, "key length 1 does not match 2: (1,)"),
+        ({"1,2,3": "1"}, "key length 3 does not match 2: (1, 2, 3)"),
+        ({"": "1"}, "key length 0 does not match 2: ()"),
+        ({"a,b": "1"}, "bad multiindex 'a,b'"),
+        ({"1,2": "1", "x": "2"}, "bad multiindex 'x'"),
+        ({"1;2": "1"}, "bad multiindex '1;2'"),
+    ])
+    def test_errors_are_the_rankers(self, coeffs, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            KForm.from_json({"n": 8, "k": 2, "coeffs": coeffs})
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (4, 0), (4, 1), (5, 2), (8, 4), (9, 3), (10, 10)])
+    def test_labels_read_as_the_ranker_reads_them(self, n, k, monkeypatch):
+        values = [Fraction(r + 1, 3) for r in range(math.comb(n, k))]
+        blob = {"n": n, "k": k, "coeffs": {label: str(v) for label, v in
+                                           zip(labels(n, k), values)}}
+        ranked = [key_rank(label, n, k, "key") for label in labels(n, k)]
+        assert ranked == list(range(math.comb(n, k)))
+        monkeypatch.setattr(exterior, "key_rank", lambda *args: pytest.fail("key_rank called"))
+        assert KForm.from_json(blob).coeffs.tolist() == values
+
+    def test_a_basis_past_the_table_size_reads_by_the_ranker(self, monkeypatch):
+        blob = {"n": 6, "k": 3, "coeffs": {"1,2,3": "1", "2,4,6": "-2", "4,5,6": "3"}}
+        want = KForm.from_json(blob)
+        calls = []
+        monkeypatch.setattr(exterior, "_LABEL_TABLE_SIZE", 19)
+        monkeypatch.setattr(exterior, "key_rank", lambda *args: calls.append(args[0]) or
+                            key_rank(*args))
+        assert KForm.from_json(blob) == want
+        assert calls == ["1,2,3", "2,4,6", "4,5,6"]
+
+    def test_other_keys_still_go_through_the_ranker(self):
+        tuples = KForm.from_dict(5, 2, {(1, 3): 2, (4, 5): -1})
+        texts = KForm.from_json({"n": 5, "k": 2, "coeffs": {" 1,3": "2", "4, 5": "-1"}})
+        assert tuples == texts == KForm.from_json({"n": 5, "k": 2,
+                                                   "coeffs": {"1,3": "2", "4,5": "-1"}})
+
+    def test_degree_above_dimension_has_no_labels(self):
+        with pytest.raises(DomainError, match=r"^key length 0 does not match 3: \(\)$"):
+            KForm.from_json({"n": 2, "k": 3, "coeffs": {"": "1"}})

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge_power
 from extconv.functions import FormFunction
 
-from oracles import coeffs_to_dict, evaluate_expression, rand_exact
+from oracles import coeffs_to_dict, evaluate_expression, rand_exact, reference_rows
 
 
 def exact_form(n, k, entries):
@@ -250,6 +251,102 @@ class TestExactKernel:
         assert all(isinstance(v, (int, Fraction)) for v in batch)
         assert batch.tolist() == [f.evaluate_rows(rows[i:i + 1])[0] for i in range(6)]
         assert batch.tolist() == [f(KForm(f.n, f.k, list(row))) for row in rows]
+
+
+def rational_form_json(n, k, rng):
+    """A dense (n, k) form literal with rational coefficients."""
+    return {"n": n, "k": k, "coeffs": {",".join(map(str, key)): str(rand_exact(rng))
+                                       for key in itertools.combinations(range(1, n + 1), k)}}
+
+
+def pairing(form, arg):
+    return {"op": "inner", "form": form, "arg": arg}
+
+
+def power(arg, s):
+    return {"op": "wedge_pow", "s": s, "arg": arg}
+
+
+def chain_corpus():
+    """(8,2) expressions whose wedge powers share chains: repeated, out of
+    order, nested, on ξ and on literals, and under every scalar op.  A basis
+    literal's powers from s = 2 on vanish, so a chain that read ξ's powers
+    for it would show."""
+    rng = random.Random(17)
+    c = {d: [rational_form_json(8, d, rng) for _ in range(3)] for d in (2, 4, 6, 8)}
+    return {
+        "repeated": [pairing(c[4][0], power("xi", 2)), pairing(c[4][1], power("xi", 2)),
+                     {"op": "norm_sq", "arg": power("xi", 2)}],
+        "out_of_order": [pairing(c[8][0], power("xi", 4)), pairing(c[4][0], power("xi", 2)),
+                         pairing(c[6][0], power("xi", 3))],
+        "nested": [pairing(c[8][0], power(power("xi", 2), 2)), pairing(c[4][0], power("xi", 2)),
+                   pairing(c[8][1], power("xi", 4)),
+                   pairing(c[6][0], power(power("xi", 1), 3))],
+        "two_arguments": [pairing(c[6][0], power("xi", 3)), pairing(c[4][0], power("e12", 2)),
+                          pairing(c[6][1], power("e12", 3)), pairing(c[4][1], power("xi", 2)),
+                          pairing(c[2][0], power("e12", 1)), pairing(c[2][1], power("e34", 1)),
+                          pairing(c[2][2], power("xi", 1))],
+        "under_ops": [{"op": "neg", "arg": pairing(c[4][0], power("xi", 2))},
+                      {"op": "abs", "arg": pairing(c[6][0], power("xi", 3))},
+                      {"op": "mul", "args": [pairing(c[8][0], power("xi", 4)),
+                                             pairing(c[4][1], power("xi", 2)),
+                                             {"op": "const", "value": "-3/2"}]},
+                      {"op": "pow", "exp": 3, "base": pairing(c[6][1], power("xi", 3))}],
+        "off_the_chain": [{"op": "norm_sq", "arg": power("xi", 0)},
+                          {"op": "norm_sq", "arg": power("xi", 5)},
+                          pairing(c[4][0], power("xi", 2)),
+                          {"op": "norm_sq", "arg": power(power("xi", 0), 3)}],
+    }
+
+
+class TestSharedPowerChain:
+    """Every ``wedge_pow`` node on one argument reads one power chain per
+    evaluation, with the bits of each power taken alone."""
+
+    @pytest.mark.parametrize("name", list(chain_corpus()))
+    def test_float_stacks_equal_each_power_alone(self, name):
+        f = FormFunction(8, 2, {"op": "add", "args": chain_corpus()[name]})
+        rows = random_rows(f, 23, seed=5)
+        assert f.evaluate_rows(rows).tobytes() == reference_rows(f, rows).tobytes()
+        assert f.magnitude_rows(rows).tobytes() == reference_rows(f, rows, False).tobytes()
+        for i in (0, 22):
+            alone = reference_rows(f, rows[i:i + 1])
+            assert f(KForm(8, 2, list(rows[i]), scalars.FLOAT)) == alone[0]
+
+    @pytest.mark.parametrize("name", list(chain_corpus()))
+    def test_object_stacks_equal_each_power_alone(self, name):
+        f = FormFunction(8, 2, {"op": "add", "args": chain_corpus()[name]})
+        rng = random.Random(3)
+        rows = np.array([[rand_exact(rng) for _ in range(28)] for _ in range(4)], dtype=object)
+        values = f.evaluate_rows(rows)
+        assert values.dtype == object
+        assert values.tolist() == reference_rows(f, rows).tolist()
+
+    def test_planted_pairing_takes_one_chain(self, monkeypatch):
+        # ξ², ξ³ and ξ⁴ for the s = 2, 3, 4 pairings: one wedge each
+        from extconv import exterior, functions
+        calls = []
+
+        def spy(owner):
+            real = owner.wedge_rows
+            monkeypatch.setattr(owner, "wedge_rows",
+                                lambda *args: calls.append(args[2:5]) or real(*args))
+
+        spy(functions)
+        spy(exterior)
+        f = planted_pairing(8, 2, seed=3)
+        rows = random_rows(f, 9, seed=4)
+        f.evaluate_rows(rows)
+        assert calls == [(8, 2, 2), (8, 4, 2), (8, 6, 2)]
+        calls.clear()
+        f.magnitude_rows(rows)
+        assert len(calls) == 3
+
+    def test_each_evaluation_builds_its_own_chain(self):
+        f = FormFunction(8, 2, {"op": "add", "args": chain_corpus()["out_of_order"]})
+        first, second = random_rows(f, 6, seed=1), random_rows(f, 6, seed=2)
+        f.evaluate_rows(first)
+        assert f.evaluate_rows(second).tobytes() == reference_rows(f, second).tobytes()
 
 
 class TestStrictJson:

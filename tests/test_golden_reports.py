@@ -9,7 +9,9 @@ whose row labels no CLI command writes: an exact (5,3) matrix and the
 gradient of a seeded polynomial 2-form on R^4.  ``fit-quasiaffine`` and ``support-lp``
 are left out: their floats go through LAPACK and BLAS, whose last bits depend
 on the build.  The support LP's inputs do not: the stack cases pin the bytes
-of its 500 drawn forms at (8,2) and of their wedge-power feature rows.
+of its 500 drawn forms at (8,2) and of their wedge-power feature rows.  The
+planted (6,2) line case lists its pairing's wedge powers out of order
+(s = 3, 1, 2), so its bytes pin the power chain the powers share.
 
 To print the digests of the current code:
 
@@ -59,10 +61,31 @@ NEG_NORM_SQ = {"n": 4, "k": 2, "expr": {"op": "neg", "arg": {"op": "norm_sq", "a
 TOP_POWER = {"n": 4, "k": 2, "expr": {"op": "inner", "form": "e1234",
                                       "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}}
 
+
+def seeded_form(n: int, k: int, a: int, b: int) -> dict:
+    """A rational (n, k) form JSON: coefficient i is ((a·i + b) mod 11 − 5)/(i mod 3 + 1)."""
+    coeffs = {}
+    for i, key in enumerate(enumerate_multiindices(n, k)):
+        q = Fraction((a * i + b) % 11 - 5, i % 3 + 1)
+        if q:
+            coeffs[",".join(map(str, key))] = str(q)
+    return {"n": n, "k": k, "coeffs": coeffs}
+
+
+PLANTED_OUT_OF_ORDER = {"n": 6, "k": 2, "expr": {"op": "add", "args": [
+    {"op": "inner", "form": seeded_form(6, 6, 3, 2),
+     "arg": {"op": "wedge_pow", "s": 3, "arg": "xi"}},
+    {"op": "inner", "form": seeded_form(6, 2, 7, 3),
+     "arg": {"op": "wedge_pow", "s": 1, "arg": "xi"}},
+    {"op": "const", "value": "-7/4"},
+    {"op": "inner", "form": seeded_form(6, 4, 5, 1),
+     "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}]}}
+
 INPUTS = {"matrix_exact": MATRIX_EXACT, "matrix_exact_k3": MATRIX_EXACT_K3,
           "matrix_float": MATRIX_FLOAT,
           "form_exact": FORM_EXACT, "form_float": FORM_FLOAT, "zero_form": ZERO_FORM,
-          "norm_sq": NORM_SQ, "neg_norm_sq": NEG_NORM_SQ, "top_power": TOP_POWER}
+          "norm_sq": NORM_SQ, "neg_norm_sq": NEG_NORM_SQ, "top_power": TOP_POWER,
+          "planted_out_of_order": PLANTED_OUT_OF_ORDER}
 
 CLI_CASES = {
     "pi-exact": ["pi", "--input", "matrix_exact"],
@@ -89,6 +112,8 @@ for _mode in ("one-convex", "one-affine"):
     for _name in ("norm_sq", "neg_norm_sq", "top_power"):
         CLI_CASES[f"{_mode}-{_name}"] = ["check-convexity", "--mode", _mode, "--input", _name,
                                          "--trials", "40", "--seed", "2"]
+CLI_CASES["one-affine-planted-6-2"] = ["check-convexity", "--mode", "one-affine", "--input",
+                                       "planted_out_of_order", "--trials", "40", "--seed", "2"]
 
 LIFT_CASES = {f"lift-{n}-{k}-{backend}": (n, k, backend)
               for n, k in [(4, 2), (5, 3)] for backend in scalars.BACKENDS}
@@ -209,6 +234,7 @@ GOLDEN = {
     "one-affine-norm_sq": "4f531004150c987e23a9435d7b18f1f850cbedbafad87092b450e9b373776809",
     "one-affine-neg_norm_sq": "d6031596ccb12fa23350a62199789b30ec4fb3abd1e3e1740c4925fcaccc0146",
     "one-affine-top_power": "31a4f63f3b017c43220f244112a4eb916a0e0829fa31ed16bcdfa4d6b32e5663",
+    "one-affine-planted-6-2": "44a9d64f7c08d061cb55f5df3c1a61da12241231a153595816c067dc0e8455a8",
     "lift-4-2-exact": "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b",
     "lift-4-2-float": "49ccd811486e5cbf0bb26e09aa14bf47c7c9f4dee34f5ad84929cd1776971bd8",
     "lift-5-3-exact": "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b",

@@ -55,6 +55,18 @@ class TestIntegerDraws:
                                   for _ in range(math.comb(6, 2))]
             assert streams[-1].getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("low,high", [(-5, 5), (0, 0), (-2 ** 63, 2 ** 63 - 1),
+                                          (-10 ** 30, 10 ** 30), (-3, 2 ** 63), (-2 ** 63 - 1, 0)])
+    def test_entries_are_python_ints_at_any_bounds(self, low, high):
+        # int64 bounds gather in int64 and others in objects: the same ints
+        rows = random_integer_rows(8, 4, 2, range(3), low, high)
+        assert rows.dtype == object and not rows.flags.writeable
+        values = rows.ravel().tolist()
+        assert all(type(v) is int for v in values)
+        for row, trial in zip(rows.tolist(), range(3)):
+            ref = derive_rng(2, trial)
+            assert row == [ref.randint(low, high) for _ in range(8 * math.comb(8, 3))]
+
     def test_rows_stack_the_matrices(self):
         rows = random_integer_rows(5, 2, 3, range(4, 9), -1000, 1000)
         assert rows.shape == (5, 25) and rows.dtype == object and not rows.flags.writeable
@@ -64,6 +76,41 @@ class TestIntegerDraws:
             assert row == X.entries.ravel().tolist()
         assert random_integer_rows(5, 2, 3, [], 0, 1).shape == (0, 25)
         assert np.array_equal(random_integer_rows(4, 2, 0, [7], 2, 2), np.full((1, 16), 2))
+
+
+def uniform_loop(rngs, width, scale):
+    """The stacked draw as one ``random()`` call per entry: uniform's formula on each."""
+    u = np.array([rng.random() for rng in rngs for _ in range(width)], dtype=float)
+    return (-scale + (scale - -scale) * u).reshape(len(rngs), width)
+
+
+class TestUniformRows:
+    """``_uniform_rows`` takes each stream's words in one ``getrandbits``: every
+    value and every stream's final state are those of the ``random()`` calls."""
+
+    @pytest.mark.parametrize("width", [0, 1, 28, 70])
+    @pytest.mark.parametrize("scale", [1.0, 1e-5, 3.7])
+    def test_bulk_words_are_the_random_calls(self, width, scale):
+        indices = [0, 1, 5, 999_999, 77_000_001]
+        ours, theirs = ([derive_rng(9, j) for j in indices] for _ in range(2))
+        got = sampling._uniform_rows(ours, width, scale, "entries")
+        assert got.shape == (len(indices), width) and got.dtype == np.float64
+        assert got.tobytes() == uniform_loop(theirs, width, scale).tobytes()
+        assert [rng.getstate() for rng in ours] == [rng.getstate() for rng in theirs]
+
+    @pytest.mark.parametrize("width", [0, 28])
+    def test_no_streams(self, width):
+        got = sampling._uniform_rows([], width, 2.0, "entries")
+        assert got.shape == (0, width)
+        assert got.tobytes() == uniform_loop([], width, 2.0).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 40), st.integers(0, 40))
+    def test_drawn_seeds_equal_the_calls(self, seed, width):
+        ours, theirs = [random.Random(seed)], [random.Random(seed)]
+        assert sampling._uniform_rows(ours, width, 1.0, "entries").tobytes() == \
+            uniform_loop(theirs, width, 1.0).tobytes()
+        assert ours[0].getstate() == theirs[0].getstate()
 
 
 class TestLineRows:
