@@ -6,12 +6,13 @@ state, so identical (command, seed, arguments) invocations are byte-identical.
 
 ``verify-formula`` runs its trials as stacks: trial t still draws from its
 own stream ``derive_rng(seed, t)`` (``sampling.random_integer_rows``, the
-values ``randint`` gives), and each stack goes once through the row kernels
-of both routes, ``wedge_power_rows(project_rows(X))`` and
-``wedge_power_from_minors_rows``.  A stack holds as many trials as keep its
-largest array under ``_TRIAL_ENTRIES``, so memory does not grow with
-``--trials``, and the report does not depend on the stacking.  The parser is
-built once per process.
+values ``randint`` gives, in int64 when the entry range fits it), and each
+stack goes once through the row kernels of both routes,
+``wedge_power_rows(project_rows(X))`` and ``wedge_power_from_minors_rows``,
+each in int64 as far as its own bounds prove it fits.  A stack holds as many
+trials as keep its largest array under ``_TRIAL_ENTRIES``, so memory does not
+grow with ``--trials``, and the report does not depend on the stacking.  The
+parser is built once per process.
 
 Exit codes: 0 pass/certified, 1 fail/refuted, 2 usage error or inconclusive.
 """
@@ -24,6 +25,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import scalars
 from .convexity import (SamplerConfig, check_ext_one_affine, check_ext_one_convex,
@@ -104,7 +107,13 @@ def cmd_verify_formula(args) -> int:
     """Exact comparison of the wedge power against its minor-table expansion.
 
     Trials run as stacks: each draws from its own stream, and a stack holds
-    as many trials as keep its largest array within ``_TRIAL_ENTRIES``.
+    as many trials as keep its largest array within ``_TRIAL_ENTRIES``.  A
+    stack drawn in int64 enters both routes as it is; each route stays in
+    int64 under bounds it proves itself and widens to Python ints past them.
+    The residual is one array expression in whatever dtype the routes share:
+    int64 when both results are int64 (each below ``scalars.INT64_LIMIT``, so
+    their difference fits), Python ints when either is objects; ``tolist``
+    gives Python ints, so the report is the same either way.
     """
     n, k, s = args.n, args.k, args.s
     if not 2 <= k <= n:
@@ -123,8 +132,8 @@ def cmd_verify_formula(args) -> int:
         X = random_integer_rows(n, k, args.seed, trials, args.low, args.high)
         direct = wedge_power_rows(project_rows(X, n, k), n, k, s)
         via_minors = wedge_power_from_minors_rows(X, n, k, s)
-        for trial, a, b in zip(trials, direct.tolist(), via_minors.tolist()):
-            residual = max((abs(x - y) for x, y in zip(a, b)), default=0)
+        residuals = np.abs(direct - via_minors).max(axis=1, initial=0).tolist()
+        for trial, residual in zip(trials, residuals):
             if residual > worst:
                 worst = residual
             if residual != 0 and failure is None:

@@ -13,11 +13,14 @@ with empty ``coeffs``, and a wedge power of a form of degree k ≥ 1 is that zer
 object as soon as k·s > n.
 
 There is one wedge kernel.  ``wedge_rows`` and ``wedge_power_rows`` work on
-stacks of forms of those dtypes, one form per row of an (m × C(n,k)) array;
-``wedge`` and ``wedge_power`` run it on a one-row view, floats under
-``scalars.float_guard``.  Every structure table is in ``sign_table``'s format
+stacks of forms of those dtypes, or of int64, one form per row of an
+(m × C(n,k)) array; ``wedge`` and ``wedge_power`` run it on a one-row view,
+floats under ``scalars.float_guard``.  An int64 wedge step runs in int64 only
+under a bound proved on the values it is handed (``_step_fits``), and is
+widened to Python ints otherwise, so a power chain stays in int64 for as many
+steps as the bound holds.  Every structure table is in ``sign_table``'s format
 and summed by ``signed_sum``: exactly for objects (and for the int64 stacks a
-kernel narrows to under a bound), and for floats by a loop over the table's
+kernel proves a bound on), and for floats by a loop over the table's
 slots that adds one slot of every row at a time, left to right from 0.0.  That
 keeps each float row the scalar loop's sum, whatever its batch, without a
 stack of every slot's terms or a prefix-sum array.
@@ -305,15 +308,31 @@ def power_by_squaring(base: np.ndarray, exp: int) -> np.ndarray:
     return result
 
 
+def _step_fits(slots: int, a: int, b: int) -> bool:
+    """Whether a wedge step whose every coefficient sums ``slots`` products of
+    factors at most ``a`` and ``b`` in size stays below ``scalars.INT64_LIMIT``:
+    each product, each partial sum of the +1 or the −1 slots, and their
+    difference are then below slots·a·b."""
+    return slots * a * b < scalars.INT64_LIMIT
+
+
 def wedge_rows(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int,
                signed: bool = True) -> np.ndarray:
     """Row-batched wedge: row i of the result is the coefficients of a[i] ∧ b[i].
 
     ``a`` is (m × C(n,k)) and ``b`` is (m × C(n,l)), of one dtype, which the
-    result keeps.  With ``signed=False`` every sign of the table counts as +1.
+    result keeps; with ``signed=False`` every sign of the table counts as +1.
+    Two int64 stacks stay int64 when C(k+l, k)·max|a|·max|b| fits
+    (``_step_fits``), both maxima read off the stacks; otherwise, or beside
+    objects, an int64 stack is widened to Python ints and the result is
+    objects.
     """
     if k + l > n:
         return np.zeros((a.shape[0], 0), dtype=a.dtype)
+    if np.int64 in (a.dtype, b.dtype) and not (
+            a.dtype == b.dtype and _step_fits(math.comb(k + l, k), scalars.largest(a),
+                                              scalars.largest(b))):
+        a, b = (v.astype(object) if v.dtype == np.int64 else v for v in (a, b))
     if k == 0:
         return a[:, :1] * b
     if l == 0:
@@ -325,12 +344,24 @@ def wedge_rows(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int,
 
 def wedge_power_rows(x: np.ndarray, n: int, k: int, s: int,
                      signed: bool = True) -> np.ndarray:
-    """Row-batched ``wedge_power``; a 0-form's power is one scalar power."""
+    """Row-batched ``wedge_power``; a 0-form's power is one scalar power.
+
+    The power is the left fold acc ∧ x, one ``wedge_rows`` step at a time, in
+    the stack's dtype.  An int64 stack takes step i in int64 while
+    C(k(i+1), k)·max|acc|·max|x| fits, both maxima read off the values just
+    computed, and in Python ints from the first step where it does not; the
+    result is int64 when every step fit and objects otherwise.  A 0-form's
+    int64 power stays int64 when B^s fits (B its largest entry in size).
+    """
     if s < 0:
         raise DomainError(f"exponent must be nonnegative, got {s}")
     if s == 0:
         return np.ones((x.shape[0], 1), dtype=x.dtype)
     if k == 0:
+        if x.dtype == np.int64:
+            # every square and product by squaring takes is at most B^s, and
+            # B ≥ 2 puts B^63 past the limit, so s is capped before the power
+            x = scalars.proved(x, lambda B: B ** min(s, 63))
         return power_by_squaring(x, s)
     if k * s > n:
         return np.zeros((x.shape[0], 0), dtype=x.dtype)

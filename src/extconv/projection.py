@@ -20,11 +20,14 @@ matrices by the map's minor plan (``map_plan``, built once per (n, k, s) from
 the row and column positions the map stores, each sub-minor below the cells
 taken once) through ``shapespace.minors_at``, and returns zero at once for
 odd k or s > n/k; ``wedge_power_from_minors`` is that kernel on a stack of
-one.  On a stack of Python ints it keeps the minors in int64 through the
-map's signed sum when s!·(slots per target)·s!·B^s fits (B the largest entry
-of the whole stack in size), and widens them to Python ints before the sum
-otherwise; the direct route ``wedge_power_rows(project_rows(X))`` stays on
-object arrays, so the two sides of the identity never share that narrowing;
+one.  On a stack of Python ints or of int64 it keeps the minors in int64
+through the map's signed sum when s!·(slots per target)·s!·B^s fits (B the
+largest entry of the whole stack in size), and widens them to Python ints
+before the sum otherwise.  The direct route
+``wedge_power_rows(project_rows(X))`` proves bounds of its own on an int64
+stack: k·B for the projection, then one per wedge step (see ``exterior``).
+The two routes never share a bound, so a skipped bound on either one wraps
+that route alone, and the residual between them shows it.
 ``pullback_support`` is the map's transpose, built on arrays by its own
 enumeration (membership masks over ``minor_layout``) and its own signs (the
 inversion parity of each appended string), so that the adjointness check
@@ -69,11 +72,16 @@ def _projection_table(n: int, k: int) -> tuple[np.ndarray, ...]:
 def project_rows(X: np.ndarray, n: int, k: int) -> np.ndarray:
     """``project`` of each row of a flat (m × C(n,k−1)·n) stack of matrix entries.
 
-    The stack's dtype is the scalar type, which the result keeps: float64, or
-    object (ints, Fractions or polynomials), summed exactly.  A float row sums
-    its slots left to right, whatever batch it sits in.
+    The stack's dtype is the scalar type, which the result keeps: float64,
+    object (ints, Fractions or polynomials), summed exactly, or int64, which
+    stays int64 when k·B fits below ``scalars.INT64_LIMIT`` (B the largest
+    entry in size; each coefficient sums k signed entries) and is widened to
+    Python ints otherwise.  A float row sums its slots left to right,
+    whatever batch it sits in.
     """
     cells, *signs = _projection_table(n, k)
+    if X.dtype == np.int64:
+        X = scalars.proved(X, lambda B: k * B)
     return signed_sum(lambda q: X[:, cells[:, q]], X.dtype, *signs)
 
 
@@ -213,10 +221,15 @@ def wedge_power_from_minors_rows(X: np.ndarray, n: int, k: int, s: int) -> np.nd
     stack by the map's cached plan (``map_plan``), which takes each of their
     sub-minors once, instead of building any minor table.  Zero
     without building the map when k is odd or s exceeds n/k.  When every
-    entry of the stack is a Python int and s!·(slots per target)·s!·B^s fits
-    (B the largest entry in size), the minors stay in int64 through the map's
-    signed sum and the s!, and are widened to Python ints after it; otherwise
-    int64 minors are widened before the sum.
+    entry of the stack is a Python int, or the stack is int64, and
+    s!·(slots per target)·s!·B^s fits (B the largest entry in size), the
+    minors stay in int64 through the map's signed sum and the s!; an object
+    stack's result is then widened to Python ints, and an int64 stack's stays
+    int64.  Otherwise int64 minors are widened before the sum, and the result
+    is objects.  This bound is the minor route's own: the direct route
+    ``wedge_power_rows(project_rows(X))`` proves its bounds step by step in
+    ``exterior``, so a skipped bound on one route shows as a nonzero
+    residual against the other.
     """
     s = integer(s, "power order")
     limit = min(n, math.comb(n, k - 1))
@@ -227,14 +240,13 @@ def wedge_power_from_minors_rows(X: np.ndarray, n: int, k: int, s: int) -> np.nd
     power_map = minor_power_map(n, k, s)
     stack = X.reshape(len(X), math.comb(n, k - 1), n)
     factor, slots = math.factorial(s), power_map.cells.shape[1]
-    narrowed = scalars.narrow(stack, lambda B: factor * slots * factor * B ** s) \
-        if X.dtype == object else None
+    narrowed = scalars.narrow(stack, lambda B: factor * slots * factor * B ** s)
     with scalars.float_guard("minors"):
         minors = minors_at(stack if narrowed is None else narrowed, map_plan(n, k, s))
     if narrowed is None and minors.dtype == np.int64:
         minors = minors.astype(object)
     image = power_map._image(minors.reshape(len(X), *power_map.cells.shape))
-    return image if narrowed is None else image.astype(object)
+    return image.astype(object) if X.dtype == object and narrowed is not None else image
 
 
 def wedge_power_from_minors(X: ShapeMatrix, s: int) -> KForm:

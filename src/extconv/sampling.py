@@ -18,7 +18,8 @@ streams of the rows one ``wedge_rows`` call finds with α∧β = 0, then t.
 Integer entries are ``random.randint(low, high)`` draws, taken by
 ``integer_draws``: the rejection loop on ``getrandbits`` that ``randint``
 runs, without its per-call argument checks, so every value and the stream's
-final state equal ``randint``'s.
+final state equal ``randint``'s.  A stack of them is int64 when its bounds
+fit int64, and Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -149,12 +150,17 @@ def integer_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
 def random_integer_rows(n: int, k: int, seed: int, indices: Iterable[int],
                         low: int, high: int) -> np.ndarray:
     """A stack of exact (n, k) matrices, one per stream ``derive_rng(seed, j)``
-    of ``indices``: ``randint(low, high)`` entries row by row, as one flat row
-    of Python ints in a read-only object array.  Bounds within int64 gather
-    the draws in int64, which ``scalars.array`` widens in one conversion."""
+    of ``indices``: ``randint(low, high)`` entries row by row, one flat row
+    per matrix, in a read-only array.  When ``low`` and ``high`` lie within
+    int64 the array is int64, the form the row kernels prove their bounds on;
+    otherwise it holds Python ints as objects."""
     width = math.comb(n, k - 1) * n
     rows = [integer_draws(derive_rng(seed, j), low, high, width) for j in indices]
     bounds = np.iinfo(np.int64)
-    dtype = np.int64 if rows and bounds.min <= low and high <= bounds.max else object
-    return scalars.array(np.array(rows, dtype=dtype).reshape(len(rows), width),
-                         (len(rows), width), scalars.EXACT, f"(n={n}, k={k}) matrix entries")
+    if not bounds.min <= low <= high <= bounds.max:
+        return scalars.array(np.array(rows, dtype=object).reshape(len(rows), width),
+                             (len(rows), width), scalars.EXACT,
+                             f"(n={n}, k={k}) matrix entries")
+    stack = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    stack.flags.writeable = False
+    return stack

@@ -16,9 +16,11 @@ by ``array``, float64 or object, and read their backend off its dtype.  A
 stored array is never of a fixed-width integer type: an object array holds
 Python ints, Fractions or polynomials (``polyform.Poly``), which the exact
 backend carries as they are.  A kernel may still take ints in int64, but only
-inside itself and only under a bound it states in advance (``narrow``), so
+under a bound it proves before the arithmetic (``narrow``, ``proved``), so
 that no result can wrap; ``array`` widens the result back to Python ints
-where it is stored.
+where it is stored.  An int64 stack a kernel is handed (such as
+``sampling.random_integer_rows``' draws) gets the same proof as Python ints:
+it stays int64 under the bound and is widened to Python ints otherwise.
 Float array work runs under ``float_guard``: a value that leaves the float
 range is a domain error, never a silent inf or nan in a verdict.
 """
@@ -106,25 +108,40 @@ def real(value, what: str) -> float:
         raise DomainError(f"{what} lies beyond the float range") from None
 
 
+def largest(values: np.ndarray) -> int:
+    """The largest absolute value of an int64 array (0 when it is empty), as a
+    Python int, so that −2^63 reads as 2^63."""
+    return max(-int(values.min(initial=0)), int(values.max(initial=0)))
+
+
 def narrow(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray | None:
-    """An int64 copy of an object array of Python ints, if it provably fits.
+    """``values`` in int64, if they are integers that provably fit.
 
     ``bound(B)``, for B the largest absolute value, must bound every value
-    the caller computes from the copy; the copy is made only when every
-    element is an ``int`` (not a bool, Fraction or polynomial) and that bound
-    lies below ``INT64_LIMIT``.  Otherwise the answer is None and the caller
-    keeps its objects.  B is read off the int64 copy; an element beyond int64
-    lies past every bound (each is at least B).
+    the caller computes from the result, which is made only when that bound
+    lies below ``INT64_LIMIT``.  An int64 array is returned as it is; an
+    object array is copied to int64 when every element is an ``int`` (not a
+    bool, Fraction or polynomial).  Otherwise the answer is None and the
+    caller keeps its values.  B is read off the int64 values; an element
+    beyond int64 lies past every bound (each is at least B).
     """
-    if not set(map(type, values.ravel().tolist())) <= {int}:
-        return None
-    try:
-        narrowed = values.astype(np.int64)
-    except OverflowError:
-        return None
-    if bound(max(-int(narrowed.min(initial=0)), int(narrowed.max(initial=0)))) >= INT64_LIMIT:
-        return None
-    return narrowed
+    if values.dtype != np.int64:
+        if values.dtype != object or not set(map(type, values.ravel().tolist())) <= {int}:
+            return None
+        try:
+            values = values.astype(np.int64)
+        except OverflowError:
+            return None
+    return values if bound(largest(values)) < INT64_LIMIT else None
+
+
+def proved(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray:
+    """``values`` in int64 where ``narrow`` proves ``bound`` on them; otherwise
+    an int64 array widened to Python ints, and any other array as it is."""
+    narrowed = narrow(values, bound)
+    if narrowed is not None:
+        return narrowed
+    return values.astype(object) if values.dtype == np.int64 else values
 
 
 def array(values, shape: tuple[int, ...], backend: str, what: str,

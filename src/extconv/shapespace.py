@@ -22,11 +22,13 @@ shape and order) ranks its children by arithmetic: ``adjugate`` reads it, and
 ``det_rows`` is the plan of one cell.  ``minor_plan`` builds the plan of any
 list of cells by ranking their children and keeping each once; the
 projection builds its power maps' plans with it.  When every entry is a
-Python int and s!·B^s (B the largest entry in size) bounds every partial sum
-below ``scalars.INT64_LIMIT``, ``minors_at`` expands in int64, which is still
-exact integer arithmetic; a minor table widens the result back to Python
-ints as it stores it.  ``adjugate`` refuses, before listing any layout, a
-table whose cells and sub-minors together exceed ``ADJUGATE_CELLS``.
+Python int or the stack is int64, and s!·B^s (B the largest entry in size)
+bounds every partial sum below ``scalars.INT64_LIMIT``, ``minors_at`` and
+``det_rows`` expand in int64, which is still exact integer arithmetic; an
+int64 stack past that bound is widened to Python ints first.  A minor
+table widens the result back to Python ints as it stores it.  ``adjugate``
+refuses, before listing any layout, a table whose cells and sub-minors
+together exceed ``ADJUGATE_CELLS``.
 """
 
 from __future__ import annotations
@@ -345,28 +347,35 @@ def minors_at(entries: np.ndarray, plan: MinorPlan) -> np.ndarray:
     """The minors a plan names of each matrix of a stack, (…, R, n) entries:
     (…, cells).
 
-    When every entry of the whole stack is a Python int and their minors
-    provably fit (s!·B^s below ``scalars.INT64_LIMIT``), the stack is
-    expanded in int64, and so are the minors returned; any other entries keep
-    their dtype.
+    When every entry of the whole stack is a Python int, or the stack is
+    int64, and their minors provably fit (s!·B^s below
+    ``scalars.INT64_LIMIT``), the stack is expanded in int64, and so are the
+    minors returned; an int64 stack past the bound is expanded in Python
+    ints, and any other entries keep their dtype.
     """
-    if entries.dtype == object:
-        s = len(plan.levels) + 1
-        narrowed = scalars.narrow(entries, lambda B: math.factorial(s) * B ** s)
-        entries = entries if narrowed is None else narrowed
+    entries = _proved(entries, len(plan.levels) + 1)
     flat = entries.reshape(-1, entries.shape[-2] * entries.shape[-1])
     return _expand(plan, flat).reshape(*entries.shape[:-2], -1)
+
+
+def _proved(entries: np.ndarray, s: int) -> np.ndarray:
+    """A stack whose order-s minors ``_expand`` takes exactly: in int64 under
+    the bound s!·B^s (``scalars.proved``), floats and other objects as they are."""
+    return scalars.proved(entries, lambda B: math.factorial(s) * B ** s)
 
 
 def det_rows(M: np.ndarray) -> np.ndarray:
     """Determinants of an (…, s, s) stack, float64, int64 or object (ints,
     Fractions), in the stack's dtype: the plan of the one order-s minor,
-    s·2^(s−1) products per determinant."""
+    s·2^(s−1) products per determinant.  An int64 stack past s!·B^s is taken
+    in Python ints, and its determinants are objects."""
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise DomainError("determinant of a non-square matrix")
     s = M.shape[-1]
     if not s:
         return np.ones(M.shape[:-2], dtype=M.dtype)
+    if M.dtype == np.int64:
+        M = _proved(M, s)
     return _expand(_full_plan(s, s, s), M.reshape(-1, s * s)).reshape(M.shape[:-2])
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extconv import polyform, projection, sampling, shapespace
+from extconv import exterior, polyform, projection, sampling, shapespace
 
 
 @pytest.fixture
@@ -25,6 +25,19 @@ def sign_fault(monkeypatch):
                                   minus=np.flatnonzero(signs < 0))
 
     monkeypatch.setattr(projection, "minor_power_map", faulty)
+
+
+@pytest.fixture
+def step_bound_fault(monkeypatch):
+    """Let every int64 wedge step skip its bound.
+
+    While the fixture is active ``exterior._step_fits`` passes every step, so
+    the direct route's chain stays in int64 past 2^63 and wraps instead of
+    widening to Python ints.  The minor route proves bounds of its own, so a
+    check that compares the two routes, or the chain with an object oracle,
+    must report a mismatch once the values pass int64.
+    """
+    monkeypatch.setattr(exterior, "_step_fits", lambda slots, a, b: True)
 
 
 @pytest.fixture

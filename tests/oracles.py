@@ -32,7 +32,10 @@ back from its flat entry positions, checking every slot's entry and child.
 ``reference_rows`` is the expression kernel as it was before power chains were
 shared: a walk of the tree over a stack that takes each ``wedge_pow`` node's
 power alone, by ``wedge_power_rows``; the kernel must reproduce its floats bit
-for bit.
+for bit.  ``reference_power_chain`` is the direct route of the identity in
+Python ints only: the projection rule written out and ``shuffle_wedge`` one
+factor at a time, with the dtypes the stepped int64 kernels must return,
+read off its exact values.
 """
 
 from __future__ import annotations
@@ -348,6 +351,40 @@ def dict_to_coeff_list(n, k, d):
     for key, value in d.items():
         out[index[tuple(key)]] = value
     return out
+
+
+def reference_power_chain(X: list, n: int, k: int, s: int) -> tuple[list, list, bool, list]:
+    """The projection and its s-th wedge power of each flat integer matrix of ``X``,
+    in Python ints, whether ``project_rows`` keeps an int64 stack in int64, and
+    for each step of ``wedge_power_rows`` whether that step's result is int64.
+
+    Row K of the projection is Σ_p (−1)^(k−1−p)·X[K∖K_p, K_p] over the 0-based
+    positions p of K, and the power is ξ ∧ ... ∧ ξ by ``shuffle_wedge``.  The
+    projection stays int64 when k·B is below 2^62 (B the largest entry of the
+    stack in size); step acc ∧ ξ then does while it and every step before it
+    have C(k(i+1), k)·max|acc|·max|ξ| below 2^62, both maxima over the stack.
+    """
+    limit = 1 << 62
+    rows = {label: r for r, label in enumerate(itertools.combinations(range(1, n + 1), k - 1))}
+    projected = [{K: sum((-1) ** (k - 1 - p) * row[rows[K[:p] + K[p + 1:]] * n + K[p] - 1]
+                         for p in range(k))
+                  for K in itertools.combinations(range(1, n + 1), k)} for row in X]
+    largest = max((abs(v) for row in X for v in row), default=0)
+    xi_fits = k * largest < limit
+    steps_fit, step_fits = xi_fits, []
+    xi_max = max((abs(v) for form in projected for v in form.values()), default=0)
+    powers = [{K: c for K, c in form.items() if c} for form in projected]
+    if k * s <= n:
+        for i in range(1, s):
+            acc_max = max((abs(v) for form in powers for v in form.values()), default=0)
+            steps_fit = steps_fit and math.comb(k * (i + 1), k) * acc_max * xi_max < limit
+            step_fits.append(steps_fit)
+            powers = [shuffle_wedge(acc, {K: c for K, c in xi.items() if c})
+                      for acc, xi in zip(powers, projected)]
+    else:
+        powers = [{} for _ in projected]
+    return ([dict_to_coeff_list(n, k, form) for form in projected],
+            [dict_to_coeff_list(n, k * s, form) for form in powers], xi_fits, step_fits)
 
 
 def lex_ranks(sets: np.ndarray, size: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from extconv import cli, scalars, shapespace
+from extconv import cli, exterior, projection, shapespace
 from extconv.cli import build_parser, main
 from extconv.convexity import SamplerConfig
 from extconv.errors import DomainError
@@ -200,26 +200,36 @@ class TestStackedTrials:
         assert got == want and got[0] == 0
 
     def test_entries_beyond_int64_take_the_object_path(self, capsys, monkeypatch):
-        # 4!·10^24 bounds no minor in int64, so every narrowing declines
-        declined = []
-        real = scalars.narrow
-        monkeypatch.setattr(scalars, "narrow",
-                            lambda values, bound: declined.append(real(values, bound) is None)
-                            or real(values, bound))
-        got, _ = verify(capsys, 8, 2, 4, 3, 1, -10 ** 6, 10 ** 6)
-        assert declined and all(declined)
+        # at ±10^6 the minor route's bounds fail (4!·(10^6)^4 for the minors
+        # alone), so it takes its minors in Python ints; the direct route
+        # projects in int64 (2·10^6), takes its first wedge step there
+        # (6·(2·10^6)^2) and widens at the second (15·max|acc|·2·10^6)
+        seen = {}
+        for module, name in [(exterior, "_step_fits"), (exterior, "wedge_rows"),
+                             (projection, "minors_at")]:
+            def recording(*args, real=getattr(module, name), out=seen.setdefault(name, [])):
+                out.append(real(*args))
+                return out[-1]
+
+            monkeypatch.setattr(module, name, recording)
+        got = run_cli(capsys, "verify-formula", "--n", "8", "--k", "2", "--s", "4", "--trials",
+                      "3", "--seed", "1", "--low", str(-10 ** 6), "--high", str(10 ** 6))[:2]
+        assert seen["_step_fits"] == [True, False]
+        assert [step.dtype for step in seen["wedge_rows"]] == [np.int64, object, object]
+        assert [minors.dtype for minors in seen["minors_at"]] == [object]
         monkeypatch.undo()
         assert got == reference_verify_report(8, 2, 4, 3, 1, -10 ** 6, 10 ** 6)
+        assert got[0] == 0
 
-    def test_direct_route_stays_on_objects(self, capsys, monkeypatch):
-        # the two sides of the identity must not share the int64 narrowing
-        dtypes = []
-        for name in ("project_rows", "wedge_power_rows"):
-            real = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda X, *args, real=real:
-                                dtypes.append(X.dtype) or real(X, *args))
-        got, want = verify(capsys, 8, 2, 4, 5)
-        assert got == want and dtypes == [np.dtype(object)] * 2
+    def test_step_bound_fault_detected(self, capsys, step_bound_fault):
+        # ±10^5 at (10,2,5): the minor route's bounds fail and it stays exact in
+        # Python ints, so a direct chain kept in int64 past its bound wraps,
+        # and the two routes disagree
+        code, out, _ = run_cli(capsys, "verify-formula", "--n", "10", "--k", "2", "--s", "5",
+                               "--low", "-100000", "--high", "100000", "--trials", "1")
+        report = json.loads(out)
+        assert code == 1 and report["status"] == "fail"
+        assert report["max_residual"] == "830146113742484165493784576"
 
     def stacks(self, monkeypatch, entries):
         """The trials of each stack the campaign draws, with ``entries`` a stack."""

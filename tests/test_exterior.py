@@ -17,11 +17,12 @@ from extconv.exterior import (KForm, _wedge_table, hodge_star, norm_squared, ord
 from extconv.functions import FormFunction
 from extconv.multiindex import key_rank, labels
 from extconv.polyform import Poly
-from extconv.projection import _projection_table, project_rows
+from extconv.projection import (_projection_table, minor_power_map, project_rows,
+                                wedge_power_from_minors_rows)
 from extconv.shapespace import MinorTable, ShapeMatrix, adjugate, det_rows
 
-from oracles import (coeffs_to_dict, dict_to_coeff_list, lex_ranks, rand_exact, shuffle_wedge,
-                     wedge_many)
+from oracles import (coeffs_to_dict, dict_to_coeff_list, lex_ranks, rand_exact,
+                     reference_power_chain, shuffle_wedge, wedge_many)
 
 
 def rand_form(n, k, rng):
@@ -328,6 +329,21 @@ class TestNarrow:
     def test_anything_but_python_ints_stays_object(self, other):
         assert scalars.narrow(self.objects([1, other]), lambda B: 0) is None
 
+    def test_int64_stacks_keep_or_widen(self):
+        # an int64 stack is kept as it is under the bound and widened past it;
+        # −2^63 reads as 2^63
+        values = np.array([3, -2 ** 63, 5])
+        assert scalars.largest(values) == 2 ** 63
+        kept = np.array([3, -7])
+        assert scalars.narrow(kept, lambda B: B) is kept
+        assert scalars.proved(kept, lambda B: B) is kept
+        assert scalars.narrow(values, lambda B: B) is None
+        widened = scalars.proved(values, lambda B: B)
+        assert widened.dtype == object and widened.tolist() == [3, -2 ** 63, 5]
+        floats = np.array([1.5])
+        assert scalars.narrow(floats, lambda B: 0) is None
+        assert scalars.proved(floats, lambda B: 0) is floats
+
 
 class TestIntegerStacks:
     """The row kernels keep an integer stack's dtype and sum it exactly."""
@@ -363,6 +379,61 @@ class TestIntegerStacks:
         dets = det_rows(stack)
         assert dets.dtype == np.int64
         assert dets.tolist() == det_rows(stack.astype(object)).tolist()
+
+    def test_int64_stack_past_its_bound_is_exact(self):
+        # int64 entries up to 2^40 put the (4,2,2) power past 2^63: every
+        # kernel widens to Python ints instead of wrapping, and both routes
+        # give the value an object stack gives
+        X = np.random.default_rng(1).integers(-2 ** 40, 2 ** 40, (1, 16))
+        want = [[4753651800811246436761870]]
+        assert wedge_power_from_minors_rows(X.astype(object), 4, 2, 2).tolist() == want
+        assert wedge_power_from_minors_rows(X, 4, 2, 2).tolist() == want
+        assert wedge_power_rows(project_rows(X, 4, 2), 4, 2, 2).tolist() == want
+        # each factor fits 2^62 and their product does too; the six slots of
+        # the (2,2) step do not, so the step widens
+        a, b = np.full((1, 6), 2 ** 30), np.full((1, 6), 2 ** 31)
+        assert wedge_rows(a, b, 4, 2, 2, signed=False).tolist() == [[3 * 2 ** 62]]
+        M = np.array([[[2 ** 62, 1], [-3, 2 ** 62]]])
+        assert det_rows(M).tolist() == [2 ** 124 + 3]
+        assert project_rows(np.full((1, 9), 2 ** 61), 3, 2).dtype == object
+        assert wedge_power_rows(np.array([[3 ** 39]]), 4, 0, 2).tolist() == [[3 ** 78]]
+        assert wedge_power_rows(np.array([[2]]), 4, 0, 10 ** 6).dtype == object
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([(3, 2, 1), (4, 2, 2), (5, 2, 2), (6, 2, 3), (8, 2, 4), (7, 2, 3),
+                            (6, 3, 2), (7, 3, 2), (8, 4, 2), (4, 2, 3), (9, 3, 3)]),
+           st.sampled_from([5, 2 ** 10, 2 ** 20, 10 ** 5, 10 ** 6, 2 ** 40]),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_stepped_kernels_equal_the_object_chain(self, space, bound, m, seed):
+        # every int64 result is proved below 2^62, every other one is objects,
+        # and all equal the Python-int chain coefficient for coefficient; the
+        # chain stays int64 up to its first step past the bound and takes that
+        # step and every later one in Python ints
+        n, k, s = space
+        X = np.random.default_rng(seed).integers(-bound, bound + 1, (m, math.comb(n, k - 1) * n))
+        xi, power, xi_fits, step_fits = reference_power_chain(X.tolist(), n, k, s)
+        got_xi = project_rows(X, n, k)
+        assert got_xi.dtype == (np.int64 if xi_fits else object) and got_xi.tolist() == xi
+        seen, real = [], exterior.wedge_rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exterior, "wedge_rows",
+                          lambda *args: seen.append(real(*args)) or seen[-1])
+            got = wedge_power_rows(got_xi, n, k, s)
+        assert [step.dtype for step in seen] == [np.int64 if fits else object for fits in step_fits]
+        power_fits = xi_fits and all(step_fits)
+        assert got.dtype == (np.int64 if power_fits else object) and got.tolist() == power
+        if 2 <= s <= min(n, math.comb(n, k - 1)):
+            via_minors = wedge_power_from_minors_rows(X, n, k, s)
+            fits = k % 2 == 1 or s > n // k or math.factorial(s) ** 2 * bound ** s \
+                * minor_power_map(n, k, s).cells.shape[1] < scalars.INT64_LIMIT
+            assert via_minors.tolist() == power
+            assert via_minors.dtype == np.int64 or not fits
+
+    def test_step_bound_fault_breaks_the_object_chain(self, step_bound_fault):
+        # with its bound skipped the chain stays in int64 past 2^63 and wraps
+        X = np.random.default_rng(1).integers(-2 ** 40, 2 ** 40, (1, 16))
+        power = reference_power_chain(X.tolist(), 4, 2, 2)[1]
+        assert wedge_power_rows(project_rows(X, 4, 2), 4, 2, 2).tolist() != power
 
 
 class TestWedgeRows:

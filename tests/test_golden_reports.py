@@ -107,6 +107,11 @@ CLI_CASES = {
                      "--seed", "5"],
     "verify-9-3-3": ["verify-formula", "--n", "9", "--k", "3", "--s", "3", "--trials", "2",
                      "--seed", "5"],
+    # entries up to 10^5: the minor route takes Python ints, and the direct
+    # route's int64 chain widens at its first step past the bound
+    "verify-10-2-5-wide": ["verify-formula", "--n", "10", "--k", "2", "--s", "5",
+                           "--low", "-100000", "--high", "100000", "--trials", "1",
+                           "--seed", "0"],
 }
 for _mode in ("one-convex", "one-affine"):
     for _name in ("norm_sq", "neg_norm_sq", "top_power"):
@@ -228,6 +233,7 @@ GOLDEN = {
     "verify-6-2-3": "3c172f1b8ff9b7499e54e416eb1fd589bcb31dbd3112aacb8f2c9380dbcd2db2",
     "verify-8-4-2": "dfc60c18e5f48e48baba8a868a22a131d20f6dfd6558a42107454c424c383a77",
     "verify-9-3-3": "5c05dafda31df5862adad70f2f575079ae0d24b50a7540520793d4afc1e872a6",
+    "verify-10-2-5-wide": "2b321e9aaa3372ecefe2e7be8b1bc7f67bbf4d8d7002e1f8f66d9c5271726714",
     "one-convex-norm_sq": "6f1fb910085b54f926ec342b2f3b1d3bbaa6632783147334ea1ce6b8fce5f6a0",
     "one-convex-neg_norm_sq": "89fdbc35d8143e3960af627ff2c20ab69e739da651119d657850fa38084e3480",
     "one-convex-top_power": "1af450a15a32f1731088696c35fe7c68c9f865dbf11505121bd9c6473dbf56fa",

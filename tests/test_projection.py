@@ -255,14 +255,6 @@ class TestWedgePowerFromMinors:
         monkeypatch.undo()
         assert out == wedge_power(project(X), s) and not out.is_zero()
 
-    def test_direct_route_runs_no_int64(self, monkeypatch):
-        # the two sides of the identity must not share the narrowing
-        X = rand_int_matrix(8, 2, random.Random(17))
-        dtypes = self.summed_dtypes(monkeypatch, projection, exterior)
-        monkeypatch.setattr(scalars, "narrow", lambda *args: pytest.fail("narrowed"))
-        assert wedge_power(project(X), 4).coeffs.dtype == object
-        assert len(dtypes) == 4 and set(dtypes) == {np.dtype(object)}
-
 
 class TestStackedMinorKernel:
     """``wedge_power_from_minors_rows`` is ``wedge_power_from_minors`` row by row."""

@@ -58,9 +58,10 @@ class TestIntegerDraws:
     @pytest.mark.parametrize("low,high", [(-5, 5), (0, 0), (-2 ** 63, 2 ** 63 - 1),
                                           (-10 ** 30, 10 ** 30), (-3, 2 ** 63), (-2 ** 63 - 1, 0)])
     def test_entries_are_python_ints_at_any_bounds(self, low, high):
-        # int64 bounds gather in int64 and others in objects: the same ints
+        # int64 bounds give an int64 stack and others objects: the same Python ints
         rows = random_integer_rows(8, 4, 2, range(3), low, high)
-        assert rows.dtype == object and not rows.flags.writeable
+        fits = -2 ** 63 <= low and high < 2 ** 63
+        assert rows.dtype == (np.int64 if fits else object) and not rows.flags.writeable
         values = rows.ravel().tolist()
         assert all(type(v) is int for v in values)
         for row, trial in zip(rows.tolist(), range(3)):
@@ -69,8 +70,7 @@ class TestIntegerDraws:
 
     def test_rows_stack_the_matrices(self):
         rows = random_integer_rows(5, 2, 3, range(4, 9), -1000, 1000)
-        assert rows.shape == (5, 25) and rows.dtype == object and not rows.flags.writeable
-        assert all(type(v) is int for v in rows.ravel().tolist())
+        assert rows.shape == (5, 25) and rows.dtype == np.int64 and not rows.flags.writeable
         for row, trial in zip(rows.tolist(), range(4, 9)):
             X = random_integer_matrix(5, 2, derive_rng(3, trial), -1000, 1000)
             assert row == X.entries.ravel().tolist()
