@@ -4,15 +4,19 @@ Every subcommand writes a single JSON document to standard output (and to
 --output when given).  Reports are rendered with sorted keys and no ambient
 state, so identical (command, seed, arguments) invocations are byte-identical.
 
-``verify-formula`` runs its trials as stacks: trial t still draws from its
-own stream ``derive_rng(seed, t)`` (``sampling.random_integer_rows``, the
-values ``randint`` gives, in int64 when the entry range fits it), and each
-stack goes once through the row kernels of both routes,
-``wedge_power_rows(project_rows(X))`` and ``wedge_power_from_minors_rows``,
-each in int64 as far as its own bounds prove it fits.  A stack holds as many
+``verify-formula`` runs its trials as stacks: trial t draws its matrix from
+its own counter-based stream (seed, ``sampling.MATRICES``, t) by the
+sampling module's integer rule (``sampling.random_integer_rows``, in int64
+when the entry range fits it), and each stack goes once through the row
+kernels of both routes, ``wedge_power_rows(project_rows(X))`` and
+``wedge_power_from_minors_rows``, each in int64 as far as its own bounds
+prove it fits.  A stack holds as many
 trials as keep its largest array under ``_TRIAL_ENTRIES``, so memory does not
 grow with ``--trials``, and the report does not depend on the stacking.  The
 parser is built once per process.
+
+A seed lies in [0, 2⁶⁴) and trial indices below 2³², the sampling streams'
+key and counter words; others are refused before any draw.
 
 Exit codes: 0 pass/certified, 1 fail/refuted, 2 usage error or inconclusive.
 """
@@ -35,7 +39,7 @@ from .errors import DomainError
 from .exterior import KForm, wedge_power, wedge_power_rows
 from .functions import FormFunction
 from .projection import map_plan, project, project_rows, wedge_power_from_minors_rows
-from .sampling import random_integer_rows
+from .sampling import check_streams, random_integer_rows
 from .shapespace import ShapeMatrix, adjugate
 
 EXIT_PASS = 0
@@ -122,6 +126,7 @@ def cmd_verify_formula(args) -> int:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
     if args.low > args.high:
         raise DomainError(f"empty entry range: --low {args.low} exceeds --high {args.high}")
+    check_streams(args.seed, args.trials)
     report = {"config": {"n": n, "k": k, "s": s}, "trials": args.trials,
               "seed": args.seed, "entry_range": [args.low, args.high]}
     worst = 0

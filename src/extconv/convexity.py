@@ -20,14 +20,19 @@ The checks implemented here:
   refutation, because the sampled constraints alone already admit no
   supporting coefficients.
 
-Every trial draws from its own stream ``derive_rng(seed, trial)``, and each
-campaign draws its trials as one stack (``sampling.random_form_rows``,
-``random_line_rows``, ``random_rank_one_rows``), one form or flattened matrix
-per row.  The wedge powers and f run once per stack through the row kernels
-typed by its dtype (``exterior.wedge_rows``, ``FormFunction.evaluate_rows``,
-and for a lift ``projection.project_rows``); wedge and rank-one lines share
-one scan, which builds forms only for its witness, and the lift cross-check is
-one stacked pass in either backend.  A row's result does not depend on its
+Every trial draws from its own counter-based streams (``sampling``): the
+words of (seed, kind, trial, attempt), where the kind names the draw site (the
+support LP's samples, the fitter's samples and its held-out ones, a line's
+base, direction and t), so no two sites or trials share a word.  The fitter's
+widened retry is the next attempt of its sample streams, not an offset into
+the trial indices.  Each campaign draws its trials as one stack
+(``sampling.random_form_rows``, ``random_line_rows``,
+``random_rank_one_rows``), one form or flattened matrix per row.  The wedge
+powers and f run once per stack through the row kernels typed by its dtype
+(``exterior.wedge_rows``, ``FormFunction.evaluate_rows``, and for a lift
+``projection.project_rows``); wedge and rank-one lines share one scan, which
+builds forms only for its witness, and the lift cross-check is one stacked
+pass in either backend.  A row's result does not depend on its
 stack, so ``replay_witness`` runs the same kernel on one row and reproduces the
 scan's second difference exactly.
 
@@ -57,7 +62,8 @@ from .exterior import KForm, ordered_sum, scalar_product, wedge_power, wedge_row
 from .functions import FormFunction
 from .multiindex import integer
 from .projection import project, project_rows, right_inverse_rows
-from .sampling import random_form_rows, random_line_rows, random_rank_one_rows
+from .sampling import (FIT, SUPPORT, VALIDATION, check_streams, random_form_rows,
+                       random_line_rows, random_rank_one_rows)
 from .shapespace import ShapeMatrix
 from . import simplex
 
@@ -73,7 +79,8 @@ class SamplerConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        self.seed, self.trials = integer(self.seed, "seed"), integer(self.trials, "trials")
+        self.trials = integer(self.trials, "trials")
+        self.seed = check_streams(self.seed, self.trials)
         self.coeff_range, self.step, self.tolerance = (
             scalars.real(self.coeff_range, "coefficient range"), scalars.real(self.step, "step"),
             scalars.real(self.tolerance, "tolerance"))
@@ -373,8 +380,10 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
     worst absolute error on a fresh validation sample of max(trials, 50) forms,
     so a function that is not a wedge-power pairing is rejected by a large
     residual rather than by a fitted-but-meaningless coefficient vector.
-    Feature columns that vanish identically on the sample (odd-degree powers)
-    are pinned to zero instead of being left floating.
+    The samples of attempt a are the ``FIT`` streams at attempt a, and the
+    validation forms the ``VALIDATION`` streams.  Feature columns that vanish
+    identically on the sample (odd-degree powers) are pinned to zero instead
+    of being left floating.
     """
     n, k = f.n, f.k
     unknowns = 1 + sum(_power_dims(n, k))
@@ -383,8 +392,7 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
 
     spread = cfg.coeff_range
     for attempt in range(3):
-        offset = attempt * 10_000_000
-        xi = random_form_rows(n, k, cfg.seed, range(offset, offset + nsamples), spread)
+        xi = random_form_rows(n, k, cfg.seed, range(nsamples), spread, FIT, attempt)
         design = _power_features(xi, n, k)
         y = f.evaluate_rows(xi)
 
@@ -397,9 +405,8 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
             continue
         solution[live] = coeffs
 
-        held_out = random_form_rows(n, k, cfg.seed,
-                                    range(77_000_000, 77_000_000 + validation_samples),
-                                    cfg.coeff_range)
+        held_out = random_form_rows(n, k, cfg.seed, range(validation_samples),
+                                    cfg.coeff_range, VALIDATION)
         with scalars.float_guard("validation residual"):
             predicted = ordered_sum(_power_features(held_out, n, k) * solution)
             worst = float(np.abs(f.evaluate_rows(held_out) - predicted).max())
@@ -443,7 +450,7 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     if (xi.n, xi.k) != (n, k):
         raise DomainError(f"base point lives in ({xi.n},{xi.k}), expected ({n},{k})")
     if etas is None:
-        eta = random_form_rows(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range)
+        eta = random_form_rows(n, k, cfg.seed, range(cfg.trials), cfg.coeff_range, SUPPORT)
     else:
         if not etas or any((eta.n, eta.k) != (n, k) for eta in etas):
             raise DomainError(f"sample points must be a nonempty list of ({n},{k}) forms")

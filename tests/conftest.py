@@ -105,15 +105,14 @@ def partials_fault(monkeypatch):
 
 
 @pytest.fixture
-def streams(monkeypatch):
-    """The streams ``sampling.derive_rng`` hands out while the fixture is active,
-    in the order it made them, so a test can read each one's final state."""
-    made = []
-    real = sampling.derive_rng
+def philox_fault(monkeypatch):
+    """Change the first round multiplier of the sampling kernel.
 
-    def recording(seed, index):
-        made.append(real(seed, index))
-        return made[-1]
-
-    monkeypatch.setattr(sampling, "derive_rng", recording)
-    return made
+    While the fixture is active ``sampling._philox`` multiplies by 0xD2511F55
+    where Philox4x32-10 multiplies by 0xD2511F53, so every stream it draws
+    differs from the published generator's.  The known-answer vectors and the
+    pure-Python streams of ``oracles.reference_words`` share no code with the
+    kernel, so a check against either must report a mismatch.
+    """
+    monkeypatch.setattr(sampling, "_MULTIPLIERS",
+                        np.array([[0xD2511F55], [0xCD9E8D57]], dtype=np.uint64))

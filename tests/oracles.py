@@ -11,12 +11,17 @@ Expected values frozen into tests were computed with these.  The one
 exception is ``reference_pullback``, a scalar loop that takes its signs from
 the package's ``sign_interlace_append`` (a sort and its cycles), so that the
 array pullback's inversion parity is checked against a second sign route.
-``reference_verify_report`` is the ``verify-formula`` campaign one trial at a
-time, with ``randint`` draws and the one-matrix routes, which the stacked
-campaign must reproduce byte for byte.  ``random_form``, ``random_exact_form``,
-``random_matrix``, ``random_integer_matrix`` and ``random_line`` are the
-one-trial draws the campaigns made before they drew stacks, from
-``random.uniform`` and ``randint`` themselves; ``reference_scan`` and
+``philox4x32`` and ``reference_words`` are Philox4x32-10 round by round in
+Python ints, sharing no code with the numpy kernel of ``sampling``, and
+``ReferenceStream`` reads one stream a value at a time by the published
+float and integer rules.  ``reference_verify_report`` is the
+``verify-formula`` campaign one trial at a time, with ``randint`` draws and
+the one-matrix routes, which the stacked campaign must reproduce byte for
+byte.  ``random_form``, ``random_exact_form``, ``random_matrix`` and
+``random_integer_matrix`` are one-trial draws from any stream with
+``uniform`` and ``randint`` (a ``ReferenceStream``, or ``random.Random`` for
+test data); ``random_line``, ``line_draws`` and ``rank_one_draws`` take a
+trial's line from its reference streams; ``reference_scan`` and
 ``reference_cross_check`` are the line campaigns built on them, one trial at a
 time, whose reports the stacked campaigns must reproduce byte for byte.  They
 judge and compare with the package's own kernels (``wedge_rows``, the scans'
@@ -55,7 +60,6 @@ from extconv.exterior import (KForm, ordered_sum, power_by_squaring, sign_table,
                               wedge_power, wedge_power_rows, wedge_rows)
 from extconv.multiindex import enumerate_multiindices, sign_interlace_append
 from extconv.projection import project, right_inverse, wedge_power_from_minors
-from extconv.sampling import derive_rng
 from extconv.shapespace import MinorTable, ShapeMatrix
 
 
@@ -476,17 +480,94 @@ def dense_inner(a, b):
     return total
 
 
+# Philox4x32-10 (Salmon, Moraes, Dror & Shaw, SC 2011), round by round in
+# Python ints: the published multipliers and Weyl key increments
+PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+# the draw sites (counter word 3), as the README's stream table lists them
+SUPPORT, FIT, VALIDATION, LINE_BASE, LINE_DIRECTION, LINE_T, RANK_ONE, RANK_ONE_T, \
+    MATRICES = range(9)
+
+
+def philox4x32(counter, key) -> list:
+    """The four output words of Philox4x32-10 for four counter and two key words."""
+    (c0, c1, c2, c3), (k0, k1) = counter, key
+    for _ in range(10):
+        p0, p1 = PHILOX_M[0] * c0, PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF, (p0 >> 32) ^ c3 ^ k1, \
+            p0 & 0xFFFFFFFF
+        k0, k1 = (k0 + PHILOX_W[0]) & 0xFFFFFFFF, (k1 + PHILOX_W[1]) & 0xFFFFFFFF
+    return [c0, c1, c2, c3]
+
+
+def reference_words(seed, kind, index, attempt, count) -> list:
+    """The first ``count`` words of stream (seed, kind, index, attempt): key
+    (seed mod 2³², seed >> 32), counters (block, index, attempt, kind) for
+    block 0, 1, …, four words a block."""
+    words = []
+    for block in range(-(-count // 4)):
+        words += philox4x32((block, index, attempt, kind), (seed & 0xFFFFFFFF, seed >> 32))
+    return words[:count]
+
+
+class ReferenceStream:
+    """One trial's stream of one kind, read a value at a time.
+
+    ``random`` reads two words, ``uniform`` maps ``random`` by a + (b − a)·u,
+    and ``randint`` reads m = ⌈log₂ S / 32⌉ words (at least one) for a span
+    of S values, first word most significant, and reads the same words at
+    the next attempt while the number is at or past 2^(32m) − (2^(32m) mod S).
+    ``next_attempt`` is the attempt after the last one read.
+    """
+
+    def __init__(self, seed, kind, index, attempt=0):
+        self.key, self.attempt, self.position = (seed, kind, index), attempt, 0
+        self.next_attempt, self.cache = attempt + 1, {}
+
+    def _word(self, attempt, position):
+        seed, kind, index = self.key
+        words = self.cache.setdefault(attempt, [])
+        if position >= len(words):
+            words += reference_words(seed, kind, index, attempt, position + 64)[len(words):]
+        return words[position]
+
+    def _take(self, m, attempt):
+        value = 0
+        for i in range(m):
+            value = (value << 32) | self._word(attempt, self.position + i)
+        return value
+
+    def random(self):
+        x, y = (self._word(self.attempt, self.position + i) for i in range(2))
+        self.position += 2
+        return ((x >> 5) * 67108864.0 + (y >> 6)) * (1.0 / 9007199254740992.0)
+
+    def uniform(self, a, b):
+        return a + (b - a) * self.random()
+
+    def randint(self, low, high):
+        span = high - low + 1
+        m = max(1, -(-(span - 1).bit_length() // 32))
+        attempt = self.attempt
+        while self._take(m, attempt) >= (1 << 32 * m) - (1 << 32 * m) % span:
+            attempt += 1
+        value = low + self._take(m, attempt) % span
+        self.position += m
+        self.next_attempt = max(self.next_attempt, attempt + 1)
+        return value
+
+
 def reference_verify_report(n, k, s, trials, seed=0, low=-5, high=5) -> tuple[int, str]:
     """The exit code and stdout of ``verify-formula``, one trial at a time.
 
-    Trial t draws its matrix row by row with ``randint`` from
-    ``derive_rng(seed, t)`` and compares ``wedge_power(project(X), s)`` with
+    Trial t draws its matrix row by row with ``randint`` from its
+    ``MATRICES`` stream and compares ``wedge_power(project(X), s)`` with
     ``wedge_power_from_minors(X, s)``; the report keeps the largest residual
     and the first trial with a nonzero one.
     """
     worst, failure = 0, None
     for trial in range(trials):
-        X = random_integer_matrix(n, k, derive_rng(seed, trial), low, high)
+        X = random_integer_matrix(n, k, ReferenceStream(seed, MATRICES, trial), low, high)
         direct, via_minors = wedge_power(project(X), s), wedge_power_from_minors(X, s)
         residual = max((abs(a - b) for a, b in zip(direct.coeffs.tolist(),
                                                    via_minors.coeffs.tolist())), default=0)
@@ -525,19 +606,43 @@ def random_integer_matrix(n, k, rng, low=-5, high=5) -> ShapeMatrix:
                               for _ in range(math.comb(n, k - 1))])
 
 
-def random_line(n, k, rng, scale, exact=False) -> tuple:
-    """A direction pair (α, β) with α ∧ β ≠ 0, drawn again while the wedge
-    vanishes, at most 100 times in all."""
+def random_line(n, k, seed, index, scale, exact=False) -> tuple:
+    """A direction pair (α, β) with α ∧ β ≠ 0 from trial ``index``'s
+    ``LINE_DIRECTION`` streams: drawn again at the next attempt while the
+    wedge vanishes, at most 100 times in all."""
+    attempt = 0
     for _ in range(100):
+        rng = ReferenceStream(seed, LINE_DIRECTION, index, attempt)
         if exact:
             alpha, beta = random_exact_form(n, k - 1, rng), random_exact_form(n, 1, rng)
         else:
             alpha, beta = random_form(n, k - 1, rng, scale), random_form(n, 1, rng, scale)
+        attempt = rng.next_attempt
         with scalars.float_guard("wedge"):
             product = wedge_rows(alpha.coeffs[None], beta.coeffs[None], n, k - 1, 1)
         if product.any():
             return alpha, beta
     raise DomainError(f"no nondegenerate direction for (n={n}, k={k}) at range {scale!r}")
+
+
+def line_draws(n, k, seed, index, scale, points=1, exact=False) -> tuple:
+    """Trial ``index``'s wedge line one value at a time: ξ from its ``LINE_BASE``
+    stream, (α, β) by ``random_line`` and ``points`` values of t from
+    ``LINE_T``, uniform(−1, 1) or exact randint(−8, 8)/randint(1, 4)."""
+    base, ts = ReferenceStream(seed, LINE_BASE, index), ReferenceStream(seed, LINE_T, index)
+    xi = random_exact_form(n, k, base) if exact else random_form(n, k, base, scale)
+    alpha, beta = random_line(n, k, seed, index, scale, exact)
+    return xi, alpha, beta, [rand_exact(ts) if exact else ts.uniform(-1.0, 1.0)
+                             for _ in range(points)]
+
+
+def rank_one_draws(n, k, seed, index, scale) -> tuple:
+    """Trial ``index``'s rank-one line one value at a time: X, a and b from its
+    ``RANK_ONE`` stream and t = uniform(−1, 1) from ``RANK_ONE_T``."""
+    rng = ReferenceStream(seed, RANK_ONE, index)
+    X = random_matrix(n, k, rng, scale)
+    a, b = random_form(n, k - 1, rng, scale), random_form(n, 1, rng, scale)
+    return X, a, b, ReferenceStream(seed, RANK_ONE_T, index).uniform(-1.0, 1.0)
 
 
 def _rows(items) -> np.ndarray:
@@ -549,10 +654,9 @@ def _rows(items) -> np.ndarray:
 def reference_scan(F, n, k, cfg, mode):
     """A line scan's verdict, its trials drawn one at a time.
 
-    Trial i's stream gives ξ (``random_form``), α and β (``random_line``) and
-    then t = uniform(−1, 1); for ``rank-one-convex`` it gives X
-    (``random_matrix``), a and b (``random_form``) and t, and F may be a bare
-    callable.  The stacked draws are judged by the scans' own judgement.
+    Trial i's streams give ξ, α, β and t (``line_draws``); for
+    ``rank-one-convex`` they give X, a, b and t (``rank_one_draws``), and F
+    may be a bare callable.  The stacked draws are judged by the scans' own judgement.
     """
     rank_one, r = mode == "rank-one-convex", cfg.coeff_range
     if not hasattr(F, "evaluate_rows"):
@@ -562,13 +666,12 @@ def reference_scan(F, n, k, cfg, mode):
             dtype=float))})
     draws, ts = [], []
     for trial in range(cfg.trials):
-        rng = derive_rng(cfg.seed, trial)
         if rank_one:
-            draws.append((random_matrix(n, k, rng, r), random_form(n, k - 1, rng, r),
-                          random_form(n, 1, rng, r)))
+            *drawn, t = rank_one_draws(n, k, cfg.seed, trial, r)
         else:
-            draws.append((random_form(n, k, rng, r), *random_line(n, k, rng, r)))
-        ts.append(rng.uniform(-1.0, 1.0))
+            *drawn, (t,) = line_draws(n, k, cfg.seed, trial, r)
+        draws.append(drawn)
+        ts.append(t)
     base, left, right = (_rows([d[i] for d in draws]) for i in range(3))
     with scalars.float_guard("line direction"):
         lines = ((left[:, :, None] * right[:, None, :]).reshape(cfg.trials, -1) if rank_one
@@ -592,11 +695,9 @@ def reference_cross_check(f, cfg, backend=scalars.FLOAT) -> LineCrossCheck:
     n, k, r = f.n, f.k, cfg.coeff_range
     draws, ts = [], []
     for trial in range(cfg.trials):
-        rng = derive_rng(cfg.seed, trial)
-        xi = random_exact_form(n, k, rng) if exact else random_form(n, k, rng, r)
-        draws.append((xi, *random_line(n, k, rng, r, exact=exact)))
-        ts.append([rand_exact(rng) if exact else rng.uniform(-1.0, 1.0)
-                   for _ in range(LIFT_POINTS_PER_LINE)])
+        *drawn, t = line_draws(n, k, cfg.seed, trial, r, LIFT_POINTS_PER_LINE, exact)
+        draws.append(drawn)
+        ts.append(t)
     xi, alpha, beta = (np.stack([d[i].coeffs for d in draws]) for i in range(3))
     t = scalars.array(ts, (cfg.trials, LIFT_POINTS_PER_LINE), backend,
                       "line parameters").T[:, :, None]

@@ -25,10 +25,14 @@ from extconv.polyform import PolyKForm, Poly, d_classical, d_right, gradient, \
     project_polynomial
 from extconv.projection import (minor_power_map, project, pullback_support,
                                 wedge_power_from_minors)
-from extconv.sampling import derive_rng
 from extconv.shapespace import MinorTable, adjugate, table_inner, tensor
 
 from oracles import laplace_residual, random_exact_form, random_form, random_integer_matrix
+
+
+def derive_rng(seed: int, index: int) -> random.Random:
+    """The test data stream of one check: a ``random.Random`` per (seed, index)."""
+    return random.Random(seed * 1_000_003 + index)
 
 
 def report(number: int, text: str) -> None:

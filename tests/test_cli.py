@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from extconv import cli, exterior, projection, shapespace
+from extconv import cli, exterior, projection, sampling, shapespace
 from extconv.cli import build_parser, main
 from extconv.convexity import SamplerConfig
 from extconv.errors import DomainError
@@ -229,7 +229,7 @@ class TestStackedTrials:
                                "--low", "-100000", "--high", "100000", "--trials", "1")
         report = json.loads(out)
         assert code == 1 and report["status"] == "fail"
-        assert report["max_residual"] == "830146113742484165493784576"
+        assert report["max_residual"] == "4083360273896878414824996864"
 
     def stacks(self, monkeypatch, entries):
         """The trials of each stack the campaign draws, with ``entries`` a stack."""
@@ -606,15 +606,45 @@ class TestBadInputExits2:
         ["check-convexity", "--mode", "quasiaffine-fit"], ["fit-quasiaffine"], ["support-lp"]],
         ids=["one-convex", "one-affine", "quasiaffine-fit", "fit-quasiaffine", "support-lp"])
     def test_negative_seed_exits_2(self, capsys, tmp_path, argv):
-        # random.Random seeds by absolute value: --seed -1 replayed --seed 1's trials
+        # a seed is the key of the sampling streams, two 32-bit words
         path = write_json(tmp_path, "neg.json", NEG_NORM_SQ)
         err = self.assert_usage_error(capsys, *argv, "--input", path, "--seed", "-1")
-        assert "nonnegative" in err
+        assert "seed must lie in [0, 2^64), got -1" in err
 
     def test_negative_seed_verify_formula_exits_2(self, capsys):
         err = self.assert_usage_error(capsys, "verify-formula", "--n", "4", "--k", "2",
                                       "--s", "2", "--seed", "-1")
-        assert "nonnegative" in err
+        assert "seed must lie in [0, 2^64), got -1" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--seed", str(2 ** 64)], "seed must lie in [0, 2^64)"),
+        (["--trials", str(2 ** 32 + 1)], "trial indices must lie below 2^32"),
+    ], ids=["seed-2^64", "index-2^32"])
+    @pytest.mark.parametrize("command", [
+        ["check-convexity", "--mode", "one-convex", "--input", "FN"],
+        ["check-convexity", "--mode", "one-affine", "--input", "FN"],
+        ["fit-quasiaffine", "--input", "FN"], ["support-lp", "--input", "FN"],
+        ["verify-formula", "--n", "4", "--k", "2", "--s", "2"]],
+        ids=["one-convex", "one-affine", "fit-quasiaffine", "support-lp", "verify-formula"])
+    def test_stream_bounds_exit_2_before_any_draw(self, capsys, tmp_path, monkeypatch, command,
+                                                   argv, message):
+        # the streams' key holds a seed below 2^64 and a counter word an index
+        # below 2^32; both are refused by arithmetic, before a word is drawn
+        def forbidden(*args):
+            raise AssertionError("a word was drawn before the check")
+
+        monkeypatch.setattr(sampling, "_philox", forbidden)
+        path = write_json(tmp_path, "fn.json", NORM_SQ)
+        argv = [path if arg == "FN" else arg for arg in command] + argv
+        assert message in self.assert_usage_error(capsys, *argv)
+
+    def test_stream_past_2_32_blocks_exits_2(self, capsys, monkeypatch):
+        # a (140 000, 2) matrix holds 1.96·10^10 entries, one word each: its
+        # stream would need block indices past 2^32
+        monkeypatch.setattr(sampling, "_philox", None)
+        err = self.assert_usage_error(capsys, "verify-formula", "--n", "140000", "--k", "2",
+                                      "--s", "1", "--trials", "1")
+        assert "block indices past 2^32" in err
 
     def test_degenerate_direction_range_exits_2(self, capsys, tmp_path):
         # every wedge of two draws at range 1e-200 underflows to zero
@@ -755,3 +785,42 @@ class TestConsoleEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["coeffs"] == {"1,2": "1"}
+
+
+class TestImportFootprint:
+    """The sampling streams run on numpy's core: a process that ran every
+    subcommand has imported neither ``numpy.random`` nor ``numpy.ma`` (each
+    costs resident memory and import time) beyond what ``import numpy`` loads."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+heavy = ("numpy.random", "numpy.ma")
+before = {name for name in heavy if name in sys.modules}
+from extconv.cli import main
+fn, matrix, form = sys.argv[1:4]
+runs = [["pi", "--input", matrix], ["adjugate", "--input", matrix, "--s", "2"],
+        ["wedge-power", "--input", form, "--s", "2"],
+        ["verify-formula", "--n", "6", "--k", "2", "--s", "3", "--trials", "3"],
+        ["check-convexity", "--mode", "one-convex", "--input", fn, "--trials", "20"],
+        ["check-convexity", "--mode", "one-affine", "--input", fn, "--trials", "20"],
+        ["fit-quasiaffine", "--input", fn, "--trials", "20"],
+        ["support-lp", "--input", fn, "--trials", "40"]]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted({name for name in heavy if name in sys.modules} - before)]))
+"""
+
+    def test_campaigns_import_neither_numpy_random_nor_numpy_ma(self, tmp_path):
+        paths = [write_json(tmp_path, "fn.json", NORM_SQ),
+                 write_json(tmp_path, "m.json", ShapeMatrix(4, 2, np.eye(4, dtype=int).tolist())
+                            .to_json()),
+                 write_json(tmp_path, "form.json", {"n": 4, "k": 2, "coeffs": {"1,2": "1",
+                                                                                "3,4": "2"}})]
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *paths],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, imported = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0, 0, 1, 1, 0] and imported == []

@@ -16,12 +16,12 @@ from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge
 from extconv.functions import FormFunction
 from extconv.projection import project
-from extconv.sampling import (derive_rng, random_form_rows, random_line_rows,
+from extconv.sampling import (FIT, SUPPORT, VALIDATION, random_form_rows, random_line_rows,
                               random_rank_one_rows)
 from extconv.shapespace import ShapeMatrix, tensor
 
-from oracles import (random_exact_form, random_form, random_line, random_matrix,
-                     reference_cross_check, reference_scan)
+from oracles import (RANK_ONE, ReferenceStream, line_draws, random_exact_form, random_form,
+                     random_matrix, rank_one_draws, reference_cross_check, reference_scan)
 
 
 def fn_norm_sq(n=4, k=2):
@@ -437,11 +437,11 @@ class TestDeterminism:
         assert a.to_json() == b.to_json()
 
     def test_streams_are_per_trial(self):
-        # same trial index and seed must give the same draw regardless of order
-        first = random_form(4, 2, derive_rng(7, 3), 2.0)
-        _ = random_form(4, 2, derive_rng(7, 0), 2.0)
-        second = random_form(4, 2, derive_rng(7, 3), 2.0)
-        assert first == second
+        # same trial index and seed must give the same draw whatever its stack
+        first = random_form_rows(4, 2, 7, [3], 2.0, SUPPORT)[0]
+        _ = random_form_rows(4, 2, 7, [0], 2.0, SUPPORT)
+        second = random_form_rows(4, 2, 7, [0, 5, 3], 2.0, SUPPORT)[2]
+        assert first.tobytes() == second.tobytes()
 
 
 class TestStackedDraws:
@@ -450,26 +450,27 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("n,k", [(8, 2), (4, 2), (5, 1), (6, 3), (3, 0), (7, 7)])
     @pytest.mark.parametrize("scale", [1e-300, 2.0, 1e300])
-    def test_rows_are_random_form_bit_for_bit(self, n, k, scale):
-        indices = [0, 5, 3, 77_000_000, 10_000_001]
-        rows = random_form_rows(n, k, 9, indices, scale)
+    @pytest.mark.parametrize("kind,attempt", [(SUPPORT, 0), (FIT, 2), (VALIDATION, 0)])
+    def test_rows_are_random_form_bit_for_bit(self, n, k, scale, kind, attempt):
+        indices = [0, 5, 3, 2 ** 32 - 1, 10_000_001]
+        rows = random_form_rows(n, k, 9, indices, scale, kind, attempt)
         assert rows.shape == (len(indices), math.comb(n, k)) and rows.dtype == np.float64
         for row, j in zip(rows, indices):
-            assert row.tobytes() == random_form(n, k, derive_rng(9, j), scale).coeffs.tobytes()
-        assert random_form_rows(n, k, 9, [], scale).shape == (0, math.comb(n, k))
+            want = random_form(n, k, ReferenceStream(9, kind, j, attempt), scale)
+            assert row.tobytes() == want.coeffs.tobytes()
+        assert random_form_rows(n, k, 9, [], scale, kind).shape == (0, math.comb(n, k))
 
-    def test_draws_follow_random_uniform(self, streams):
-        form = random_form_rows(8, 2, 4, [1], 3.0)[0]
+    def test_draws_follow_random_uniform(self):
+        form = random_form_rows(8, 2, 4, [1], 3.0, SUPPORT)[0]
         X = random_rank_one_rows(4, 2, 4, [1], 0.5)[0][0]
-        twin = derive_rng(4, 1)
+        twin = ReferenceStream(4, SUPPORT, 1)
         assert form.tolist() == [twin.uniform(-3.0, 3.0) for _ in range(28)]
-        assert streams[0].random() == twin.random()    # both streams stand at the same draw
-        twin = derive_rng(4, 1)
+        twin = ReferenceStream(4, RANK_ONE, 1)
         assert X.tolist() == [twin.uniform(-0.5, 0.5) for _ in range(16)]
 
     def test_draws_beyond_the_float_range_are_refused(self):
         with pytest.raises(DomainError, match=r"^\(4,2\) coefficients is not finite$"):
-            random_form_rows(4, 2, 0, range(3), 1e308)
+            random_form_rows(4, 2, 0, range(3), 1e308, SUPPORT)
         with pytest.raises(DomainError, match=r"^\(4,2\) coefficients is not finite$"):
             random_line_rows(4, 2, 0, range(3), 1e308)
 
@@ -575,10 +576,7 @@ class TestStackedSampling:
             {"op": "inner", "form": "e1234", "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}]})
         cfg = SamplerConfig(seed=5, trials=25)
         verdict = check_ext_one_affine(f, cfg)
-        rng = derive_rng(cfg.seed, 0)
-        xi = random_form(6, 2, rng, cfg.coeff_range)
-        alpha, beta = random_line(6, 2, rng, cfg.coeff_range)
-        t = rng.uniform(-1.0, 1.0)
+        xi, alpha, beta, (t,) = line_draws(6, 2, cfg.seed, 0, cfg.coeff_range)
         g = line_restriction(f, xi, alpha, beta)
         assert verdict.witness["trial"] == 0
         assert verdict.witness["second_difference"] == g(t + cfg.step) + g(t - cfg.step) \
@@ -587,11 +585,8 @@ class TestStackedSampling:
     @staticmethod
     def rank_one_line(n, k, cfg, trial):
         """The per-trial route: the trial's matrix line, built with ShapeMatrix arithmetic."""
-        rng = derive_rng(cfg.seed, trial)
-        X = random_matrix(n, k, rng, cfg.coeff_range)
-        direction = tensor(random_form(n, k - 1, rng, cfg.coeff_range),
-                           random_form(n, 1, rng, cfg.coeff_range))
-        t = rng.uniform(-1.0, 1.0)
+        X, a, b, t = rank_one_draws(n, k, cfg.seed, trial, cfg.coeff_range)
+        direction = tensor(a, b)
         return [X + direction.scale(tau) for tau in (t + cfg.step, t - cfg.step, t)]
 
     @pytest.mark.parametrize("name", ["lift", "bare"])
@@ -638,11 +633,13 @@ class TestStackedSampling:
 class TestSupportLPPinned:
     """The (8,2) support LP at the benchmark's 500 samples: answers and tableau width."""
 
-    # statuses and slacks of the split-coefficient (c⁺ − c⁻) solver this one replaced
+    # statuses and slacks of scipy's HiGHS on the same LPs, whose samples are
+    # the seed's SUPPORT streams (the split-coefficient solver this one
+    # replaced recorded the samples of the streams before them)
     RECORDED = {
-        ("neg_norm_sq", 0): ("refuted", 43.66283178477992),
-        ("neg_norm_sq", 1): ("refuted", 43.24500004311089),
-        ("neg_norm_sq", 2): ("refuted", 44.16335187568579),
+        ("neg_norm_sq", 0): ("refuted", 44.05839684943493),
+        ("neg_norm_sq", 1): ("refuted", 42.93518650182811),
+        ("neg_norm_sq", 2): ("refuted", 42.60889083192272),
         ("planted", 0): ("certified", 0.0),
         ("planted", 1): ("certified", 0.0),
         ("planted", 2): ("certified", 0.0),
@@ -679,7 +676,7 @@ class TestSupportLPPinned:
         assert len(widths) == lp.iterations + started
         if status == "certified":
             for j in range(cfg.trials):
-                eta = random_form(8, 2, derive_rng(seed, j), cfg.coeff_range)
+                eta = random_form(8, 2, ReferenceStream(seed, SUPPORT, j), cfg.coeff_range)
                 gap = support_inequality_gap(f, base, result.coefficients, eta)
                 assert gap <= cfg.tolerance, (j, gap)
 

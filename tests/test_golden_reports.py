@@ -37,7 +37,7 @@ from extconv.convexity import SamplerConfig, _power_features, cross_check_lift
 from extconv.functions import FormFunction
 from extconv.multiindex import enumerate_multiindices
 from extconv.polyform import Poly, PolyKForm, d_classical, gradient, project_polynomial
-from extconv.sampling import random_form_rows
+from extconv.sampling import SUPPORT, random_form_rows
 from extconv.shapespace import ShapeMatrix
 
 MATRIX_EXACT = {"n": 4, "k": 2, "rows": ["1", "2", "3", "4"],
@@ -190,7 +190,7 @@ def matrix_json_report(case: str) -> bytes:
 
 def stack_report(case: str) -> bytes:
     """The support LP's sample at seed 3, or its feature rows, as little-endian bytes."""
-    stack = STACK_CASES[case](random_form_rows(8, 2, 3, range(500), 2.0))
+    stack = STACK_CASES[case](random_form_rows(8, 2, 3, range(500), 2.0, SUPPORT))
     return repr(stack.shape).encode() + stack.astype("<f8").tobytes()
 
 
@@ -234,23 +234,23 @@ GOLDEN = {
     "verify-8-4-2": "dfc60c18e5f48e48baba8a868a22a131d20f6dfd6558a42107454c424c383a77",
     "verify-9-3-3": "5c05dafda31df5862adad70f2f575079ae0d24b50a7540520793d4afc1e872a6",
     "verify-10-2-5-wide": "2b321e9aaa3372ecefe2e7be8b1bc7f67bbf4d8d7002e1f8f66d9c5271726714",
-    "one-convex-norm_sq": "6f1fb910085b54f926ec342b2f3b1d3bbaa6632783147334ea1ce6b8fce5f6a0",
-    "one-convex-neg_norm_sq": "89fdbc35d8143e3960af627ff2c20ab69e739da651119d657850fa38084e3480",
-    "one-convex-top_power": "1af450a15a32f1731088696c35fe7c68c9f865dbf11505121bd9c6473dbf56fa",
-    "one-affine-norm_sq": "4f531004150c987e23a9435d7b18f1f850cbedbafad87092b450e9b373776809",
-    "one-affine-neg_norm_sq": "d6031596ccb12fa23350a62199789b30ec4fb3abd1e3e1740c4925fcaccc0146",
-    "one-affine-top_power": "31a4f63f3b017c43220f244112a4eb916a0e0829fa31ed16bcdfa4d6b32e5663",
-    "one-affine-planted-6-2": "44a9d64f7c08d061cb55f5df3c1a61da12241231a153595816c067dc0e8455a8",
+    "one-convex-norm_sq": "418506c98463096684238a5bb0a8bc4e760caea5a89116c5a7c99236643325c9",
+    "one-convex-neg_norm_sq": "6e14c8e884a3d6fbedec611c57d2f9d725e63ec53d38a0ae061c21b711d32560",
+    "one-convex-top_power": "7b86bc058c46e94e31a2b07a51bae77e3dc2bd4bf5c9dba698e30388e5d9933b",
+    "one-affine-norm_sq": "0deaa327f7219e80b6388102fc2105f754f19f7ab644735565927b3c114c6932",
+    "one-affine-neg_norm_sq": "1573553a43906d17d5df6ee0aade4794ff922986277fb5f675fd5e013582bfa1",
+    "one-affine-top_power": "7b2cd69e49171cb0979716bdc548ab71a82e5655181ef176b018bec6d788bca3",
+    "one-affine-planted-6-2": "bbd7c4ab83b78813afce35e28a7895b6db54fd58ff4b83570a9a8644f2153d20",
     "lift-4-2-exact": "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b",
     "lift-4-2-float": "49ccd811486e5cbf0bb26e09aa14bf47c7c9f4dee34f5ad84929cd1776971bd8",
     "lift-5-3-exact": "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b",
-    "lift-5-3-float": "17f3f9b634b9b65e5636574a4129cba4f54a50d5a784519547fc826c2762105c",
+    "lift-5-3-float": "4850d564651d74cc456d46165d44453ad2e6ff365f995f8f432f1db36e70ed12",
     "poly-8-3": "8c63938ced4fb0ac5375f42f69e171ca27b56890063172948fdc1dfcd3d4b874",
     "poly-4-2": "c28060af2f7bebafda8834e3ca0ce9721a87a9b30abc1e92a98e76e444d1f544",
     "matrix-json-5-3": "e9bf8f9c6957a8934c3f55d1329afe7a684ed117afe1b3dbca2ce0ed20345bbf",
     "matrix-json-gradient-4-3": "42fc953460d8f39cea2b79be0e94f9d1118c993e4636c524733fda48f090cfec",
-    "support-draws-8-2": "34c41f7826edf0090690439a65ab7ef9afd503d78ad9fd5802d9c5917fdeb1db",
-    "support-features-8-2": "62efe3233810c7723dac4fd5a8aabcab0caca3a2a9c1889074ad9fc7462d2aa6",
+    "support-draws-8-2": "dd473489c39331452f96c71d265f5516ca667b9f71129e3c56bdf26c20fb44d6",
+    "support-features-8-2": "4907340ddfdda8b1127e737646e362e5aa50d157be21cd6797aae2c9348cbed1",
 }
 
 
