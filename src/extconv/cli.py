@@ -11,7 +11,8 @@ when the entry range fits it), and each stack goes once through the row
 kernels of both routes, ``wedge_power_rows(project_rows(X))`` and
 ``wedge_power_from_minors_rows``, each in int64 as far as its own bounds
 prove it fits.  A stack holds as many
-trials as keep its largest array under ``_TRIAL_ENTRIES``, so memory does not
+trials as keep its largest array under ``_TRIAL_ENTRIES``, and one draw holds
+as many whole stacks as keep their matrix entries under it, so memory does not
 grow with ``--trials``, and the report does not depend on the stacking.  The
 parser is built once per process.
 
@@ -47,8 +48,8 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 # entries one stack of verify-formula trials holds at most in any one array
-# (or one trial, when it holds more), so that its memory does not grow with
-# --trials
+# (or one trial, when it holds more), and the matrix entries one draw holds at
+# most (or one stack), so that its memory does not grow with --trials
 _TRIAL_ENTRIES = 1 << 13
 
 
@@ -111,7 +112,10 @@ def cmd_verify_formula(args) -> int:
     """Exact comparison of the wedge power against its minor-table expansion.
 
     Trials run as stacks: each draws from its own stream, and a stack holds
-    as many trials as keep its largest array within ``_TRIAL_ENTRIES``.  A
+    as many trials as keep its largest array within ``_TRIAL_ENTRIES``.
+    Consecutive stacks are drawn in one call, as many whole stacks as keep
+    their matrix entries within ``_TRIAL_ENTRIES`` (at least one stack), so a
+    draw's fixed cost is paid once for many small stacks.  A
     stack drawn in int64 enters both routes as it is; each route stays in
     int64 under bounds it proves itself and widens to Python ints past them.
     The residual is one array expression in whatever dtype the routes share:
@@ -132,17 +136,20 @@ def cmd_verify_formula(args) -> int:
     worst = 0
     failure = None
     chunk = max(1, _TRIAL_ENTRIES // _trial_entries(n, k, s))
-    for first in range(0, args.trials, chunk):
-        trials = range(first, min(first + chunk, args.trials))
-        X = random_integer_rows(n, k, args.seed, trials, args.low, args.high)
-        direct = wedge_power_rows(project_rows(X, n, k), n, k, s)
-        via_minors = wedge_power_from_minors_rows(X, n, k, s)
-        residuals = np.abs(direct - via_minors).max(axis=1, initial=0).tolist()
-        for trial, residual in zip(trials, residuals):
-            if residual > worst:
-                worst = residual
-            if residual != 0 and failure is None:
-                failure = {"n": n, "k": k, "s": s, "seed": args.seed, "trial": trial}
+    per_draw = chunk * max(1, _TRIAL_ENTRIES // (chunk * math.comb(n, k - 1) * n))
+    for start in range(0, args.trials, per_draw):
+        drawn = range(start, min(start + per_draw, args.trials))
+        matrices = random_integer_rows(n, k, args.seed, drawn, args.low, args.high)
+        for first in range(0, len(drawn), chunk):
+            trials, X = drawn[first:first + chunk], matrices[first:first + chunk]
+            direct = wedge_power_rows(project_rows(X, n, k), n, k, s)
+            via_minors = wedge_power_from_minors_rows(X, n, k, s)
+            residuals = np.abs(direct - via_minors).max(axis=1, initial=0).tolist()
+            for trial, residual in zip(trials, residuals):
+                if residual > worst:
+                    worst = residual
+                if residual != 0 and failure is None:
+                    failure = {"n": n, "k": k, "s": s, "seed": args.seed, "trial": trial}
     report["max_residual"] = scalars.format_rational(worst)
     report["status"] = "pass" if worst == 0 else "fail"
     if failure is not None:

@@ -31,8 +31,11 @@ that route alone, and the residual between them shows it.
 ``pullback_support`` is the map's transpose, built on arrays by its own
 enumeration (membership masks over ``minor_layout``) and its own signs (the
 inversion parity of each appended string), so that the adjointness check
-keeps an independent route.  Every table here is in ``exterior.sign_table``'s
-format and summed by ``exterior.signed_sum``.
+keeps an independent route; it hands each table only the live cells its
+masks find, with their ranks.  Exact images of ints and Fractions are summed
+as integer numerators over one denominator (``scalars.integers``).  Every
+table here is in ``exterior.sign_table``'s format and summed by
+``exterior.signed_sum``.
 
 All interlace signs here use the append convention (index written after its
 block); see the multiindex module for why the expansion needs that variant.
@@ -139,7 +142,13 @@ class MinorPowerMap(NamedTuple):
             math.comb(math.comb(self.n, self.k - 1), self.s) * math.comb(self.n, self.s)
 
     def apply(self, table: MinorTable) -> KForm:
-        """The image of a minor table in this map's space."""
+        """The image of a minor table in this map's space.
+
+        The minors at ``cells`` are gathered from the table's dense values and
+        summed by ``_image``: ints and Fractions as integer numerators over
+        one denominator, divided once per target, so an int table gives ints
+        and no gcd is taken on each add.
+        """
         if (table.n, table.k, table.s) != (self.n, self.k, self.s):
             raise DomainError(f"table space ({table.n},{table.k},{table.s}) does not match "
                               f"map space ({self.n},{self.k},{self.s})")
@@ -148,10 +157,22 @@ class MinorPowerMap(NamedTuple):
 
     def _image(self, minors: np.ndarray) -> np.ndarray:
         """s! · Σ sign·minor along each target's slots of the minors read at
-        ``cells``, for a stack (…, targets, slots) of them."""
+        ``cells``, for a stack (…, targets, slots) of them, in their dtype.
+
+        Object minors of ints and Fractions are summed as integer numerators
+        in Python ints over one denominator L (``scalars.integers``), and
+        each sum is divided by L once (``scalars.over``); polynomials are
+        summed as they are.
+        """
+        factor = math.factorial(self.s)
+        split = scalars.integers(minors) if minors.dtype == object else None
+        if split is not None:
+            numerators, L = split
+            return scalars.over(factor * signed_sum(lambda q: numerators[..., q], minors.dtype,
+                                                    self.signs, self.plus, self.minus), L)
         with scalars.float_guard("minor expansion"):
-            return math.factorial(self.s) * signed_sum(lambda q: minors[..., q], minors.dtype,
-                                                       self.signs, self.plus, self.minus)
+            return factor * signed_sum(lambda q: minors[..., q], minors.dtype,
+                                       self.signs, self.plus, self.minus)
 
 
 def _cached_on_integers(build):
@@ -268,6 +289,9 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
     (I^1, j_1, ..., I^s, j_s), counted on arrays here rather than by
     ``sign_interlace_append``, so the adjointness check compares two sign
     computations.  For odd k and s ≥ 2 the table is zero, as ξ^s is.
+    Each table is handed its live cells alone, with their ranks (the cells
+    the masks find, in row-major order): only those values are coerced, and
+    every other cell of the dense table is zero.
     """
     if not forms:
         raise DomainError("need at least one support form")
@@ -285,7 +309,7 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
     out = []
     for s, form in enumerate(forms, start=1):
         row_sets, col_sets = minor_layout(n, k, s)
-        values = np.zeros((len(row_sets), len(col_sets)), dtype=form.coeffs.dtype)
+        ranks, values = np.empty(0, dtype=np.intp), form.coeffs[:0]
         if s == 1 or k % 2 == 0:
             blocks = labels[row_sets]    # rows × s × (k−1) members
             # mark each row set's members; a member marked twice kills the row
@@ -305,7 +329,8 @@ def pullback_support(forms: Sequence[KForm]) -> list[MinorTable]:
             odd = ((string[:, :, None] > string[:, None, :]) & pairs).sum(axis=(1, 2)) % 2 == 1
             # each coefficient scaled by s! and negated once, then gathered
             scaled = math.factorial(s) * form.coeffs
-            values[r, c] = np.concatenate([scaled, -scaled])[
+            values = np.concatenate([scaled, -scaled])[
                 subset_ranks(np.sort(string, axis=1), n) + odd * len(scaled)]
-        out.append(MinorTable(n, k, s, values, backend))
+            ranks = r * len(col_sets) + c    # increasing: np.nonzero runs row-major
+        out.append(MinorTable(n, k, s, values, backend, ranks))
     return out

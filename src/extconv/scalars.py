@@ -21,6 +21,11 @@ that no result can wrap; ``array`` widens the result back to Python ints
 where it is stored.  An int64 stack a kernel is handed (such as
 ``sampling.random_integer_rows``' draws) gets the same proof as Python ints:
 it stays int64 under the bound and is widened to Python ints otherwise.
+Exact rationals may also be taken as integer numerators over one
+denominator (``integers``), summed and multiplied as integers, and divided
+once at the end (``over``): no gcd is taken on each step, as it is on every
+``Fraction`` add and multiply.  A polynomial is never split so; its caller
+keeps its values.
 Float array work runs under ``float_guard``: a value that leaves the float
 range is a domain error, never a silent inf or nan in a verdict.
 """
@@ -28,7 +33,9 @@ range is a domain error, never a silent inf or nan in a verdict.
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
+import operator
 from fractions import Fraction
 from typing import Callable
 
@@ -135,6 +142,55 @@ def narrow(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray | None
     return values if bound(largest(values)) < INT64_LIMIT else None
 
 
+_NUMERATOR, _DENOMINATOR = operator.attrgetter("numerator"), operator.attrgetter("denominator")
+
+# the most bits of a common denominator ``integers`` takes: the lcm of many
+# distinct denominators grows as their product, and past ~2 000 bits products
+# of numerators over it cost more than the gcd of each Fraction step
+# (table_inner over 4 900 cells, 21-bit prime denominators)
+_LCM_BITS = 1 << 10
+
+
+def integers(values: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Exact rationals as integer numerators over one denominator.
+
+    For an object array of ints and Fractions, the pair (numerators, L): L the
+    lcm of the denominators, and numerators an object array of Python ints of
+    ``values``' shape with each value equal to its numerator / L.  An array of
+    ints alone is its own numerators, over 1.  None when an element is not an
+    int or Fraction (a polynomial), or when L has more than ``_LCM_BITS``
+    bits: the caller then keeps its values, as after ``narrow``.  Sums and
+    products of numerators are exact integer arithmetic, with one division at
+    the end (``over``) in place of a gcd on every step.
+    """
+    flat = values.ravel().tolist()
+    if operator.countOf(map(type, flat), int) == len(flat):
+        return values, 1
+    if not set(map(type, flat)) <= {int, Fraction}:
+        return None
+    denominators = list(map(_DENOMINATOR, flat))
+    distinct = set(denominators)
+    L = math.lcm(*distinct)
+    if L.bit_length() > _LCM_BITS:
+        return None
+    scale = {d: L // d for d in distinct}
+    numerators = map(operator.mul, map(_NUMERATOR, flat), map(scale.__getitem__, denominators))
+    # fromiter stores each value as it is; assigning a list would inspect
+    # every element for a nested sequence, a cost that is large on Fractions
+    return np.fromiter(numerators, dtype=object, count=len(flat)).reshape(values.shape), L
+
+
+def over(numerators: np.ndarray, L: int) -> np.ndarray:
+    """Each numerator / L as an exact scalar, in an object array of the same
+    shape: an int where L divides it, else a normalised Fraction, as
+    ``coerce`` would give.  Numerators may be Python ints or int64."""
+    if L == 1:
+        return numerators.astype(object)
+    flat = numerators.ravel().tolist()
+    return np.fromiter([q if not r else Fraction(p, L) for p in flat for q, r in (divmod(p, L),)],
+                       dtype=object, count=len(flat)).reshape(numerators.shape)
+
+
 def proved(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray:
     """``values`` in int64 where ``narrow`` proves ``bound`` on them; otherwise
     an int64 array widened to Python ints, and any other array as it is."""
@@ -173,9 +229,10 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
     elif element or not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
         from .polyform import Poly    # polyform builds on this module
         flat = out.reshape(-1)    # a view: np.array made out a fresh copy
-        flat[:] = [element(value) for value in flat.tolist()] if element else \
-            [value if type(value) is int or isinstance(value, Poly) else coerce(value)
-             for value in flat.tolist()]
+        flat[:] = np.fromiter([element(value) for value in flat.tolist()] if element else
+                              [value if type(value) is int or isinstance(value, Poly)
+                               else coerce(value) for value in flat.tolist()],
+                              dtype=object, count=flat.size)
     out.flags.writeable = False
     return out
 

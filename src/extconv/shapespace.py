@@ -157,18 +157,48 @@ class MinorTable:
     """All order-s minors of a shape matrix (or any table in that layout).
 
     Rows are the row sets and columns the column sets of ``minor_layout``,
-    which every table of one (n, k, s) shares.
+    which every table of one (n, k, s) shares.  ``values`` is the dense,
+    read-only table.  ``ranks`` is a sorted, read-only array of flat cell
+    ranks (row-set rank·C(n, s) + column-set rank, the order of
+    ``values.ravel()`` and of ``projection.minor_power_map``'s cells) that
+    holds every nonzero cell, and perhaps some zero ones: every cell outside
+    it is zero.  Built from a dense table, ``ranks`` is its nonzero cells, read
+    off an int or float array by one vectorised pass and off object values by
+    their truth.  Given ``ranks`` (increasing flat ranks), ``values`` holds
+    the table's values at those cells alone, and only they are read and
+    coerced; every other cell is zero.
     """
 
-    __slots__ = ("n", "k", "s", "row_sets", "col_sets", "values")
+    __slots__ = ("n", "k", "s", "row_sets", "col_sets", "values", "ranks")
 
     def __init__(self, n: int, k: int, s: int, values: Sequence[Sequence],
-                 backend: str = scalars.EXACT):
+                 backend: str = scalars.EXACT, ranks: Sequence[int] | None = None):
         n, k, s = integer(n, "dimension"), integer(k, "degree"), integer(s, "minor order")
         self.row_sets, self.col_sets = minor_layout(n, k, s)
         self.n, self.k, self.s = n, k, s
-        self.values = scalars.array(values, (len(self.row_sets), len(self.col_sets)), backend,
-                                    f"order-{s} minors for (n={n}, k={k})")
+        shape = len(self.row_sets), len(self.col_sets)
+        what = f"order-{s} minors for (n={n}, k={k})"
+        if ranks is None:
+            self.values = scalars.array(values, shape, backend, what)
+            # an integer array (such as adjugate's int64 minors) is read
+            # before it is widened to objects; a bool mask is the faster pass
+            source = values if isinstance(values, np.ndarray) and values.dtype.kind in "iu" \
+                else self.values
+            ranks = np.flatnonzero(source if source.dtype == object else source != 0)
+        else:
+            ranks = np.asarray(ranks)
+            if ranks.ndim != 1 or len(ranks) and (ranks.dtype.kind not in "iu"
+                                                  or (ranks[1:] <= ranks[:-1]).any()
+                                                  or not 0 <= ranks[0] < shape[0] * shape[1]
+                                                  or ranks[-1] >= shape[0] * shape[1]):
+                raise DomainError(f"cell ranks of {what} must increase within the table")
+            ranks = ranks.astype(np.intp)    # a copy of the caller's
+            live = scalars.array(values, ranks.shape, backend, what)
+            self.values = np.zeros(shape, dtype=live.dtype)
+            self.values.ravel()[ranks] = live
+            self.values.flags.writeable = False
+        ranks.flags.writeable = False
+        self.ranks = ranks
 
     @property
     def backend(self) -> str:
@@ -204,20 +234,32 @@ def table_inner(a: MinorTable, b: MinorTable):
     """Entrywise inner product of two tables in the same minor space, summed
     row-major.
 
-    Only the live cells, nonzero in both tables, are multiplied and summed:
-    a skipped product is zero, so an exact result is equal.  A float result
-    is bit for bit the sum over every cell: ``ordered_sum`` starts at +0.0,
-    both tables are finite, so a skipped product is ±0.0, and adding ±0.0
-    to a running sum never changes it (a running sum is never −0.0, since
-    +0.0 + −0.0 and x + −x are +0.0).
+    Only the cells in both tables' ``ranks`` are read, found by searching the
+    shorter rank array in the longer one, and no cell value is compared: a
+    cell outside either holds a zero, so its product is zero.  Exact values
+    of ints and Fractions are paired as integer numerators over one
+    denominator each (``scalars.integers``): their products are summed in
+    Python ints, and the sum is divided once by both denominators
+    (``scalars.over``), so int tables pair to an int.  Polynomials are
+    multiplied as they are.
+    A float result is bit for bit the sum over every cell: ``ordered_sum``
+    starts at +0.0 and adds in rank order, both tables are finite, so a
+    skipped product, and a read product with a zero factor, is ±0.0, and
+    adding ±0.0 to a running sum never changes it (a running sum is never
+    −0.0, since +0.0 + −0.0 and x + −x are +0.0).
     """
     if (a.n, a.k, a.s) != (b.n, b.k, b.s) or a.backend != b.backend:
         raise DomainError("mismatched minor tables")
-    live = np.flatnonzero((a.values != 0) & (b.values != 0))
+    short, long = sorted((a.ranks, b.ranks), key=len)
+    live = short[long[np.minimum(np.searchsorted(long, short), len(long) - 1)] == short]
+    left, right = a.values.take(live), b.values.take(live)
+    if a.backend == scalars.EXACT:
+        split = scalars.integers(left), scalars.integers(right)
+        if None not in split:
+            (left, L), (right, R) = split
+            return scalars.over(ordered_sum((left * right).reshape(1, -1)), L * R).item()
     with scalars.float_guard("table inner product"):
-        return ordered_sum((a.values.flat[live] * b.values.flat[live]).reshape(1, -1)).item()
-
-
+        return ordered_sum((left * right).reshape(1, -1)).item()
 
 
 class MinorPlan(NamedTuple):

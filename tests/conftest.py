@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from extconv import exterior, polyform, projection, sampling, shapespace
+from extconv import exterior, polyform, projection, sampling, scalars, shapespace
 
 
 @pytest.fixture
@@ -25,6 +26,31 @@ def sign_fault(monkeypatch):
                                   minus=np.flatnonzero(signs < 0))
 
     monkeypatch.setattr(projection, "minor_power_map", faulty)
+
+
+@pytest.fixture
+def denominator_fault(monkeypatch):
+    """Drop the largest denominator from the lcm of every numerator split.
+
+    While the fixture is active ``scalars.integers`` takes L as the lcm of
+    every denominator but the largest, and scales each numerator by L // d,
+    rounded down, so a value whose denominator does not divide L is read
+    wrong.  Both sides of the pullback adjointness identity split their
+    rationals (``table_inner`` and ``MinorPowerMap.apply``), so the identity
+    catches this only because its sides drop different denominators; the
+    Fraction-only oracles (``dense_inner``, the dense power map in object
+    arithmetic) never split, so a check against either must report a
+    mismatch.
+    """
+    def faulty(values):
+        flat = values.ravel().tolist()
+        if not set(map(type, flat)) <= {int, Fraction}:
+            return None
+        L = math.lcm(*sorted({value.denominator for value in flat})[:-1])
+        numerators = [value.numerator * (L // value.denominator) for value in flat]
+        return np.array(numerators, dtype=object).reshape(values.shape), L
+
+    monkeypatch.setattr(scalars, "integers", faulty)
 
 
 @pytest.fixture

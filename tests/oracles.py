@@ -51,6 +51,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from extconv import scalars, simplex
 from extconv.convexity import LIFT_POINTS_PER_LINE, LIFT_TOLERANCE, LineCrossCheck, \
@@ -60,7 +61,7 @@ from extconv.exterior import (KForm, ordered_sum, power_by_squaring, sign_table,
                               wedge_power, wedge_power_rows, wedge_rows)
 from extconv.multiindex import enumerate_multiindices, sign_interlace_append
 from extconv.projection import project, right_inverse, wedge_power_from_minors
-from extconv.shapespace import MinorTable, ShapeMatrix
+from extconv.shapespace import MinorTable, ShapeMatrix, minor_layout
 
 
 def parity_by_cycles(seq):
@@ -467,6 +468,28 @@ def reference_pullback(forms) -> list:
             values.append(row_vals)
         out.append(MinorTable(n, k, s, values, backend))
     return out
+
+
+def drawn_table(draw, space, cells, backend=scalars.EXACT, first=()):
+    """A minor table of ``space`` = (n, k, s) whose cells, row by row, are the
+    ``first`` ones given and then ones drawn from the strategy ``cells``."""
+    rows, cols = minor_layout(*space)
+    size = len(rows) * len(cols) - len(first)
+    flat = list(first) + draw(st.lists(cells, min_size=size, max_size=size))
+    values = [flat[r * len(cols):(r + 1) * len(cols)] for r in range(len(rows))]
+    return MinorTable(*space, values, backend)
+
+
+def checked_ranks(table) -> np.ndarray:
+    """A minor table's ``ranks``, once checked: a sorted, unique, read-only
+    intp array with every cell outside it zero."""
+    ranks = table.ranks
+    assert ranks.ndim == 1 and ranks.dtype == np.intp and not ranks.flags.writeable
+    assert (ranks[1:] > ranks[:-1]).all()
+    outside = np.ones(table.values.size, dtype=bool)
+    outside[ranks] = False
+    assert all(v == 0 for v in table.values.ravel()[outside].tolist())
+    return ranks
 
 
 def dense_inner(a, b):

@@ -231,22 +231,37 @@ class TestStackedTrials:
         assert code == 1 and report["status"] == "fail"
         assert report["max_residual"] == "4083360273896878414824996864"
 
-    def stacks(self, monkeypatch, entries):
-        """The trials of each stack the campaign draws, with ``entries`` a stack."""
-        monkeypatch.setattr(cli, "_TRIAL_ENTRIES", entries)
-        stacks = []
+    def draws(self, monkeypatch, entries=None):
+        """The trials of each draw the campaign makes, with ``entries`` (if
+        given) the most entries of a stack and of a draw's matrices."""
+        if entries is not None:
+            monkeypatch.setattr(cli, "_TRIAL_ENTRIES", entries)
+        draws = []
         real = cli.random_integer_rows
         monkeypatch.setattr(cli, "random_integer_rows",
                             lambda n, k, seed, trials, *bounds:
-                            stacks.append(list(trials)) or real(n, k, seed, trials, *bounds))
-        return stacks
+                            draws.append(list(trials)) or real(n, k, seed, trials, *bounds))
+        return draws
 
     def test_trials_spanning_stacks_match(self, capsys, monkeypatch):
-        # (4,2,2) trials hold 16 entries at most, so 40 entries hold 2 trials
-        stacks = self.stacks(monkeypatch, 40)
+        # (4,2,2) trials hold 16 entries at most, their matrix among them, so
+        # 40 entries hold 2 trials a stack and one stack a draw
+        draws = self.draws(monkeypatch, 40)
         got, want = verify(capsys, 4, 2, 2, 9, 6)
-        assert stacks == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
+        assert draws == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
         assert got == want
+
+    def test_consecutive_stacks_share_a_draw(self, capsys, monkeypatch):
+        # at (9,3,3) a stack holds 4 trials (the largest wedge table of one
+        # has 1 680 entries) and a matrix 324 entries, so a draw of 8 192
+        # entries holds 6 stacks: 20 trials take one draw, 30 take two
+        draws = self.draws(monkeypatch)
+        assert run_cli(capsys, "verify-formula", "--n", "9", "--k", "3", "--s", "3",
+                       "--trials", "20")[0] == 0
+        assert draws == [list(range(20))]
+        got, want = verify(capsys, 9, 3, 3, 30, 5)
+        assert draws[1:] == [list(range(24)), list(range(24, 30))]
+        assert got == want and got[0] == 0
 
     def test_fault_names_the_first_failing_trial(self, capsys, monkeypatch, sign_fault):
         # 0/1 entries leave many flipped minors zero, so a seed whose first
@@ -254,9 +269,9 @@ class TestStackedTrials:
         seed, want = next((seed, want) for seed in range(500)
                           for want in [reference_verify_report(4, 2, 2, 8, seed, 0, 1)]
                           if json.loads(want[1]).get("failure", {}).get("trial", 0) >= 3)
-        stacks = self.stacks(monkeypatch, 48)
+        draws = self.draws(monkeypatch, 48)
         got, _ = verify(capsys, 4, 2, 2, 8, seed, 0, 1)
-        assert got == want and got[0] == 1 and len(stacks) == 3
+        assert got == want and got[0] == 1 and len(draws) == 3
 
     @pytest.mark.parametrize("n,k,s", [(4, 2, 2), (6, 2, 3), (8, 2, 4), (8, 4, 2), (9, 3, 3),
                                        (6, 3, 2), (10, 2, 5), (12, 2, 3), (12, 4, 3), (4, 2, 3)])
@@ -269,24 +284,28 @@ class TestStackedTrials:
         assert cli._trial_entries(n, k, s) == max(tables)
 
     def test_stacks_do_not_grow_with_trials(self, monkeypatch):
-        # a billion trials: the first stack is drawn, then the run stops
+        # a billion trials: the first draw is made and its first stack taken,
+        # then the run stops
         class Stop(Exception):
             pass
 
-        drawn = []
-
-        def first_stack(n, k, seed, trials, *bounds):
-            drawn.append(len(trials))
+        def first_stack(X, *args):
+            stacked.append(len(X))
             raise Stop
 
-        monkeypatch.setattr(cli, "random_integer_rows", first_stack)
+        draws, stacked = self.draws(monkeypatch), []
+        monkeypatch.setattr(cli, "wedge_power_from_minors_rows", first_stack)
         for n, k, s in [(8, 2, 4), (12, 2, 3), (6, 2, 3)]:
             with pytest.raises(Stop):
                 main(["verify-formula", "--n", str(n), "--k", str(k), "--s", str(s),
                       "--trials", str(10 ** 9)])
-            assert drawn[-1] == max(1, cli._TRIAL_ENTRIES // cli._trial_entries(n, k, s))
-            assert drawn[-1] * cli._trial_entries(n, k, s) <= max(cli._TRIAL_ENTRIES,
-                                                                  cli._trial_entries(n, k, s))
+            entries, width = cli._trial_entries(n, k, s), math.comb(n, k - 1) * n
+            assert stacked[-1] == max(1, cli._TRIAL_ENTRIES // entries)
+            assert stacked[-1] * entries <= max(cli._TRIAL_ENTRIES, entries)
+            # a draw holds whole stacks, as many as fit the matrix entries
+            assert len(draws[-1]) % stacked[-1] == 0
+            assert len(draws[-1]) * width <= max(cli._TRIAL_ENTRIES, stacked[-1] * width)
+            assert (len(draws[-1]) + stacked[-1]) * width > cli._TRIAL_ENTRIES
 
 
 class TestParserCache:
@@ -824,3 +843,28 @@ print(json.dumps([codes, sorted({name for name in heavy if name in sys.modules} 
         assert proc.returncode == 0, proc.stderr
         codes, imported = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0, 0, 0, 0, 0, 1, 1, 0] and imported == []
+
+    PAIRING = """
+import json, math, sys
+from fractions import Fraction
+import numpy
+before = "numpy.ma" in sys.modules
+from extconv import KForm, MinorTable, minor_power_map, pullback_support, scalar_product, table_inner
+forms = [KForm(8, 2 * s, [Fraction(i % 7 - 3, i % 4 + 1) for i in range(math.comb(8, 2 * s))])
+         for s in range(1, 5)]
+equal = []
+for s, D, d in zip(range(1, 5), forms, pullback_support(forms)):
+    M = MinorTable(8, 2, s, [[Fraction(3 * r - c + 1, r + 2 * c + 1) for c in range(math.comb(8, s))]
+                             for r in range(math.comb(8, s))])
+    left = table_inner(d, M)
+    equal.append(left != 0 and left == scalar_product(D, minor_power_map(8, 2, s).apply(M)))
+print(json.dumps([equal, before, "numpy.ma" in sys.modules]))
+"""
+
+    def test_pairing_does_not_import_numpy_ma(self):
+        # the rank intersection of table_inner must not reach numpy's
+        # set routines (np.unique, a plain np.intersect1d), which import numpy.ma
+        proc = subprocess.run([sys.executable, "-c", self.PAIRING],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[True] * 4, False, False]

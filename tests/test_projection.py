@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extconv import exterior, multiindex, projection, scalars, shapespace
 from extconv.errors import DomainError
@@ -16,7 +19,8 @@ from extconv.projection import (minor_power_map, project, project_rows,
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, minor_layout, table_inner,
                                 tensor)
 
-from oracles import dense_power_map, plan_cells, rand_exact, reference_pullback
+from oracles import (checked_ranks, dense_inner, dense_power_map, drawn_table, plan_cells,
+                     rand_exact, reference_pullback)
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -554,6 +558,72 @@ class TestMinorPowerMap:
             pm.apply(adjugate(rand_int_matrix(4, 2, rng), 1))
 
 
+# the first 40 primes: a table whose denominators take each of them has an
+# lcm past 2^200
+PRIMES = [p for p in range(2, 174) if all(p % q for q in range(2, p))]
+
+CELLS = {
+    "ints": st.integers(-9, 9),
+    "small denominators": st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=6)),
+    "primes": st.builds(Fraction, st.integers(-9, 9), st.sampled_from(PRIMES)),
+    "polynomials": st.one_of(st.integers(-3, 3),
+                             st.builds(lambda c, i: c * Poly.variable(3, i),
+                                       st.fractions(-2, 2, max_denominator=3).filter(bool),
+                                       st.integers(1, 3))),
+}
+
+
+class TestApplyOracle:
+    """``MinorPowerMap.apply`` sums integer numerators over one denominator;
+    the dense map times the flat table, in object arithmetic (Fractions and
+    polynomials as they are), is the reference, in values and in the types
+    ``scalars.coerce`` gives."""
+
+    def check(self, table):
+        pm = minor_power_map(table.n, table.k, table.s)
+        got = pm.apply(table).coeffs.tolist()
+        want = [v if isinstance(v, Poly) else scalars.coerce(v)
+                for v in (dense_power_map(pm) @ table.values.ravel()).tolist()]
+        assert got == want
+        # a zero polynomial of the dense sum may read as the int 0
+        assert all(type(g) is type(w) for g, w in zip(got, want) if not isinstance(w, Poly))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([(4, 2, 1), (4, 2, 2), (5, 2, 2), (5, 3, 1), (6, 2, 3)]),
+           st.sampled_from(sorted(CELLS)))
+    def test_apply_equals_the_dense_map(self, data, space, kind):
+        self.check(drawn_table(data.draw, space, CELLS[kind]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_forty_prime_denominators(self, data):
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=40, max_size=40))
+        table = drawn_table(data.draw, (5, 2, 2), CELLS["primes"],
+                            first=[Fraction(sign, p) for sign, p in zip(signs, PRIMES)])
+        assert math.lcm(*(Fraction(v).denominator for v in table.values.ravel().tolist())) \
+            > 2 ** 200
+        self.check(table)
+
+    def test_an_lcm_past_the_bound_keeps_fractions(self):
+        # 100 distinct primes past 2^20: their lcm has ~2 000 bits, past
+        # scalars._LCM_BITS, so both pairings keep their Fractions
+        primes = [p for p in range(1 << 20, (1 << 20) + 3000)
+                  if all(p % q for q in range(2, int(p ** 0.5) + 1))][:100]
+        table = MinorTable(5, 2, 2, [[Fraction(r - c + 10, primes[10 * r + c]) for c in range(10)]
+                                     for r in range(10)])
+        assert scalars.integers(table.values) is None
+        self.check(table)
+        assert table_inner(table, table) == dense_inner(table, table)
+
+    def test_denominator_fault_breaks_the_oracle(self, denominator_fault):
+        # denominators 2, 3 and 4: the fault takes L = 6, and reads every
+        # quarter wrong
+        table = MinorTable(4, 2, 2, [[Fraction(r - c + 1, 2 + (r + 2 * c) % 3) for c in range(6)]
+                                     for r in range(6)])
+        with pytest.raises(AssertionError):
+            self.check(table)
+
+
 def rand_minor_table(n, k, s, rng):
     rows = list(itertools.combinations(range(math.comb(n, k - 1)), s))
     cols = list(itertools.combinations(range(n), s))
@@ -587,6 +657,10 @@ class TestPullbackSupport:
                 pm = minor_power_map(4, 2, s)
                 assert table_inner(d, M) == scalar_product(D, pm.apply(M))
 
+    def test_denominator_fault_breaks_the_identity(self, denominator_fault):
+        with pytest.raises(AssertionError):
+            self.test_adjoint_identity_on_arbitrary_tables()
+
     def test_pairing_on_adjugates(self):
         rng = random.Random(19)
         D1, D2 = rand_exact_form(4, 2, rng), rand_exact_form(4, 4, rng)
@@ -604,6 +678,8 @@ class TestPullbackSupport:
         tables, reference = pullback_support(forms), reference_pullback(forms)
         assert tables == reference
         assert [t.to_json() for t in tables] == [t.to_json() for t in reference]
+        for table in tables:
+            checked_ranks(table)
 
     def test_float_tables_match_reference_bit_for_bit(self):
         # every zero sign included: a −0.0 coefficient, or a +0.0 one on an
@@ -617,7 +693,16 @@ class TestPullbackSupport:
         for t, u in zip(tables, reference):
             assert t.values.dtype == np.float64
             assert t.values.tobytes() == u.values.tobytes()
+            checked_ranks(t)
         assert any(np.signbit(t.values[t.values == 0]).any() for t in tables)
+
+    def test_ranks_are_the_live_cells(self):
+        # at (8,2), 1 106 of the 8 884 cells have row labels and columns that
+        # are pairwise disjoint; only they are handed to the tables
+        rng = random.Random(25)
+        forms = [rand_exact_form(8, 2 * s, rng) for s in range(1, 5)]
+        assert [len(t.ranks) for t in pullback_support(forms)] == [56, 420, 560, 70]
+        assert [t.values.size for t in pullback_support(forms)] == [64, 784, 3136, 4900]
 
     @pytest.mark.parametrize("n,k", [(8, 4), (10, 4)])
     def test_overlapping_labels_give_zero_rows(self, n, k):

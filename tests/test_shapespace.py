@@ -16,8 +16,8 @@ from extconv.projection import map_plan, minor_power_map
 from extconv.shapespace import (MinorTable, ShapeMatrix, adjugate, det_rows, minor_layout,
                                 minor_plan, minors_at, table_inner, tensor)
 
-from oracles import (dense_inner, laplace_residual, perm_det, plan_cells, rand_exact,
-                     reference_minors_at)
+from oracles import (checked_ranks, dense_inner, drawn_table, laplace_residual, perm_det,
+                     plan_cells, rand_exact, reference_minors_at)
 
 
 def rand_int_matrix(n, k, rng, lo=-5, hi=5):
@@ -627,14 +627,6 @@ FLOAT_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 5e-324]),
                         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 
 
-def drawn_table(draw, space, cells, backend=scalars.EXACT):
-    rows, cols = minor_layout(*space)
-    size = len(rows) * len(cols)
-    flat = draw(st.lists(cells, min_size=size, max_size=size))
-    values = [flat[r * len(cols):(r + 1) * len(cols)] for r in range(len(rows))]
-    return MinorTable(*space, values, backend)
-
-
 def float_table(draw, space):
     table = drawn_table(draw, space, FLOAT_CELLS, scalars.FLOAT)
     values = table.values.tolist()
@@ -680,6 +672,15 @@ class TestTableInner:
         assert type(table_inner(ints, ints)) is int
         assert table_inner(ints, ints) == dense_inner(ints, ints)
 
+    def test_denominator_fault_breaks_the_dense_loop_oracle(self, denominator_fault):
+        # denominators 2, 3 and 4: the fault takes L = 6, and reads every
+        # quarter wrong
+        rows, cols = minor_layout(4, 2, 2)
+        a = MinorTable(4, 2, 2, [[Fraction(r - c + 1, 2 + (r + 2 * c) % 3) for c in range(6)]
+                                 for r in range(6)])
+        b = MinorTable(4, 2, 2, [[r + c for c in range(6)] for r in range(6)])
+        assert table_inner(a, b) != dense_inner(a, b)
+
     def test_mismatched_tables_refused(self):
         rng = random.Random(18)
         X = rand_int_matrix(4, 2, rng)
@@ -690,3 +691,54 @@ class TestTableInner:
                      (adjugate(rand_int_matrix(4, 3, rng), 2), exact)]:
             with pytest.raises(DomainError, match="mismatched minor tables"):
                 table_inner(a, b)
+
+
+class TestRanks:
+    """Every construction gives ``ranks`` sorted, unique and read-only, with
+    every cell outside it zero."""
+
+    check = staticmethod(checked_ranks)
+
+    def test_nested_values(self):
+        values = {"ints": [[0, 3, 0, -1], [0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 5]],
+                  "fractions": [[Fraction(1, 2), 0, 0, Fraction(-3, 4)], [Fraction(4, 2), 0, 0, 0],
+                                [0, 0, 0, 0], [0, Fraction(0, 7), 0, 1]],
+                  "floats": [[0.0, -0.0, 1.5, 0.0], [-2.0, 0.0, -0.0, 0.0], [0.0] * 4,
+                             [5e-324, 0.0, 0.0, -0.0]]}
+        live = {"ints": [1, 3, 8, 15], "fractions": [0, 3, 4, 15], "floats": [2, 4, 12]}
+        for kind, rows in values.items():
+            backend = scalars.FLOAT if kind == "floats" else scalars.EXACT
+            assert self.check(MinorTable(4, 2, 1, rows, backend)).tolist() == live[kind]
+
+    def test_adjugates(self):
+        rng = random.Random(31)
+        X = rand_int_matrix(5, 2, rng)
+        for s in (1, 2, 3):
+            table = adjugate(X, s)
+            assert table.values.dtype == object
+            assert self.check(table).tolist() == [i for i, v in enumerate(table.values.flat) if v]
+        # entries past the int64 bound take their minors in Python ints, and
+        # Fraction entries stay Fractions: both reach the table as objects
+        for entries in ([[rng.randint(-10 ** 12, 10 ** 12) for _ in range(5)] for _ in range(5)],
+                        [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)]
+                         for _ in range(5)]):
+            table = adjugate(ShapeMatrix(5, 2, entries), 3)
+            assert self.check(table).tolist() == [i for i, v in enumerate(table.values.flat) if v]
+
+    def test_given_ranks(self):
+        table = MinorTable(4, 2, 1, [Fraction(1, 2), 0, -3], ranks=[2, 7, 15])
+        assert self.check(table).tolist() == [2, 7, 15]
+        assert table.values.ravel().tolist() == [0, 0, Fraction(1, 2)] + [0] * 12 + [-3]
+        assert not table.values.flags.writeable
+        for ranks in ([7, 2, 15], [2, 2, 15], [2, 7, 16], [-1, 7, 15], [2.0, 7.0, 15.0]):
+            with pytest.raises(DomainError, match="cell ranks"):
+                MinorTable(4, 2, 1, [1, 2, 3], ranks=ranks)
+        with pytest.raises(DomainError):
+            MinorTable(4, 2, 1, [1, 2], ranks=[2, 7, 15])
+        assert self.check(MinorTable(4, 2, 1, [], ranks=[])).tolist() == []
+
+    def test_caller_ranks_are_copied(self):
+        ranks = np.array([1, 4])
+        table = MinorTable(4, 2, 1, [1, 2], ranks=ranks)
+        ranks[0] = 0
+        assert table.ranks.tolist() == [1, 4] and ranks.flags.writeable
