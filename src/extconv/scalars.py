@@ -200,16 +200,14 @@ def proved(values: np.ndarray, bound: Callable[[int], int]) -> np.ndarray:
     return values.astype(object) if values.dtype == np.int64 else values
 
 
-def array(values, shape: tuple[int, ...], backend: str, what: str,
-          element: Callable | None = None) -> np.ndarray:
+def array(values, shape: tuple[int, ...], backend: str, what: str) -> np.ndarray:
     """``values`` (nested sequences or an array) as one read-only array of ``shape``.
 
     Float is one vectorized conversion to a float64 copy, which must be
     finite and hold no bool (``refuse_bools``).  Exact keeps a polynomial as
     it is and coerces every other element, so an int stays a Python int
     (never int64), ``Fraction(n, 1)`` becomes ``n`` and a non-integral float
-    is refused; ``element`` replaces all of that with a check or conversion
-    of its own.  An integer array, such as a kernel's int64 result, needs no
+    is refused.  An integer array, such as a kernel's int64 result, needs no
     check: one conversion turns it into Python ints, and neither does a
     Python int among objects.
     Ragged input never has ``shape``, so it is refused too.
@@ -226,11 +224,10 @@ def array(values, shape: tuple[int, ...], backend: str, what: str,
         raise DomainError(f"expected {what} of shape {shape}, got shape {out.shape}")
     if backend == FLOAT:
         require_finite(out, what)
-    elif element or not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+    elif not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
         from .polyform import Poly    # polyform builds on this module
         flat = out.reshape(-1)    # a view: np.array made out a fresh copy
-        flat[:] = np.fromiter([element(value) for value in flat.tolist()] if element else
-                              [value if type(value) is int or isinstance(value, Poly)
+        flat[:] = np.fromiter([value if type(value) is int or isinstance(value, Poly)
                                else coerce(value) for value in flat.tolist()],
                               dtype=object, count=flat.size)
     out.flags.writeable = False

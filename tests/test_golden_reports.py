@@ -1,19 +1,32 @@
-"""Golden report bytes for a fixed CLI and cross-check corpus.
+"""The golden corpus: every pinned CLI run and report, each listed once.
 
-Each case runs one command in-process and hashes its exit code and the exact
-bytes of its report.  A refactor that claims to keep every output must leave
-every digest in ``GOLDEN`` as it is.  The polynomial cases pin the text of
-seeded polynomial forms, of their projected gradients and of their classical
-exterior derivatives.  The matrix cases pin ``ShapeMatrix.to_json`` at k = 3,
-whose row labels no CLI command writes: an exact (5,3) matrix and the
-gradient of a seeded polynomial 2-form on R^4.  ``fit-quasiaffine`` and ``support-lp``
-are left out: their floats go through LAPACK and BLAS, whose last bits depend
-on the build.  The support LP's inputs do not: the stack cases pin the bytes
-of its 500 drawn forms at (8,2) and of their wedge-power feature rows.  The
-planted (6,2) line case lists its pairing's wedge powers out of order
-(s = 3, 1, 2), so its bytes pin the power chain the powers share.
+A CLI case is one line of golden_cases.json (a ``Case``): one ``extconv`` run
+with its arguments, where a name from ``INPUTS`` stands for a file written
+from it (JSON, or bytes as they are); its exit code; exactly one expectation
+on stdout (the exact text, the sha256 of its bytes, or the ``status`` of its
+JSON report); and its count of stderr lines.  One runner, ``check_case``,
+runs a case in one of two ways:
 
-To print the digests of the current code:
+- tier-1 runs each case through ``cli.main`` in-process;
+- run as a script, this module runs each case through the installed
+  ``extconv`` entry point in a subprocess, then the library checks
+  (``LIBRARY_CHECKS``) against the installed package.  It refuses to start
+  when ``extconv`` resolves inside this checkout.  CI runs it from outside:
+
+      python -m pip install . && cd "$TMPDIR" && python <checkout>/tests/test_golden_reports.py
+
+``fit-quasiaffine`` is left out, and ``support-lp`` pins only its status:
+their floats go through LAPACK and BLAS, whose last bits depend on the build.
+``REPORTS`` pins the sha256 of bytes that no command prints: lift
+cross-checks, seeded polynomial forms with their projected gradients and
+classical derivatives, ``ShapeMatrix.to_json`` at k = 3 (row labels no
+command writes), and the support LP's 500 drawn forms at (8,2) and their
+wedge-power feature rows.
+
+A refactor that claims to keep every output leaves every expectation as it
+is.  To add a case, add its line (or a ``REPORTS`` entry) with a placeholder
+expectation of the kind it pins, and copy in the JSON values that
+``print_digests`` prints for it; it prints every case's current expectation:
 
     PYTHONPATH=src:tests python -c "import test_golden_reports as g; g.print_digests()"
 """
@@ -23,43 +36,31 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import random
+import shutil
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from extconv import scalars
+from extconv import (KForm, MinorTable, Poly, PolyKForm, ShapeMatrix, d_classical, d_right,
+                     gradient, minor_power_map, project_polynomial, pullback_support,
+                     scalar_product, table_inner)
 from extconv.cli import main
 from extconv.convexity import SamplerConfig, _power_features, cross_check_lift
 from extconv.functions import FormFunction
 from extconv.multiindex import enumerate_multiindices
-from extconv.polyform import Poly, PolyKForm, d_classical, gradient, project_polynomial
-from extconv.sampling import SUPPORT, random_form_rows
-from extconv.shapespace import ShapeMatrix
+from extconv.sampling import SUPPORT, _words, random_form_rows
 
-MATRIX_EXACT = {"n": 4, "k": 2, "rows": ["1", "2", "3", "4"],
-                "data": [[0, "3/2", -1, 2], [1, 0, 5, "-7/3"],
-                         ["1/4", -2, 0, 3], [4, "5/6", -3, 1]]}
-# k = 3, so every row label holds a comma and adjugate rows pair such labels
-MATRIX_EXACT_K3 = {"n": 4, "k": 3, "rows": ["1,2", "1,3", "1,4", "2,3", "2,4", "3,4"],
-                   "data": [[1, "-1/2", 0, 3], [2, 0, "5/3", -1], [0, 4, -2, "1/5"],
-                            ["-3/4", 1, 0, 2], [5, -1, "2/7", 0], [0, "3/2", 1, -4]]}
-MATRIX_FLOAT = {"n": 4, "k": 2, "rows": ["1", "2", "3", "4"],
-                "data": [[0.0, 1.5, -1.1, 2.3], [0.7, 0.0, 5.25, -2.375],
-                         [0.25, -2.2, 0.1, 3.0], [4.0, 0.8333, -3.3, 1.01]]}
-FORM_EXACT = {"n": 6, "k": 2, "coeffs": {"1,2": "3/2", "1,4": "-2", "2,5": "7",
-                                         "3,4": "1/3", "3,6": "-5/4", "5,6": "2"}}
-FORM_FLOAT = {"n": 6, "k": 2, "coeffs": {"1,2": 1.5, "1,4": -0.2, "2,5": 7.125,
-                                         "3,4": 0.3, "3,6": -1.25, "4,6": 2.0,
-                                         "5,6": 0.1}}
-ZERO_FORM = {"n": 4, "k": 0, "coeffs": {"": "-3/2"}}
-NORM_SQ = {"n": 4, "k": 2, "expr": {"op": "norm_sq", "arg": "xi"}}
-NEG_NORM_SQ = {"n": 4, "k": 2, "expr": {"op": "neg", "arg": {"op": "norm_sq", "arg": "xi"}}}
-TOP_POWER = {"n": 4, "k": 2, "expr": {"op": "inner", "form": "e1234",
-                                      "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}}
+CHECKOUT = Path(__file__).resolve().parents[1]
 
 
 def seeded_form(n: int, k: int, a: int, b: int) -> dict:
@@ -72,91 +73,126 @@ def seeded_form(n: int, k: int, a: int, b: int) -> dict:
     return {"n": n, "k": k, "coeffs": coeffs}
 
 
-PLANTED_OUT_OF_ORDER = {"n": 6, "k": 2, "expr": {"op": "add", "args": [
-    {"op": "inner", "form": seeded_form(6, 6, 3, 2),
-     "arg": {"op": "wedge_pow", "s": 3, "arg": "xi"}},
-    {"op": "inner", "form": seeded_form(6, 2, 7, 3),
-     "arg": {"op": "wedge_pow", "s": 1, "arg": "xi"}},
-    {"op": "const", "value": "-7/4"},
-    {"op": "inner", "form": seeded_form(6, 4, 5, 1),
-     "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}]}}
+def neg_norm_sq(n: int) -> dict:
+    return {"n": n, "k": 2, "expr": {"op": "neg", "arg": {"op": "norm_sq", "arg": "xi"}}}
 
-INPUTS = {"matrix_exact": MATRIX_EXACT, "matrix_exact_k3": MATRIX_EXACT_K3,
-          "matrix_float": MATRIX_FLOAT,
-          "form_exact": FORM_EXACT, "form_float": FORM_FLOAT, "zero_form": ZERO_FORM,
-          "norm_sq": NORM_SQ, "neg_norm_sq": NEG_NORM_SQ, "top_power": TOP_POWER,
-          "planted_out_of_order": PLANTED_OUT_OF_ORDER}
 
-CLI_CASES = {
-    "pi-exact": ["pi", "--input", "matrix_exact"],
-    "pi-float": ["pi", "--input", "matrix_float"],
-    "pi-exact-as-float": ["pi", "--input", "matrix_exact", "--backend", "float"],
-    "pi-exact-k3": ["pi", "--input", "matrix_exact_k3"],
-    "adjugate-exact": ["adjugate", "--input", "matrix_exact", "--s", "2"],
-    "adjugate-exact-k3": ["adjugate", "--input", "matrix_exact_k3", "--s", "2"],
-    "adjugate-float": ["adjugate", "--input", "matrix_float", "--s", "2"],
-    "adjugate-float-top": ["adjugate", "--input", "matrix_float", "--s", "4"],
-    "wedge-power-exact-2": ["wedge-power", "--input", "form_exact", "--s", "2"],
-    "wedge-power-exact-3": ["wedge-power", "--input", "form_exact", "--s", "3"],
-    "wedge-power-float-2": ["wedge-power", "--input", "form_float", "--s", "2"],
-    "wedge-power-float-3": ["wedge-power", "--input", "form_float", "--s", "3"],
-    "wedge-power-zero-form": ["wedge-power", "--input", "zero_form", "--s", "7"],
-    "verify-6-2-3": ["verify-formula", "--n", "6", "--k", "2", "--s", "3", "--trials", "3",
-                     "--seed", "5"],
-    "verify-8-4-2": ["verify-formula", "--n", "8", "--k", "4", "--s", "2", "--trials", "2",
-                     "--seed", "5"],
-    "verify-9-3-3": ["verify-formula", "--n", "9", "--k", "3", "--s", "3", "--trials", "2",
-                     "--seed", "5"],
-    # entries up to 10^5: the minor route takes Python ints, and the direct
-    # route's int64 chain widens at its first step past the bound
-    "verify-10-2-5-wide": ["verify-formula", "--n", "10", "--k", "2", "--s", "5",
-                           "--low", "-100000", "--high", "100000", "--trials", "1",
-                           "--seed", "0"],
-}
-for _mode in ("one-convex", "one-affine"):
-    for _name in ("norm_sq", "neg_norm_sq", "top_power"):
-        CLI_CASES[f"{_mode}-{_name}"] = ["check-convexity", "--mode", _mode, "--input", _name,
-                                         "--trials", "40", "--seed", "2"]
-CLI_CASES["one-affine-planted-6-2"] = ["check-convexity", "--mode", "one-affine", "--input",
-                                       "planted_out_of_order", "--trials", "40", "--seed", "2"]
+def matrix(k: int, rows: list[str], data: list[list]) -> dict:
+    return {"n": len(data[0]), "k": k, "rows": rows, "data": data}
 
-LIFT_CASES = {f"lift-{n}-{k}-{backend}": (n, k, backend)
-              for n, k in [(4, 2), (5, 3)] for backend in scalars.BACKENDS}
 
-POLY_CASES = {f"poly-{n}-{k}": (n, k) for n, k in [(8, 3), (4, 2)]}
-
-MATRIX_JSON_CASES = {
-    "matrix-json-5-3": lambda: ShapeMatrix(
-        5, 3, [[Fraction((3 * r - 2 * c) % 11 - 5, 1 + (r + c) % 3) for c in range(5)]
-               for r in range(10)]),
-    "matrix-json-gradient-4-3": lambda: gradient(poly_form(random.Random(13), 4, 2)),
+M3 = [[1, 2, 0], [0, 3, 4], [5, 0, 6]]
+INPUTS = {
+    "matrix_exact": matrix(2, ["1", "2", "3", "4"], [[0, "3/2", -1, 2], [1, 0, 5, "-7/3"],
+                                                    ["1/4", -2, 0, 3], [4, "5/6", -3, 1]]),
+    # k = 3, so every row label holds a comma and adjugate rows pair such labels
+    "matrix_exact_k3": matrix(3, ["1,2", "1,3", "1,4", "2,3", "2,4", "3,4"],
+                              [[1, "-1/2", 0, 3], [2, 0, "5/3", -1], [0, 4, -2, "1/5"],
+                               ["-3/4", 1, 0, 2], [5, -1, "2/7", 0], [0, "3/2", 1, -4]]),
+    "matrix_float": matrix(2, ["1", "2", "3", "4"],
+                           [[0.0, 1.5, -1.1, 2.3], [0.7, 0.0, 5.25, -2.375],
+                            [0.25, -2.2, 0.1, 3.0], [4.0, 0.8333, -3.3, 1.01]]),
+    "matrix_2": matrix(2, ["1", "2"], [[0, 1], [0, 0]]),
+    "matrix_3": matrix(2, ["1", "2", "3"], M3),
+    "matrix_3_k3": matrix(3, ["1,2", "1,3", "2,3"], M3),
+    # the full layout's plan: all 14 400 order-3 minors, 1 620 shared 2×2 minors
+    "matrix_10": matrix(2, [str(i) for i in range(1, 11)],
+                        [[(7 * i + 3 * j * j) % 11 - 5 for j in range(10)] for i in range(10)]),
+    "form_exact": {"n": 6, "k": 2, "coeffs": {"1,2": "3/2", "1,4": "-2", "2,5": "7",
+                                              "3,4": "1/3", "3,6": "-5/4", "5,6": "2"}},
+    "form_float": {"n": 6, "k": 2, "coeffs": {"1,2": 1.5, "1,4": -0.2, "2,5": 7.125, "3,4": 0.3,
+                                              "3,6": -1.25, "4,6": 2.0, "5,6": 0.1}},
+    "zero_form": {"n": 4, "k": 0, "coeffs": {"": "-3/2"}},
+    "norm_sq": {"n": 4, "k": 2, "expr": {"op": "norm_sq", "arg": "xi"}},
+    "neg_norm_sq": neg_norm_sq(4),
+    "neg_norm_sq_8": neg_norm_sq(8),
+    "top_power": {"n": 4, "k": 2, "expr": {"op": "inner", "form": "e1234",
+                                           "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}},
+    # a planted (6,2) pairing with its wedge powers out of order (s = 3, 1, 2):
+    # its bytes pin the power chain the powers share
+    "planted_out_of_order": {"n": 6, "k": 2, "expr": {"op": "add", "args": [
+        {"op": "inner", "form": seeded_form(6, 6, 3, 2),
+         "arg": {"op": "wedge_pow", "s": 3, "arg": "xi"}},
+        {"op": "inner", "form": seeded_form(6, 2, 7, 3),
+         "arg": {"op": "wedge_pow", "s": 1, "arg": "xi"}},
+        {"op": "const", "value": "-7/4"},
+        {"op": "inner", "form": seeded_form(6, 4, 5, 1),
+         "arg": {"op": "wedge_pow", "s": 2, "arg": "xi"}}]}},
+    # input that cannot be read: a file that is not UTF-8, a bool exponent
+    "latin1": b'\xff\xfe{"n":4}',
+    "bool_exponent": {"n": 4, "k": 2, "expr": {"op": "pow", "exp": True,
+                                               "base": {"op": "norm_sq", "arg": "xi"}}},
 }
 
-STACK_CASES = {"support-draws-8-2": lambda draws: draws,
-               "support-features-8-2": lambda draws: _power_features(draws, 8, 2)}
+
+class Case(NamedTuple):
+    """One CLI run and what it prints; exactly one of ``stdout``, ``sha256``
+    (of the stdout bytes) and ``status`` is set, and ``why`` says what the
+    case pins beyond its command."""
+    name: str
+    args: str
+    exit: int = 0
+    stdout: str | None = None
+    sha256: str | None = None
+    status: str | None = None
+    stderr: int = 0
+    why: str = ""
 
 
-def cli_report(case: str) -> bytes:
-    """Exit code and stdout of one CLI case, its inputs written to a fresh directory."""
+CASES = [Case(**case) for case in
+         json.loads(Path(__file__).with_name("golden_cases.json").read_text(encoding="utf-8"))]
+
+CLI = {case.name: case for case in CASES}
+
+
+def input_bytes(name: str) -> bytes:
+    data = INPUTS[name]
+    return data if isinstance(data, bytes) else json.dumps(data).encode()
+
+
+def run_case(case: Case, command: list[str] | None = None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one case, its inputs written to a fresh
+    directory: by ``cli.main`` in-process, or by ``command`` in a subprocess."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = []
-        for arg in CLI_CASES[case]:
+        for arg in case.args.split():
             if arg in INPUTS:
                 path = Path(tmp) / f"{arg}.json"
-                path.write_text(json.dumps(INPUTS[arg]))
+                path.write_bytes(input_bytes(arg))
                 arg = str(path)
             argv.append(arg)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        if command:
+            done = subprocess.run([*command, *argv], capture_output=True, encoding="utf-8")
+            return done.returncode, done.stdout, done.stderr
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    return f"{code}\n{out.getvalue()}".encode()
+    return code, out.getvalue(), err.getvalue()
 
 
-def lift_report(case: str) -> bytes:
-    n, k, backend = LIFT_CASES[case]
-    report = cross_check_lift(FormFunction.norm_squared(n, k),
-                              SamplerConfig(seed=4, trials=60), backend=backend)
+def observed(case: Case, stdout: str) -> tuple[str, str]:
+    """The kind of the case's stdout expectation, and its value read off ``stdout``."""
+    if case.stdout is not None:
+        return "stdout", stdout
+    if case.sha256 is not None:
+        return "sha256", hashlib.sha256(stdout.encode()).hexdigest()
+    return "status", json.loads(stdout)["status"]
+
+
+def check_case(case: Case, command: list[str] | None = None) -> None:
+    code, out, err = run_case(case, command)
+    assert (code, err.count("\n")) == (case.exit, case.stderr), (case.name, code, err)
+    kind, value = observed(case, out)
+    assert value == getattr(case, kind), (case.name, kind, value)
+
+
+def to_bytes(report) -> bytes:
     return json.dumps(report.to_json(), sort_keys=True).encode()
+
+
+def lift(n: int, k: int, backend: str) -> bytes:
+    return to_bytes(cross_check_lift(FormFunction.norm_squared(n, k),
+                                     SamplerConfig(seed=4, trials=60), backend=backend))
 
 
 def poly_form(rng: random.Random, n: int, r: int, terms: int = 3, degree: int = 3):
@@ -174,8 +210,7 @@ def poly_form(rng: random.Random, n: int, r: int, terms: int = 3, degree: int = 
     return PolyKForm(n, r, coeffs)
 
 
-def poly_report(case: str) -> bytes:
-    n, k = POLY_CASES[case]
+def poly(n: int, k: int) -> bytes:
     rng = random.Random(11)
     forms = [poly_form(rng, n, k - 1) for _ in range(4)]
     return json.dumps([{"form": w.to_json(),
@@ -184,80 +219,165 @@ def poly_report(case: str) -> bytes:
                       sort_keys=True).encode()
 
 
-def matrix_json_report(case: str) -> bytes:
-    return json.dumps(MATRIX_JSON_CASES[case]().to_json(), sort_keys=True).encode()
-
-
-def stack_report(case: str) -> bytes:
+def stack(features: bool) -> bytes:
     """The support LP's sample at seed 3, or its feature rows, as little-endian bytes."""
-    stack = STACK_CASES[case](random_form_rows(8, 2, 3, range(500), 2.0, SUPPORT))
-    return repr(stack.shape).encode() + stack.astype("<f8").tobytes()
+    rows = random_form_rows(8, 2, 3, range(500), 2.0, SUPPORT)
+    rows = _power_features(rows, 8, 2) if features else rows
+    return repr(rows.shape).encode() + rows.astype("<f8").tobytes()
 
 
-def report_bytes(case: str) -> bytes:
-    if case in CLI_CASES:
-        return cli_report(case)
-    if case in STACK_CASES:
-        return stack_report(case)
-    if case in MATRIX_JSON_CASES:
-        return matrix_json_report(case)
-    return lift_report(case) if case in LIFT_CASES else poly_report(case)
-
-
-def digest(case: str) -> str:
-    return hashlib.sha256(report_bytes(case)).hexdigest()
-
-
-ALL_CASES = [*CLI_CASES, *LIFT_CASES, *POLY_CASES, *MATRIX_JSON_CASES, *STACK_CASES]
-
-
-def print_digests() -> None:
-    for case in ALL_CASES:
-        print(f'    "{case}": "{digest(case)}",')
-
-
-GOLDEN = {
-    "pi-exact": "1358d4c27498c267f43d85e4b2226fd5829ccacc9ff6457d851156186c7bf32d",
-    "pi-float": "66bc3a4b90ae808f3502d794514e1e053f6681e185e09223a23376f6339528bb",
-    "pi-exact-as-float": "0dfe53724608a87716a255c6f37262f757cfd058414fc7f846e51c97caec8f86",
-    "pi-exact-k3": "8e26831c869bba0939cb8938ca7a22e372faa4c0c1996dd5b8313df201938e23",
-    "adjugate-exact": "3de658618948712e7a8704e510403c51daac7aef65fe140db2efcae1a88c0f0a",
-    "adjugate-exact-k3": "39e77349145c38996b57efaadcde47da9432559811539d4da74660e00190dab1",
-    "adjugate-float": "63228d1479ab54d7c1cd4a970173cc40cf1647d10ee977223c134757e6906608",
-    "adjugate-float-top": "d864e21b85d0d8142632104794106adc497efa156e934e45c197406743303c03",
-    "wedge-power-exact-2": "73421fee670626005d44928af007d65d05affdeb6b11d27ca26db4e167d5e33f",
-    "wedge-power-exact-3": "29a298bcb8904ead06f6222f9c5586d5eb4772b0a176938615fa5303d37a92d1",
-    "wedge-power-float-2": "15d20db9ae4cbd55b8ec36c6eeb02c05c4fbc17db21cc501a012804211f78b18",
-    "wedge-power-float-3": "6504cb7df6d501e67d5bb3f2896b90da4960320edc8da909facb807b373a4993",
-    "wedge-power-zero-form": "5d0441d2f965e5447c1970e7a8a4b367df69fb7fb9bb4de31ba5a53edbf86266",
-    "verify-6-2-3": "3c172f1b8ff9b7499e54e416eb1fd589bcb31dbd3112aacb8f2c9380dbcd2db2",
-    "verify-8-4-2": "dfc60c18e5f48e48baba8a868a22a131d20f6dfd6558a42107454c424c383a77",
-    "verify-9-3-3": "5c05dafda31df5862adad70f2f575079ae0d24b50a7540520793d4afc1e872a6",
-    "verify-10-2-5-wide": "2b321e9aaa3372ecefe2e7be8b1bc7f67bbf4d8d7002e1f8f66d9c5271726714",
-    "one-convex-norm_sq": "418506c98463096684238a5bb0a8bc4e760caea5a89116c5a7c99236643325c9",
-    "one-convex-neg_norm_sq": "6e14c8e884a3d6fbedec611c57d2f9d725e63ec53d38a0ae061c21b711d32560",
-    "one-convex-top_power": "7b86bc058c46e94e31a2b07a51bae77e3dc2bd4bf5c9dba698e30388e5d9933b",
-    "one-affine-norm_sq": "0deaa327f7219e80b6388102fc2105f754f19f7ab644735565927b3c114c6932",
-    "one-affine-neg_norm_sq": "1573553a43906d17d5df6ee0aade4794ff922986277fb5f675fd5e013582bfa1",
-    "one-affine-top_power": "7b2cd69e49171cb0979716bdc548ab71a82e5655181ef176b018bec6d788bca3",
-    "one-affine-planted-6-2": "bbd7c4ab83b78813afce35e28a7895b6db54fd58ff4b83570a9a8644f2153d20",
-    "lift-4-2-exact": "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b",
-    "lift-4-2-float": "49ccd811486e5cbf0bb26e09aa14bf47c7c9f4dee34f5ad84929cd1776971bd8",
-    "lift-5-3-exact": "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b",
-    "lift-5-3-float": "4850d564651d74cc456d46165d44453ad2e6ff365f995f8f432f1db36e70ed12",
-    "poly-8-3": "8c63938ced4fb0ac5375f42f69e171ca27b56890063172948fdc1dfcd3d4b874",
-    "poly-4-2": "c28060af2f7bebafda8834e3ca0ce9721a87a9b30abc1e92a98e76e444d1f544",
-    "matrix-json-5-3": "e9bf8f9c6957a8934c3f55d1329afe7a684ed117afe1b3dbca2ce0ed20345bbf",
-    "matrix-json-gradient-4-3": "42fc953460d8f39cea2b79be0e94f9d1118c993e4636c524733fda48f090cfec",
-    "support-draws-8-2": "dd473489c39331452f96c71d265f5516ca667b9f71129e3c56bdf26c20fb44d6",
-    "support-features-8-2": "4907340ddfdda8b1127e737646e362e5aa50d157be21cd6797aae2c9348cbed1",
+REPORTS = {    # name: (its report bytes, their sha256)
+    "lift-4-2-exact": (lambda: lift(4, 2, "exact"),
+                       "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b"),
+    "lift-4-2-float": (lambda: lift(4, 2, "float"),
+                       "49ccd811486e5cbf0bb26e09aa14bf47c7c9f4dee34f5ad84929cd1776971bd8"),
+    "lift-5-3-exact": (lambda: lift(5, 3, "exact"),
+                       "5d3613e3773c0d8d40634bfb065e616ffdb2d5c8914c090529aad4d6986b739b"),
+    "lift-5-3-float": (lambda: lift(5, 3, "float"),
+                       "4850d564651d74cc456d46165d44453ad2e6ff365f995f8f432f1db36e70ed12"),
+    "poly-8-3": (lambda: poly(8, 3),
+                 "8c63938ced4fb0ac5375f42f69e171ca27b56890063172948fdc1dfcd3d4b874"),
+    "poly-4-2": (lambda: poly(4, 2),
+                 "c28060af2f7bebafda8834e3ca0ce9721a87a9b30abc1e92a98e76e444d1f544"),
+    "matrix-json-5-3": (lambda: to_bytes(ShapeMatrix(5, 3, [
+        [Fraction((3 * r - 2 * c) % 11 - 5, 1 + (r + c) % 3) for c in range(5)]
+        for r in range(10)])), "e9bf8f9c6957a8934c3f55d1329afe7a684ed117afe1b3dbca2ce0ed20345bbf"),
+    "matrix-json-gradient-4-3": (lambda: to_bytes(gradient(poly_form(random.Random(13), 4, 2))),
+                                 "42fc953460d8f39cea2b79be0e94f9d1118c993e4636c524733fda48f090cfec"),
+    "support-draws-8-2": (lambda: stack(False),
+                          "dd473489c39331452f96c71d265f5516ca667b9f71129e3c56bdf26c20fb44d6"),
+    "support-features-8-2": (lambda: stack(True),
+                             "4907340ddfdda8b1127e737646e362e5aa50d157be21cd6797aae2c9348cbed1"),
 }
 
 
+def digest(name: str) -> str:
+    return hashlib.sha256(REPORTS[name][0]()).hexdigest()
+
+
+def check_star_import() -> None:
+    """The star import fails if ``__all__`` lists a name the package lost."""
+    exec("from extconv import *", {})
+
+
+def check_philox_known_answer() -> None:
+    """Random123's first known-answer vector: Philox4x32-10 at counter 0, key 0."""
+    words = _words(0, 0, np.zeros(1, int), np.zeros(1, int), 4).tolist()
+    assert words == [[0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8]], words
+
+
+def check_d_identity_2_1() -> None:
+    """w = x2·e^1 has dw = e^1 ∧ e^2 by the projected gradient and by ``d_right``."""
+    w = PolyKForm(2, 1, {(1,): Poly.variable(2, 2)})
+    want = {"n": 2, "k": 2, "coeffs": {"1,2": "1"}}
+    assert project_polynomial(gradient(w)).to_json() == want == d_right(w).to_json()
+    p = Poly.parse("1/2*x1*x2", 2)
+    assert str(p + p) == "x1*x2" and not (p - p)
+
+
+def check_d_identity_8_3() -> None:
+    """An (8,3) polynomial 2-form with exponents 2 and 3 and Fraction
+    coefficients has one dw by the projected gradient, the wedge table and,
+    at r = 2, the componentwise formula over ``Poly.diff``."""
+    w = PolyKForm(8, 2, {(a, b): Poly.parse(f"{j + 1}/{j % 5 + 2}*x{a}^2*x{b}^3"
+                                            f" - 1/3*x{j % 8 + 1}^3", 8)
+                         for j, (a, b) in enumerate(itertools.combinations(range(1, 9), 2))})
+    dw = d_right(w)
+    assert project_polynomial(gradient(w)) == dw == d_classical(w) and not dw.is_zero()
+
+
+def check_pullback_adjoint_4_2() -> None:
+    """At (4,2) the pullback of D_s pairs with every minor table exactly as D_s
+    pairs with its power-map image, s = 1, 2; a float pairing that meets only
+    zeros, −0.0 among them, is +0.0."""
+    rng = random.Random(5)
+    draw = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))    # noqa: E731
+    forms = [KForm(4, 2 * s, [draw() for _ in range(math.comb(4, 2 * s))]) for s in (1, 2)]
+    for s, D, d in zip((1, 2), forms, pullback_support(forms)):
+        M = MinorTable(4, 2, s, [[draw() for _ in range(math.comb(4, s))]
+                                 for _ in range(math.comb(4, s))])
+        left, right = table_inner(d, M), scalar_product(D, minor_power_map(4, 2, s).apply(M))
+        assert left == right and left != 0, (s, left, right)
+    zero = table_inner(MinorTable(4, 2, 1, [[-0.0, 1.0, 0.0, -0.0]] * 4, "float"),
+                       MinorTable(4, 2, 1, [[1.0, 0.0, -0.0, 2.0]] * 4, "float"))
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0, zero
+
+
+def check_rational_adjoint_8_2() -> None:
+    """At (8,2), s = 1..4, both sides of the adjointness identity sum integer
+    numerators over one denominator."""
+    D = [KForm(8, 2 * s, [Fraction(i % 7 - 3, i % 4 + 1) for i in range(math.comb(8, 2 * s))])
+         for s in (1, 2, 3, 4)]
+    pairs = []
+    for s, f, d in zip((1, 2, 3, 4), D, pullback_support(D)):
+        m = MinorTable(8, 2, s, [[Fraction(3 * r - c + 1, r + 2 * c + 1) for c in
+                                  range(math.comb(8, s))] for r in range(math.comb(8, s))])
+        pairs.append((table_inner(d, m), scalar_product(f, minor_power_map(8, 2, s).apply(m))))
+    assert all(a == b and a for a, b in pairs), pairs
+
+
+LIBRARY_CHECKS = [check_star_import, check_philox_known_answer, check_d_identity_2_1,
+                  check_d_identity_8_3, check_pullback_adjoint_4_2, check_rational_adjoint_8_2]
+
+
+def print_digests() -> None:
+    for case in CASES:
+        code, out, err = run_case(case)
+        kind, value = observed(case, out)
+        print(case.name, json.dumps({"exit": code, kind: value, "stderr": err.count("\n")}))
+    for name in REPORTS:
+        print(name, json.dumps(digest(name)))
+
+
+@pytest.mark.parametrize("name", [*CLI, *REPORTS])
+def test_report_bytes_unchanged(name):
+    if name in CLI:
+        check_case(CLI[name])
+    else:
+        assert digest(name) == REPORTS[name][1]
+
+
+# one case of each exit code through the subprocess path, so a runner bug shows before CI
+@pytest.mark.parametrize("name", ["verify-8-2-4", "seed-negative"])
+def test_cli_case_in_subprocess(name, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(CHECKOUT / "src"))
+    check_case(CLI[name], [sys.executable, "-m", "extconv"])
+
+
 def test_corpus_is_complete():
-    assert set(GOLDEN) == set(ALL_CASES)
+    """Names are unique, every input is read, no run is listed twice, and
+    every case has exactly one stdout expectation."""
+    assert len(CLI) == len(CASES) and not CLI.keys() & REPORTS.keys()
+    args = [case.args.split() for case in CASES]
+    assert set(INPUTS) <= {arg for argv in args for arg in argv}
+    assert len({tuple(input_bytes(arg) if arg in INPUTS else arg for arg in argv)
+                for argv in args}) == len(CASES)
+    for case in CASES:
+        assert [case.stdout, case.sha256, case.status].count(None) == 2, case.name
+        if case.exit == 2:    # unreadable input: nothing on stdout, one line on stderr
+            assert (case.stdout, case.stderr) == ("", 1), case.name
 
 
-@pytest.mark.parametrize("case", ALL_CASES)
-def test_report_bytes_unchanged(case):
-    assert digest(case) == GOLDEN[case]
+@pytest.mark.parametrize("check", LIBRARY_CHECKS, ids=lambda check: check.__name__)
+def test_library(check):
+    check()
+
+
+def run_installed() -> None:
+    """Every case by the installed ``extconv`` entry point, then every library
+    check; refused when the entry point or the package is inside this checkout."""
+    import extconv
+    entry = shutil.which("extconv")
+    for where in (entry, extconv.__file__):
+        if where is None or Path(where).resolve().is_relative_to(CHECKOUT):
+            sys.exit(f"extconv resolves to {where}, not to an install outside {CHECKOUT}")
+    for case in CASES:
+        check_case(case, [entry])
+        print("ok", case.name)
+    for check in LIBRARY_CHECKS:
+        check()
+        print("ok", check.__name__)
+
+
+if __name__ == "__main__":
+    run_installed()
