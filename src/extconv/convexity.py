@@ -59,7 +59,7 @@ import numpy as np
 from . import scalars
 from .errors import DomainError, LPInternalError
 from .exterior import KForm, ordered_sum, scalar_product, wedge_power, wedge_rows
-from .functions import FormFunction
+from .functions import FormFunction, grow_power_chain
 from .multiindex import integer
 from .projection import project, project_rows, right_inverse_rows
 from .sampling import (FIT, SUPPORT, VALIDATION, check_streams, random_form_rows,
@@ -357,13 +357,19 @@ def _power_dims(n: int, k: int) -> list[int]:
     return [math.comb(n, k * s) for s in range(1, n // k + 1)]
 
 
-def _power_features(xi: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Rows (1, ξ, ξ², ..., ξ^(n//k)) for a stack of float forms ξ."""
+def _power_chain(xi: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """[ξ, ξ², ..., ξ^(n//k)] for a stack of float forms ξ."""
     with scalars.float_guard("wedge power feature"):
-        blocks = [np.ones((xi.shape[0], 1)), xi]
-        for s in range(2, n // k + 1):
-            blocks.append(wedge_rows(blocks[-1], xi, n, k * (s - 1), k))
-        return np.hstack(blocks)
+        return grow_power_chain([xi], n, k, n // k)
+
+
+def _power_features(xi: np.ndarray, n: int, k: int,
+                    chain: list[np.ndarray] | None = None) -> np.ndarray:
+    """Rows (1, ξ, ξ², ..., ξ^(n//k)) for a stack of float forms ξ, from its
+    ``_power_chain`` if given."""
+    if chain is None:
+        chain = _power_chain(xi, n, k)
+    return np.hstack([np.ones((xi.shape[0], 1)), *chain])
 
 
 def _power_forms(n: int, k: int, flat: np.ndarray) -> list[KForm]:
@@ -393,8 +399,9 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
     spread = cfg.coeff_range
     for attempt in range(3):
         xi = random_form_rows(n, k, cfg.seed, range(nsamples), spread, FIT, attempt)
-        design = _power_features(xi, n, k)
-        y = f.evaluate_rows(xi)
+        chain = _power_chain(xi, n, k)
+        design = _power_features(xi, n, k, chain)
+        y = f.evaluate_rows(xi, chain)
 
         live = np.flatnonzero(np.abs(design).max(axis=0) > 1e-12)
         solution = np.zeros(unknowns)
@@ -407,9 +414,10 @@ def fit_quasiaffine(f: FormFunction, cfg: SamplerConfig) -> QuasiaffineFit:
 
         held_out = random_form_rows(n, k, cfg.seed, range(validation_samples),
                                     cfg.coeff_range, VALIDATION)
+        chain = _power_chain(held_out, n, k)
         with scalars.float_guard("validation residual"):
-            predicted = ordered_sum(_power_features(held_out, n, k) * solution)
-            worst = float(np.abs(f.evaluate_rows(held_out) - predicted).max())
+            predicted = ordered_sum(_power_features(held_out, n, k, chain) * solution)
+            worst = float(np.abs(f.evaluate_rows(held_out, chain) - predicted).max())
         return QuasiaffineFit("ok", float(solution[0]), _power_forms(n, k, solution[1:]),
                               worst, nsamples, cfg.seed)
     return QuasiaffineFit("inconclusive", 0.0, [], float("inf"), nsamples, cfg.seed)
@@ -458,11 +466,12 @@ def polyconvex_support_lp(f: FormFunction, xi: KForm, cfg: SamplerConfig,
     f_base = float(f(xi))
 
     with scalars.float_guard("support constraint"):
-        base = _power_features(np.array([xi.coeffs], dtype=float), n, k)[:, 1:]
-        w = _power_features(eta, n, k)[:, 1:] - base
+        base = np.hstack(_power_chain(np.array([xi.coeffs], dtype=float), n, k))
+        chain = _power_chain(eta, n, k)
+        w = np.hstack(chain) - base
         # t's column is all ones: the simplex enters it to start feasible
         A = np.hstack([-w, np.ones((eta.shape[0], 1))])
-        b = -(f.evaluate_rows(eta) - f_base)
+        b = -(f.evaluate_rows(eta, chain) - f_base)
 
     total = w.shape[1]
     cost = [0.0] * total + [1.0]

@@ -20,7 +20,11 @@ one power chain: ξ¹, ξ² = ξ¹ ∧ ξ, ξ³ = ξ² ∧ ξ, … grown as far 
 power asked for, the left fold ``exterior.wedge_power_rows`` runs, so each
 power has the bits that function gives it.  The argument is "xi" or a literal
 named by its text, or else the node's own subtree.  The chains live in a memo
-made by each call and dropped at its end; nothing is cached across calls.
+made by each call and dropped at its end; nothing is cached across calls.  A
+caller that has grown the chain of its own rows by ``grow_power_chain`` (the
+fitter's and the support LP's features) hands it to ``evaluate_rows``, which
+starts the "xi" chain from it; the magnitude, which powers |ξ| unsigned, and
+the powers of literals start their own.
 
 A float value computed alone and the same value computed inside a batch are
 the same float: every sum runs left to right in the order of the scalar loops
@@ -72,12 +76,22 @@ class FormFunction:
                               f"({self.n},{self.k})")
         return self.evaluate_rows(xi.coeffs[None]).item()
 
-    def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
+    def evaluate_rows(self, rows: np.ndarray, chain: list | None = None) -> np.ndarray:
         """f on each row of an (m × C(n,k)) array of argument coefficients: exact
-        for an object array of ints and Fractions, float for anything else."""
-        rows = self._checked(rows)
+        for an object array of ints and Fractions, float for anything else.
+
+        ``chain``, if given, is [rows, rows², …] as ``grow_power_chain`` grew
+        it on this very array; every ``wedge_pow`` on "xi" reads its powers
+        from there instead of building them again.
+        """
+        checked = self._checked(rows)
+        memo = {}
+        if chain is not None:
+            if chain[0] is not checked:
+                raise DomainError("a power chain must begin with the rows it powers")
+            memo["xi"] = list(chain)
         with scalars.float_guard("function value"):
-            values = self._rows(rows, True, {})
+            values = self._rows(checked, True, memo)
         return values if values.dtype == object else \
             scalars.require_finite(values, "function value")
 
@@ -134,6 +148,22 @@ class FormFunction:
             parts.append({"op": "inner", "form": form.to_json(),
                           "arg": {"op": "wedge_pow", "s": s, "arg": "xi"}})
         return cls(n, k, {"op": "add", "args": parts})
+
+
+def grow_power_chain(chain: list, n: int, k: int, s: int, signed: bool = True) -> list:
+    """Grow ``chain`` = [x, x², …], begun on a stack x of k-forms, in place to
+    its first s powers, and return it.
+
+    Each power is the one before it wedged with x, the left fold
+    ``exterior.wedge_power_rows`` takes, so each power has the bits that
+    function gives it.  Every ``wedge_pow`` of an evaluation grows its powers
+    here, and so do the fitter's and the support LP's features, whose chain
+    ``evaluate_rows`` then reads.
+    """
+    base = chain[0]
+    while len(chain) < s:
+        chain.append(wedge_rows(chain[-1], base, n, k * len(chain), k, signed))
+    return chain
 
 
 def _json_scalar(value):
@@ -325,10 +355,7 @@ def _compile(node, n: int, k: int) -> _Compiled:
             chain = memo.get(key)
             if chain is None:
                 chain = memo[key] = [kernel(X, signed, memo)]
-            base = chain[0]
-            while len(chain) < s:
-                chain.append(wedge_rows(chain[-1], base, n, degree * len(chain), degree, signed))
-            return chain[s - 1]
+            return grow_power_chain(chain, n, degree, s, signed)[s - 1]
 
         return _Compiled(degree * s, wedge_pow_rows)
     raise DomainError(f"unknown expression op {op!r}")

@@ -19,14 +19,18 @@ swaps the ids of its row and column.
 Pivots delay their rank-one updates (the blocked right-looking scheme of Golub
 & Van Loan, *Matrix Computations*, §3.2.11).  The tableau is held as
 T = T0 − U·V, with the updates of up to ``_BLOCK`` pivots pending as the
-columns of U and the rows of V.  A pivot reads the cost row, its column, the
-right-hand side and its row through small products against U and V, writes
-its new row and column straight into T0, and appends one pair; a full block,
-and the last one before x is read, is applied by one ``T0 −= U V``.  Object
-``matmul`` is exact, so an exact LP takes the pivots and reaches the x the
-one-update-a-pivot loop did.  A float LP rounds differently in its last bits,
-and the block product runs in BLAS, so those bits may differ between BLAS
-builds (as ``lstsq``'s do).
+columns of U and the rows of V.  The cost row is kept current in T0: each
+pivot updates it with one axpy, so pricing and the stall check read it as it
+stands.  A pivot reads three things through small products against U and V:
+its column, the right-hand side (for the ratio test) and its row.  It writes
+its new row and column straight into T0 and appends one pair; a full block,
+and the last one before x is read, is applied by one ``T0 −= U V``.  The
+right-hand side stays on that pending path because x is read from it: kept
+current by an axpy a pivot, it would round differently and move float
+answers in their last bits.  Object ``matmul`` is exact, so an exact LP takes
+the pivots and reaches the x the one-update-a-pivot loop did.  A float LP
+rounds differently in its last bits, and the block product runs in BLAS, so
+those bits may differ between BLAS builds (as ``lstsq``'s do).
 
 There is no phase one.  The start basis is every surplus variable, which is
 feasible when no entry of b is positive.  Otherwise A must have an all-ones
@@ -92,7 +96,11 @@ def minimize(c: Sequence, A: Sequence[Sequence], b: Sequence, free: int = 0, *,
     """
     m = len(A)
     nv = len(c)
-    if len(b) != m or any(len(row) != nv for row in A) or not 0 <= free <= nv:
+    if isinstance(A, np.ndarray) and A.ndim == 2:
+        rows_fit = A.shape[1] == nv
+    else:
+        rows_fit = all(len(row) == nv for row in A)
+    if len(b) != m or not rows_fit or not 0 <= free <= nv:
         raise DomainError(f"inconsistent LP dimensions: c has {nv}, A is {m} rows, "
                           f"{free} free")
     c, A, b = np.asarray(c), np.asarray(A).reshape(m, nv), np.asarray(b)
@@ -104,8 +112,8 @@ def minimize(c: Sequence, A: Sequence[Sequence], b: Sequence, free: int = 0, *,
     else:
         c, A, b = (v.astype(float, copy=False) for v in (c, A, b))
 
-    tab = _start(c, A, b, sc)
-    status, iterations = _run(tab, free, sc.eps, max_iter)
+    tab = _start(c, A, b, free, sc)
+    status, iterations = _run(tab, sc.eps, max_iter)
     if status != OPTIMAL:
         return LPResult(status, None, None, iterations)
     tab.flush()
@@ -123,19 +131,24 @@ class _Tableau:
 
     Column j of U and row j of V are pivot j's rank-one update since the last
     flush.  Every pivot writes its row and its column of T whole into T0 and
-    zeroes them in U and V, so no pending update touches them.
+    zeroes them in U and V, so no pending update touches them.  T0's cost row
+    is current (U's last row stays zero); its right-hand side column, like
+    the body, owes the pending updates.
+
+    ``may_leave`` marks the rows whose basic variable may leave the basis
+    (every one but a free variable), and ``flip`` is −1 on the columns of
+    free nonbasic variables and 1 on the others.  A pivot changes one entry
+    of each.
     """
 
-    def __init__(self, T0, basis, nonbasic):
-        self.T0, self.basis, self.nonbasic = T0, basis, nonbasic
+    def __init__(self, T0, basis, nonbasic, free):
+        self.T0, self.basis, self.nonbasic, self.free = T0, basis, nonbasic, free
         rows, cols = T0.shape
         self.U = np.zeros((rows, _BLOCK), dtype=T0.dtype, order="F")
         self.V = np.zeros((_BLOCK, cols), dtype=T0.dtype)
         self.k = 0
-
-    def row(self, i):
-        """T[i], a new array."""
-        return self.T0[i] - self.U[i, :self.k] @ self.V[:self.k]
+        self.may_leave = basis >= free
+        self.flip = np.where(nonbasic < free, -1, 1).astype(T0.dtype)
 
     def column(self, j):
         """T[:, j], a new array."""
@@ -148,7 +161,7 @@ class _Tableau:
             self.k = 0
 
 
-def _start(c, A, b, sc: _Scalars) -> _Tableau:
+def _start(c, A, b, free, sc: _Scalars) -> _Tableau:
     """Tableau [−A | −b] over the cost row [c | 0], at a basis the data shows feasible.
 
     Every surplus is basic, and the all-ones column enters at the row of the
@@ -157,35 +170,40 @@ def _start(c, A, b, sc: _Scalars) -> _Tableau:
     other row.
     """
     m, nv = A.shape
-    tab = _Tableau(np.vstack([np.hstack([-A, -b[:, None]]), np.append(c, sc.make(0))]),
-                   nv + np.arange(m), np.arange(nv))
+    T0 = np.empty((m + 1, nv + 1), dtype=sc.dtype)
+    np.negative(A, out=T0[:-1, :-1])
+    np.negative(b, out=T0[:-1, -1])
+    T0[-1, :-1] = c
+    T0[-1, -1] = sc.make(0)
+    tab = _Tableau(T0, nv + np.arange(m), np.arange(nv), free)
     if (b > 0).any():
-        ones = np.flatnonzero((A == 1).all(axis=0))
+        ones = (A == 1).all(axis=0).nonzero()[0]
         if not ones.size:
             raise DomainError("a positive right-hand side needs an all-ones column "
                               "to start from a feasible basis")
         col = int(ones[-1])
-        _pivot(tab, int(np.argmax(b)), col, tab.column(col))
+        _pivot(tab, int(b.argmax()), col, tab.column(col))
     return tab
 
 
 _STALL_LIMIT = 40  # degenerate pivots tolerated before switching to Bland
 
 
-def _run(tab: _Tableau, free, eps, max_iter) -> tuple[str, int]:
+def _run(tab: _Tableau, eps, max_iter) -> tuple[str, int]:
     """Pivot until optimal or unbounded, at most ``max_iter`` times.
 
     Entering variable: the largest improving reduced cost (fast) until the
     objective stalls, then permanently Bland's lowest-id rule, which cannot cycle.
     """
-    basis, nonbasic = tab.basis, tab.nonbasic
+    T0, basis, nonbasic = tab.T0, tab.basis, tab.nonbasic
+    reduced = T0[-1, :-1]
+    gain = np.empty_like(reduced)
     bland = False
     stall = 0
     last_objective = None
     for it in range(max(0, max_iter)):
-        costs = tab.row(-1)
         if it and not bland:      # the objective the last pivot reached
-            objective = -costs[-1]
+            objective = -T0[-1, -1]
             if last_objective is not None and objective >= last_objective - eps:
                 stall += 1
                 if stall > _STALL_LIMIT:
@@ -193,22 +211,34 @@ def _run(tab: _Tableau, free, eps, max_iter) -> tuple[str, int]:
             else:
                 stall = 0
             last_objective = objective
-        reduced = costs[:-1]
-        # a free variable improves the objective in either direction
-        gain = np.where(nonbasic < free, -abs(reduced), reduced)
-        candidates = np.flatnonzero(gain < -eps)
-        if candidates.size == 0:
-            return OPTIMAL, it
-        col = int(candidates[np.argmin(nonbasic[candidates] if bland else gain[candidates])])
-        column, rhs = tab.column(col), tab.column(-1)
-        direction = column[:-1] if reduced[col] < 0 else -column[:-1]
-        eligible = np.flatnonzero((direction > eps) & (basis >= free))   # free ones never leave
-        if eligible.size == 0:
+        # a free variable improves the objective in either direction: −|reduced|
+        np.multiply(reduced, tab.flip, out=gain)
+        np.minimum(gain, reduced, out=gain)
+        if bland:
+            candidates = (gain < -eps).nonzero()[0]
+            if not candidates.size:
+                return OPTIMAL, it
+            col = int(candidates[nonbasic[candidates].argmin()])
+        else:
+            col = int(gain.argmin())
+            if not gain[col] < -eps:
+                return OPTIMAL, it
+        column = tab.column(col)
+        entries = column[:-1]
+        # the rows that bound the step; a free variable may fall, and its
+        # ratios are then those of −column
+        rising = reduced[col] < 0
+        bounds = entries > eps if rising else entries < -eps
+        bounds &= tab.may_leave
+        eligible = bounds.nonzero()[0]
+        if not eligible.size:
             return UNBOUNDED, it
-        ratios = rhs[eligible] / direction[eligible]
-        best = ratios.min()
-        tied = eligible[ratios <= best + eps]
-        _pivot(tab, int(tied[np.argmin(basis[tied])]), col, column)
+        ratios = tab.column(-1)[eligible] / entries[eligible]
+        if not rising:
+            np.negative(ratios, out=ratios)
+        tied = eligible[ratios <= ratios[ratios.argmin()] + eps]
+        row = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]
+        _pivot(tab, int(row), col, column)
     return ITERATION_LIMIT, max(0, max_iter)
 
 
@@ -217,19 +247,27 @@ def _pivot(tab: _Tableau, row, col, column) -> None:
     row's and the column's variables swap.
 
     The new row T[row]/p and the new column −T[:, col]/p, with 1/p at the
-    pivot, go straight into T0.  Every other entry owes −T[i, col]·T[row, j]/p:
-    that rank-one update joins the pending ones, and a full block is flushed.
+    pivot, go straight into T0, and the cost row takes its update.  Every
+    other entry owes −T[i, col]·T[row, j]/p: that rank-one update joins the
+    pending ones, and a full block is flushed.
     """
-    tab.basis[row], tab.nonbasic[col] = tab.nonbasic[col], tab.basis[row]
+    basis, nonbasic, free = tab.basis, tab.nonbasic, tab.free
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
+    tab.may_leave[row] = basis[row] >= free
+    tab.flip[col] = -1 if nonbasic[col] < free else 1
+    T0, U, V, k = tab.T0, tab.U, tab.V, tab.k
     p = column[row]
-    new_row = tab.row(row) / p
-    k = tab.k
-    tab.U[:, k], tab.V[k] = column, new_row
-    tab.U[row, :k + 1] = 0
-    tab.V[:k + 1, col] = 0
-    tab.T0[row] = new_row
-    tab.T0[:, col] = -column / p
-    tab.T0[row, col] = 1 / p
+    new_row = V[k]
+    np.subtract(T0[row], U[row, :k] @ V[:k], out=new_row)
+    new_row /= p
+    T0[-1] -= column[-1] * new_row
+    T0[row] = new_row
+    np.divide(column, -p, out=T0[:, col])
+    T0[row, col] = 1 / p
+    U[:, k] = column
+    U[row, :k + 1] = 0
+    U[-1, k] = 0
+    V[:k + 1, col] = 0
     tab.k = k + 1
     if tab.k == _BLOCK:
         tab.flush()

@@ -630,6 +630,36 @@ class TestStackedSampling:
             == fit_quasiaffine(fn_planted(6, 2), cfg).to_json()
 
 
+class TestOnePowerChain:
+    """The fitter and the support LP power each sample stack once: the
+    features and the function's wedge powers read one chain."""
+
+    @staticmethod
+    def stack_sizes(monkeypatch):
+        """The row count of every float wedge step from here on."""
+        from extconv import exterior, functions
+        sizes = []
+        for owner in (functions, exterior):
+            real = owner.wedge_rows
+            monkeypatch.setattr(owner, "wedge_rows", lambda a, *rest, real=real:
+                                sizes.append(a.shape[0]) or real(a, *rest))
+        return sizes
+
+    def test_support_lp(self, monkeypatch):
+        sizes = self.stack_sizes(monkeypatch)
+        result = polyconvex_support_lp(fn_planted(), KForm.zero(8, 2, scalars.FLOAT),
+                                       SamplerConfig(seed=1, trials=60))
+        assert result.status == "certified"
+        # ξ², ξ³ and ξ⁴ of the 60 samples; the base point's are one-row stacks
+        assert sorted(sizes) == [1] * 6 + [60] * 3
+
+    def test_fit(self, monkeypatch):
+        sizes = self.stack_sizes(monkeypatch)
+        assert fit_quasiaffine(fn_planted(), SamplerConfig(seed=1, trials=60)).status == "ok"
+        # 256 design samples (twice the 128 unknowns) and 60 validation samples
+        assert sorted(sizes) == [60] * 3 + [256] * 3
+
+
 class TestSupportLPPinned:
     """The (8,2) support LP at the benchmark's 500 samples: answers and tableau width."""
 

@@ -9,7 +9,7 @@ import pytest
 from extconv import scalars
 from extconv.errors import DomainError
 from extconv.exterior import KForm, wedge_power
-from extconv.functions import FormFunction
+from extconv.functions import FormFunction, grow_power_chain
 
 from oracles import coeffs_to_dict, evaluate_expression, rand_exact, reference_rows
 
@@ -347,6 +347,68 @@ class TestSharedPowerChain:
         first, second = random_rows(f, 6, seed=1), random_rows(f, 6, seed=2)
         f.evaluate_rows(first)
         assert f.evaluate_rows(second).tobytes() == reference_rows(f, second).tobytes()
+
+
+class TestSeededPowerChain:
+    """``evaluate_rows(rows, chain)`` starts the "xi" chain from one its caller
+    grew on the same rows, and gives the bits it gives without one."""
+
+    @staticmethod
+    def corpus():
+        return {
+            "planted": planted_pairing(8, 2, seed=3),
+            "norm_sq": FormFunction.norm_squared(8, 2),
+            "abs_pow": FormFunction(8, 2, {"op": "add", "args": chain_corpus()["under_ops"]}),
+            "xi_and_literal": FormFunction(8, 2, {"op": "add",
+                                                  "args": chain_corpus()["two_arguments"]}),
+        }
+
+    @pytest.mark.parametrize("name", ["planted", "norm_sq", "abs_pow", "xi_and_literal"])
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_seeded_equals_unseeded(self, name, length):
+        f = self.corpus()[name]
+        rows = random_rows(f, 41, seed=length)
+        chain = grow_power_chain([rows], 8, 2, length)
+        assert f.evaluate_rows(rows, chain).tobytes() == f.evaluate_rows(rows).tobytes()
+        assert len(chain) == length     # a short chain grows in the memo, not in place
+
+    def test_a_full_chain_takes_no_wedge(self, monkeypatch):
+        from extconv import exterior, functions
+        f = planted_pairing(8, 2, seed=3)
+        rows = random_rows(f, 9, seed=4)
+        chain = grow_power_chain([rows], 8, 2, 4)
+        calls = []
+        for owner in (functions, exterior):
+            real = owner.wedge_rows
+            monkeypatch.setattr(owner, "wedge_rows",
+                                lambda *args, real=real: calls.append(args[2:5]) or real(*args))
+        f.evaluate_rows(rows, chain)
+        assert calls == []
+        f.magnitude_rows(rows)
+        assert len(calls) == 3
+
+    def test_only_wedge_powers_of_xi_read_the_chain(self):
+        # a chain of wrong powers shows where it is read: by wedge_pow on "xi",
+        # and never by a literal's powers or by the magnitude
+        funcs = self.corpus()
+        rows = random_rows(funcs["planted"], 7, seed=8)
+        wrong = [rows] + [np.zeros((7, math.comb(8, 2 * s))) for s in (2, 3, 4)]
+        square = FormFunction(8, 2, {"op": "norm_sq", "arg": power("xi", 2)})
+        assert square.evaluate_rows(rows, wrong).tolist() == [0.0] * 7
+        assert square.evaluate_rows(rows).min() > 0
+        literal_only = FormFunction(8, 2, {"op": "add", "args": [
+            a for a in funcs["xi_and_literal"].expr["args"] if a["arg"]["arg"] != "xi"]})
+        assert literal_only.evaluate_rows(rows, wrong).tobytes() \
+            == literal_only.evaluate_rows(rows).tobytes()
+
+    def test_a_chain_of_other_rows_is_refused(self):
+        f = planted_pairing(8, 2, seed=3)
+        rows = random_rows(f, 5, seed=6)
+        for chain in ([rows.copy()], [rows[:, :]]):
+            with pytest.raises(DomainError, match="chain"):
+                f.evaluate_rows(rows, chain)
+        with pytest.raises(DomainError, match="chain"):
+            f.evaluate_rows(rows.tolist(), [rows])
 
 
 class TestStrictJson:

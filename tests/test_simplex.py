@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extconv import simplex
+from extconv import scalars, simplex
+from extconv.convexity import SamplerConfig, polyconvex_support_lp
 from extconv.errors import DomainError
+from extconv.exterior import KForm
+from extconv.functions import FormFunction
 from extconv.simplex import ITERATION_LIMIT, OPTIMAL, UNBOUNDED, minimize
-from oracles import reference_minimize
+from oracles import random_exact_form, reference_minimize
 
 
 def exact(*values):
@@ -322,6 +325,38 @@ def support_shaped_lp(width, seed, shift=0.0):
     return [0.0] * width + [1.0], A, rng.standard_normal(rows) - shift, width
 
 
+def integer_support_shaped_lp(width, seed):
+    """``support_shaped_lp(width, seed)`` with A and b rounded to integers, as
+    object arrays: the same shape (free columns, t's all-ones column, a
+    positive b and so the start pivot) solved exactly."""
+    c, A, b, free = support_shaped_lp(width, seed)
+    return (*exact(c, np.round(A).astype(int).tolist(), np.round(b).astype(int).tolist()),
+            free)
+
+
+def support_lp_8_2(name, seed):
+    """(c, A, b, free) of ``polyconvex_support_lp`` at (8,2), base 0, with the
+    benchmark's 500 samples; the function is a planted pairing or −|ξ|²."""
+    if name == "planted":
+        rng = random.Random(12)
+        f = FormFunction.affine_combination(8, 2, [Fraction(rng.randint(-5, 5), 3)] + [
+            random_exact_form(8, 2 * s, rng) for s in range(1, 5)])
+    else:
+        f = FormFunction.neg_norm_squared(8, 2)
+    lps = []
+
+    def record(c, A, b, free):
+        lps.append((c, A, b, free))
+        return simplex.LPResult(ITERATION_LIMIT, None, None, 0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "minimize", record)
+        polyconvex_support_lp(f, KForm.zero(8, 2, scalars.FLOAT),
+                              SamplerConfig(seed=seed, trials=500))
+    [lp] = lps
+    return lp
+
+
 def gaussian_lps(count, seed):
     """Small LPs (c, A, b, f) on Gaussian data, with ties only by accident: as
     ``random_lps``, half with b ≤ 0 and half with a uniform slack, and f free."""
@@ -410,6 +445,49 @@ class TestBlockedUpdatesAgainstTheRankOneLoop:
         want, want_bases = reference_minimize(*lp, max_iter=max_iter)
         assert got == want == simplex.LPResult(ITERATION_LIMIT, None, None, max_iter)
         assert bases == want_bases and len(bases) == max_iter + 1
+
+    @pytest.mark.parametrize("name,seed", [("planted", 1), ("planted", 3),
+                                           ("neg_norm_sq", 1), ("neg_norm_sq", 3)])
+    def test_full_size_support_lps_pivot_for_pivot(self, name, seed, monkeypatch):
+        # the (8,2) LPs of a float-sampled round: 501 × 129 tableaux, free
+        # columns and the start pivot, over several blocks
+        lp = support_lp_8_2(name, seed)
+        got, bases = solve_spied(monkeypatch, *lp)
+        want, want_bases = reference_minimize(*lp)
+        assert len(want_bases) > 3 * simplex._BLOCK
+        assert_float_agrees(got, want)
+        assert bases == want_bases
+
+    @pytest.mark.parametrize("block,width,seed,pivots", [(1, 14, 0, 26), (3, 14, 0, 26),
+                                                         (simplex._BLOCK, 16, 49, 37)])
+    def test_exact_support_shaped_lp_pivot_for_pivot(self, block, width, seed, pivots,
+                                                     monkeypatch):
+        # free columns, t's all-ones column and the start pivot, solved exactly;
+        # the full block takes its flush and fills part of a second one
+        monkeypatch.setattr(simplex, "_BLOCK", block)
+        lp = integer_support_shaped_lp(width, seed)
+        got, bases = solve_spied(monkeypatch, *lp)
+        want, want_bases = reference_minimize(*lp)
+        assert len(want_bases) == pivots
+        assert got == want and bases == want_bases
+
+    def test_cost_row_and_masks_are_current_at_every_pivot(self, monkeypatch):
+        # the cost row owes no pending update, and the row and column masks
+        # follow the basis, after every pivot of exact LPs with free variables
+        pivot, seen = simplex._pivot, []
+
+        def spy(tab, *args):
+            pivot(tab, *args)
+            seen.append(tab)
+            assert not tab.U[-1].any()
+            assert tab.may_leave.tolist() == (tab.basis >= tab.free).tolist()
+            assert tab.flip.tolist() == [-1 if j < tab.free else 1 for j in tab.nonbasic]
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        monkeypatch.setattr(simplex, "_BLOCK", 3)
+        for c, A, b, f in random_lps(40, seed=977, free=True):
+            assert minimize(*exact(c, A, b), f) == reference_minimize(*exact(c, A, b), f)[0]
+        assert len(seen) > 40
 
     @pytest.mark.parametrize("block", [2, 3])
     def test_exact_iteration_cap_inside_a_block(self, block, monkeypatch):
